@@ -81,44 +81,32 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_outputs(cfg, result, out: Path, z_rho=None) -> None:
-    footer = "status=ok"
-    if getattr(result, "monitor_failure", None):
-        footer = f"status=monitor_failure detail={result.monitor_failure!r}"
-    rows = diagnostics.rows_from_records(result.csv_records)
-    diagnostics.write_csv(rows, out / "diagnostics.csv", footer=footer)
-    snapshots.write_snapshot(result.final_state, out / "state_final.bin", z_rho=z_rho)
-
-
-def _cmd_run_det(args) -> int:
+def _cmd_run(args) -> int:
+    driver = {
+        "run-det": timestep.run_deterministic,
+        "run-stoch": stochastic.run_split_stochastic,
+        "run-direct-em": stochastic.run_direct_em,
+    }[args.command]
     cfg = _load_config(args)
     out = _out_dir(cfg)
-    try:
-        result = timestep.run_deterministic(cfg)
-    except timestep.BlowUpError as exc:
-        snapshots.write_snapshot(exc.last_state, out / "state_blowup.bin")
-        print(f"blow-up abort: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    _write_outputs(cfg, result, out)
-    if result.monitor_failure:
-        print(f"monitor failure: {result.monitor_failure}", file=sys.stderr)
-        return EXIT_MONITOR
-    return EXIT_OK
-
-
-def _cmd_run_stochastic(args, direct: bool) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    driver = stochastic.run_direct_em if direct else stochastic.run_split_stochastic
     try:
         result = driver(cfg)
     except timestep.BlowUpError as exc:
         snapshots.write_snapshot(exc.last_state, out / "state_blowup.bin")
         print(f"blow-up abort: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    _write_outputs(cfg, result, out, z_rho=result.z_rho_final)
+    for w in result.warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    footer = "status=ok"
+    if result.monitor_failure:
+        footer = f"status=monitor_failure detail={result.monitor_failure!r}"
+    rows = diagnostics.rows_from_records(result.csv_records)
+    diagnostics.write_csv(rows, out / "diagnostics.csv", footer=footer)
+    snapshots.write_snapshot(result.final_state, out / "state_final.bin",
+                             z_rho=result.z_rho_final)
+    if result.monitor_failure:
+        print(f"monitor failure: {result.monitor_failure}", file=sys.stderr)
+        return EXIT_MONITOR
     return EXIT_OK
 
 
@@ -189,12 +177,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        if args.command == "run-det":
-            return _cmd_run_det(args)
-        if args.command == "run-stoch":
-            return _cmd_run_stochastic(args, direct=False)
-        if args.command == "run-direct-em":
-            return _cmd_run_stochastic(args, direct=True)
+        if args.command.startswith("run-"):
+            return _cmd_run(args)
         if args.command == "spectrum":
             return _cmd_spectrum(args)
         if args.command == "mms":

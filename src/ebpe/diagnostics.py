@@ -62,11 +62,3 @@ def write_csv(rows: list[DiagnosticsRow], path, footer: str | None = None) -> No
     with open(path, "w", newline="\n") as fh:
         fh.write(format_csv(rows, footer))
 
-
-def data_lines(csv_text: str) -> list[str]:
-    """Data rows of a diagnostics CSV (comments and header stripped);
-    used to compare restart-spliced runs against uninterrupted ones."""
-    return [
-        line for line in csv_text.splitlines()
-        if line and not line.startswith("#") and not line.startswith("step,")
-    ]

@@ -202,31 +202,63 @@ class LedgerCheckResult:
     message: str = ""
 
 
+def energy_step_check(
+    prev: LedgerRecord,
+    record: LedgerRecord,
+    step: int,
+    dt: float,
+    c_led: float = 50.0,
+    tol_e: float = 1e-10,
+    strict: bool = False,
+) -> str | None:
+    """Energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + tol for one
+    step; returns the violation message, or None when it holds.
+
+    With strict=True (pure diffusion: velocity frozen, no insolation, no
+    radiation) the energy must not increase at all beyond roundoff.
+    """
+    if strict:
+        allowed = prev.energy * (1.0 + 1e-14)
+    else:
+        allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + tol_e
+    if record.energy > allowed:
+        return (f"energy ledger violated at step {step}: "
+                f"E={record.energy:.6e} > allowed {allowed:.6e}")
+    return None
+
+
+def h1_step_check(
+    first: LedgerRecord,
+    record: LedgerRecord,
+    step: int,
+    growth_rate: float = 50.0,
+    margin: float = 100.0,
+    floor: float = 1e-8,
+) -> str | None:
+    """No-blow-up sentinel: the gradient norms of `record` inside the
+    exponential envelope margin * H1(first) * exp(growth_rate (t - t_first));
+    returns the breach message, or None."""
+    h1 = record.h1_seminorm_sq
+    log_scale = np.log(margin * max(first.h1_seminorm_sq, floor))
+    if not np.isfinite(h1) or (
+        h1 > 0.0 and np.log(h1) > log_scale + growth_rate * (record.t - first.t)
+    ):
+        return f"H1 envelope breached at step {step}: {h1:.6e}"
+    return None
+
+
 def energy_ledger_check(
     ledger: Ledger,
     c_led: float = 50.0,
     tol_e: float = 1e-10,
     strict: bool = False,
 ) -> LedgerCheckResult:
-    """Per-step energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + tol.
-
-    With strict=True (pure diffusion: velocity frozen, no insolation, no
-    radiation) the energy must not increase at all beyond roundoff.
-    """
-    E = ledger.series("energy")
-    t = ledger.series("t")
-    for n in range(1, len(E)):
-        dt = t[n] - t[n - 1]
-        if strict:
-            allowed = E[n - 1] * (1.0 + 1e-14)
-        else:
-            allowed = E[n - 1] + dt * c_led * (1.0 + E[n - 1]) + tol_e
-        if E[n] > allowed:
-            return LedgerCheckResult(
-                ok=False, first_bad_step=n,
-                message=f"energy ledger violated at step {n}: "
-                        f"E={E[n]:.6e} > allowed {allowed:.6e}",
-            )
+    """`energy_step_check` over every consecutive pair of ledger records."""
+    for n in range(1, len(ledger)):
+        dt = ledger[n].t - ledger[n - 1].t
+        message = energy_step_check(ledger[n - 1], ledger[n], n, dt, c_led, tol_e, strict)
+        if message is not None:
+            return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)
 
 
@@ -236,19 +268,11 @@ def h1_ledger_check(
     margin: float = 100.0,
     floor: float = 1e-8,
 ) -> LedgerCheckResult:
-    """No-blow-up sentinel: gradient norms inside an exponential envelope."""
-    H = ledger.series("h1_seminorm_sq")
-    t = ledger.series("t")
-    log_scale = np.log(margin * max(H[0], floor))
-    for n in range(len(H)):
-        breached = not np.isfinite(H[n]) or (
-            H[n] > 0.0 and np.log(H[n]) > log_scale + growth_rate * (t[n] - t[0])
-        )
-        if breached:
-            return LedgerCheckResult(
-                ok=False, first_bad_step=n,
-                message=f"H1 envelope breached at step {n}: {H[n]:.6e}",
-            )
+    """`h1_step_check` of every ledger record against the first."""
+    for n in range(len(ledger)):
+        message = h1_step_check(ledger[0], ledger[n], n, growth_rate, margin, floor)
+        if message is not None:
+            return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)
 
 

@@ -3,34 +3,42 @@ for the linearized coupled system, the split driver (exact linear noise
 convolution plus a deterministic remainder), and a direct semi-implicit
 Euler-Maruyama driver used as the brute-force cross-check.
 
+Both drivers run the deterministic step kernel (`Stepper.step`) inside the
+shared driver loop (`timestep.integrate`), so they honour the monitor
+settings and reduce to the deterministic run at sigma = 0.  The split
+driver evaluates the tendencies at the reassembled fields; the direct
+driver adds the increment q dW to the surface row of the coupled solve.
+
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
 surface-temperature row only.  The decay exponent must be at least 2 so
 the noise carries one horizontal derivative uniformly in resolution.
 
 Every run is a pure function of (config, seed): increments for all steps
-are drawn up front in one reproducible bundle, and the same bundle can be
-coarsened (summing consecutive increments) so runs at different step
-sizes share one Brownian path.
+are drawn up front in one reproducible bundle, indexed by the absolute
+step number, and the same bundle can be coarsened (summing consecutive
+increments) so runs at different step sizes share one Brownian path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import hydrostatic, linops, monitors
+from . import linops
 from .config import RunConfig
-from .ebm import PhysParams, VERTICAL_AVERAGE
-from .grid import Grid, to_physical, to_spectral
+from .ebm import VERTICAL_AVERAGE
+from .grid import Grid, to_physical
 from .timestep import (
+    RunResult,
     State,
     Stepper,
     _check_finite,
     grid_from_config,
     initial_state_from_config,
+    integrate,
     params_from_config,
 )
 
@@ -42,8 +50,6 @@ class NoiseSpec:
     sigma: float = 0.1
     decay: float = 2.0
     seed: int = 0
-    # optional hook: per-step amplitude tables, callable step_index -> (Nx, Ny)
-    q_of_step: object = None
 
     def __post_init__(self) -> None:
         if self.sigma < 0.0:
@@ -54,9 +60,7 @@ class NoiseSpec:
                 f"got {self.decay}"
             )
 
-    def q_table(self, grid: Grid, step: int = 0) -> np.ndarray:
-        if self.q_of_step is not None:
-            return np.asarray(self.q_of_step(step), dtype=float)
+    def q_table(self, grid: Grid) -> np.ndarray:
         return self.sigma * (1.0 + grid.xi2) ** (-self.decay / 2.0)
 
 
@@ -152,36 +156,27 @@ class ConvolutionPropagator:
         return propagated + self.phi1_col * (q * dW)[:, :, None]
 
 
-def stoch_convolution_step(
-    grid: Grid,
-    Z_hat: np.ndarray,
-    dt: float,
-    dW: np.ndarray,
-    spec: NoiseSpec,
-    propagator: ConvolutionPropagator | None = None,
-    step: int = 0,
-) -> np.ndarray:
-    """One exponential-Euler update of the stacked noise convolution."""
-    if propagator is None:
-        propagator = ConvolutionPropagator(grid, dt)
-    return propagator.step_hat(Z_hat, dW, spec.q_table(grid, step))
-
-
-@dataclass
-class StochasticRunResult:
-    final_state: State            # reassembled fields
-    remainder_final: State | None  # split driver only
-    z_rho_final: np.ndarray | None
-    ledger: monitors.Ledger
-    csv_records: list[tuple[int, monitors.LedgerRecord, int]]
-    bundle: PathBundle
-
-
-def _require_average_transport(params: PhysParams) -> None:
+def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None):
+    """Validated grid, parameters, stepper, increment bundle and amplitudes."""
+    if cfg.scheme != "imex_euler":
+        raise ValueError(
+            f"stochastic drivers support scheme = imex_euler only, got {cfg.scheme!r}"
+        )
+    grid = grid_from_config(cfg)
+    params = params_from_config(grid, cfg)
     if params.transport_variant != VERTICAL_AVERAGE:
         raise ValueError(
             "stochastic drivers require transport_variant=vertical_average"
         )
+    if spec is None:
+        spec = noise_spec_from_config(cfg)
+    n_steps = cfg.n_steps()
+    if bundle is None:
+        bundle = wiener_increments(grid, spec, cfg.dt, n_steps)
+    if bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
+        raise ValueError("path bundle does not match the run (steps or dt)")
+    stepper = Stepper(grid, params, cfg.dt, freeze_velocity=cfg.freeze_velocity)
+    return grid, params, stepper, bundle, spec.q_table(grid)
 
 
 def run_split_stochastic(
@@ -189,7 +184,7 @@ def run_split_stochastic(
     spec: NoiseSpec | None = None,
     bundle: PathBundle | None = None,
     initial: State | None = None,
-) -> StochasticRunResult:
+) -> RunResult:
     """Split driver: exact noise convolution plus a deterministic remainder.
 
     The convolution stack evolves by its exact per-mode exponential map;
@@ -199,79 +194,39 @@ def run_split_stochastic(
     including its boundary part), so the scheme and the direct
     Euler-Maruyama driver discretize the same system.  With sigma = 0 the
     convolution vanishes and the run reproduces the deterministic driver.
-    """
-    grid = grid_from_config(cfg)
-    params = params_from_config(grid, cfg)
-    _require_average_transport(params)
-    if spec is None:
-        spec = noise_spec_from_config(cfg)
-    n_steps = cfg.n_steps()
-    if bundle is None:
-        bundle = wiener_increments(grid, spec, cfg.dt, n_steps)
-    if bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
-        raise ValueError("path bundle does not match the run (steps or dt)")
 
-    stepper = Stepper(grid, params, cfg.dt, scheme="imex_euler",
-                      freeze_velocity=cfg.freeze_velocity)
-    remainder = initial_state_from_config(grid, cfg) if initial is None else initial.copy()
+    The run cannot resume: a snapshot carries only the surface channel of
+    the convolution stack, so an `initial` state with step > 0 is
+    rejected.
+    """
+    if initial is not None and initial.step > 0:
+        raise ValueError(
+            "the split driver cannot resume a run: snapshots do not carry "
+            "the full convolution stack"
+        )
+    grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
     propagator = ConvolutionPropagator(grid, cfg.dt)
-    q = spec.q_table(grid)
+    remainder = initial_state_from_config(grid, cfg) if initial is None else initial
     Z_hat = np.zeros((grid.nx, grid.ny, grid.nlev), dtype=complex)
 
-    ledger = monitors.Ledger()
-    csv_records: list[tuple[int, monitors.LedgerRecord, int]] = []
+    def reassemble() -> State:
+        T_full = remainder.T + to_physical(grid, Z_hat)
+        return State(v=remainder.v, T=T_full, rho=T_full[..., -1].copy(),
+                     t=remainder.t, step=remainder.step, p_s=remainder.p_s)
 
-    def reassemble(rem: State, Z_hat: np.ndarray) -> State:
-        Z_T = to_physical(grid, Z_hat)
-        T_full = rem.T + Z_T
-        return State(v=rem.v, T=T_full, rho=T_full[..., -1].copy(),
-                     t=rem.t, step=rem.step, p_s=rem.p_s)
+    def advance(full: State) -> State:
+        nonlocal remainder, Z_hat
+        remainder = stepper.step(remainder, eval_state=full)
+        Z_hat = propagator.step_hat(Z_hat, bundle.increments[full.step], q)
+        new = reassemble()
+        _check_finite(new, full)
+        return new
 
-    full = reassemble(remainder, Z_hat)
-    record = monitors.measure(grid, full)
-    ledger.append(record)
-    csv_records.append((0, record, 0))
-
-    for n in range(n_steps):
-        full = reassemble(remainder, Z_hat)
-        F_v, F_T, F_rho = stepper.tendencies(full)
-
-        if cfg.freeze_velocity:
-            v_new, p_s = remainder.v, remainder.p_s
-        else:
-            rhs_v = remainder.v + cfg.dt * F_v
-            v_star = linops.solve_velocity_implicit(grid, rhs_v, cfg.dt, stepper.velocity)
-            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
-            p_s = hydrostatic.potential_from_gradient(grid, grad) / cfg.dt
-
-        T_new, rho_new = linops.solve_coupled_implicit(
-            grid,
-            remainder.T + cfg.dt * F_T,
-            remainder.rho + cfg.dt * F_rho,
-            cfg.dt,
-            stepper.coupled,
-        )
-        previous = remainder
-        remainder = State(v=v_new, T=T_new, rho=rho_new,
-                          t=previous.t + cfg.dt, step=previous.step + 1, p_s=p_s)
-        if spec.q_of_step is not None:
-            q = spec.q_table(grid, n)
-        Z_hat = propagator.step_hat(Z_hat, bundle.increments[n], q)
-
-        _check_finite(remainder, previous)
-        full = reassemble(remainder, Z_hat)
-        _check_finite(full, previous)
-        record = monitors.measure(grid, full)
-        ledger.append(record)
-        if remainder.step % cfg.cadence == 0:
-            csv_records.append((remainder.step, record, 0))
-
-    full = reassemble(remainder, Z_hat)
-    z_rho = to_physical(grid, Z_hat[..., -1])
-    return StochasticRunResult(
-        final_state=full, remainder_final=remainder, z_rho_final=z_rho,
-        ledger=ledger, csv_records=csv_records, bundle=bundle,
-    )
+    result = integrate(cfg, grid, params, reassemble(), advance)
+    result.remainder_final = remainder
+    result.z_rho_final = to_physical(grid, Z_hat[..., -1])
+    result.bundle = bundle
+    return result
 
 
 def run_direct_em(
@@ -279,69 +234,21 @@ def run_direct_em(
     spec: NoiseSpec | None = None,
     bundle: PathBundle | None = None,
     initial: State | None = None,
-) -> StochasticRunResult:
+) -> RunResult:
     """Semi-implicit Euler-Maruyama on the unsplit system.
 
     Explicit nonlinearities, implicit coupled solve, the noise increment
-    added to the surface row after the solve.  Serves as the brute-force
-    oracle for the split driver on a shared path.
+    added to the surface row of the spectral solution.  Serves as the
+    brute-force oracle for the split driver on a shared path.  Increments
+    are indexed by the absolute step, so a run resumed from a snapshot
+    state whose step is set reproduces the uninterrupted run bit for bit.
     """
-    grid = grid_from_config(cfg)
-    params = params_from_config(grid, cfg)
-    _require_average_transport(params)
-    if spec is None:
-        spec = noise_spec_from_config(cfg)
-    n_steps = cfg.n_steps()
-    if bundle is None:
-        bundle = wiener_increments(grid, spec, cfg.dt, n_steps)
-    if bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
-        raise ValueError("path bundle does not match the run (steps or dt)")
+    grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
 
-    stepper = Stepper(grid, params, cfg.dt, scheme="imex_euler",
-                      freeze_velocity=cfg.freeze_velocity)
-    state = initial_state_from_config(grid, cfg) if initial is None else initial.copy()
-    q = spec.q_table(grid)
+    def advance(state: State) -> State:
+        return stepper.step(state, surface_kick_hat=q * bundle.increments[state.step])
 
-    ledger = monitors.Ledger()
-    csv_records: list[tuple[int, monitors.LedgerRecord, int]] = []
-    record = monitors.measure(grid, state)
-    ledger.append(record)
-    csv_records.append((0, record, 0))
-
-    for n in range(n_steps):
-        F_v, F_T, F_rho = stepper.tendencies(state)
-
-        if cfg.freeze_velocity:
-            v_new, p_s = state.v, state.p_s
-        else:
-            rhs_v = state.v + cfg.dt * F_v
-            v_star = linops.solve_velocity_implicit(grid, rhs_v, cfg.dt, stepper.velocity)
-            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
-            p_s = hydrostatic.potential_from_gradient(grid, grad) / cfg.dt
-
-        stack = linops.stack_fields_hat(
-            grid,
-            to_spectral(grid, state.T + cfg.dt * F_T),
-            to_spectral(grid, state.rho + cfg.dt * F_rho),
-        )
-        x_hat = stepper.coupled.solve_hat(stack)
-        if spec.q_of_step is not None:
-            q = spec.q_table(grid, n)
-        x_hat[..., -1] += q * bundle.increments[n]
-        T_hat, _ = linops.unstack_fields_hat(grid, x_hat)
-        T_new = to_physical(grid, T_hat)
-        rho_new = T_new[..., -1].copy()
-
-        previous = state
-        state = State(v=v_new, T=T_new, rho=rho_new,
-                      t=previous.t + cfg.dt, step=previous.step + 1, p_s=p_s)
-        _check_finite(state, previous)
-        record = monitors.measure(grid, state)
-        ledger.append(record)
-        if state.step % cfg.cadence == 0:
-            csv_records.append((state.step, record, 0))
-
-    return StochasticRunResult(
-        final_state=state, remainder_final=None, z_rho_final=None,
-        ledger=ledger, csv_records=csv_records, bundle=bundle,
-    )
+    state = initial_state_from_config(grid, cfg) if initial is None else initial
+    result = integrate(cfg, grid, params, state, advance)
+    result.bundle = bundle
+    return result

@@ -1,6 +1,6 @@
-"""Deterministic time integration of the coupled system.
+"""Time integration of the coupled system: the step kernel and the driver loop.
 
-One step of the contract scheme (first-order IMEX Euler):
+One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 
 1. explicit tendencies (advection, baroclinic forcing, radiation) at t_n,
    every quadratic product dealiased;
@@ -12,11 +12,18 @@ One step of the contract scheme (first-order IMEX Euler):
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
+
+`integrate` is the one driver loop (step count, ledger, monitors,
+diagnostics rows, blow-up handling).  The deterministic driver here and
+the stochastic drivers in `ebpe.stochastic` differ only in the per-step
+advance they hand to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +32,9 @@ from . import hydrostatic, linops, monitors
 from .config import RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
 from .grid import Grid, dealias, deriv_x, deriv_y, deriv_z, to_physical, to_spectral
+
+if TYPE_CHECKING:
+    from .stochastic import PathBundle
 
 BLOWUP_SUP = 1e8
 
@@ -253,117 +263,126 @@ class Stepper:
             F_rho = F_rho + f_rho
         return F_v, F_T, F_rho
 
-    def step(self, state: State) -> State:
+    def step(
+        self,
+        state: State,
+        eval_state: State | None = None,
+        surface_kick_hat: np.ndarray | None = None,
+    ) -> State:
+        """Advance `state` by one step.
+
+        eval_state, when given, is where the explicit tendencies are
+        evaluated while the implicit update starts from `state` (the split
+        driver passes the reassembled fields and advances the remainder).
+        surface_kick_hat, shape (Nx, Ny), is added to the surface row of the
+        spectral coupled solution before the inverse transform (the
+        Euler-Maruyama noise increment q dW).  Both are IMEX Euler only.
+        """
+        grid, dt = self.grid, self.dt
+        F = self.tendencies(state if eval_state is None else eval_state)
+        F_old = None
         if self.scheme == "cnab2":
-            new = self._step_cnab2(state)
+            if eval_state is not None or surface_kick_hat is not None:
+                raise ValueError("scheme cnab2 takes no eval_state or surface_kick_hat")
+            # without usable history (first step or restart) this is an Euler step
+            if self._history is not None and self._history[0] == state.step:
+                F_old = self._history[1]
+            self._history = (state.step + 1, F)
+
+        if self.freeze_velocity:
+            v_new, p_s = state.v, state.p_s
         else:
-            new = self._step_imex_euler(state)
+            if F_old is None:
+                v_star = linops.solve_velocity_implicit(
+                    grid, state.v + dt * F[0], dt, self.velocity)
+            else:
+                v_star = self._cnab2_velocity(state.v, F[0], F_old[0])
+            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
+            p_s = hydrostatic.potential_from_gradient(grid, grad) / dt
+
+        if F_old is None:
+            x_hat = self.coupled.solve_hat(linops.stack_fields_hat(
+                grid, to_spectral(grid, state.T + dt * F[1]),
+                to_spectral(grid, state.rho + dt * F[2]),
+            ))
+        else:
+            x_hat = self._cnab2_coupled(state, F, F_old)
+        if surface_kick_hat is not None:
+            x_hat[..., -1] += surface_kick_hat
+        T_hat, _ = linops.unstack_fields_hat(grid, x_hat)
+        T_new = to_physical(grid, T_hat)
+        new = State(v=v_new, T=T_new, rho=T_new[..., -1].copy(),
+                    t=state.t + dt, step=state.step + 1, p_s=p_s)
         _check_finite(new, state)
         return new
 
-    # -- IMEX Euler ----------------------------------------------------
+    # -- CNAB2 right-hand sides and half-step solves ----------------------
 
-    def _step_imex_euler(self, state: State) -> State:
+    def _cnab2_velocity(self, v: np.ndarray, F_v: np.ndarray, F_v_old: np.ndarray) -> np.ndarray:
         grid, dt = self.grid, self.dt
-        F_v, F_T, F_rho = self.tendencies(state)
+        rhs_v = np.empty_like(v)
+        for comp in range(2):
+            x_hat = to_spectral(grid, v[comp])
+            half = 0.5 * dt * self.velocity.apply_generator_hat(x_hat)
+            rhs_v[comp] = to_physical(grid, x_hat + half)
+        rhs_v += dt * _ab2(F_v, F_v_old)
+        return linops.solve_velocity_implicit(grid, rhs_v, 0.5 * dt, self.velocity_half)
 
-        if self.freeze_velocity:
-            v_new, p_s = state.v, state.p_s
-        else:
-            rhs_v = state.v + dt * F_v
-            v_star = linops.solve_velocity_implicit(grid, rhs_v, dt, self.velocity)
-            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
-            p_s = hydrostatic.potential_from_gradient(grid, grad) / dt
-
-        T_new, rho_new = linops.solve_coupled_implicit(
-            grid, state.T + dt * F_T, state.rho + dt * F_rho, dt, self.coupled
-        )
-        return State(v=v_new, T=T_new, rho=rho_new,
-                     t=state.t + dt, step=state.step + 1, p_s=p_s)
-
-    # -- CNAB2 ----------------------------------------------------------
-
-    def _step_cnab2(self, state: State) -> State:
+    def _cnab2_coupled(self, state: State, F, F_old) -> np.ndarray:
         grid, dt = self.grid, self.dt
-        F = self.tendencies(state)
-        if self._history is None or self._history[0] != state.step:
-            # no usable history (first step or restart): one Euler step
-            self._history = (state.step + 1, F)
-            return self._step_imex_euler(state)
-        F_old = self._history[1]
-        self._history = (state.step + 1, F)
-
-        def ab2(cur, old):
-            return 1.5 * cur - 0.5 * old
-
-        if self.freeze_velocity:
-            v_new, p_s = state.v, state.p_s
-        else:
-            rhs_v = np.empty_like(state.v)
-            for comp in range(2):
-                x_hat = to_spectral(grid, state.v[comp])
-                half = 0.5 * dt * self.velocity.apply_generator_hat(x_hat)
-                rhs_v[comp] = to_physical(grid, x_hat + half)
-            rhs_v += dt * ab2(F[0], F_old[0])
-            v_star = np.empty_like(rhs_v)
-            for comp in range(2):
-                v_star[comp] = to_physical(
-                    grid, self.velocity_half.solve_hat(to_spectral(grid, rhs_v[comp]))
-                )
-            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
-            p_s = hydrostatic.potential_from_gradient(grid, grad) / dt
-
         stack = linops.stack_fields_hat(
             grid, to_spectral(grid, state.T), to_spectral(grid, state.rho)
         )
         rhs_stack = stack + 0.5 * dt * self.coupled.apply_generator_hat(stack)
         rhs_stack += dt * linops.stack_fields_hat(
             grid,
-            to_spectral(grid, ab2(F[1], F_old[1])),
-            to_spectral(grid, ab2(F[2], F_old[2])),
+            to_spectral(grid, _ab2(F[1], F_old[1])),
+            to_spectral(grid, _ab2(F[2], F_old[2])),
         )
-        T_hat, _ = linops.unstack_fields_hat(grid, self.coupled_half.solve_hat(rhs_stack))
-        T_new = to_physical(grid, T_hat)
-        rho_new = T_new[..., -1].copy()
-        return State(v=v_new, T=T_new, rho=rho_new,
-                     t=state.t + dt, step=state.step + 1, p_s=p_s)
+        return self.coupled_half.solve_hat(rhs_stack)
 
 
-def imex_step(grid: Grid, state: State, dt: float, params: PhysParams, **kwargs) -> State:
-    """One-shot step (builds a fresh Stepper; prefer Stepper for loops)."""
-    return Stepper(grid, params, dt, **kwargs).step(state)
+def _ab2(cur: np.ndarray, old: np.ndarray) -> np.ndarray:
+    return 1.5 * cur - 0.5 * old
 
 
 @dataclass
 class RunResult:
+    """Outcome of one driver run.
+
+    final_state is the last measured state (for the split driver, the
+    reassembled fields).  The split driver also returns its remainder and
+    the surface channel of the noise convolution; both stochastic drivers
+    return the increment bundle they used.
+    """
+
     final_state: State
     ledger: monitors.Ledger
     csv_records: list[tuple[int, monitors.LedgerRecord, int]]
     monitor_failure: str | None = None
     warnings: list[str] = field(default_factory=list)
+    remainder_final: State | None = None
+    z_rho_final: np.ndarray | None = None
+    bundle: PathBundle | None = None
 
 
-def run_deterministic(
+def integrate(
     cfg: RunConfig,
-    initial: State | None = None,
-    forcing=None,
+    grid: Grid,
+    params: PhysParams,
+    state: State,
+    advance: Callable[[State], State],
 ) -> RunResult:
-    """Integrate to t_end, measuring the ledger every step.
+    """The driver loop: advance `state` to step cfg.n_steps().
 
-    Diagnostics rows are emitted at the configured cadence (plus one row
-    for the initial state of a fresh run).  When monitors are enabled the
-    run halts on the first hard monitor failure; the maximum-principle
-    monitor is warn-only under vertical-average transport, where its
-    constant is not established.
+    advance maps the last measured state to the next one.  Every state is
+    measured into the ledger; diagnostics rows are emitted at the
+    configured cadence, on any monitor flag, and for the initial state of
+    a fresh run (step 0).  When monitors are enabled the run halts on the
+    first hard monitor failure; the maximum-principle monitor is warn-only
+    under vertical-average transport, where its constant is not
+    established.  A BlowUpError carries the last measured state.
     """
-    grid = grid_from_config(cfg)
-    params = params_from_config(grid, cfg)
-    stepper = Stepper(
-        grid, params, cfg.dt, scheme=cfg.scheme,
-        forcing=forcing, freeze_velocity=cfg.freeze_velocity,
-    )
-    state = initial_state_from_config(grid, cfg) if initial is None else initial
-
     ledger = monitors.Ledger()
     csv_records: list[tuple[int, monitors.LedgerRecord, int]] = []
     warnings: list[str] = []
@@ -374,13 +393,16 @@ def run_deterministic(
 
     T0_bounds = (record.sup_T, record.sup_rho)
     mp_warn_only = params.transport_variant == VERTICAL_AVERAGE
-    prev_energy = record.energy
     monitor_failure = None
 
-    n_steps = max(0, cfg.n_steps() - state.step)
-    for _ in range(n_steps):
-        state = stepper.step(state)
-        record = monitors.measure(grid, state)
+    for _ in range(max(0, cfg.n_steps() - state.step)):
+        try:
+            new = advance(state)
+        except BlowUpError as exc:
+            exc.last_state = state
+            raise
+        state = new
+        prev_record, record = record, monitors.measure(grid, state)
         ledger.append(record)
         flags = 0
         if cfg.monitors_on:
@@ -393,27 +415,16 @@ def run_deterministic(
                     warnings.append(msg)
                 else:
                     monitor_failure = msg
-            allowed = prev_energy + cfg.dt * cfg.c_led * (1.0 + prev_energy) + 1e-10
-            if record.energy > allowed:
-                flags |= monitors.FLAG_ENERGY
-                monitor_failure = (
-                    f"energy ledger violated at step {state.step}: "
-                    f"E={record.energy:.6e} > allowed {allowed:.6e}"
-                )
-            h1_scale = cfg.h1_margin * max(ledger[0].h1_seminorm_sq, 1e-8)
-            h1 = record.h1_seminorm_sq
-            if not np.isfinite(h1) or (
-                h1 > 0.0 and np.log(h1) > np.log(h1_scale) + cfg.h1_growth_rate * state.t
+            for flag, msg in (
+                (monitors.FLAG_ENERGY, monitors.energy_step_check(
+                    prev_record, record, state.step, cfg.dt, cfg.c_led)),
+                (monitors.FLAG_H1, monitors.h1_step_check(
+                    ledger[0], record, state.step, cfg.h1_growth_rate, cfg.h1_margin)),
             ):
-                flags |= monitors.FLAG_H1
-                monitor_failure = (
-                    f"H1 envelope breached at step {state.step}: "
-                    f"{record.h1_seminorm_sq:.6e}"
-                )
-        prev_energy = record.energy
-        if state.step % cfg.cadence == 0:
-            csv_records.append((state.step, record, flags))
-        elif flags:
+                if msg is not None:
+                    flags |= flag
+                    monitor_failure = msg
+        if flags or state.step % cfg.cadence == 0:
             csv_records.append((state.step, record, flags))
         if monitor_failure is not None:
             break
@@ -422,3 +433,24 @@ def run_deterministic(
         final_state=state, ledger=ledger, csv_records=csv_records,
         monitor_failure=monitor_failure, warnings=warnings,
     )
+
+
+def run_deterministic(
+    cfg: RunConfig,
+    initial: State | None = None,
+    forcing=None,
+) -> RunResult:
+    """Integrate to t_end with the configured scheme (see `integrate`).
+
+    A run resumed from a snapshot state whose step is set continues the
+    step count and reproduces the uninterrupted run bit for bit
+    (IMEX Euler).
+    """
+    grid = grid_from_config(cfg)
+    params = params_from_config(grid, cfg)
+    stepper = Stepper(
+        grid, params, cfg.dt, scheme=cfg.scheme,
+        forcing=forcing, freeze_velocity=cfg.freeze_velocity,
+    )
+    state = initial_state_from_config(grid, cfg) if initial is None else initial
+    return integrate(cfg, grid, params, state, stepper.step)

@@ -297,6 +297,42 @@ monitors = on
         _, z = read_snapshot(out1 / "state_final.bin")
         assert z is not None
 
+    @pytest.mark.parametrize("command", ["run-stoch", "run-direct-em"])
+    def test_stochastic_cnab2_rejected(self, tmp_path, capsys, command):
+        text = (RUN_INI.replace("t_end = 0.01", "t_end = 0.01\nscheme = cnab2")
+                + "[physics]\ntransport = vertical_average\n[noise]\nsigma = 0.1\n")
+        cfgp = write_config(tmp_path, text)
+        assert cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 1
+        assert "imex_euler" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-stoch", "run-direct-em"])
+    def test_stochastic_monitor_failure_exit_code(self, tmp_path, command):
+        text = """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+[physics]
+transport = vertical_average
+[time]
+dt = 10.0
+t_end = 100.0
+[init]
+kind = random_smooth
+amplitude = 3.0
+[noise]
+sigma = 0.1
+[output]
+monitors = on
+"""
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfgp), "--out", str(out)]) == 3
+        lines = (out / "diagnostics.csv").read_text().splitlines()
+        flags = [int(line.rsplit(",", 1)[1]) for line in lines if line[0].isdigit()]
+        assert any(flags)
+        assert "monitor_failure" in lines[-1]
+
     def test_spectrum_command(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, RUN_INI)
         out = tmp_path / "spec"

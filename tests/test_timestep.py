@@ -1,9 +1,12 @@
 """Time integration: equilibria, oracle comparisons, invariants, aborts."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, Stepper, make_grid
+from ebpe import PhysParams, Stepper, make_grid, stochastic
+from ebpe import grid as grid_mod
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
 from ebpe.manufactured import ManufacturedSolution
@@ -200,3 +203,46 @@ class TestCnab2:
             t_end=0.25, ref_refine=8,
         )
         assert study.order >= 1.7
+
+
+# Horizontal transforms per step (to_spectral, to_physical) of each driver
+# at 8^3, measure included.  Upper bounds: a change may lower them, never
+# raise them.
+TRANSFORM_BUDGET = {
+    "deterministic": (run_deterministic, 27, 31),
+    "split": (stochastic.run_split_stochastic, 27, 32),
+    "direct_em": (stochastic.run_direct_em, 27, 31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_BUDGET))
+def test_transforms_per_step_within_budget(name, monkeypatch):
+    driver, max_spectral, max_physical = TRANSFORM_BUDGET[name]
+    counts = {"to_spectral": 0, "to_physical": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for key in counts:
+        original = getattr(grid_mod, key)
+        wrapper = counting(key, original)
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("ebpe."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
+
+    def run(n_steps):
+        counts.update(to_spectral=0, to_physical=0)
+        driver(RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=n_steps * 1e-3,
+                         transport="vertical_average", noise_sigma=0.1,
+                         ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5))
+        return dict(counts)
+
+    short, long = run(2), run(4)  # the difference cancels set-up transforms
+    per_step = {key: (long[key] - short[key]) / 2 for key in counts}
+    assert per_step["to_spectral"] <= max_spectral, per_step
+    assert per_step["to_physical"] <= max_physical, per_step
