@@ -76,6 +76,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created on first use: a run the driver rejects
+    leaves no directory behind."""
     out = Path(cfg.out_dir or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -88,11 +90,10 @@ def _cmd_run(args) -> int:
         "run-direct-em": stochastic.run_direct_em,
     }[args.command]
     cfg = _load_config(args)
-    out = _out_dir(cfg)
     try:
         result = driver(cfg)
     except timestep.BlowUpError as exc:
-        snapshots.write_snapshot(exc.last_state, out / "state_blowup.bin")
+        snapshots.write_snapshot(exc.last_state, _out_dir(cfg) / "state_blowup.bin")
         print(f"blow-up abort: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     for w in result.warnings:
@@ -101,6 +102,7 @@ def _cmd_run(args) -> int:
     if result.monitor_failure:
         footer = f"status=monitor_failure detail={result.monitor_failure!r}"
     rows = diagnostics.rows_from_records(result.csv_records)
+    out = _out_dir(cfg)
     diagnostics.write_csv(rows, out / "diagnostics.csv", footer=footer)
     snapshots.write_snapshot(result.final_state, out / "state_final.bin",
                              z_rho=result.z_rho_final)

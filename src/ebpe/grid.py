@@ -6,6 +6,14 @@ bottom, z_Nz = 1 at the surface).  Fields are real arrays of shape
 (Nx, Ny) or (Nx, Ny, Nz+1); their spectral form carries complex per-mode
 coefficients over the same leading axes.
 
+Two spectral forms exist.  `to_spectral`/`to_physical` give the full
+(Nx, Ny) spectrum of one field and check conjugate symmetry on the way
+back; they are the reference path.  `rfft_h`/`irfft_h` are the batched
+real transforms of the step kernel and the monitors: one call moves any
+stack of fields (horizontal axes first, any trailing axes) to or from its
+half spectrum of shape (Nx, Ny//2+1, ...), whose columns are ky = 0 ..
+Ny/2.  The derivative, dealias and projection helpers accept either form.
+
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
 """
@@ -39,6 +47,12 @@ class Grid:
         Laplacian-type symbols).
     dealias_mask : boolean (Nx, Ny) table implementing the 2/3 rule,
         True on retained modes.
+    xi_y_half, xi2_deriv_half, dealias_half : the same tables over the
+        Ny//2+1 columns of a half spectrum.  They are the first columns of
+        the full tables: FFT order stores ky = Ny/2 as -Ny/2, and every
+        table is even in ky or zero there.
+    parseval_half : (1, Ny//2+1) column weights of Parseval sums over a
+        half spectrum: 1 on the ky = 0 and ky = Ny/2 columns, 2 elsewhere.
     x, y : collocation coordinates, shape (Nx, Ny).
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
     """
@@ -78,6 +92,14 @@ class Grid:
         keep_x = np.abs(kx) <= self.nx // 3
         keep_y = np.abs(ky) <= self.ny // 3
         object.__setattr__(self, "dealias_mask", keep_x[:, None] & keep_y[None, :])
+
+        half = self.ny // 2 + 1
+        object.__setattr__(self, "xi_y_half", self.xi_y[:, :half].copy())
+        object.__setattr__(self, "xi2_deriv_half", self.xi2_deriv[:, :half].copy())
+        object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
+        weights = np.full((1, half), 2.0)
+        weights[0, 0] = weights[0, -1] = 1.0
+        object.__setattr__(self, "parseval_half", weights)
 
         xs = np.arange(self.nx) / self.nx
         ys = np.arange(self.ny) / self.ny
@@ -139,24 +161,67 @@ def to_physical(grid: Grid, coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarra
     return np.ascontiguousarray(f.real)
 
 
+def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
+    """Batched horizontal real transform: half spectra of shape
+    (Nx, Ny//2+1, ...) of real fields shaped (Nx, Ny, ...)."""
+    if fields.shape[:2] != (grid.nx, grid.ny):
+        raise ValueError(
+            f"field shape {fields.shape} does not match grid ({grid.nx}, {grid.ny})"
+        )
+    return np.fft.rfft2(fields, axes=(0, 1), norm="forward")
+
+
+def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of rfft_h: real fields (Nx, Ny, ...) from half spectra.
+
+    The imaginary parts of the self-conjugate modes (ky = 0 and ky = Ny/2
+    columns) are dropped, which is the real projection of the full inverse.
+    """
+    if coeffs.shape[:2] != (grid.nx, grid.ny // 2 + 1):
+        raise ValueError(
+            f"half-spectrum shape {coeffs.shape} does not match grid "
+            f"({grid.nx}, {grid.ny // 2 + 1})"
+        )
+    return np.fft.irfft2(coeffs, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward")
+
+
+def pack_fields(v: np.ndarray, T: np.ndarray, surface: np.ndarray) -> np.ndarray:
+    """One array for a batched transform: the planes v[0], v[1], T (Nz+1
+    each) and the surface field (1) along a new last axis."""
+    return np.concatenate((v[0], v[1], T, surface[..., None]), axis=-1)
+
+
+def unpack_fields(grid: Grid, packed: np.ndarray):
+    """Views (v, T, surface) into a pack_fields array, physical or spectral;
+    v has its component axis first, as in the state."""
+    n = grid.nlev
+    v = np.moveaxis(packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)), 2, 0)
+    return v, packed[..., 2 * n : 3 * n], packed[..., 3 * n]
+
+
+def match_columns(
+    grid: Grid, full: np.ndarray, half: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """The (Nx, Ny) table `full` or its half-spectrum form `half`, whichever
+    matches the columns of coeffs, shaped to broadcast over its trailing axes."""
+    table = full if coeffs.shape[1] == grid.ny else half
+    return table.reshape(table.shape + (1,) * (coeffs.ndim - 2))
+
+
 def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Zero all modes outside the 2/3 rule; retained modes are untouched."""
-    mask = grid.dealias_mask
-    if coeffs.ndim == 3:
-        mask = mask[:, :, None]
+    mask = match_columns(grid, grid.dealias_mask, grid.dealias_half, coeffs)
     return np.where(mask, coeffs, 0.0)
 
 
 def deriv_x(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """d/dx in spectral space (Nyquist zeroed)."""
-    xi = grid.xi_x if coeffs.ndim == 2 else grid.xi_x[:, :, None]
-    return 1j * xi * coeffs
+    return 1j * match_columns(grid, grid.xi_x, grid.xi_x, coeffs) * coeffs
 
 
 def deriv_y(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """d/dy in spectral space (Nyquist zeroed)."""
-    xi = grid.xi_y if coeffs.ndim == 2 else grid.xi_y[:, :, None]
-    return 1j * xi * coeffs
+    return 1j * match_columns(grid, grid.xi_y, grid.xi_y_half, coeffs) * coeffs
 
 
 def grad_h(grid: Grid, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,11 @@ leaves the symbol error at the level of the interior dispersion,
 |xi|^3 h^2 / 24, while the scheme stays globally second order.
 
 A companion Neumann-Neumann operator serves the velocity solves.
+
+The cached per-mode solvers apply to full (Nx, Ny) spectra and to the
+(Nx, Ny//2+1) half spectra of the step kernel alike: a half spectrum
+uses the column view [:, :Ny//2+1] of the per-mode arrays, whose modes
+are exactly its ky = 0 .. Ny/2 columns.
 """
 
 from __future__ import annotations
@@ -121,6 +126,15 @@ def _batched_inverse(mats: np.ndarray) -> np.ndarray:
         raise SolveError(f"implicit vertical solve is singular: {exc}") from exc
 
 
+def apply_per_mode(mats: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """Per-mode products of real (Nx, Ny, n, n) matrices with spectral
+    columns (..., Nx, W, n), W = Ny or Ny//2+1, through the column view
+    mats[:, :W].  The real and imaginary parts go through one real matmul."""
+    x = np.ascontiguousarray(x_hat, dtype=np.complex128)
+    pairs = x.view(np.float64).reshape(x.shape + (2,))
+    return (mats[:, : x.shape[-2]] @ pairs).view(np.complex128)[..., 0]
+
+
 class CoupledImplicitSolver:
     """Cached per-mode factorization of (I - dt * generator)."""
 
@@ -134,11 +148,12 @@ class CoupledImplicitSolver:
         self.inverse = _batched_inverse(eye[None, None] - dt * self.generators)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
-        """Apply the inverse to a spectral stack shaped (Nx, Ny, Nz+1)."""
-        return np.einsum("xyij,xyj->xyi", self.inverse, stack_hat)
+        """Apply the inverse to a spectral stack shaped (Nx, W, Nz+1), W = Ny
+        or Ny//2+1."""
+        return apply_per_mode(self.inverse, stack_hat)
 
     def apply_generator_hat(self, stack_hat: np.ndarray) -> np.ndarray:
-        return np.einsum("xyij,xyj->xyi", self.generators, stack_hat)
+        return apply_per_mode(self.generators, stack_hat)
 
 
 class VelocityImplicitSolver:
@@ -154,31 +169,25 @@ class VelocityImplicitSolver:
         self.inverse = _batched_inverse(eye[None, None] - dt * self.generators)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        """Apply to one velocity component in spectral form, (Nx, Ny, Nz+1)."""
-        return np.einsum("xyij,xyj->xyi", self.inverse, v_hat)
+        """Apply to spectral velocity components, (..., Nx, W, Nz+1) with
+        W = Ny or Ny//2+1."""
+        return apply_per_mode(self.inverse, v_hat)
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        return np.einsum("xyij,xyj->xyi", self.generators, v_hat)
+        return apply_per_mode(self.generators, v_hat)
 
 
 def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
     """Stack spectral (T, rho) into the shared-unknown layout.
 
     The top temperature level of T_hat is dropped: the surface unknown is
-    rho_hat, which doubles as T at z = 1.
+    rho_hat, which doubles as T at z = 1, so a stack (and a solution of
+    the coupled system) is the spectral T whose top level is rho.
     """
-    stack = np.empty((grid.nx, grid.ny, grid.nlev), dtype=complex)
+    stack = np.empty(T_hat.shape, dtype=complex)
     stack[..., : grid.nz] = T_hat[..., : grid.nz]
     stack[..., grid.nz] = rho_hat
     return stack
-
-
-def unstack_fields_hat(grid: Grid, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of stack_fields_hat; the returned T carries rho at its top level."""
-    T_hat = np.empty((grid.nx, grid.ny, grid.nlev), dtype=complex)
-    T_hat[..., : grid.nz] = stack[..., : grid.nz]
-    T_hat[..., grid.nz] = stack[..., grid.nz]
-    return T_hat, stack[..., grid.nz].copy()
 
 
 def solve_coupled_implicit(
@@ -197,8 +206,7 @@ def solve_coupled_implicit(
     if solver is None:
         solver = CoupledImplicitSolver(grid, dt)
     stack = stack_fields_hat(grid, to_spectral(grid, rhs_T), to_spectral(grid, rhs_rho))
-    T_hat, rho_hat = unstack_fields_hat(grid, solver.solve_hat(stack))
-    T = to_physical(grid, T_hat)
+    T = to_physical(grid, solver.solve_hat(stack))
     rho = T[..., -1].copy()
     return T, rho
 

@@ -5,6 +5,11 @@ Monitors never mutate state; every function here reads a post-step
 snapshot or an accumulated ledger.  The envelope constants (c_led, the
 growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
+
+`measure` makes two batched transforms: the state forward, whose half
+spectra give the horizontal gradient norms by Parseval, and the two
+max-norm residual planes (div_H vbar, w at the surface) back.  Vertical
+derivatives and the field norms stay in physical space.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import Grid, deriv_x, deriv_y, deriv_z, div_h, to_physical, to_spectral
+from .grid import Grid, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields
 
 # monitor flag bits, also used in diagnostics rows
 FLAG_MAX_PRINCIPLE = 1
@@ -34,19 +39,8 @@ def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f * f) / (grid.nx * grid.ny))
 
 
-def _grad_sq_volume(grid: Grid, f: np.ndarray) -> float:
-    c = to_spectral(grid, f)
-    gx = to_physical(grid, deriv_x(grid, c))
-    gy = to_physical(grid, deriv_y(grid, c))
-    gz = deriv_z(grid, f)
-    return l2sq_volume(grid, gx) + l2sq_volume(grid, gy) + l2sq_volume(grid, gz)
-
-
-def _grad_h_sq_surface(grid: Grid, f: np.ndarray) -> float:
-    c = to_spectral(grid, f)
-    gx = to_physical(grid, deriv_x(grid, c))
-    gy = to_physical(grid, deriv_y(grid, c))
-    return l2sq_surface(grid, gx) + l2sq_surface(grid, gy)
+def _state_spectra(grid: Grid, state) -> np.ndarray:
+    return rfft_h(grid, pack_fields(state.v, state.T, state.rho))
 
 
 @dataclass(frozen=True)
@@ -69,15 +63,24 @@ class ConstraintResiduals:
 
 def constraint_check(grid: Grid, state) -> ConstraintResiduals:
     """Residuals of the trace, bottom no-flux, solenoidal and w-top conditions."""
+    return _residuals(grid, state, _state_spectra(grid, state))
+
+
+def _residuals(grid: Grid, state, spectra: np.ndarray) -> ConstraintResiduals:
+    """constraint_check given the half spectra of pack_fields(v, T, rho)."""
     h = grid.dz
     trace = float(np.max(np.abs(state.T[..., -1] - state.rho)))
     bottom = float(np.max(np.abs(
         (-3.0 * state.T[..., 0] + 4.0 * state.T[..., 1] - state.T[..., 2]) / (2.0 * h)
     )))
-    div_bar = div_h(grid, hydrostatic.vertical_average(grid, state.v))
-    solenoidal = float(np.max(np.abs(div_bar)))
-    w = hydrostatic.diagnose_w(grid, state.v)
-    w_top = float(np.max(np.abs(w[..., -1])))
+    v_hat, _, _ = unpack_fields(grid, spectra)
+    vbar = hydrostatic.vertical_average(grid, v_hat)
+    planes = irfft_h(grid, np.stack((
+        deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1]),
+        hydrostatic.diagnose_w(grid, v_hat)[..., -1],
+    ), axis=-1))
+    solenoidal = float(np.max(np.abs(planes[..., 0])))
+    w_top = float(np.max(np.abs(planes[..., 1])))
     return ConstraintResiduals(trace, bottom, solenoidal, w_top)
 
 
@@ -105,10 +108,17 @@ class LedgerRecord:
 
 def measure(grid: Grid, state) -> LedgerRecord:
     """Compute the full ledger record for one state."""
-    gv = _grad_sq_volume(grid, state.v[0]) + _grad_sq_volume(grid, state.v[1])
-    gT = _grad_sq_volume(grid, state.T)
-    gr = _grad_h_sq_surface(grid, state.rho)
-    res = constraint_check(grid, state)
+    spectra = _state_spectra(grid, state)
+    # Parseval: |grad_H f|^2 summed over the section is the xi2-weighted
+    # power of the half spectrum, here per plane of the packed fields
+    power = spectra.real**2 + spectra.imag**2
+    grad_h = np.einsum("xy,xyk->k", grid.parseval_half * grid.xi2_deriv_half, power)
+    n, w = grid.nlev, hydrostatic.trapz_weights(grid)
+    gv = (float(grad_h[:n] @ w + grad_h[n : 2 * n] @ w)
+          + l2sq_volume(grid, deriv_z(grid, state.v)))
+    gT = float(grad_h[2 * n : 3 * n] @ w) + l2sq_volume(grid, deriv_z(grid, state.T))
+    gr = float(grad_h[3 * n])
+    res = _residuals(grid, state, spectra)
     energy = 0.5 * (
         l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
         + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)

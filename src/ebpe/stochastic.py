@@ -6,8 +6,9 @@ Euler-Maruyama driver used as the brute-force cross-check.
 Both drivers run the deterministic step kernel (`Stepper.step`) inside the
 shared driver loop (`timestep.integrate`), so they honour the monitor
 settings and reduce to the deterministic run at sigma = 0.  The split
-driver evaluates the tendencies at the reassembled fields; the direct
-driver adds the increment q dW to the surface row of the coupled solve.
+driver evaluates the tendencies at the reassembled fields and carries
+the convolution as a half spectrum; the direct driver adds the increment
+q dW to the surface row of the (half-spectrum) coupled solve.
 
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
@@ -30,7 +31,7 @@ import scipy.linalg
 from . import linops
 from .config import RunConfig
 from .ebm import VERTICAL_AVERAGE
-from .grid import Grid, to_physical
+from .grid import Grid, irfft_h
 from .timestep import (
     RunResult,
     State,
@@ -124,6 +125,9 @@ class ConvolutionPropagator:
     step of the noise convolution is
 
         Z <- E Z + phi1(dt*M) e_rho * (q_k dW_k).
+
+    The generator depends on the mode only through |xi|^2, so one stacked
+    exponential over the distinct values serves every mode.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -132,28 +136,20 @@ class ConvolutionPropagator:
         self.grid = grid
         self.dt = dt
         n = grid.nlev
-        base = linops.coupled_vertical_matrix(grid)
-        eye = np.eye(n)
-        self.E = np.empty((grid.nx, grid.ny, n, n))
-        self.phi1_col = np.empty((grid.nx, grid.ny, n))
-        cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        for i in range(grid.nx):
-            for j in range(grid.ny):
-                xi2 = float(grid.xi2[i, j])
-                hit = cache.get(xi2)
-                if hit is None:
-                    aug = np.zeros((n + 1, n + 1))
-                    aug[:n, :n] = dt * (base - xi2 * eye)
-                    aug[n - 1, n] = 1.0  # inject on the rho row
-                    ex = scipy.linalg.expm(aug)
-                    hit = (ex[:n, :n], ex[:n, n])
-                    cache[xi2] = hit
-                self.E[i, j] = hit[0]
-                self.phi1_col[i, j] = hit[1]
+        xi2, which = np.unique(grid.xi2.ravel(), return_inverse=True)
+        aug = np.zeros((xi2.size, n + 1, n + 1))
+        aug[:, :n, :n] = dt * (linops.coupled_vertical_matrix(grid)
+                               - xi2[:, None, None] * np.eye(n))
+        aug[:, n - 1, n] = 1.0  # inject on the rho row
+        ex = scipy.linalg.expm(aug)[which]
+        self.E = ex[:, :n, :n].reshape(grid.nx, grid.ny, n, n)
+        self.phi1_col = ex[:, :n, n].reshape(grid.nx, grid.ny, n)
 
     def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
-        propagated = np.einsum("xyij,xyj->xyi", self.E, Z_hat)
-        return propagated + self.phi1_col * (q * dW)[:, :, None]
+        """One step of full (Nx, Ny, Nz+1) or half (Nx, Ny//2+1, Nz+1)
+        spectral stacks; dW and q match the columns of Z_hat."""
+        propagated = linops.apply_per_mode(self.E, Z_hat)
+        return propagated + self.phi1_col[:, : Z_hat.shape[1]] * (q * dW)[:, :, None]
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None):
@@ -207,24 +203,27 @@ def run_split_stochastic(
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
     propagator = ConvolutionPropagator(grid, cfg.dt)
     remainder = initial_state_from_config(grid, cfg) if initial is None else initial
-    Z_hat = np.zeros((grid.nx, grid.ny, grid.nlev), dtype=complex)
+    # the convolution of a real noise field is real: keep its half spectrum
+    half = grid.ny // 2 + 1
+    q = q[:, :half]
+    Z_hat = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
 
     def reassemble() -> State:
-        T_full = remainder.T + to_physical(grid, Z_hat)
+        T_full = remainder.T + irfft_h(grid, Z_hat)
         return State(v=remainder.v, T=T_full, rho=T_full[..., -1].copy(),
                      t=remainder.t, step=remainder.step, p_s=remainder.p_s)
 
     def advance(full: State) -> State:
         nonlocal remainder, Z_hat
         remainder = stepper.step(remainder, eval_state=full)
-        Z_hat = propagator.step_hat(Z_hat, bundle.increments[full.step], q)
+        Z_hat = propagator.step_hat(Z_hat, bundle.increments[full.step, :, :half], q)
         new = reassemble()
         _check_finite(new, full)
         return new
 
     result = integrate(cfg, grid, params, reassemble(), advance)
     result.remainder_final = remainder
-    result.z_rho_final = to_physical(grid, Z_hat[..., -1])
+    result.z_rho_final = irfft_h(grid, Z_hat[..., -1])
     result.bundle = bundle
     return result
 

@@ -10,6 +10,14 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 3. pressure projection restoring div_H vbar = 0, which also recovers the
    surface pressure.
 
+The state is physical between steps; inside a step everything is done on
+half spectra (`ebpe.grid.rfft_h`) with four batched transforms: the
+state forward, the derivatives and w back for the quadratic products,
+the products (plus radiation and forcing) forward, and the new
+(v, T, p_s) back.  `nonlinear_tendencies` is the physical-space form of
+step 1 on the full-spectrum transforms; no driver calls it, the tests
+use it as the reference for the spectral tendencies.
+
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
 
@@ -31,7 +39,8 @@ from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
 from .config import RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
-from .grid import Grid, dealias, deriv_x, deriv_y, deriv_z, to_physical, to_spectral
+from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h,
+                   to_physical, to_spectral, unpack_fields)
 
 if TYPE_CHECKING:
     from .stochastic import PathBundle
@@ -126,7 +135,9 @@ def initial_state(
         for comp in range(2):
             for p in profiles:
                 v[comp] += _smooth_random_2d(grid, rng, decay)[:, :, None] * p
-        v, _ = hydrostatic.project_barotropic(grid, v)
+        v_hat = np.stack([rfft_h(grid, comp) for comp in v])
+        v_hat, _ = hydrostatic.project_barotropic(grid, v_hat)
+        v = np.stack([irfft_h(grid, comp) for comp in v_hat])
         sup_T = np.max(np.abs(T))
         if sup_T > 0 and amplitude > 0:
             T *= amplitude / sup_T
@@ -157,7 +168,9 @@ def _dealias_product(grid: Grid, f: np.ndarray) -> np.ndarray:
 def nonlinear_tendencies(
     grid: Grid, state: State, params: PhysParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit tendencies (F_v, F_T, F_rho).
+    """Explicit tendencies (F_v, F_T, F_rho) in physical space, on the
+    full-spectrum transforms: the reference form of `Stepper.tendencies`
+    (the tests compare the two); no driver calls it.
 
     F_v: advection plus the baroclinic gradient of the running temperature
     integral.  F_T: advection by u = (v, w).  F_rho: boundary transport by
@@ -166,15 +179,16 @@ def nonlinear_tendencies(
     is evaluated pointwise without padding.
     """
     v, T, rho = state.v, state.T, state.rho
-    w = hydrostatic.diagnose_w(grid, v)
-
     v_hat0 = to_spectral(grid, v[0])
     v_hat1 = to_spectral(grid, v[1])
+    w = to_physical(grid, hydrostatic.diagnose_w(grid, np.stack((v_hat0, v_hat1))))
+
     dxv = (to_physical(grid, deriv_x(grid, v_hat0)), to_physical(grid, deriv_x(grid, v_hat1)))
     dyv = (to_physical(grid, deriv_y(grid, v_hat0)), to_physical(grid, deriv_y(grid, v_hat1)))
     dzv = (deriv_z(grid, v[0]), deriv_z(grid, v[1]))
 
-    F_v = hydrostatic.baroclinic_grad(grid, T)
+    grad_hat = hydrostatic.baroclinic_grad(grid, to_spectral(grid, T))
+    F_v = np.stack((to_physical(grid, grad_hat[0]), to_physical(grid, grad_hat[1])))
     for comp in range(2):
         adv = v[0] * dxv[comp] + v[1] * dyv[comp] + w * dzv[comp]
         F_v[comp] -= _dealias_product(grid, adv)
@@ -252,16 +266,58 @@ class Stepper:
         if scheme == "cnab2":
             self.coupled_half = linops.CoupledImplicitSolver(grid, 0.5 * dt)
             self.velocity_half = linops.VelocityImplicitSolver(grid, 0.5 * dt)
-        self._history: tuple[int, tuple] | None = None
+        self._history: tuple[int, np.ndarray] | None = None
 
-    def tendencies(self, state: State):
-        F_v, F_T, F_rho = nonlinear_tendencies(self.grid, state, self.params)
+    def tendencies(self, state: State, spectra: np.ndarray | None = None) -> np.ndarray:
+        """Dealiased explicit tendencies at `state` as half spectra, in the
+        `pack_fields` layout (F_v, F_T, F_rho), forcing included.
+
+        spectra, when given, is rfft_h of pack_fields(state.v, state.T,
+        state.rho).  Two batched transforms: every derivative and w back to
+        physical space for the quadratic products, then the products,
+        radiation and forcing forward.
+        """
+        grid, params = self.grid, self.params
+        n = grid.nlev
+        if spectra is None:
+            spectra = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
+        v_hat, T_hat, _ = unpack_fields(grid, spectra)
+        k = spectra.shape[-1]
+        fields = irfft_h(grid, np.concatenate((
+            deriv_x(grid, spectra), deriv_y(grid, spectra),
+            hydrostatic.diagnose_w(grid, v_hat),
+        ), axis=-1))
+        dxv, dxT, dxrho = unpack_fields(grid, fields[..., :k])
+        dyv, dyT, dyrho = unpack_fields(grid, fields[..., k : 2 * k])
+        w = fields[..., 2 * k :]
+
+        v, T, rho = state.v, state.T, state.rho
+        adv_v = v[0] * dxv + v[1] * dyv + w * deriv_z(grid, v)
+        adv_T = v[0] * dxT + v[1] * dyT + w * deriv_z(grid, T)
+        if params.transport_variant == VERTICAL_AVERAGE:
+            vs = hydrostatic.vertical_average(grid, v)
+        else:
+            vs = v[:, :, :, -1]
+        adv_rho = vs[0] * dxrho + vs[1] * dyrho
+
+        # radiation and forcing are added undealiased
+        planes = [pack_fields(adv_v, adv_T, adv_rho)]
+        source = radiation(rho, params) if params.radiation_on else None
         if self.forcing is not None:
-            f_v, f_T, f_rho = self.forcing(self.grid, state.t)
-            F_v = F_v + f_v
-            F_T = F_T + f_T
-            F_rho = F_rho + f_rho
-        return F_v, F_T, F_rho
+            f_v, f_T, f_rho = self.forcing(grid, state.t)
+            planes.append(pack_fields(f_v, f_T, f_rho if source is None else source + f_rho))
+        elif source is not None:
+            planes.append(source[..., None])
+        products = rfft_h(grid, np.concatenate(planes, axis=-1))
+
+        F = -dealias(grid, products[..., :k])
+        F_v, _, _ = unpack_fields(grid, F)
+        F_v += hydrostatic.baroclinic_grad(grid, T_hat)
+        if self.forcing is not None:
+            F += products[..., k:]
+        elif source is not None:
+            F[..., 3 * n] += products[..., k]
+        return F
 
     def step(
         self,
@@ -274,12 +330,20 @@ class Stepper:
         eval_state, when given, is where the explicit tendencies are
         evaluated while the implicit update starts from `state` (the split
         driver passes the reassembled fields and advances the remainder).
-        surface_kick_hat, shape (Nx, Ny), is added to the surface row of the
-        spectral coupled solution before the inverse transform (the
-        Euler-Maruyama noise increment q dW).  Both are IMEX Euler only.
+        surface_kick_hat, a full (Nx, Ny) spectrum, is added to the surface
+        row of the spectral coupled solution before the inverse transform
+        (the Euler-Maruyama noise increment q dW).  Both are IMEX Euler only.
+
+        The step is a pure function of the physical state (and, for
+        cnab2, the previous step's tendencies): nothing spectral is kept
+        from one step to the next.
         """
         grid, dt = self.grid, self.dt
-        F = self.tendencies(state if eval_state is None else eval_state)
+        U = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
+        if eval_state is None:
+            F = self.tendencies(state, U)
+        else:
+            F = self.tendencies(eval_state)
         F_old = None
         if self.scheme == "cnab2":
             if eval_state is not None or surface_kick_hat is not None:
@@ -289,57 +353,38 @@ class Stepper:
                 F_old = self._history[1]
             self._history = (state.step + 1, F)
 
+        if F_old is None:
+            rhs_v, rhs_T, rhs_rho = unpack_fields(grid, U + dt * F)
+            x_hat = self.coupled.solve_hat(linops.stack_fields_hat(grid, rhs_T, rhs_rho))
+        else:
+            v_hat, T_hat, rho_hat = unpack_fields(grid, U)
+            ab_v, ab_T, ab_rho = unpack_fields(grid, dt * _ab2(F, F_old))
+            stack = linops.stack_fields_hat(grid, T_hat, rho_hat)
+            x_hat = self.coupled_half.solve_hat(
+                stack + 0.5 * dt * self.coupled.apply_generator_hat(stack)
+                + linops.stack_fields_hat(grid, ab_T, ab_rho))
+        if surface_kick_hat is not None:
+            x_hat[..., -1] += surface_kick_hat[:, : x_hat.shape[1]]
+
         if self.freeze_velocity:
-            v_new, p_s = state.v, state.p_s
+            v_new, T_new, p_s = state.v, irfft_h(grid, x_hat), state.p_s
         else:
             if F_old is None:
-                v_star = linops.solve_velocity_implicit(
-                    grid, state.v + dt * F[0], dt, self.velocity)
+                v_star = self.velocity.solve_hat(rhs_v)
             else:
-                v_star = self._cnab2_velocity(state.v, F[0], F_old[0])
-            v_new, grad = hydrostatic.project_barotropic(grid, v_star)
-            p_s = hydrostatic.potential_from_gradient(grid, grad) / dt
-
-        if F_old is None:
-            x_hat = self.coupled.solve_hat(linops.stack_fields_hat(
-                grid, to_spectral(grid, state.T + dt * F[1]),
-                to_spectral(grid, state.rho + dt * F[2]),
-            ))
-        else:
-            x_hat = self._cnab2_coupled(state, F, F_old)
-        if surface_kick_hat is not None:
-            x_hat[..., -1] += surface_kick_hat
-        T_hat, _ = linops.unstack_fields_hat(grid, x_hat)
-        T_new = to_physical(grid, T_hat)
-        new = State(v=v_new, T=T_new, rho=T_new[..., -1].copy(),
-                    t=state.t + dt, step=state.step + 1, p_s=p_s)
+                v_star = self.velocity_half.solve_hat(
+                    v_hat + 0.5 * dt * self.velocity.apply_generator_hat(v_hat) + ab_v)
+            v_new_hat, phi_hat = hydrostatic.project_barotropic(grid, v_star)
+            v_new, T_new, p_s = unpack_fields(
+                grid, irfft_h(grid, pack_fields(v_new_hat, x_hat, phi_hat / dt)))
+        # contiguous copies: a resumed run starts from contiguous snapshot
+        # arrays, and the next step must not depend on the memory layout
+        T_new = np.ascontiguousarray(T_new)
+        new = State(v=np.ascontiguousarray(v_new), T=T_new, rho=T_new[..., -1].copy(),
+                    t=state.t + dt, step=state.step + 1,
+                    p_s=None if p_s is None else np.ascontiguousarray(p_s))
         _check_finite(new, state)
         return new
-
-    # -- CNAB2 right-hand sides and half-step solves ----------------------
-
-    def _cnab2_velocity(self, v: np.ndarray, F_v: np.ndarray, F_v_old: np.ndarray) -> np.ndarray:
-        grid, dt = self.grid, self.dt
-        rhs_v = np.empty_like(v)
-        for comp in range(2):
-            x_hat = to_spectral(grid, v[comp])
-            half = 0.5 * dt * self.velocity.apply_generator_hat(x_hat)
-            rhs_v[comp] = to_physical(grid, x_hat + half)
-        rhs_v += dt * _ab2(F_v, F_v_old)
-        return linops.solve_velocity_implicit(grid, rhs_v, 0.5 * dt, self.velocity_half)
-
-    def _cnab2_coupled(self, state: State, F, F_old) -> np.ndarray:
-        grid, dt = self.grid, self.dt
-        stack = linops.stack_fields_hat(
-            grid, to_spectral(grid, state.T), to_spectral(grid, state.rho)
-        )
-        rhs_stack = stack + 0.5 * dt * self.coupled.apply_generator_hat(stack)
-        rhs_stack += dt * linops.stack_fields_hat(
-            grid,
-            to_spectral(grid, _ab2(F[1], F_old[1])),
-            to_spectral(grid, _ab2(F[2], F_old[2])),
-        )
-        return self.coupled_half.solve_hat(rhs_stack)
 
 
 def _ab2(cur: np.ndarray, old: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ebpe import make_grid
+from ebpe import baroclinic_grad, diagnose_w, make_grid, project_barotropic
+from ebpe.grid import deriv_x, deriv_y, irfft_h, rfft_h
 
 
 @pytest.fixture
@@ -34,3 +35,45 @@ def smooth_field_3d(grid, rng, decay=2.0, n_profiles=3):
     for m in range(n_profiles):
         f += smooth_field_2d(grid, rng, decay)[:, :, None] * np.cos(m * np.pi * grid.z)
     return f
+
+
+# The hydrostatic operators act on spectra; these adapters give tests that
+# hold physical fields the physical result, through the kernel's batched
+# real transforms.
+
+def _pair_hat(grid, pair):
+    return np.stack([rfft_h(grid, comp) for comp in pair])
+
+
+def _pair_physical(grid, pair_hat):
+    return np.stack([irfft_h(grid, comp) for comp in pair_hat])
+
+
+def diagnose_w_physical(grid, v):
+    return irfft_h(grid, diagnose_w(grid, _pair_hat(grid, v)))
+
+
+def baroclinic_grad_physical(grid, T):
+    return _pair_physical(grid, baroclinic_grad(grid, rfft_h(grid, T)))
+
+
+def project_barotropic_physical(grid, v):
+    """(projected v, removed gradient (2, Nx, Ny)) of a physical velocity."""
+    v_hat, phi_hat = project_barotropic(grid, _pair_hat(grid, v))
+    grad = _pair_physical(grid, [deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)])
+    return _pair_physical(grid, v_hat), grad
+
+
+def rough_state(grid, seed):
+    """Smooth random state plus white noise on every mode, Nyquist lines
+    included; the velocity is not projected and rho is not the trace of T,
+    so every tendency, norm and residual is O(1)."""
+    from ebpe.timestep import initial_state
+
+    rng = np.random.default_rng(seed)
+    state = initial_state(grid, "random_smooth", amplitude=0.8, seed=seed)
+    state.v = state.v + 0.1 * rng.standard_normal(state.v.shape)
+    state.T = state.T + 0.1 * rng.standard_normal(state.T.shape)
+    state.rho = state.rho + 0.1 * rng.standard_normal(state.rho.shape)
+    state.t = 0.3
+    return state

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from ebpe import baroclinic_grad, diagnose_w, pressure_field, project_barotropic, vertical_average
+from ebpe import pressure_field, vertical_average
 from ebpe.grid import div_h
 from ebpe.hydrostatic import cumulative_integral, potential_from_gradient, trapz_weights
 from ebpe.monitors import l2sq_volume
 
-from conftest import smooth_field_3d
+from conftest import (
+    baroclinic_grad_physical,
+    diagnose_w_physical,
+    project_barotropic_physical,
+    smooth_field_3d,
+)
 
 
 class TestVerticalAverage:
@@ -34,23 +39,23 @@ class TestDiagnoseW:
     def test_divergence_free_gives_zero(self, grid8):
         v = grid8.zeros_velocity()
         v[0] = np.sin(2 * np.pi * grid8.y)[:, :, None]  # x-independent shear
-        assert np.max(np.abs(diagnose_w(grid8, v))) < 1e-13
+        assert np.max(np.abs(diagnose_w_physical(grid8, v))) < 1e-13
 
     def test_analytic_column_integral(self, grid8):
         v = grid8.zeros_velocity()
         v[0] = np.sin(2 * np.pi * grid8.x)[:, :, None]
-        w = diagnose_w(grid8, v)
+        w = diagnose_w_physical(grid8, v)
         expected = -2 * np.pi * grid8.z[None, None, :] * np.cos(2 * np.pi * grid8.x)[:, :, None]
         assert np.max(np.abs(w - expected)) < 1e-12
 
     def test_w_bottom_exact_zero(self, grid8, rng):
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        assert np.all(diagnose_w(grid8, v)[..., 0] == 0.0)
+        assert np.all(diagnose_w_physical(grid8, v)[..., 0] == 0.0)
 
     def test_w_top_small_after_projection(self, grid8, rng):
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        v_proj, _ = project_barotropic(grid8, v)
-        w = diagnose_w(grid8, v_proj)
+        v_proj, _ = project_barotropic_physical(grid8, v)
+        w = diagnose_w_physical(grid8, v_proj)
         assert np.max(np.abs(w[..., -1])) <= 1e-10 * (1 + np.max(np.abs(v_proj)))
 
 
@@ -73,17 +78,17 @@ class TestPressure:
 class TestBaroclinicGrad:
     def test_horizontally_constant(self, grid8):
         T = np.broadcast_to(grid8.z**2, (8, 8, 9)).copy()
-        assert np.max(np.abs(baroclinic_grad(grid8, T))) < 1e-14
+        assert np.max(np.abs(baroclinic_grad_physical(grid8, T))) < 1e-14
 
     def test_single_mode_analytic(self, grid8):
         T = np.repeat(np.cos(2 * np.pi * grid8.x)[:, :, None], 9, axis=2)
-        g = baroclinic_grad(grid8, T)
+        g = baroclinic_grad_physical(grid8, T)
         expected = -2 * np.pi * grid8.z[None, None, :] * np.sin(2 * np.pi * grid8.x)[:, :, None]
         assert np.max(np.abs(g[0] - expected)) < 1e-12
         assert np.max(np.abs(g[1])) < 1e-13
 
     def test_bottom_row_zero(self, grid8, rng):
-        g = baroclinic_grad(grid8, smooth_field_3d(grid8, rng))
+        g = baroclinic_grad_physical(grid8, smooth_field_3d(grid8, rng))
         assert np.all(g[..., 0] == 0.0)
 
 
@@ -91,7 +96,7 @@ class TestProjector:
     def test_solenoidal_input_unchanged(self, grid8):
         v = grid8.zeros_velocity()
         v[0] = np.sin(2 * np.pi * grid8.y)[:, :, None]
-        v_proj, grad = project_barotropic(grid8, v)
+        v_proj, grad = project_barotropic_physical(grid8, v)
         assert np.max(np.abs(v_proj - v)) < 1e-13
         assert np.max(np.abs(grad)) < 1e-13
 
@@ -99,19 +104,19 @@ class TestProjector:
         # v = grad(cos 2pi x), z-independent
         v = grid8.zeros_velocity()
         v[0] = (-2 * np.pi * np.sin(2 * np.pi * grid8.x))[:, :, None]
-        v_proj, grad = project_barotropic(grid8, v)
+        v_proj, grad = project_barotropic_physical(grid8, v)
         assert np.max(np.abs(v_proj)) < 1e-12
         assert np.max(np.abs(grad[0] - v[0][..., 0])) < 1e-12
 
     def test_idempotent(self, grid8, rng):
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        once, _ = project_barotropic(grid8, v)
-        twice, _ = project_barotropic(grid8, once)
+        once, _ = project_barotropic_physical(grid8, v)
+        twice, _ = project_barotropic_physical(grid8, once)
         assert np.max(np.abs(twice - once)) <= 1e-13 * (1 + np.max(np.abs(once)))
 
     def test_projected_average_solenoidal(self, grid8, rng):
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        v_proj, _ = project_barotropic(grid8, v)
+        v_proj, _ = project_barotropic_physical(grid8, v)
         vbar = vertical_average(grid8, v_proj)
         assert np.max(np.abs(div_h(grid8, vbar))) <= 1e-12 * (1 + np.max(np.abs(v)))
 
@@ -123,8 +128,8 @@ class TestProjector:
         for _ in range(5):
             u = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
             v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-            Pu, _ = project_barotropic(grid8, u)
-            Pv, _ = project_barotropic(grid8, v)
+            Pu, _ = project_barotropic_physical(grid8, u)
+            Pv, _ = project_barotropic_physical(grid8, v)
             lhs = inner(Pu[0], v[0]) + inner(Pu[1], v[1])
             rhs = inner(u[0], Pv[0]) + inner(u[1], Pv[1])
             scale = np.sqrt(max(l2sq_volume(grid8, u[0]), 1.0) * max(l2sq_volume(grid8, v[0]), 1.0))
@@ -132,7 +137,7 @@ class TestProjector:
 
     def test_potential_recovers_gradient(self, grid8, rng):
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        _, grad = project_barotropic(grid8, v)
+        _, grad = project_barotropic_physical(grid8, v)
         phi = potential_from_gradient(grid8, grad)
         gx, gy = np.gradient(phi)  # only used for a crude sanity check of scale
         from ebpe.grid import grad_h

@@ -306,6 +306,15 @@ monitors = on
         assert "imex_euler" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run-stoch", "run-direct-em"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, command):
+        text = (RUN_INI.replace("t_end = 0.01", "t_end = 0.01\nscheme = cnab2")
+                + "[physics]\ntransport = vertical_average\n[noise]\nsigma = 0.1\n")
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfgp), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run-stoch", "run-direct-em"])
     def test_stochastic_monitor_failure_exit_code(self, tmp_path, command):
         text = """
 [grid]

@@ -87,8 +87,8 @@ def test_vertical_average_solenoidal():
 
 def test_w_consistent_with_divergence():
     grid = make_grid(8, 8, 64)
-    from ebpe.hydrostatic import diagnose_w
-    w_num = diagnose_w(grid, EX.velocity(grid, 0.2))
+    from conftest import diagnose_w_physical
+    w_num = diagnose_w_physical(grid, EX.velocity(grid, 0.2))
     w_ex = EX.vertical_velocity(grid, 0.2)
     assert np.max(np.abs(w_num - w_ex)) < 5e-4  # trapezoid O(h^2)
 

@@ -1,17 +1,23 @@
 """Monitors: constraint residuals, confinement, energy ledger, envelopes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, make_grid, project_barotropic
+from ebpe import PhysParams, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
+from ebpe.grid import deriv_x, deriv_y, deriv_z, to_physical, to_spectral
+from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.monitors import (
     Ledger,
     LedgerRecord,
     constraint_check,
     energy_ledger_check,
     h1_ledger_check,
+    l2sq_surface,
+    l2sq_volume,
     max_principle_bound,
     max_principle_check,
     measure,
@@ -20,7 +26,7 @@ from ebpe.monitors import (
 )
 from ebpe.timestep import initial_state, run_deterministic
 
-from conftest import smooth_field_3d
+from conftest import project_barotropic_physical, rough_state, smooth_field_3d
 
 
 def _record(t, energy, h1=0.0):
@@ -52,7 +58,7 @@ class TestConstraintCheck:
     def test_random_projected_velocity_solenoidal(self, grid8, rng):
         state = initial_state(grid8, "zero")
         v = np.stack([smooth_field_3d(grid8, rng), smooth_field_3d(grid8, rng)])
-        state.v, _ = project_barotropic(grid8, v)
+        state.v, _ = project_barotropic_physical(grid8, v)
         r = constraint_check(grid8, state)
         assert r.solenoidal <= 1e-10
 
@@ -188,7 +194,55 @@ class TestH1Ledger:
         assert h1_ledger_check(res.ledger, growth_rate=50.0, margin=100.0).ok
 
 
+def quadrature_record(grid, state) -> LedgerRecord:
+    """The ledger record by physical quadrature: full-spectrum derivatives
+    brought back to the grid, then l2sq_volume / l2sq_surface."""
+    def grad_h(f):
+        c = to_spectral(grid, f)
+        return to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))
+
+    def grad_sq_volume(f):
+        gx, gy = grad_h(f)
+        return (l2sq_volume(grid, gx) + l2sq_volume(grid, gy)
+                + l2sq_volume(grid, deriv_z(grid, f)))
+
+    gv = grad_sq_volume(state.v[0]) + grad_sq_volume(state.v[1])
+    gT = grad_sq_volume(state.T)
+    gr = sum(l2sq_surface(grid, g) for g in grad_h(state.rho))
+    vbar = vertical_average(grid, state.v)
+    div_bar = grad_h(vbar[0])[0] + grad_h(vbar[1])[1]
+    div = grad_h(state.v[0])[0] + grad_h(state.v[1])[1]
+    w_top = -cumulative_integral(grid, div)[..., -1]
+    return LedgerRecord(
+        t=state.t,
+        energy=0.5 * (l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
+                      + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)),
+        dissipation=gv + gT + gr,
+        rho_l5=float(np.mean(np.abs(state.rho) ** 5)),
+        sup_T=float(np.max(np.abs(state.T))),
+        sup_rho=float(np.max(np.abs(state.rho))),
+        grad_v_sq=gv,
+        grad_T_sq=gT,
+        grad_rho_sq=gr,
+        trace_res=float(np.max(np.abs(state.T[..., -1] - state.rho))),
+        div_res=float(np.max(np.abs(div_bar))),
+        w_top_res=float(np.max(np.abs(w_top))),
+    )
+
+
 class TestMeasure:
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_parseval_record_matches_quadrature(self, n):
+        grid = make_grid(n, n, n)
+        state = rough_state(grid, seed=3 * n)
+        ours = measure(grid, state)
+        oracle = quadrature_record(grid, state)
+        for f in dataclasses.fields(LedgerRecord):
+            a, b = getattr(ours, f.name), getattr(oracle, f.name)
+            assert b != 0.0 and abs(a - b) <= 1e-12 * abs(b), f.name
+        res = constraint_check(grid, state)
+        assert res.solenoidal == ours.div_res and res.w_top == ours.w_top_res
+
     def test_energy_of_uniform_state(self, grid8):
         state = initial_state(grid8, "uniform", value=2.0)
         rec = measure(grid8, state)

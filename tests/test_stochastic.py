@@ -8,7 +8,7 @@ import scipy.linalg
 
 from ebpe import diagnostics, make_grid
 from ebpe.config import RunConfig
-from ebpe.linops import assemble_mode_operator
+from ebpe.linops import assemble_mode_operator, coupled_vertical_matrix
 from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
@@ -78,6 +78,27 @@ class TestWienerIncrements:
 
 
 class TestConvolutionPropagator:
+    def test_batched_setup_matches_per_mode_expm(self, grid8, rng):
+        dt = 0.05
+        prop = ConvolutionPropagator(grid8, dt)
+        n = grid8.nlev
+        base = coupled_vertical_matrix(grid8)
+        for i in range(grid8.nx):
+            for j in range(grid8.ny):
+                aug = np.zeros((n + 1, n + 1))
+                aug[:n, :n] = dt * (base - grid8.xi2[i, j] * np.eye(n))
+                aug[n - 1, n] = 1.0
+                ex = scipy.linalg.expm(aug)
+                assert np.array_equal(prop.E[i, j], ex[:n, :n])
+                assert np.array_equal(prop.phi1_col[i, j], ex[:n, n])
+        # a half spectrum steps through the column view of the same maps
+        Z = rng.standard_normal((8, 8, n)) + 1j * rng.standard_normal((8, 8, n))
+        dW = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        q = NoiseSpec().q_table(grid8)
+        full = prop.step_hat(Z, dW, q)
+        half = prop.step_hat(Z[:, :5], dW[:, :5], q[:, :5])
+        assert np.array_equal(half, full[:, :5])
+
     def test_kernel_mode_invariant_without_noise(self, grid8):
         prop = ConvolutionPropagator(grid8, dt=0.05)
         Z = np.zeros((8, 8, grid8.nlev), dtype=complex)

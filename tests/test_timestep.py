@@ -5,10 +5,19 @@ import sys
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, Stepper, make_grid, stochastic
+from ebpe import (
+    PhysParams,
+    Stepper,
+    make_grid,
+    project_barotropic,
+    solve_coupled_implicit,
+    solve_velocity_implicit,
+    stochastic,
+)
 from ebpe import grid as grid_mod
 from ebpe.config import RunConfig
-from ebpe.ebm import coalbedo
+from ebpe.ebm import coalbedo, default_insolation
+from ebpe.grid import irfft_h, to_physical, to_spectral, unpack_fields
 from ebpe.manufactured import ManufacturedSolution
 from ebpe.monitors import l2sq_surface, l2sq_volume
 from ebpe.timestep import (
@@ -17,6 +26,12 @@ from ebpe.timestep import (
     nonlinear_tendencies,
     run_deterministic,
 )
+
+from conftest import rough_state
+
+
+def max_rel_err(ours, oracle):
+    return float(np.max(np.abs(ours - oracle)) / np.max(np.abs(oracle)))
 
 
 def quiet_params(grid, **kwargs):
@@ -69,6 +84,46 @@ class TestTendencies:
         assert np.max(np.abs(F_avg)) < 1e-12
         expected = 2 * np.pi * np.cos(2 * np.pi * grid8.x)
         assert np.max(np.abs(F_trace - expected)) < 1e-11
+
+
+class TestSpectralKernelOracles:
+    """The half-spectrum kernel against its physical-space references."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("transport", ["surface_trace", "vertical_average"])
+    @pytest.mark.parametrize("forced", [False, True], ids=["radiation", "mms_forcing"])
+    def test_tendencies_match_physical_oracle(self, n, transport, forced):
+        grid = make_grid(n, n, n)
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1),
+                            transport_variant=transport, radiation_on=True)
+        forcing = ManufacturedSolution().forcing if forced else None
+        state = rough_state(grid, seed=n)
+        stepper = Stepper(grid, params, 1e-3, forcing=forcing)
+        ours = unpack_fields(grid, irfft_h(grid, stepper.tendencies(state)))
+        oracle = nonlinear_tendencies(grid, state, params)
+        if forced:
+            oracle = [F + f for F, f in zip(oracle, forcing(grid, state.t))]
+        for F, F_ref in zip(ours, oracle):
+            assert max_rel_err(F, F_ref) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_step_matches_composed_physical_step(self, n):
+        grid = make_grid(n, n, n)
+        dt = 1e-3
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+        state = rough_state(grid, seed=n + 1)
+        new = Stepper(grid, params, dt).step(state)
+
+        F_v, F_T, F_rho = nonlinear_tendencies(grid, state, params)
+        v_star = solve_velocity_implicit(grid, state.v + dt * F_v, dt)
+        v_hat, phi_hat = project_barotropic(
+            grid, np.stack([to_spectral(grid, c) for c in v_star]))
+        v = np.stack([to_physical(grid, c) for c in v_hat])
+        T, rho = solve_coupled_implicit(grid, state.T + dt * F_T, state.rho + dt * F_rho, dt)
+        p_s = to_physical(grid, phi_hat) / dt
+        for ours, oracle in ((new.v, v), (new.T, T), (new.rho, rho), (new.p_s, p_s)):
+            assert max_rel_err(ours, oracle) <= 1e-12
+        assert np.array_equal(new.T[..., -1], new.rho)
 
 
 class TestImexStep:
@@ -205,20 +260,25 @@ class TestCnab2:
         assert study.order >= 1.7
 
 
-# Horizontal transforms per step (to_spectral, to_physical) of each driver
-# at 8^3, measure included.  Upper bounds: a change may lower them, never
-# raise them.
+# Horizontal transforms per step of each driver at 8^3, measure included,
+# counted over every transform entry point: forward (to_spectral, rfft_h)
+# and inverse (to_physical, irfft_h).  Upper bounds: a change may lower
+# them, never raise them.
 TRANSFORM_BUDGET = {
-    "deterministic": (run_deterministic, 27, 31),
-    "split": (stochastic.run_split_stochastic, 27, 32),
-    "direct_em": (stochastic.run_direct_em, 27, 31),
+    "deterministic": (run_deterministic, 3, 3),
+    "split": (stochastic.run_split_stochastic, 4, 4),
+    "direct_em": (stochastic.run_direct_em, 3, 3),
+}
+TRANSFORM_DIRECTION = {
+    "to_spectral": "forward", "rfft_h": "forward",
+    "to_physical": "inverse", "irfft_h": "inverse",
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_BUDGET))
 def test_transforms_per_step_within_budget(name, monkeypatch):
-    driver, max_spectral, max_physical = TRANSFORM_BUDGET[name]
-    counts = {"to_spectral": 0, "to_physical": 0}
+    driver, max_forward, max_inverse = TRANSFORM_BUDGET[name]
+    counts = {"forward": 0, "inverse": 0}
 
     def counting(key, fn):
         def wrapped(*args, **kwargs):
@@ -226,9 +286,9 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for key in counts:
-        original = getattr(grid_mod, key)
-        wrapper = counting(key, original)
+    for entry, direction in TRANSFORM_DIRECTION.items():
+        original = getattr(grid_mod, entry)
+        wrapper = counting(direction, original)
         for modname, module in list(sys.modules.items()):
             if modname.startswith("ebpe."):
                 for attr, value in list(vars(module).items()):
@@ -236,7 +296,7 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
                         monkeypatch.setattr(module, attr, wrapper)
 
     def run(n_steps):
-        counts.update(to_spectral=0, to_physical=0)
+        counts.update(forward=0, inverse=0)
         driver(RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=n_steps * 1e-3,
                          transport="vertical_average", noise_sigma=0.1,
                          ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5))
@@ -244,5 +304,5 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
 
     short, long = run(2), run(4)  # the difference cancels set-up transforms
     per_step = {key: (long[key] - short[key]) / 2 for key in counts}
-    assert per_step["to_spectral"] <= max_spectral, per_step
-    assert per_step["to_physical"] <= max_physical, per_step
+    assert per_step["forward"] <= max_forward, per_step
+    assert per_step["inverse"] <= max_inverse, per_step
