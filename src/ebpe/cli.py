@@ -116,8 +116,7 @@ def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     grid = make_grid(cfg.nx, cfg.ny, cfg.nz)
     report = spectrum_report(grid, omega=args.omega)
-    out = Path(args.out or cfg.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     lines = ["# ebpe spectrum v1", "k1,k2,re,im"]
     for k1, k2, re, im in report.rows():
         lines.append(f"{k1},{k2},{re:.17g},{im:.17g}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, deriv_x, deriv_y, match_columns, to_physical, to_spectral
+from .grid import Grid, deriv_x, deriv_y, match_columns
 
 
 def trapz_weights(grid: Grid) -> np.ndarray:
@@ -78,12 +78,3 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.nd
     grad = np.stack((deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)))
     return v_hat - grad[..., None], phi_hat
 
-
-def potential_from_gradient(grid: Grid, grad: np.ndarray) -> np.ndarray:
-    """Mean-zero potential phi with grad_H phi equal to the given pair."""
-    gx_hat = to_spectral(grid, grad[0])
-    gy_hat = to_spectral(grid, grad[1])
-    num = -1j * (grid.xi_x * gx_hat + grid.xi_y * gy_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(grid.xi2_deriv > 0.0, num / grid.xi2_deriv, 0.0)
-    return to_physical(grid, phi_hat)

@@ -18,7 +18,12 @@ leaves the symbol error at the level of the interior dispersion,
 
 A companion Neumann-Neumann operator serves the velocity solves.
 
-The cached per-mode solvers apply to full (Nx, Ny) spectra and to the
+The operators depend on the mode only through |xi|^2: each per-mode table
+is built once per distinct value and gathered onto the grid (`mode_table`),
+and a generator is applied, never tabulated, as the one vertical matrix
+product minus |xi|^2 times the column.
+
+The per-mode tables apply to full (Nx, Ny) spectra and to the
 (Nx, Ny//2+1) half spectra of the step kernel alike: a half spectrum
 uses the column view [:, :Ny//2+1] of the per-mode arrays, whose modes
 are exactly its ky = 0 .. Ny/2 columns.
@@ -73,35 +78,31 @@ class SectorReport:
                 yield k1, k2, lam.real, lam.imag
 
 
-def coupled_vertical_matrix(grid: Grid) -> np.ndarray:
-    """xi-independent part of the coupled generator, shape (Nz+1, Nz+1)."""
+def _vertical_laplacian(grid: Grid) -> np.ndarray:
+    """Bottom (no-flux by ghost elimination) and interior rows of the
+    vertical Laplacian, shape (Nz+1, Nz+1); the top row is left zero."""
     nz, h = grid.nz, grid.dz
-    n = nz + 1
-    L = np.zeros((n, n))
+    L = np.zeros((nz + 1, nz + 1))
     L[0, 0] = -2.0 / h**2
     L[0, 1] = 2.0 / h**2
-    for j in range(1, nz):
-        L[j, j - 1] = 1.0 / h**2
-        L[j, j] = -2.0 / h**2
-        L[j, j + 1] = 1.0 / h**2
-    for i, c in enumerate(TOP_FLUX_STENCIL):
-        L[nz, nz - i] -= c / h
+    j = np.arange(1, nz)
+    L[j, j - 1] = L[j, j + 1] = 1.0 / h**2
+    L[j, j] = -2.0 / h**2
+    return L
+
+
+def coupled_vertical_matrix(grid: Grid) -> np.ndarray:
+    """xi-independent part of the coupled generator, shape (Nz+1, Nz+1)."""
+    L = _vertical_laplacian(grid)
+    nz = grid.nz
+    L[nz, nz - 4 : nz + 1] = -TOP_FLUX_STENCIL[::-1] / grid.dz
     return L
 
 
 def neumann_vertical_matrix(grid: Grid) -> np.ndarray:
     """Vertical Laplacian with no-flux rows at both ends (velocity solves)."""
-    nz, h = grid.nz, grid.dz
-    n = nz + 1
-    L = np.zeros((n, n))
-    L[0, 0] = -2.0 / h**2
-    L[0, 1] = 2.0 / h**2
-    for j in range(1, nz):
-        L[j, j - 1] = 1.0 / h**2
-        L[j, j] = -2.0 / h**2
-        L[j, j + 1] = 1.0 / h**2
-    L[nz, nz] = -2.0 / h**2
-    L[nz, nz - 1] = 2.0 / h**2
+    L = _vertical_laplacian(grid)
+    L[grid.nz] = L[0, ::-1]  # the top no-flux row mirrors the bottom one
     return L
 
 
@@ -112,18 +113,34 @@ def assemble_mode_operator(xi: tuple[float, float], grid: Grid) -> ModeOperator:
     return ModeOperator(xi=(float(xi[0]), float(xi[1])), matrix=M)
 
 
-def _batched_generators(grid: Grid, base: np.ndarray) -> np.ndarray:
-    """Generator matrices for every grid mode, shape (Nx, Ny, n, n)."""
-    n = base.shape[0]
-    eye = np.eye(n)
-    return base[None, None] - grid.xi2[:, :, None, None] * eye[None, None]
+def mode_table(grid: Grid, of_xi2) -> np.ndarray:
+    """Per-mode table (Nx, Ny, ...) of a function of |xi|^2.
+
+    of_xi2 maps the distinct |xi|^2 values, a 1-D array, to a stacked
+    array (n_distinct, ...); each grid mode takes its value's entry.
+    """
+    xi2, which = np.unique(grid.xi2, return_inverse=True)
+    return of_xi2(xi2)[which.reshape(grid.xi2.shape)]
 
 
-def _batched_inverse(mats: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(mats)
-    except np.linalg.LinAlgError as exc:  # not expected for dt > 0
-        raise SolveError(f"implicit vertical solve is singular: {exc}") from exc
+def stacked_generators(vertical: np.ndarray, xi2: np.ndarray) -> np.ndarray:
+    """Stacked generators vertical - |xi|^2 * I, one per xi2 entry."""
+    return vertical - xi2[:, None, None] * np.eye(vertical.shape[0])
+
+
+def implicit_inverse(grid: Grid, vertical: np.ndarray, dt: float) -> np.ndarray:
+    """Per-mode (I - dt * (vertical - |xi|^2 I))^-1, shape (Nx, Ny, n, n)."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    eye = np.eye(vertical.shape[0])
+
+    def inverse(xi2):
+        try:
+            return np.linalg.inv(eye - dt * stacked_generators(vertical, xi2))
+        except np.linalg.LinAlgError as exc:  # not expected for dt > 0
+            raise SolveError(f"implicit vertical solve is singular: {exc}") from exc
+
+    return mode_table(grid, inverse)
 
 
 def apply_per_mode(mats: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
@@ -135,17 +152,20 @@ def apply_per_mode(mats: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     return (mats[:, : x.shape[-2]] @ pairs).view(np.complex128)[..., 0]
 
 
+def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """(vertical - |xi|^2 I) x per mode, for spectral columns (..., Nx, W, n)
+    with W = Ny or Ny//2+1."""
+    return x_hat @ vertical.T - grid.xi2[:, : x_hat.shape[-2], None] * x_hat
+
+
 class CoupledImplicitSolver:
-    """Cached per-mode factorization of (I - dt * generator)."""
+    """Cached per-mode inverse of (I - dt * generator)."""
 
     def __init__(self, grid: Grid, dt: float):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
-        self.generators = _batched_generators(grid, coupled_vertical_matrix(grid))
-        eye = np.eye(grid.nlev)
-        self.inverse = _batched_inverse(eye[None, None] - dt * self.generators)
+        self.vertical = coupled_vertical_matrix(grid)
+        self.inverse = implicit_inverse(grid, self.vertical, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
         """Apply the inverse to a spectral stack shaped (Nx, W, Nz+1), W = Ny
@@ -153,20 +173,17 @@ class CoupledImplicitSolver:
         return apply_per_mode(self.inverse, stack_hat)
 
     def apply_generator_hat(self, stack_hat: np.ndarray) -> np.ndarray:
-        return apply_per_mode(self.generators, stack_hat)
+        return apply_generator(self.grid, self.vertical, stack_hat)
 
 
 class VelocityImplicitSolver:
-    """Cached per-mode factorization of (I - dt * (d^2_z - |xi|^2)), Neumann ends."""
+    """Cached per-mode inverse of (I - dt * (d^2_z - |xi|^2)), Neumann ends."""
 
     def __init__(self, grid: Grid, dt: float):
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
-        self.generators = _batched_generators(grid, neumann_vertical_matrix(grid))
-        eye = np.eye(grid.nlev)
-        self.inverse = _batched_inverse(eye[None, None] - dt * self.generators)
+        self.vertical = neumann_vertical_matrix(grid)
+        self.inverse = implicit_inverse(grid, self.vertical, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Apply to spectral velocity components, (..., Nx, W, Nz+1) with
@@ -174,7 +191,7 @@ class VelocityImplicitSolver:
         return apply_per_mode(self.inverse, v_hat)
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        return apply_per_mode(self.generators, v_hat)
+        return apply_generator(self.grid, self.vertical, v_hat)
 
 
 def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
@@ -191,11 +208,7 @@ def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.n
 
 
 def solve_coupled_implicit(
-    grid: Grid,
-    rhs_T: np.ndarray,
-    rhs_rho: np.ndarray,
-    dt: float,
-    solver: CoupledImplicitSolver | None = None,
+    grid: Grid, rhs_T: np.ndarray, rhs_rho: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve (I - dt*A)(T, rho) = (rhs_T, rhs_rho) in physical space.
 
@@ -203,28 +216,16 @@ def solve_coupled_implicit(
     rhs_rho); the output satisfies T(., 1) = rho identically and the
     discrete bottom no-flux condition.
     """
-    if solver is None:
-        solver = CoupledImplicitSolver(grid, dt)
     stack = stack_fields_hat(grid, to_spectral(grid, rhs_T), to_spectral(grid, rhs_rho))
-    T = to_physical(grid, solver.solve_hat(stack))
+    T = to_physical(grid, CoupledImplicitSolver(grid, dt).solve_hat(stack))
     rho = T[..., -1].copy()
     return T, rho
 
 
-def solve_velocity_implicit(
-    grid: Grid,
-    rhs_v: np.ndarray,
-    dt: float,
-    solver: VelocityImplicitSolver | None = None,
-) -> np.ndarray:
+def solve_velocity_implicit(grid: Grid, rhs_v: np.ndarray, dt: float) -> np.ndarray:
     """Per-component solve of (I - dt*(d^2_z - |xi|^2)) v = rhs with no-flux ends."""
-    if solver is None:
-        solver = VelocityImplicitSolver(grid, dt)
-    out = np.empty_like(rhs_v)
-    for comp in range(rhs_v.shape[0]):
-        v_hat = solver.solve_hat(to_spectral(grid, rhs_v[comp]))
-        out[comp] = to_physical(grid, v_hat)
-    return out
+    solver = VelocityImplicitSolver(grid, dt)
+    return np.stack([to_physical(grid, solver.solve_hat(to_spectral(grid, c))) for c in rhs_v])
 
 
 def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
@@ -236,14 +237,18 @@ def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
     cosh(|xi| z) / cosh(|xi|).
     """
     n = grid.nlev
-    base = coupled_vertical_matrix(grid)
-    mats = _batched_generators(grid, base)
-    # replace the surface row by the identity on the boundary unknown
-    mats[:, :, n - 1, :] = 0.0
-    mats[:, :, n - 1, n - 1] = 1.0
+    vertical = coupled_vertical_matrix(grid)
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
-    return np.linalg.solve(mats, rhs)
+
+    def column(xi2):
+        mats = stacked_generators(vertical, xi2)
+        # replace the surface row by the identity on the boundary unknown
+        mats[:, n - 1, :] = 0.0
+        mats[:, n - 1, n - 1] = 1.0
+        return np.linalg.solve(mats, rhs)
+
+    return mode_table(grid, column)
 
 
 def dirichlet_map(grid: Grid, phi: np.ndarray) -> np.ndarray:

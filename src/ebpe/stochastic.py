@@ -136,14 +136,17 @@ class ConvolutionPropagator:
         self.grid = grid
         self.dt = dt
         n = grid.nlev
-        xi2, which = np.unique(grid.xi2.ravel(), return_inverse=True)
-        aug = np.zeros((xi2.size, n + 1, n + 1))
-        aug[:, :n, :n] = dt * (linops.coupled_vertical_matrix(grid)
-                               - xi2[:, None, None] * np.eye(n))
-        aug[:, n - 1, n] = 1.0  # inject on the rho row
-        ex = scipy.linalg.expm(aug)[which]
-        self.E = ex[:, :n, :n].reshape(grid.nx, grid.ny, n, n)
-        self.phi1_col = ex[:, :n, n].reshape(grid.nx, grid.ny, n)
+
+        def augmented_expm(xi2):
+            aug = np.zeros((xi2.size, n + 1, n + 1))
+            vertical = linops.coupled_vertical_matrix(grid)
+            aug[:, :n, :n] = dt * linops.stacked_generators(vertical, xi2)
+            aug[:, n - 1, n] = 1.0  # inject on the rho row
+            return scipy.linalg.expm(aug)
+
+        ex = linops.mode_table(grid, augmented_expm)
+        self.E = ex[..., :n, :n].copy()
+        self.phi1_col = ex[..., :n, n].copy()
 
     def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of full (Nx, Ny, Nz+1) or half (Nx, Ny//2+1, Nz+1)

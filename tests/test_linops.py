@@ -21,6 +21,7 @@ from ebpe.linops import (
     VelocityImplicitSolver,
     coupled_vertical_matrix,
     dtn_symbols,
+    mode_table,
     neumann_vertical_matrix,
     retained_modes,
     similarity_unsplit,
@@ -237,6 +238,88 @@ class TestVelocitySolve:
             oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
             ours = VelocityImplicitSolver(grid8, dt).inverse[i, j] @ rhs
             assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def _mode_xi(grid, width):
+    """(i, j, xi) of every mode in the first `width` columns."""
+    for i in range(grid.nx):
+        for j in range(width):
+            yield i, j, (2 * np.pi * grid.kx[i], 2 * np.pi * grid.ky[j])
+
+
+class TestPerModeTables:
+    def test_mode_table_evaluates_each_distinct_xi2_once(self, grid8):
+        calls = []
+
+        def of_xi2(xi2):
+            calls.append(xi2)
+            return np.stack([xi2, -xi2], axis=-1)
+
+        table = mode_table(grid8, of_xi2)
+        assert len(calls) == 1 and np.array_equal(calls[0], np.unique(grid8.xi2))
+        assert table.shape == (8, 8, 2)
+        assert np.array_equal(table[..., 0], grid8.xi2)
+        assert np.array_equal(table[..., 1], -grid8.xi2)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_coupled_generator_matches_dense_oracle(self, n, half):
+        grid = make_grid(n, n, n)
+        width = n // 2 + 1 if half else n
+        rng = np.random.default_rng(n + 2 * half)
+        shape = (n, width, grid.nlev)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ours = CoupledImplicitSolver(grid, 1e-2).apply_generator_hat(x)
+        oracle = np.empty_like(x)
+        for i, j, xi in _mode_xi(grid, width):
+            oracle[i, j] = assemble_mode_operator(xi, grid).matrix @ x[i, j]
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_velocity_generator_matches_dense_oracle(self, n, half):
+        grid = make_grid(n, n, n)
+        width = n // 2 + 1 if half else n
+        rng = np.random.default_rng(n + 2 * half + 1)
+        shape = (2, n, width, grid.nlev)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ours = VelocityImplicitSolver(grid, 1e-2).apply_generator_hat(x)
+        base, eye = neumann_vertical_matrix(grid), np.eye(grid.nlev)
+        oracle = np.empty_like(x)
+        for i, j, _ in _mode_xi(grid, width):
+            oracle[:, i, j] = x[:, i, j] @ (base - grid.xi2[i, j] * eye).T
+        assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_inverse_bit_identical_to_per_mode_inv(self, n):
+        grid = make_grid(n, n, n)
+        dt = 3e-3
+        eye = np.eye(grid.nlev)
+        coupled = CoupledImplicitSolver(grid, dt).inverse
+        velocity = VelocityImplicitSolver(grid, dt).inverse
+        base = neumann_vertical_matrix(grid)
+        assert coupled.shape == velocity.shape == (n, n, grid.nlev, grid.nlev)
+        for i, j, xi in _mode_xi(grid, n):
+            M = assemble_mode_operator(xi, grid).matrix
+            assert np.array_equal(coupled[i, j], np.linalg.inv(eye - dt * M))
+            M = base - grid.xi2[i, j] * eye
+            assert np.array_equal(velocity[i, j], np.linalg.inv(eye - dt * M))
+
+    @pytest.mark.parametrize("n, distinct", [(8, 15), (16, 43)])
+    @pytest.mark.parametrize("solver", [CoupledImplicitSolver, VelocityImplicitSolver])
+    def test_one_inverse_per_distinct_xi2(self, n, distinct, solver, monkeypatch):
+        grid = make_grid(n, n, 8)
+        assert np.unique(grid.xi2).size == distinct
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting_inv(a):
+            inverted.append(int(np.prod(a.shape[:-2])))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        solver(grid, 1e-3)
+        assert sum(inverted) == distinct
 
 
 class TestSpectrumReport:
