@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, monitors, snapshots, stochastic, timestep
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, validate_config
 from .grid import make_grid
 from .linops import spectrum_report
 
@@ -72,6 +72,9 @@ def _load_config(args) -> RunConfig:
         cfg.cadence = args.cadence
     if getattr(args, "out", None) is not None:
         cfg.out_dir = args.out
+    errors = validate_config(cfg)  # the overrides bypass parse_config's checks
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

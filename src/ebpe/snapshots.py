@@ -9,6 +9,7 @@ reproduce runs bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -62,6 +63,17 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
                 f"active grid ({grid.nx},{grid.ny},{grid.nz})"
             )
         nlev = nz + 1
+        # size the arrays only once the file is known to hold exactly them
+        n_blocks = 3 * nlev + (2 if flags & FLAG_Z_RHO else 1)
+        expected = _HEADER.size + 8 * nx * ny * n_blocks
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise SnapshotError(
+                f"truncated snapshot: header ({nx},{ny},{nz}) implies "
+                f"{expected} bytes, file has {size}"
+            )
+        if size > expected:
+            raise SnapshotError("snapshot has trailing bytes past the field blocks")
 
         def block(shape, what):
             n = int(np.prod(shape))
@@ -76,8 +88,5 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
         z_rho = None
         if flags & FLAG_Z_RHO:
             z_rho = block((nx, ny), "Z_rho")
-        trailing = fh.read(1)
-        if trailing:
-            raise SnapshotError("snapshot has trailing bytes past the field blocks")
     state = State(v=v, T=T, rho=rho, t=t, step=0)
     return state, z_rho

@@ -3,12 +3,15 @@ for the linearized coupled system, the split driver (exact linear noise
 convolution plus a deterministic remainder), and a direct semi-implicit
 Euler-Maruyama driver used as the brute-force cross-check.
 
-Both drivers run the deterministic step kernel (`Stepper.step`) inside the
-shared driver loop (`timestep.integrate`), so they honour the monitor
-settings and reduce to the deterministic run at sigma = 0.  The split
-driver evaluates the tendencies at the reassembled fields and carries
-the convolution as a half spectrum; the direct driver adds the increment
-q dW to the surface row of the (half-spectrum) coupled solve.
+Both drivers are the deterministic step (`Stepper.step`) of the full
+state plus a kick on the half-spectrum coupled stack, inside the shared
+driver loop (`timestep.integrate`), so they honour the monitor settings
+and reduce to the deterministic run at sigma = 0.  The direct driver's
+kick is the increment q dW on the surface row.  The split driver carries
+the convolution Z as a half spectrum; with R = (I - dt A)^-1 the coupled
+solve, its kick Z_{n+1} - R Z_n makes the step advance the remainder
+full - Z by the deterministic step with the tendencies taken at the full
+state, so the remainder is never formed.
 
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
@@ -36,7 +39,6 @@ from .timestep import (
     RunResult,
     State,
     Stepper,
-    _check_finite,
     grid_from_config,
     initial_state_from_config,
     integrate,
@@ -175,7 +177,8 @@ def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle
     if bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
         raise ValueError("path bundle does not match the run (steps or dt)")
     stepper = Stepper(grid, params, cfg.dt, freeze_velocity=cfg.freeze_velocity)
-    return grid, params, stepper, bundle, spec.q_table(grid)
+    # the noise field is real: its kicks live on the half spectrum
+    return grid, params, stepper, bundle, spec.q_table(grid)[:, : grid.ny // 2 + 1]
 
 
 def run_split_stochastic(
@@ -186,13 +189,15 @@ def run_split_stochastic(
 ) -> RunResult:
     """Split driver: exact noise convolution plus a deterministic remainder.
 
-    The convolution stack evolves by its exact per-mode exponential map;
-    the remainder advances by the deterministic IMEX step with every
-    nonlinearity evaluated at the reassembled fields (temperature
-    including the interior part of the convolution, surface temperature
-    including its boundary part), so the scheme and the direct
-    Euler-Maruyama driver discretize the same system.  With sigma = 0 the
-    convolution vanishes and the run reproduces the deterministic driver.
+    The convolution stack Z evolves by its exact per-mode exponential map,
+    Z_{n+1} = E Z_n + phi1 q dW_n.  The remainder full - Z advances by the
+    deterministic IMEX step with every nonlinearity evaluated at the full
+    fields (temperature including the interior part of the convolution,
+    surface temperature including its boundary part), so the scheme and
+    the direct Euler-Maruyama driver discretize the same system.  The
+    coupled solve R is linear, so this is one step of the full state with
+    the kick Z_{n+1} - R Z_n.  With sigma = 0 the convolution vanishes and
+    the run reproduces the deterministic driver.
 
     The run cannot resume: a snapshot carries only the surface channel of
     the convolution stack, so an `initial` state with step > 0 is
@@ -205,27 +210,18 @@ def run_split_stochastic(
         )
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
     propagator = ConvolutionPropagator(grid, cfg.dt)
-    remainder = initial_state_from_config(grid, cfg) if initial is None else initial
-    # the convolution of a real noise field is real: keep its half spectrum
-    half = grid.ny // 2 + 1
-    q = q[:, :half]
+    half = q.shape[1]
     Z_hat = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
 
-    def reassemble() -> State:
-        T_full = remainder.T + irfft_h(grid, Z_hat)
-        return State(v=remainder.v, T=T_full, rho=T_full[..., -1].copy(),
-                     t=remainder.t, step=remainder.step, p_s=remainder.p_s)
-
-    def advance(full: State) -> State:
-        nonlocal remainder, Z_hat
-        remainder = stepper.step(remainder, eval_state=full)
-        Z_hat = propagator.step_hat(Z_hat, bundle.increments[full.step, :, :half], q)
-        new = reassemble()
-        _check_finite(new, full)
+    def advance(state: State) -> State:
+        nonlocal Z_hat
+        Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step, :, :half], q)
+        new = stepper.step(state, kick_hat=Z_next - stepper.coupled.solve_hat(Z_hat))
+        Z_hat = Z_next
         return new
 
-    result = integrate(cfg, grid, params, reassemble(), advance)
-    result.remainder_final = remainder
+    state = initial_state_from_config(grid, cfg) if initial is None else initial
+    result = integrate(cfg, grid, params, state, advance)
     result.z_rho_final = irfft_h(grid, Z_hat[..., -1])
     result.bundle = bundle
     return result
@@ -246,9 +242,12 @@ def run_direct_em(
     state whose step is set reproduces the uninterrupted run bit for bit.
     """
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
+    half = q.shape[1]
 
     def advance(state: State) -> State:
-        return stepper.step(state, surface_kick_hat=q * bundle.increments[state.step])
+        kick = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
+        kick[..., -1] = q * bundle.increments[state.step, :, :half]
+        return stepper.step(state, kick_hat=kick)
 
     state = initial_state_from_config(grid, cfg) if initial is None else initial
     result = integrate(cfg, grid, params, state, advance)

@@ -23,8 +23,9 @@ its first step (and any restart step) falls back to IMEX Euler.
 
 `integrate` is the one driver loop (step count, ledger, monitors,
 diagnostics rows, blow-up handling).  The deterministic driver here and
-the stochastic drivers in `ebpe.stochastic` differ only in the per-step
-advance they hand to it.
+the stochastic drivers in `ebpe.stochastic` run the same step; a
+stochastic step only adds a spectral kick to the coupled (T, rho)
+solution before the last inverse transform.
 """
 
 from __future__ import annotations
@@ -319,20 +320,13 @@ class Stepper:
             F[..., 3 * n] += products[..., k]
         return F
 
-    def step(
-        self,
-        state: State,
-        eval_state: State | None = None,
-        surface_kick_hat: np.ndarray | None = None,
-    ) -> State:
+    def step(self, state: State, kick_hat: np.ndarray | None = None) -> State:
         """Advance `state` by one step.
 
-        eval_state, when given, is where the explicit tendencies are
-        evaluated while the implicit update starts from `state` (the split
-        driver passes the reassembled fields and advances the remainder).
-        surface_kick_hat, a full (Nx, Ny) spectrum, is added to the surface
-        row of the spectral coupled solution before the inverse transform
-        (the Euler-Maruyama noise increment q dW).  Both are IMEX Euler only.
+        kick_hat, a half-spectrum coupled stack (Nx, Ny//2+1, Nz+1), is
+        added to the spectral coupled solution before the inverse
+        transform: the noise increment of the stochastic drivers (IMEX
+        Euler only).
 
         The step is a pure function of the physical state (and, for
         cnab2, the previous step's tendencies): nothing spectral is kept
@@ -340,14 +334,11 @@ class Stepper:
         """
         grid, dt = self.grid, self.dt
         U = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
-        if eval_state is None:
-            F = self.tendencies(state, U)
-        else:
-            F = self.tendencies(eval_state)
+        F = self.tendencies(state, U)
         F_old = None
         if self.scheme == "cnab2":
-            if eval_state is not None or surface_kick_hat is not None:
-                raise ValueError("scheme cnab2 takes no eval_state or surface_kick_hat")
+            if kick_hat is not None:
+                raise ValueError("scheme cnab2 takes no kick_hat")
             # without usable history (first step or restart) this is an Euler step
             if self._history is not None and self._history[0] == state.step:
                 F_old = self._history[1]
@@ -363,8 +354,8 @@ class Stepper:
             x_hat = self.coupled_half.solve_hat(
                 stack + 0.5 * dt * self.coupled.apply_generator_hat(stack)
                 + linops.stack_fields_hat(grid, ab_T, ab_rho))
-        if surface_kick_hat is not None:
-            x_hat[..., -1] += surface_kick_hat[:, : x_hat.shape[1]]
+        if kick_hat is not None:
+            x_hat += kick_hat
 
         if self.freeze_velocity:
             v_new, T_new, p_s = state.v, irfft_h(grid, x_hat), state.p_s
@@ -395,10 +386,9 @@ def _ab2(cur: np.ndarray, old: np.ndarray) -> np.ndarray:
 class RunResult:
     """Outcome of one driver run.
 
-    final_state is the last measured state (for the split driver, the
-    reassembled fields).  The split driver also returns its remainder and
-    the surface channel of the noise convolution; both stochastic drivers
-    return the increment bundle they used.
+    final_state is the last measured state.  The split driver also
+    returns the surface channel of the noise convolution; both stochastic
+    drivers return the increment bundle they used.
     """
 
     final_state: State
@@ -406,7 +396,6 @@ class RunResult:
     csv_records: list[tuple[int, monitors.LedgerRecord, int]]
     monitor_failure: str | None = None
     warnings: list[str] = field(default_factory=list)
-    remainder_final: State | None = None
     z_rho_final: np.ndarray | None = None
     bundle: PathBundle | None = None
 

@@ -1,6 +1,7 @@
 """Configuration parsing, snapshots, diagnostics CSV, CLI surface."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="trailing"):
             read_snapshot(path)
 
+    def test_oversized_header_rejected_before_allocation(self, tmp_path):
+        # a 64-byte file whose header claims 100000 x 100000 x 1000 points
+        header = struct.pack("<4sBBIIId", b"EBPE", 1, 0, 100_000, 100_000, 1000, 0.0)
+        path = tmp_path / "huge.bin"
+        path.write_bytes(header.ljust(64, b"\0"))
+        with pytest.raises(SnapshotError, match="truncated"):
+            read_snapshot(path)
+        assert cli.main(["check", str(path)]) == 1
+
 
 class TestDiagnosticsCsv:
     def test_float_formatting_round_trips(self):
@@ -230,6 +240,15 @@ class TestCli:
         bad = write_config(tmp_path, RUN_INI + "[physics]\nbeta1 = 0.9\n")
         assert cli.main(["run-det", "--config", str(bad)]) == 1
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cadence", ["0", "-5"])
+    def test_invalid_cadence_override_rejected(self, tmp_path, capsys, cadence):
+        cfgp = write_config(tmp_path, RUN_INI)
+        out = tmp_path / "out"
+        argv = ["run-det", "--config", str(cfgp), "--out", str(out), "--cadence", cadence]
+        assert cli.main(argv) == 1
+        assert "cadence" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stochastic_surface_trace_exit_code(self, tmp_path):
         text = RUN_INI + "[physics]\ntransport = surface_trace\n[noise]\nsigma = 0.1\n"

@@ -6,18 +6,32 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ebpe import diagnostics, make_grid
+from ebpe import diagnostics, make_grid, project_barotropic
 from ebpe.config import RunConfig
-from ebpe.linops import assemble_mode_operator, coupled_vertical_matrix
+from ebpe.grid import to_physical, to_spectral
+from ebpe.linops import (
+    assemble_mode_operator,
+    coupled_vertical_matrix,
+    solve_coupled_implicit,
+    solve_velocity_implicit,
+)
 from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
+    noise_spec_from_config,
     run_direct_em,
     run_split_stochastic,
     wiener_increments,
 )
 from ebpe.snapshots import read_snapshot, write_snapshot
-from ebpe.timestep import BlowUpError, run_deterministic
+from ebpe.timestep import (
+    BlowUpError,
+    State,
+    initial_state_from_config,
+    nonlinear_tendencies,
+    params_from_config,
+    run_deterministic,
+)
 
 BASE = dict(nx=8, ny=8, nz=8, transport="vertical_average",
             ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
@@ -179,13 +193,42 @@ class TestDrivers:
         d = run_direct_em(cfg)
         assert np.array_equal(c.final_state.rho, d.final_state.rho)
 
-    def test_remainder_trace_invariant(self):
+    def test_split_final_state_carries_trace(self):
         cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.3, noise_seed=2)
         res = run_split_stochastic(cfg)
-        rem = res.remainder_final
-        assert np.max(np.abs(rem.T[..., -1] - rem.rho)) <= 1e-12 * (1 + np.max(np.abs(rem.rho)))
-        # reassembled fields also carry the shared trace
         assert np.array_equal(res.final_state.T[..., -1], res.final_state.rho)
+
+    def test_split_matches_remainder_recurrence_oracle(self):
+        # the paper's splitting, built from the physical-space helpers: the
+        # remainder takes the deterministic step with the tendencies at the
+        # full state, Z its exact convolution step, full = remainder + Z
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=5e-3, noise_sigma=0.2, noise_seed=9)
+        grid = make_grid(8, 8, 8)
+        params = params_from_config(grid, cfg)
+        spec = noise_spec_from_config(cfg)
+        bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
+        q = spec.q_table(grid)
+        prop = ConvolutionPropagator(grid, cfg.dt)
+        dt = cfg.dt
+
+        full = initial_state_from_config(grid, cfg)
+        rem_T, rem_rho = full.T, full.rho
+        Z = np.zeros((8, 8, grid.nlev), dtype=complex)
+        for k in range(cfg.n_steps()):
+            F_v, F_T, F_rho = nonlinear_tendencies(grid, full, params)
+            v_star = solve_velocity_implicit(grid, full.v + dt * F_v, dt)
+            v_hat, _ = project_barotropic(grid, np.stack([to_spectral(grid, c) for c in v_star]))
+            v = np.stack([to_physical(grid, c) for c in v_hat])
+            rem_T, rem_rho = solve_coupled_implicit(grid, rem_T + dt * F_T,
+                                                    rem_rho + dt * F_rho, dt)
+            Z = prop.step_hat(Z, bundle.increments[k], q)
+            T = rem_T + to_physical(grid, Z)
+            full = State(v=v, T=T, rho=T[..., -1].copy(), t=(k + 1) * dt, step=k + 1)
+
+        res = run_split_stochastic(cfg, spec=spec, bundle=bundle)
+        for name in ("v", "T", "rho"):
+            got, want = getattr(res.final_state, name), getattr(full, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     def test_surface_trace_transport_rejected(self):
         cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.01,
@@ -267,7 +310,6 @@ class TestDrivers:
         for k in range(steps):
             propagate = scipy.linalg.expm((steps - 1 - k) * cfg.dt * M)
             Z += propagate @ (phi1 @ e_rho) * q * bundle.increments[k, i, j]
-        from ebpe.grid import to_spectral
         z_rho_hat = to_spectral(grid, res.z_rho_final)[i, j]
         assert abs(z_rho_hat - Z[-1]) <= 1e-12 * (1 + abs(Z[-1]))
 

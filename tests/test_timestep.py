@@ -251,6 +251,12 @@ class TestCnab2:
         s_c = c.step(state.copy())
         assert np.allclose(s_e.T, s_c.T, atol=1e-15)
 
+    def test_rejects_kick(self, grid8):
+        c = Stepper(grid8, quiet_params(grid8), dt=1e-3, scheme="cnab2")
+        kick = np.zeros((8, 5, grid8.nlev), dtype=complex)
+        with pytest.raises(ValueError, match="kick_hat"):
+            c.step(initial_state(grid8, "zero"), kick_hat=kick)
+
     def test_second_order_self_convergence(self):
         from ebpe.monitors import mms_temporal_study
         study = mms_temporal_study(
@@ -266,7 +272,7 @@ class TestCnab2:
 # them, never raise them.
 TRANSFORM_BUDGET = {
     "deterministic": (run_deterministic, 3, 3),
-    "split": (stochastic.run_split_stochastic, 4, 4),
+    "split": (stochastic.run_split_stochastic, 3, 3),
     "direct_em": (stochastic.run_direct_em, 3, 3),
 }
 TRANSFORM_DIRECTION = {
