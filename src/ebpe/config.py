@@ -7,7 +7,8 @@ in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .ebm import SURFACE_TRACE, TRANSPORT_VARIANTS
 
@@ -177,6 +178,10 @@ def parse_config(text: str) -> RunConfig:
 def validate_config(cfg: RunConfig) -> list[str]:
     """Cross-field constraint checks; returns messages, empty when valid."""
     errors: list[str] = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            errors.append(f"{f.name} must be finite, got {value}")
     for name, n in (("nx", cfg.nx), ("ny", cfg.ny)):
         if n < 4 or n % 2 != 0:
             errors.append(f"{name} must be even and >= 4, got {n}")
@@ -196,7 +201,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errors.append(f"dt must be positive, got {cfg.dt}")
     if cfg.t_end < 0.0:
         errors.append(f"t_end must be >= 0, got {cfg.t_end}")
-    elif cfg.t_end > 0.0 and cfg.dt > 0.0:
+    elif 0.0 < cfg.t_end < math.inf and 0.0 < cfg.dt < math.inf:
         n = round(cfg.t_end / cfg.dt)
         if n < 1 or abs(n * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
             errors.append(

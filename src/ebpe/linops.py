@@ -18,15 +18,17 @@ leaves the symbol error at the level of the interior dispersion,
 
 A companion Neumann-Neumann operator serves the velocity solves.
 
-The operators depend on the mode only through |xi|^2: each per-mode table
-is built once per distinct value and gathered onto the grid (`mode_table`),
-and a generator is applied, never tabulated, as the one vertical matrix
-product minus |xi|^2 times the column.
+Every mode operator is vertical - |xi|^2 I, so one real eigendecomposition
+vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
+diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
+V diag(d) V^-1 with a real (Nx, Ny, n) table d (`apply_diagonal`), and a
+generator is applied, never tabulated, as the one vertical matrix product
+minus |xi|^2 times the column.
 
-The per-mode tables apply to full (Nx, Ny) spectra and to the
+The diagonal tables apply to full (Nx, Ny) spectra and to the
 (Nx, Ny//2+1) half spectra of the step kernel alike: a half spectrum
-uses the column view [:, :Ny//2+1] of the per-mode arrays, whose modes
-are exactly its ky = 0 .. Ny/2 columns.
+uses the column view [:, :Ny//2+1] of a table, whose modes are exactly
+its ky = 0 .. Ny/2 columns.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ TOP_FLUX_STENCIL = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
 
 
 class SolveError(RuntimeError):
-    """Raised when an implicit vertical solve is singular."""
+    """Raised when a vertical operator has no real eigenbasis or its
+    eigensolver fails."""
 
 
 @dataclass(frozen=True)
@@ -128,28 +131,34 @@ def stacked_generators(vertical: np.ndarray, xi2: np.ndarray) -> np.ndarray:
     return vertical - xi2[:, None, None] * np.eye(vertical.shape[0])
 
 
-def implicit_inverse(grid: Grid, vertical: np.ndarray, dt: float) -> np.ndarray:
-    """Per-mode (I - dt * (vertical - |xi|^2 I))^-1, shape (Nx, Ny, n, n)."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    eye = np.eye(vertical.shape[0])
-
-    def inverse(xi2):
-        try:
-            return np.linalg.inv(eye - dt * stacked_generators(vertical, xi2))
-        except np.linalg.LinAlgError as exc:  # not expected for dt > 0
-            raise SolveError(f"implicit vertical solve is singular: {exc}") from exc
-
-    return mode_table(grid, inverse)
+def eigenbasis(vertical: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real (lam, V, V^-1) with vertical = V diag(lam) V^-1."""
+    lam, V = np.linalg.eig(vertical)
+    if np.iscomplexobj(lam):
+        raise SolveError("vertical operator has a complex spectrum: no real eigenbasis")
+    return lam, V, np.linalg.inv(V)
 
 
-def apply_per_mode(mats: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Per-mode products of real (Nx, Ny, n, n) matrices with spectral
-    columns (..., Nx, W, n), W = Ny or Ny//2+1, through the column view
-    mats[:, :W].  The real and imaginary parts go through one real matmul."""
+def interleaved_basis(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
+    """V^-1 and V as real (2n, 2n) matrices, stacked, acting on rows of the
+    interleaved (re, im) float64 view of complex columns; the eigen
+    coordinates in between are blocked (re..., im...).  Each basis change
+    is one real matmul over all modes, with no copy of the spectra."""
+    n = V.shape[0]
+    blocked = np.arange(2 * n).reshape(n, 2).T.ravel()
+    eye = np.eye(2)
+    return np.stack((np.kron(V_inv.T, eye)[:, blocked], np.kron(V.T, eye)[blocked]))
+
+
+def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """V (diag * (V^-1 x)) per mode, for the `interleaved_basis` of V, a real
+    (Nx, Ny, n) diagonal table and spectral columns (..., Nx, W, n), W = Ny
+    or Ny//2+1, through the column view diag[:, :W]."""
     x = np.ascontiguousarray(x_hat, dtype=np.complex128)
-    pairs = x.view(np.float64).reshape(x.shape + (2,))
-    return (mats[:, : x.shape[-2]] @ pairs).view(np.complex128)[..., 0]
+    n = diag.shape[-1]
+    y = (x.view(np.float64).reshape(-1, 2 * n) @ basis[0]).reshape(x.shape[:-1] + (2, n))
+    y *= diag[:, : x.shape[-2], None, :]
+    return (y.reshape(-1, 2 * n) @ basis[1]).view(np.complex128).reshape(x.shape)
 
 
 def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
@@ -158,37 +167,46 @@ def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.n
     return x_hat @ vertical.T - grid.xi2[:, : x_hat.shape[-2], None] * x_hat
 
 
+def implicit_factors(grid: Grid, vertical: np.ndarray, dt: float):
+    """(interleaved basis, d) of (I - dt (vertical - |xi|^2 I))^-1 per mode,
+    with d = 1 / (1 - dt (lam - |xi|^2)) a real (Nx, Ny, n) table."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    lam, V, V_inv = eigenbasis(vertical)
+    return interleaved_basis(V, V_inv), 1.0 / (1.0 - dt * (lam - grid.xi2[..., None]))
+
+
 class CoupledImplicitSolver:
-    """Cached per-mode inverse of (I - dt * generator)."""
+    """Per-mode (I - dt * generator)^-1, by eigenbasis."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
         self.vertical = coupled_vertical_matrix(grid)
-        self.inverse = implicit_inverse(grid, self.vertical, dt)
+        self.basis, self.d = implicit_factors(grid, self.vertical, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
         """Apply the inverse to a spectral stack shaped (Nx, W, Nz+1), W = Ny
         or Ny//2+1."""
-        return apply_per_mode(self.inverse, stack_hat)
+        return apply_diagonal(self.basis, self.d, stack_hat)
 
     def apply_generator_hat(self, stack_hat: np.ndarray) -> np.ndarray:
         return apply_generator(self.grid, self.vertical, stack_hat)
 
 
 class VelocityImplicitSolver:
-    """Cached per-mode inverse of (I - dt * (d^2_z - |xi|^2)), Neumann ends."""
+    """Per-mode (I - dt * (d^2_z - |xi|^2))^-1, Neumann ends, by eigenbasis."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
         self.vertical = neumann_vertical_matrix(grid)
-        self.inverse = implicit_inverse(grid, self.vertical, dt)
+        self.basis, self.d = implicit_factors(grid, self.vertical, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Apply to spectral velocity components, (..., Nx, W, Nz+1) with
         W = Ny or Ny//2+1."""
-        return apply_per_mode(self.inverse, v_hat)
+        return apply_diagonal(self.basis, self.d, v_hat)
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:
         return apply_generator(self.grid, self.vertical, v_hat)

@@ -1,7 +1,8 @@
 """Boundary noise: spectral Wiener increments, the exponential propagator
-for the linearized coupled system, the split driver (exact linear noise
-convolution plus a deterministic remainder), and a direct semi-implicit
-Euler-Maruyama driver used as the brute-force cross-check.
+for the linearized coupled system (diagonal in its eigenbasis), the split
+driver (exact linear noise convolution plus a deterministic remainder),
+and a direct semi-implicit Euler-Maruyama driver used as the brute-force
+cross-check.
 
 Both drivers are the deterministic step (`Stepper.step`) of the full
 state plus a kick on the half-spectrum coupled stack, inside the shared
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import linops
 from .config import RunConfig
@@ -55,13 +55,18 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        errors = [f"{name} must be finite, got {value}"
+                  for name, value in (("sigma", self.sigma), ("decay", self.decay))
+                  if not np.isfinite(value)]
         if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+            errors.append(f"sigma must be >= 0, got {self.sigma}")
         if self.decay < 2.0:
-            raise ValueError(
+            errors.append(
                 f"decay exponent must be >= 2 for boundary-noise regularity, "
                 f"got {self.decay}"
             )
+        if errors:
+            raise ValueError("\n".join(errors))
 
     def q_table(self, grid: Grid) -> np.ndarray:
         return self.sigma * (1.0 + grid.xi2) ** (-self.decay / 2.0)
@@ -121,15 +126,14 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
 class ConvolutionPropagator:
     """Exact per-mode step map of the linearized boundary-noise system.
 
-    Caches E = exp(dt*M) and the first phi-function column
-    phi1(dt*M) e_rho per mode (computed through the augmented-matrix
-    exponential, which is well defined also on the kernel mode), so one
-    step of the noise convolution is
+    With vertical = V diag(lam) V^-1 (`linops.eigenbasis`), the coupled
+    generator M = vertical - |xi|^2 I has eigenvalues mu = lam - |xi|^2,
+    and one step of the noise convolution is
 
-        Z <- E Z + phi1(dt*M) e_rho * (q_k dW_k).
+        Z <- V diag(exp(dt mu)) V^-1 Z + phi1(dt M) e_rho * (q_k dW_k),
 
-    The generator depends on the mode only through |xi|^2, so one stacked
-    exponential over the distinct values serves every mode.
+    with phi1(dt M) e_rho = V diag(phi1(dt mu)) V^-1 e_rho a stored
+    (Nx, Ny, Nz+1) table, phi1(x) = expm1(x) / x and phi1(0) = 1.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -137,23 +141,17 @@ class ConvolutionPropagator:
             raise ValueError(f"dt must be positive, got {dt}")
         self.grid = grid
         self.dt = dt
-        n = grid.nlev
-
-        def augmented_expm(xi2):
-            aug = np.zeros((xi2.size, n + 1, n + 1))
-            vertical = linops.coupled_vertical_matrix(grid)
-            aug[:, :n, :n] = dt * linops.stacked_generators(vertical, xi2)
-            aug[:, n - 1, n] = 1.0  # inject on the rho row
-            return scipy.linalg.expm(aug)
-
-        ex = linops.mode_table(grid, augmented_expm)
-        self.E = ex[..., :n, :n].copy()
-        self.phi1_col = ex[..., :n, n].copy()
+        lam, V, V_inv = linops.eigenbasis(linops.coupled_vertical_matrix(grid))
+        self.basis = linops.interleaved_basis(V, V_inv)
+        x = dt * (lam - grid.xi2[..., None])
+        self.decay = np.exp(x)
+        phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        self.phi1_col = (phi1 * V_inv[:, -1]) @ V.T
 
     def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of full (Nx, Ny, Nz+1) or half (Nx, Ny//2+1, Nz+1)
         spectral stacks; dW and q match the columns of Z_hat."""
-        propagated = linops.apply_per_mode(self.E, Z_hat)
+        propagated = linops.apply_diagonal(self.basis, self.decay, Z_hat)
         return propagated + self.phi1_col[:, : Z_hat.shape[1]] * (q * dW)[:, :, None]
 
 

@@ -20,6 +20,15 @@ def rng():
     return np.random.default_rng(20240819)
 
 
+def solve_one_mode(solver, i, j, rhs):
+    """solver.solve_hat of a full-spectrum stack that holds rhs at mode
+    (i, j) and zeros elsewhere, read back at (i, j)."""
+    grid = solver.grid
+    stack = np.zeros((grid.nx, grid.ny, rhs.size), dtype=complex)
+    stack[i, j] = rhs
+    return solver.solve_hat(stack)[i, j]
+
+
 def smooth_field_2d(grid, rng, decay=2.0):
     """Random real field with decaying spectrum, dealias-confined."""
     c = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal((grid.nx, grid.ny))

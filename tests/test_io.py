@@ -250,6 +250,25 @@ class TestCli:
         assert "cadence" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, section, key, attr", [
+        ("run-det", "time", "dt", "dt"),
+        ("run-det", "time", "t_end", "t_end"),
+        ("run-stoch", "noise", "sigma", "noise_sigma"),
+        ("run-det", "physics", "q0", "q0"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, command, section, key,
+                                       attr, value):
+        text = (RUN_INI + "[physics]\ntransport = vertical_average\n[noise]\nsigma = 0.1\n"
+                + f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{attr} must be finite"):
+            parse_config(text)
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfgp), "--out", str(out)]) == 1
+        assert f"{attr} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stochastic_surface_trace_exit_code(self, tmp_path):
         text = RUN_INI + "[physics]\ntransport = surface_trace\n[noise]\nsigma = 0.1\n"
         bad = write_config(tmp_path, text)

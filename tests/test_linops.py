@@ -16,18 +16,21 @@ from ebpe import (
     spectrum_report,
 )
 from ebpe.hydrostatic import trapz_weights
+from ebpe.stochastic import ConvolutionPropagator
 from ebpe.linops import (
     CoupledImplicitSolver,
+    SolveError,
     VelocityImplicitSolver,
     coupled_vertical_matrix,
     dtn_symbols,
+    eigenbasis,
     mode_table,
     neumann_vertical_matrix,
     retained_modes,
     similarity_unsplit,
 )
 
-from conftest import smooth_field_2d
+from conftest import smooth_field_2d, solve_one_mode
 
 
 class TestModeOperator:
@@ -183,7 +186,7 @@ class TestCoupledSolve:
             oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
             if dt not in solver_cache:
                 solver_cache[dt] = CoupledImplicitSolver(grid8, dt)
-            ours = solver_cache[dt].inverse[i, j] @ rhs
+            ours = solve_one_mode(solver_cache[dt], i, j, rhs)
             assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_linearity(self, grid8):
@@ -206,7 +209,7 @@ class TestCoupledSolve:
                 coef = rng.standard_normal(3) * (1.0 + np.arange(3)) ** -2.0
                 x = sum(c * np.cos(m * np.pi * grid8.z) for m, c in enumerate(coef))
                 i, j = rng.integers(0, 8, 2)
-                y = solver.inverse[i, j] @ x
+                y = solve_one_mode(solver, i, j, x).real
                 assert np.sqrt((w * y * y).sum()) <= np.sqrt((w * x * x).sum()) * (1 + 1e-12)
 
 
@@ -236,7 +239,7 @@ class TestVelocitySolve:
             A = np.eye(grid8.nlev) - dt * (base - xi2 * np.eye(grid8.nlev))
             rhs = rng.standard_normal(grid8.nlev) + 1j * rng.standard_normal(grid8.nlev)
             oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-            ours = VelocityImplicitSolver(grid8, dt).inverse[i, j] @ rhs
+            ours = solve_one_mode(VelocityImplicitSolver(grid8, dt), i, j, rhs)
             assert np.linalg.norm(ours - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -291,35 +294,72 @@ class TestPerModeTables:
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_inverse_bit_identical_to_per_mode_inv(self, n):
+    @pytest.mark.parametrize("half", [False, True])
+    def test_solve_matches_per_mode_inv(self, n, half):
         grid = make_grid(n, n, n)
+        width = n // 2 + 1 if half else n
         dt = 3e-3
         eye = np.eye(grid.nlev)
-        coupled = CoupledImplicitSolver(grid, dt).inverse
-        velocity = VelocityImplicitSolver(grid, dt).inverse
+        rng = np.random.default_rng(n + 2 * half)
+        shape = (n, width, grid.nlev)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coupled = CoupledImplicitSolver(grid, dt).solve_hat(x)
+        velocity = VelocityImplicitSolver(grid, dt).solve_hat(x)
         base = neumann_vertical_matrix(grid)
-        assert coupled.shape == velocity.shape == (n, n, grid.nlev, grid.nlev)
-        for i, j, xi in _mode_xi(grid, n):
+        for i, j, xi in _mode_xi(grid, width):
             M = assemble_mode_operator(xi, grid).matrix
-            assert np.array_equal(coupled[i, j], np.linalg.inv(eye - dt * M))
+            oracle = np.linalg.inv(eye - dt * M) @ x[i, j]
+            assert np.linalg.norm(coupled[i, j] - oracle) <= 1e-12 * np.linalg.norm(oracle)
             M = base - grid.xi2[i, j] * eye
-            assert np.array_equal(velocity[i, j], np.linalg.inv(eye - dt * M))
+            oracle = np.linalg.inv(eye - dt * M) @ x[i, j]
+            assert np.linalg.norm(velocity[i, j] - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
-    @pytest.mark.parametrize("n, distinct", [(8, 15), (16, 43)])
+    @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("solver", [CoupledImplicitSolver, VelocityImplicitSolver])
-    def test_one_inverse_per_distinct_xi2(self, n, distinct, solver, monkeypatch):
+    def test_one_eig_and_no_dense_table(self, n, solver, monkeypatch):
         grid = make_grid(n, n, 8)
-        assert np.unique(grid.xi2).size == distinct
-        inverted = []
-        inv = np.linalg.inv
+        calls = []
+        eig = np.linalg.eig
 
-        def counting_inv(a):
-            inverted.append(int(np.prod(a.shape[:-2])))
-            return inv(a)
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
 
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        solver(grid, 1e-3)
-        assert sum(inverted) == distinct
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        built = solver(grid, 1e-3)
+        assert calls == [(grid.nlev, grid.nlev)]
+        # per-mode tables hold one diagonal per mode; the other arrays are
+        # vertical or basis matrices, whose size does not depend on Nx, Ny
+        for value in vars(built).values():
+            if not isinstance(value, np.ndarray):
+                continue
+            if value.shape[:2] == (grid.nx, grid.ny):
+                assert value.size <= grid.nx * grid.ny * grid.nlev
+            else:
+                assert value.size <= 2 * (2 * grid.nlev) ** 2
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("nz", [4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("matrix", [coupled_vertical_matrix, neumann_vertical_matrix])
+    def test_real_spectrum_and_bounded_condition(self, nz, matrix):
+        vertical = matrix(make_grid(4, 4, nz))
+        lam, V, V_inv = eigenbasis(vertical)
+        assert lam.dtype == V.dtype == V_inv.dtype == np.float64
+        # twice the measured worst case (12.8, coupled matrix at nz = 128)
+        assert np.linalg.cond(V) <= 30.0
+        assert np.max(np.abs(V * lam @ V_inv - vertical)) <= 1e-12 * np.max(np.abs(vertical))
+
+    def test_complex_spectrum_rejected(self):
+        with pytest.raises(SolveError):
+            eigenbasis(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3])
+    @pytest.mark.parametrize("build", [CoupledImplicitSolver, VelocityImplicitSolver,
+                                       ConvolutionPropagator])
+    def test_nonpositive_dt_rejected(self, grid8, build, dt):
+        with pytest.raises(ValueError):
+            build(grid8, dt)
 
 
 class TestSpectrumReport:

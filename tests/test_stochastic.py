@@ -44,6 +44,12 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=0.1, decay=1.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["sigma", "decay"])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**{field: value})
+
     def test_amplitude_table(self, grid8):
         spec = NoiseSpec(sigma=0.2, decay=2.0)
         q = spec.q_table(grid8)
@@ -92,23 +98,31 @@ class TestWienerIncrements:
 
 
 class TestConvolutionPropagator:
-    def test_batched_setup_matches_per_mode_expm(self, grid8, rng):
+    def test_step_matches_per_mode_expm(self, grid8, rng):
         dt = 0.05
         prop = ConvolutionPropagator(grid8, dt)
         n = grid8.nlev
         base = coupled_vertical_matrix(grid8)
+        Z = rng.standard_normal((8, 8, n)) + 1j * rng.standard_normal((8, 8, n))
+        dW = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        q = NoiseSpec().q_table(grid8)
+        # the exponential and the injected phi1 column, each on its own;
+        # relative to the whole array, since on strongly damped modes
+        # (|E Z| ~ 1e-22) expm's own per-mode error reaches 1e-12
+        propagated = prop.step_hat(Z, np.zeros_like(dW), q)
+        injected = prop.step_hat(np.zeros_like(Z), dW, q)
+        oracle_propagated, oracle_injected = np.empty_like(Z), np.empty_like(Z)
         for i in range(grid8.nx):
             for j in range(grid8.ny):
                 aug = np.zeros((n + 1, n + 1))
                 aug[:n, :n] = dt * (base - grid8.xi2[i, j] * np.eye(n))
                 aug[n - 1, n] = 1.0
                 ex = scipy.linalg.expm(aug)
-                assert np.array_equal(prop.E[i, j], ex[:n, :n])
-                assert np.array_equal(prop.phi1_col[i, j], ex[:n, n])
+                oracle_propagated[i, j] = ex[:n, :n] @ Z[i, j]
+                oracle_injected[i, j] = ex[:n, n] * (q[i, j] * dW[i, j])
+        for ours, oracle in ((propagated, oracle_propagated), (injected, oracle_injected)):
+            assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         # a half spectrum steps through the column view of the same maps
-        Z = rng.standard_normal((8, 8, n)) + 1j * rng.standard_normal((8, 8, n))
-        dW = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        q = NoiseSpec().q_table(grid8)
         full = prop.step_hat(Z, dW, q)
         half = prop.step_hat(Z[:, :5], dW[:, :5], q[:, :5])
         assert np.array_equal(half, full[:, :5])
