@@ -6,10 +6,12 @@ snapshot or an accumulated ledger.  The envelope constants (c_led, the
 growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
 
-`measure` makes two batched transforms: the state forward, whose half
-spectra give the horizontal gradient norms by Parseval, and the two
-max-norm residual planes (div_H vbar, w at the surface) back.  Vertical
-derivatives and the field norms stay in physical space.
+`state_terms` transforms a state forward in one batched call and adds w
+and the vertical derivatives; the driver loop hands these terms to both
+`measure` and the next step.  Given them, `measure` makes one batched
+transform, the two max-norm residual planes (div_H vbar, w at the
+surface) back.  Horizontal gradient norms come from the half spectra by
+Parseval; vertical derivatives and field norms stay in physical space.
 """
 
 from __future__ import annotations
@@ -39,8 +41,31 @@ def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
     return float(np.sum(f * f) / (grid.nx * grid.ny))
 
 
-def _state_spectra(grid: Grid, state) -> np.ndarray:
-    return rfft_h(grid, pack_fields(state.v, state.T, state.rho))
+@dataclass(frozen=True)
+class StateTerms:
+    """Spectral and vertical-derivative terms of one physical state.
+
+    A pure function of (v, T, rho), so the ledger and the step that
+    starts from the state may share them; nothing here survives a step.
+    """
+
+    U: np.ndarray      # half spectra of pack_fields(v, T, rho)
+    w_hat: np.ndarray  # half spectrum of w (Nx, Ny//2+1, Nz+1)
+    dz_v: np.ndarray   # deriv_z of v (2, Nx, Ny, Nz+1)
+    dz_T: np.ndarray   # deriv_z of T (Nx, Ny, Nz+1)
+
+
+def state_terms(grid: Grid, state) -> StateTerms:
+    """The StateTerms of `state`: one forward transform and two vertical
+    derivatives."""
+    U = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
+    v_hat, _, _ = unpack_fields(grid, U)
+    return StateTerms(
+        U=U,
+        w_hat=hydrostatic.diagnose_w(grid, v_hat),
+        dz_v=deriv_z(grid, state.v),
+        dz_T=deriv_z(grid, state.T),
+    )
 
 
 @dataclass(frozen=True)
@@ -63,21 +88,21 @@ class ConstraintResiduals:
 
 def constraint_check(grid: Grid, state) -> ConstraintResiduals:
     """Residuals of the trace, bottom no-flux, solenoidal and w-top conditions."""
-    return _residuals(grid, state, _state_spectra(grid, state))
+    return _residuals(grid, state, state_terms(grid, state))
 
 
-def _residuals(grid: Grid, state, spectra: np.ndarray) -> ConstraintResiduals:
-    """constraint_check given the half spectra of pack_fields(v, T, rho)."""
+def _residuals(grid: Grid, state, terms: StateTerms) -> ConstraintResiduals:
+    """constraint_check given the StateTerms of `state`."""
     h = grid.dz
     trace = float(np.max(np.abs(state.T[..., -1] - state.rho)))
     bottom = float(np.max(np.abs(
         (-3.0 * state.T[..., 0] + 4.0 * state.T[..., 1] - state.T[..., 2]) / (2.0 * h)
     )))
-    v_hat, _, _ = unpack_fields(grid, spectra)
+    v_hat, _, _ = unpack_fields(grid, terms.U)
     vbar = hydrostatic.vertical_average(grid, v_hat)
     planes = irfft_h(grid, np.stack((
         deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1]),
-        hydrostatic.diagnose_w(grid, v_hat)[..., -1],
+        terms.w_hat[..., -1],
     ), axis=-1))
     solenoidal = float(np.max(np.abs(planes[..., 0])))
     w_top = float(np.max(np.abs(planes[..., 1])))
@@ -106,19 +131,21 @@ class LedgerRecord:
         return self.grad_v_sq + self.grad_T_sq + self.grad_rho_sq
 
 
-def measure(grid: Grid, state) -> LedgerRecord:
-    """Compute the full ledger record for one state."""
-    spectra = _state_spectra(grid, state)
+def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
+    """Compute the full ledger record for one state; terms, when given,
+    is state_terms(grid, state)."""
+    if terms is None:
+        terms = state_terms(grid, state)
     # Parseval: |grad_H f|^2 summed over the section is the xi2-weighted
     # power of the half spectrum, here per plane of the packed fields
-    power = spectra.real**2 + spectra.imag**2
+    power = terms.U.real**2 + terms.U.imag**2
     grad_h = np.einsum("xy,xyk->k", grid.parseval_half * grid.xi2_deriv_half, power)
     n, w = grid.nlev, hydrostatic.trapz_weights(grid)
     gv = (float(grad_h[:n] @ w + grad_h[n : 2 * n] @ w)
-          + l2sq_volume(grid, deriv_z(grid, state.v)))
-    gT = float(grad_h[2 * n : 3 * n] @ w) + l2sq_volume(grid, deriv_z(grid, state.T))
+          + l2sq_volume(grid, terms.dz_v))
+    gT = float(grad_h[2 * n : 3 * n] @ w) + l2sq_volume(grid, terms.dz_T)
     gr = float(grad_h[3 * n])
-    res = _residuals(grid, state, spectra)
+    res = _residuals(grid, state, terms)
     energy = 0.5 * (
         l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
         + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)

@@ -35,6 +35,7 @@ from . import linops
 from .config import RunConfig
 from .ebm import VERTICAL_AVERAGE
 from .grid import Grid, irfft_h
+from .monitors import StateTerms
 from .timestep import (
     RunResult,
     State,
@@ -211,10 +212,11 @@ def run_split_stochastic(
     half = q.shape[1]
     Z_hat = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
 
-    def advance(state: State) -> State:
+    def advance(state: State, terms: StateTerms) -> State:
         nonlocal Z_hat
         Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step, :, :half], q)
-        new = stepper.step(state, kick_hat=Z_next - stepper.coupled.solve_hat(Z_hat))
+        new = stepper.step(state, kick_hat=Z_next - stepper.coupled.solve_hat(Z_hat),
+                           terms=terms)
         Z_hat = Z_next
         return new
 
@@ -242,10 +244,10 @@ def run_direct_em(
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
     half = q.shape[1]
 
-    def advance(state: State) -> State:
+    def advance(state: State, terms: StateTerms) -> State:
         kick = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
         kick[..., -1] = q * bundle.increments[state.step, :, :half]
-        return stepper.step(state, kick_hat=kick)
+        return stepper.step(state, kick_hat=kick, terms=terms)
 
     state = initial_state_from_config(grid, cfg) if initial is None else initial
     result = integrate(cfg, grid, params, state, advance)

@@ -14,16 +14,18 @@ The state is physical between steps; inside a step everything is done on
 half spectra (`ebpe.grid.rfft_h`) with four batched transforms: the
 state forward, the derivatives and w back for the quadratic products,
 the products (plus radiation and forcing) forward, and the new
-(v, T, p_s) back.  `nonlinear_tendencies` is the physical-space form of
-step 1 on the full-spectrum transforms; no driver calls it, the tests
-use it as the reference for the spectral tendencies.
+(v, T, p_s) back.  The first, with w and the vertical derivatives, is
+`monitors.state_terms`, which the driver loop computes once per state
+for both the ledger and the step.  `nonlinear_tendencies` is the
+physical-space form of step 1 on the full-spectrum transforms; no driver
+calls it, the tests use it as the reference for the spectral tendencies.
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
 
-`integrate` is the one driver loop (step count, ledger, monitors,
-diagnostics rows, blow-up handling).  The deterministic driver here and
-the stochastic drivers in `ebpe.stochastic` run the same step; a
+`integrate` is the one driver loop (step count, state terms, ledger,
+monitors, diagnostics rows, blow-up handling).  The deterministic driver
+here and the stochastic drivers in `ebpe.stochastic` run the same step; a
 stochastic step only adds a spectral kick to the coupled (T, rho)
 solution before the last inverse transform.
 """
@@ -269,32 +271,32 @@ class Stepper:
             self.velocity_half = linops.VelocityImplicitSolver(grid, 0.5 * dt)
         self._history: tuple[int, np.ndarray] | None = None
 
-    def tendencies(self, state: State, spectra: np.ndarray | None = None) -> np.ndarray:
+    def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
         """Dealiased explicit tendencies at `state` as half spectra, in the
         `pack_fields` layout (F_v, F_T, F_rho), forcing included.
 
-        spectra, when given, is rfft_h of pack_fields(state.v, state.T,
-        state.rho).  Two batched transforms: every derivative and w back to
+        terms, when given, is monitors.state_terms(grid, state).  Two
+        batched transforms: every horizontal derivative and w back to
         physical space for the quadratic products, then the products,
         radiation and forcing forward.
         """
         grid, params = self.grid, self.params
         n = grid.nlev
-        if spectra is None:
-            spectra = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
-        v_hat, T_hat, _ = unpack_fields(grid, spectra)
+        if terms is None:
+            terms = monitors.state_terms(grid, state)
+        spectra = terms.U
+        _, T_hat, _ = unpack_fields(grid, spectra)
         k = spectra.shape[-1]
         fields = irfft_h(grid, np.concatenate((
-            deriv_x(grid, spectra), deriv_y(grid, spectra),
-            hydrostatic.diagnose_w(grid, v_hat),
+            deriv_x(grid, spectra), deriv_y(grid, spectra), terms.w_hat,
         ), axis=-1))
         dxv, dxT, dxrho = unpack_fields(grid, fields[..., :k])
         dyv, dyT, dyrho = unpack_fields(grid, fields[..., k : 2 * k])
         w = fields[..., 2 * k :]
 
         v, T, rho = state.v, state.T, state.rho
-        adv_v = v[0] * dxv + v[1] * dyv + w * deriv_z(grid, v)
-        adv_T = v[0] * dxT + v[1] * dyT + w * deriv_z(grid, T)
+        adv_v = v[0] * dxv + v[1] * dyv + w * terms.dz_v
+        adv_T = v[0] * dxT + v[1] * dyT + w * terms.dz_T
         if params.transport_variant == VERTICAL_AVERAGE:
             vs = hydrostatic.vertical_average(grid, v)
         else:
@@ -320,21 +322,31 @@ class Stepper:
             F[..., 3 * n] += products[..., k]
         return F
 
-    def step(self, state: State, kick_hat: np.ndarray | None = None) -> State:
+    def step(
+        self,
+        state: State,
+        kick_hat: np.ndarray | None = None,
+        terms: monitors.StateTerms | None = None,
+    ) -> State:
         """Advance `state` by one step.
 
         kick_hat, a half-spectrum coupled stack (Nx, Ny//2+1, Nz+1), is
         added to the spectral coupled solution before the inverse
         transform: the noise increment of the stochastic drivers (IMEX
-        Euler only).
+        Euler only).  terms, when given, is monitors.state_terms(grid,
+        state), shared with the ledger; otherwise the step computes it.
 
         The step is a pure function of the physical state (and, for
         cnab2, the previous step's tendencies): nothing spectral is kept
-        from one step to the next.
+        from one step to the next.  Given terms change no bit of the
+        result; they must not come from this step's output spectra, which
+        differ from the transform of the physical result by roundoff.
         """
         grid, dt = self.grid, self.dt
-        U = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
-        F = self.tendencies(state, U)
+        if terms is None:
+            terms = monitors.state_terms(grid, state)
+        U = terms.U
+        F = self.tendencies(state, terms)
         F_old = None
         if self.scheme == "cnab2":
             if kick_hat is not None:
@@ -405,22 +417,25 @@ def integrate(
     grid: Grid,
     params: PhysParams,
     state: State,
-    advance: Callable[[State], State],
+    advance: Callable[[State, monitors.StateTerms], State],
 ) -> RunResult:
     """The driver loop: advance `state` to step cfg.n_steps().
 
-    advance maps the last measured state to the next one.  Every state is
-    measured into the ledger; diagnostics rows are emitted at the
-    configured cadence, on any monitor flag, and for the initial state of
-    a fresh run (step 0).  When monitors are enabled the run halts on the
-    first hard monitor failure; the maximum-principle monitor is warn-only
-    under vertical-average transport, where its constant is not
-    established.  A BlowUpError carries the last measured state.
+    advance(state, terms) maps the last measured state to the next one;
+    terms is monitors.state_terms(grid, state), computed once per state
+    for both the ledger and the step.  Every state is measured into the
+    ledger; diagnostics rows are emitted at the configured cadence, on
+    any monitor flag, and for the initial state of a fresh run (step 0).
+    When monitors are enabled the run halts on the first hard monitor
+    failure; the maximum-principle monitor is warn-only under
+    vertical-average transport, where its constant is not established.
+    A BlowUpError carries the last measured state.
     """
     ledger = monitors.Ledger()
     csv_records: list[tuple[int, monitors.LedgerRecord, int]] = []
     warnings: list[str] = []
-    record = monitors.measure(grid, state)
+    terms = monitors.state_terms(grid, state)
+    record = monitors.measure(grid, state, terms)
     ledger.append(record)
     if state.step == 0:
         csv_records.append((0, record, 0))
@@ -431,12 +446,13 @@ def integrate(
 
     for _ in range(max(0, cfg.n_steps() - state.step)):
         try:
-            new = advance(state)
+            new = advance(state, terms)
         except BlowUpError as exc:
             exc.last_state = state
             raise
         state = new
-        prev_record, record = record, monitors.measure(grid, state)
+        terms = monitors.state_terms(grid, state)
+        prev_record, record = record, monitors.measure(grid, state, terms)
         ledger.append(record)
         flags = 0
         if cfg.monitors_on:
@@ -487,4 +503,5 @@ def run_deterministic(
         forcing=forcing, freeze_velocity=cfg.freeze_velocity,
     )
     state = initial_state_from_config(grid, cfg) if initial is None else initial
-    return integrate(cfg, grid, params, state, stepper.step)
+    return integrate(cfg, grid, params, state,
+                     lambda state, terms: stepper.step(state, terms=terms))
