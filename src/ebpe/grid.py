@@ -55,6 +55,7 @@ class Grid:
         half spectrum: 1 on the ky = 0 and ky = Ny/2 columns, 2 elsewhere.
     x, y : collocation coordinates, shape (Nx, Ny).
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
+    trapz_w : read-only trapezoid weights over z in [0, 1], shape (Nz+1,).
     """
 
     nx: int
@@ -108,6 +109,11 @@ class Grid:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", np.arange(self.nz + 1) / self.nz)
         object.__setattr__(self, "dz", 1.0 / self.nz)
+        trapz_w = np.full(self.nlev, self.dz)
+        trapz_w[0] *= 0.5
+        trapz_w[-1] *= 0.5
+        trapz_w.flags.writeable = False
+        object.__setattr__(self, "trapz_w", trapz_w)
 
     @property
     def nlev(self) -> int:
@@ -192,10 +198,10 @@ def pack_fields(v: np.ndarray, T: np.ndarray, surface: np.ndarray) -> np.ndarray
 
 
 def unpack_fields(grid: Grid, packed: np.ndarray):
-    """Views (v, T, surface) into a pack_fields array, physical or spectral;
-    v has its component axis first, as in the state."""
+    """Views (v, T, surface) into an (Nx, W, 3(Nz+1)+1) pack_fields array,
+    physical or spectral; v has its component axis first, as in the state."""
     n = grid.nlev
-    v = np.moveaxis(packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)), 2, 0)
+    v = packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)).transpose(2, 0, 1, 3)
     return v, packed[..., 2 * n : 3 * n], packed[..., 3 * n]
 
 

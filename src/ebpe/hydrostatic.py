@@ -21,16 +21,14 @@ from .grid import Grid, deriv_x, deriv_y, match_columns
 
 
 def trapz_weights(grid: Grid) -> np.ndarray:
-    """Quadrature weights over z in [0,1]; shape (Nz+1,)."""
-    w = np.full(grid.nlev, grid.dz)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+    """Quadrature weights over z in [0,1]; shape (Nz+1,), read-only,
+    built once per grid."""
+    return grid.trapz_w
 
 
 def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Trapezoidal average of a 3D field over the unit vertical extent."""
-    return f @ trapz_weights(grid)
+    return f @ grid.trapz_w
 
 
 def cumulative_integral(grid: Grid, f: np.ndarray) -> np.ndarray:

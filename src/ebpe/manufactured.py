@@ -16,16 +16,22 @@ the injected forcing balances the discrete tendencies without aliasing
 error.  The radiation term is evaluated pointwise on the collocation
 grid by both the scheme and the forcing, cancelling identically as the
 numerical solution approaches the exact one.
+
+The forcing is separable: apart from that radiation term, it is a sum of
+six fixed spatial fields (`forcing_terms`), each times one time envelope.
+`spectral_forcing` transforms the fields once per grid, so a forced step
+adds a six-term contraction of half spectra; `forcing` is the physical
+form that the tests use as its oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ebm import PhysParams, SURFACE_TRACE, default_insolation, radiation
-from .grid import Grid
+from .grid import Grid, pack_fields, rfft_h, unpack_fields
 from .timestep import State
 
 _PI = np.pi
@@ -115,11 +121,21 @@ class ManufacturedSolution:
 
     # -- forcing -----------------------------------------------------------
 
-    def forcing(self, grid: Grid, t: float):
-        """Residual forcing (f_v, f_T, f_rho) making the fields exact.
+    @classmethod
+    def _envelopes(cls, t) -> np.ndarray:
+        """The time envelopes of `forcing_terms`, in its order:
+        (dgv, gv, gv^2, gT, dgT, gv gT)."""
+        gv, gT = cls._gv(t), cls._gT(t)
+        return np.array([cls._dgv(t), gv, gv * gv, gT, cls._dgT(t), gv * gT])
 
-        Assembled from closed-form derivatives; the surface pressure of
-        the exact solution is identically zero.
+    def forcing_terms(self, grid: Grid) -> np.ndarray:
+        """The forcing less radiation as six spatial fields, one per envelope.
+
+        Shape (6, Nx, Ny, 3(Nz+1)+1), each in the `pack_fields` layout:
+        the forcing at t is the sum over i of `_envelopes(t)[i]` times
+        term i, minus the radiation of the exact rho.  Assembled from
+        closed-form derivatives; the surface pressure of the exact
+        solution is identically zero.
         """
         a, c = self.amp_v, self.amp_baro
         b, e, d = self.amp_flux, self.amp_trace, self.amp_mean
@@ -130,54 +146,79 @@ class ManufacturedSolution:
         H = np.cos(0.5 * _PI * z)
         dH = -0.5 * _PI * np.sin(0.5 * _PI * z)
         sinz = np.sin(_PI * z)
-        gv, dgv = self._gv(t), self._dgv(t)
-        gT, dgT = self._gT(t), self._dgT(t)
         ones_z = np.ones_like(z)
 
-        v1 = gv * (a * cx * P + c * sy * ones_z)
-        v2 = gv * (a * sy * P)
-        w = 2.0 * a * gv * (sx - cy) * sinz
+        # spatial parts: v = gv (v1, v2), w = gv w, T = gT T, rho = gT rho
+        v1 = a * cx * P + c * sy * ones_z
+        v2 = a * sy * P
+        w = 2.0 * a * (sx - cy) * sinz
+        T = b * cx * H + (e * cy + d) * P
 
-        dt_v1 = dgv * (a * cx * P + c * sy * ones_z)
-        dt_v2 = dgv * (a * sy * P)
-        dx_v1 = gv * (-two_pi * a * sx * P)
-        dy_v1 = gv * (two_pi * c * cy * ones_z)
-        dz_v1 = gv * (a * cx * dP)
-        dx_v2 = np.zeros_like(v2)
-        dy_v2 = gv * (two_pi * a * cy * P)
-        dz_v2 = gv * (a * sy * dP)
-        lap_v1 = gv * (-5.0 * _PI**2 * a * cx * P - 4.0 * _PI**2 * c * sy * ones_z)
-        lap_v2 = gv * (-5.0 * _PI**2 * a * sy * P)
+        adv_v1 = (v1 * (-two_pi * a * sx * P) + v2 * (two_pi * c * cy * ones_z)
+                  + w * (a * cx * dP))
+        adv_v2 = v2 * (two_pi * a * cy * P) + w * (a * sy * dP)  # d/dx v2 = 0
+        lap_v1 = -5.0 * _PI**2 * a * cx * P - 4.0 * _PI**2 * c * sy * ones_z
+        lap_v2 = -5.0 * _PI**2 * a * sy * P
         # grad of the running integral of T: int cos(pi z/2) = (2/pi) sin(pi z/2)
-        dxIT = -4.0 * b * gT * sx * np.sin(0.5 * _PI * z)
-        dyIT = -2.0 * e * gT * sy * sinz
+        dxIT = -4.0 * b * sx * np.sin(0.5 * _PI * z)
+        dyIT = -2.0 * e * sy * sinz
 
-        f_v = np.empty((2, grid.nx, grid.ny, grid.nlev))
-        f_v[0] = dt_v1 + v1 * dx_v1 + v2 * dy_v1 + w * dz_v1 - lap_v1 - dxIT
-        f_v[1] = dt_v2 + v1 * dx_v2 + v2 * dy_v2 + w * dz_v2 - lap_v2 - dyIT
+        adv_T = (v1 * (-two_pi * b * sx * H) + v2 * (-two_pi * e * sy * P)
+                 + w * (b * cx * dH + (e * cy + d) * dP))
+        lap_T = (-b * cx * (0.25 * _PI**2 + 4.0 * _PI**2) * H
+                 - e * cy * (_PI**2 + 4.0 * _PI**2) * P
+                 - d * _PI**2 * P)
 
-        T = gT * (b * cx * H + (e * cy + d) * P)
-        dt_T = dgT * (b * cx * H + (e * cy + d) * P)
-        dx_T = gT * (-two_pi * b * sx * H)
-        dy_T = gT * (-two_pi * e * sy * P)
-        dz_T = gT * (b * cx * dH + (e * cy + d) * dP)
-        lap_T = gT * (
-            -b * cx * (0.25 * _PI**2 + 4.0 * _PI**2) * H
-            - e * cy * (_PI**2 + 4.0 * _PI**2) * P
-            - d * _PI**2 * P
-        )
-        f_T = dt_T + v1 * dx_T + v2 * dy_T + w * dz_T - lap_T
+        # surface equation; transport by the velocity trace at z = 1, where
+        # only v2 = -a sy moves rho(y)
+        cx2, cy2, sy2 = cx[..., 0], cy[..., 0], sy[..., 0]
+        rho = -(e * cy2 + d)
+        adv_rho = (-a * sy2) * (two_pi * e * sy2)
+        lap_rho = 4.0 * _PI**2 * e * cy2
+        flux_top = -0.5 * _PI * b * cx2           # dT/dz at z = 1
 
-        # surface equation; transport by the velocity trace at z = 1
-        cy2 = np.cos(two_pi * grid.y)
-        sy2 = np.sin(two_pi * grid.y)
-        cx2 = np.cos(two_pi * grid.x)
-        rho = -gT * (e * cy2 + d)
-        dt_rho = -dgT * (e * cy2 + d)
-        dy_rho = gT * two_pi * e * sy2
-        lap_rho = gT * 4.0 * _PI**2 * e * cy2
-        vs2 = -gv * a * sy2                       # v2 trace at z = 1
-        flux_top = -0.5 * _PI * b * gT * cx2      # dT/dz at z = 1
+        zero, zero2 = np.zeros_like(T), np.zeros_like(rho)
+        return np.stack([pack_fields(*term) for term in (
+            ((v1, v2), zero, zero2),                         # dgv
+            ((-lap_v1, -lap_v2), zero, zero2),               # gv
+            ((adv_v1, adv_v2), zero, zero2),                 # gv^2
+            ((-dxIT, -dyIT), -lap_T, flux_top - lap_rho),    # gT
+            ((zero, zero), T, rho),                          # dgT
+            ((zero, zero), adv_T, adv_rho),                  # gv gT
+        )])
+
+    def forcing(self, grid: Grid, t: float):
+        """Residual forcing (f_v, f_T, f_rho) making the fields exact.
+
+        The physical form of `spectral_forcing`, rebuilt from
+        `forcing_terms` at every call; the tests use it as the oracle.
+        """
+        packed = np.tensordot(self._envelopes(t), self.forcing_terms(grid), axes=1)
+        f_v, f_T, f_rho = unpack_fields(grid, packed)
+        return f_v, f_T, f_rho - radiation(self.surface_temperature(grid, t), self.params(grid))
+
+    def spectral_forcing(self, grid: Grid):
+        """The forcing as `Stepper` takes it: a callable (grid, t) -> half
+        spectrum (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout.
+
+        The six `forcing_terms` are transformed once, here; a call
+        contracts them with the envelopes at t and subtracts the transform
+        of the radiation of the exact rho from the surface plane.  That rho
+        and Q depend on y only, so the transform is a 1-D one on the kx = 0
+        row.
+        """
+        hats = np.stack([rfft_h(grid, f) for f in self.forcing_terms(grid)])
+        shape = hats.shape[1:]
+        table = hats.view(np.float64).reshape(len(hats), -1)  # (re, im) interleaved
         params = self.params(grid)
-        f_rho = dt_rho + vs2 * dy_rho - lap_rho + flux_top - radiation(rho, params)
-        return f_v, f_T, f_rho
+        row = replace(params, Q=params.Q[:1])
+
+        def forcing_hat(at: Grid, t: float) -> np.ndarray:
+            if at != grid:
+                raise ValueError(f"spectral forcing built for {grid}, called with {at}")
+            out = (self._envelopes(t) @ table).view(np.complex128).reshape(shape)
+            rad = radiation(self.surface_temperature(grid, t)[:1], row)
+            out[0, :, -1] -= np.fft.rfft(rad[0], norm="forward")
+            return out
+
+        return forcing_hat

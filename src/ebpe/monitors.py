@@ -362,7 +362,7 @@ def mms_spatial_study(
         grid = make_grid(nx, ny, nz)
         params = exact.params(grid)
         stepper = timestep.Stepper(
-            grid, params, dt, scheme=scheme, forcing=exact.forcing
+            grid, params, dt, scheme=scheme, forcing=exact.spectral_forcing(grid)
         )
         state = exact.initial_state(grid)
         for _ in range(int(round(t_end / dt))):
@@ -392,9 +392,10 @@ def mms_temporal_study(
     exact = manufactured.ManufacturedSolution()
     grid = make_grid(nx, ny, nz)
     params = exact.params(grid)
+    forcing = exact.spectral_forcing(grid)
 
     def run(dt: float):
-        stepper = timestep.Stepper(grid, params, dt, scheme=scheme, forcing=exact.forcing)
+        stepper = timestep.Stepper(grid, params, dt, scheme=scheme, forcing=forcing)
         state = exact.initial_state(grid)
         for _ in range(int(round(t_end / dt))):
             state = stepper.step(state)

@@ -13,10 +13,13 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 The state is physical between steps; inside a step everything is done on
 half spectra (`ebpe.grid.rfft_h`) with four batched transforms: the
 state forward, the derivatives and w back for the quadratic products,
-the products (plus radiation and forcing) forward, and the new
-(v, T, p_s) back.  The first, with w and the vertical derivatives, is
+the products (plus radiation) forward, and the new (v, T, p_s) back.
+The first, with w and the vertical derivatives, is
 `monitors.state_terms`, which the driver loop computes once per state
-for both the ledger and the step.  `nonlinear_tendencies` is the
+for both the ledger and the step.  An optional forcing (the
+manufactured-solution runs) comes as a half spectrum in the
+`pack_fields` layout and is added to the dealiased tendencies, so it
+costs no transform.  `nonlinear_tendencies` is the
 physical-space form of step 1 on the full-spectrum transforms; no driver
 calls it, the tests use it as the reference for the spectral tendencies.
 
@@ -238,8 +241,11 @@ def _check_finite(state: State, previous: State) -> None:
 class Stepper:
     """Time integrator holding the cached per-mode implicit solvers.
 
-    forcing, when given, is a callable (grid, t) -> (f_v, f_T, f_rho)
-    added to the explicit tendencies (manufactured-solution runs).
+    forcing, when given, is a callable (grid, t) -> half spectrum
+    (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout, added to the
+    dealiased explicit tendencies at each step's start time t; the
+    manufactured-solution runs pass `ManufacturedSolution.spectral_forcing
+    (grid)`.  It is first called by the first step, never here.
     freeze_velocity pins v to its initial value (pure-diffusion studies).
 
     The radiation term is explicit; its emission part is dissipative but
@@ -277,8 +283,8 @@ class Stepper:
 
         terms, when given, is monitors.state_terms(grid, state).  Two
         batched transforms: every horizontal derivative and w back to
-        physical space for the quadratic products, then the products,
-        radiation and forcing forward.
+        physical space for the quadratic products, then the products and
+        radiation forward.  The forcing is already a half spectrum.
         """
         grid, params = self.grid, self.params
         n = grid.nlev
@@ -303,23 +309,20 @@ class Stepper:
             vs = v[:, :, :, -1]
         adv_rho = vs[0] * dxrho + vs[1] * dyrho
 
+        # the products in the pack_fields layout, then the radiation plane;
         # radiation and forcing are added undealiased
-        planes = [pack_fields(adv_v, adv_T, adv_rho)]
-        source = radiation(rho, params) if params.radiation_on else None
-        if self.forcing is not None:
-            f_v, f_T, f_rho = self.forcing(grid, state.t)
-            planes.append(pack_fields(f_v, f_T, f_rho if source is None else source + f_rho))
-        elif source is not None:
-            planes.append(source[..., None])
+        planes = [adv_v[0], adv_v[1], adv_T, adv_rho[..., None]]
+        if params.radiation_on:
+            planes.append(radiation(rho, params)[..., None])
         products = rfft_h(grid, np.concatenate(planes, axis=-1))
 
         F = -dealias(grid, products[..., :k])
         F_v, _, _ = unpack_fields(grid, F)
         F_v += hydrostatic.baroclinic_grad(grid, T_hat)
-        if self.forcing is not None:
-            F += products[..., k:]
-        elif source is not None:
+        if params.radiation_on:
             F[..., 3 * n] += products[..., k]
+        if self.forcing is not None:
+            F += self.forcing(grid, state.t)
         return F
 
     def step(
@@ -491,6 +494,10 @@ def run_deterministic(
     forcing=None,
 ) -> RunResult:
     """Integrate to t_end with the configured scheme (see `integrate`).
+
+    forcing, when given, is the `Stepper` forcing: a callable (grid, t) ->
+    half spectrum in the `pack_fields` layout, such as
+    `ManufacturedSolution.spectral_forcing(grid)`.
 
     A run resumed from a snapshot state whose step is set continues the
     step count and reproduces the uninterrupted run bit for bit

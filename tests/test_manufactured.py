@@ -8,10 +8,11 @@ derivatives would show up far above the assertion thresholds.
 """
 
 import numpy as np
+import pytest
 
 from ebpe import make_grid
 from ebpe.ebm import radiation
-from ebpe.grid import deriv_x, deriv_y, to_physical, to_spectral
+from ebpe.grid import deriv_x, deriv_y, pack_fields, rfft_h, to_physical, to_spectral
 from ebpe.manufactured import ManufacturedSolution
 
 EX = ManufacturedSolution()
@@ -226,3 +227,16 @@ def test_forcing_grid_levels_match_closed_form():
         assert np.max(np.abs(f_v[0][..., j] - fv1)) < 1e-13
         assert np.max(np.abs(f_v[1][..., j] - fv2)) < 1e-13
         assert np.max(np.abs(f_T[..., j] - fT)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8, 8, 16), (16, 16, 16)])
+def test_spectral_forcing_matches_transformed_forcing(shape):
+    # the half-spectrum tables against the transform of the physical
+    # forcing, at times where all six envelopes differ
+    grid = make_grid(*shape)
+    forcing_hat = EX.spectral_forcing(grid)
+    for t in (0.0, 0.3, 0.77, 5.1):
+        oracle = rfft_h(grid, pack_fields(*EX.forcing(grid, t)))
+        ours = forcing_hat(grid, t)
+        assert ours.shape == oracle.shape
+        assert np.max(np.abs(ours - oracle)) <= 1e-13 * np.max(np.abs(oracle))

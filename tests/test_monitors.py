@@ -189,8 +189,9 @@ class TestH1Ledger:
         from ebpe.manufactured import ManufacturedSolution
         exact = ManufacturedSolution()
         cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.05)
-        res = run_deterministic(cfg, initial=exact.initial_state(make_grid(8, 8, 8)),
-                                forcing=exact.forcing)
+        grid = make_grid(8, 8, 8)
+        res = run_deterministic(cfg, initial=exact.initial_state(grid),
+                                forcing=exact.spectral_forcing(grid))
         assert h1_ledger_check(res.ledger, growth_rate=50.0, margin=100.0).ok
 
 

@@ -1,6 +1,7 @@
 """Time integration: equilibria, oracle comparisons, invariants, aborts."""
 
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -100,13 +101,14 @@ class TestSpectralKernelOracles:
         grid = make_grid(n, n, n)
         params = PhysParams(Q=default_insolation(grid, 0.9, 0.1),
                             transport_variant=transport, radiation_on=True)
-        forcing = ManufacturedSolution().forcing if forced else None
+        exact = ManufacturedSolution()
         state = rough_state(grid, seed=n)
-        stepper = Stepper(grid, params, 1e-3, forcing=forcing)
+        stepper = Stepper(grid, params, 1e-3,
+                          forcing=exact.spectral_forcing(grid) if forced else None)
         ours = unpack_fields(grid, irfft_h(grid, stepper.tendencies(state)))
         oracle = nonlinear_tendencies(grid, state, params)
         if forced:
-            oracle = [F + f for F, f in zip(oracle, forcing(grid, state.t))]
+            oracle = [F + f for F, f in zip(oracle, exact.forcing(grid, state.t))]
         for F, F_ref in zip(ours, oracle):
             assert max_rel_err(F, F_ref) <= 1e-12
 
@@ -174,7 +176,7 @@ class TestImexStep:
         errs = []
         dts = [0.004, 0.002, 0.001, 0.0005]
         for dt in dts:
-            stepper = Stepper(grid, params, dt, forcing=exact.forcing)
+            stepper = Stepper(grid, params, dt, forcing=exact.spectral_forcing(grid))
             state = stepper.step(exact.initial_state(grid))
             T_ex = exact.temperature(grid, dt)
             v_ex = exact.velocity(grid, dt)
@@ -372,15 +374,15 @@ TRANSFORM_DIRECTION = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRANSFORM_BUDGET))
-def test_transforms_per_step_within_budget(name, monkeypatch):
-    driver, max_forward, max_inverse = TRANSFORM_BUDGET[name]
+def count_transforms(monkeypatch, weight):
+    """Counts {"forward": .., "inverse": ..} of every transform entry point
+    of the package from now on; each call adds weight(fields)."""
     counts = {"forward": 0, "inverse": 0}
 
     def counting(key, fn):
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
+        def wrapped(grid, fields, *args, **kwargs):
+            counts[key] += weight(fields)
+            return fn(grid, fields, *args, **kwargs)
         return wrapped
 
     for entry, direction in TRANSFORM_DIRECTION.items():
@@ -391,6 +393,13 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_BUDGET))
+def test_transforms_per_step_within_budget(name, monkeypatch):
+    driver, max_forward, max_inverse = TRANSFORM_BUDGET[name]
+    counts = count_transforms(monkeypatch, lambda fields: 1)
 
     def run(n_steps):
         counts.update(forward=0, inverse=0)
@@ -403,3 +412,28 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
     per_step = {key: (long[key] - short[key]) / 2 for key in counts}
     assert per_step["forward"] <= max_forward, per_step
     assert per_step["inverse"] <= max_inverse, per_step
+
+
+# Transform planes (each call adds its trailing size) per forced CNAB2 step
+# at 8^3, the manufactured-solution step of `ebpe mms`.  Forward: the state
+# (3*9+1 = 28 planes) and the products with the radiation plane (29); the
+# forcing is a half spectrum built once per grid, whose radiation part is a
+# 1-D transform of one row.  Inverse: the derivatives and w (2*28+9 = 65)
+# and the new (v, T, p_s) (28).  Upper bounds: a change may lower them,
+# never raise them.
+FORCED_PLANE_BUDGET = {"forward": 57, "inverse": 93}
+
+
+def test_forced_cnab2_transform_planes_within_budget(monkeypatch):
+    exact = ManufacturedSolution()
+    grid = make_grid(8, 8, 8)
+    counts = count_transforms(monkeypatch, lambda fields: math.prod(fields.shape[2:]))
+    stepper = Stepper(grid, exact.params(grid), 1e-3, scheme="cnab2",
+                      forcing=exact.spectral_forcing(grid))
+    state = stepper.step(exact.initial_state(grid))  # the Euler start step
+    counts.update(forward=0, inverse=0)
+    for _ in range(2):
+        state = stepper.step(state)
+    per_step = {key: c / 2 for key, c in counts.items()}
+    for key, budget in FORCED_PLANE_BUDGET.items():
+        assert per_step[key] <= budget, per_step
