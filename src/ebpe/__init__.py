@@ -13,7 +13,6 @@ from .hydrostatic import (
     vertical_average,
 )
 from .linops import (
-    ModeOperator,
     SectorReport,
     assemble_mode_operator,
     dirichlet_map,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlowUpError",
     "Grid",
-    "ModeOperator",
     "NoiseSpec",
     "PathBundle",
     "PhysParams",

@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics, monitors, snapshots, stochastic, timestep
 from .config import ConfigError, RunConfig, parse_config, validate_config
 from .grid import make_grid
-from .linops import spectrum_report
+from .linops import SolveError, spectrum_report
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -189,7 +189,7 @@ def main(argv=None) -> int:
             return _cmd_mms(args)
         if args.command == "check":
             return _cmd_check(args)
-    except (ConfigError, snapshots.SnapshotError, OSError, ValueError) as exc:
+    except (ConfigError, snapshots.SnapshotError, SolveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_VALIDATION

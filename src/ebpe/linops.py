@@ -23,7 +23,10 @@ vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
 diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
 V diag(d) V^-1 with a real (Nx, Ny, n) table d (`apply_diagonal`), and a
 generator is applied, never tabulated, as the one vertical matrix product
-minus |xi|^2 times the column.
+minus |xi|^2 times the column.  The spectrum report takes every mode's
+eigenvalues as omega + |xi|^2 - lam from the same eigenvalues, and the
+harmonic extension behind the Dirichlet-to-Neumann symbol is diagonal in
+the eigenbasis of the Dirichlet block vertical[:Nz, :Nz].
 
 The diagonal tables apply to full (Nx, Ny) spectra and to the
 (Nx, Ny//2+1) half spectra of the step kernel alike: a half spectrum
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import Grid, to_physical, to_spectral
 
@@ -50,16 +52,9 @@ class SolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ModeOperator:
-    """Dense generator matrix for a single horizontal mode."""
-
-    xi: tuple[float, float]
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SectorReport:
-    """Eigenvalues of (omega*I - generator) per retained mode.
+    """Eigenvalues of (omega*I - generator) per retained mode, one row of
+    the (n_modes, Nz+1) array `eigenvalues` per entry of `modes`.
 
     phi_hat is the largest |arg| over all reported eigenvalues; the
     discretization is considered sectorial when phi_hat < pi/2 and no
@@ -68,11 +63,11 @@ class SectorReport:
 
     omega: float
     modes: list[tuple[int, int]]
-    eigenvalues: list[np.ndarray]
+    eigenvalues: np.ndarray
     phi_hat: float
 
     def min_real_part(self) -> float:
-        return min(ev.real.min() for ev in self.eigenvalues)
+        return float(self.eigenvalues.real.min())
 
     def rows(self):
         """Flat (k1, k2, Re, Im) tuples for CSV emission."""
@@ -109,31 +104,18 @@ def neumann_vertical_matrix(grid: Grid) -> np.ndarray:
     return L
 
 
-def assemble_mode_operator(xi: tuple[float, float], grid: Grid) -> ModeOperator:
-    """Coupled generator at one mode: vertical part minus |xi|^2 * I."""
+def assemble_mode_operator(xi: tuple[float, float], grid: Grid) -> np.ndarray:
+    """Dense coupled generator at one mode: vertical part minus |xi|^2 * I."""
     xi2 = xi[0] ** 2 + xi[1] ** 2
-    M = coupled_vertical_matrix(grid) - xi2 * np.eye(grid.nlev)
-    return ModeOperator(xi=(float(xi[0]), float(xi[1])), matrix=M)
-
-
-def mode_table(grid: Grid, of_xi2) -> np.ndarray:
-    """Per-mode table (Nx, Ny, ...) of a function of |xi|^2.
-
-    of_xi2 maps the distinct |xi|^2 values, a 1-D array, to a stacked
-    array (n_distinct, ...); each grid mode takes its value's entry.
-    """
-    xi2, which = np.unique(grid.xi2, return_inverse=True)
-    return of_xi2(xi2)[which.reshape(grid.xi2.shape)]
-
-
-def stacked_generators(vertical: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-    """Stacked generators vertical - |xi|^2 * I, one per xi2 entry."""
-    return vertical - xi2[:, None, None] * np.eye(vertical.shape[0])
+    return coupled_vertical_matrix(grid) - xi2 * np.eye(grid.nlev)
 
 
 def eigenbasis(vertical: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real (lam, V, V^-1) with vertical = V diag(lam) V^-1."""
-    lam, V = np.linalg.eig(vertical)
+    try:
+        lam, V = np.linalg.eig(vertical)
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"eigensolver failed: {exc}") from exc
     if np.iscomplexobj(lam):
         raise SolveError("vertical operator has a complex spectrum: no real eigenbasis")
     return lam, V, np.linalg.inv(V)
@@ -249,24 +231,22 @@ def solve_velocity_implicit(grid: Grid, rhs_v: np.ndarray, dt: float) -> np.ndar
 def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
     """Per-mode solution column of the harmonic-extension problem.
 
-    Solves (interior rows of the mode operator, top row = Dirichlet data 1)
-    for all modes at once; returns theta over levels, shape (Nx, Ny, Nz+1),
-    real.  The extension for mode xi of unit boundary data approximates
-    cosh(|xi| z) / cosh(|xi|).
+    Solves (interior rows of the mode operator, top value = Dirichlet data
+    1) for all modes at once; returns theta over levels, shape
+    (Nx, Ny, Nz+1), real.  The extension for mode xi of unit boundary data
+    approximates cosh(|xi| z) / cosh(|xi|).
+
+    The rows of the vertical matrix sum to zero, so with the Dirichlet
+    block D = V diag(lam) V^-1 the interior is
+    (D - |xi|^2)^-1 D 1 = 1 + V diag(|xi|^2 / (lam - |xi|^2)) V^-1 1,
+    which is exactly 1 at the mean mode.
     """
-    n = grid.nlev
-    vertical = coupled_vertical_matrix(grid)
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-
-    def column(xi2):
-        mats = stacked_generators(vertical, xi2)
-        # replace the surface row by the identity on the boundary unknown
-        mats[:, n - 1, :] = 0.0
-        mats[:, n - 1, n - 1] = 1.0
-        return np.linalg.solve(mats, rhs)
-
-    return mode_table(grid, column)
+    nz = grid.nz
+    lam, V, V_inv = eigenbasis(coupled_vertical_matrix(grid)[:nz, :nz])
+    xi2 = grid.xi2[..., None]
+    theta = np.ones(grid.xi2.shape + (grid.nlev,))
+    theta[..., :nz] += (xi2 / (lam - xi2) * V_inv.sum(axis=1)) @ V.T
+    return theta
 
 
 def dirichlet_map(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -283,11 +263,7 @@ def dtn_symbols(grid: Grid) -> np.ndarray:
     Continuum symbol: |xi| tanh(|xi|); zero at the mean mode.
     """
     theta = _dirichlet_inverse_column(grid)
-    nz, h = grid.nz, grid.dz
-    sym = np.zeros((grid.nx, grid.ny))
-    for i, c in enumerate(TOP_FLUX_STENCIL):
-        sym += c * theta[:, :, nz - i]
-    return sym / h
+    return theta[..., -5:] @ TOP_FLUX_STENCIL[::-1] / grid.dz
 
 
 def dtn_apply(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -332,23 +308,17 @@ def spectrum_report(
     """Eigenvalues of omega*I - A per retained mode, with the empirical angle.
 
     omega > 0 shifts the kernel (constants at xi = 0) away from the origin
-    so the angle is well defined.
+    so the angle is well defined.  Every mode operator is vertical - |xi|^2 I,
+    so its eigenvalues are omega + |xi|^2 - lam for the eigenvalues lam of
+    the one vertical matrix, listed in ascending order per mode.
     """
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    modes = retained_modes(grid)
-    if max_modes is not None:
-        modes = modes[:max_modes]
-    eye = np.eye(grid.nlev)
-    eigenvalues = []
-    phi_hat = 0.0
-    for k1, k2 in modes:
-        xi = (2.0 * np.pi * k1, 2.0 * np.pi * k2)
-        op = assemble_mode_operator(xi, grid)
-        try:
-            ev = scipy.linalg.eigvals(omega * eye - op.matrix)
-        except Exception as exc:
-            raise SolveError(f"eigensolver failed at mode {(k1, k2)}: {exc}") from exc
-        eigenvalues.append(ev)
-        phi_hat = max(phi_hat, float(np.max(np.abs(np.angle(ev)))))
+    if not (np.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    if max_modes is not None and max_modes < 1:
+        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
+    modes = retained_modes(grid)[:max_modes]
+    lam = np.sort(eigenbasis(coupled_vertical_matrix(grid))[0])[::-1]
+    xi2 = ((2.0 * np.pi * np.array(modes)) ** 2).sum(axis=1)
+    eigenvalues = omega + xi2[:, None] - lam
+    phi_hat = float(np.max(np.abs(np.angle(eigenvalues))))
     return SectorReport(omega=omega, modes=modes, eigenvalues=eigenvalues, phi_hat=phi_hat)

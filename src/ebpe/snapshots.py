@@ -1,10 +1,10 @@
 """Binary state snapshots with a bit-exact round trip.
 
 Layout (little endian): magic "EBPE", version byte 0x01, a flags byte
-(bit 0: a surface-noise channel follows the prognostic blocks), u32
-(Nx, Ny, Nz), f64 time, then row-major f64 blocks in fixed order
-v1, v2, T, rho and optionally Z_rho.  No compression: restart must
-reproduce runs bit for bit.
+(bit 0: a surface-noise channel follows the prognostic blocks; the other
+bits must be zero), u32 (Nx, Ny, Nz), f64 time, then row-major f64
+blocks in fixed order v1, v2, T, rho and optionally Z_rho.  No
+compression: restart must reproduce runs bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
             raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
         if version != VERSION:
             raise SnapshotError(f"unsupported snapshot version {version}")
+        if flags & ~FLAG_Z_RHO:
+            raise SnapshotError(f"unknown snapshot flag bits 0x{flags & ~FLAG_Z_RHO:02x}")
         if grid is not None and (nx, ny, nz) != (grid.nx, grid.ny, grid.nz):
             raise SnapshotError(
                 f"snapshot dimensions ({nx},{ny},{nz}) do not match the "

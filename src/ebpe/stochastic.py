@@ -96,6 +96,8 @@ class PathBundle:
 
     def coarsen(self, factor: int) -> "PathBundle":
         """Sum consecutive increments: the same path at step size dt*factor."""
+        if factor < 1:
+            raise ValueError(f"coarsening factor must be at least 1, got {factor}")
         if self.n_steps % factor != 0:
             raise ValueError(
                 f"cannot coarsen {self.n_steps} steps by a factor of {factor}"

@@ -104,7 +104,7 @@ def test_criterion_03_solver_oracles():
         rhs = rng.standard_normal(grid.nlev) + 1j * rng.standard_normal(grid.nlev)
 
         xi = (2 * np.pi * grid.kx[i], 2 * np.pi * grid.ky[j])
-        A = np.eye(grid.nlev) - dt * assemble_mode_operator(xi, grid).matrix
+        A = np.eye(grid.nlev) - dt * assemble_mode_operator(xi, grid)
         oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
         ours = solve_one_mode(CoupledImplicitSolver(grid, dt), i, j, rhs)
         worst_c = max(worst_c, np.linalg.norm(ours - oracle) / np.linalg.norm(oracle))
@@ -225,7 +225,7 @@ def test_criterion_09_ornstein_uhlenbeck_law():
 
     # full-mode covariance against the quadrature oracle
     grid = make_grid(8, 8, 8)
-    M = assemble_mode_operator((2 * np.pi, 0.0), grid).matrix
+    M = assemble_mode_operator((2 * np.pi, 0.0), grid)
     nlev = grid.nlev
     dtc, steps, qk = 1e-4, 100, 0.5
     aug = np.zeros((nlev + 1, nlev + 1))

@@ -1,13 +1,19 @@
 """Configuration parsing, snapshots, diagnostics CSV, CLI surface."""
 
 import dataclasses
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ebpe
 from ebpe import cli, diagnostics, make_grid
 from ebpe.config import ConfigError, RunConfig, parse_config
+from ebpe.linops import SolveError
 from ebpe.snapshots import SnapshotError, read_snapshot, write_snapshot
 from ebpe.timestep import initial_state, run_deterministic
 
@@ -150,6 +156,16 @@ class TestSnapshots:
         path = tmp_path / "huge.bin"
         path.write_bytes(header.ljust(64, b"\0"))
         with pytest.raises(SnapshotError, match="truncated"):
+            read_snapshot(path)
+        assert cli.main(["check", str(path)]) == 1
+
+    def test_unknown_flag_bits_rejected(self, tmp_path, grid8):
+        path = tmp_path / "s.bin"
+        write_snapshot(initial_state(grid8, "zero"), path)
+        raw = bytearray(path.read_bytes())
+        raw[5] = 0x02  # the flags byte follows the magic and the version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match="flag"):
             read_snapshot(path)
         assert cli.main(["check", str(path)]) == 1
 
@@ -387,6 +403,39 @@ monitors = on
         text = (out / "spectrum.csv").read_text()
         assert "phi_hat" in text
         assert "k1,k2,re,im" in text
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_spectrum_non_finite_omega_rejected(self, tmp_path, capsys, omega):
+        cfgp = write_config(tmp_path, RUN_INI)
+        out = tmp_path / "spec"
+        argv = ["spectrum", "--config", str(cfgp), "--out", str(out), "--omega", omega]
+        assert cli.main(argv) == 1
+        assert "omega" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def failing_report(grid, omega):
+            raise SolveError("eigensolver failed: test")
+
+        monkeypatch.setattr(cli, "spectrum_report", failing_report)
+        cfgp = write_config(tmp_path, RUN_INI)
+        out = tmp_path / "spec"
+        assert cli.main(["spectrum", "--config", str(cfgp), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: eigensolver failed")
+        assert not out.exists()
+
+    def test_package_imports_without_scipy(self):
+        # scipy is a test-only dependency: importing the package and its
+        # entry points must not load it
+        code = ("import sys, ebpe, ebpe.cli, ebpe.stochastic, ebpe.manufactured; "
+                "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+                "assert not loaded, loaded")
+        src = str(Path(ebpe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_seed_override_changes_output(self, tmp_path):
         cfgp = write_config(tmp_path, RUN_INI)

@@ -21,10 +21,10 @@ from ebpe.linops import (
     CoupledImplicitSolver,
     SolveError,
     VelocityImplicitSolver,
+    _dirichlet_inverse_column,
     coupled_vertical_matrix,
     dtn_symbols,
     eigenbasis,
-    mode_table,
     neumann_vertical_matrix,
     retained_modes,
     similarity_unsplit,
@@ -37,13 +37,13 @@ class TestModeOperator:
     def test_constants_in_kernel_at_mean_mode(self, grid8):
         op = assemble_mode_operator((0.0, 0.0), grid8)
         x = np.full(grid8.nlev, 2.5)
-        assert np.max(np.abs(op.matrix @ x)) < 1e-11
+        assert np.max(np.abs(op @ x)) < 1e-11
 
     def test_interior_rows_match_laplacian_of_cos(self):
         grid = make_grid(8, 8, 16)
         op = assemble_mode_operator((0.0, 0.0), grid)
         stack = np.cos(np.pi * grid.z)  # d/dz vanishes at z=0; trace at top
-        out = op.matrix @ stack
+        out = op @ stack
         exact = -np.pi**2 * np.cos(np.pi * grid.z)
         # rows 0..Nz-1 discretize the vertical Laplacian (bottom row via ghost)
         err = np.max(np.abs(out[: grid.nz] - exact[: grid.nz]))
@@ -52,7 +52,7 @@ class TestModeOperator:
     def test_dissipative_spectrum_dense_oracle(self):
         grid = make_grid(8, 8, 16)
         op = assemble_mode_operator((2 * np.pi, 0.0), grid)
-        ev = np.linalg.eigvals(-op.matrix)
+        ev = np.linalg.eigvals(-op)
         assert ev.real.min() >= -1e-10
 
 
@@ -124,6 +124,56 @@ class TestDtN:
             assert sym[i, j] == pytest.approx(closed, rel=1e-11)
 
 
+def bordered_dirichlet_column(grid):
+    """Dense oracle of the harmonic-extension column: per mode, the interior
+    rows of the mode operator bordered by the identity row on the surface
+    unknown, solved for unit surface data."""
+    n = grid.nlev
+    mats = coupled_vertical_matrix(grid) - grid.xi2[..., None, None] * np.eye(n)
+    mats[..., n - 1, :] = 0.0
+    mats[..., n - 1, n - 1] = 1.0
+    rhs = np.zeros(n)
+    rhs[n - 1] = 1.0
+    return np.linalg.solve(mats, rhs)
+
+
+def count_eig_forbid_solve(monkeypatch):
+    """Shapes passed to np.linalg.eig; np.linalg.solve fails the test."""
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    return calls
+
+
+class TestDirichletColumn:
+    @pytest.mark.parametrize("n, nz", [(8, 8), (16, 16), (8, 64)])
+    def test_matches_bordered_dense_solve(self, n, nz):
+        grid = make_grid(n, n, nz)
+        theta = _dirichlet_inverse_column(grid)
+        oracle = bordered_dirichlet_column(grid)
+        assert theta.shape == (n, n, grid.nlev)
+        assert np.max(np.abs(theta - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("nz", [8, 16, 32, 64, 128])
+    def test_constant_mode_exactly_one(self, nz):
+        theta = _dirichlet_inverse_column(make_grid(4, 4, nz))
+        assert np.array_equal(theta[0, 0], np.ones(nz + 1))
+
+    def test_dtn_one_eig_and_no_solve(self, grid8, monkeypatch):
+        calls = count_eig_forbid_solve(monkeypatch)
+        dtn_symbols(grid8)
+        assert calls == [(grid8.nz, grid8.nz)]
+
+
 class TestSimilaritySplit:
     def test_extension_of_rho_maps_to_zero(self, grid8, rng):
         rho = smooth_field_2d(grid8, rng)
@@ -180,7 +230,7 @@ class TestCoupledSolve:
             j = rng.integers(0, 8)
             dt = 10.0 ** rng.uniform(-4, 0)
             xi = (2 * np.pi * grid8.kx[i], 2 * np.pi * grid8.ky[j])
-            M = assemble_mode_operator(xi, grid8).matrix
+            M = assemble_mode_operator(xi, grid8)
             A = np.eye(grid8.nlev) - dt * M
             rhs = rng.standard_normal(grid8.nlev) + 1j * rng.standard_normal(grid8.nlev)
             oracle = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
@@ -251,19 +301,6 @@ def _mode_xi(grid, width):
 
 
 class TestPerModeTables:
-    def test_mode_table_evaluates_each_distinct_xi2_once(self, grid8):
-        calls = []
-
-        def of_xi2(xi2):
-            calls.append(xi2)
-            return np.stack([xi2, -xi2], axis=-1)
-
-        table = mode_table(grid8, of_xi2)
-        assert len(calls) == 1 and np.array_equal(calls[0], np.unique(grid8.xi2))
-        assert table.shape == (8, 8, 2)
-        assert np.array_equal(table[..., 0], grid8.xi2)
-        assert np.array_equal(table[..., 1], -grid8.xi2)
-
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("half", [False, True])
     def test_coupled_generator_matches_dense_oracle(self, n, half):
@@ -275,7 +312,7 @@ class TestPerModeTables:
         ours = CoupledImplicitSolver(grid, 1e-2).apply_generator_hat(x)
         oracle = np.empty_like(x)
         for i, j, xi in _mode_xi(grid, width):
-            oracle[i, j] = assemble_mode_operator(xi, grid).matrix @ x[i, j]
+            oracle[i, j] = assemble_mode_operator(xi, grid) @ x[i, j]
         assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -307,7 +344,7 @@ class TestPerModeTables:
         velocity = VelocityImplicitSolver(grid, dt).solve_hat(x)
         base = neumann_vertical_matrix(grid)
         for i, j, xi in _mode_xi(grid, width):
-            M = assemble_mode_operator(xi, grid).matrix
+            M = assemble_mode_operator(xi, grid)
             oracle = np.linalg.inv(eye - dt * M) @ x[i, j]
             assert np.linalg.norm(coupled[i, j] - oracle) <= 1e-12 * np.linalg.norm(oracle)
             M = base - grid.xi2[i, j] * eye
@@ -374,24 +411,44 @@ class TestSpectrumReport:
         assert report.phi_hat < np.pi / 2
         assert report.min_real_part() >= -1e-10
 
-    def test_eigenvalues_match_dense_oracle(self, grid8):
-        report = spectrum_report(grid8, omega=1.0)
-        idx = report.modes.index((1, 0))
-        op = assemble_mode_operator((2 * np.pi, 0.0), grid8)
-        oracle = np.linalg.eigvals(np.eye(grid8.nlev) - op.matrix)
-        key = lambda v: (np.round(v.real, 6), np.round(v.imag, 6))
-        ours = sorted(report.eigenvalues[idx], key=key)
-        ref = sorted(oracle, key=key)
-        assert np.max(np.abs(np.array(ours) - np.array(ref))) < 1e-9
+    def test_eigenvalues_match_dense_oracle(self):
+        # every retained mode, against eigvals of its dense mode operator
+        omega = 1.0
+        for n in (8, 16):
+            grid = make_grid(n, n, n)
+            report = spectrum_report(grid, omega=omega)
+            assert report.modes == retained_modes(grid)
+            eye = np.eye(grid.nlev)
+            for (k1, k2), ev in zip(report.modes, report.eigenvalues):
+                M = assemble_mode_operator((2 * np.pi * k1, 2 * np.pi * k2), grid)
+                oracle = np.linalg.eigvals(omega * eye - M)
+                oracle = oracle[np.argsort(oracle.real)]
+                ours = np.sort(ev)
+                assert np.all(np.abs(ours - oracle) <= 1e-9 * (1.0 + np.abs(oracle)))
+
+    def test_one_eig_and_no_solve(self, grid8, monkeypatch):
+        calls = count_eig_forbid_solve(monkeypatch)
+        spectrum_report(grid8, omega=1.0)
+        assert calls == [(grid8.nlev, grid8.nlev)]
 
     def test_max_modes_caps_report(self, grid8):
         report = spectrum_report(grid8, omega=1.0, max_modes=3)
         assert len(report.modes) == 3
         assert report.modes[0] == (0, 0)
 
+    @pytest.mark.parametrize("max_modes", [0, -1])
+    def test_rejects_max_modes_below_one(self, grid8, max_modes):
+        with pytest.raises(ValueError, match="max_modes"):
+            spectrum_report(grid8, omega=1.0, max_modes=max_modes)
+
     def test_rejects_nonpositive_omega(self, grid8):
         with pytest.raises(ValueError):
             spectrum_report(grid8, omega=0.0)
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_rejects_non_finite_omega(self, grid8, omega):
+        with pytest.raises(ValueError, match="omega"):
+            spectrum_report(grid8, omega=omega)
 
     def test_retained_modes_respect_mask(self, grid8):
         modes = retained_modes(grid8)

@@ -95,6 +95,9 @@ class TestWienerIncrements:
         assert np.array_equal(c.increments[0], manual)
         with pytest.raises(ValueError):
             bundle.coarsen(3)
+        for factor in (0, -2):
+            with pytest.raises(ValueError, match=f"got {factor}"):
+                bundle.coarsen(factor)
 
 
 class TestConvolutionPropagator:
@@ -163,7 +166,7 @@ class TestConvolutionPropagator:
         # distributional check at fixed t for one mode: the discrete update
         # covariance against fine Gauss-Legendre quadrature of the continuum
         # integral of exp(s M) v v^T exp(s M^T)
-        M = assemble_mode_operator((2 * np.pi, 0.0), grid8).matrix
+        M = assemble_mode_operator((2 * np.pi, 0.0), grid8)
         n = grid8.nlev
         dt, steps, qk = 1e-4, 100, 0.5
         aug = np.zeros((n + 1, n + 1))
@@ -313,7 +316,7 @@ class TestDrivers:
         i, j = 1, 2  # a mode with invertible generator
         M = assemble_mode_operator(
             (2 * np.pi * grid.kx[i], 2 * np.pi * grid.ky[j]), grid
-        ).matrix
+        )
         n = grid.nlev
         phi1 = np.linalg.solve(cfg.dt * M, scipy.linalg.expm(cfg.dt * M) - np.eye(n))
         q = spec.q_table(grid)[i, j]
