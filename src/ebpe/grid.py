@@ -51,8 +51,11 @@ class Grid:
         Ny//2+1 columns of a half spectrum.  They are the first columns of
         the full tables: FFT order stores ky = Ny/2 as -Ny/2, and every
         table is even in ky or zero there.
-    parseval_half : (1, Ny//2+1) column weights of Parseval sums over a
-        half spectrum: 1 on the ky = 0 and ky = Ny/2 columns, 2 elsewhere.
+    norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
+        the power of a half spectrum into the squared L2 norm over the unit
+        section (row 0) and that of the horizontal gradient (row 1, times
+        xi2_deriv_half).  Row 0 is 1 on the ky = 0 and ky = Ny/2 columns,
+        which have no conjugate partner in the half spectrum, 2 elsewhere.
     x, y : collocation coordinates, shape (Nx, Ny).
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
     trapz_w : read-only trapezoid weights over z in [0, 1], shape (Nz+1,).
@@ -98,9 +101,10 @@ class Grid:
         object.__setattr__(self, "xi_y_half", self.xi_y[:, :half].copy())
         object.__setattr__(self, "xi2_deriv_half", self.xi2_deriv[:, :half].copy())
         object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
-        weights = np.full((1, half), 2.0)
-        weights[0, 0] = weights[0, -1] = 1.0
-        object.__setattr__(self, "parseval_half", weights)
+        weights = np.full((self.nx, half), 2.0)
+        weights[:, 0] = weights[:, -1] = 1.0
+        object.__setattr__(self, "norm_weights_half",
+                           np.stack((weights, weights * self.xi2_deriv_half)))
 
         xs = np.arange(self.nx) / self.nx
         ys = np.arange(self.ny) / self.ny
@@ -203,6 +207,13 @@ def unpack_fields(grid: Grid, packed: np.ndarray):
     n = grid.nlev
     v = packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)).transpose(2, 0, 1, 3)
     return v, packed[..., 2 * n : 3 * n], packed[..., 3 * n]
+
+
+def volume_fields(grid: Grid, packed: np.ndarray) -> np.ndarray:
+    """View (Nx, W, 3, Nz+1) of the planes v[0], v[1], T of a pack_fields
+    array, for operations that treat the three volume fields alike."""
+    n = grid.nlev
+    return packed[..., : 3 * n].reshape(packed.shape[:2] + (3, n))
 
 
 def match_columns(

@@ -42,8 +42,10 @@ import numpy as np
 
 from .grid import Grid, to_physical, to_spectral
 
-# one-sided d/dz at the top boundary, taken downward; divide by dz at use
-TOP_FLUX_STENCIL = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
+# one-sided d/dz at the top boundary, taken downward; divide by 12 dz
+# (TOP_FLUX_STENCIL: by dz) at use.  The integer entries sum to exactly 0.
+TOP_FLUX_INTEGERS = np.array([25.0, -48.0, 36.0, -16.0, 3.0])
+TOP_FLUX_STENCIL = TOP_FLUX_INTEGERS / 12.0
 
 
 class SolveError(RuntimeError):
@@ -260,10 +262,11 @@ def dirichlet_map(grid: Grid, phi: np.ndarray) -> np.ndarray:
 def dtn_symbols(grid: Grid) -> np.ndarray:
     """Discrete Dirichlet-to-Neumann multiplier per mode, shape (Nx, Ny).
 
-    Continuum symbol: |xi| tanh(|xi|); zero at the mean mode.
+    Continuum symbol: |xi| tanh(|xi|); exactly zero at the mean mode,
+    where theta is exactly 1 and the integer stencil sums to 0.
     """
     theta = _dirichlet_inverse_column(grid)
-    return theta[..., -5:] @ TOP_FLUX_STENCIL[::-1] / grid.dz
+    return theta[..., -5:] @ TOP_FLUX_INTEGERS[::-1] / (12.0 * grid.dz)
 
 
 def dtn_apply(grid: Grid, phi: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ snapshot or an accumulated ledger.  The envelope constants (c_led, the
 growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
 
-`state_terms` transforms a state forward in one batched call and adds w
-and the vertical derivatives; the driver loop hands these terms to both
-`measure` and the next step.  Given them, `measure` makes one batched
-transform, the two max-norm residual planes (div_H vbar, w at the
-surface) back.  Horizontal gradient norms come from the half spectra by
-Parseval; vertical derivatives and field norms stay in physical space.
+`state_terms` brings a state to everything its ledger record and its
+step read: the half spectra and w (one batched forward transform), the
+horizontal derivatives and w on the grid (one batched inverse
+transform) and the vertical derivatives.  The driver loop hands these
+terms to both `measure` and the next step, so `measure` makes no
+transform: field and horizontal gradient norms come from the half
+spectra by Parseval, vertical derivative norms and the max-norm
+residuals from the physical terms.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import Grid, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields
+from .grid import (Grid, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields,
+                   volume_fields)
 
 # monitor flag bits, also used in diagnostics rows
 FLAG_MAX_PRINCIPLE = 1
@@ -43,28 +46,47 @@ def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class StateTerms:
-    """Spectral and vertical-derivative terms of one physical state.
+    """Spectral terms and physical derivative fields of one state.
 
     A pure function of (v, T, rho), so the ledger and the step that
     starts from the state may share them; nothing here survives a step.
+    dx and dy hold the planes of pack_fields(v, T, rho).
     """
 
     U: np.ndarray      # half spectra of pack_fields(v, T, rho)
     w_hat: np.ndarray  # half spectrum of w (Nx, Ny//2+1, Nz+1)
-    dz_v: np.ndarray   # deriv_z of v (2, Nx, Ny, Nz+1)
-    dz_T: np.ndarray   # deriv_z of T (Nx, Ny, Nz+1)
+    dx: np.ndarray     # d/dx of pack_fields(v, T, rho) (Nx, Ny, 3(Nz+1)+1)
+    dy: np.ndarray     # d/dy, the same layout
+    w: np.ndarray      # w (Nx, Ny, Nz+1)
+    dz: np.ndarray     # deriv_z of v[0], v[1], T (Nx, Ny, 3, Nz+1)
+
+    @property
+    def dz_v(self) -> np.ndarray:
+        """deriv_z of v (2, Nx, Ny, Nz+1), a view into dz."""
+        return self.dz[..., :2, :].transpose(2, 0, 1, 3)
+
+    @property
+    def dz_T(self) -> np.ndarray:
+        """deriv_z of T (Nx, Ny, Nz+1), a view into dz."""
+        return self.dz[..., 2, :]
 
 
 def state_terms(grid: Grid, state) -> StateTerms:
-    """The StateTerms of `state`: one forward transform and two vertical
-    derivatives."""
-    U = rfft_h(grid, pack_fields(state.v, state.T, state.rho))
+    """The StateTerms of `state`: one batched forward transform, one
+    batched inverse transform and one vertical derivative."""
+    packed = pack_fields(state.v, state.T, state.rho)
+    U = rfft_h(grid, packed)
     v_hat, _, _ = unpack_fields(grid, U)
+    w_hat = hydrostatic.diagnose_w(grid, v_hat)
+    k = U.shape[-1]
+    fields = irfft_h(grid, np.concatenate((deriv_x(grid, U), deriv_y(grid, U), w_hat), axis=-1))
     return StateTerms(
         U=U,
-        w_hat=hydrostatic.diagnose_w(grid, v_hat),
-        dz_v=deriv_z(grid, state.v),
-        dz_T=deriv_z(grid, state.T),
+        w_hat=w_hat,
+        dx=fields[..., :k],
+        dy=fields[..., k : 2 * k],
+        w=fields[..., 2 * k :],
+        dz=deriv_z(grid, volume_fields(grid, packed)),
     )
 
 
@@ -93,20 +115,14 @@ def constraint_check(grid: Grid, state) -> ConstraintResiduals:
 
 def _residuals(grid: Grid, state, terms: StateTerms) -> ConstraintResiduals:
     """constraint_check given the StateTerms of `state`."""
-    h = grid.dz
-    trace = float(np.max(np.abs(state.T[..., -1] - state.rho)))
-    bottom = float(np.max(np.abs(
-        (-3.0 * state.T[..., 0] + 4.0 * state.T[..., 1] - state.T[..., 2]) / (2.0 * h)
-    )))
-    v_hat, _, _ = unpack_fields(grid, terms.U)
-    vbar = hydrostatic.vertical_average(grid, v_hat)
-    planes = irfft_h(grid, np.stack((
-        deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1]),
-        terms.w_hat[..., -1],
-    ), axis=-1))
-    solenoidal = float(np.max(np.abs(planes[..., 0])))
-    w_top = float(np.max(np.abs(planes[..., 1])))
-    return ConstraintResiduals(trace, bottom, solenoidal, w_top)
+    n = grid.nlev
+    div_bar = (terms.dx[..., :n] + terms.dy[..., n : 2 * n]) @ grid.trapz_w
+    return ConstraintResiduals(
+        trace=float(np.max(np.abs(state.T[..., -1] - state.rho))),
+        bottom_neumann=float(np.max(np.abs(terms.dz_T[..., 0]))),
+        solenoidal=float(np.max(np.abs(div_bar))),
+        w_top=float(np.max(np.abs(terms.w[..., -1]))),
+    )
 
 
 @dataclass(frozen=True)
@@ -136,23 +152,21 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     is state_terms(grid, state)."""
     if terms is None:
         terms = state_terms(grid, state)
-    # Parseval: |grad_H f|^2 summed over the section is the xi2-weighted
-    # power of the half spectrum, here per plane of the packed fields
+    n, w = grid.nlev, grid.trapz_w
+    # Parseval: per plane of the packed fields, the squared L2 norm over
+    # the section (row 0) and that of the horizontal gradient (row 1)
     power = terms.U.real**2 + terms.U.imag**2
-    grad_h = np.einsum("xy,xyk->k", grid.parseval_half * grid.xi2_deriv_half, power)
-    n, w = grid.nlev, hydrostatic.trapz_weights(grid)
-    gv = (float(grad_h[:n] @ w + grad_h[n : 2 * n] @ w)
-          + l2sq_volume(grid, terms.dz_v))
-    gT = float(grad_h[2 * n : 3 * n] @ w) + l2sq_volume(grid, terms.dz_T)
-    gr = float(grad_h[3 * n])
+    norms = np.einsum("sxy,xyk->sk", grid.norm_weights_half, power)
+    volume = norms[:, : 3 * n].reshape(2, 3, n) @ w  # (v[0], v[1], T) per row
+    # squared L2 norms of deriv_z of (v[0], v[1], T)
+    dz_sq = np.einsum("xyck,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
+    gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
+    gT = float(volume[1, 2] + dz_sq[2])
+    gr = float(norms[1, 3 * n])
     res = _residuals(grid, state, terms)
-    energy = 0.5 * (
-        l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
-        + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)
-    )
     return LedgerRecord(
         t=state.t,
-        energy=energy,
+        energy=0.5 * float(volume[0].sum() + norms[0, 3 * n]),
         dissipation=gv + gT + gr,
         rho_l5=float(np.sum(np.abs(state.rho) ** 5) / (grid.nx * grid.ny)),
         sup_T=float(np.max(np.abs(state.T))),

@@ -14,9 +14,10 @@ The state is physical between steps; inside a step everything is done on
 half spectra (`ebpe.grid.rfft_h`) with four batched transforms: the
 state forward, the derivatives and w back for the quadratic products,
 the products (plus radiation) forward, and the new (v, T, p_s) back.
-The first, with w and the vertical derivatives, is
+The first two, with the vertical derivatives, are
 `monitors.state_terms`, which the driver loop computes once per state
-for both the ledger and the step.  An optional forcing (the
+for both the ledger and the step, so a step of a driver costs two
+transforms and its ledger record none.  An optional forcing (the
 manufactured-solution runs) comes as a half spectrum in the
 `pack_fields` layout and is added to the dealiased tendencies, so it
 costs no transform.  `nonlinear_tendencies` is the
@@ -46,7 +47,7 @@ from . import hydrostatic, linops, monitors
 from .config import RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
 from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h,
-                   to_physical, to_spectral, unpack_fields)
+                   to_physical, to_spectral, unpack_fields, volume_fields)
 
 if TYPE_CHECKING:
     from .stochastic import PathBundle
@@ -223,19 +224,22 @@ def nonlinear_tendencies(
 
 
 def _check_finite(state: State, previous: State) -> None:
+    """One max-norm per field: a NaN or inf fails the threshold test, and
+    the finiteness of that one number tells it from a runaway."""
     for name, f in (("v", state.v), ("T", state.T), ("rho", state.rho)):
-        if not np.all(np.isfinite(f)):
+        sup = np.max(np.abs(f))
+        if sup <= BLOWUP_SUP:
+            continue
+        if not np.isfinite(sup):
             raise BlowUpError(
                 f"non-finite values in {name} at t={state.t:.6g} (step {state.step})",
                 last_state=previous,
             )
-        sup = np.max(np.abs(f))
-        if sup > BLOWUP_SUP:
-            raise BlowUpError(
-                f"sup|{name}| = {sup:.3e} exceeds the blow-up threshold "
-                f"at t={state.t:.6g} (step {state.step})",
-                last_state=previous,
-            )
+        raise BlowUpError(
+            f"sup|{name}| = {sup:.3e} exceeds the blow-up threshold "
+            f"at t={state.t:.6g} (step {state.step})",
+            last_state=previous,
+        )
 
 
 class Stepper:
@@ -281,37 +285,31 @@ class Stepper:
         """Dealiased explicit tendencies at `state` as half spectra, in the
         `pack_fields` layout (F_v, F_T, F_rho), forcing included.
 
-        terms, when given, is monitors.state_terms(grid, state).  Two
-        batched transforms: every horizontal derivative and w back to
-        physical space for the quadratic products, then the products and
-        radiation forward.  The forcing is already a half spectrum.
+        terms, when given, is monitors.state_terms(grid, state), which
+        holds every derivative and w on the grid.  One batched transform:
+        the quadratic products and radiation forward.  The forcing is
+        already a half spectrum.
         """
         grid, params = self.grid, self.params
         n = grid.nlev
         if terms is None:
             terms = monitors.state_terms(grid, state)
-        spectra = terms.U
-        _, T_hat, _ = unpack_fields(grid, spectra)
-        k = spectra.shape[-1]
-        fields = irfft_h(grid, np.concatenate((
-            deriv_x(grid, spectra), deriv_y(grid, spectra), terms.w_hat,
-        ), axis=-1))
-        dxv, dxT, dxrho = unpack_fields(grid, fields[..., :k])
-        dyv, dyT, dyrho = unpack_fields(grid, fields[..., k : 2 * k])
-        w = fields[..., 2 * k :]
-
-        v, T, rho = state.v, state.T, state.rho
-        adv_v = v[0] * dxv + v[1] * dyv + w * terms.dz_v
-        adv_T = v[0] * dxT + v[1] * dyT + w * terms.dz_T
+        _, T_hat, _ = unpack_fields(grid, terms.U)
+        k = terms.U.shape[-1]
+        v, rho = state.v, state.rho
+        # advection of v[0], v[1] and T at once, shaped like terms.dz
+        adv = (v[0][:, :, None] * volume_fields(grid, terms.dx)
+               + v[1][:, :, None] * volume_fields(grid, terms.dy)
+               + terms.w[:, :, None] * terms.dz)
         if params.transport_variant == VERTICAL_AVERAGE:
             vs = hydrostatic.vertical_average(grid, v)
         else:
             vs = v[:, :, :, -1]
-        adv_rho = vs[0] * dxrho + vs[1] * dyrho
+        adv_rho = vs[0] * terms.dx[..., 3 * n] + vs[1] * terms.dy[..., 3 * n]
 
         # the products in the pack_fields layout, then the radiation plane;
         # radiation and forcing are added undealiased
-        planes = [adv_v[0], adv_v[1], adv_T, adv_rho[..., None]]
+        planes = [adv.reshape(grid.nx, grid.ny, 3 * n), adv_rho[..., None]]
         if params.radiation_on:
             planes.append(radiation(rho, params)[..., None])
         products = rfft_h(grid, np.concatenate(planes, axis=-1))
@@ -337,7 +335,10 @@ class Stepper:
         added to the spectral coupled solution before the inverse
         transform: the noise increment of the stochastic drivers (IMEX
         Euler only).  terms, when given, is monitors.state_terms(grid,
-        state), shared with the ledger; otherwise the step computes it.
+        state), shared with the ledger: the state's half spectra and its
+        derivatives and w on the grid, so the step itself makes two
+        transforms, the products forward and the new state back.
+        Otherwise the step computes it.
 
         The step is a pure function of the physical state (and, for
         cnab2, the previous step's tendencies): nothing spectral is kept

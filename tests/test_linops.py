@@ -18,6 +18,7 @@ from ebpe import (
 from ebpe.hydrostatic import trapz_weights
 from ebpe.stochastic import ConvolutionPropagator
 from ebpe.linops import (
+    TOP_FLUX_STENCIL,
     CoupledImplicitSolver,
     SolveError,
     VelocityImplicitSolver,
@@ -83,6 +84,17 @@ class TestDtN:
     def test_mean_mode_zero(self, grid8):
         sym = dtn_symbols(grid8)
         assert sym[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nz", [8, 16, 32, 64, 128])
+    def test_mean_mode_exactly_zero(self, nz):
+        grid = make_grid(8, 8, nz)
+        sym = dtn_symbols(grid)
+        assert sym[0, 0] == 0.0
+        # every other mode is the contraction with the stored stencil
+        stored = _dirichlet_inverse_column(grid)[..., -5:] @ TOP_FLUX_STENCIL[::-1] / grid.dz
+        others = np.ones(sym.shape, dtype=bool)
+        others[0, 0] = False
+        assert np.all(np.abs(sym - stored)[others] <= 1e-12 * np.abs(stored[others]))
 
     def test_first_mode_symbol(self, grid8):
         exact = 2 * np.pi * np.tanh(2 * np.pi)

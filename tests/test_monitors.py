@@ -8,8 +8,8 @@ import pytest
 from ebpe import PhysParams, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
-from ebpe.grid import deriv_x, deriv_y, deriv_z, to_physical, to_spectral
-from ebpe.hydrostatic import cumulative_integral, vertical_average
+from ebpe.grid import deriv_x, deriv_y, deriv_z, pack_fields, to_physical, to_spectral
+from ebpe.hydrostatic import cumulative_integral, diagnose_w, vertical_average
 from ebpe.monitors import (
     Ledger,
     LedgerRecord,
@@ -23,6 +23,7 @@ from ebpe.monitors import (
     measure,
     mms_spatial_study,
     mms_temporal_study,
+    state_terms,
 )
 from ebpe.timestep import initial_state, run_deterministic
 
@@ -259,6 +260,41 @@ class TestMeasure:
         rec = measure(grid8, state)
         # |grad_H rho|^2 = (2 pi)^2 * 1/2; T contributes its own trace row
         assert rec.grad_rho_sq == pytest.approx((2 * np.pi) ** 2 / 2, rel=1e-12)
+
+
+class TestStateTerms:
+    """The physical terms that the ledger and the step share, against the
+    full-spectrum reference transforms."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_horizontal_derivatives_and_w_match_full_spectrum(self, n):
+        grid = make_grid(n, n, n)
+        state = rough_state(grid, seed=5 * n)
+        terms = state_terms(grid, state)
+        fields = (state.v[0], state.v[1], state.T, state.rho)
+        spectra = [to_spectral(grid, f) for f in fields]
+        for ours, deriv in ((terms.dx, deriv_x), (terms.dy, deriv_y)):
+            dv0, dv1, dT, drho = [to_physical(grid, deriv(grid, c)) for c in spectra]
+            oracle = pack_fields(np.stack((dv0, dv1)), dT, drho)
+            assert np.max(np.abs(ours - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        w = to_physical(grid, diagnose_w(grid, np.stack(spectra[:2])))
+        assert np.max(np.abs(terms.w - w)) <= 1e-13 * np.max(np.abs(w))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_vertical_derivatives_bitwise(self, n):
+        grid = make_grid(n, n, n)
+        state = rough_state(grid, seed=5 * n)
+        terms = state_terms(grid, state)
+        assert np.array_equal(terms.dz_v, deriv_z(grid, state.v))
+        assert np.array_equal(terms.dz_T, deriv_z(grid, state.T))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_parseval_energy_matches_quadrature(self, n):
+        grid = make_grid(n, n, n)
+        state = rough_state(grid, seed=5 * n)
+        energy = 0.5 * (l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
+                        + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho))
+        assert abs(measure(grid, state).energy - energy) <= 1e-14 * energy
 
 
 class TestMmsStudies:

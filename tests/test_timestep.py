@@ -23,7 +23,9 @@ from ebpe.grid import irfft_h, to_physical, to_spectral, unpack_fields
 from ebpe.manufactured import ManufacturedSolution
 from ebpe.monitors import l2sq_surface, l2sq_volume, measure, state_terms
 from ebpe.timestep import (
+    BLOWUP_SUP,
     BlowUpError,
+    _check_finite,
     grid_from_config,
     initial_state,
     initial_state_from_config,
@@ -209,6 +211,41 @@ class TestImexStep:
         assert np.all(E[1:] <= E[:-1] * (1 + 1e-14))
 
 
+class TestBlowUpMessages:
+    """The post-step check tells a non-finite field from a runaway one and
+    hands back the state the step started from."""
+
+    @staticmethod
+    def corrupt(grid, name, value):
+        previous = initial_state(grid, "random_smooth", amplitude=0.5, seed=4)
+        new = dataclasses.replace(previous.copy(), t=0.25, step=7)
+        getattr(new, name)[(1, 2) + (0,) * (getattr(new, name).ndim - 2)] = value
+        return previous, new
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["v", "T", "rho"])
+    def test_non_finite(self, grid8, name, value):
+        previous, new = self.corrupt(grid8, name, value)
+        with pytest.raises(BlowUpError,
+                           match=rf"^non-finite values in {name} at t=0\.25 \(step 7\)$") as err:
+            _check_finite(new, previous)
+        assert err.value.last_state is previous
+
+    @pytest.mark.parametrize("name", ["v", "T", "rho"])
+    def test_runaway(self, grid8, name):
+        previous, new = self.corrupt(grid8, name, -2 * BLOWUP_SUP)
+        with pytest.raises(BlowUpError) as err:
+            _check_finite(new, previous)
+        assert str(err.value) == (f"sup|{name}| = 2.000e+08 exceeds the blow-up "
+                                  f"threshold at t=0.25 (step 7)")
+        assert err.value.last_state is previous
+
+    @pytest.mark.parametrize("name", ["v", "T", "rho"])
+    def test_at_threshold_passes(self, grid8, name):
+        previous, new = self.corrupt(grid8, name, BLOWUP_SUP)
+        _check_finite(new, previous)
+
+
 class TestRunDeterministic:
     def test_zero_t_end_echoes_initial(self):
         cfg = RunConfig(nx=8, ny=8, nz=8, t_end=0.0, ic_kind="single_mode",
@@ -359,14 +396,15 @@ class TestSharedStateTerms:
 
 # Horizontal transforms per step of each driver at 8^3, measure included,
 # counted over every transform entry point: forward (to_spectral, rfft_h)
-# and inverse (to_physical, irfft_h).  The ledger shares the step's
-# forward transform of each state (monitors.state_terms), so a step makes
-# two forward transforms and three inverse ones, the ledger's residual
-# planes included.  Upper bounds: a change may lower them, never raise them.
+# and inverse (to_physical, irfft_h).  monitors.state_terms transforms each
+# state forward and brings its derivatives and w back; the ledger and the
+# step share both, and measure makes no transform.  The step adds the
+# products forward and the new state back: two of each per step.  Upper
+# bounds: a change may lower them, never raise them.
 TRANSFORM_BUDGET = {
-    "deterministic": (run_deterministic, 2, 3),
-    "split": (stochastic.run_split_stochastic, 2, 3),
-    "direct_em": (stochastic.run_direct_em, 2, 3),
+    "deterministic": (run_deterministic, 2, 2),
+    "split": (stochastic.run_split_stochastic, 2, 2),
+    "direct_em": (stochastic.run_direct_em, 2, 2),
 }
 TRANSFORM_DIRECTION = {
     "to_spectral": "forward", "rfft_h": "forward",
@@ -414,13 +452,23 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
     assert per_step["inverse"] <= max_inverse, per_step
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_measure_given_terms_makes_no_transform(n, monkeypatch):
+    grid = make_grid(n, n, n)
+    state = rough_state(grid, seed=n)
+    terms = state_terms(grid, state)
+    counts = count_transforms(monkeypatch, lambda fields: 1)
+    measure(grid, state, terms)
+    assert counts == {"forward": 0, "inverse": 0}
+
+
 # Transform planes (each call adds its trailing size) per forced CNAB2 step
 # at 8^3, the manufactured-solution step of `ebpe mms`.  Forward: the state
-# (3*9+1 = 28 planes) and the products with the radiation plane (29); the
-# forcing is a half spectrum built once per grid, whose radiation part is a
-# 1-D transform of one row.  Inverse: the derivatives and w (2*28+9 = 65)
-# and the new (v, T, p_s) (28).  Upper bounds: a change may lower them,
-# never raise them.
+# (3*9+1 = 28 planes, in monitors.state_terms) and the products with the
+# radiation plane (29); the forcing is a half spectrum built once per grid,
+# whose radiation part is a 1-D transform of one row.  Inverse: the
+# derivatives and w (2*28+9 = 65, also in state_terms) and the new
+# (v, T, p_s) (28).  Upper bounds: a change may lower them, never raise them.
 FORCED_PLANE_BUDGET = {"forward": 57, "inverse": 93}
 
 
