@@ -12,16 +12,7 @@ from .hydrostatic import (
     project_barotropic,
     vertical_average,
 )
-from .linops import (
-    SectorReport,
-    assemble_mode_operator,
-    dirichlet_map,
-    dtn_apply,
-    similarity_split,
-    solve_coupled_implicit,
-    solve_velocity_implicit,
-    spectrum_report,
-)
+from .linops import SectorReport, spectrum_report
 from .stochastic import NoiseSpec, PathBundle, run_direct_em, run_split_stochastic, wiener_increments
 from .timestep import BlowUpError, State, Stepper, initial_state, run_deterministic
 
@@ -37,14 +28,11 @@ __all__ = [
     "SectorReport",
     "State",
     "Stepper",
-    "assemble_mode_operator",
     "baroclinic_grad",
     "coalbedo",
     "dealias",
     "default_insolation",
     "diagnose_w",
-    "dirichlet_map",
-    "dtn_apply",
     "initial_state",
     "make_grid",
     "parse_config",
@@ -54,9 +42,6 @@ __all__ = [
     "run_deterministic",
     "run_direct_em",
     "run_split_stochastic",
-    "similarity_split",
-    "solve_coupled_implicit",
-    "solve_velocity_implicit",
     "spectrum_report",
     "to_physical",
     "to_spectral",

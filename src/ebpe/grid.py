@@ -6,13 +6,18 @@ bottom, z_Nz = 1 at the surface).  Fields are real arrays of shape
 (Nx, Ny) or (Nx, Ny, Nz+1); their spectral form carries complex per-mode
 coefficients over the same leading axes.
 
-Two spectral forms exist.  `to_spectral`/`to_physical` give the full
-(Nx, Ny) spectrum of one field and check conjugate symmetry on the way
-back; they are the reference path.  `rfft_h`/`irfft_h` are the batched
+The package works on half spectra.  `rfft_h`/`irfft_h` are the batched
 real transforms of the step kernel and the monitors: one call moves any
 stack of fields (horizontal axes first, any trailing axes) to or from its
 half spectrum of shape (Nx, Ny//2+1, ...), whose columns are ky = 0 ..
-Ny/2.  The derivative, dealias and projection helpers accept either form.
+Ny/2, and every per-mode table of the kernel has that width.
+
+`to_spectral`/`to_physical` give the full (Nx, Ny) spectrum of one field
+and check conjugate symmetry on the way back.  They, the full tables
+below and the full-width branch of `match_columns` (taken by `dealias`,
+`deriv_x` and `deriv_y`) remain only for the physical-space reference
+path, `timestep.nonlinear_tendencies`, which the benchmark traces; the
+other full-spectrum references live with the tests (`tests/oracles.py`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
@@ -47,10 +52,10 @@ class Grid:
         Laplacian-type symbols).
     dealias_mask : boolean (Nx, Ny) table implementing the 2/3 rule,
         True on retained modes.
-    xi_y_half, xi2_deriv_half, dealias_half : the same tables over the
-        Ny//2+1 columns of a half spectrum.  They are the first columns of
-        the full tables: FFT order stores ky = Ny/2 as -Ny/2, and every
-        table is even in ky or zero there.
+    xi_y_half, xi2_half, xi2_deriv_half, dealias_half : the same tables
+        over the Ny//2+1 columns of a half spectrum.  They are the first
+        columns of the full tables: FFT order stores ky = Ny/2 as -Ny/2,
+        and every table is even in ky or zero there.
     norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
         the power of a half spectrum into the squared L2 norm over the unit
         section (row 0) and that of the horizontal gradient (row 1, times
@@ -91,7 +96,7 @@ class Grid:
         object.__setattr__(self, "xi2", (xi_x**2)[:, None] + (xi_y**2)[None, :])
         # symbol of the discrete div(grad .) pair; differs from xi2 only on
         # Nyquist lines, where first derivatives are defined as zero
-        object.__setattr__(self, "xi2_deriv", (dx**2)[:, None] + (dy**2)[None, :])
+        xi2_deriv = (dx**2)[:, None] + (dy**2)[None, :]
 
         keep_x = np.abs(kx) <= self.nx // 3
         keep_y = np.abs(ky) <= self.ny // 3
@@ -99,7 +104,8 @@ class Grid:
 
         half = self.ny // 2 + 1
         object.__setattr__(self, "xi_y_half", self.xi_y[:, :half].copy())
-        object.__setattr__(self, "xi2_deriv_half", self.xi2_deriv[:, :half].copy())
+        object.__setattr__(self, "xi2_half", self.xi2[:, :half].copy())
+        object.__setattr__(self, "xi2_deriv_half", xi2_deriv[:, :half].copy())
         object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
         weights = np.full((self.nx, half), 2.0)
         weights[:, 0] = weights[:, -1] = 1.0
@@ -239,19 +245,6 @@ def deriv_x(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def deriv_y(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """d/dy in spectral space (Nyquist zeroed)."""
     return 1j * match_columns(grid, grid.xi_y, grid.xi_y_half, coeffs) * coeffs
-
-
-def grad_h(grid: Grid, field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Horizontal gradient of a physical field, computed spectrally."""
-    c = to_spectral(grid, field)
-    return to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))
-
-
-def div_h(grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Horizontal divergence of a velocity array shaped (2, Nx, Ny[, Nz+1])."""
-    cx = to_spectral(grid, v[0])
-    cy = to_spectral(grid, v[1])
-    return to_physical(grid, deriv_x(grid, cx) + deriv_y(grid, cy))
 
 
 def deriv_z(grid: Grid, f: np.ndarray) -> np.ndarray:

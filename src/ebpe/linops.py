@@ -21,17 +21,18 @@ A companion Neumann-Neumann operator serves the velocity solves.
 Every mode operator is vertical - |xi|^2 I, so one real eigendecomposition
 vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
 diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
-V diag(d) V^-1 with a real (Nx, Ny, n) table d (`apply_diagonal`), and a
-generator is applied, never tabulated, as the one vertical matrix product
-minus |xi|^2 times the column.  The spectrum report takes every mode's
+V diag(d) V^-1 with a real (Nx, Ny//2+1, n) table d (`apply_diagonal`),
+and a generator is applied, never tabulated, as the one vertical matrix
+product minus |xi|^2 times the column.  The spectrum report takes every mode's
 eigenvalues as omega + |xi|^2 - lam from the same eigenvalues, and the
 harmonic extension behind the Dirichlet-to-Neumann symbol is diagonal in
 the eigenbasis of the Dirichlet block vertical[:Nz, :Nz].
 
-The diagonal tables apply to full (Nx, Ny) spectra and to the
-(Nx, Ny//2+1) half spectra of the step kernel alike: a half spectrum
-uses the column view [:, :Ny//2+1] of a table, whose modes are exactly
-its ky = 0 .. Ny/2 columns.
+Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
+of the step kernel (`grid.xi2_half`); a full-width spectrum fails in
+numpy broadcasting with a ValueError.  The dense per-mode matrices and
+the physical-space solves that check these tables live with the tests
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, to_physical, to_spectral
+from .grid import Grid
 
 # one-sided d/dz at the top boundary, taken downward; divide by 12 dz
 # (TOP_FLUX_STENCIL: by dz) at use.  The integer entries sum to exactly 0.
@@ -106,12 +107,6 @@ def neumann_vertical_matrix(grid: Grid) -> np.ndarray:
     return L
 
 
-def assemble_mode_operator(xi: tuple[float, float], grid: Grid) -> np.ndarray:
-    """Dense coupled generator at one mode: vertical part minus |xi|^2 * I."""
-    xi2 = xi[0] ** 2 + xi[1] ** 2
-    return coupled_vertical_matrix(grid) - xi2 * np.eye(grid.nlev)
-
-
 def eigenbasis(vertical: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real (lam, V, V^-1) with vertical = V diag(lam) V^-1."""
     try:
@@ -136,28 +131,28 @@ def interleaved_basis(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
 
 def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     """V (diag * (V^-1 x)) per mode, for the `interleaved_basis` of V, a real
-    (Nx, Ny, n) diagonal table and spectral columns (..., Nx, W, n), W = Ny
-    or Ny//2+1, through the column view diag[:, :W]."""
+    (Nx, Ny//2+1, n) diagonal table and half-spectrum columns
+    (..., Nx, Ny//2+1, n)."""
     x = np.ascontiguousarray(x_hat, dtype=np.complex128)
     n = diag.shape[-1]
     y = (x.view(np.float64).reshape(-1, 2 * n) @ basis[0]).reshape(x.shape[:-1] + (2, n))
-    y *= diag[:, : x.shape[-2], None, :]
+    y *= diag[:, :, None, :]
     return (y.reshape(-1, 2 * n) @ basis[1]).view(np.complex128).reshape(x.shape)
 
 
 def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """(vertical - |xi|^2 I) x per mode, for spectral columns (..., Nx, W, n)
-    with W = Ny or Ny//2+1."""
-    return x_hat @ vertical.T - grid.xi2[:, : x_hat.shape[-2], None] * x_hat
+    """(vertical - |xi|^2 I) x per mode, for half-spectrum columns
+    (..., Nx, Ny//2+1, n)."""
+    return x_hat @ vertical.T - grid.xi2_half[..., None] * x_hat
 
 
 def implicit_factors(grid: Grid, vertical: np.ndarray, dt: float):
     """(interleaved basis, d) of (I - dt (vertical - |xi|^2 I))^-1 per mode,
-    with d = 1 / (1 - dt (lam - |xi|^2)) a real (Nx, Ny, n) table."""
+    with d = 1 / (1 - dt (lam - |xi|^2)) a real (Nx, Ny//2+1, n) table."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     lam, V, V_inv = eigenbasis(vertical)
-    return interleaved_basis(V, V_inv), 1.0 / (1.0 - dt * (lam - grid.xi2[..., None]))
+    return interleaved_basis(V, V_inv), 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
 
 
 class CoupledImplicitSolver:
@@ -170,8 +165,7 @@ class CoupledImplicitSolver:
         self.basis, self.d = implicit_factors(grid, self.vertical, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
-        """Apply the inverse to a spectral stack shaped (Nx, W, Nz+1), W = Ny
-        or Ny//2+1."""
+        """Apply the inverse to a half-spectrum stack (Nx, Ny//2+1, Nz+1)."""
         return apply_diagonal(self.basis, self.d, stack_hat)
 
     def apply_generator_hat(self, stack_hat: np.ndarray) -> np.ndarray:
@@ -188,8 +182,7 @@ class VelocityImplicitSolver:
         self.basis, self.d = implicit_factors(grid, self.vertical, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        """Apply to spectral velocity components, (..., Nx, W, Nz+1) with
-        W = Ny or Ny//2+1."""
+        """Apply to half-spectrum velocity components (..., Nx, Ny//2+1, Nz+1)."""
         return apply_diagonal(self.basis, self.d, v_hat)
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:
@@ -209,34 +202,13 @@ def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.n
     return stack
 
 
-def solve_coupled_implicit(
-    grid: Grid, rhs_T: np.ndarray, rhs_rho: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - dt*A)(T, rho) = (rhs_T, rhs_rho) in physical space.
-
-    The top level of rhs_T is ignored (the surface row is driven by
-    rhs_rho); the output satisfies T(., 1) = rho identically and the
-    discrete bottom no-flux condition.
-    """
-    stack = stack_fields_hat(grid, to_spectral(grid, rhs_T), to_spectral(grid, rhs_rho))
-    T = to_physical(grid, CoupledImplicitSolver(grid, dt).solve_hat(stack))
-    rho = T[..., -1].copy()
-    return T, rho
-
-
-def solve_velocity_implicit(grid: Grid, rhs_v: np.ndarray, dt: float) -> np.ndarray:
-    """Per-component solve of (I - dt*(d^2_z - |xi|^2)) v = rhs with no-flux ends."""
-    solver = VelocityImplicitSolver(grid, dt)
-    return np.stack([to_physical(grid, solver.solve_hat(to_spectral(grid, c))) for c in rhs_v])
-
-
 def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
     """Per-mode solution column of the harmonic-extension problem.
 
     Solves (interior rows of the mode operator, top value = Dirichlet data
-    1) for all modes at once; returns theta over levels, shape
-    (Nx, Ny, Nz+1), real.  The extension for mode xi of unit boundary data
-    approximates cosh(|xi| z) / cosh(|xi|).
+    1) for all modes of the half spectrum at once; returns theta over
+    levels, shape (Nx, Ny//2+1, Nz+1), real.  The extension for mode xi
+    of unit boundary data approximates cosh(|xi| z) / cosh(|xi|).
 
     The rows of the vertical matrix sum to zero, so with the Dirichlet
     block D = V diag(lam) V^-1 the interior is
@@ -245,52 +217,21 @@ def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
     """
     nz = grid.nz
     lam, V, V_inv = eigenbasis(coupled_vertical_matrix(grid)[:nz, :nz])
-    xi2 = grid.xi2[..., None]
-    theta = np.ones(grid.xi2.shape + (grid.nlev,))
+    xi2 = grid.xi2_half[..., None]
+    theta = np.ones(grid.xi2_half.shape + (grid.nlev,))
     theta[..., :nz] += (xi2 / (lam - xi2) * V_inv.sum(axis=1)) @ V.T
     return theta
 
 
-def dirichlet_map(grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """Extension of surface data phi: vertical diffusion balance with no
-    flux through the bottom and phi on the surface."""
-    theta = _dirichlet_inverse_column(grid)
-    phi_hat = to_spectral(grid, phi)
-    return to_physical(grid, theta * phi_hat[:, :, None])
-
-
 def dtn_symbols(grid: Grid) -> np.ndarray:
-    """Discrete Dirichlet-to-Neumann multiplier per mode, shape (Nx, Ny).
+    """Discrete Dirichlet-to-Neumann multiplier per mode of the half
+    spectrum, shape (Nx, Ny//2+1).
 
     Continuum symbol: |xi| tanh(|xi|); exactly zero at the mean mode,
     where theta is exactly 1 and the integer stencil sums to 0.
     """
     theta = _dirichlet_inverse_column(grid)
     return theta[..., -5:] @ TOP_FLUX_INTEGERS[::-1] / (12.0 * grid.dz)
-
-
-def dtn_apply(grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """Normal derivative at the surface of the Dirichlet extension of phi."""
-    phi_hat = to_spectral(grid, phi)
-    return to_physical(grid, dtn_symbols(grid) * phi_hat)
-
-
-def similarity_split(
-    grid: Grid, T: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract the Dirichlet extension of rho from T.
-
-    When T carries rho as its surface trace, the first output has zero
-    trace, which diagonalizes the coupled domain.
-    """
-    return T - dirichlet_map(grid, rho), rho
-
-
-def similarity_unsplit(
-    grid: Grid, T_shifted: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of similarity_split."""
-    return T_shifted + dirichlet_map(grid, rho), rho
 
 
 def retained_modes(grid: Grid) -> list[tuple[int, int]]:

@@ -246,13 +246,6 @@ def max_principle_check(
     )
 
 
-@dataclass(frozen=True)
-class LedgerCheckResult:
-    ok: bool
-    first_bad_step: int | None = None
-    message: str = ""
-
-
 def energy_step_check(
     prev: LedgerRecord,
     record: LedgerRecord,
@@ -296,35 +289,6 @@ def h1_step_check(
     ):
         return f"H1 envelope breached at step {step}: {h1:.6e}"
     return None
-
-
-def energy_ledger_check(
-    ledger: Ledger,
-    c_led: float = 50.0,
-    tol_e: float = 1e-10,
-    strict: bool = False,
-) -> LedgerCheckResult:
-    """`energy_step_check` over every consecutive pair of ledger records."""
-    for n in range(1, len(ledger)):
-        dt = ledger[n].t - ledger[n - 1].t
-        message = energy_step_check(ledger[n - 1], ledger[n], n, dt, c_led, tol_e, strict)
-        if message is not None:
-            return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
-    return LedgerCheckResult(ok=True)
-
-
-def h1_ledger_check(
-    ledger: Ledger,
-    growth_rate: float = 50.0,
-    margin: float = 100.0,
-    floor: float = 1e-8,
-) -> LedgerCheckResult:
-    """`h1_step_check` of every ledger record against the first."""
-    for n in range(len(ledger)):
-        message = h1_step_check(ledger[0], ledger[n], n, growth_rate, margin, floor)
-        if message is not None:
-            return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
-    return LedgerCheckResult(ok=True)
 
 
 def fit_order(scales: np.ndarray, errors: np.ndarray) -> float:

@@ -18,6 +18,9 @@ The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
 surface-temperature row only.  The decay exponent must be at least 2 so
 the noise carries one horizontal derivative uniformly in resolution.
+The noise field is real, so the increments, the amplitudes and the
+propagator tables are all held over the (Nx, Ny//2+1) half spectrum of
+the step kernel.
 
 Every run is a pure function of (config, seed): increments for all steps
 are drawn up front in one reproducible bundle, indexed by the absolute
@@ -70,7 +73,8 @@ class NoiseSpec:
             raise ValueError("\n".join(errors))
 
     def q_table(self, grid: Grid) -> np.ndarray:
-        return self.sigma * (1.0 + grid.xi2) ** (-self.decay / 2.0)
+        """Amplitudes q_k over the half spectrum, shape (Nx, Ny//2+1)."""
+        return self.sigma * (1.0 + grid.xi2_half) ** (-self.decay / 2.0)
 
 
 def noise_spec_from_config(cfg: RunConfig) -> NoiseSpec:
@@ -79,14 +83,15 @@ def noise_spec_from_config(cfg: RunConfig) -> NoiseSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Per-step complex spectral Wiener increments with conjugate symmetry.
+    """Per-step complex spectral Wiener increments of a real noise field,
+    stored as half spectra.
 
     Paired modes carry independent real and imaginary parts of variance
     dt/2 each; self-conjugate modes (mean and Nyquist lines) are real with
     variance dt.  The bundle is a pure function of the seed.
     """
 
-    increments: np.ndarray  # (n_steps, Nx, Ny) complex
+    increments: np.ndarray  # (n_steps, Nx, Ny//2+1) complex
     dt: float
     seed: int
 
@@ -113,17 +118,17 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
     """Reproducible increment bundle for n_steps of size dt.
 
     Drawn as the DFT of white noise on the collocation grid, scaled so the
-    per-mode variances match the cylindrical-process convention; this is
-    conjugate symmetric by construction and the per-step physical field
-    of one increment slice is real.
+    per-mode variances match the cylindrical-process convention, and kept
+    on its first Ny//2+1 columns: the full spectrum is conjugate symmetric,
+    so these carry the whole real field.  The transform is the full fft2,
+    whose columns differ from rfft2 by roundoff.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     rng = np.random.default_rng(spec.seed)
     white = rng.standard_normal((n_steps, grid.nx, grid.ny)) * np.sqrt(dt)
-    hat = np.fft.fft2(white, axes=(1, 2), norm="forward")
-    hat *= np.sqrt(grid.nx * grid.ny)
-    return PathBundle(increments=hat, dt=dt, seed=spec.seed)
+    hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., : grid.ny // 2 + 1]
+    return PathBundle(increments=hat * np.sqrt(grid.nx * grid.ny), dt=dt, seed=spec.seed)
 
 
 class ConvolutionPropagator:
@@ -136,7 +141,7 @@ class ConvolutionPropagator:
         Z <- V diag(exp(dt mu)) V^-1 Z + phi1(dt M) e_rho * (q_k dW_k),
 
     with phi1(dt M) e_rho = V diag(phi1(dt mu)) V^-1 e_rho a stored
-    (Nx, Ny, Nz+1) table, phi1(x) = expm1(x) / x and phi1(0) = 1.
+    (Nx, Ny//2+1, Nz+1) table, phi1(x) = expm1(x) / x and phi1(0) = 1.
     """
 
     def __init__(self, grid: Grid, dt: float):
@@ -146,16 +151,16 @@ class ConvolutionPropagator:
         self.dt = dt
         lam, V, V_inv = linops.eigenbasis(linops.coupled_vertical_matrix(grid))
         self.basis = linops.interleaved_basis(V, V_inv)
-        x = dt * (lam - grid.xi2[..., None])
+        x = dt * (lam - grid.xi2_half[..., None])
         self.decay = np.exp(x)
         phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
         self.phi1_col = (phi1 * V_inv[:, -1]) @ V.T
 
     def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """One step of full (Nx, Ny, Nz+1) or half (Nx, Ny//2+1, Nz+1)
-        spectral stacks; dW and q match the columns of Z_hat."""
+        """One step of a half-spectrum stack (Nx, Ny//2+1, Nz+1); dW and q
+        are (Nx, Ny//2+1)."""
         propagated = linops.apply_diagonal(self.basis, self.decay, Z_hat)
-        return propagated + self.phi1_col[:, : Z_hat.shape[1]] * (q * dW)[:, :, None]
+        return propagated + self.phi1_col * (q * dW)[:, :, None]
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None):
@@ -175,11 +180,11 @@ def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle
     n_steps = cfg.n_steps()
     if bundle is None:
         bundle = wiener_increments(grid, spec, cfg.dt, n_steps)
-    if bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt):
-        raise ValueError("path bundle does not match the run (steps or dt)")
+    if (bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt)
+            or bundle.increments.shape[1:] != (grid.nx, grid.ny // 2 + 1)):
+        raise ValueError("path bundle does not match the run (steps, dt or grid)")
     stepper = Stepper(grid, params, cfg.dt, freeze_velocity=cfg.freeze_velocity)
-    # the noise field is real: its kicks live on the half spectrum
-    return grid, params, stepper, bundle, spec.q_table(grid)[:, : grid.ny // 2 + 1]
+    return grid, params, stepper, bundle, spec.q_table(grid)
 
 
 def run_split_stochastic(
@@ -211,12 +216,11 @@ def run_split_stochastic(
         )
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
     propagator = ConvolutionPropagator(grid, cfg.dt)
-    half = q.shape[1]
-    Z_hat = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
+    Z_hat = np.zeros(q.shape + (grid.nlev,), dtype=complex)
 
     def advance(state: State, terms: StateTerms) -> State:
         nonlocal Z_hat
-        Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step, :, :half], q)
+        Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step], q)
         new = stepper.step(state, kick_hat=Z_next - stepper.coupled.solve_hat(Z_hat),
                            terms=terms)
         Z_hat = Z_next
@@ -244,11 +248,10 @@ def run_direct_em(
     state whose step is set reproduces the uninterrupted run bit for bit.
     """
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
-    half = q.shape[1]
 
     def advance(state: State, terms: StateTerms) -> State:
-        kick = np.zeros((grid.nx, half, grid.nlev), dtype=complex)
-        kick[..., -1] = q * bundle.increments[state.step, :, :half]
+        kick = np.zeros(q.shape + (grid.nlev,), dtype=complex)
+        kick[..., -1] = q * bundle.increments[state.step]
         return stepper.step(state, kick_hat=kick, terms=terms)
 
     state = initial_state_from_config(grid, cfg) if initial is None else initial

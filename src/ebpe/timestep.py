@@ -22,7 +22,8 @@ manufactured-solution runs) comes as a half spectrum in the
 `pack_fields` layout and is added to the dealiased tendencies, so it
 costs no transform.  `nonlinear_tendencies` is the
 physical-space form of step 1 on the full-spectrum transforms; no driver
-calls it, the tests use it as the reference for the spectral tendencies.
+calls it, the tests use it as the reference for the spectral tendencies
+and the benchmark traces it.
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
@@ -502,8 +503,14 @@ def run_deterministic(
 
     A run resumed from a snapshot state whose step is set continues the
     step count and reproduces the uninterrupted run bit for bit
-    (IMEX Euler).
+    (IMEX Euler).  A config with boundary noise is rejected: the noise
+    drivers are in `ebpe.stochastic`.
     """
+    if cfg.noise_sigma > 0.0:
+        raise ValueError(
+            f"the deterministic driver takes no boundary noise (noise sigma = "
+            f"{cfg.noise_sigma}); use run-stoch or run-direct-em"
+        )
     grid = grid_from_config(cfg)
     params = params_from_config(grid, cfg)
     stepper = Stepper(

@@ -21,10 +21,14 @@ def rng():
 
 
 def solve_one_mode(solver, i, j, rhs):
-    """solver.solve_hat of a full-spectrum stack that holds rhs at mode
-    (i, j) and zeros elsewhere, read back at (i, j)."""
+    """solver.solve_hat at full-spectrum mode (i, j) of rhs: a half-spectrum
+    stack holds rhs at the representative of (i, j) and zeros elsewhere,
+    and is read back there.  A mode with j > Ny/2 is represented by its
+    conjugate partner ((-i) mod Nx, Ny - j), which has the same |xi|^2."""
     grid = solver.grid
-    stack = np.zeros((grid.nx, grid.ny, rhs.size), dtype=complex)
+    if j > grid.ny // 2:
+        i, j = -i % grid.nx, grid.ny - j
+    stack = np.zeros((grid.nx, grid.ny // 2 + 1, rhs.size), dtype=complex)
     stack[i, j] = rhs
     return solver.solve_hat(stack)[i, j]
 

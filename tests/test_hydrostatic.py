@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebpe import pressure_field, project_barotropic, vertical_average
-from ebpe.grid import div_h, grad_h, irfft_h, rfft_h
+from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import cumulative_integral, trapz_weights
 from ebpe.monitors import l2sq_volume
 
@@ -14,6 +14,7 @@ from conftest import (
     project_barotropic_physical,
     smooth_field_3d,
 )
+from oracles import div_h, grad_h
 
 
 class TestVerticalAverage:

@@ -285,6 +285,15 @@ class TestCli:
         assert f"{attr} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_run_det_rejects_noise(self, tmp_path, capsys):
+        text = RUN_INI + "[physics]\ntransport = vertical_average\n[noise]\nsigma = 0.1\n"
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run-det", "--config", str(cfgp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "run-stoch" in err and "run-direct-em" in err
+        assert not out.exists()
+
     def test_stochastic_surface_trace_exit_code(self, tmp_path):
         text = RUN_INI + "[physics]\ntransport = surface_trace\n[noise]\nsigma = 0.1\n"
         bad = write_config(tmp_path, text)

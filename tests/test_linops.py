@@ -5,16 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ebpe import (
-    assemble_mode_operator,
-    dirichlet_map,
-    dtn_apply,
-    make_grid,
-    similarity_split,
-    solve_coupled_implicit,
-    solve_velocity_implicit,
-    spectrum_report,
-)
+from ebpe import make_grid, spectrum_report
+from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import trapz_weights
 from ebpe.stochastic import ConvolutionPropagator
 from ebpe.linops import (
@@ -28,10 +20,17 @@ from ebpe.linops import (
     eigenbasis,
     neumann_vertical_matrix,
     retained_modes,
-    similarity_unsplit,
+    stack_fields_hat,
 )
 
 from conftest import smooth_field_2d, solve_one_mode
+from oracles import (
+    assemble_mode_operator,
+    dirichlet_map,
+    dtn_apply,
+    similarity_split,
+    similarity_unsplit,
+)
 
 
 class TestModeOperator:
@@ -171,8 +170,8 @@ class TestDirichletColumn:
     def test_matches_bordered_dense_solve(self, n, nz):
         grid = make_grid(n, n, nz)
         theta = _dirichlet_inverse_column(grid)
-        oracle = bordered_dirichlet_column(grid)
-        assert theta.shape == (n, n, grid.nlev)
+        oracle = bordered_dirichlet_column(grid)[:, : n // 2 + 1]
+        assert theta.shape == (n, n // 2 + 1, grid.nlev)
         assert np.max(np.abs(theta - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("nz", [8, 16, 32, 64, 128])
@@ -213,16 +212,30 @@ class TestSimilaritySplit:
         assert np.max(np.abs(back[0] - T)) <= 1e-13 * (1 + np.max(np.abs(T)))
 
 
+def solve_coupled_physical(grid, rhs_T, rhs_rho, dt):
+    """The kernel's coupled solve of physical right-hand sides, through the
+    batched real transforms; the top level of rhs_T is ignored."""
+    stack = stack_fields_hat(grid, rfft_h(grid, rhs_T), rfft_h(grid, rhs_rho))
+    T = irfft_h(grid, CoupledImplicitSolver(grid, dt).solve_hat(stack))
+    return T, T[..., -1].copy()
+
+
+def solve_velocity_physical(grid, rhs_v, dt):
+    """The kernel's velocity solve of a physical (2, Nx, Ny, Nz+1) array."""
+    v_hat = VelocityImplicitSolver(grid, dt).solve_hat(np.stack([rfft_h(grid, c) for c in rhs_v]))
+    return np.stack([irfft_h(grid, c) for c in v_hat])
+
+
 class TestCoupledSolve:
     def test_dt_to_zero_limit(self, grid8, rng):
         rhs_T = smooth_field_2d(grid8, rng)[:, :, None] * np.cos(np.pi * grid8.z)
         rhs_rho = rhs_T[..., -1].copy()
-        T, rho = solve_coupled_implicit(grid8, rhs_T, rhs_rho, dt=1e-12)
+        T, rho = solve_coupled_physical(grid8, rhs_T, rhs_rho, dt=1e-12)
         assert np.max(np.abs(T - rhs_T)) < 1e-9
         assert np.max(np.abs(rho - rhs_rho)) < 1e-9
 
     def test_constants_preserved(self, grid8):
-        T, rho = solve_coupled_implicit(
+        T, rho = solve_coupled_physical(
             grid8, np.full((8, 8, 9), 4.0), np.full((8, 8), 4.0), dt=0.7
         )
         assert np.max(np.abs(T - 4.0)) < 1e-12
@@ -231,7 +244,7 @@ class TestCoupledSolve:
     def test_trace_identity_exact(self, grid8, rng):
         rhs_T = np.random.default_rng(5).standard_normal((8, 8, 9))
         rhs_rho = np.random.default_rng(6).standard_normal((8, 8))
-        T, rho = solve_coupled_implicit(grid8, rhs_T, rhs_rho, dt=0.01)
+        T, rho = solve_coupled_physical(grid8, rhs_T, rhs_rho, dt=0.01)
         assert np.array_equal(T[..., -1], rho)
 
     def test_matches_dense_lu_oracle(self, grid8):
@@ -254,8 +267,8 @@ class TestCoupledSolve:
     def test_linearity(self, grid8):
         rng = np.random.default_rng(10)
         solver = CoupledImplicitSolver(grid8, 0.05)
-        x = rng.standard_normal((8, 8, grid8.nlev)) + 0j
-        y = rng.standard_normal((8, 8, grid8.nlev)) + 0j
+        x = rng.standard_normal((8, 5, grid8.nlev)) + 0j
+        y = rng.standard_normal((8, 5, grid8.nlev)) + 0j
         combined = solver.solve_hat(2.0 * x - 0.5 * y)
         separate = 2.0 * solver.solve_hat(x) - 0.5 * solver.solve_hat(y)
         assert np.max(np.abs(combined - separate)) <= 1e-13 * np.max(np.abs(separate))
@@ -278,7 +291,7 @@ class TestCoupledSolve:
 class TestVelocitySolve:
     def test_constant_preserved_at_mean_mode(self, grid8):
         rhs = np.full((2, 8, 8, 9), 1.5)
-        out = solve_velocity_implicit(grid8, rhs, dt=0.3)
+        out = solve_velocity_physical(grid8, rhs, dt=0.3)
         assert np.max(np.abs(out[..., 0, 0, :] - 1.5)) < 1e-12  # mean column
 
     def test_neumann_eigenfunction(self):
@@ -286,7 +299,7 @@ class TestVelocitySolve:
         grid = make_grid(8, 8, 16)
         rhs = np.zeros((2, 8, 8, grid.nlev))
         rhs[0] = np.cos(np.pi * grid.z)[None, None, :]
-        out = solve_velocity_implicit(grid, rhs, dt=1.0)
+        out = solve_velocity_physical(grid, rhs, dt=1.0)
         expected = np.cos(np.pi * grid.z) / (1 + np.pi**2)
         err = np.max(np.abs(out[0, 0, 0] - expected))
         assert err < 5e-4  # O(h^2)
@@ -313,6 +326,9 @@ def _mode_xi(grid, width):
 
 
 class TestPerModeTables:
+    """The tables are half-spectrum only: a full-width input (half=False)
+    fails in numpy broadcasting."""
+
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("half", [False, True])
     def test_coupled_generator_matches_dense_oracle(self, n, half):
@@ -321,7 +337,12 @@ class TestPerModeTables:
         rng = np.random.default_rng(n + 2 * half)
         shape = (n, width, grid.nlev)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ours = CoupledImplicitSolver(grid, 1e-2).apply_generator_hat(x)
+        solver = CoupledImplicitSolver(grid, 1e-2)
+        if not half:
+            with pytest.raises(ValueError):
+                solver.apply_generator_hat(x)
+            return
+        ours = solver.apply_generator_hat(x)
         oracle = np.empty_like(x)
         for i, j, xi in _mode_xi(grid, width):
             oracle[i, j] = assemble_mode_operator(xi, grid) @ x[i, j]
@@ -335,7 +356,12 @@ class TestPerModeTables:
         rng = np.random.default_rng(n + 2 * half + 1)
         shape = (2, n, width, grid.nlev)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ours = VelocityImplicitSolver(grid, 1e-2).apply_generator_hat(x)
+        solver = VelocityImplicitSolver(grid, 1e-2)
+        if not half:
+            with pytest.raises(ValueError):
+                solver.apply_generator_hat(x)
+            return
+        ours = solver.apply_generator_hat(x)
         base, eye = neumann_vertical_matrix(grid), np.eye(grid.nlev)
         oracle = np.empty_like(x)
         for i, j, _ in _mode_xi(grid, width):
@@ -352,8 +378,15 @@ class TestPerModeTables:
         rng = np.random.default_rng(n + 2 * half)
         shape = (n, width, grid.nlev)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coupled = CoupledImplicitSolver(grid, dt).solve_hat(x)
-        velocity = VelocityImplicitSolver(grid, dt).solve_hat(x)
+        solvers = CoupledImplicitSolver(grid, dt), VelocityImplicitSolver(grid, dt)
+        if not half:
+            for solver in solvers:
+                with pytest.raises(ValueError):
+                    solver.solve_hat(x)
+                with pytest.raises(ValueError):
+                    solver.solve_hat(x[None])  # a velocity pair
+            return
+        coupled, velocity = (solver.solve_hat(x) for solver in solvers)
         base = neumann_vertical_matrix(grid)
         for i, j, xi in _mode_xi(grid, width):
             M = assemble_mode_operator(xi, grid)
@@ -377,13 +410,15 @@ class TestPerModeTables:
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         built = solver(grid, 1e-3)
         assert calls == [(grid.nlev, grid.nlev)]
-        # per-mode tables hold one diagonal per mode; the other arrays are
-        # vertical or basis matrices, whose size does not depend on Nx, Ny
+        # per-mode tables hold one diagonal per mode of the half spectrum;
+        # the other arrays are vertical or basis matrices, whose size does
+        # not depend on Nx, Ny
+        half = (grid.nx, grid.ny // 2 + 1)
         for value in vars(built).values():
             if not isinstance(value, np.ndarray):
                 continue
-            if value.shape[:2] == (grid.nx, grid.ny):
-                assert value.size <= grid.nx * grid.ny * grid.nlev
+            if value.shape[:2] == half:
+                assert value.size <= half[0] * half[1] * grid.nlev
             else:
                 assert value.size <= 2 * (2 * grid.nlev) ** 2
 

@@ -81,7 +81,7 @@ def test_vertical_average_solenoidal():
     grid = make_grid(8, 8, 16)
     v = EX.velocity(grid, 0.81)
     from ebpe.hydrostatic import vertical_average
-    from ebpe.grid import div_h
+    from oracles import div_h
     vbar = vertical_average(grid, v)
     assert np.max(np.abs(div_h(grid, vbar))) < 1e-12
 

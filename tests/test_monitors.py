@@ -14,8 +14,6 @@ from ebpe.monitors import (
     Ledger,
     LedgerRecord,
     constraint_check,
-    energy_ledger_check,
-    h1_ledger_check,
     l2sq_surface,
     l2sq_volume,
     max_principle_bound,
@@ -28,6 +26,7 @@ from ebpe.monitors import (
 from ebpe.timestep import initial_state, run_deterministic
 
 from conftest import project_barotropic_physical, rough_state, smooth_field_3d
+from oracles import energy_ledger_check, h1_ledger_check
 
 
 def _record(t, energy, h1=0.0):

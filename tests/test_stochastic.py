@@ -8,16 +8,12 @@ import scipy.linalg
 
 from ebpe import diagnostics, make_grid, project_barotropic
 from ebpe.config import RunConfig
-from ebpe.grid import to_physical, to_spectral
-from ebpe.linops import (
-    assemble_mode_operator,
-    coupled_vertical_matrix,
-    solve_coupled_implicit,
-    solve_velocity_implicit,
-)
+from ebpe.grid import irfft_h, rfft_h, to_spectral
+from ebpe.linops import coupled_vertical_matrix
 from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
+    PathBundle,
     noise_spec_from_config,
     run_direct_em,
     run_split_stochastic,
@@ -32,6 +28,8 @@ from ebpe.timestep import (
     params_from_config,
     run_deterministic,
 )
+
+from oracles import assemble_mode_operator, solve_coupled_implicit, solve_velocity_implicit
 
 BASE = dict(nx=8, ny=8, nz=8, transport="vertical_average",
             ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
@@ -82,9 +80,15 @@ class TestWienerIncrements:
         assert np.array_equal(w[:, 1, 0], np.conj(w[:, -1, 0]))
 
     def test_conjugate_symmetry_gives_real_fields(self, grid8):
-        bundle = wiener_increments(grid8, NoiseSpec(sigma=1.0, seed=3), 0.01, 4)
-        slice0 = np.fft.ifft2(bundle.increments[0])
-        assert np.max(np.abs(slice0.imag)) <= 1e-13 * (1 + np.max(np.abs(slice0.real)))
+        # the half bundle loses nothing: each slice transforms back to the
+        # white-noise draw of its seed
+        dt = 0.01
+        bundle = wiener_increments(grid8, NoiseSpec(sigma=1.0, seed=3), dt, 4)
+        assert bundle.increments.shape == (4, 8, 5)
+        white = np.random.default_rng(3).standard_normal((4, 8, 8)) * np.sqrt(dt)
+        for k in range(4):
+            back = irfft_h(grid8, bundle.increments[k]) / np.sqrt(grid8.nx * grid8.ny)
+            assert np.max(np.abs(back - white[k])) <= 1e-15
 
     def test_coarsen_sums_increments(self, grid8):
         bundle = wiener_increments(grid8, NoiseSpec(sigma=1.0, seed=4), 0.01, 8)
@@ -106,8 +110,8 @@ class TestConvolutionPropagator:
         prop = ConvolutionPropagator(grid8, dt)
         n = grid8.nlev
         base = coupled_vertical_matrix(grid8)
-        Z = rng.standard_normal((8, 8, n)) + 1j * rng.standard_normal((8, 8, n))
-        dW = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        Z = rng.standard_normal((8, 5, n)) + 1j * rng.standard_normal((8, 5, n))
+        dW = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
         q = NoiseSpec().q_table(grid8)
         # the exponential and the injected phi1 column, each on its own;
         # relative to the whole array, since on strongly damped modes
@@ -116,7 +120,7 @@ class TestConvolutionPropagator:
         injected = prop.step_hat(np.zeros_like(Z), dW, q)
         oracle_propagated, oracle_injected = np.empty_like(Z), np.empty_like(Z)
         for i in range(grid8.nx):
-            for j in range(grid8.ny):
+            for j in range(5):
                 aug = np.zeros((n + 1, n + 1))
                 aug[:n, :n] = dt * (base - grid8.xi2[i, j] * np.eye(n))
                 aug[n - 1, n] = 1.0
@@ -125,23 +129,23 @@ class TestConvolutionPropagator:
                 oracle_injected[i, j] = ex[:n, n] * (q[i, j] * dW[i, j])
         for ours, oracle in ((propagated, oracle_propagated), (injected, oracle_injected)):
             assert np.max(np.abs(ours - oracle)) <= 1e-12 * np.max(np.abs(oracle))
-        # a half spectrum steps through the column view of the same maps
-        full = prop.step_hat(Z, dW, q)
-        half = prop.step_hat(Z[:, :5], dW[:, :5], q[:, :5])
-        assert np.array_equal(half, full[:, :5])
+        # the maps are half-spectrum only: a full-width stack is rejected
+        full = rng.standard_normal((8, 8, n)) + 0j
+        with pytest.raises(ValueError):
+            prop.step_hat(full, np.zeros((8, 8), complex), np.zeros((8, 8)))
 
     def test_kernel_mode_invariant_without_noise(self, grid8):
         prop = ConvolutionPropagator(grid8, dt=0.05)
-        Z = np.zeros((8, 8, grid8.nlev), dtype=complex)
+        Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[0, 0, :] = 2.0  # constant stack on the mean mode: kernel of the operator
-        out = prop.step_hat(Z, np.zeros((8, 8), complex), np.zeros((8, 8)))
+        out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
         assert np.max(np.abs(out - Z)) < 1e-13
 
     def test_deterministic_decay_without_noise(self, grid8):
         prop = ConvolutionPropagator(grid8, dt=0.05)
-        Z = np.zeros((8, 8, grid8.nlev), dtype=complex)
+        Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[1, 0, :] = 1.0
-        out = prop.step_hat(Z, np.zeros((8, 8), complex), np.zeros((8, 8)))
+        out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
         assert np.max(np.abs(out[1, 0])) < np.max(np.abs(Z[1, 0]))
 
     def test_scalar_surrogate_stationary_variance(self):
@@ -230,16 +234,16 @@ class TestDrivers:
 
         full = initial_state_from_config(grid, cfg)
         rem_T, rem_rho = full.T, full.rho
-        Z = np.zeros((8, 8, grid.nlev), dtype=complex)
+        Z = np.zeros((8, 5, grid.nlev), dtype=complex)
         for k in range(cfg.n_steps()):
             F_v, F_T, F_rho = nonlinear_tendencies(grid, full, params)
             v_star = solve_velocity_implicit(grid, full.v + dt * F_v, dt)
-            v_hat, _ = project_barotropic(grid, np.stack([to_spectral(grid, c) for c in v_star]))
-            v = np.stack([to_physical(grid, c) for c in v_hat])
+            v_hat, _ = project_barotropic(grid, np.stack([rfft_h(grid, c) for c in v_star]))
+            v = np.stack([irfft_h(grid, c) for c in v_hat])
             rem_T, rem_rho = solve_coupled_implicit(grid, rem_T + dt * F_T,
                                                     rem_rho + dt * F_rho, dt)
             Z = prop.step_hat(Z, bundle.increments[k], q)
-            T = rem_T + to_physical(grid, Z)
+            T = rem_T + irfft_h(grid, Z)
             full = State(v=v, T=T, rho=T[..., -1].copy(), t=(k + 1) * dt, step=k + 1)
 
         res = run_split_stochastic(cfg, spec=spec, bundle=bundle)
@@ -264,6 +268,13 @@ class TestDrivers:
         wrong_dt = wiener_increments(grid8, spec, 2e-3, 10)
         with pytest.raises(ValueError, match="bundle"):
             run_direct_em(cfg, spec=spec, bundle=wrong_dt)
+        # increments drawn on another grid, or 8x8 increments at full width
+        for bundle in (wiener_increments(make_grid(8, 16, 8), spec, 1e-3, 10),
+                       wiener_increments(make_grid(16, 8, 8), spec, 1e-3, 10),
+                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3, seed=1)):
+            for driver in (run_split_stochastic, run_direct_em):
+                with pytest.raises(ValueError, match="path bundle does not match the run"):
+                    driver(cfg, spec=spec, bundle=bundle)
 
     def test_direct_em_restart_splice_bitwise(self, tmp_path):
         cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, cadence=5,
@@ -340,10 +351,10 @@ class TestDrivers:
             spec = NoiseSpec(sigma=0.5, decay=2.0, seed=1000 + s)
             bundle = wiener_increments(grid, spec, 0.01, steps)
             q = spec.q_table(grid)
-            Z = np.zeros((8, 8, grid.nlev), dtype=complex)
+            Z = np.zeros((8, 5, grid.nlev), dtype=complex)
             for k in range(steps):
                 Z = prop.step_hat(Z, bundle.increments[k], q)
-            finals[s] = np.fft.ifft2(Z[..., -1], norm="forward").real
+            finals[s] = irfft_h(grid, Z[..., -1])
         mean = finals.mean(axis=0)
         se = finals.std(axis=0, ddof=1) / np.sqrt(n_seeds)
         assert np.all(np.abs(mean) <= 3.0 * se)
