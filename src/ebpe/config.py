@@ -219,6 +219,9 @@ def validate_config(cfg: RunConfig) -> list[str]:
             "boundary noise requires transport=vertical_average "
             "(surface-trace transport is a deterministic-only variant)"
         )
+    for name, seed in (("ic_seed", cfg.ic_seed), ("noise_seed", cfg.noise_seed)):
+        if seed < 0:
+            errors.append(f"{name} must be >= 0, got {seed}")
     if cfg.cadence < 1:
         errors.append(f"cadence must be >= 1, got {cfg.cadence}")
     if cfg.ic_amplitude < 0.0:

@@ -12,12 +12,16 @@ stack of fields (horizontal axes first, any trailing axes) to or from its
 half spectrum of shape (Nx, Ny//2+1, ...), whose columns are ky = 0 ..
 Ny/2, and every per-mode table of the kernel has that width.
 
-`to_spectral`/`to_physical` give the full (Nx, Ny) spectrum of one field
-and check conjugate symmetry on the way back.  They, the full tables
-below and the full-width branch of `match_columns` (taken by `dealias`,
-`deriv_x` and `deriv_y`) remain only for the physical-space reference
-path, `timestep.nonlinear_tendencies`, which the benchmark traces; the
-other full-spectrum references live with the tests (`tests/oracles.py`).
+The step kernel differentiates and inverts on half spectra by one
+multiply with a table built once per grid: `ixi_half`, the stacked
+symbols (i xi_x, i xi_y), and `inv_lap_half`, the inverse of the discrete
+div(grad .) symbol.  `to_spectral`/`to_physical` give the full (Nx, Ny)
+spectrum of one field and check conjugate symmetry on the way back.
+They, the full tables below, `match_columns` and the functions that
+call it (`dealias`, `deriv_x`, `deriv_y`) remain only for the
+physical-space reference path, `timestep.nonlinear_tendencies`, which
+the benchmark traces, and for the tests; the other full-spectrum
+references live with the tests (`tests/oracles.py`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
@@ -56,12 +60,18 @@ class Grid:
         over the Ny//2+1 columns of a half spectrum.  They are the first
         columns of the full tables: FFT order stores ky = Ny/2 as -Ny/2,
         and every table is even in ky or zero there.
+    ixi_half : complex (2, Nx, Ny//2+1) derivative symbols (1j * xi_x,
+        1j * xi_y_half): multiplying a half spectrum by row 0 (row 1) is
+        deriv_x (deriv_y), bit for bit.
+    inv_lap_half : (Nx, Ny//2+1) inverse -1 / xi2_deriv_half of the discrete
+        div(grad .) symbol, 0 where that symbol vanishes.
     norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
         the power of a half spectrum into the squared L2 norm over the unit
         section (row 0) and that of the horizontal gradient (row 1, times
         xi2_deriv_half).  Row 0 is 1 on the ky = 0 and ky = Ny/2 columns,
         which have no conjugate partner in the half spectrum, 2 elsewhere.
     x, y : collocation coordinates, shape (Nx, Ny).
+    nlev : number of vertical levels, Nz + 1.
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
     trapz_w : read-only trapezoid weights over z in [0, 1], shape (Nz+1,).
     """
@@ -77,6 +87,7 @@ class Grid:
         if self.nz < 4:
             raise GridSizeError(f"Nz must be >= 4, got {self.nz}")
 
+        object.__setattr__(self, "nlev", self.nz + 1)
         kx = np.fft.fftfreq(self.nx, 1.0 / self.nx).astype(np.int64)
         ky = np.fft.fftfreq(self.ny, 1.0 / self.ny).astype(np.int64)
         object.__setattr__(self, "kx", kx)
@@ -107,6 +118,12 @@ class Grid:
         object.__setattr__(self, "xi2_half", self.xi2[:, :half].copy())
         object.__setattr__(self, "xi2_deriv_half", xi2_deriv[:, :half].copy())
         object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
+        object.__setattr__(self, "ixi_half",
+                           np.stack(np.broadcast_arrays(1j * self.xi_x, 1j * self.xi_y_half)))
+        xi2_half = self.xi2_deriv_half
+        object.__setattr__(self, "inv_lap_half",
+                           np.divide(-1.0, xi2_half, out=np.zeros_like(xi2_half),
+                                     where=xi2_half > 0.0))
         weights = np.full((self.nx, half), 2.0)
         weights[:, 0] = weights[:, -1] = 1.0
         object.__setattr__(self, "norm_weights_half",
@@ -124,11 +141,6 @@ class Grid:
         trapz_w[-1] *= 0.5
         trapz_w.flags.writeable = False
         object.__setattr__(self, "trapz_w", trapz_w)
-
-    @property
-    def nlev(self) -> int:
-        """Number of vertical levels (Nz + 1)."""
-        return self.nz + 1
 
     def zeros2d(self) -> np.ndarray:
         return np.zeros((self.nx, self.ny))
@@ -184,7 +196,8 @@ def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"field shape {fields.shape} does not match grid ({grid.nx}, {grid.ny})"
         )
-    return np.fft.rfft2(fields, axes=(0, 1), norm="forward")
+    # rfft2's two passes, in its order, without its argument handling
+    return np.fft.fft(np.fft.rfft(fields, grid.ny, 1, "forward"), grid.nx, 0, "forward")
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -198,7 +211,8 @@ def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
             f"half-spectrum shape {coeffs.shape} does not match grid "
             f"({grid.nx}, {grid.ny // 2 + 1})"
         )
-    return np.fft.irfft2(coeffs, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward")
+    # irfft2's two passes, in its order, without its argument handling
+    return np.fft.irfft(np.fft.ifft(coeffs, grid.nx, 0, "forward"), grid.ny, 1, "forward")
 
 
 def pack_fields(v: np.ndarray, T: np.ndarray, surface: np.ndarray) -> np.ndarray:
@@ -251,7 +265,9 @@ def deriv_z(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Vertical derivative of a 3D field: centered interior, one-sided ends."""
     h = grid.dz
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    interior = out[..., 1:-1]
+    np.subtract(f[..., 2:], f[..., :-2], out=interior)
+    interior /= 2.0 * h
     out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
     out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
     return out

@@ -7,19 +7,20 @@ part of the vertically averaged velocity (pressure projection) and the
 potential of the removed gradient identifies the surface-pressure
 contribution.
 
-The horizontal operators act on spectral coefficients; callers holding
-physical fields transform at the call site.  `project_barotropic` takes
-the (Nx, Ny//2+1) half spectra of the step kernel only.  `diagnose_w` and
-`baroclinic_grad` take half spectra, or the full spectra of the
-physical-space reference path (`timestep.nonlinear_tendencies`, see
-`ebpe.grid`).
+The horizontal operators act on the (Nx, Ny//2+1) half spectra of the
+step kernel; callers holding physical fields transform at the call site.
+They differentiate by one multiply with the grid's stacked symbol table
+`ixi_half` and invert the horizontal Laplacian with `inv_lap_half`, so
+none of them goes through `grid.deriv_x`/`deriv_y`; the physical-space
+reference path (`timestep.nonlinear_tendencies`) spells out its own
+full-spectrum forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid, deriv_x, deriv_y
+from .grid import Grid
 
 
 def trapz_weights(grid: Grid) -> np.ndarray:
@@ -35,17 +36,19 @@ def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 def cumulative_integral(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Running trapezoid integral from z=0; output level j holds int_0^{z_j} f."""
-    out = np.zeros_like(f)
+    out = np.empty_like(f)
+    out[..., 0] = 0.0
     increments = 0.5 * grid.dz * (f[..., 1:] + f[..., :-1])
-    np.cumsum(increments, axis=-1, out=out[..., 1:])
+    np.add.accumulate(increments, axis=-1, out=out[..., 1:])
     return out
 
 
 def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility, w = -int_0^z div_H v, from
-    the spectral velocity (2, Nx, W, Nz+1); spectral output (Nx, W, Nz+1),
-    W = Ny//2+1 (or Ny on the reference path)."""
-    return -cumulative_integral(grid, deriv_x(grid, v_hat[0]) + deriv_y(grid, v_hat[1]))
+    the half-spectrum velocity (2, Nx, Ny//2+1, Nz+1); half-spectrum output
+    (Nx, Ny//2+1, Nz+1)."""
+    d = grid.ixi_half[..., None] * v_hat
+    return -cumulative_integral(grid, d[0] + d[1])
 
 
 def pressure_field(grid: Grid, T: np.ndarray, p_s: np.ndarray) -> np.ndarray:
@@ -55,10 +58,9 @@ def pressure_field(grid: Grid, T: np.ndarray, p_s: np.ndarray) -> np.ndarray:
 
 def baroclinic_grad(grid: Grid, T_hat: np.ndarray) -> np.ndarray:
     """grad_H of the running temperature integral, zero at z=0 by
-    construction; spectral T (Nx, W, Nz+1) to spectral (2, Nx, W, Nz+1),
-    W = Ny//2+1 (or Ny on the reference path)."""
-    c = cumulative_integral(grid, T_hat)
-    return np.stack((deriv_x(grid, c), deriv_y(grid, c)))
+    construction; half-spectrum T (Nx, Ny//2+1, Nz+1) to half spectra
+    (2, Nx, Ny//2+1, Nz+1)."""
+    return grid.ixi_half[..., None] * cumulative_integral(grid, T_hat)
 
 
 def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,13 +74,8 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.nd
     the removed gradient, which is dt times the surface pressure of one
     step.
     """
-    vbar = vertical_average(grid, v_hat)
-    div_hat = deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1])
+    d = grid.ixi_half * vertical_average(grid, v_hat)
     # invert the same discrete div(grad .) symbol that the residual sees,
     # so the projected average is solenoidal to roundoff on every mode
-    xi2 = grid.xi2_deriv_half
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi_hat = np.where(xi2 > 0.0, div_hat / (-xi2), 0.0)
-    grad = np.stack((deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)))
-    return v_hat - grad[..., None], phi_hat
-
+    phi_hat = (d[0] + d[1]) * grid.inv_lap_half
+    return v_hat - (grid.ixi_half * phi_hat)[..., None], phi_hat

@@ -24,15 +24,14 @@ diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
 V diag(d) V^-1 with a real (Nx, Ny//2+1, n) table d (`apply_diagonal`),
 and a generator is applied, never tabulated, as the one vertical matrix
 product minus |xi|^2 times the column.  The spectrum report takes every mode's
-eigenvalues as omega + |xi|^2 - lam from the same eigenvalues, and the
-harmonic extension behind the Dirichlet-to-Neumann symbol is diagonal in
-the eigenbasis of the Dirichlet block vertical[:Nz, :Nz].
+eigenvalues as omega + |xi|^2 - lam from the same eigenvalues.
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
 of the step kernel (`grid.xi2_half`); a full-width spectrum fails in
-numpy broadcasting with a ValueError.  The dense per-mode matrices and
-the physical-space solves that check these tables live with the tests
-(`tests/oracles.py`).
+numpy broadcasting with a ValueError.  The dense per-mode matrices, the
+physical-space solves that check these tables, and the harmonic
+extension and Dirichlet-to-Neumann symbol of the similarity transform
+live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -135,9 +134,10 @@ def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray) -> np
     (..., Nx, Ny//2+1, n)."""
     x = np.ascontiguousarray(x_hat, dtype=np.complex128)
     n = diag.shape[-1]
-    y = (x.view(np.float64).reshape(-1, 2 * n) @ basis[0]).reshape(x.shape[:-1] + (2, n))
-    y *= diag[:, :, None, :]
-    return (y.reshape(-1, 2 * n) @ basis[1]).view(np.complex128).reshape(x.shape)
+    y = x.view(np.float64).reshape(-1, 2 * n) @ basis[0]
+    coords = y.reshape(x.shape[:-1] + (2, n))  # a view of y
+    coords *= diag[:, :, None, :]
+    return (y @ basis[1]).view(np.complex128).reshape(x.shape)
 
 
 def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
@@ -200,38 +200,6 @@ def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.n
     stack[..., : grid.nz] = T_hat[..., : grid.nz]
     stack[..., grid.nz] = rho_hat
     return stack
-
-
-def _dirichlet_inverse_column(grid: Grid) -> np.ndarray:
-    """Per-mode solution column of the harmonic-extension problem.
-
-    Solves (interior rows of the mode operator, top value = Dirichlet data
-    1) for all modes of the half spectrum at once; returns theta over
-    levels, shape (Nx, Ny//2+1, Nz+1), real.  The extension for mode xi
-    of unit boundary data approximates cosh(|xi| z) / cosh(|xi|).
-
-    The rows of the vertical matrix sum to zero, so with the Dirichlet
-    block D = V diag(lam) V^-1 the interior is
-    (D - |xi|^2)^-1 D 1 = 1 + V diag(|xi|^2 / (lam - |xi|^2)) V^-1 1,
-    which is exactly 1 at the mean mode.
-    """
-    nz = grid.nz
-    lam, V, V_inv = eigenbasis(coupled_vertical_matrix(grid)[:nz, :nz])
-    xi2 = grid.xi2_half[..., None]
-    theta = np.ones(grid.xi2_half.shape + (grid.nlev,))
-    theta[..., :nz] += (xi2 / (lam - xi2) * V_inv.sum(axis=1)) @ V.T
-    return theta
-
-
-def dtn_symbols(grid: Grid) -> np.ndarray:
-    """Discrete Dirichlet-to-Neumann multiplier per mode of the half
-    spectrum, shape (Nx, Ny//2+1).
-
-    Continuum symbol: |xi| tanh(|xi|); exactly zero at the mean mode,
-    where theta is exactly 1 and the integer stencil sums to 0.
-    """
-    theta = _dirichlet_inverse_column(grid)
-    return theta[..., -5:] @ TOP_FLUX_INTEGERS[::-1] / (12.0 * grid.dz)
 
 
 def retained_modes(grid: Grid) -> list[tuple[int, int]]:

@@ -9,11 +9,14 @@ monitor configuration, not physical constants.
 `state_terms` brings a state to everything its ledger record and its
 step read: the half spectra and w (one batched forward transform), the
 horizontal derivatives and w on the grid (one batched inverse
-transform) and the vertical derivatives.  The driver loop hands these
-terms to both `measure` and the next step, so `measure` makes no
-transform: field and horizontal gradient norms come from the half
-spectra by Parseval, vertical derivative norms and the max-norm
-residuals from the physical terms.
+transform) and the vertical derivatives.  The derivative spectra are
+one multiply each by the grid's symbol table `ixi_half`, written with
+w into one array for the inverse transform; nothing here goes through
+`grid.deriv_x`/`deriv_y`.  The driver loop hands these terms to both
+`measure` and the next step, so `measure` makes no transform: field
+and horizontal gradient norms come from the half spectra by Parseval,
+vertical derivative norms and the max-norm residuals from the physical
+terms.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import (Grid, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields,
-                   volume_fields)
+from .grid import Grid, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields, volume_fields
 
 # monitor flag bits, also used in diagnostics rows
 FLAG_MAX_PRINCIPLE = 1
@@ -79,7 +81,13 @@ def state_terms(grid: Grid, state) -> StateTerms:
     v_hat, _, _ = unpack_fields(grid, U)
     w_hat = hydrostatic.diagnose_w(grid, v_hat)
     k = U.shape[-1]
-    fields = irfft_h(grid, np.concatenate((deriv_x(grid, U), deriv_y(grid, U), w_hat), axis=-1))
+    # d/dx and d/dy of every plane, then w, written into one array for one
+    # inverse transform
+    spectra = np.empty(U.shape[:2] + (2 * k + grid.nlev,), dtype=complex)
+    np.multiply(grid.ixi_half[0][..., None], U, out=spectra[..., :k])
+    np.multiply(grid.ixi_half[1][..., None], U, out=spectra[..., k : 2 * k])
+    spectra[..., 2 * k :] = w_hat
+    fields = irfft_h(grid, spectra)
     return StateTerms(
         U=U,
         w_hat=w_hat,
@@ -118,10 +126,10 @@ def _residuals(grid: Grid, state, terms: StateTerms) -> ConstraintResiduals:
     n = grid.nlev
     div_bar = (terms.dx[..., :n] + terms.dy[..., n : 2 * n]) @ grid.trapz_w
     return ConstraintResiduals(
-        trace=float(np.max(np.abs(state.T[..., -1] - state.rho))),
-        bottom_neumann=float(np.max(np.abs(terms.dz_T[..., 0]))),
-        solenoidal=float(np.max(np.abs(div_bar))),
-        w_top=float(np.max(np.abs(terms.w[..., -1]))),
+        trace=float(np.abs(state.T[..., -1] - state.rho).max()),
+        bottom_neumann=float(np.abs(terms.dz_T[..., 0]).max()),
+        solenoidal=float(np.abs(div_bar).max()),
+        w_top=float(np.abs(terms.w[..., -1]).max()),
     )
 
 
@@ -168,9 +176,9 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
         t=state.t,
         energy=0.5 * float(volume[0].sum() + norms[0, 3 * n]),
         dissipation=gv + gT + gr,
-        rho_l5=float(np.sum(np.abs(state.rho) ** 5) / (grid.nx * grid.ny)),
-        sup_T=float(np.max(np.abs(state.T))),
-        sup_rho=float(np.max(np.abs(state.rho))),
+        rho_l5=float((np.abs(state.rho) ** 5).sum() / (grid.nx * grid.ny)),
+        sup_T=float(np.abs(state.T).max()),
+        sup_rho=float(np.abs(state.rho).max()),
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
@@ -230,8 +238,8 @@ def max_principle_check(
     """
     C = max_principle_bound(params, *T0_bounds)
     tol = 1e-6 + 10.0 * dt * (1.0 + C**3)
-    sup_T = float(np.max(np.abs(state.T)))
-    sup_rho = float(np.max(np.abs(state.rho)))
+    sup_T = float(np.abs(state.T).max())
+    sup_rho = float(np.abs(state.rho).max())
     value = max(sup_T, sup_rho)
     ok = value <= C + tol
     location = None
@@ -253,18 +261,10 @@ def energy_step_check(
     dt: float,
     c_led: float = 50.0,
     tol_e: float = 1e-10,
-    strict: bool = False,
 ) -> str | None:
     """Energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + tol for one
-    step; returns the violation message, or None when it holds.
-
-    With strict=True (pure diffusion: velocity frozen, no insolation, no
-    radiation) the energy must not increase at all beyond roundoff.
-    """
-    if strict:
-        allowed = prev.energy * (1.0 + 1e-14)
-    else:
-        allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + tol_e
+    step; returns the violation message, or None when it holds."""
+    allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + tol_e
     if record.energy > allowed:
         return (f"energy ledger violated at step {step}: "
                 f"E={record.energy:.6e} > allowed {allowed:.6e}")

@@ -20,10 +20,11 @@ for both the ledger and the step, so a step of a driver costs two
 transforms and its ledger record none.  An optional forcing (the
 manufactured-solution runs) comes as a half spectrum in the
 `pack_fields` layout and is added to the dealiased tendencies, so it
-costs no transform.  `nonlinear_tendencies` is the
-physical-space form of step 1 on the full-spectrum transforms; no driver
-calls it, the tests use it as the reference for the spectral tendencies
-and the benchmark traces it.
+costs no transform.  The kernel differentiates with the grid's symbol
+tables (`ebpe.grid`).  `nonlinear_tendencies` is the physical-space form
+of step 1 on the full-spectrum transforms and `grid.deriv_x`/`deriv_y`;
+no driver calls it, the tests use it as the reference for the spectral
+tendencies and the benchmark traces it.
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
@@ -189,14 +190,15 @@ def nonlinear_tendencies(
     v, T, rho = state.v, state.T, state.rho
     v_hat0 = to_spectral(grid, v[0])
     v_hat1 = to_spectral(grid, v[1])
-    w = to_physical(grid, hydrostatic.diagnose_w(grid, np.stack((v_hat0, v_hat1))))
+    w = to_physical(grid, -hydrostatic.cumulative_integral(
+        grid, deriv_x(grid, v_hat0) + deriv_y(grid, v_hat1)))
 
     dxv = (to_physical(grid, deriv_x(grid, v_hat0)), to_physical(grid, deriv_x(grid, v_hat1)))
     dyv = (to_physical(grid, deriv_y(grid, v_hat0)), to_physical(grid, deriv_y(grid, v_hat1)))
     dzv = (deriv_z(grid, v[0]), deriv_z(grid, v[1]))
 
-    grad_hat = hydrostatic.baroclinic_grad(grid, to_spectral(grid, T))
-    F_v = np.stack((to_physical(grid, grad_hat[0]), to_physical(grid, grad_hat[1])))
+    c = hydrostatic.cumulative_integral(grid, to_spectral(grid, T))
+    F_v = np.stack((to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))))
     for comp in range(2):
         adv = v[0] * dxv[comp] + v[1] * dyv[comp] + w * dzv[comp]
         F_v[comp] -= _dealias_product(grid, adv)
@@ -228,7 +230,7 @@ def _check_finite(state: State, previous: State) -> None:
     """One max-norm per field: a NaN or inf fails the threshold test, and
     the finiteness of that one number tells it from a runaway."""
     for name, f in (("v", state.v), ("T", state.T), ("rho", state.rho)):
-        sup = np.max(np.abs(f))
+        sup = np.abs(f).max()
         if sup <= BLOWUP_SUP:
             continue
         if not np.isfinite(sup):
@@ -250,7 +252,8 @@ class Stepper:
     (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout, added to the
     dealiased explicit tendencies at each step's start time t; the
     manufactured-solution runs pass `ManufacturedSolution.spectral_forcing
-    (grid)`.  It is first called by the first step, never here.
+    (grid)`.  It is first called by the first step, never here; a return
+    value of any other shape raises ValueError there.
     freeze_velocity pins v to its initial value (pure-diffusion studies).
 
     The radiation term is explicit; its emission part is dissipative but
@@ -298,30 +301,39 @@ class Stepper:
         _, T_hat, _ = unpack_fields(grid, terms.U)
         k = terms.U.shape[-1]
         v, rho = state.v, state.rho
+        # the products in the pack_fields layout, then the radiation plane,
+        # written into one array for one transform
+        planes = np.empty((grid.nx, grid.ny, k + 1 if params.radiation_on else k))
         # advection of v[0], v[1] and T at once, shaped like terms.dz
-        adv = (v[0][:, :, None] * volume_fields(grid, terms.dx)
-               + v[1][:, :, None] * volume_fields(grid, terms.dy)
-               + terms.w[:, :, None] * terms.dz)
+        adv = volume_fields(grid, planes)
+        np.multiply(v[0][:, :, None], volume_fields(grid, terms.dx), out=adv)
+        adv += v[1][:, :, None] * volume_fields(grid, terms.dy)
+        adv += terms.w[:, :, None] * terms.dz
         if params.transport_variant == VERTICAL_AVERAGE:
             vs = hydrostatic.vertical_average(grid, v)
         else:
             vs = v[:, :, :, -1]
-        adv_rho = vs[0] * terms.dx[..., 3 * n] + vs[1] * terms.dy[..., 3 * n]
-
-        # the products in the pack_fields layout, then the radiation plane;
-        # radiation and forcing are added undealiased
-        planes = [adv.reshape(grid.nx, grid.ny, 3 * n), adv_rho[..., None]]
+        adv_rho = planes[..., 3 * n]
+        np.multiply(vs[0], terms.dx[..., 3 * n], out=adv_rho)
+        adv_rho += vs[1] * terms.dy[..., 3 * n]
         if params.radiation_on:
-            planes.append(radiation(rho, params)[..., None])
-        products = rfft_h(grid, np.concatenate(planes, axis=-1))
+            planes[..., k] = radiation(rho, params)
+        products = rfft_h(grid, planes)
 
-        F = -dealias(grid, products[..., :k])
+        # radiation and forcing are added undealiased
+        F = -np.where(grid.dealias_half[..., None], products[..., :k], 0.0)
         F_v, _, _ = unpack_fields(grid, F)
         F_v += hydrostatic.baroclinic_grad(grid, T_hat)
         if params.radiation_on:
             F[..., 3 * n] += products[..., k]
         if self.forcing is not None:
-            F += self.forcing(grid, state.t)
+            forcing_hat = self.forcing(grid, state.t)
+            shape = getattr(forcing_hat, "shape", None)
+            if shape != F.shape:
+                raise ValueError(
+                    f"forcing returned {type(forcing_hat).__name__} of shape {shape}; "
+                    f"the Stepper takes a spectral_forcing half spectrum of shape {F.shape}")
+            F += forcing_hat
         return F
 
     def step(

@@ -4,11 +4,13 @@ Nothing in the package calls these.  The implicit solves here are dense:
 every mode of the full (Nx, Ny) spectrum gets its own matrix and
 `np.linalg.solve`, through the full-spectrum transforms
 `to_spectral`/`to_physical`, so they share no eigenbasis, table or
-half-spectrum transform with the kernel they check.  The Dirichlet
-extension and the Dirichlet-to-Neumann map apply the package's
-half-spectrum column (`linops._dirichlet_inverse_column`) to physical
-data; the ledger checks run the driver loop's per-step checks over a
-whole ledger.
+half-spectrum transform with the kernel they check.  The hydrostatic
+operators are spelled with `grid.deriv_x`/`deriv_y` (either spectral
+width), the forms that the package's symbol tables (`grid.ixi_half`,
+`grid.inv_lap_half`) must reproduce bit for bit.  The Dirichlet
+extension and the Dirichlet-to-Neumann map apply a half-spectrum column,
+diagonal in the eigenbasis of the Dirichlet block, to physical data; the
+ledger checks run the driver loop's per-step checks over a whole ledger.
 """
 
 from dataclasses import dataclass
@@ -16,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ebpe.grid import deriv_x, deriv_y, irfft_h, rfft_h, to_physical, to_spectral
+from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.linops import (
-    _dirichlet_inverse_column,
+    TOP_FLUX_INTEGERS,
     coupled_vertical_matrix,
-    dtn_symbols,
+    eigenbasis,
     neumann_vertical_matrix,
     stack_fields_hat,
 )
@@ -58,10 +61,67 @@ def solve_velocity_implicit(grid, rhs_v: np.ndarray, dt: float) -> np.ndarray:
                      for c in rhs_v])
 
 
+def diagnose_w(grid, v_hat: np.ndarray) -> np.ndarray:
+    """`hydrostatic.diagnose_w` through deriv_x/deriv_y, for full or half
+    spectra."""
+    return -cumulative_integral(grid, deriv_x(grid, v_hat[0]) + deriv_y(grid, v_hat[1]))
+
+
+def baroclinic_grad(grid, T_hat: np.ndarray) -> np.ndarray:
+    """`hydrostatic.baroclinic_grad` through deriv_x/deriv_y, for full or
+    half spectra."""
+    c = cumulative_integral(grid, T_hat)
+    return np.stack((deriv_x(grid, c), deriv_y(grid, c)))
+
+
+def project_barotropic(grid, v_hat: np.ndarray):
+    """`hydrostatic.project_barotropic` through deriv_x/deriv_y and a
+    guarded division by the discrete div(grad .) symbol; half spectra."""
+    vbar = vertical_average(grid, v_hat)
+    div_hat = deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1])
+    xi2 = grid.xi2_deriv_half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi_hat = np.where(xi2 > 0.0, div_hat / (-xi2), 0.0)
+    grad = np.stack((deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)))
+    return v_hat - grad[..., None], phi_hat
+
+
+def dirichlet_inverse_column(grid) -> np.ndarray:
+    """Per-mode solution column of the harmonic-extension problem.
+
+    Solves (interior rows of the mode operator, top value = Dirichlet data
+    1) for all modes of the half spectrum at once; returns theta over
+    levels, shape (Nx, Ny//2+1, Nz+1), real.  The extension for mode xi
+    of unit boundary data approximates cosh(|xi| z) / cosh(|xi|).
+
+    The rows of the vertical matrix sum to zero, so with the Dirichlet
+    block D = V diag(lam) V^-1 the interior is
+    (D - |xi|^2)^-1 D 1 = 1 + V diag(|xi|^2 / (lam - |xi|^2)) V^-1 1,
+    which is exactly 1 at the mean mode.
+    """
+    nz = grid.nz
+    lam, V, V_inv = eigenbasis(coupled_vertical_matrix(grid)[:nz, :nz])
+    xi2 = grid.xi2_half[..., None]
+    theta = np.ones(grid.xi2_half.shape + (grid.nlev,))
+    theta[..., :nz] += (xi2 / (lam - xi2) * V_inv.sum(axis=1)) @ V.T
+    return theta
+
+
+def dtn_symbols(grid) -> np.ndarray:
+    """Discrete Dirichlet-to-Neumann multiplier per mode of the half
+    spectrum, shape (Nx, Ny//2+1).
+
+    Continuum symbol: |xi| tanh(|xi|); exactly zero at the mean mode,
+    where theta is exactly 1 and the integer stencil sums to 0.
+    """
+    theta = dirichlet_inverse_column(grid)
+    return theta[..., -5:] @ TOP_FLUX_INTEGERS[::-1] / (12.0 * grid.dz)
+
+
 def dirichlet_map(grid, phi: np.ndarray) -> np.ndarray:
     """Extension of surface data phi: vertical diffusion balance with no
     flux through the bottom and phi on the surface."""
-    return irfft_h(grid, _dirichlet_inverse_column(grid) * rfft_h(grid, phi)[:, :, None])
+    return irfft_h(grid, dirichlet_inverse_column(grid) * rfft_h(grid, phi)[:, :, None])
 
 
 def dtn_apply(grid, phi: np.ndarray) -> np.ndarray:
@@ -104,10 +164,20 @@ class LedgerCheckResult:
 
 def energy_ledger_check(ledger, c_led: float = 50.0, tol_e: float = 1e-10,
                         strict: bool = False) -> LedgerCheckResult:
-    """`energy_step_check` over every consecutive pair of ledger records."""
+    """`energy_step_check` over every consecutive pair of ledger records.
+
+    With strict=True (pure diffusion: velocity frozen, no insolation, no
+    radiation) the energy must not increase at all beyond roundoff.
+    """
     for n in range(1, len(ledger)):
-        dt = ledger[n].t - ledger[n - 1].t
-        message = energy_step_check(ledger[n - 1], ledger[n], n, dt, c_led, tol_e, strict)
+        prev, record = ledger[n - 1], ledger[n]
+        if strict:
+            allowed = prev.energy * (1.0 + 1e-14)
+            message = None if record.energy <= allowed else (
+                f"energy ledger violated at step {n}: "
+                f"E={record.energy:.6e} > allowed {allowed:.6e}")
+        else:
+            message = energy_step_check(prev, record, n, record.t - prev.t, c_led, tol_e)
         if message is not None:
             return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)

@@ -18,7 +18,6 @@ from ebpe.config import parse_config
 from ebpe.linops import (
     CoupledImplicitSolver,
     VelocityImplicitSolver,
-    dtn_symbols,
     neumann_vertical_matrix,
     spectrum_report,
 )
@@ -34,7 +33,7 @@ from ebpe.stochastic import (
 from ebpe.timestep import run_deterministic
 
 from conftest import solve_one_mode
-from oracles import assemble_mode_operator
+from oracles import assemble_mode_operator, dtn_symbols
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

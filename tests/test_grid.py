@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ebpe import dealias, make_grid, to_physical, to_spectral
-from ebpe.grid import GridSizeError, SymmetryError, deriv_x, deriv_y
+from ebpe.grid import GridSizeError, SymmetryError, deriv_x, deriv_y, deriv_z, irfft_h, rfft_h
 
 from conftest import smooth_field_2d
 
@@ -97,6 +97,32 @@ class TestTransforms:
         g = np.sin(2 * np.pi * grid8.y)
         dg = to_physical(grid8, deriv_y(grid8, to_spectral(grid8, g)))
         assert np.max(np.abs(dg - 2 * np.pi * np.cos(2 * np.pi * grid8.y))) < 1e-12
+
+
+class TestKernelTransformsBitwise:
+    """The kernel's transforms and vertical derivative are the library
+    calls and formulas they replace, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (8, 16, 8)])
+    def test_rfft_h_and_irfft_h_match_rfft2(self, shape, rng):
+        grid = make_grid(*shape)
+        fields = rng.standard_normal((grid.nx, grid.ny, 3 * grid.nlev + 1))
+        spectra = rfft_h(grid, fields)
+        assert np.array_equal(spectra, np.fft.rfft2(fields, axes=(0, 1), norm="forward"))
+        assert np.array_equal(
+            irfft_h(grid, spectra),
+            np.fft.irfft2(spectra, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward"))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16)])
+    def test_deriv_z_matches_quotient_form(self, shape, rng):
+        grid = make_grid(*shape)
+        f = rng.standard_normal((grid.nx, grid.ny, 3, grid.nlev))
+        h = grid.dz
+        ref = np.empty_like(f)
+        ref[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+        ref[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+        ref[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
+        assert np.array_equal(deriv_z(grid, f), ref)
 
 
 def brute_force_truncated_convolution(grid, f, g):

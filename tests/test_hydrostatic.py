@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ebpe import pressure_field, project_barotropic, vertical_average
+from ebpe import (baroclinic_grad, diagnose_w, make_grid, pressure_field, project_barotropic,
+                  vertical_average)
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import cumulative_integral, trapz_weights
 from ebpe.monitors import l2sq_volume
@@ -12,8 +13,10 @@ from conftest import (
     baroclinic_grad_physical,
     diagnose_w_physical,
     project_barotropic_physical,
+    rough_state,
     smooth_field_3d,
 )
+import oracles
 from oracles import div_h, grad_h
 
 
@@ -161,3 +164,30 @@ class TestCumulativeIntegral:
         c = cumulative_integral(grid8, f)
         exact = grid8.z**2 + grid8.z
         assert np.max(np.abs(c - exact[None, None, :])) < 1e-14
+
+
+class TestSymbolTables:
+    """The kernel's per-grid tables reproduce the deriv_x/deriv_y forms of
+    the hydrostatic operators (`tests/oracles.py`) bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 16, 8)])
+    def test_table_forms_match_deriv_forms_bitwise(self, shape):
+        grid = make_grid(*shape)
+        state = rough_state(grid, seed=shape[1])
+        v_hat = np.stack([rfft_h(grid, c) for c in state.v])
+        T_hat = rfft_h(grid, state.T)
+        assert np.array_equal(diagnose_w(grid, v_hat), oracles.diagnose_w(grid, v_hat))
+        assert np.array_equal(baroclinic_grad(grid, T_hat), oracles.baroclinic_grad(grid, T_hat))
+        ours, ref = project_barotropic(grid, v_hat), oracles.project_barotropic(grid, v_hat)
+        assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 16, 8)])
+    def test_tables(self, shape):
+        grid = make_grid(*shape)
+        half = grid.ny // 2 + 1
+        assert grid.ixi_half.shape == (2, grid.nx, half)
+        assert np.array_equal(grid.ixi_half[0], np.broadcast_to(1j * grid.xi_x, (grid.nx, half)))
+        assert np.array_equal(grid.ixi_half[1], np.broadcast_to(1j * grid.xi_y_half, (grid.nx, half)))
+        xi2 = grid.xi2_deriv_half
+        assert np.all(grid.inv_lap_half[xi2 == 0.0] == 0.0)
+        assert np.array_equal(grid.inv_lap_half[xi2 > 0.0], -1.0 / xi2[xi2 > 0.0])

@@ -84,6 +84,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="decay"):
             parse_config(MINIMAL + "[physics]\ntransport=vertical_average\n[noise]\nsigma=0.1\ndecay=1.0\n")
 
+    def test_negative_seeds_rejected_in_one_pass(self):
+        text = MINIMAL + "[init]\nseed = -1\n[noise]\nseed = -3\n[time]\ndt = -1\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.messages[-3:] == [
+            "dt must be positive, got -1.0",
+            "ic_seed must be >= 0, got -1",
+            "noise_seed must be >= 0, got -3",
+        ]
+
     def test_seed_override_helper(self):
         cfg = parse_config(MINIMAL)
         c2 = cfg.with_seed(77)
@@ -452,6 +462,19 @@ monitors = on
         assert cli.main(["run-det", "--config", str(cfgp), "--out", str(out1), "--seed", "1"]) == 0
         assert cli.main(["run-det", "--config", str(cfgp), "--out", str(out2), "--seed", "2"]) == 0
         assert (out1 / "state_final.bin").read_bytes() != (out2 / "state_final.bin").read_bytes()
+
+    @pytest.mark.parametrize("command", ["run-det", "run-stoch", "run-direct-em"])
+    def test_negative_seed_override_rejected(self, tmp_path, capsys, command):
+        text = RUN_INI + "[physics]\ntransport = vertical_average\n"
+        if command != "run-det":
+            text += "[noise]\nsigma = 0.1\n"
+        cfgp = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfgp), "--out", str(out), "--seed", "-2"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "ic_seed must be >= 0" in err and "noise_seed must be >= 0" in err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         assert cli.main(["run-det"]) == 1  # missing --config

@@ -14,9 +14,7 @@ from ebpe.linops import (
     CoupledImplicitSolver,
     SolveError,
     VelocityImplicitSolver,
-    _dirichlet_inverse_column,
     coupled_vertical_matrix,
-    dtn_symbols,
     eigenbasis,
     neumann_vertical_matrix,
     retained_modes,
@@ -26,8 +24,10 @@ from ebpe.linops import (
 from conftest import smooth_field_2d, solve_one_mode
 from oracles import (
     assemble_mode_operator,
+    dirichlet_inverse_column,
     dirichlet_map,
     dtn_apply,
+    dtn_symbols,
     similarity_split,
     similarity_unsplit,
 )
@@ -90,7 +90,7 @@ class TestDtN:
         sym = dtn_symbols(grid)
         assert sym[0, 0] == 0.0
         # every other mode is the contraction with the stored stencil
-        stored = _dirichlet_inverse_column(grid)[..., -5:] @ TOP_FLUX_STENCIL[::-1] / grid.dz
+        stored = dirichlet_inverse_column(grid)[..., -5:] @ TOP_FLUX_STENCIL[::-1] / grid.dz
         others = np.ones(sym.shape, dtype=bool)
         others[0, 0] = False
         assert np.all(np.abs(sym - stored)[others] <= 1e-12 * np.abs(stored[others]))
@@ -169,14 +169,14 @@ class TestDirichletColumn:
     @pytest.mark.parametrize("n, nz", [(8, 8), (16, 16), (8, 64)])
     def test_matches_bordered_dense_solve(self, n, nz):
         grid = make_grid(n, n, nz)
-        theta = _dirichlet_inverse_column(grid)
+        theta = dirichlet_inverse_column(grid)
         oracle = bordered_dirichlet_column(grid)[:, : n // 2 + 1]
         assert theta.shape == (n, n // 2 + 1, grid.nlev)
         assert np.max(np.abs(theta - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("nz", [8, 16, 32, 64, 128])
     def test_constant_mode_exactly_one(self, nz):
-        theta = _dirichlet_inverse_column(make_grid(4, 4, nz))
+        theta = dirichlet_inverse_column(make_grid(4, 4, nz))
         assert np.array_equal(theta[0, 0], np.ones(nz + 1))
 
     def test_dtn_one_eig_and_no_solve(self, grid8, monkeypatch):

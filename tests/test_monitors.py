@@ -9,7 +9,7 @@ from ebpe import PhysParams, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
 from ebpe.grid import deriv_x, deriv_y, deriv_z, pack_fields, to_physical, to_spectral
-from ebpe.hydrostatic import cumulative_integral, diagnose_w, vertical_average
+from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.monitors import (
     Ledger,
     LedgerRecord,
@@ -26,7 +26,7 @@ from ebpe.monitors import (
 from ebpe.timestep import initial_state, run_deterministic
 
 from conftest import project_barotropic_physical, rough_state, smooth_field_3d
-from oracles import energy_ledger_check, h1_ledger_check
+from oracles import diagnose_w, energy_ledger_check, h1_ledger_check
 
 
 def _record(t, energy, h1=0.0):

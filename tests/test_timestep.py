@@ -133,6 +133,39 @@ class TestSpectralKernelOracles:
         assert np.array_equal(new.T[..., -1], new.rho)
 
 
+def test_kernel_never_reaches_match_columns(monkeypatch):
+    """The step kernel, state_terms and measure differentiate with the
+    grid's symbol tables: only the full-spectrum reference path and the
+    tests go through match_columns (deriv_x, deriv_y, dealias)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("match_columns called")
+
+    grid = make_grid(8, 8, 8)
+    exact = ManufacturedSolution()
+    params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+    states = {"imex_euler": rough_state(grid, seed=3),
+              "cnab2": exact.initial_state(grid)}
+    forcings = {"imex_euler": None, "cnab2": exact.spectral_forcing(grid)}
+    monkeypatch.setattr(grid_mod, "match_columns", forbidden)
+    for scheme, state in states.items():
+        measure(grid, state, state_terms(grid, state))
+        stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcings[scheme])
+        for _ in range(2):  # cnab2: the Euler start, then the AB2 step
+            state = stepper.step(state)
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
+                    noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
+    for driver in (stochastic.run_direct_em, stochastic.run_split_stochastic):
+        assert driver(cfg).final_state.step == 1
+
+
+def test_physical_forcing_rejected_with_contract_message():
+    exact = ManufacturedSolution()
+    grid = make_grid(8, 8, 8)
+    stepper = Stepper(grid, exact.params(grid), 1e-3, forcing=exact.forcing)
+    with pytest.raises(ValueError, match="spectral_forcing"):
+        stepper.step(exact.initial_state(grid))
+
+
 class TestImexStep:
     def test_zero_equilibrium(self, grid8):
         params = quiet_params(grid8)
