@@ -10,7 +10,20 @@ The package works on half spectra.  `rfft_h`/`irfft_h` are the batched
 real transforms of the step kernel and the monitors: one call moves any
 stack of fields (horizontal axes first, any trailing axes) to or from its
 half spectrum of shape (Nx, Ny//2+1, ...), whose columns are ky = 0 ..
-Ny/2, and every per-mode table of the kernel has that width.
+Ny/2, and every per-mode table of the kernel has that width.  They are
+dense DFT matrix products on BLAS, not FFTs: at the 8 to 64 points a side
+of the grid ladder a length-N line costs less as N multiply-adds per
+output than as pocketfft's per-line call (Van Loan, Computational
+Frameworks for the Fast Fourier Transform, SIAM 1992, sections 1.1-1.4).
+Each transform is one batched real product over x for the y pass, one
+complex product for the x pass and one copy between the real and the
+complex layout, with matrices the grid builds once (`dft_y`, `dft_x`,
+`idft_x`, `idft_y`).  Their angles are reduced mod N before the cosine
+and sine are taken, and the entries at multiples of pi/2 are exact, so
+the transforms stay within 1e-15 of an exact DFT (relative to its
+largest coefficient) up to 64 points a side.  The products are
+deterministic, so a restart still reproduces a run bit for bit; they
+differ from numpy's FFT by roundoff.
 
 The step kernel differentiates and inverts on half spectra by one
 multiply with a table built once per grid: `ixi_half`, the stacked
@@ -21,7 +34,10 @@ They, the full tables below, `match_columns` and the functions that
 call it (`dealias`, `deriv_x`, `deriv_y`) remain only for the
 physical-space reference path, `timestep.nonlinear_tendencies`, which
 the benchmark traces, and for the tests; the other full-spectrum
-references live with the tests (`tests/oracles.py`).
+references live with the tests (`tests/oracles.py`).  numpy's FFT is
+left only there and in set-up code: the random initial fields
+(`timestep.initial_state`) and the Wiener increments
+(`stochastic.wiener_increments`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
@@ -44,7 +60,7 @@ class SymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Transform plans and wavenumber tables for the periodic cylinder.
+    """DFT matrices and wavenumber tables for the periodic cylinder.
 
     Attributes filled at construction:
 
@@ -70,10 +86,25 @@ class Grid:
         section (row 0) and that of the horizontal gradient (row 1, times
         xi2_deriv_half).  Row 0 is 1 on the ky = 0 and ky = Ny/2 columns,
         which have no conjugate partner in the half spectrum, 2 elsewhere.
+    dft_y : (2(Ny//2+1), Ny) forward y pass of rfft_h: the rows
+        cos(2 pi ky j / Ny) / Ny for ky = 0 .. Ny/2, then the rows
+        -sin(2 pi ky j / Ny) / Ny, so its product with a real line gives the
+        real parts of the line's half spectrum, then its imaginary parts.
+    dft_x : complex (Nx, Nx) forward x pass, exp(-2 pi i kx x / Nx) / Nx.
+    idft_x : complex (Nx, Nx) inverse x pass, exp(+2 pi i kx x / Nx).
+    idft_y : (Ny, 2(Ny//2+1)) inverse y pass of irfft_h: the columns
+        w cos(2 pi ky j / Ny), then -w sin(2 pi ky j / Ny), with the
+        conjugate-pair weights w = 1, 2, ..., 2, 1.  Its sine columns are
+        exactly 0 at ky = 0 and ky = Ny/2 (angles at multiples of pi), so
+        the imaginary parts of those columns after the x pass are dropped,
+        as numpy's irfft2 drops them.
     x, y : collocation coordinates, shape (Nx, Ny).
     nlev : number of vertical levels, Nz + 1.
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
-    trapz_w : read-only trapezoid weights over z in [0, 1], shape (Nz+1,).
+    trapz_w : trapezoid weights over z in [0, 1], shape (Nz+1,).
+
+    Every table is read-only: the steppers and solvers of a grid share
+    them.
     """
 
     nx: int
@@ -139,8 +170,20 @@ class Grid:
         trapz_w = np.full(self.nlev, self.dz)
         trapz_w[0] *= 0.5
         trapz_w[-1] *= 0.5
-        trapz_w.flags.writeable = False
         object.__setattr__(self, "trapz_w", trapz_w)
+
+        cos_y, sin_y = _unit_circle(self.ny, half)
+        object.__setattr__(self, "dft_y", np.concatenate((cos_y, -sin_y)) / self.ny)
+        pair_weights = weights[0, :, None]  # 1, 2, ..., 2, 1 over ky
+        object.__setattr__(self, "idft_y", np.concatenate((pair_weights * cos_y,
+                                                            -pair_weights * sin_y)).T.copy())
+        cos_x, sin_x = _unit_circle(self.nx, self.nx)
+        object.__setattr__(self, "dft_x", (cos_x - 1j * sin_x) / self.nx)
+        object.__setattr__(self, "idft_x", cos_x + 1j * sin_x)
+
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def zeros2d(self) -> np.ndarray:
         return np.zeros((self.nx, self.ny))
@@ -150,6 +193,22 @@ class Grid:
 
     def zeros_velocity(self) -> np.ndarray:
         return np.zeros((2, self.nx, self.ny, self.nlev))
+
+
+def _unit_circle(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi m j / n for m < rows, j < n, shape (rows, n).
+
+    The angle is reduced mod n before it is scaled, so no entry is taken
+    at more than 2 pi, and the entries at multiples of pi/2 are exact.
+    """
+    a = np.outer(np.arange(rows), np.arange(n)) % n
+    theta = (2.0 * np.pi / n) * a
+    cos, sin = np.cos(theta), np.sin(theta)
+    quarter, rem = np.divmod(4 * a, n)
+    exact = rem == 0
+    cos[exact] = np.array([1.0, 0.0, -1.0, 0.0])[quarter[exact]]
+    sin[exact] = np.array([0.0, 1.0, 0.0, -1.0])[quarter[exact]]
+    return cos, sin
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
@@ -191,28 +250,50 @@ def to_physical(grid: Grid, coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarra
 
 def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
     """Batched horizontal real transform: half spectra of shape
-    (Nx, Ny//2+1, ...) of real fields shaped (Nx, Ny, ...)."""
+    (Nx, Ny//2+1, ...) of real fields shaped (Nx, Ny, ...).
+
+    The y pass is `dft_y` times every x line of every trailing plane (one
+    batched product over x); a copy pairs the real and imaginary parts it
+    leaves into complex lines, and the x pass is `dft_x` times those (one
+    product).
+    """
     if fields.shape[:2] != (grid.nx, grid.ny):
         raise ValueError(
             f"field shape {fields.shape} does not match grid ({grid.nx}, {grid.ny})"
         )
-    # rfft2's two passes, in its order, without its argument handling
-    return np.fft.fft(np.fft.rfft(fields, grid.ny, 1, "forward"), grid.nx, 0, "forward")
+    nx, half, rest = grid.nx, grid.ny // 2 + 1, fields.shape[2:]
+    # contiguous operands keep every product on BLAS, so the result does
+    # not depend on the memory layout of `fields`
+    lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(nx, grid.ny, -1)
+    y = (grid.dft_y @ lines).reshape((nx, 2, half) + rest)  # real parts, then imaginary
+    y_hat = np.empty((nx, half) + rest, dtype=complex)
+    y_hat.real = y[:, 0]
+    y_hat.imag = y[:, 1]
+    del y  # one intermediate at a time keeps the peak memory of a step down
+    return (grid.dft_x @ y_hat.reshape(nx, -1)).reshape(y_hat.shape)
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Inverse of rfft_h: real fields (Nx, Ny, ...) from half spectra.
 
-    The imaginary parts of the self-conjugate modes (ky = 0 and ky = Ny/2
-    columns) are dropped, which is the real projection of the full inverse.
+    The x pass is `idft_x` times the coefficients (one product); a copy
+    splits the result into real and imaginary parts, and the y pass is
+    `idft_y` times every x line (one batched product over x).  The
+    imaginary parts of the ky = 0 and ky = Ny/2 columns after the x pass
+    meet zero entries of `idft_y` and are dropped, which is the real
+    projection of the full inverse.
     """
-    if coeffs.shape[:2] != (grid.nx, grid.ny // 2 + 1):
+    nx, half, rest = grid.nx, grid.ny // 2 + 1, coeffs.shape[2:]
+    if coeffs.shape[:2] != (nx, half):
         raise ValueError(
-            f"half-spectrum shape {coeffs.shape} does not match grid "
-            f"({grid.nx}, {grid.ny // 2 + 1})"
+            f"half-spectrum shape {coeffs.shape} does not match grid ({nx}, {half})"
         )
-    # irfft2's two passes, in its order, without its argument handling
-    return np.fft.irfft(np.fft.ifft(coeffs, grid.nx, 0, "forward"), grid.ny, 1, "forward")
+    x_hat = grid.idft_x @ np.ascontiguousarray(coeffs, dtype=complex).reshape(nx, -1)
+    x = np.empty((nx, 2, x_hat.shape[1]))
+    x[:, 0] = x_hat.real
+    x[:, 1] = x_hat.imag
+    del x_hat
+    return (grid.idft_y @ x.reshape(nx, 2 * half, -1)).reshape((nx, grid.ny) + rest)
 
 
 def pack_fields(v: np.ndarray, T: np.ndarray, surface: np.ndarray) -> np.ndarray:

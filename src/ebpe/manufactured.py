@@ -204,11 +204,12 @@ class ManufacturedSolution:
         The six `forcing_terms` are transformed once, here; a call
         contracts them with the envelopes at t and subtracts the transform
         of the radiation of the exact rho from the surface plane.  That rho
-        and Q depend on y only, so the transform is a 1-D one on the kx = 0
-        row.
+        and Q depend on y only, so the transform is the y pass of `rfft_h`
+        (`grid.dft_y`) on the kx = 0 row.
         """
         hats = np.stack([rfft_h(grid, f) for f in self.forcing_terms(grid)])
         shape = hats.shape[1:]
+        half = grid.ny // 2 + 1
         table = hats.view(np.float64).reshape(len(hats), -1)  # (re, im) interleaved
         params = self.params(grid)
         row = replace(params, Q=params.Q[:1])
@@ -218,7 +219,8 @@ class ManufacturedSolution:
                 raise ValueError(f"spectral forcing built for {grid}, called with {at}")
             out = (self._envelopes(t) @ table).view(np.complex128).reshape(shape)
             rad = radiation(self.surface_temperature(grid, t)[:1], row)
-            out[0, :, -1] -= np.fft.rfft(rad[0], norm="forward")
+            rad_hat = grid.dft_y @ rad[0]  # real parts, then imaginary
+            out[0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
             return out
 
         return forcing_hat

@@ -229,17 +229,25 @@ class MaxPrincipleResult:
 
 
 def max_principle_check(
-    state, params: PhysParams, T0_bounds: tuple[float, float], dt: float
+    state,
+    params: PhysParams,
+    T0_bounds: tuple[float, float],
+    dt: float,
+    record: LedgerRecord | None = None,
 ) -> MaxPrincipleResult:
     """Sup-norm confinement of T and rho by the initial-data constant.
 
     The tolerance carries a dt-proportional slack for the explicit
-    treatment of the radiation term.
+    treatment of the radiation term.  record, when given, is
+    measure(grid, state), whose sup|T| and sup|rho| are used; the fields
+    are searched again only for the location of a violation.
     """
     C = max_principle_bound(params, *T0_bounds)
     tol = 1e-6 + 10.0 * dt * (1.0 + C**3)
-    sup_T = float(np.abs(state.T).max())
-    sup_rho = float(np.abs(state.rho).max())
+    if record is None:
+        sup_T, sup_rho = float(np.abs(state.T).max()), float(np.abs(state.rho).max())
+    else:
+        sup_T, sup_rho = record.sup_T, record.sup_rho
     value = max(sup_T, sup_rho)
     ok = value <= C + tol
     location = None

@@ -49,6 +49,10 @@ from .timestep import (
     params_from_config,
 )
 
+# white-noise values drawn and transformed at a time by wiener_increments
+# (1 MiB of float64)
+NOISE_CHUNK_VALUES = 1 << 17
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -121,14 +125,23 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
     per-mode variances match the cylindrical-process convention, and kept
     on its first Ny//2+1 columns: the full spectrum is conjugate symmetric,
     so these carry the whole real field.  The transform is the full fft2,
-    whose columns differ from rfft2 by roundoff.
+    whose columns differ from rfft2 by roundoff.  The noise is drawn and
+    transformed a chunk of steps at a time from one generator, which gives
+    the same bits as one draw of all steps, so the white noise and its
+    full spectrum never exist for more than a chunk.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     rng = np.random.default_rng(spec.seed)
-    white = rng.standard_normal((n_steps, grid.nx, grid.ny)) * np.sqrt(dt)
-    hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., : grid.ny // 2 + 1]
-    return PathBundle(increments=hat * np.sqrt(grid.nx * grid.ny), dt=dt, seed=spec.seed)
+    half = grid.ny // 2 + 1
+    increments = np.empty((n_steps, grid.nx, half), dtype=complex)
+    chunk = max(1, NOISE_CHUNK_VALUES // (grid.nx * grid.ny))
+    for start in range(0, n_steps, chunk):
+        out = increments[start : start + chunk]
+        white = rng.standard_normal((len(out), grid.nx, grid.ny)) * np.sqrt(dt)
+        hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., :half]
+        np.multiply(hat, np.sqrt(grid.nx * grid.ny), out=out)
+    return PathBundle(increments=increments, dt=dt, seed=spec.seed)
 
 
 class ConvolutionPropagator:

@@ -17,14 +17,18 @@ the products (plus radiation) forward, and the new (v, T, p_s) back.
 The first two, with the vertical derivatives, are
 `monitors.state_terms`, which the driver loop computes once per state
 for both the ledger and the step, so a step of a driver costs two
-transforms and its ledger record none.  An optional forcing (the
-manufactured-solution runs) comes as a half spectrum in the
-`pack_fields` layout and is added to the dealiased tendencies, so it
-costs no transform.  The kernel differentiates with the grid's symbol
-tables (`ebpe.grid`).  `nonlinear_tendencies` is the physical-space form
-of step 1 on the full-spectrum transforms and `grid.deriv_x`/`deriv_y`;
-no driver calls it, the tests use it as the reference for the spectral
-tendencies and the benchmark traces it.
+transforms and its ledger record none.  The transforms are dense DFT
+matrix products on BLAS with the grid's tables (`grid.dft_y`, `dft_x`
+and their inverses), so no step calls numpy's FFT; they are
+deterministic and independent of the memory layout of their operands,
+so the step stays a pure function of the physical state.  An optional
+forcing (the manufactured-solution runs) comes as a half spectrum in
+the `pack_fields` layout and is added to the dealiased tendencies, so
+it costs no transform.  The kernel differentiates with the grid's
+symbol tables (`ebpe.grid`).  `nonlinear_tendencies` is the
+physical-space form of step 1 on the full-spectrum transforms and
+`grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
+reference for the spectral tendencies and the benchmark traces it.
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
 its first step (and any restart step) falls back to IMEX Euler.
@@ -473,7 +477,7 @@ def integrate(
         ledger.append(record)
         flags = 0
         if cfg.monitors_on:
-            mp = monitors.max_principle_check(state, params, T0_bounds, cfg.dt)
+            mp = monitors.max_principle_check(state, params, T0_bounds, cfg.dt, record)
             if not mp.ok:
                 flags |= monitors.FLAG_MAX_PRINCIPLE
                 msg = (f"maximum principle violated at step {state.step}: "

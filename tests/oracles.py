@@ -11,6 +11,8 @@ width), the forms that the package's symbol tables (`grid.ixi_half`,
 extension and the Dirichlet-to-Neumann map apply a half-spectrum column,
 diagonal in the eigenbasis of the Dirichlet block, to physical data; the
 ledger checks run the driver loop's per-step checks over a whole ledger.
+The half spectrum of `exact_rfft2` is a direct long-double DFT, and
+`wiener_increments_one_shot` draws and transforms all steps at once.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,37 @@ from ebpe.linops import (
     stack_fields_hat,
 )
 from ebpe.monitors import energy_step_check, h1_step_check
+
+
+def exact_rfft2(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the half spectrum (Nx, Ny//2+1, K) of
+    real fields (Nx, Ny, K), normalized like `rfft_h`, by direct summation
+    in long double.  The angles are reduced mod N in integers and scaled
+    by a long-double 2 pi, so with an 80-bit long double the result is
+    exact to about 1e-18 relative."""
+    nx, ny = fields.shape[:2]
+    two_pi = 8 * np.arctan(np.longdouble(1))
+
+    def angles(rows: int, n: int) -> np.ndarray:
+        return (np.outer(np.arange(rows), np.arange(n)) % n).astype(np.longdouble) * (two_pi / n)
+
+    ay, ax = angles(ny // 2 + 1, ny), angles(nx, nx)
+    f = fields.astype(np.longdouble)
+    y_re = np.einsum("mj,xjk->xmk", np.cos(ay), f) / ny
+    y_im = -np.einsum("mj,xjk->xmk", np.sin(ay), f) / ny
+    cx, sx = np.cos(ax), np.sin(ax)
+    re = (np.einsum("ax,xmk->amk", cx, y_re) + np.einsum("ax,xmk->amk", sx, y_im)) / nx
+    im = (np.einsum("ax,xmk->amk", cx, y_im) - np.einsum("ax,xmk->amk", sx, y_re)) / nx
+    return re, im
+
+
+def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarray:
+    """The increments of `stochastic.wiener_increments`, with the white
+    noise of every step drawn and transformed at once."""
+    rng = np.random.default_rng(spec.seed)
+    white = rng.standard_normal((n_steps, grid.nx, grid.ny)) * np.sqrt(dt)
+    hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., : grid.ny // 2 + 1]
+    return hat * np.sqrt(grid.nx * grid.ny)
 
 
 def assemble_mode_operator(xi: tuple[float, float], grid) -> np.ndarray:

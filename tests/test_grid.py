@@ -6,6 +6,7 @@ import pytest
 from ebpe import dealias, make_grid, to_physical, to_spectral
 from ebpe.grid import GridSizeError, SymmetryError, deriv_x, deriv_y, deriv_z, irfft_h, rfft_h
 
+import oracles
 from conftest import smooth_field_2d
 
 
@@ -99,19 +100,126 @@ class TestTransforms:
         assert np.max(np.abs(dg - 2 * np.pi * np.cos(2 * np.pi * grid8.y))) < 1e-12
 
 
-class TestKernelTransformsBitwise:
-    """The kernel's transforms and vertical derivative are the library
-    calls and formulas they replace, bit for bit."""
+class TestKernelTransforms:
+    """rfft_h/irfft_h, the DFT matrix products of the kernel, against
+    numpy's FFT and an exact long-double DFT."""
 
-    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (8, 16, 8)])
-    def test_rfft_h_and_irfft_h_match_rfft2(self, shape, rng):
+    @staticmethod
+    def max_rel_err(ours, ref):
+        return np.abs(ours - ref).max() / np.abs(ref).max()
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (8, 16, 8), (64, 64, 8)])
+    def test_rfft_h_and_irfft_h_match_numpy_oracle(self, shape, rng):
+        # numpy's rfft2/irfft2 are within about 3e-16 of exact, the products
+        # within 7e-16 (see the next test); 2e-15 leaves room for both
         grid = make_grid(*shape)
         fields = rng.standard_normal((grid.nx, grid.ny, 3 * grid.nlev + 1))
         spectra = rfft_h(grid, fields)
-        assert np.array_equal(spectra, np.fft.rfft2(fields, axes=(0, 1), norm="forward"))
-        assert np.array_equal(
-            irfft_h(grid, spectra),
-            np.fft.irfft2(spectra, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward"))
+        ref = np.fft.rfft2(fields, axes=(0, 1), norm="forward")
+        assert self.max_rel_err(spectra, ref) <= 2e-15
+        ref_inv = np.fft.irfft2(ref, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward")
+        assert self.max_rel_err(irfft_h(grid, ref), ref_inv) <= 2e-15
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="the exact oracle needs an 80-bit long double")
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_rfft_h_matches_exact_dft(self, n, rng):
+        grid = make_grid(n, n, 4)
+        fields = rng.standard_normal((n, n, 4))
+        re, im = oracles.exact_rfft2(fields)
+        spectra = rfft_h(grid, fields)
+        err = np.hypot((spectra.real - re).astype(float), (spectra.imag - im).astype(float))
+        assert err.max() <= 1e-15 * np.hypot(re, im).max().astype(float)
+
+    def test_two_dimensional_and_multi_axis_trailing_shapes(self, grid8, rng):
+        f = rng.standard_normal((8, 8))
+        c = rfft_h(grid8, f)
+        assert c.shape == (8, 5)
+        assert self.max_rel_err(c, np.fft.rfft2(f, norm="forward")) <= 2e-15
+        assert self.max_rel_err(irfft_h(grid8, c), f) <= 2e-15
+        stack = rng.standard_normal((8, 8, 2, 3, grid8.nlev))
+        c = rfft_h(grid8, stack)
+        assert c.shape == (8, 5, 2, 3, grid8.nlev)
+        assert np.array_equal(c, rfft_h(grid8, stack.reshape(8, 8, -1)).reshape(c.shape))
+        back = irfft_h(grid8, c)
+        assert back.shape == stack.shape
+        assert np.array_equal(back, irfft_h(grid8, c.reshape(8, 5, -1)).reshape(stack.shape))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 16, 8)])
+    def test_self_conjugate_imaginary_parts_dropped_bitwise(self, shape, rng):
+        # a real field has no imaginary part at the four self-conjugate modes,
+        # kx in {0, Nx/2} on the ky = 0 and ky = Ny/2 columns; what is put
+        # there meets exact zeros of the tables and changes no bit
+        grid = make_grid(*shape)
+        c = rfft_h(grid, rng.standard_normal((grid.nx, grid.ny, 5)))
+        noisy = c.copy()
+        for i in (0, grid.nx // 2):
+            for j in (0, -1):
+                noisy[i, j] += 1j * rng.standard_normal(5)
+        assert not np.array_equal(noisy, c)
+        assert np.array_equal(irfft_h(grid, noisy), irfft_h(grid, c))
+
+    def test_self_conjugate_columns_keep_their_real_projection(self, rng):
+        # imaginary parts along the whole ky = 0 and ky = Ny/2 columns whose
+        # x inverse is purely imaginary are dropped up to roundoff, as by irfft2
+        grid = make_grid(8, 16, 8)
+        c = rfft_h(grid, rng.standard_normal((8, 16, 3)))
+        noisy = c.copy()
+        for j in (0, -1):
+            noisy[:, j] += 1j * np.fft.fft(rng.standard_normal((8, 3)), axis=0, norm="forward")
+        ref = np.fft.irfft2(noisy, s=(8, 16), axes=(0, 1), norm="forward")
+        assert self.max_rel_err(ref, irfft_h(grid, c)) <= 2e-15
+        assert self.max_rel_err(irfft_h(grid, noisy), irfft_h(grid, c)) <= 2e-15
+
+    @staticmethod
+    def other_layouts(a):
+        """The values of `a` as an offset contiguous array (not aligned
+        beyond its item size), an offset strided view, a Fortran-ordered
+        array and one stored with its axes reversed."""
+        flat = np.empty(a.size + 1, dtype=a.dtype)
+        offset = flat[1:].reshape(a.shape)
+        offset[...] = a
+        big = np.zeros((a.shape[0] + 1,) + a.shape[1:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+        big[1:, ..., ::2] = a
+        return offset, big[1:, ..., ::2], np.asfortranarray(a), a.T.copy().T
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16)])
+    def test_result_does_not_depend_on_memory_layout(self, shape, rng):
+        # numpy's matmul leaves BLAS for operands it cannot hand over, with
+        # another summation order; the next step must not depend on layout
+        grid = make_grid(*shape)
+        fields = rng.standard_normal((grid.nx, grid.ny, 3 * grid.nlev + 1))
+        spectra = rfft_h(grid, fields)
+        for view in self.other_layouts(fields):
+            assert np.array_equal(rfft_h(grid, view), spectra)
+        back = irfft_h(grid, spectra)
+        for view in self.other_layouts(spectra):
+            assert np.array_equal(irfft_h(grid, view), back)
+
+    def test_dft_tables_exact_at_quarter_turns(self):
+        grid = make_grid(16, 64, 4)
+        # y pass row ky = Ny/4: angles 2 pi j / 4
+        cos_row, sin_row = grid.dft_y[16] * 64, -grid.dft_y[16 + 33] * 64
+        assert np.array_equal(cos_row[:4], [1.0, 0.0, -1.0, 0.0])
+        assert np.array_equal(sin_row[:4], [0.0, 1.0, 0.0, -1.0])
+        assert np.array_equal(grid.idft_x[8], np.cos(np.pi * np.arange(16)).round())
+        assert np.all(grid.idft_y[:, 33] == 0.0) and np.all(grid.idft_y[:, -1] == 0.0)
+
+    def test_grid_tables_read_only(self, grid8):
+        tables = {name: value for name, value in vars(grid8).items()
+                  if isinstance(value, np.ndarray)}
+        for name in ("ixi_half", "inv_lap_half", "norm_weights_half", "xi2_half",
+                     "xi2_deriv_half", "xi_y_half", "dealias_half", "trapz_w",
+                     "dft_y", "dft_x", "idft_x", "idft_y"):
+            assert name in tables
+        for name, table in tables.items():
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]
+
+
+class TestKernelTransformsBitwise:
+    """The kernel's vertical derivative is the formula it replaces, bit
+    for bit."""
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16)])
     def test_deriv_z_matches_quotient_form(self, shape, rng):

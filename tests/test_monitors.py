@@ -85,6 +85,19 @@ class TestMaxPrinciple:
         assert not res.ok
         assert res.location == (2, 5)
 
+    @pytest.mark.parametrize("hot", [None, (2, 5), (3, 1, 4)])
+    def test_record_sups_give_the_same_result(self, grid8, hot):
+        # the driver loop hands over the step's ledger record; its sup|T| and
+        # sup|rho| are the reductions the check would make itself
+        params = PhysParams(Q=np.ones((8, 8)))
+        state = initial_state(grid8, "random_smooth", amplitude=0.5, seed=4)
+        if hot is not None:
+            field = state.rho if len(hot) == 2 else state.T
+            field[hot] = -5.0
+        record = measure(grid8, state)
+        assert (max_principle_check(state, params, (0.5, 0.5), 1e-3, record)
+                == max_principle_check(state, params, (0.5, 0.5), 1e-3))
+
     def test_hot_start_relaxes_to_radiative_bound(self):
         # uniform start at twice the radiative ceiling: the surface cools by
         # emission while stored interior heat feeds back through the flux

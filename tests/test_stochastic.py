@@ -1,6 +1,7 @@
 """Boundary noise: increments, exponential convolution, drivers."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,12 @@ from ebpe.timestep import (
     run_deterministic,
 )
 
-from oracles import assemble_mode_operator, solve_coupled_implicit, solve_velocity_implicit
+from oracles import (
+    assemble_mode_operator,
+    solve_coupled_implicit,
+    solve_velocity_implicit,
+    wiener_increments_one_shot,
+)
 
 BASE = dict(nx=8, ny=8, nz=8, transport="vertical_average",
             ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
@@ -62,6 +68,28 @@ class TestWienerIncrements:
         a = wiener_increments(grid8, spec, 0.01, 50)
         b = wiener_increments(grid8, spec, 0.01, 50)
         assert np.array_equal(a.increments, b.increments)
+
+    @pytest.mark.parametrize("shape, n_steps", [
+        ((8, 8, 4), 5000), ((8, 16, 4), 1025), ((64, 64, 4), 33), ((64, 64, 4), 1)])
+    def test_chunked_draws_equal_one_shot(self, shape, n_steps):
+        # sequential draws from one generator and per-plane transforms: the
+        # chunks (2048 steps at 8x8, 32 at 64x64) change no bit
+        grid = make_grid(*shape)
+        spec = NoiseSpec(sigma=1.0, seed=17)
+        bundle = wiener_increments(grid, spec, 1e-3, n_steps)
+        assert np.array_equal(bundle.increments,
+                              wiener_increments_one_shot(grid, spec, 1e-3, n_steps))
+
+    def test_peak_memory_near_the_stored_bundle(self):
+        # 64^2 x 200 steps stores 6.8 MB; the one-shot form peaks at 32.8 MB
+        grid = make_grid(64, 64, 4)
+        tracemalloc.start()
+        try:
+            bundle = wiener_increments(grid, NoiseSpec(seed=1), 1e-3, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bundle.increments.nbytes + 10 * 2**20
 
     def test_variances_within_three_sigma(self, grid8):
         n, dt = 100_000, 0.02

@@ -158,6 +158,42 @@ def test_kernel_never_reaches_match_columns(monkeypatch):
         assert driver(cfg).final_state.step == 1
 
 
+def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
+    """The step kernel, state_terms, measure and the manufactured forcing
+    transform with the grid's DFT matrices: with every transform of
+    numpy.fft patched to raise, both schemes (cnab2 forced) and one step
+    of each stochastic driver still run.  Set-up (initial states, the
+    increment bundle, the forcing tables) is done before the patch."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    grid = make_grid(8, 8, 8)
+    exact = ManufacturedSolution()
+    params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+    states = {"imex_euler": rough_state(grid, seed=3),
+              "cnab2": exact.initial_state(grid)}
+    forcings = {"imex_euler": None, "cnab2": exact.spectral_forcing(grid)}
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
+                    noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
+    bundle = stochastic.wiener_increments(grid, stochastic.NoiseSpec(sigma=0.1, seed=2),
+                                          cfg.dt, 1)
+    initial = initial_state_from_config(grid, cfg)
+    for name in np.fft.__all__:
+        if not name.endswith(("freq", "shift")):
+            monkeypatch.setattr(np.fft, name, forbidden)
+    with pytest.raises(AssertionError, match="numpy.fft called"):
+        np.fft.rfft2(np.zeros((8, 8)))
+    for scheme, state in states.items():
+        measure(grid, state, state_terms(grid, state))
+        stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcings[scheme])
+        for _ in range(2):  # cnab2: the Euler start, then the AB2 step
+            state = stepper.step(state)
+    for driver in (stochastic.run_direct_em, stochastic.run_split_stochastic):
+        result = driver(cfg, bundle=bundle, initial=initial)
+        assert result.final_state.step == 1
+        assert result.bundle is bundle
+
+
 def test_physical_forcing_rejected_with_contract_message():
     exact = ManufacturedSolution()
     grid = make_grid(8, 8, 8)
