@@ -25,19 +25,22 @@ largest coefficient) up to 64 points a side.  The products are
 deterministic, so a restart still reproduces a run bit for bit; they
 differ from numpy's FFT by roundoff.
 
-The step kernel differentiates and inverts on half spectra by one
-multiply with a table built once per grid: `ixi_half`, the stacked
-symbols (i xi_x, i xi_y), and `inv_lap_half`, the inverse of the discrete
-div(grad .) symbol.  `to_spectral`/`to_physical` give the full (Nx, Ny)
-spectrum of one field and check conjugate symmetry on the way back.
-They, the full tables below, `match_columns` and the functions that
-call it (`dealias`, `deriv_x`, `deriv_y`) remain only for the
-physical-space reference path, `timestep.nonlinear_tendencies`, which
-the benchmark traces, and for the tests; the other full-spectrum
-references live with the tests (`tests/oracles.py`).  numpy's FFT is
-left only there and in set-up code: the random initial fields
-(`timestep.initial_state`) and the Wiener increments
-(`stochastic.wiener_increments`).
+The step kernel differentiates the spectra of its solves and inverts
+on half spectra by one multiply with a table built once per grid:
+`ixi_half`, the stacked symbols (i xi_x, i xi_y), and `inv_lap_half`,
+the inverse of the discrete div(grad .) symbol.  A state is
+differentiated on the grid, one real product per direction with the
+Fourier differentiation matrices `diff_x`, `diff_y` (Trefethen, Spectral
+Methods in MATLAB, SIAM 2000, ch. 3) and `diff_z`.
+`to_spectral`/`to_physical` give the full (Nx, Ny) spectrum of one
+field and check conjugate symmetry on the way back.  They, the full
+tables below, `match_columns` and the functions that call it
+(`dealias`, `deriv_x`, `deriv_y`) remain only for the physical-space
+reference path, `timestep.nonlinear_tendencies`, which the benchmark
+traces, and for the tests; the other full-spectrum references live
+with the tests (`tests/oracles.py`).  numpy's FFT is left only there
+and in set-up code: the random initial fields (`timestep.initial_state`)
+and the Wiener increments (`stochastic.wiener_increments`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
@@ -98,6 +101,11 @@ class Grid:
         exactly 0 at ky = 0 and ky = Ny/2 (angles at multiples of pi), so
         the imaginary parts of those columns after the x pass are dropped,
         as numpy's irfft2 drops them.
+    diff_x, diff_y : real circulant (Nx, Nx) and (Ny, Ny) Fourier
+        differentiation matrices, idft . diag(i xi) . dft without Nyquist,
+        built from their first columns; diff_x @ f.reshape(Nx, -1) is
+        d/dx of fields f (Nx, ...), diff_y @ f is d/dy of f (..., Ny, K).
+    diff_z : the (Nz+1, Nz+1) matrix of deriv_z.
     x, y : collocation coordinates, shape (Nx, Ny).
     nlev : number of vertical levels, Nz + 1.
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
@@ -180,6 +188,11 @@ class Grid:
         cos_x, sin_x = _unit_circle(self.nx, self.nx)
         object.__setattr__(self, "dft_x", (cos_x - 1j * sin_x) / self.nx)
         object.__setattr__(self, "idft_x", cos_x + 1j * sin_x)
+        # first columns: the derivatives of a unit impulse (spectrum 1/N)
+        object.__setattr__(self, "diff_x", _circulant((self.idft_x @ (1j * dx / self.nx)).real))
+        object.__setattr__(self, "diff_y",
+                           _circulant(self.idft_y[:, half:] @ (self.xi_y_half[0] / self.ny)))
+        object.__setattr__(self, "diff_z", deriv_z(self, np.eye(self.nlev)).T.copy())
 
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -209,6 +222,12 @@ def _unit_circle(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     cos[exact] = np.array([1.0, 0.0, -1.0, 0.0])[quarter[exact]]
     sin[exact] = np.array([0.0, 1.0, 0.0, -1.0])[quarter[exact]]
     return cos, sin
+
+
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The circulant matrix whose entry (j, l) is column[(j - l) mod n]."""
+    n = len(column)
+    return column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
 
 
 def make_grid(nx: int, ny: int, nz: int) -> Grid:

@@ -107,13 +107,18 @@ def neumann_vertical_matrix(grid: Grid) -> np.ndarray:
 
 
 def eigenbasis(vertical: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real (lam, V, V^-1) with vertical = V diag(lam) V^-1."""
+    """Real (lam, V, V^-1) with vertical = V diag(lam) V^-1.  If its rows
+    sum to zero (to roundoff), the constant column, a null vector, and the
+    eigenvalue 0 replace eig's pair nearest 0 (1e-15..1e-11 there)."""
     try:
         lam, V = np.linalg.eig(vertical)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"eigensolver failed: {exc}") from exc
     if np.iscomplexobj(lam):
         raise SolveError("vertical operator has a complex spectrum: no real eigenbasis")
+    if np.abs(vertical.sum(axis=1)).max() <= 1e-13 * np.abs(vertical).max():
+        kernel = np.argmin(np.abs(lam))
+        lam[kernel], V[:, kernel] = 0.0, 1.0 / np.sqrt(len(lam))
     return lam, V, np.linalg.inv(V)
 
 

@@ -7,12 +7,12 @@ growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
 
 `state_terms` brings a state to everything its ledger record and its
-step read: the half spectra and w (one batched forward transform), the
-horizontal derivatives and w on the grid (one batched inverse
-transform) and the vertical derivatives.  The derivative spectra are
-one multiply each by the grid's symbol table `ixi_half`, written with
-w into one array for the inverse transform; nothing here goes through
-`grid.deriv_x`/`deriv_y`.  The driver loop hands these terms to both
+step read: the half spectra (one batched forward transform) and, on the
+grid, the derivatives and w.  The derivatives are one real product each
+with the grid's differentiation matrices (`diff_x` over x, `diff_y`
+batched over x, `diff_z` over the levels), and w is the running
+integral of the horizontal divergence they give, so no derivative makes
+an inverse transform.  The driver loop hands these terms to both
 `measure` and the next step, so `measure` makes no transform: field
 and horizontal gradient norms come from the half spectra by Parseval,
 vertical derivative norms and the max-norm residuals from the physical
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import Grid, deriv_z, irfft_h, pack_fields, rfft_h, unpack_fields, volume_fields
+from .grid import Grid, pack_fields, rfft_h, volume_fields
 
 # monitor flag bits, also used in diagnostics rows
 FLAG_MAX_PRINCIPLE = 1
@@ -55,12 +55,11 @@ class StateTerms:
     dx and dy hold the planes of pack_fields(v, T, rho).
     """
 
-    U: np.ndarray      # half spectra of pack_fields(v, T, rho)
-    w_hat: np.ndarray  # half spectrum of w (Nx, Ny//2+1, Nz+1)
-    dx: np.ndarray     # d/dx of pack_fields(v, T, rho) (Nx, Ny, 3(Nz+1)+1)
-    dy: np.ndarray     # d/dy, the same layout
-    w: np.ndarray      # w (Nx, Ny, Nz+1)
-    dz: np.ndarray     # deriv_z of v[0], v[1], T (Nx, Ny, 3, Nz+1)
+    U: np.ndarray   # half spectra of pack_fields(v, T, rho)
+    dx: np.ndarray  # d/dx of pack_fields(v, T, rho) (Nx, Ny, 3(Nz+1)+1)
+    dy: np.ndarray  # d/dy, the same layout
+    w: np.ndarray   # w (Nx, Ny, Nz+1)
+    dz: np.ndarray  # deriv_z of v[0], v[1], T (Nx, Ny, 3, Nz+1)
 
     @property
     def dz_v(self) -> np.ndarray:
@@ -74,27 +73,18 @@ class StateTerms:
 
 
 def state_terms(grid: Grid, state) -> StateTerms:
-    """The StateTerms of `state`: one batched forward transform, one
-    batched inverse transform and one vertical derivative."""
+    """The StateTerms of `state`: one batched forward transform and three
+    real products on the grid."""
     packed = pack_fields(state.v, state.T, state.rho)
-    U = rfft_h(grid, packed)
-    v_hat, _, _ = unpack_fields(grid, U)
-    w_hat = hydrostatic.diagnose_w(grid, v_hat)
-    k = U.shape[-1]
-    # d/dx and d/dy of every plane, then w, written into one array for one
-    # inverse transform
-    spectra = np.empty(U.shape[:2] + (2 * k + grid.nlev,), dtype=complex)
-    np.multiply(grid.ixi_half[0][..., None], U, out=spectra[..., :k])
-    np.multiply(grid.ixi_half[1][..., None], U, out=spectra[..., k : 2 * k])
-    spectra[..., 2 * k :] = w_hat
-    fields = irfft_h(grid, spectra)
+    n = grid.nlev
+    dx = (grid.diff_x @ packed.reshape(grid.nx, -1)).reshape(packed.shape)
+    dy = grid.diff_y @ packed
+    # a contiguous copy of the volume planes makes deriv_z one 2-D product
+    volume = np.ascontiguousarray(volume_fields(grid, packed))
     return StateTerms(
-        U=U,
-        w_hat=w_hat,
-        dx=fields[..., :k],
-        dy=fields[..., k : 2 * k],
-        w=fields[..., 2 * k :],
-        dz=deriv_z(grid, volume_fields(grid, packed)),
+        U=rfft_h(grid, packed), dx=dx, dy=dy,
+        w=-hydrostatic.cumulative_integral(grid, dx[..., :n] + dy[..., n : 2 * n]),
+        dz=(volume.reshape(-1, n) @ grid.diff_z.T).reshape(volume.shape),
     )
 
 

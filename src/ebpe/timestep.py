@@ -11,13 +11,13 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
    surface pressure.
 
 The state is physical between steps; inside a step everything is done on
-half spectra (`ebpe.grid.rfft_h`) with four batched transforms: the
-state forward, the derivatives and w back for the quadratic products,
-the products (plus radiation) forward, and the new (v, T, p_s) back.
-The first two, with the vertical derivatives, are
-`monitors.state_terms`, which the driver loop computes once per state
-for both the ledger and the step, so a step of a driver costs two
-transforms and its ledger record none.  The transforms are dense DFT
+half spectra (`ebpe.grid.rfft_h`) with three batched transforms: the
+state forward, the quadratic products (plus radiation) forward, and the
+new (v, T, p_s) back.  The first, with the derivatives and w that the
+products read (real products on the grid), is `monitors.state_terms`,
+which the driver loop computes once per state for both the ledger and
+the step, so a step of a driver costs two transforms and its ledger
+record none.  The transforms are dense DFT
 matrix products on BLAS with the grid's tables (`grid.dft_y`, `dft_x`
 and their inverses), so no step calls numpy's FFT; they are
 deterministic and independent of the memory layout of their operands,
@@ -25,7 +25,7 @@ so the step stays a pure function of the physical state.  An optional
 forcing (the manufactured-solution runs) comes as a half spectrum in
 the `pack_fields` layout and is added to the dealiased tendencies, so
 it costs no transform.  The kernel differentiates with the grid's
-symbol tables (`ebpe.grid`).  `nonlinear_tendencies` is the
+tables (`ebpe.grid`).  `nonlinear_tendencies` is the
 physical-space form of step 1 on the full-spectrum transforms and
 `grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
 reference for the spectral tendencies and the benchmark traces it.

@@ -11,7 +11,8 @@ width), the forms that the package's symbol tables (`grid.ixi_half`,
 extension and the Dirichlet-to-Neumann map apply a half-spectrum column,
 diagonal in the eigenbasis of the Dirichlet block, to physical data; the
 ledger checks run the driver loop's per-step checks over a whole ledger.
-The half spectrum of `exact_rfft2` is a direct long-double DFT, and
+The half spectrum of `exact_rfft2` is a direct long-double DFT, the
+matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
 """
 
@@ -51,6 +52,18 @@ def exact_rfft2(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     re = (np.einsum("ax,xmk->amk", cx, y_re) + np.einsum("ax,xmk->amk", sx, y_im)) / nx
     im = (np.einsum("ax,xmk->amk", cx, y_im) - np.einsum("ax,xmk->amk", sx, y_re)) / nx
     return re, im
+
+
+def exact_fourier_derivative(n: int) -> np.ndarray:
+    """The (n, n) Fourier differentiation matrix on n points of the unit
+    period, Nyquist mode dropped, by direct summation in long double:
+    entry (j, l) is -(2/n) sum over 0 < k < n/2 of 2 pi k sin(2 pi k (j - l) / n),
+    the angles reduced mod n in integers as in `exact_rfft2`."""
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    k = np.arange(1, n // 2)
+    a = (np.subtract.outer(np.arange(n), np.arange(n))[..., None] * k) % n
+    terms = np.sin(a.astype(np.longdouble) * (two_pi / n)) * (two_pi * k)
+    return -(2 / np.longdouble(n)) * terms.sum(axis=-1)
 
 
 def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarray:

@@ -131,6 +131,18 @@ class TestKernelTransforms:
         err = np.hypot((spectra.real - re).astype(float), (spectra.imag - im).astype(float))
         assert err.max() <= 1e-15 * np.hypot(re, im).max().astype(float)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="the exact oracle needs an 80-bit long double")
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_differentiation_matrices_match_exact(self, n):
+        # the largest exact entry is pi cot(pi / n), just under n, so the
+        # bound is about 5e-16 n relative to it; the closed cot form of the
+        # matrix fails it from 16 points on (2.9e-14 at 16, 7.5e-14 at 64)
+        grid = make_grid(n, n, 4)
+        exact = oracles.exact_fourier_derivative(n)
+        for table in (grid.diff_x, grid.diff_y):
+            assert np.abs(table - exact).max().astype(float) <= 5e-16 * n
+
     def test_two_dimensional_and_multi_axis_trailing_shapes(self, grid8, rng):
         f = rng.standard_normal((8, 8))
         c = rfft_h(grid8, f)
@@ -218,8 +230,9 @@ class TestKernelTransforms:
 
 
 class TestKernelTransformsBitwise:
-    """The kernel's vertical derivative is the formula it replaces, bit
-    for bit."""
+    """deriv_z, the vertical derivative of the reference path and the
+    oracle of the kernel's `grid.diff_z`, is the quotient form bit for
+    bit."""
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16)])
     def test_deriv_z_matches_quotient_form(self, shape, rng):

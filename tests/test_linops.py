@@ -434,6 +434,31 @@ class TestEigenbasis:
         assert np.linalg.cond(V) <= 30.0
         assert np.max(np.abs(V * lam @ V_inv - vertical)) <= 1e-12 * np.max(np.abs(vertical))
 
+    @pytest.mark.parametrize("nz", [4, 16, 128])
+    @pytest.mark.parametrize("matrix", [coupled_vertical_matrix, neumann_vertical_matrix])
+    def test_constant_column_deflated_exactly(self, nz, matrix):
+        lam, V, _ = eigenbasis(matrix(make_grid(4, 4, nz)))
+        kernel = np.flatnonzero(lam == 0.0)
+        assert kernel.size == 1
+        assert np.all(V[:, kernel[0]] == V[0, kernel[0]])
+
+    @pytest.mark.parametrize("build", [CoupledImplicitSolver, VelocityImplicitSolver])
+    def test_constant_mode_solve_matches_40_digit_solve(self, build):
+        # eig alone gives the kernel eigenvalue as about 1e-13 at nz = 16,
+        # an error of dt |lam_0| relative in this mode
+        mpmath = pytest.importorskip("mpmath")
+        grid = make_grid(16, 16, 16)
+        solver = build(grid, 1.0)
+        b = np.random.default_rng(3).standard_normal(grid.nlev)
+        rhs = np.zeros((grid.nx, grid.ny // 2 + 1, grid.nlev), dtype=complex)
+        rhs[0, 0] = b
+        x = solver.solve_hat(rhs)[0, 0]
+        with mpmath.workdps(40):
+            exact = mpmath.lu_solve(mpmath.matrix(np.eye(grid.nlev) - solver.vertical),
+                                    mpmath.matrix(b))
+            exact = np.array([float(value) for value in exact])
+        assert np.max(np.abs(x - exact)) <= 1e-14 * np.max(np.abs(exact))
+
     def test_complex_spectrum_rejected(self):
         with pytest.raises(SolveError):
             eigenbasis(np.array([[0.0, -1.0], [1.0, 0.0]]))

@@ -466,14 +466,15 @@ class TestSharedStateTerms:
 # Horizontal transforms per step of each driver at 8^3, measure included,
 # counted over every transform entry point: forward (to_spectral, rfft_h)
 # and inverse (to_physical, irfft_h).  monitors.state_terms transforms each
-# state forward and brings its derivatives and w back; the ledger and the
-# step share both, and measure makes no transform.  The step adds the
-# products forward and the new state back: two of each per step.  Upper
-# bounds: a change may lower them, never raise them.
+# state forward and takes its derivatives and w on the grid; the ledger
+# and the step share it, and measure makes no transform.  The step adds
+# the products forward and the new state back: two forward and one
+# inverse per step.  Upper bounds: a change may lower them, never raise
+# them.
 TRANSFORM_BUDGET = {
-    "deterministic": (run_deterministic, 2, 2),
-    "split": (stochastic.run_split_stochastic, 2, 2),
-    "direct_em": (stochastic.run_direct_em, 2, 2),
+    "deterministic": (run_deterministic, 2, 1),
+    "split": (stochastic.run_split_stochastic, 2, 1),
+    "direct_em": (stochastic.run_direct_em, 2, 1),
 }
 TRANSFORM_DIRECTION = {
     "to_spectral": "forward", "rfft_h": "forward",
@@ -524,6 +525,15 @@ def test_transforms_per_step_within_budget(name, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [8, 16])
+def test_state_terms_makes_one_forward_transform(n, monkeypatch):
+    grid = make_grid(n, n, n)
+    state = rough_state(grid, seed=n)
+    counts = count_transforms(monkeypatch, lambda fields: 1)
+    state_terms(grid, state)
+    assert counts == {"forward": 1, "inverse": 0}
+
+
+@pytest.mark.parametrize("n", [8, 16])
 def test_measure_given_terms_makes_no_transform(n, monkeypatch):
     grid = make_grid(n, n, n)
     state = rough_state(grid, seed=n)
@@ -537,10 +547,10 @@ def test_measure_given_terms_makes_no_transform(n, monkeypatch):
 # at 8^3, the manufactured-solution step of `ebpe mms`.  Forward: the state
 # (3*9+1 = 28 planes, in monitors.state_terms) and the products with the
 # radiation plane (29); the forcing is a half spectrum built once per grid,
-# whose radiation part is a 1-D transform of one row.  Inverse: the
-# derivatives and w (2*28+9 = 65, also in state_terms) and the new
-# (v, T, p_s) (28).  Upper bounds: a change may lower them, never raise them.
-FORCED_PLANE_BUDGET = {"forward": 57, "inverse": 93}
+# whose radiation part is a 1-D transform of one row.  Inverse: the new
+# (v, T, p_s) (28); the derivatives and w are products on the grid.  Upper
+# bounds: a change may lower them, never raise them.
+FORCED_PLANE_BUDGET = {"forward": 57, "inverse": 28}
 
 
 def test_forced_cnab2_transform_planes_within_budget(monkeypatch):
