@@ -23,7 +23,9 @@ vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
 diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
 V diag(d) V^-1 with a real (Nx, Ny//2+1, n) table d (`apply_diagonal`),
 and a generator is applied, never tabulated, as the one vertical matrix
-product minus |xi|^2 times the column.  The spectrum report takes every mode's
+product minus |xi|^2 times the column.  No step applies it: both time
+schemes need only the inverse (`ebpe.timestep`); the tests check it
+against the dense mode operators.  The spectrum report takes every mode's
 eigenvalues as omega + |xi|^2 - lam from the same eigenvalues.
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum

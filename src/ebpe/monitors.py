@@ -302,16 +302,13 @@ class ConvergenceStudy:
     order: float
 
 
-def _state_error(grid: Grid, state, exact) -> float:
-    """Combined L2 distance between a state and the exact fields at state.t."""
-    v_ex = exact.velocity(grid, state.t)
-    T_ex = exact.temperature(grid, state.t)
-    rho_ex = exact.surface_temperature(grid, state.t)
+def _l2_distance(grid: Grid, state, v: np.ndarray, T: np.ndarray, rho: np.ndarray) -> float:
+    """Combined L2 distance between a state and the fields (v, T, rho)."""
     err2 = (
-        l2sq_volume(grid, state.v[0] - v_ex[0])
-        + l2sq_volume(grid, state.v[1] - v_ex[1])
-        + l2sq_volume(grid, state.T - T_ex)
-        + l2sq_surface(grid, state.rho - rho_ex)
+        l2sq_volume(grid, state.v[0] - v[0])
+        + l2sq_volume(grid, state.v[1] - v[1])
+        + l2sq_volume(grid, state.T - T)
+        + l2sq_surface(grid, state.rho - rho)
     )
     return float(np.sqrt(err2))
 
@@ -343,7 +340,9 @@ def mms_spatial_study(
         state = exact.initial_state(grid)
         for _ in range(int(round(t_end / dt))):
             state = stepper.step(state)
-        errors.append(_state_error(grid, state, exact))
+        errors.append(_l2_distance(grid, state, exact.velocity(grid, state.t),
+                                   exact.temperature(grid, state.t),
+                                   exact.surface_temperature(grid, state.t)))
     hs = [1.0 / nz for nz in nz_ladder]
     return ConvergenceStudy(scales=hs, errors=errors, order=fit_order(hs, errors))
 
@@ -380,14 +379,7 @@ def mms_temporal_study(
     ref = run(min(dt_ladder) / ref_refine)
     errors = []
     for dt in dt_ladder:
-        s = run(dt)
-        err2 = (
-            l2sq_volume(grid, s.v[0] - ref.v[0])
-            + l2sq_volume(grid, s.v[1] - ref.v[1])
-            + l2sq_volume(grid, s.T - ref.T)
-            + l2sq_surface(grid, s.rho - ref.rho)
-        )
-        errors.append(float(np.sqrt(err2)))
+        errors.append(_l2_distance(grid, run(dt), ref.v, ref.T, ref.rho))
     return ConvergenceStudy(
         scales=list(dt_ladder), errors=errors,
         order=fit_order(np.array(dt_ladder), np.array(errors)),

@@ -30,8 +30,14 @@ physical-space form of step 1 on the full-spectrum transforms and
 `grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
 reference for the spectral tendencies and the benchmark traces it.
 
-A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2";
-its first step (and any restart step) falls back to IMEX Euler.
+A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2".
+Both schemes are one theta-method stage through the same two per-mode
+solvers R = (I - theta dt A)^-1: IMEX Euler is theta = 1, x = R(U + dt F);
+CNAB2 is theta = 1/2, x = R(2U + dt E) - U, because R(I + dt/2 A) = 2R - I,
+so no step applies the generator A.  E is the AB2 extrapolation
+1.5 F - 0.5 F_old of the tendencies, or F itself when the previous
+step's tendencies are not at hand (the first step and a restart: one
+Crank-Nicolson step with forward-Euler tendencies).
 
 `integrate` is the one driver loop (step count, state terms, ledger,
 monitors, diagnostics rows, blow-up handling).  The deterministic driver
@@ -50,7 +56,7 @@ import numpy as np
 
 from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
-from .config import RunConfig
+from .config import SCHEMES, RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
 from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h,
                    to_physical, to_spectral, unpack_fields, volume_fields)
@@ -250,7 +256,9 @@ def _check_finite(state: State, previous: State) -> None:
 
 
 class Stepper:
-    """Time integrator holding the cached per-mode implicit solvers.
+    """Time integrator holding the cached per-mode implicit solvers: one
+    coupled and one velocity solver at theta * dt, theta = 1 for
+    imex_euler and 1/2 for cnab2 (see the module docstring).
 
     forcing, when given, is a callable (grid, t) -> half spectrum
     (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout, added to the
@@ -274,7 +282,7 @@ class Stepper:
         forcing=None,
         freeze_velocity: bool = False,
     ):
-        if scheme not in ("imex_euler", "cnab2"):
+        if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
         self.grid = grid
         self.params = params
@@ -282,11 +290,9 @@ class Stepper:
         self.scheme = scheme
         self.forcing = forcing
         self.freeze_velocity = freeze_velocity
-        self.coupled = linops.CoupledImplicitSolver(grid, dt)
-        self.velocity = linops.VelocityImplicitSolver(grid, dt)
-        if scheme == "cnab2":
-            self.coupled_half = linops.CoupledImplicitSolver(grid, 0.5 * dt)
-            self.velocity_half = linops.VelocityImplicitSolver(grid, 0.5 * dt)
+        theta = 0.5 if scheme == "cnab2" else 1.0
+        self.coupled = linops.CoupledImplicitSolver(grid, theta * dt)
+        self.velocity = linops.VelocityImplicitSolver(grid, theta * dt)
         self._history: tuple[int, np.ndarray] | None = None
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
@@ -368,36 +374,33 @@ class Stepper:
             terms = monitors.state_terms(grid, state)
         U = terms.U
         F = self.tendencies(state, terms)
-        F_old = None
-        if self.scheme == "cnab2":
+        # one theta-method stage (module docstring): R(U + dt F) for IMEX
+        # Euler, R(2U + dt E) - U for CNAB2, E = F without usable history
+        cnab2 = self.scheme == "cnab2"
+        if cnab2:
             if kick_hat is not None:
                 raise ValueError("scheme cnab2 takes no kick_hat")
-            # without usable history (first step or restart) this is an Euler step
+            E = F
             if self._history is not None and self._history[0] == state.step:
-                F_old = self._history[1]
+                E = 1.5 * F - 0.5 * self._history[1]
             self._history = (state.step + 1, F)
-
-        if F_old is None:
-            rhs_v, rhs_T, rhs_rho = unpack_fields(grid, U + dt * F)
-            x_hat = self.coupled.solve_hat(linops.stack_fields_hat(grid, rhs_T, rhs_rho))
+            U_v, U_T, U_rho = unpack_fields(grid, U)
+            rhs = 2.0 * U + dt * E
         else:
-            v_hat, T_hat, rho_hat = unpack_fields(grid, U)
-            ab_v, ab_T, ab_rho = unpack_fields(grid, dt * _ab2(F, F_old))
-            stack = linops.stack_fields_hat(grid, T_hat, rho_hat)
-            x_hat = self.coupled_half.solve_hat(
-                stack + 0.5 * dt * self.coupled.apply_generator_hat(stack)
-                + linops.stack_fields_hat(grid, ab_T, ab_rho))
+            rhs = U + dt * F
+        rhs_v, rhs_T, rhs_rho = unpack_fields(grid, rhs)
+        x_hat = self.coupled.solve_hat(linops.stack_fields_hat(grid, rhs_T, rhs_rho))
+        if cnab2:
+            x_hat -= linops.stack_fields_hat(grid, U_T, U_rho)
         if kick_hat is not None:
             x_hat += kick_hat
 
         if self.freeze_velocity:
             v_new, T_new, p_s = state.v, irfft_h(grid, x_hat), state.p_s
         else:
-            if F_old is None:
-                v_star = self.velocity.solve_hat(rhs_v)
-            else:
-                v_star = self.velocity_half.solve_hat(
-                    v_hat + 0.5 * dt * self.velocity.apply_generator_hat(v_hat) + ab_v)
+            v_star = self.velocity.solve_hat(rhs_v)
+            if cnab2:
+                v_star -= U_v
             v_new_hat, phi_hat = hydrostatic.project_barotropic(grid, v_star)
             v_new, T_new, p_s = unpack_fields(
                 grid, irfft_h(grid, pack_fields(v_new_hat, x_hat, phi_hat / dt)))
@@ -409,10 +412,6 @@ class Stepper:
                     p_s=None if p_s is None else np.ascontiguousarray(p_s))
         _check_finite(new, state)
         return new
-
-
-def _ab2(cur: np.ndarray, old: np.ndarray) -> np.ndarray:
-    return 1.5 * cur - 0.5 * old
 
 
 @dataclass

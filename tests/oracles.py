@@ -107,6 +107,31 @@ def solve_velocity_implicit(grid, rhs_v: np.ndarray, dt: float) -> np.ndarray:
                      for c in rhs_v])
 
 
+def crank_nicolson_stage(grid, fields, tendencies, dt: float):
+    """The theta = 1/2 implicit stage of physical (v, T, rho) with explicit
+    tendencies e = (e_v, e_T, e_rho): on every mode of the full spectrum,
+    x = (I - dt/2 M)^-1 ((I + dt/2 M) u + dt e) with the dense generator M
+    of that mode, `assemble_mode_operator` for the coupled stack and the
+    Neumann matrix minus |xi|^2 for each velocity component.  Returns the
+    unprojected velocity and (T, rho), physical; T(., 1) = rho."""
+    (v, T, rho), (e_v, e_T, e_rho) = fields, tendencies
+    u = [stack_fields_hat(grid, to_spectral(grid, T), to_spectral(grid, rho))]
+    e = [stack_fields_hat(grid, to_spectral(grid, e_T), to_spectral(grid, e_rho))]
+    u += [to_spectral(grid, c) for c in v]
+    e += [to_spectral(grid, c) for c in e_v]
+    x = [np.empty_like(c) for c in u]
+    eye = np.eye(grid.nlev)
+    for i, j in np.ndindex(grid.nx, grid.ny):
+        xi = (2.0 * np.pi * grid.kx[i], 2.0 * np.pi * grid.ky[j])
+        coupled = assemble_mode_operator(xi, grid)
+        velocity = neumann_vertical_matrix(grid) - (xi[0] ** 2 + xi[1] ** 2) * eye
+        for out, u_k, e_k, M in zip(x, u, e, (coupled, velocity, velocity)):
+            out[i, j] = np.linalg.solve(eye - 0.5 * dt * M,
+                                        (eye + 0.5 * dt * M) @ u_k[i, j] + dt * e_k[i, j])
+    T_new = to_physical(grid, x[0])
+    return np.stack([to_physical(grid, c) for c in x[1:]]), T_new, T_new[..., -1].copy()
+
+
 def diagnose_w(grid, v_hat: np.ndarray) -> np.ndarray:
     """`hydrostatic.diagnose_w` through deriv_x/deriv_y, for full or half
     spectra."""

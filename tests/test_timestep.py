@@ -18,6 +18,7 @@ from ebpe import grid as grid_mod
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo, default_insolation
 from ebpe.grid import irfft_h, rfft_h, unpack_fields
+from ebpe.linops import CoupledImplicitSolver, VelocityImplicitSolver
 from ebpe.manufactured import ManufacturedSolution
 from ebpe.monitors import l2sq_surface, l2sq_volume, measure, state_terms
 from ebpe.timestep import (
@@ -33,7 +34,7 @@ from ebpe.timestep import (
 )
 
 from conftest import rough_state
-from oracles import solve_coupled_implicit, solve_velocity_implicit
+from oracles import crank_nicolson_stage, solve_coupled_implicit, solve_velocity_implicit
 
 
 def max_rel_err(ours, oracle):
@@ -150,7 +151,7 @@ def test_kernel_never_reaches_match_columns(monkeypatch):
     for scheme, state in states.items():
         measure(grid, state, state_terms(grid, state))
         stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcings[scheme])
-        for _ in range(2):  # cnab2: the Euler start, then the AB2 step
+        for _ in range(2):  # cnab2: the first step (E = F), then the AB2 step
             state = stepper.step(state)
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
                     noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
@@ -186,7 +187,7 @@ def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
     for scheme, state in states.items():
         measure(grid, state, state_terms(grid, state))
         stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcings[scheme])
-        for _ in range(2):  # cnab2: the Euler start, then the AB2 step
+        for _ in range(2):  # cnab2: the first step (E = F), then the AB2 step
             state = stepper.step(state)
     for driver in (stochastic.run_direct_em, stochastic.run_split_stochastic):
         result = driver(cfg, bundle=bundle, initial=initial)
@@ -353,14 +354,74 @@ class TestRunDeterministic:
 
 
 class TestCnab2:
-    def test_runs_and_matches_euler_at_first_step(self, grid8):
-        params = quiet_params(grid8)
-        e = Stepper(grid8, params, dt=1e-3, scheme="imex_euler")
-        c = Stepper(grid8, params, dt=1e-3, scheme="cnab2")
-        state = initial_state(grid8, "random_smooth", amplitude=0.5, seed=7)
-        s_e = e.step(state.copy())
-        s_c = c.step(state.copy())
-        assert np.allclose(s_e.T, s_c.T, atol=1e-15)
+    """CNAB2 is the theta = 1/2 implicit stage with AB2 tendencies,
+    E = F on the first step and 1.5 F - 0.5 F_old after it."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "mms_forcing"])
+    @pytest.mark.parametrize("second", [False, True], ids=["first_step", "second_step"])
+    def test_step_matches_dense_crank_nicolson_oracle(self, n, forced, second):
+        grid = make_grid(n, n, n)
+        dt = 1e-3
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+        exact = ManufacturedSolution()
+        stepper = Stepper(grid, params, dt, scheme="cnab2",
+                          forcing=exact.spectral_forcing(grid) if forced else None)
+
+        def tendencies(state):
+            F = nonlinear_tendencies(grid, state, params)
+            if forced:
+                F = [F_i + f for F_i, f in zip(F, exact.forcing(grid, state.t))]
+            return F
+
+        state = rough_state(grid, seed=n + 2)
+        e = tendencies(state)
+        if second:
+            state = stepper.step(state)
+            e = [1.5 * F - 0.5 * F_old for F, F_old in zip(tendencies(state), e)]
+        new = stepper.step(state)
+
+        v_star, T, rho = crank_nicolson_stage(grid, (state.v, state.T, state.rho), e, dt)
+        v_hat, phi_hat = project_barotropic(
+            grid, np.stack([rfft_h(grid, c) for c in v_star]))
+        v = np.stack([irfft_h(grid, c) for c in v_hat])
+        p_s = irfft_h(grid, phi_hat) / dt
+        for ours, oracle in ((new.v, v), (new.T, T), (new.rho, rho), (new.p_s, p_s)):
+            assert max_rel_err(ours, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["imex_euler", "cnab2"])
+    def test_two_eig_calls_and_two_solvers(self, scheme, monkeypatch):
+        grid = make_grid(16, 16, 16)
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        stepper = Stepper(grid, quiet_params(grid), 1e-3, scheme=scheme)
+        assert calls == [(grid.nlev, grid.nlev)] * 2
+        solvers = [value for value in vars(stepper).values()
+                   if isinstance(value, (CoupledImplicitSolver, VelocityImplicitSolver))]
+        assert len(solvers) == 2
+        theta = 0.5 if scheme == "cnab2" else 1.0
+        assert [solver.dt for solver in solvers] == [theta * 1e-3] * 2
+
+    def test_forced_steps_never_apply_the_generator(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("apply_generator_hat called")
+
+        exact = ManufacturedSolution()
+        grid = make_grid(8, 8, 8)
+        stepper = Stepper(grid, exact.params(grid), 1e-3, scheme="cnab2",
+                          forcing=exact.spectral_forcing(grid))
+        for solver in (CoupledImplicitSolver, VelocityImplicitSolver):
+            monkeypatch.setattr(solver, "apply_generator_hat", forbidden)
+        state = exact.initial_state(grid)
+        for _ in range(3):
+            state = stepper.step(state)
+        assert state.step == 3
 
     def test_rejects_kick(self, grid8):
         c = Stepper(grid8, quiet_params(grid8), dt=1e-3, scheme="cnab2")
@@ -368,13 +429,17 @@ class TestCnab2:
         with pytest.raises(ValueError, match="kick_hat"):
             c.step(initial_state(grid8, "zero"), kick_hat=kick)
 
+    def test_unknown_scheme_rejected(self, grid8):
+        with pytest.raises(ValueError, match="unknown scheme 'cn'"):
+            Stepper(grid8, quiet_params(grid8), dt=1e-3, scheme="cn")
+
     def test_second_order_self_convergence(self):
         from ebpe.monitors import mms_temporal_study
         study = mms_temporal_study(
             scheme="cnab2", dt_ladder=(1 / 20, 1 / 40), nx=8, ny=8, nz=8,
             t_end=0.25, ref_refine=8,
         )
-        assert study.order >= 1.7
+        assert study.order >= 1.9
 
 
 def assert_states_equal(a, b):
@@ -559,7 +624,7 @@ def test_forced_cnab2_transform_planes_within_budget(monkeypatch):
     counts = count_transforms(monkeypatch, lambda fields: math.prod(fields.shape[2:]))
     stepper = Stepper(grid, exact.params(grid), 1e-3, scheme="cnab2",
                       forcing=exact.spectral_forcing(grid))
-    state = stepper.step(exact.initial_state(grid))  # the Euler start step
+    state = stepper.step(exact.initial_state(grid))  # the first step, without history
     counts.update(forward=0, inverse=0)
     for _ in range(2):
         state = stepper.step(state)
