@@ -4,10 +4,9 @@ built-in verification harness."""
 
 from .config import RunConfig, parse_config
 from .ebm import PhysParams, coalbedo, default_insolation, radiation
-from .grid import Grid, dealias, make_grid, to_physical, to_spectral
+from .grid import Grid, make_grid
 from .hydrostatic import (
     baroclinic_grad,
-    diagnose_w,
     pressure_field,
     project_barotropic,
     vertical_average,
@@ -30,9 +29,7 @@ __all__ = [
     "Stepper",
     "baroclinic_grad",
     "coalbedo",
-    "dealias",
     "default_insolation",
-    "diagnose_w",
     "initial_state",
     "make_grid",
     "parse_config",
@@ -43,8 +40,6 @@ __all__ = [
     "run_direct_em",
     "run_split_stochastic",
     "spectrum_report",
-    "to_physical",
-    "to_spectral",
     "vertical_average",
     "wiener_increments",
 ]

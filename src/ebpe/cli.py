@@ -8,6 +8,7 @@ abort, 3 monitor or verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -104,9 +105,8 @@ def _cmd_run(args) -> int:
     footer = "status=ok"
     if result.monitor_failure:
         footer = f"status=monitor_failure detail={result.monitor_failure!r}"
-    rows = diagnostics.rows_from_records(result.csv_records)
     out = _out_dir(cfg)
-    diagnostics.write_csv(rows, out / "diagnostics.csv", footer=footer)
+    diagnostics.write_csv(result.csv_records, out / "diagnostics.csv", footer=footer)
     snapshots.write_snapshot(result.final_state, out / "state_final.bin",
                              z_rho=result.z_rho_final)
     if result.monitor_failure:
@@ -166,7 +166,7 @@ def _cmd_check(args) -> int:
         "w_top": 1e-10 * (1.0 + sup_v),
     }
     ok = True
-    for name, value in res.as_dict().items():
+    for name, value in dataclasses.asdict(res).items():
         status = "ok" if value <= tol[name] else "FAIL"
         ok &= value <= tol[name]
         print(f"{name:16s} {value:12.5e}  (tol {tol[name]:.3e})  {status}")

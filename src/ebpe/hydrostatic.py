@@ -23,12 +23,6 @@ import numpy as np
 from .grid import Grid
 
 
-def trapz_weights(grid: Grid) -> np.ndarray:
-    """Quadrature weights over z in [0,1]; shape (Nz+1,), read-only,
-    built once per grid."""
-    return grid.trapz_w
-
-
 def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Trapezoidal average of a 3D field over the unit vertical extent."""
     return f @ grid.trapz_w

@@ -29,7 +29,7 @@ from . import hydrostatic
 from .ebm import PhysParams
 from .grid import Grid, pack_fields, rfft_h, volume_fields
 
-# monitor flag bits, also used in diagnostics rows
+# monitor flag bits of LedgerRecord.flags
 FLAG_MAX_PRINCIPLE = 1
 FLAG_ENERGY = 2
 FLAG_H1 = 4
@@ -37,8 +37,7 @@ FLAG_H1 = 4
 
 def l2sq_volume(grid: Grid, f: np.ndarray) -> float:
     """Squared L2 norm over the unit-volume cylinder (trapezoid in z)."""
-    w = hydrostatic.trapz_weights(grid)
-    return float(np.sum(f * f @ w) / (grid.nx * grid.ny))
+    return float(np.sum(f * f @ grid.trapz_w) / (grid.nx * grid.ny))
 
 
 def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
@@ -97,14 +96,6 @@ class ConstraintResiduals:
     solenoidal: float      # |div_H vbar|
     w_top: float           # |w(.,1)|
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "trace": self.trace,
-            "bottom_neumann": self.bottom_neumann,
-            "solenoidal": self.solenoidal,
-            "w_top": self.w_top,
-        }
-
 
 def constraint_check(grid: Grid, state) -> ConstraintResiduals:
     """Residuals of the trace, bottom no-flux, solenoidal and w-top conditions."""
@@ -125,8 +116,12 @@ def _residuals(grid: Grid, state, terms: StateTerms) -> ConstraintResiduals:
 
 @dataclass(frozen=True)
 class LedgerRecord:
-    """One measured step of the energy and constraint bookkeeping."""
+    """One measured step of the energy and constraint bookkeeping, and
+    the row schema of diagnostics.csv: `diagnostics.HEADER` names the
+    fields a row writes.  flags holds the FLAG_* bits the driver's
+    monitors raised at this step."""
 
+    step: int
     t: float
     energy: float        # E0 = (|v|^2 + |T|^2 + |rho|^2) / 2
     dissipation: float   # |grad v|^2 + |grad T|^2 + |grad_H rho|^2
@@ -139,10 +134,7 @@ class LedgerRecord:
     trace_res: float
     div_res: float
     w_top_res: float
-
-    @property
-    def h1_seminorm_sq(self) -> float:
-        return self.grad_v_sq + self.grad_T_sq + self.grad_rho_sq
+    flags: int = 0
 
 
 def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
@@ -163,6 +155,7 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     gr = float(norms[1, 3 * n])
     res = _residuals(grid, state, terms)
     return LedgerRecord(
+        step=state.step,
         t=state.t,
         energy=0.5 * float(volume[0].sum() + norms[0, 3 * n]),
         dissipation=gv + gT + gr,
@@ -277,11 +270,12 @@ def h1_step_check(
     margin: float = 100.0,
     floor: float = 1e-8,
 ) -> str | None:
-    """No-blow-up sentinel: the gradient norms of `record` inside the
+    """No-blow-up sentinel: the squared H1 seminorm of `record` (its
+    dissipation, the sum of the three gradient norms) inside the
     exponential envelope margin * H1(first) * exp(growth_rate (t - t_first));
     returns the breach message, or None."""
-    h1 = record.h1_seminorm_sq
-    log_scale = np.log(margin * max(first.h1_seminorm_sq, floor))
+    h1 = record.dissipation
+    log_scale = np.log(margin * max(first.dissipation, floor))
     if not np.isfinite(h1) or (
         h1 > 0.0 and np.log(h1) > log_scale + growth_rate * (record.t - first.t)
     ):

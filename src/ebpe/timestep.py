@@ -49,7 +49,7 @@ solution before the last inverse transform.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -418,14 +418,15 @@ class Stepper:
 class RunResult:
     """Outcome of one driver run.
 
-    final_state is the last measured state.  The split driver also
-    returns the surface channel of the noise convolution; both stochastic
-    drivers return the increment bundle they used.
+    final_state is the last measured state.  csv_records are the ledger
+    records that diagnostics.csv writes, in step order.  The split driver
+    also returns the surface channel of the noise convolution; both
+    stochastic drivers return the increment bundle they used.
     """
 
     final_state: State
     ledger: monitors.Ledger
-    csv_records: list[tuple[int, monitors.LedgerRecord, int]]
+    csv_records: list[monitors.LedgerRecord]
     monitor_failure: str | None = None
     warnings: list[str] = field(default_factory=list)
     z_rho_final: np.ndarray | None = None
@@ -444,21 +445,22 @@ def integrate(
     advance(state, terms) maps the last measured state to the next one;
     terms is monitors.state_terms(grid, state), computed once per state
     for both the ledger and the step.  Every state is measured into the
-    ledger; diagnostics rows are emitted at the configured cadence, on
-    any monitor flag, and for the initial state of a fresh run (step 0).
+    ledger, its record carrying the monitor flags raised at its step;
+    csv_records holds the records at the configured cadence, on any
+    monitor flag, and for the initial state of a fresh run (step 0).
     When monitors are enabled the run halts on the first hard monitor
     failure; the maximum-principle monitor is warn-only under
     vertical-average transport, where its constant is not established.
     A BlowUpError carries the last measured state.
     """
     ledger = monitors.Ledger()
-    csv_records: list[tuple[int, monitors.LedgerRecord, int]] = []
+    csv_records: list[monitors.LedgerRecord] = []
     warnings: list[str] = []
     terms = monitors.state_terms(grid, state)
     record = monitors.measure(grid, state, terms)
     ledger.append(record)
     if state.step == 0:
-        csv_records.append((0, record, 0))
+        csv_records.append(record)
 
     T0_bounds = (record.sup_T, record.sup_rho)
     mp_warn_only = params.transport_variant == VERTICAL_AVERAGE
@@ -473,7 +475,6 @@ def integrate(
         state = new
         terms = monitors.state_terms(grid, state)
         prev_record, record = record, monitors.measure(grid, state, terms)
-        ledger.append(record)
         flags = 0
         if cfg.monitors_on:
             mp = monitors.max_principle_check(state, params, T0_bounds, cfg.dt, record)
@@ -494,8 +495,11 @@ def integrate(
                 if msg is not None:
                     flags |= flag
                     monitor_failure = msg
+        if flags:
+            record = replace(record, flags=flags)
+        ledger.append(record)
         if flags or state.step % cfg.cadence == 0:
-            csv_records.append((state.step, record, flags))
+            csv_records.append(record)
         if monitor_failure is not None:
             break
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ebpe import baroclinic_grad, diagnose_w, make_grid, project_barotropic
+from ebpe import baroclinic_grad, make_grid, project_barotropic
 from ebpe.grid import deriv_x, deriv_y, irfft_h, rfft_h
+from ebpe.hydrostatic import diagnose_w
 
 
 @pytest.fixture

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from ebpe import dealias, make_grid, to_physical, to_spectral
-from ebpe.grid import GridSizeError, SymmetryError, deriv_x, deriv_y, deriv_z, irfft_h, rfft_h
+from ebpe import make_grid
+from ebpe.grid import (GridSizeError, SymmetryError, dealias, deriv_x, deriv_y, deriv_z, irfft_h,
+                       rfft_h, to_physical, to_spectral)
 
 import oracles
 from conftest import smooth_field_2d

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from ebpe import (baroclinic_grad, diagnose_w, make_grid, pressure_field, project_barotropic,
+from ebpe import (baroclinic_grad, make_grid, pressure_field, project_barotropic,
                   vertical_average)
 from ebpe.grid import irfft_h, rfft_h
-from ebpe.hydrostatic import cumulative_integral, trapz_weights
+from ebpe.hydrostatic import cumulative_integral, diagnose_w
 from ebpe.monitors import l2sq_volume
 
 from conftest import (
@@ -36,7 +36,7 @@ class TestVerticalAverage:
         assert np.allclose(vertical_average(grid8, f), 0.3359375, atol=1e-15)
 
     def test_weights_sum_to_one(self, grid8):
-        assert trapz_weights(grid8).sum() == pytest.approx(1.0, abs=1e-15)
+        assert grid8.trapz_w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestDiagnoseW:
@@ -126,7 +126,7 @@ class TestProjector:
 
     def test_symmetric_in_volume_inner_product(self, grid8, rng):
         def inner(a, b):
-            w = trapz_weights(grid8)
+            w = grid8.trapz_w
             return float(np.sum((a * b) @ w) / (grid8.nx * grid8.ny))
 
         for _ in range(5):

@@ -14,6 +14,7 @@ import ebpe
 from ebpe import cli, diagnostics, make_grid
 from ebpe.config import ConfigError, RunConfig, parse_config
 from ebpe.linops import SolveError
+from ebpe.monitors import LedgerRecord
 from ebpe.snapshots import SnapshotError, read_snapshot, write_snapshot
 from ebpe.timestep import initial_state, run_deterministic
 
@@ -182,13 +183,17 @@ class TestSnapshots:
 
 class TestDiagnosticsCsv:
     def test_float_formatting_round_trips(self):
-        row = diagnostics.DiagnosticsRow(
+        record = LedgerRecord(
             step=3, t=1 / 3, energy=np.pi, dissipation=1e-17, rho_l5=0.0,
-            sup_T=2.0, sup_rho=0.5, trace_res=0.0, div_res=3e-16, flags=0,
+            sup_T=2.0, sup_rho=0.5, grad_v_sq=0.1, grad_T_sq=0.2, grad_rho_sq=0.3,
+            trace_res=0.0, div_res=3e-16, w_top_res=0.4, flags=5,
         )
-        fields = row.format().split(",")
-        assert float(fields[1]) == 1 / 3
-        assert float(fields[2]) == np.pi
+        row = diagnostics.format_csv([record]).splitlines()[2]
+        fields = dict(zip(diagnostics.HEADER.split(","), row.split(",")))
+        assert fields.pop("step") == "3"
+        assert fields.pop("flags") == "5"
+        for name, text in fields.items():
+            assert float(text) == getattr(record, name), name
 
     def test_csv_layout(self):
         text = diagnostics.format_csv([], footer="status=ok")
@@ -213,11 +218,8 @@ class TestRestartSplicing:
         resumed.step = int(round(resumed.t / base.dt))
         second = run_deterministic(base, initial=resumed)
 
-        rows_full = diagnostics.rows_from_records(full.csv_records)
-        rows_spliced = diagnostics.rows_from_records(
-            first.csv_records + second.csv_records
-        )
-        assert [r.format() for r in rows_full] == [r.format() for r in rows_spliced]
+        assert (diagnostics.format_csv(full.csv_records)
+                == diagnostics.format_csv(first.csv_records + second.csv_records))
         assert np.array_equal(full.final_state.T, second.final_state.T)
         assert np.array_equal(full.final_state.v, second.final_state.v)
 

@@ -7,7 +7,6 @@ import scipy.linalg
 
 from ebpe import make_grid, spectrum_report
 from ebpe.grid import irfft_h, rfft_h
-from ebpe.hydrostatic import trapz_weights
 from ebpe.stochastic import ConvolutionPropagator
 from ebpe.linops import (
     TOP_FLUX_STENCIL,
@@ -275,7 +274,7 @@ class TestCoupledSolve:
 
     def test_contractive_on_smooth_stacks(self, grid8):
         # energy-weighted norm: trapezoid weights on T plus unit weight on rho
-        w = trapz_weights(grid8).copy()
+        w = grid8.trapz_w.copy()
         w[-1] += 1.0
         rng = np.random.default_rng(8)
         for dt in (1e-3, 1e-1, 1.0):

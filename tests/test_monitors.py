@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, make_grid
+from ebpe import PhysParams, diagnostics, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
 from ebpe.grid import deriv_x, deriv_y, deriv_z, pack_fields, to_physical, to_spectral
@@ -31,7 +31,7 @@ from oracles import diagnose_w, energy_ledger_check, h1_ledger_check
 
 def _record(t, energy, h1=0.0):
     return LedgerRecord(
-        t=t, energy=energy, dissipation=0.0, rho_l5=0.0, sup_T=0.0, sup_rho=0.0,
+        step=0, t=t, energy=energy, dissipation=h1, rho_l5=0.0, sup_T=0.0, sup_rho=0.0,
         grad_v_sq=h1, grad_T_sq=0.0, grad_rho_sq=0.0,
         trace_res=0.0, div_res=0.0, w_top_res=0.0,
     )
@@ -196,7 +196,22 @@ class TestH1Ledger:
                         monitors_on=True)
         res = run_deterministic(cfg)
         assert res.monitor_failure is not None
-        assert all(np.isfinite(r.h1_seminorm_sq) for r in res.ledger.records)
+        assert all(np.isfinite(r.dissipation) for r in res.ledger.records)
+
+    def test_flagged_step_recorded_in_ledger_and_csv(self):
+        # the run of test_unstable_step_caught_before_blowup: only the step
+        # that halts it carries flags, in the ledger and in its CSV row
+        cfg = RunConfig(nx=8, ny=8, nz=8, dt=10.0, t_end=50.0,
+                        ic_kind="random_smooth", ic_amplitude=3.0, ic_seed=6,
+                        monitors_on=True)
+        res = run_deterministic(cfg)
+        *earlier, last = res.ledger.records
+        assert last.flags != 0
+        assert all(r.flags == 0 for r in earlier)
+        rows = [line for line in diagnostics.format_csv(res.csv_records).splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == diagnostics.HEADER
+        assert int(rows[-1].split(",")[-1]) == last.flags
 
     def test_mms_run_passes_with_margin(self):
         from ebpe.manufactured import ManufacturedSolution
@@ -228,6 +243,7 @@ def quadrature_record(grid, state) -> LedgerRecord:
     div = grad_h(state.v[0])[0] + grad_h(state.v[1])[1]
     w_top = -cumulative_integral(grid, div)[..., -1]
     return LedgerRecord(
+        step=state.step,
         t=state.t,
         energy=0.5 * (l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
                       + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)),
@@ -251,7 +267,10 @@ class TestMeasure:
         state = rough_state(grid, seed=3 * n)
         ours = measure(grid, state)
         oracle = quadrature_record(grid, state)
+        assert (ours.step, ours.flags) == (oracle.step, oracle.flags)
         for f in dataclasses.fields(LedgerRecord):
+            if f.name in ("step", "flags"):
+                continue
             a, b = getattr(ours, f.name), getattr(oracle, f.name)
             assert b != 0.0 and abs(a - b) <= 1e-12 * abs(b), f.name
         res = constraint_check(grid, state)

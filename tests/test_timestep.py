@@ -336,7 +336,7 @@ class TestRunDeterministic:
     def test_cadence_controls_rows(self):
         cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.02, cadence=5)
         res = run_deterministic(cfg)
-        steps = [s for s, _, _ in res.csv_records]
+        steps = [r.step for r in res.csv_records]
         assert steps == [0, 5, 10, 15, 20]
 
     def test_initial_state_kinds(self, grid8):
