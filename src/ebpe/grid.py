@@ -315,18 +315,21 @@ def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return (grid.idft_y @ x.reshape(nx, 2 * half, -1)).reshape((nx, grid.ny) + rest)
 
 
-def pack_fields(v: np.ndarray, T: np.ndarray, surface: np.ndarray) -> np.ndarray:
-    """One array for a batched transform: the planes v[0], v[1], T (Nz+1
-    each) and the surface field (1) along a new last axis."""
-    return np.concatenate((v[0], v[1], T, surface[..., None]), axis=-1)
+def pack_fields(v: np.ndarray, T: np.ndarray, *surface: np.ndarray) -> np.ndarray:
+    """One array for a batched transform: the planes v[0], v[1] and T (Nz+1
+    each, rho as T's top level) along a new last axis, then a surface field
+    (1 plane) if one is given."""
+    return np.concatenate((v[0], v[1], T) + tuple(f[..., None] for f in surface), axis=-1)
 
 
 def unpack_fields(grid: Grid, packed: np.ndarray):
-    """Views (v, T, surface) into an (Nx, W, 3(Nz+1)+1) pack_fields array,
-    physical or spectral; v has its component axis first, as in the state."""
+    """Views (v, T, surface) into a pack_fields array, physical or spectral;
+    v has its component axis first, as in the state, and surface is None
+    when the array has no plane after T."""
     n = grid.nlev
     v = packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)).transpose(2, 0, 1, 3)
-    return v, packed[..., 2 * n : 3 * n], packed[..., 3 * n]
+    surface = packed[..., 3 * n] if packed.shape[-1] > 3 * n else None
+    return v, packed[..., 2 * n : 3 * n], surface
 
 
 def volume_fields(grid: Grid, packed: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 For each horizontal mode xi the temperature and its surface trace form one
 stacked unknown (T(z_0), ..., T(z_{Nz-1}), rho) with the identification
-T(z_Nz) = rho, so the trace condition is exact by construction.  Rows:
+T(z_Nz) = rho, so the trace condition is exact by construction.  That
+stack is the spectral T of the step kernel's `pack_fields` layout, whose
+top level is rho, and the kernel hands it over as it stands.  Rows:
 
 * bottom: vertical Laplacian with the no-flux condition folded in by
   ghost elimination (second order),
@@ -194,19 +196,6 @@ class VelocityImplicitSolver:
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:
         return apply_generator(self.grid, self.vertical, v_hat)
-
-
-def stack_fields_hat(grid: Grid, T_hat: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    """Stack spectral (T, rho) into the shared-unknown layout.
-
-    The top temperature level of T_hat is dropped: the surface unknown is
-    rho_hat, which doubles as T at z = 1, so a stack (and a solution of
-    the coupled system) is the spectral T whose top level is rho.
-    """
-    stack = np.empty(T_hat.shape, dtype=complex)
-    stack[..., : grid.nz] = T_hat[..., : grid.nz]
-    stack[..., grid.nz] = rho_hat
-    return stack
 
 
 def retained_modes(grid: Grid) -> list[tuple[int, int]]:

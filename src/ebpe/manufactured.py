@@ -128,15 +128,11 @@ class ManufacturedSolution:
         gv, gT = cls._gv(t), cls._gT(t)
         return np.array([cls._dgv(t), gv, gv * gv, gT, cls._dgT(t), gv * gT])
 
-    def forcing_terms(self, grid: Grid) -> np.ndarray:
-        """The forcing less radiation as six spatial fields, one per envelope.
-
-        Shape (6, Nx, Ny, 3(Nz+1)+1), each in the `pack_fields` layout:
-        the forcing at t is the sum over i of `_envelopes(t)[i]` times
-        term i, minus the radiation of the exact rho.  Assembled from
-        closed-form derivatives; the surface pressure of the exact
-        solution is identically zero.
-        """
+    def _terms(self, grid: Grid):
+        """The forcing less radiation as six (f_v, f_T, f_rho) terms in the
+        order of `_envelopes`, from closed-form derivatives; f_T is the
+        interior equation's at every level, z = 1 included.  The exact
+        surface pressure is identically zero."""
         a, c = self.amp_v, self.amp_baro
         b, e, d = self.amp_flux, self.amp_trace, self.amp_mean
         two_pi = 2.0 * _PI
@@ -178,32 +174,40 @@ class ManufacturedSolution:
         flux_top = -0.5 * _PI * b * cx2           # dT/dz at z = 1
 
         zero, zero2 = np.zeros_like(T), np.zeros_like(rho)
-        return np.stack([pack_fields(*term) for term in (
+        return (
             ((v1, v2), zero, zero2),                         # dgv
             ((-lap_v1, -lap_v2), zero, zero2),               # gv
             ((adv_v1, adv_v2), zero, zero2),                 # gv^2
             ((-dxIT, -dyIT), -lap_T, flux_top - lap_rho),    # gT
             ((zero, zero), T, rho),                          # dgT
             ((zero, zero), adv_T, adv_rho),                  # gv gT
-        )])
+        )
+
+    def forcing_terms(self, grid: Grid) -> np.ndarray:
+        """The six terms, shape (6, Nx, Ny, 3(Nz+1)), in the `pack_fields`
+        layout with f_rho on T's top level, which is rho: the forcing at t is
+        the sum over i of `_envelopes(t)[i]` times term i, minus the
+        radiation of the exact rho on that level."""
+        return np.stack([pack_fields(f_v, np.dstack((f_T[..., :-1], f_rho)))
+                         for f_v, f_T, f_rho in self._terms(grid)])
 
     def forcing(self, grid: Grid, t: float):
         """Residual forcing (f_v, f_T, f_rho) making the fields exact.
 
-        The physical form of `spectral_forcing`, rebuilt from
-        `forcing_terms` at every call; the tests use it as the oracle.
+        The physical form of `spectral_forcing`, rebuilt from the terms at
+        every call; the tests use it as the oracle.
         """
-        packed = np.tensordot(self._envelopes(t), self.forcing_terms(grid), axes=1)
-        f_v, f_T, f_rho = unpack_fields(grid, packed)
+        f_v, f_T, f_rho = (np.tensordot(self._envelopes(t), np.asarray(fields), axes=1)
+                           for fields in zip(*self._terms(grid)))
         return f_v, f_T, f_rho - radiation(self.surface_temperature(grid, t), self.params(grid))
 
     def spectral_forcing(self, grid: Grid):
         """The forcing as `Stepper` takes it: a callable (grid, t) -> half
-        spectrum (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout.
+        spectrum (Nx, Ny//2+1, 3(Nz+1)) in the `pack_fields` layout.
 
         The six `forcing_terms` are transformed once, here; a call
         contracts them with the envelopes at t and subtracts the transform
-        of the radiation of the exact rho from the surface plane.  That rho
+        of the radiation of the exact rho from T's top plane.  That rho
         and Q depend on y only, so the transform is the y pass of `rfft_h`
         (`grid.dft_y`) on the kx = 0 row.
         """
@@ -220,7 +224,8 @@ class ManufacturedSolution:
             out = (self._envelopes(t) @ table).view(np.complex128).reshape(shape)
             rad = radiation(self.surface_temperature(grid, t)[:1], row)
             rad_hat = grid.dft_y @ rad[0]  # real parts, then imaginary
-            out[0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
+            _, T_hat, _ = unpack_fields(grid, out)
+            T_hat[0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
             return out
 
         return forcing_hat

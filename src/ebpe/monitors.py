@@ -49,41 +49,29 @@ def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
 class StateTerms:
     """Spectral terms and physical derivative fields of one state.
 
-    A pure function of (v, T, rho), so the ledger and the step that
-    starts from the state may share them; nothing here survives a step.
-    dx and dy hold the planes of pack_fields(v, T, rho).
+    A pure function of (v, T), so the ledger and the step that starts
+    from the state may share them; nothing here survives a step.  rho is
+    T's top level: its spectrum and derivatives are read there.
     """
 
-    U: np.ndarray   # half spectra of pack_fields(v, T, rho)
-    dx: np.ndarray  # d/dx of pack_fields(v, T, rho) (Nx, Ny, 3(Nz+1)+1)
-    dy: np.ndarray  # d/dy, the same layout
+    U: np.ndarray   # half spectra of pack_fields(v, T) (Nx, Ny//2+1, 3(Nz+1))
+    dx: np.ndarray  # d/dx of v[0], v[1], T (Nx, Ny, 3, Nz+1)
+    dy: np.ndarray  # d/dy, the same shape
     w: np.ndarray   # w (Nx, Ny, Nz+1)
-    dz: np.ndarray  # deriv_z of v[0], v[1], T (Nx, Ny, 3, Nz+1)
-
-    @property
-    def dz_v(self) -> np.ndarray:
-        """deriv_z of v (2, Nx, Ny, Nz+1), a view into dz."""
-        return self.dz[..., :2, :].transpose(2, 0, 1, 3)
-
-    @property
-    def dz_T(self) -> np.ndarray:
-        """deriv_z of T (Nx, Ny, Nz+1), a view into dz."""
-        return self.dz[..., 2, :]
+    dz: np.ndarray  # deriv_z, the same shape
 
 
 def state_terms(grid: Grid, state) -> StateTerms:
     """The StateTerms of `state`: one batched forward transform and three
     real products on the grid."""
-    packed = pack_fields(state.v, state.T, state.rho)
-    n = grid.nlev
-    dx = (grid.diff_x @ packed.reshape(grid.nx, -1)).reshape(packed.shape)
-    dy = grid.diff_y @ packed
-    # a contiguous copy of the volume planes makes deriv_z one 2-D product
-    volume = np.ascontiguousarray(volume_fields(grid, packed))
+    packed = pack_fields(state.v, state.T)
+    volume = volume_fields(grid, packed)
+    dx = (grid.diff_x @ packed.reshape(grid.nx, -1)).reshape(volume.shape)
+    dy = (grid.diff_y @ packed).reshape(volume.shape)
     return StateTerms(
         U=rfft_h(grid, packed), dx=dx, dy=dy,
-        w=-hydrostatic.cumulative_integral(grid, dx[..., :n] + dy[..., n : 2 * n]),
-        dz=(volume.reshape(-1, n) @ grid.diff_z.T).reshape(volume.shape),
+        w=-hydrostatic.cumulative_integral(grid, dx[..., 0, :] + dy[..., 1, :]),
+        dz=(volume.reshape(-1, grid.nlev) @ grid.diff_z.T).reshape(volume.shape),
     )
 
 
@@ -97,18 +85,15 @@ class ConstraintResiduals:
     w_top: float           # |w(.,1)|
 
 
-def constraint_check(grid: Grid, state) -> ConstraintResiduals:
-    """Residuals of the trace, bottom no-flux, solenoidal and w-top conditions."""
-    return _residuals(grid, state, state_terms(grid, state))
-
-
-def _residuals(grid: Grid, state, terms: StateTerms) -> ConstraintResiduals:
-    """constraint_check given the StateTerms of `state`."""
-    n = grid.nlev
-    div_bar = (terms.dx[..., :n] + terms.dy[..., n : 2 * n]) @ grid.trapz_w
+def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
+    """Residuals of the trace, bottom no-flux, solenoidal and w-top
+    conditions; terms, when given, is state_terms(grid, state)."""
+    if terms is None:
+        terms = state_terms(grid, state)
+    div_bar = (terms.dx[..., 0, :] + terms.dy[..., 1, :]) @ grid.trapz_w
     return ConstraintResiduals(
         trace=float(np.abs(state.T[..., -1] - state.rho).max()),
-        bottom_neumann=float(np.abs(terms.dz_T[..., 0]).max()),
+        bottom_neumann=float(np.abs(terms.dz[..., 2, 0]).max()),
         solenoidal=float(np.abs(div_bar).max()),
         w_top=float(np.abs(terms.w[..., -1]).max()),
     )
@@ -142,22 +127,22 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     is state_terms(grid, state)."""
     if terms is None:
         terms = state_terms(grid, state)
-    n, w = grid.nlev, grid.trapz_w
-    # Parseval: per plane of the packed fields, the squared L2 norm over
-    # the section (row 0) and that of the horizontal gradient (row 1)
+    w = grid.trapz_w
+    # Parseval: per level of (v[0], v[1], T), the squared L2 norm over the
+    # section (row 0) and that of the horizontal gradient (row 1)
     power = terms.U.real**2 + terms.U.imag**2
-    norms = np.einsum("sxy,xyk->sk", grid.norm_weights_half, power)
-    volume = norms[:, : 3 * n].reshape(2, 3, n) @ w  # (v[0], v[1], T) per row
+    norms = np.einsum("sxy,xyck->sck", grid.norm_weights_half, volume_fields(grid, power))
+    volume = norms @ w
     # squared L2 norms of deriv_z of (v[0], v[1], T)
     dz_sq = np.einsum("xyck,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
     gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
     gT = float(volume[1, 2] + dz_sq[2])
-    gr = float(norms[1, 3 * n])
-    res = _residuals(grid, state, terms)
+    gr = float(norms[1, 2, -1])  # rho is T's top level
+    res = constraint_check(grid, state, terms)
     return LedgerRecord(
         step=state.step,
         t=state.t,
-        energy=0.5 * float(volume[0].sum() + norms[0, 3 * n]),
+        energy=0.5 * float(volume[0].sum() + norms[0, 2, -1]),
         dissipation=gv + gT + gr,
         rho_l5=float((np.abs(state.rho) ** 5).sum() / (grid.nx * grid.ny)),
         sup_T=float(np.abs(state.T).max()),
@@ -248,7 +233,6 @@ def max_principle_check(
 def energy_step_check(
     prev: LedgerRecord,
     record: LedgerRecord,
-    step: int,
     dt: float,
     c_led: float = 50.0,
     tol_e: float = 1e-10,
@@ -257,7 +241,7 @@ def energy_step_check(
     step; returns the violation message, or None when it holds."""
     allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + tol_e
     if record.energy > allowed:
-        return (f"energy ledger violated at step {step}: "
+        return (f"energy ledger violated at step {record.step}: "
                 f"E={record.energy:.6e} > allowed {allowed:.6e}")
     return None
 
@@ -265,7 +249,6 @@ def energy_step_check(
 def h1_step_check(
     first: LedgerRecord,
     record: LedgerRecord,
-    step: int,
     growth_rate: float = 50.0,
     margin: float = 100.0,
     floor: float = 1e-8,
@@ -279,7 +262,7 @@ def h1_step_check(
     if not np.isfinite(h1) or (
         h1 > 0.0 and np.log(h1) > log_scale + growth_rate * (record.t - first.t)
     ):
-        return f"H1 envelope breached at step {step}: {h1:.6e}"
+        return f"H1 envelope breached at step {record.step}: {h1:.6e}"
     return None
 
 

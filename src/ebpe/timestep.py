@@ -261,7 +261,7 @@ class Stepper:
     imex_euler and 1/2 for cnab2 (see the module docstring).
 
     forcing, when given, is a callable (grid, t) -> half spectrum
-    (Nx, Ny//2+1, 3(Nz+1)+1) in the `pack_fields` layout, added to the
+    (Nx, Ny//2+1, 3(Nz+1)) in the `pack_fields` layout, added to the
     dealiased explicit tendencies at each step's start time t; the
     manufactured-solution runs pass `ManufacturedSolution.spectral_forcing
     (grid)`.  It is first called by the first step, never here; a return
@@ -297,7 +297,8 @@ class Stepper:
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
         """Dealiased explicit tendencies at `state` as half spectra, in the
-        `pack_fields` layout (F_v, F_T, F_rho), forcing included.
+        `pack_fields` layout (F_v, F_T), forcing included; the top plane
+        of F_T, rho's, is the surface tendency (transport plus radiation).
 
         terms, when given, is monitors.state_terms(grid, state), which
         holds every derivative and w on the grid.  One batched transform:
@@ -305,37 +306,37 @@ class Stepper:
         already a half spectrum.
         """
         grid, params = self.grid, self.params
-        n = grid.nlev
         if terms is None:
             terms = monitors.state_terms(grid, state)
         _, T_hat, _ = unpack_fields(grid, terms.U)
         k = terms.U.shape[-1]
-        v, rho = state.v, state.rho
+        v, rho = state.v, state.T[..., -1]
         # the products in the pack_fields layout, then the radiation plane,
         # written into one array for one transform
         planes = np.empty((grid.nx, grid.ny, k + 1 if params.radiation_on else k))
-        # advection of v[0], v[1] and T at once, shaped like terms.dz
+        # advection of v[0], v[1] and T at once, shaped like terms.dx
         adv = volume_fields(grid, planes)
-        np.multiply(v[0][:, :, None], volume_fields(grid, terms.dx), out=adv)
-        adv += v[1][:, :, None] * volume_fields(grid, terms.dy)
+        np.multiply(v[0][:, :, None], terms.dx, out=adv)
+        adv += v[1][:, :, None] * terms.dy
         adv += terms.w[:, :, None] * terms.dz
+        # at T's top level, rho, its transport replaces T's advection
         if params.transport_variant == VERTICAL_AVERAGE:
             vs = hydrostatic.vertical_average(grid, v)
         else:
             vs = v[:, :, :, -1]
-        adv_rho = planes[..., 3 * n]
-        np.multiply(vs[0], terms.dx[..., 3 * n], out=adv_rho)
-        adv_rho += vs[1] * terms.dy[..., 3 * n]
+        adv_rho = adv[..., 2, -1]
+        np.multiply(vs[0], terms.dx[..., 2, -1], out=adv_rho)
+        adv_rho += vs[1] * terms.dy[..., 2, -1]
         if params.radiation_on:
             planes[..., k] = radiation(rho, params)
         products = rfft_h(grid, planes)
 
         # radiation and forcing are added undealiased
         F = -np.where(grid.dealias_half[..., None], products[..., :k], 0.0)
-        F_v, _, _ = unpack_fields(grid, F)
+        F_v, F_T, _ = unpack_fields(grid, F)
         F_v += hydrostatic.baroclinic_grad(grid, T_hat)
         if params.radiation_on:
-            F[..., 3 * n] += products[..., k]
+            F_T[..., -1] += products[..., k]
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)
@@ -384,14 +385,15 @@ class Stepper:
             if self._history is not None and self._history[0] == state.step:
                 E = 1.5 * F - 0.5 * self._history[1]
             self._history = (state.step + 1, F)
-            U_v, U_T, U_rho = unpack_fields(grid, U)
+            U_v, U_T, _ = unpack_fields(grid, U)
             rhs = 2.0 * U + dt * E
         else:
             rhs = U + dt * F
-        rhs_v, rhs_T, rhs_rho = unpack_fields(grid, rhs)
-        x_hat = self.coupled.solve_hat(linops.stack_fields_hat(grid, rhs_T, rhs_rho))
+        # the T block, rho its top level, is the coupled solve's unknown
+        rhs_v, rhs_T, _ = unpack_fields(grid, rhs)
+        x_hat = self.coupled.solve_hat(rhs_T)
         if cnab2:
-            x_hat -= linops.stack_fields_hat(grid, U_T, U_rho)
+            x_hat -= U_T
         if kick_hat is not None:
             x_hat += kick_hat
 
@@ -451,8 +453,14 @@ def integrate(
     When monitors are enabled the run halts on the first hard monitor
     failure; the maximum-principle monitor is warn-only under
     vertical-average transport, where its constant is not established.
-    A BlowUpError carries the last measured state.
+    A BlowUpError carries the last measured state.  The step reads rho as
+    T's top level, so a ValueError rejects an initial state whose rho is
+    not bit for bit T[..., -1].
     """
+    if not np.array_equal(state.T[..., -1], state.rho):
+        raise ValueError(
+            "initial state: rho is not the surface level of T (max|T(.,1) - rho| = "
+            f"{np.abs(state.T[..., -1] - state.rho).max():.3e})")
     ledger = monitors.Ledger()
     csv_records: list[monitors.LedgerRecord] = []
     warnings: list[str] = []
@@ -488,9 +496,9 @@ def integrate(
                     monitor_failure = msg
             for flag, msg in (
                 (monitors.FLAG_ENERGY, monitors.energy_step_check(
-                    prev_record, record, state.step, cfg.dt, cfg.c_led)),
+                    prev_record, record, cfg.dt, cfg.c_led)),
                 (monitors.FLAG_H1, monitors.h1_step_check(
-                    ledger[0], record, state.step, cfg.h1_growth_rate, cfg.h1_margin)),
+                    ledger[0], record, cfg.h1_growth_rate, cfg.h1_margin)),
             ):
                 if msg is not None:
                     flags |= flag

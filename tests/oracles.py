@@ -27,7 +27,6 @@ from ebpe.linops import (
     coupled_vertical_matrix,
     eigenbasis,
     neumann_vertical_matrix,
-    stack_fields_hat,
 )
 from ebpe.monitors import energy_step_check, h1_step_check
 
@@ -95,7 +94,7 @@ def solve_coupled_implicit(grid, rhs_T: np.ndarray, rhs_rho: np.ndarray, dt: flo
     The top level of rhs_T is ignored (the surface row is driven by
     rhs_rho); the output satisfies T(., 1) = rho identically.
     """
-    stack = stack_fields_hat(grid, to_spectral(grid, rhs_T), to_spectral(grid, rhs_rho))
+    stack = to_spectral(grid, np.dstack((rhs_T[..., :-1], rhs_rho)))
     T = to_physical(grid, _dense_solve(grid, coupled_vertical_matrix(grid), stack, dt))
     return T, T[..., -1].copy()
 
@@ -115,8 +114,8 @@ def crank_nicolson_stage(grid, fields, tendencies, dt: float):
     Neumann matrix minus |xi|^2 for each velocity component.  Returns the
     unprojected velocity and (T, rho), physical; T(., 1) = rho."""
     (v, T, rho), (e_v, e_T, e_rho) = fields, tendencies
-    u = [stack_fields_hat(grid, to_spectral(grid, T), to_spectral(grid, rho))]
-    e = [stack_fields_hat(grid, to_spectral(grid, e_T), to_spectral(grid, e_rho))]
+    u = [to_spectral(grid, np.dstack((T[..., :-1], rho)))]
+    e = [to_spectral(grid, np.dstack((e_T[..., :-1], e_rho)))]
     u += [to_spectral(grid, c) for c in v]
     e += [to_spectral(grid, c) for c in e_v]
     x = [np.empty_like(c) for c in u]
@@ -245,10 +244,10 @@ def energy_ledger_check(ledger, c_led: float = 50.0, tol_e: float = 1e-10,
         if strict:
             allowed = prev.energy * (1.0 + 1e-14)
             message = None if record.energy <= allowed else (
-                f"energy ledger violated at step {n}: "
+                f"energy ledger violated at step {record.step}: "
                 f"E={record.energy:.6e} > allowed {allowed:.6e}")
         else:
-            message = energy_step_check(prev, record, n, record.t - prev.t, c_led, tol_e)
+            message = energy_step_check(prev, record, record.t - prev.t, c_led, tol_e)
         if message is not None:
             return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)
@@ -258,7 +257,7 @@ def h1_ledger_check(ledger, growth_rate: float = 50.0, margin: float = 100.0,
                     floor: float = 1e-8) -> LedgerCheckResult:
     """`h1_step_check` of every ledger record against the first."""
     for n in range(len(ledger)):
-        message = h1_step_check(ledger[0], ledger[n], n, growth_rate, margin, floor)
+        message = h1_step_check(ledger[0], ledger[n], growth_rate, margin, floor)
         if message is not None:
             return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)

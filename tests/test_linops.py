@@ -17,7 +17,6 @@ from ebpe.linops import (
     eigenbasis,
     neumann_vertical_matrix,
     retained_modes,
-    stack_fields_hat,
 )
 
 from conftest import smooth_field_2d, solve_one_mode
@@ -214,7 +213,7 @@ class TestSimilaritySplit:
 def solve_coupled_physical(grid, rhs_T, rhs_rho, dt):
     """The kernel's coupled solve of physical right-hand sides, through the
     batched real transforms; the top level of rhs_T is ignored."""
-    stack = stack_fields_hat(grid, rfft_h(grid, rhs_T), rfft_h(grid, rhs_rho))
+    stack = rfft_h(grid, np.dstack((rhs_T[..., :-1], rhs_rho)))
     T = irfft_h(grid, CoupledImplicitSolver(grid, dt).solve_hat(stack))
     return T, T[..., -1].copy()
 

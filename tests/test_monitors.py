@@ -8,7 +8,7 @@ import pytest
 from ebpe import PhysParams, diagnostics, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
-from ebpe.grid import deriv_x, deriv_y, deriv_z, pack_fields, to_physical, to_spectral
+from ebpe.grid import deriv_x, deriv_y, deriv_z, to_physical, to_spectral
 from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.monitors import (
     Ledger,
@@ -29,9 +29,9 @@ from conftest import project_barotropic_physical, rough_state, smooth_field_3d
 from oracles import diagnose_w, energy_ledger_check, h1_ledger_check
 
 
-def _record(t, energy, h1=0.0):
+def _record(t, energy, h1=0.0, step=0):
     return LedgerRecord(
-        step=0, t=t, energy=energy, dissipation=h1, rho_l5=0.0, sup_T=0.0, sup_rho=0.0,
+        step=step, t=t, energy=energy, dissipation=h1, rho_l5=0.0, sup_T=0.0, sup_rho=0.0,
         grad_v_sq=h1, grad_T_sq=0.0, grad_rho_sq=0.0,
         trace_res=0.0, div_res=0.0, w_top_res=0.0,
     )
@@ -167,10 +167,11 @@ class TestEnergyLedger:
     def test_violation_detected(self):
         ledger = Ledger()
         ledger.append(_record(0.0, 1.0))
-        ledger.append(_record(1e-3, 2.0))  # jump far beyond dt*c_led*(1+E)
+        ledger.append(_record(1e-3, 2.0, step=7))  # jump far beyond dt*c_led*(1+E)
         out = energy_ledger_check(ledger, c_led=50.0)
         assert not out.ok
         assert out.first_bad_step == 1
+        assert out.message.startswith("energy ledger violated at step 7: ")
 
 
 class TestH1Ledger:
@@ -183,10 +184,11 @@ class TestH1Ledger:
     def test_envelope_breach_detected(self):
         ledger = Ledger()
         ledger.append(_record(0.0, 0.0, h1=1.0))
-        ledger.append(_record(1e-3, 0.0, h1=1e6))
+        ledger.append(_record(1e-3, 0.0, h1=1e6, step=7))
         out = h1_ledger_check(ledger, growth_rate=50.0, margin=100.0)
         assert not out.ok
         assert out.first_bad_step == 1
+        assert out.message.startswith("H1 envelope breached at step 7: ")
 
     def test_unstable_step_caught_before_blowup(self):
         # dt far beyond the explicit-radiation limit with O(1) data: the
@@ -225,7 +227,10 @@ class TestH1Ledger:
 
 def quadrature_record(grid, state) -> LedgerRecord:
     """The ledger record by physical quadrature: full-spectrum derivatives
-    brought back to the grid, then l2sq_volume / l2sq_surface."""
+    brought back to the grid, then l2sq_volume / l2sq_surface.  The norms
+    of rho in energy and dissipation are those of T's top level, which
+    the kernel identifies with rho; rho_l5, sup|rho| and the trace
+    residual read state.rho."""
     def grad_h(f):
         c = to_spectral(grid, f)
         return to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))
@@ -237,7 +242,7 @@ def quadrature_record(grid, state) -> LedgerRecord:
 
     gv = grad_sq_volume(state.v[0]) + grad_sq_volume(state.v[1])
     gT = grad_sq_volume(state.T)
-    gr = sum(l2sq_surface(grid, g) for g in grad_h(state.rho))
+    gr = sum(l2sq_surface(grid, g) for g in grad_h(state.T[..., -1]))
     vbar = vertical_average(grid, state.v)
     div_bar = grad_h(vbar[0])[0] + grad_h(vbar[1])[1]
     div = grad_h(state.v[0])[0] + grad_h(state.v[1])[1]
@@ -246,7 +251,7 @@ def quadrature_record(grid, state) -> LedgerRecord:
         step=state.step,
         t=state.t,
         energy=0.5 * (l2sq_volume(grid, state.v[0]) + l2sq_volume(grid, state.v[1])
-                      + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.rho)),
+                      + l2sq_volume(grid, state.T) + l2sq_surface(grid, state.T[..., -1])),
         dissipation=gv + gT + gr,
         rho_l5=float(np.mean(np.abs(state.rho) ** 5)),
         sup_T=float(np.max(np.abs(state.T))),
@@ -265,6 +270,7 @@ class TestMeasure:
     def test_parseval_record_matches_quadrature(self, n):
         grid = make_grid(n, n, n)
         state = rough_state(grid, seed=3 * n)
+        state.rho[3, 4] += 1.0  # an O(1) trace residual
         ours = measure(grid, state)
         oracle = quadrature_record(grid, state)
         assert (ours.step, ours.flags) == (oracle.step, oracle.flags)
@@ -302,11 +308,11 @@ class TestStateTerms:
         grid = make_grid(n, n, n)
         state = rough_state(grid, seed=5 * n)
         terms = state_terms(grid, state)
-        fields = (state.v[0], state.v[1], state.T, state.rho)
+        fields = (state.v[0], state.v[1], state.T)
         spectra = [to_spectral(grid, f) for f in fields]
         for ours, deriv in ((terms.dx, deriv_x), (terms.dy, deriv_y)):
-            dv0, dv1, dT, drho = [to_physical(grid, deriv(grid, c)) for c in spectra]
-            oracle = pack_fields(np.stack((dv0, dv1)), dT, drho)
+            dv0, dv1, dT = [to_physical(grid, deriv(grid, c)) for c in spectra]
+            oracle = np.stack((dv0, dv1, dT), axis=2)
             assert np.max(np.abs(ours - oracle)) <= 1e-13 * np.max(np.abs(oracle))
         w = to_physical(grid, diagnose_w(grid, np.stack(spectra[:2])))
         assert np.max(np.abs(terms.w - w)) <= 1e-13 * np.max(np.abs(w))
@@ -318,7 +324,8 @@ class TestStateTerms:
         grid = make_grid(n, n, n)
         state = rough_state(grid, seed=5 * n)
         terms = state_terms(grid, state)
-        for ours, field in ((terms.dz_v, state.v), (terms.dz_T, state.T)):
+        for ours, field in ((np.moveaxis(terms.dz[..., :2, :], 2, 0), state.v),
+                            (terms.dz[..., 2, :], state.T)):
             oracle = deriv_z(grid, field)
             assert np.max(np.abs(ours - oracle)) <= 2e-15 * np.max(np.abs(oracle))
 

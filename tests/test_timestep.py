@@ -107,11 +107,13 @@ class TestSpectralKernelOracles:
         state = rough_state(grid, seed=n)
         stepper = Stepper(grid, params, 1e-3,
                           forcing=exact.spectral_forcing(grid) if forced else None)
-        ours = unpack_fields(grid, irfft_h(grid, stepper.tendencies(state)))
+        F_v, F_T, _ = unpack_fields(grid, irfft_h(grid, stepper.tendencies(state)))
         oracle = nonlinear_tendencies(grid, state, params)
         if forced:
             oracle = [F + f for F, f in zip(oracle, exact.forcing(grid, state.t))]
-        for F, F_ref in zip(ours, oracle):
+        # T's top level is rho: it carries the surface tendency
+        ours = (F_v, F_T[..., :-1], F_T[..., -1])
+        for F, F_ref in zip(ours, (oracle[0], oracle[1][..., :-1], oracle[2])):
             assert max_rel_err(F, F_ref) <= 1e-12
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -351,6 +353,20 @@ class TestRunDeterministic:
         assert max(np.max(np.abs(rs.T)), np.max(np.abs(rs.rho))) == pytest.approx(0.8)
         with pytest.raises(ValueError):
             initial_state(grid8, "bogus")
+
+
+@pytest.mark.parametrize("driver", [run_deterministic, stochastic.run_split_stochastic,
+                                    stochastic.run_direct_em])
+def test_driver_rejects_rho_off_the_trace_of_T(driver):
+    # the step reads rho as T's top level, so a state whose rho differs
+    # from it would run on silently with the stored rho ignored
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=2e-3, transport="vertical_average",
+                    noise_sigma=0.0 if driver is run_deterministic else 0.1,
+                    ic_kind="random_smooth", ic_seed=5)
+    initial = initial_state_from_config(grid_from_config(cfg), cfg)
+    initial.rho[3, 4] += 0.25
+    with pytest.raises(ValueError, match=r"max\|T\(\.,1\) - rho\| = 2\.500e-01"):
+        driver(cfg, initial=initial)
 
 
 class TestCnab2:
@@ -594,8 +610,10 @@ def test_state_terms_makes_one_forward_transform(n, monkeypatch):
     grid = make_grid(n, n, n)
     state = rough_state(grid, seed=n)
     counts = count_transforms(monkeypatch, lambda fields: 1)
+    planes = count_transforms(monkeypatch, lambda fields: math.prod(fields.shape[2:]))
     state_terms(grid, state)
     assert counts == {"forward": 1, "inverse": 0}
+    assert planes == {"forward": 3 * grid.nlev, "inverse": 0}  # v[0], v[1], T
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -610,12 +628,13 @@ def test_measure_given_terms_makes_no_transform(n, monkeypatch):
 
 # Transform planes (each call adds its trailing size) per forced CNAB2 step
 # at 8^3, the manufactured-solution step of `ebpe mms`.  Forward: the state
-# (3*9+1 = 28 planes, in monitors.state_terms) and the products with the
-# radiation plane (29); the forcing is a half spectrum built once per grid,
-# whose radiation part is a 1-D transform of one row.  Inverse: the new
-# (v, T, p_s) (28); the derivatives and w are products on the grid.  Upper
-# bounds: a change may lower them, never raise them.
-FORCED_PLANE_BUDGET = {"forward": 57, "inverse": 28}
+# (v[0], v[1], T with rho as its top level: 3*9 = 27 planes, in
+# monitors.state_terms) and the products with the radiation plane (28); the
+# forcing is a half spectrum built once per grid, whose radiation part is a
+# 1-D transform of one row.  Inverse: the new (v, T, p_s) (28); the
+# derivatives and w are products on the grid.  Upper bounds: a change may
+# lower them, never raise them.
+FORCED_PLANE_BUDGET = {"forward": 55, "inverse": 28}
 
 
 def test_forced_cnab2_transform_planes_within_budget(monkeypatch):
