@@ -160,7 +160,6 @@ def _cmd_check(args) -> int:
     sup_v = float(np.max(np.abs(state.v)))
     sup_T = float(np.max(np.abs(state.T)))
     tol = {
-        "trace": 1e-12 * (1.0 + sup_T),
         "bottom_neumann": 50.0 * grid.dz**2 * (1.0 + sup_T),
         "solenoidal": 1e-10 * (1.0 + sup_v),
         "w_top": 1e-10 * (1.0 + sup_v),

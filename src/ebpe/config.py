@@ -224,6 +224,11 @@ def validate_config(cfg: RunConfig) -> list[str]:
             errors.append(f"{name} must be >= 0, got {seed}")
     if cfg.cadence < 1:
         errors.append(f"cadence must be >= 1, got {cfg.cadence}")
+    for name, value in (("c_led", cfg.c_led), ("h1_growth_rate", cfg.h1_growth_rate)):
+        if value < 0.0:
+            errors.append(f"{name} must be >= 0, got {value}")
+    if cfg.h1_margin <= 0.0:
+        errors.append(f"h1_margin must be > 0, got {cfg.h1_margin}")
     if cfg.ic_amplitude < 0.0:
         errors.append(f"initial-condition amplitude must be >= 0, got {cfg.ic_amplitude}")
     return errors

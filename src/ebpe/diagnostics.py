@@ -7,14 +7,15 @@ holds the record fields that HEADER names, in that order: step and flags
 as integers, every other field as a float with 17 significant digits.
 '.' decimal separator, ',' field separator and '\n' line ends, so
 repeated runs of one configuration produce byte-identical files.
+Version 2 dropped v1's trace_res column, 0 by construction.
 """
 
 from __future__ import annotations
 
 from .monitors import LedgerRecord
 
-VERSION_LINE = "# ebpe diagnostics v1"
-HEADER = "step,t,energy,dissipation,rho_l5,sup_T,sup_rho,trace_res,div_res,flags"
+VERSION_LINE = "# ebpe diagnostics v2"
+HEADER = "step,t,energy,dissipation,rho_l5,sup_T,sup_rho,div_res,flags"
 _COLUMNS = HEADER.split(",")
 
 

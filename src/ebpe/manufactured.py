@@ -114,10 +114,8 @@ class ManufacturedSolution:
         return -gT * (self.amp_trace * cy + self.amp_mean)
 
     def initial_state(self, grid: Grid) -> State:
-        T = self.temperature(grid, 0.0)
-        return State(
-            v=self.velocity(grid, 0.0), T=T, rho=T[..., -1].copy(), p_s=grid.zeros2d()
-        )
+        return State(v=self.velocity(grid, 0.0), T=self.temperature(grid, 0.0),
+                     p_s=grid.zeros2d())
 
     # -- forcing -----------------------------------------------------------
 

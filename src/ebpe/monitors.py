@@ -79,20 +79,19 @@ def state_terms(grid: Grid, state) -> StateTerms:
 class ConstraintResiduals:
     """Max-norm residuals of the structural constraints of a state."""
 
-    trace: float           # |T(.,1) - rho|
     bottom_neumann: float  # one-sided dT/dz at z=0 (consistency-level, O(h^2))
     solenoidal: float      # |div_H vbar|
     w_top: float           # |w(.,1)|
 
 
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
-    """Residuals of the trace, bottom no-flux, solenoidal and w-top
-    conditions; terms, when given, is state_terms(grid, state)."""
+    """Residuals of the bottom no-flux, solenoidal and w-top conditions (the
+    trace condition has none: rho is T's top level); terms, when given, is
+    state_terms(grid, state)."""
     if terms is None:
         terms = state_terms(grid, state)
     div_bar = (terms.dx[..., 0, :] + terms.dy[..., 1, :]) @ grid.trapz_w
     return ConstraintResiduals(
-        trace=float(np.abs(state.T[..., -1] - state.rho).max()),
         bottom_neumann=float(np.abs(terms.dz[..., 2, 0]).max()),
         solenoidal=float(np.abs(div_bar).max()),
         w_top=float(np.abs(terms.w[..., -1]).max()),
@@ -116,7 +115,6 @@ class LedgerRecord:
     grad_v_sq: float
     grad_T_sq: float
     grad_rho_sq: float
-    trace_res: float
     div_res: float
     w_top_res: float
     flags: int = 0
@@ -150,7 +148,6 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
-        trace_res=res.trace,
         div_res=res.solenoidal,
         w_top_res=res.w_top,
     )
@@ -175,14 +172,14 @@ class Ledger:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def max_principle_bound(params: PhysParams, sup_T0: float, sup_rho0: float) -> float:
-    """Confinement constant max(sup|T0|, sup|rho0|, beta2^(1/4)).
+def max_principle_bound(params: PhysParams, sup_T0: float) -> float:
+    """Confinement constant max(sup|T0|, beta2^(1/4)); T0 includes rho0.
 
     Valid for the deterministic surface-trace model with normalized peak
     insolation at most one; the radiative balance then confines the
     temperature below beta2^(1/4).
     """
-    return max(sup_T0, sup_rho0, params.beta2 ** 0.25)
+    return max(sup_T0, params.beta2 ** 0.25)
 
 
 @dataclass(frozen=True)
@@ -199,31 +196,22 @@ class MaxPrincipleResult:
 def max_principle_check(
     state,
     params: PhysParams,
-    T0_bounds: tuple[float, float],
+    sup_T0: float,
     dt: float,
     record: LedgerRecord | None = None,
 ) -> MaxPrincipleResult:
-    """Sup-norm confinement of T and rho by the initial-data constant.
+    """Sup-norm confinement of T, rho included, by the initial-data constant.
 
     The tolerance carries a dt-proportional slack for the explicit
     treatment of the radiation term.  record, when given, is
-    measure(grid, state), whose sup|T| and sup|rho| are used; the fields
-    are searched again only for the location of a violation.
+    measure(grid, state), whose sup|T| is used; T is searched again only
+    for the location (i, j, k) of a violation, k = Nz on the surface.
     """
-    C = max_principle_bound(params, *T0_bounds)
+    C = max_principle_bound(params, sup_T0)
     tol = 1e-6 + 10.0 * dt * (1.0 + C**3)
-    if record is None:
-        sup_T, sup_rho = float(np.abs(state.T).max()), float(np.abs(state.rho).max())
-    else:
-        sup_T, sup_rho = record.sup_T, record.sup_rho
-    value = max(sup_T, sup_rho)
+    value = float(np.abs(state.T).max()) if record is None else record.sup_T
     ok = value <= C + tol
-    location = None
-    if not ok:
-        if sup_rho >= sup_T:
-            location = np.unravel_index(np.argmax(np.abs(state.rho)), state.rho.shape)
-        else:
-            location = np.unravel_index(np.argmax(np.abs(state.T)), state.T.shape)
+    location = None if ok else np.unravel_index(np.argmax(np.abs(state.T)), state.T.shape)
     return MaxPrincipleResult(
         ok=ok, bound=C, tolerance=tol, value=value,
         margin=C + tol - value, location=location, t=state.t,

@@ -3,8 +3,10 @@
 Layout (little endian): magic "EBPE", version byte 0x01, a flags byte
 (bit 0: a surface-noise channel follows the prognostic blocks; the other
 bits must be zero), u32 (Nx, Ny, Nz), f64 time, then row-major f64
-blocks in fixed order v1, v2, T, rho and optionally Z_rho.  No
-compression: restart must reproduce runs bit for bit.
+blocks in fixed order v1, v2, T, rho and optionally Z_rho.  The rho block
+repeats T's top level (`State.rho`, a view of it), and a file where the
+two differ is rejected.  No compression: restart must reproduce runs bit
+for bit.
 """
 
 from __future__ import annotations
@@ -90,5 +92,8 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
         z_rho = None
         if flags & FLAG_Z_RHO:
             z_rho = block((nx, ny), "Z_rho")
-    state = State(v=v, T=T, rho=rho, t=t, step=0)
-    return state, z_rho
+    if rho.tobytes() != T[..., -1].tobytes():
+        raise SnapshotError(
+            "snapshot rho block is not the top level of T (max|T(.,1) - rho| = "
+            f"{np.abs(T[..., -1] - rho).max():.3e})")
+    return State(v=v, T=T, t=t, step=0), z_rho

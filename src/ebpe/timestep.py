@@ -80,21 +80,24 @@ class State:
     """Prognostic fields at one time level.
 
     v has shape (2, Nx, Ny, Nz+1); T has shape (Nx, Ny, Nz+1) and carries
-    rho as its surface level; rho has shape (Nx, Ny).  p_s is the
-    diagnosed mean-zero surface pressure of the preceding step.
+    the surface temperature rho as its top level.  p_s is the diagnosed
+    mean-zero surface pressure of the preceding step.
     """
 
     v: np.ndarray
     T: np.ndarray
-    rho: np.ndarray
     t: float = 0.0
     step: int = 0
     p_s: np.ndarray | None = None
 
+    @property
+    def rho(self) -> np.ndarray:
+        """The surface temperature: the view T[..., -1], not a copy."""
+        return self.T[..., -1]
+
     def copy(self) -> "State":
         return State(
-            v=self.v.copy(), T=self.T.copy(), rho=self.rho.copy(),
-            t=self.t, step=self.step,
+            v=self.v.copy(), T=self.T.copy(), t=self.t, step=self.step,
             p_s=None if self.p_s is None else self.p_s.copy(),
         )
 
@@ -169,8 +172,7 @@ def initial_state(
             v[:] = 0.0
     else:
         raise ValueError(f"unknown initial-condition kind {kind!r}")
-    rho = T[..., -1].copy()
-    return State(v=v, T=T, rho=rho, p_s=grid.zeros2d())
+    return State(v=v, T=T, p_s=grid.zeros2d())
 
 
 def initial_state_from_config(grid: Grid, cfg: RunConfig) -> State:
@@ -237,9 +239,9 @@ def nonlinear_tendencies(
 
 
 def _check_finite(state: State, previous: State) -> None:
-    """One max-norm per field: a NaN or inf fails the threshold test, and
-    the finiteness of that one number tells it from a runaway."""
-    for name, f in (("v", state.v), ("T", state.T), ("rho", state.rho)):
+    """One max-norm per field (rho's is T's): a NaN or inf fails the threshold
+    test, and the finiteness of that one number tells it from a runaway."""
+    for name, f in (("v", state.v), ("T", state.T)):
         sup = np.abs(f).max()
         if sup <= BLOWUP_SUP:
             continue
@@ -408,8 +410,7 @@ class Stepper:
                 grid, irfft_h(grid, pack_fields(v_new_hat, x_hat, phi_hat / dt)))
         # contiguous copies: a resumed run starts from contiguous snapshot
         # arrays, and the next step must not depend on the memory layout
-        T_new = np.ascontiguousarray(T_new)
-        new = State(v=np.ascontiguousarray(v_new), T=T_new, rho=T_new[..., -1].copy(),
+        new = State(v=np.ascontiguousarray(v_new), T=np.ascontiguousarray(T_new),
                     t=state.t + dt, step=state.step + 1,
                     p_s=None if p_s is None else np.ascontiguousarray(p_s))
         _check_finite(new, state)
@@ -453,14 +454,8 @@ def integrate(
     When monitors are enabled the run halts on the first hard monitor
     failure; the maximum-principle monitor is warn-only under
     vertical-average transport, where its constant is not established.
-    A BlowUpError carries the last measured state.  The step reads rho as
-    T's top level, so a ValueError rejects an initial state whose rho is
-    not bit for bit T[..., -1].
+    A BlowUpError carries the last measured state.
     """
-    if not np.array_equal(state.T[..., -1], state.rho):
-        raise ValueError(
-            "initial state: rho is not the surface level of T (max|T(.,1) - rho| = "
-            f"{np.abs(state.T[..., -1] - state.rho).max():.3e})")
     ledger = monitors.Ledger()
     csv_records: list[monitors.LedgerRecord] = []
     warnings: list[str] = []
@@ -470,7 +465,6 @@ def integrate(
     if state.step == 0:
         csv_records.append(record)
 
-    T0_bounds = (record.sup_T, record.sup_rho)
     mp_warn_only = params.transport_variant == VERTICAL_AVERAGE
     monitor_failure = None
 
@@ -485,7 +479,7 @@ def integrate(
         prev_record, record = record, monitors.measure(grid, state, terms)
         flags = 0
         if cfg.monitors_on:
-            mp = monitors.max_principle_check(state, params, T0_bounds, cfg.dt, record)
+            mp = monitors.max_principle_check(state, params, ledger[0].sup_T, cfg.dt, record)
             if not mp.ok:
                 flags |= monitors.FLAG_MAX_PRINCIPLE
                 msg = (f"maximum principle violated at step {state.step}: "

@@ -81,15 +81,15 @@ def project_barotropic_physical(grid, v):
 def rough_state(grid, seed):
     """Smooth random state plus white noise on every mode, Nyquist lines
     included; the velocity is not projected, so every tendency, norm and
-    residual but the trace's is O(1).  rho is T's top level, as the step
-    kernel requires; a test that needs a trace residual corrupts rho."""
+    residual is O(1).  The surface noise, drawn last, goes on T's top
+    level, rho, over the smooth surface values."""
     from ebpe.timestep import initial_state
 
     rng = np.random.default_rng(seed)
     state = initial_state(grid, "random_smooth", amplitude=0.8, seed=seed)
     state.v = state.v + 0.1 * rng.standard_normal(state.v.shape)
-    state.T = state.T + 0.1 * rng.standard_normal(state.T.shape)
-    state.rho = state.rho + 0.1 * rng.standard_normal(state.rho.shape)
-    state.T[..., -1] = state.rho
+    T = state.T + 0.1 * rng.standard_normal(state.T.shape)
+    T[..., -1] = state.rho + 0.1 * rng.standard_normal(state.rho.shape)
+    state.T = T
     state.t = 0.3
     return state

@@ -95,6 +95,19 @@ class TestParseConfig:
             "noise_seed must be >= 0, got -3",
         ]
 
+    def test_negative_monitor_constants_rejected_in_one_pass(self):
+        # h1_margin = -1 would leave the H1 sentinel taking the log of a
+        # negative number, so it never flags; negative c_led or growth rate
+        # would flag healthy runs
+        text = MINIMAL + "[output]\nh1_margin = -1\nc_led = -5\nh1_growth_rate = -3\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.messages == [
+            "c_led must be >= 0, got -5.0",
+            "h1_growth_rate must be >= 0, got -3.0",
+            "h1_margin must be > 0, got -1.0",
+        ]
+
     def test_seed_override_helper(self):
         cfg = parse_config(MINIMAL)
         c2 = cfg.with_seed(77)
@@ -180,13 +193,27 @@ class TestSnapshots:
             read_snapshot(path)
         assert cli.main(["check", str(path)]) == 1
 
+    def test_rho_block_off_the_top_of_T_rejected(self, tmp_path, grid8):
+        # the rho block repeats T's top level; a file where they differ
+        # cannot become a state, whose rho is that level
+        state = initial_state(grid8, "random_smooth", amplitude=0.5, seed=2)
+        path = tmp_path / "s.bin"
+        write_snapshot(state, path)
+        raw = bytearray(path.read_bytes())
+        offset = struct.calcsize("<4sBBIIId") + 8 * (3 * 8 * 8 * 9 + 3 * 8 + 4)
+        raw[offset:offset + 8] = struct.pack("<d", state.rho[3, 4] + 0.25)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotError, match=r"max\|T\(\.,1\) - rho\| = 2\.500e-01"):
+            read_snapshot(path)
+        assert cli.main(["check", str(path)]) == 1
+
 
 class TestDiagnosticsCsv:
     def test_float_formatting_round_trips(self):
         record = LedgerRecord(
             step=3, t=1 / 3, energy=np.pi, dissipation=1e-17, rho_l5=0.0,
             sup_T=2.0, sup_rho=0.5, grad_v_sq=0.1, grad_T_sq=0.2, grad_rho_sq=0.3,
-            trace_res=0.0, div_res=3e-16, w_top_res=0.4, flags=5,
+            div_res=3e-16, w_top_res=0.4, flags=5,
         )
         row = diagnostics.format_csv([record]).splitlines()[2]
         fields = dict(zip(diagnostics.HEADER.split(","), row.split(",")))
@@ -353,8 +380,9 @@ monitors = on
         out = tmp_path / "out"
         assert cli.main(["run-det", "--config", str(cfgp), "--out", str(out)]) == 0
         assert cli.main(["check", str(out / "state_final.bin")]) == 0
-        captured = capsys.readouterr().out
-        assert "trace" in captured and "solenoidal" in captured
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["bottom_neumann", "solenoidal", "w_top"]
+        assert all(line.endswith("ok") for line in lines)
 
     def test_check_corrupt_snapshot(self, tmp_path):
         p = tmp_path / "junk.bin"
