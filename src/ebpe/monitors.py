@@ -27,7 +27,7 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import Grid, pack_fields, rfft_h, volume_fields
+from .grid import Grid, make_grid, pack_fields, rfft_h, volume_fields
 
 # monitor flag bits of LedgerRecord.flags
 FLAG_MAX_PRINCIPLE = 1
@@ -153,25 +153,6 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     )
 
 
-class Ledger:
-    """Append-only time series of LedgerRecord entries."""
-
-    def __init__(self):
-        self.records: list[LedgerRecord] = []
-
-    def append(self, record: LedgerRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i) -> LedgerRecord:
-        return self.records[i]
-
-    def series(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
-
 def max_principle_bound(params: PhysParams, sup_T0: float) -> float:
     """Confinement constant max(sup|T0|, beta2^(1/4)); T0 includes rho0.
 
@@ -182,40 +163,29 @@ def max_principle_bound(params: PhysParams, sup_T0: float) -> float:
     return max(sup_T0, params.beta2 ** 0.25)
 
 
-@dataclass(frozen=True)
-class MaxPrincipleResult:
-    ok: bool
-    bound: float
-    tolerance: float
-    value: float
-    margin: float
-    location: tuple | None = None
-    t: float | None = None
-
-
 def max_principle_check(
     state,
+    record: LedgerRecord,
     params: PhysParams,
     sup_T0: float,
     dt: float,
-    record: LedgerRecord | None = None,
-) -> MaxPrincipleResult:
-    """Sup-norm confinement of T, rho included, by the initial-data constant.
+) -> str | None:
+    """Sup-norm confinement of T, rho included, by the initial-data constant
+    max_principle_bound(params, sup_T0); returns the violation message, or
+    None when it holds.
 
-    The tolerance carries a dt-proportional slack for the explicit
-    treatment of the radiation term.  record, when given, is
-    measure(grid, state), whose sup|T| is used; T is searched again only
-    for the location (i, j, k) of a violation, k = Nz on the surface.
+    record is measure(grid, state), whose sup|T| is tested; T is searched
+    again only for the location (i, j, k) of max|T| that the message
+    names, k = Nz on the surface.  The tolerance carries a dt-proportional
+    slack for the explicit treatment of the radiation term.
     """
     C = max_principle_bound(params, sup_T0)
     tol = 1e-6 + 10.0 * dt * (1.0 + C**3)
-    value = float(np.abs(state.T).max()) if record is None else record.sup_T
-    ok = value <= C + tol
-    location = None if ok else np.unravel_index(np.argmax(np.abs(state.T)), state.T.shape)
-    return MaxPrincipleResult(
-        ok=ok, bound=C, tolerance=tol, value=value,
-        margin=C + tol - value, location=location, t=state.t,
-    )
+    if record.sup_T <= C + tol:
+        return None
+    location = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(state.T)), state.T.shape))
+    return (f"maximum principle violated at step {record.step}: "
+            f"sup={record.sup_T:.6e} > {C:.6e}+{tol:.2e} at {location}")
 
 
 def energy_step_check(
@@ -278,6 +248,18 @@ def _l2_distance(grid: Grid, state, v: np.ndarray, T: np.ndarray, rho: np.ndarra
     return float(np.sqrt(err2))
 
 
+def _mms_run(exact, grid: Grid, forcing, scheme: str, dt: float, t_end: float):
+    """The manufactured problem on `grid`, stepped from its exact initial
+    state to t_end; forcing is exact.spectral_forcing(grid)."""
+    from . import timestep
+
+    stepper = timestep.Stepper(grid, exact.params(grid), dt, scheme=scheme, forcing=forcing)
+    state = exact.initial_state(grid)
+    for _ in range(int(round(t_end / dt))):
+        state = stepper.step(state)
+    return state
+
+
 def mms_spatial_study(
     scheme: str = "imex_euler",
     nz_ladder=(8, 16, 32),
@@ -291,20 +273,13 @@ def mms_spatial_study(
     The horizontal directions are spectrally exact for the manufactured
     modes, so the measured rate isolates the second-order vertical scheme.
     """
-    from . import manufactured, timestep
-    from .grid import make_grid
+    from .manufactured import ManufacturedSolution
 
-    exact = manufactured.ManufacturedSolution()
+    exact = ManufacturedSolution()
     errors = []
     for nz in nz_ladder:
         grid = make_grid(nx, ny, nz)
-        params = exact.params(grid)
-        stepper = timestep.Stepper(
-            grid, params, dt, scheme=scheme, forcing=exact.spectral_forcing(grid)
-        )
-        state = exact.initial_state(grid)
-        for _ in range(int(round(t_end / dt))):
-            state = stepper.step(state)
+        state = _mms_run(exact, grid, exact.spectral_forcing(grid), scheme, dt, t_end)
         errors.append(_l2_distance(grid, state, exact.velocity(grid, state.t),
                                    exact.temperature(grid, state.t),
                                    exact.surface_temperature(grid, state.t)))
@@ -326,25 +301,15 @@ def mms_temporal_study(
     Same grid for all runs, so the spatial error cancels and the measured
     rate is the time-integration order.
     """
-    from . import manufactured, timestep
-    from .grid import make_grid
+    from .manufactured import ManufacturedSolution
 
-    exact = manufactured.ManufacturedSolution()
+    exact = ManufacturedSolution()
     grid = make_grid(nx, ny, nz)
-    params = exact.params(grid)
     forcing = exact.spectral_forcing(grid)
-
-    def run(dt: float):
-        stepper = timestep.Stepper(grid, params, dt, scheme=scheme, forcing=forcing)
-        state = exact.initial_state(grid)
-        for _ in range(int(round(t_end / dt))):
-            state = stepper.step(state)
-        return state
-
-    ref = run(min(dt_ladder) / ref_refine)
-    errors = []
-    for dt in dt_ladder:
-        errors.append(_l2_distance(grid, run(dt), ref.v, ref.T, ref.rho))
+    ref = _mms_run(exact, grid, forcing, scheme, min(dt_ladder) / ref_refine, t_end)
+    errors = [_l2_distance(grid, _mms_run(exact, grid, forcing, scheme, dt, t_end),
+                           ref.v, ref.T, ref.rho)
+              for dt in dt_ladder]
     return ConvergenceStudy(
         scales=list(dt_ladder), errors=errors,
         order=fit_order(np.array(dt_ladder), np.array(errors)),

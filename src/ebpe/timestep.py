@@ -95,12 +95,6 @@ class State:
         """The surface temperature: the view T[..., -1], not a copy."""
         return self.T[..., -1]
 
-    def copy(self) -> "State":
-        return State(
-            v=self.v.copy(), T=self.T.copy(), t=self.t, step=self.step,
-            p_s=None if self.p_s is None else self.p_s.copy(),
-        )
-
 
 def grid_from_config(cfg: RunConfig) -> Grid:
     return grid_mod.make_grid(cfg.nx, cfg.ny, cfg.nz)
@@ -421,14 +415,17 @@ class Stepper:
 class RunResult:
     """Outcome of one driver run.
 
-    final_state is the last measured state.  csv_records are the ledger
-    records that diagnostics.csv writes, in step order.  The split driver
-    also returns the surface channel of the noise convolution; both
-    stochastic drivers return the increment bundle they used.
+    final_state is the last measured state.  ledger holds the ledger
+    record of every measured state, the first included, in step order;
+    csv_records are those that diagnostics.csv writes.  monitor_failure is
+    the message of the check that halted the run, and warnings those of
+    the warn-only maximum-principle check.  The split driver also returns
+    the surface channel of the noise convolution; both stochastic drivers
+    return the increment bundle they used.
     """
 
     final_state: State
-    ledger: monitors.Ledger
+    ledger: list[monitors.LedgerRecord]
     csv_records: list[monitors.LedgerRecord]
     monitor_failure: str | None = None
     warnings: list[str] = field(default_factory=list)
@@ -451,20 +448,19 @@ def integrate(
     ledger, its record carrying the monitor flags raised at its step;
     csv_records holds the records at the configured cadence, on any
     monitor flag, and for the initial state of a fresh run (step 0).
-    When monitors are enabled the run halts on the first hard monitor
-    failure; the maximum-principle monitor is warn-only under
-    vertical-average transport, where its constant is not established.
+    When monitors are enabled, each step runs the maximum-principle,
+    energy and H1 checks in that order, each a message or None; the run
+    halts after a step with a hard failure, the last failing check's
+    message being monitor_failure.  The maximum-principle check is
+    warn-only under vertical-average transport, where its constant is
+    not established: its message goes to warnings and the run goes on.
     A BlowUpError carries the last measured state.
     """
-    ledger = monitors.Ledger()
-    csv_records: list[monitors.LedgerRecord] = []
-    warnings: list[str] = []
     terms = monitors.state_terms(grid, state)
     record = monitors.measure(grid, state, terms)
-    ledger.append(record)
-    if state.step == 0:
-        csv_records.append(record)
-
+    ledger = [record]
+    csv_records = [record] if state.step == 0 else []
+    warnings: list[str] = []
     mp_warn_only = params.transport_variant == VERTICAL_AVERAGE
     monitor_failure = None
 
@@ -479,23 +475,20 @@ def integrate(
         prev_record, record = record, monitors.measure(grid, state, terms)
         flags = 0
         if cfg.monitors_on:
-            mp = monitors.max_principle_check(state, params, ledger[0].sup_T, cfg.dt, record)
-            if not mp.ok:
-                flags |= monitors.FLAG_MAX_PRINCIPLE
-                msg = (f"maximum principle violated at step {state.step}: "
-                       f"sup={mp.value:.6e} > {mp.bound:.6e}+{mp.tolerance:.2e}")
-                if mp_warn_only:
-                    warnings.append(msg)
-                else:
-                    monitor_failure = msg
             for flag, msg in (
+                (monitors.FLAG_MAX_PRINCIPLE, monitors.max_principle_check(
+                    state, record, params, ledger[0].sup_T, cfg.dt)),
                 (monitors.FLAG_ENERGY, monitors.energy_step_check(
                     prev_record, record, cfg.dt, cfg.c_led)),
                 (monitors.FLAG_H1, monitors.h1_step_check(
                     ledger[0], record, cfg.h1_growth_rate, cfg.h1_margin)),
             ):
-                if msg is not None:
-                    flags |= flag
+                if msg is None:
+                    continue
+                flags |= flag
+                if flag == monitors.FLAG_MAX_PRINCIPLE and mp_warn_only:
+                    warnings.append(msg)
+                else:
                     monitor_failure = msg
         if flags:
             record = replace(record, flags=flags)

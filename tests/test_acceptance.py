@@ -129,7 +129,7 @@ def test_criterion_04_constraint_suite():
     assert np.shares_memory(final.rho, final.T)
     assert np.array_equal(final.rho, final.T[..., -1])
     worst = {"div": 0.0, "w_top": 0.0}
-    for rec in res.ledger.records:
+    for rec in res.ledger:
         worst["div"] = max(worst["div"], rec.div_res)
         worst["w_top"] = max(worst["w_top"], rec.w_top_res)
     sup_v = float(np.max(np.abs(final.v)))
@@ -151,7 +151,7 @@ def test_criterion_05_maximum_principle():
         res = run_deterministic(cfg)
         rec0 = res.ledger[0]
         assert max(rec0.sup_T, rec0.sup_rho) <= bound * (1 + 1e-12)
-        run_sup = max(max(r.sup_T, r.sup_rho) for r in res.ledger.records)
+        run_sup = max(max(r.sup_T, r.sup_rho) for r in res.ledger)
         worst = max(worst, run_sup)
         assert run_sup <= bound + tol, f"seed {seed}: {run_sup} > {bound}+{tol}"
     report(5, f"5 seeds, 500 steps: max sup {worst:.6f} <= "
@@ -164,7 +164,7 @@ def test_criterion_06_pure_diffusion_decay():
     cfg = load("accept_diffusion.ini")
     assert cfg.n_steps() == 200
     res = run_deterministic(cfg)
-    E = res.ledger.series("energy")
+    E = np.array([r.energy for r in res.ledger])
     ratios = E[1:] / E[:-1]
     assert np.all(ratios <= 1 + 1e-14)
     report(6, f"200 steps: E0 nonincreasing, max step ratio "

@@ -8,10 +8,11 @@ import pytest
 from ebpe import PhysParams, diagnostics, make_grid
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
-from ebpe.grid import deriv_x, deriv_y, deriv_z, to_physical, to_spectral
+from ebpe.grid import (deriv_x, deriv_y, deriv_z, pack_fields, rfft_h, to_physical,
+                       to_spectral)
 from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.monitors import (
-    Ledger,
+    FLAG_MAX_PRINCIPLE,
     LedgerRecord,
     constraint_check,
     l2sq_surface,
@@ -59,9 +60,8 @@ class TestMaxPrinciple:
     def test_zero_state_trivially_inside(self, grid8):
         params = PhysParams(Q=np.ones((8, 8)))
         state = initial_state(grid8, "zero")
-        res = max_principle_check(state, params, 0.0, dt=1e-3)
-        assert res.ok
-        assert res.bound == pytest.approx(0.68**0.25)
+        assert max_principle_check(state, measure(grid8, state), params, 0.0, dt=1e-3) is None
+        assert max_principle_bound(params, 0.0) == pytest.approx(0.68**0.25)
 
     def test_bound_constant(self):
         params = PhysParams(Q=np.ones((2, 2)))
@@ -72,23 +72,66 @@ class TestMaxPrinciple:
         params = PhysParams(Q=np.ones((8, 8)))
         state = initial_state(grid8, "zero")
         state.rho[2, 5] = 5.0  # rho is T's top level
-        res = max_principle_check(state, params, 0.0, dt=1e-3)
-        assert not res.ok
-        assert res.value == 5.0
-        assert res.location == (2, 5, 8)
+        msg = max_principle_check(state, measure(grid8, state), params, 0.0, dt=1e-3)
+        assert msg.startswith("maximum principle violated at step 0: sup=5.000000e+00 > ")
+        assert msg.endswith(" at (2, 5, 8)")
 
     @pytest.mark.parametrize("hot", [None, (2, 5), (3, 1, 4)])
     def test_record_sups_give_the_same_result(self, grid8, hot):
-        # the driver loop hands over the step's ledger record; its sup|T| is
-        # the reduction the check would make itself, rho's included
+        # the check tests the ledger record's sup|T|, rho's included, and
+        # names the location of max|T| in the state
         params = PhysParams(Q=np.ones((8, 8)))
         state = initial_state(grid8, "random_smooth", amplitude=0.5, seed=4)
         if hot is not None:
             field = state.rho if len(hot) == 2 else state.T
             field[hot] = -5.0
-        record = measure(grid8, state)
-        assert (max_principle_check(state, params, 0.5, 1e-3, record)
-                == max_principle_check(state, params, 0.5, 1e-3))
+        msg = max_principle_check(state, measure(grid8, state), params, 0.5, 1e-3)
+        sup = float(np.abs(state.T).max())
+        C = max_principle_bound(params, 0.5)
+        tol = 1e-6 + 10.0 * 1e-3 * (1.0 + C**3)
+        if hot is None:
+            assert sup <= C + tol
+            assert msg is None
+        else:
+            location = hot + (8,) if len(hot) == 2 else hot
+            assert msg == (f"maximum principle violated at step 0: "
+                           f"sup={sup:.6e} > {C:.6e}+{tol:.2e} at {location}")
+
+    @staticmethod
+    def heated_run(transport):
+        # a point heat source on the surface at (2, 5) lifts sup|T| past the
+        # bound on every step; c_led and h1_margin are so large that the
+        # energy and H1 checks cannot fire
+        cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=3e-3, transport=transport,
+                        ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=4,
+                        monitors_on=True, c_led=1e12, h1_margin=1e12, cadence=100)
+        grid = make_grid(8, 8, 8)
+        source = grid.zeros3d()
+        source[2, 5, -1] = 5e3
+        heat = rfft_h(grid, pack_fields(grid.zeros_velocity(), source))
+        return run_deterministic(cfg, forcing=lambda grid, t: heat)
+
+    def test_violation_warns_under_vertical_average(self):
+        res = self.heated_run("vertical_average")
+        assert res.monitor_failure is None
+        assert res.final_state.step == 3
+        assert len(res.warnings) == 3
+        for step, msg in enumerate(res.warnings, start=1):
+            assert msg.startswith(f"maximum principle violated at step {step}: ")
+            assert msg.endswith(" at (2, 5, 8)")
+        assert [r.flags for r in res.ledger] == [0] + 3 * [FLAG_MAX_PRINCIPLE]
+        rows = [line.split(",") for line in diagnostics.format_csv(res.csv_records).splitlines()
+                if not line.startswith("#")][1:]
+        assert [(int(r[0]), int(r[-1])) for r in rows] == [
+            (0, 0), (1, FLAG_MAX_PRINCIPLE), (2, FLAG_MAX_PRINCIPLE), (3, FLAG_MAX_PRINCIPLE)]
+
+    def test_violation_halts_under_surface_trace(self):
+        res = self.heated_run("surface_trace")
+        assert res.warnings == []
+        assert res.final_state.step == 1
+        assert res.monitor_failure.startswith("maximum principle violated at step 1: ")
+        assert res.monitor_failure.endswith(" at (2, 5, 8)")
+        assert [r.flags for r in res.ledger] == [0, FLAG_MAX_PRINCIPLE]
 
     def test_hot_start_relaxes_to_radiative_bound(self):
         # uniform start at twice the radiative ceiling: the surface cools by
@@ -100,8 +143,8 @@ class TestMaxPrinciple:
                         ic_kind="uniform", ic_value=2 * beta2_root,
                         q0=1.0, q1=0.0)
         res = run_deterministic(cfg)
-        sup_rho = res.ledger.series("sup_rho")
-        sup_T = res.ledger.series("sup_T")
+        sup_rho = np.array([r.sup_rho for r in res.ledger])
+        sup_T = np.array([r.sup_T for r in res.ledger])
         assert np.all(np.diff(sup_rho) <= 1e-12)
         assert np.all(np.diff(sup_T) <= 1e-12)
         assert sup_rho[-1] <= beta2_root + 1e-6 + 10 * cfg.dt * (1 + beta2_root**3)
@@ -118,9 +161,7 @@ class TestMaxPrinciple:
 
 class TestEnergyLedger:
     def test_zero_state_constant(self):
-        ledger = Ledger()
-        for n in range(5):
-            ledger.append(_record(n * 0.1, 0.0))
+        ledger = [_record(n * 0.1, 0.0) for n in range(5)]
         assert energy_ledger_check(ledger).ok
         assert energy_ledger_check(ledger, strict=True).ok
 
@@ -145,7 +186,7 @@ class TestEnergyLedger:
         before = (state.v.copy(), state.T.copy(), state.rho.copy())
         measure(grid8, state)
         constraint_check(grid8, state)
-        max_principle_check(state, params, 1.0, dt=1e-3)
+        max_principle_check(state, measure(grid8, state), params, 1.0, dt=1e-3)
         assert np.array_equal(state.v, before[0])
         assert np.array_equal(state.T, before[1])
         assert np.array_equal(state.rho, before[2])
@@ -157,9 +198,8 @@ class TestEnergyLedger:
         assert energy_ledger_check(res.ledger, c_led=50.0).ok
 
     def test_violation_detected(self):
-        ledger = Ledger()
-        ledger.append(_record(0.0, 1.0))
-        ledger.append(_record(1e-3, 2.0, step=7))  # jump far beyond dt*c_led*(1+E)
+        # a jump far beyond dt*c_led*(1+E)
+        ledger = [_record(0.0, 1.0), _record(1e-3, 2.0, step=7)]
         out = energy_ledger_check(ledger, c_led=50.0)
         assert not out.ok
         assert out.first_bad_step == 1
@@ -168,15 +208,11 @@ class TestEnergyLedger:
 
 class TestH1Ledger:
     def test_zero_state_passes(self):
-        ledger = Ledger()
-        for n in range(5):
-            ledger.append(_record(n * 0.1, 0.0, h1=0.0))
+        ledger = [_record(n * 0.1, 0.0, h1=0.0) for n in range(5)]
         assert h1_ledger_check(ledger).ok
 
     def test_envelope_breach_detected(self):
-        ledger = Ledger()
-        ledger.append(_record(0.0, 0.0, h1=1.0))
-        ledger.append(_record(1e-3, 0.0, h1=1e6, step=7))
+        ledger = [_record(0.0, 0.0, h1=1.0), _record(1e-3, 0.0, h1=1e6, step=7)]
         out = h1_ledger_check(ledger, growth_rate=50.0, margin=100.0)
         assert not out.ok
         assert out.first_bad_step == 1
@@ -190,7 +226,7 @@ class TestH1Ledger:
                         monitors_on=True)
         res = run_deterministic(cfg)
         assert res.monitor_failure is not None
-        assert all(np.isfinite(r.dissipation) for r in res.ledger.records)
+        assert all(np.isfinite(r.dissipation) for r in res.ledger)
 
     def test_flagged_step_recorded_in_ledger_and_csv(self):
         # the run of test_unstable_step_caught_before_blowup: only the step
@@ -199,7 +235,7 @@ class TestH1Ledger:
                         ic_kind="random_smooth", ic_amplitude=3.0, ic_seed=6,
                         monitors_on=True)
         res = run_deterministic(cfg)
-        *earlier, last = res.ledger.records
+        *earlier, last = res.ledger
         assert last.flags != 0
         assert all(r.flags == 0 for r in earlier)
         rows = [line for line in diagnostics.format_csv(res.csv_records).splitlines()

@@ -242,11 +242,6 @@ class TestDrivers:
         d = run_direct_em(cfg)
         assert np.array_equal(c.final_state.rho, d.final_state.rho)
 
-    def test_split_final_state_carries_trace(self):
-        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.3, noise_seed=2)
-        res = run_split_stochastic(cfg)
-        assert np.array_equal(res.final_state.T[..., -1], res.final_state.rho)
-
     def test_split_matches_remainder_recurrence_oracle(self):
         # the paper's splitting, built from the physical-space helpers: the
         # remainder takes the deterministic step with the tendencies at the
