@@ -3,25 +3,26 @@
 Horizontal directions are Fourier collocation on an Nx x Ny periodic grid;
 the vertical is a uniform grid of Nz intervals (Nz+1 levels, z_0 = 0 at the
 bottom, z_Nz = 1 at the surface).  Fields are real arrays of shape
-(Nx, Ny) or (Nx, Ny, Nz+1); their spectral form carries complex per-mode
-coefficients over the same leading axes.
+(Nx, Ny) or (Nx, Ny, Nz+1), and the state stacks its three volume fields
+field-major, (3, Nx, Ny, Nz+1); their spectral form carries complex
+per-mode coefficients over the same axes.
 
 The package works on half spectra.  `rfft_h`/`irfft_h` are the batched
-real transforms of the step kernel and the monitors: one call moves any
-stack of fields (horizontal axes first, any trailing axes) to or from its
-half spectrum of shape (Nx, Ny//2+1, ...), whose columns are ky = 0 ..
-Ny/2, and every per-mode table of the kernel has that width.  They are
-dense DFT matrix products on BLAS, not FFTs: at the 8 to 64 points a side
-of the grid ladder a length-N line costs less as N multiply-adds per
-output than as pocketfft's per-line call (Van Loan, Computational
-Frameworks for the Fast Fourier Transform, SIAM 1992, sections 1.1-1.4).
-Each transform is one batched real product over x for the y pass, one
-complex product for the x pass and one copy between the real and the
-complex layout, with matrices the grid builds once (`dft_y`, `dft_x`,
-`idft_x`, `idft_y`).  Their angles are reduced mod N before the cosine
-and sine are taken, and the entries at multiples of pi/2 are exact, so
-the transforms stay within 1e-15 of an exact DFT (relative to its
-largest coefficient) up to 64 points a side.  The products are
+real transforms of the step kernel and the monitors: one call moves one
+(Nx, Ny) field, or fields (..., Nx, Ny, K) with any leading axes, to or
+from half spectra whose y axis holds the columns ky = 0 .. Ny/2, and
+every per-mode table of the kernel has that width.  They are dense DFT
+matrix products on BLAS, not FFTs: at the 8 to 64 points a side of the
+grid ladder a length-N line costs less as N multiply-adds per output
+than as pocketfft's per-line call (Van Loan, Computational Frameworks
+for the Fast Fourier Transform, SIAM 1992, sections 1.1-1.4).  Each
+transform is one batched real product for the y pass, one complex
+product per leading index for the x pass and one copy between the real
+and the complex layout, with matrices the grid builds once (`dft_y`,
+`dft_x`, `idft_x`, `idft_y`).  Their angles are reduced mod N before the
+cosine and sine are taken, and the entries at multiples of pi/2 are
+exact, so the transforms stay within 1e-15 of an exact DFT (relative to
+its largest coefficient) up to 64 points a side.  The products are
 deterministic, so a restart still reproduces a run bit for bit; they
 differ from numpy's FFT by roundoff.
 
@@ -201,12 +202,6 @@ class Grid:
     def zeros2d(self) -> np.ndarray:
         return np.zeros((self.nx, self.ny))
 
-    def zeros3d(self) -> np.ndarray:
-        return np.zeros((self.nx, self.ny, self.nlev))
-
-    def zeros_velocity(self) -> np.ndarray:
-        return np.zeros((2, self.nx, self.ny, self.nlev))
-
 
 def _unit_circle(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi m j / n for m < rows, j < n, shape (rows, n).
@@ -268,75 +263,62 @@ def to_physical(grid: Grid, coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarra
 
 
 def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
-    """Batched horizontal real transform: half spectra of shape
-    (Nx, Ny//2+1, ...) of real fields shaped (Nx, Ny, ...).
+    """Batched horizontal real transform: half spectra (..., Nx, Ny//2+1, K)
+    of real fields (..., Nx, Ny, K), or (Nx, Ny//2+1) of one (Nx, Ny) field.
 
-    The y pass is `dft_y` times every x line of every trailing plane (one
-    batched product over x); a copy pairs the real and imaginary parts it
-    leaves into complex lines, and the x pass is `dft_x` times those (one
-    product).
+    Any leading axes (the field axis of the state) are batched; K is the
+    level axis.  The y pass is `dft_y` times every (Ny, K) line block (one
+    batched product over the leading axes and x); a copy pairs the real
+    and imaginary parts it leaves into complex lines, and the x pass is
+    `dft_x` times those (one product per leading index).
     """
-    if fields.shape[:2] != (grid.nx, grid.ny):
+    nx, ny, half = grid.nx, grid.ny, grid.ny // 2 + 1
+    ax = -1 if fields.ndim == 2 else -2  # the y axis
+    if fields.shape[ax - 1 :][:2] != (nx, ny):
         raise ValueError(
-            f"field shape {fields.shape} does not match grid ({grid.nx}, {grid.ny})"
+            f"field shape {fields.shape} does not match grid ({nx}, {ny})"
         )
-    nx, half, rest = grid.nx, grid.ny // 2 + 1, fields.shape[2:]
+    k = fields.shape[-1] if ax == -2 else 1
     # contiguous operands keep every product on BLAS, so the result does
     # not depend on the memory layout of `fields`
-    lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(nx, grid.ny, -1)
-    y = (grid.dft_y @ lines).reshape((nx, 2, half) + rest)  # real parts, then imaginary
-    y_hat = np.empty((nx, half) + rest, dtype=complex)
-    y_hat.real = y[:, 0]
-    y_hat.imag = y[:, 1]
+    lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(-1, ny, k)
+    y = (grid.dft_y @ lines).reshape(-1, nx, 2, half, k)  # real parts, then imaginary
+    y_hat = np.empty(y.shape[:2] + (half, k), dtype=complex)
+    y_hat.real = y[:, :, 0]
+    y_hat.imag = y[:, :, 1]
     del y  # one intermediate at a time keeps the peak memory of a step down
-    return (grid.dft_x @ y_hat.reshape(nx, -1)).reshape(y_hat.shape)
+    shape = list(fields.shape)
+    shape[ax] = half
+    return (grid.dft_x @ y_hat.reshape(-1, nx, half * k)).reshape(shape)
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of rfft_h: real fields (Nx, Ny, ...) from half spectra.
+    """Inverse of rfft_h: real fields (..., Nx, Ny, K) from half spectra
+    (..., Nx, Ny//2+1, K), or one (Nx, Ny) field from (Nx, Ny//2+1).
 
-    The x pass is `idft_x` times the coefficients (one product); a copy
-    splits the result into real and imaginary parts, and the y pass is
-    `idft_y` times every x line (one batched product over x).  The
-    imaginary parts of the ky = 0 and ky = Ny/2 columns after the x pass
-    meet zero entries of `idft_y` and are dropped, which is the real
-    projection of the full inverse.
+    The x pass is `idft_x` times the coefficients (one product per leading
+    index); a copy splits the result into real and imaginary parts, and
+    the y pass is `idft_y` times every line block (one batched product).
+    The imaginary parts of the ky = 0 and ky = Ny/2 columns after the x
+    pass meet zero entries of `idft_y` and are dropped, which is the real
+    projection of the full inverse.  The result is a new C-contiguous
+    array: the step wraps it as the new state with no copy.
     """
-    nx, half, rest = grid.nx, grid.ny // 2 + 1, coeffs.shape[2:]
-    if coeffs.shape[:2] != (nx, half):
+    nx, half = grid.nx, grid.ny // 2 + 1
+    ax = -1 if coeffs.ndim == 2 else -2  # the y axis
+    if coeffs.shape[ax - 1 :][:2] != (nx, half):
         raise ValueError(
             f"half-spectrum shape {coeffs.shape} does not match grid ({nx}, {half})"
         )
-    x_hat = grid.idft_x @ np.ascontiguousarray(coeffs, dtype=complex).reshape(nx, -1)
-    x = np.empty((nx, 2, x_hat.shape[1]))
-    x[:, 0] = x_hat.real
-    x[:, 1] = x_hat.imag
+    k = coeffs.shape[-1] if ax == -2 else 1
+    x_hat = grid.idft_x @ np.ascontiguousarray(coeffs, dtype=complex).reshape(-1, nx, half * k)
+    x = np.empty(x_hat.shape[:2] + (2, half * k))
+    x[:, :, 0] = x_hat.real
+    x[:, :, 1] = x_hat.imag
     del x_hat
-    return (grid.idft_y @ x.reshape(nx, 2 * half, -1)).reshape((nx, grid.ny) + rest)
-
-
-def pack_fields(v: np.ndarray, T: np.ndarray, *surface: np.ndarray) -> np.ndarray:
-    """One array for a batched transform: the planes v[0], v[1] and T (Nz+1
-    each, rho as T's top level) along a new last axis, then a surface field
-    (1 plane) if one is given."""
-    return np.concatenate((v[0], v[1], T) + tuple(f[..., None] for f in surface), axis=-1)
-
-
-def unpack_fields(grid: Grid, packed: np.ndarray):
-    """Views (v, T, surface) into a pack_fields array, physical or spectral;
-    v has its component axis first, as in the state, and surface is None
-    when the array has no plane after T."""
-    n = grid.nlev
-    v = packed[..., : 2 * n].reshape(packed.shape[:2] + (2, n)).transpose(2, 0, 1, 3)
-    surface = packed[..., 3 * n] if packed.shape[-1] > 3 * n else None
-    return v, packed[..., 2 * n : 3 * n], surface
-
-
-def volume_fields(grid: Grid, packed: np.ndarray) -> np.ndarray:
-    """View (Nx, W, 3, Nz+1) of the planes v[0], v[1], T of a pack_fields
-    array, for operations that treat the three volume fields alike."""
-    n = grid.nlev
-    return packed[..., : 3 * n].reshape(packed.shape[:2] + (3, n))
+    shape = list(coeffs.shape)
+    shape[ax] = grid.ny
+    return (grid.idft_y @ x.reshape(-1, 2 * half, k)).reshape(shape)
 
 
 def match_columns(

@@ -3,8 +3,10 @@
 For each horizontal mode xi the temperature and its surface trace form one
 stacked unknown (T(z_0), ..., T(z_{Nz-1}), rho) with the identification
 T(z_Nz) = rho, so the trace condition is exact by construction.  That
-stack is the spectral T of the step kernel's `pack_fields` layout, whose
-top level is rho, and the kernel hands it over as it stands.  Rows:
+stack is field 2, the spectral T, of the step kernel's field-major
+layout (3, Nx, Ny//2+1, Nz+1), whose top level is rho, and the kernel
+hands it over as it stands; the velocity solve takes fields 0 and 1, a
+contiguous (2, Nx, Ny//2+1, Nz+1) slice, in one call.  Rows:
 
 * bottom: vertical Laplacian with the no-flux condition folded in by
   ghost elimination (second order),

@@ -18,10 +18,11 @@ grid by both the scheme and the forcing, cancelling identically as the
 numerical solution approaches the exact one.
 
 The forcing is separable: apart from that radiation term, it is a sum of
-six fixed spatial fields (`forcing_terms`), each times one time envelope.
-`spectral_forcing` transforms the fields once per grid, so a forced step
-adds a six-term contraction of half spectra; `forcing` is the physical
-form that the tests use as its oracle.
+six fixed spatial fields (`forcing_terms`, in the state's field-major
+layout), each times one time envelope.  `spectral_forcing` transforms
+the fields once per grid, so a forced step adds a six-term contraction
+of half spectra; `forcing` is the physical form that the tests use as
+its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ebm import PhysParams, SURFACE_TRACE, default_insolation, radiation
-from .grid import Grid, pack_fields, rfft_h, unpack_fields
+from .grid import Grid, rfft_h
 from .timestep import State
 
 _PI = np.pi
@@ -114,8 +115,8 @@ class ManufacturedSolution:
         return -gT * (self.amp_trace * cy + self.amp_mean)
 
     def initial_state(self, grid: Grid) -> State:
-        return State(v=self.velocity(grid, 0.0), T=self.temperature(grid, 0.0),
-                     p_s=grid.zeros2d())
+        return State.pack(self.velocity(grid, 0.0), self.temperature(grid, 0.0),
+                          p_s=grid.zeros2d())
 
     # -- forcing -----------------------------------------------------------
 
@@ -182,11 +183,11 @@ class ManufacturedSolution:
         )
 
     def forcing_terms(self, grid: Grid) -> np.ndarray:
-        """The six terms, shape (6, Nx, Ny, 3(Nz+1)), in the `pack_fields`
-        layout with f_rho on T's top level, which is rho: the forcing at t is
-        the sum over i of `_envelopes(t)[i]` times term i, minus the
-        radiation of the exact rho on that level."""
-        return np.stack([pack_fields(f_v, np.dstack((f_T[..., :-1], f_rho)))
+        """The six terms, shape (6, 3, Nx, Ny, Nz+1), in the state's layout
+        (f_v[0], f_v[1], f_T) with f_rho on T's top level, which is rho: the
+        forcing at t is the sum over i of `_envelopes(t)[i]` times term i,
+        minus the radiation of the exact rho on that level."""
+        return np.stack([np.concatenate((f_v, np.dstack((f_T[..., :-1], f_rho))[None]))
                          for f_v, f_T, f_rho in self._terms(grid)])
 
     def forcing(self, grid: Grid, t: float):
@@ -201,7 +202,7 @@ class ManufacturedSolution:
 
     def spectral_forcing(self, grid: Grid):
         """The forcing as `Stepper` takes it: a callable (grid, t) -> half
-        spectrum (Nx, Ny//2+1, 3(Nz+1)) in the `pack_fields` layout.
+        spectrum (3, Nx, Ny//2+1, Nz+1) in the state's layout.
 
         The six `forcing_terms` are transformed once, here; a call
         contracts them with the envelopes at t and subtracts the transform
@@ -209,7 +210,7 @@ class ManufacturedSolution:
         and Q depend on y only, so the transform is the y pass of `rfft_h`
         (`grid.dft_y`) on the kx = 0 row.
         """
-        hats = np.stack([rfft_h(grid, f) for f in self.forcing_terms(grid)])
+        hats = rfft_h(grid, self.forcing_terms(grid))
         shape = hats.shape[1:]
         half = grid.ny // 2 + 1
         table = hats.view(np.float64).reshape(len(hats), -1)  # (re, im) interleaved
@@ -222,8 +223,7 @@ class ManufacturedSolution:
             out = (self._envelopes(t) @ table).view(np.complex128).reshape(shape)
             rad = radiation(self.surface_temperature(grid, t)[:1], row)
             rad_hat = grid.dft_y @ rad[0]  # real parts, then imaginary
-            _, T_hat, _ = unpack_fields(grid, out)
-            T_hat[0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
+            out[2, 0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
             return out
 
         return forcing_hat

@@ -7,16 +7,18 @@ growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
 
 `state_terms` brings a state to everything its ledger record and its
-step read: the half spectra (one batched forward transform) and, on the
-grid, the derivatives and w.  The derivatives are one real product each
-with the grid's differentiation matrices (`diff_x` over x, `diff_y`
-batched over x, `diff_z` over the levels), and w is the running
-integral of the horizontal divergence they give, so no derivative makes
-an inverse transform.  The driver loop hands these terms to both
-`measure` and the next step, so `measure` makes no transform: field
-and horizontal gradient norms come from the half spectra by Parseval,
-vertical derivative norms and the max-norm residuals from the physical
-terms.
+step read, in the state's field-major layout: the half spectra of
+`State.fields` (one batched forward transform) and, on the grid, the
+derivatives (one real product each with the grid's `diff_x`, `diff_y`
+and `diff_z`) and w, the running integral of the horizontal divergence
+they give.  The driver loop hands these terms to both `measure` and
+the next step, so `measure` makes no transform: field and horizontal
+gradient norms come from the half spectra by Parseval, vertical
+derivative norms and the solenoidal residual from the physical terms,
+and the sup norms from one |T|.  The ledger keeps no w(., 1) residual
+(`constraint_check` has it): the trapezoid running integral to z = 1 is
+the trapezoid vertical average, so it equals the solenoidal one to
+roundoff.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import hydrostatic
 from .ebm import PhysParams
-from .grid import Grid, make_grid, pack_fields, rfft_h, volume_fields
+from .grid import Grid, make_grid, rfft_h
 
 # monitor flag bits of LedgerRecord.flags
 FLAG_MAX_PRINCIPLE = 1
@@ -50,28 +52,28 @@ class StateTerms:
     """Spectral terms and physical derivative fields of one state.
 
     A pure function of (v, T), so the ledger and the step that starts
-    from the state may share them; nothing here survives a step.  rho is
-    T's top level: its spectrum and derivatives are read there.
+    from the state may share them; nothing here survives a step.  The
+    arrays have the state's layout, field axis first (v[0], v[1], T);
+    rho is T's top level: its spectrum and derivatives are read there.
     """
 
-    U: np.ndarray   # half spectra of pack_fields(v, T) (Nx, Ny//2+1, 3(Nz+1))
-    dx: np.ndarray  # d/dx of v[0], v[1], T (Nx, Ny, 3, Nz+1)
+    U: np.ndarray   # half spectra of state.fields (3, Nx, Ny//2+1, Nz+1)
+    dx: np.ndarray  # d/dx of v[0], v[1], T (3, Nx, Ny, Nz+1)
     dy: np.ndarray  # d/dy, the same shape
     w: np.ndarray   # w (Nx, Ny, Nz+1)
-    dz: np.ndarray  # deriv_z, the same shape
+    dz: np.ndarray  # deriv_z, the shape of dx
 
 
 def state_terms(grid: Grid, state) -> StateTerms:
     """The StateTerms of `state`: one batched forward transform and three
     real products on the grid."""
-    packed = pack_fields(state.v, state.T)
-    volume = volume_fields(grid, packed)
-    dx = (grid.diff_x @ packed.reshape(grid.nx, -1)).reshape(volume.shape)
-    dy = (grid.diff_y @ packed).reshape(volume.shape)
+    f = state.fields
+    dx = (grid.diff_x @ f.reshape(3, grid.nx, -1)).reshape(f.shape)
+    dy = (grid.diff_y @ f.reshape(-1, grid.ny, grid.nlev)).reshape(f.shape)
     return StateTerms(
-        U=rfft_h(grid, packed), dx=dx, dy=dy,
-        w=-hydrostatic.cumulative_integral(grid, dx[..., 0, :] + dy[..., 1, :]),
-        dz=(volume.reshape(-1, grid.nlev) @ grid.diff_z.T).reshape(volume.shape),
+        U=rfft_h(grid, f), dx=dx, dy=dy,
+        w=-hydrostatic.cumulative_integral(grid, dx[0] + dy[1]),
+        dz=(f.reshape(-1, grid.nlev) @ grid.diff_z.T).reshape(f.shape),
     )
 
 
@@ -90,9 +92,9 @@ def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> Cons
     state_terms(grid, state)."""
     if terms is None:
         terms = state_terms(grid, state)
-    div_bar = (terms.dx[..., 0, :] + terms.dy[..., 1, :]) @ grid.trapz_w
+    div_bar = (terms.dx[0] + terms.dy[1]) @ grid.trapz_w
     return ConstraintResiduals(
-        bottom_neumann=float(np.abs(terms.dz[..., 2, 0]).max()),
+        bottom_neumann=float(np.abs(terms.dz[2, ..., 0]).max()),
         solenoidal=float(np.abs(div_bar).max()),
         w_top=float(np.abs(terms.w[..., -1]).max()),
     )
@@ -116,7 +118,6 @@ class LedgerRecord:
     grad_T_sq: float
     grad_rho_sq: float
     div_res: float
-    w_top_res: float
     flags: int = 0
 
 
@@ -129,27 +130,27 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     # Parseval: per level of (v[0], v[1], T), the squared L2 norm over the
     # section (row 0) and that of the horizontal gradient (row 1)
     power = terms.U.real**2 + terms.U.imag**2
-    norms = np.einsum("sxy,xyck->sck", grid.norm_weights_half, volume_fields(grid, power))
+    norms = np.einsum("sxy,cxyk->sck", grid.norm_weights_half, power)
     volume = norms @ w
     # squared L2 norms of deriv_z of (v[0], v[1], T)
-    dz_sq = np.einsum("xyck,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
+    dz_sq = np.einsum("cxyk,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
     gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
     gT = float(volume[1, 2] + dz_sq[2])
     gr = float(norms[1, 2, -1])  # rho is T's top level
-    res = constraint_check(grid, state, terms)
+    abs_T = np.abs(state.T)
+    abs_rho = abs_T[..., -1]  # so is |rho|
     return LedgerRecord(
         step=state.step,
         t=state.t,
         energy=0.5 * float(volume[0].sum() + norms[0, 2, -1]),
         dissipation=gv + gT + gr,
-        rho_l5=float((np.abs(state.rho) ** 5).sum() / (grid.nx * grid.ny)),
-        sup_T=float(np.abs(state.T).max()),
-        sup_rho=float(np.abs(state.rho).max()),
+        rho_l5=float((abs_rho ** 5).sum() / (grid.nx * grid.ny)),
+        sup_T=float(abs_T.max()),
+        sup_rho=float(abs_rho.max()),
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
-        div_res=res.solenoidal,
-        w_top_res=res.w_top,
+        div_res=constraint_check(grid, state, terms).solenoidal,
     )
 
 

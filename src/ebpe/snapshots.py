@@ -3,10 +3,11 @@
 Layout (little endian): magic "EBPE", version byte 0x01, a flags byte
 (bit 0: a surface-noise channel follows the prognostic blocks; the other
 bits must be zero), u32 (Nx, Ny, Nz), f64 time, then row-major f64
-blocks in fixed order v1, v2, T, rho and optionally Z_rho.  The rho block
-repeats T's top level (`State.rho`, a view of it), and a file where the
-two differ is rejected.  No compression: restart must reproduce runs bit
-for bit.
+blocks in fixed order v1, v2, T, rho and optionally Z_rho.  The first
+three are `State.fields` as stored, written and read as one block.  The
+rho block repeats T's top level (`State.rho`, a view of it), and a file
+where the two differ is rejected.  No compression: restart must
+reproduce runs bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def write_snapshot(state: State, path, z_rho: np.ndarray | None = None) -> None:
     flags = FLAG_Z_RHO if z_rho is not None else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, nx, ny, nz, state.t))
-        for block in (state.v[0], state.v[1], state.T, state.rho):
+        for block in (state.fields, state.rho):  # v1, v2, T, then rho
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
         if z_rho is not None:
             fh.write(np.ascontiguousarray(z_rho, dtype="<f8").tobytes())
@@ -84,16 +85,15 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
             raw = _read_exact(fh, 8 * n, what)
             return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
 
-        v = np.empty((2, nx, ny, nlev))
-        v[0] = block((nx, ny, nlev), "v1")
-        v[1] = block((nx, ny, nlev), "v2")
-        T = block((nx, ny, nlev), "T")
+        # v1, v2, T in file order are the state's fields
+        fields = block((3, nx, ny, nlev), "v1, v2, T")
         rho = block((nx, ny), "rho")
         z_rho = None
         if flags & FLAG_Z_RHO:
             z_rho = block((nx, ny), "Z_rho")
-    if rho.tobytes() != T[..., -1].tobytes():
+    state = State(fields, t=t, step=0)
+    if rho.tobytes() != state.rho.tobytes():
         raise SnapshotError(
             "snapshot rho block is not the top level of T (max|T(.,1) - rho| = "
-            f"{np.abs(T[..., -1] - rho).max():.3e})")
-    return State(v=v, T=T, t=t, step=0), z_rho
+            f"{np.abs(state.rho - rho).max():.3e})")
+    return state, z_rho

@@ -10,21 +10,22 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 3. pressure projection restoring div_H vbar = 0, which also recovers the
    surface pressure.
 
-The state is physical between steps; inside a step everything is done on
-half spectra (`ebpe.grid.rfft_h`) with three batched transforms: the
-state forward, the quadratic products (plus radiation) forward, and the
-new (v, T, p_s) back.  The first, with the derivatives and w that the
-products read (real products on the grid), is `monitors.state_terms`,
-which the driver loop computes once per state for both the ledger and
-the step, so a step of a driver costs two transforms and its ledger
-record none.  The transforms are dense DFT
-matrix products on BLAS with the grid's tables (`grid.dft_y`, `dft_x`
-and their inverses), so no step calls numpy's FFT; they are
-deterministic and independent of the memory layout of their operands,
-so the step stays a pure function of the physical state.  An optional
-forcing (the manufactured-solution runs) comes as a half spectrum in
-the `pack_fields` layout and is added to the dealiased tendencies, so
-it costs no transform.  The kernel differentiates with the grid's
+The state is physical between steps, one field-major array
+`State.fields` (3, Nx, Ny, Nz+1) of v[0], v[1] and T (rho is T's top
+level), and every array of the kernel has that layout.  Inside a step
+everything is done on half spectra (`ebpe.grid.rfft_h`) with three
+batched transforms: the state forward, the quadratic products forward,
+and the new (v, T) back, which is the new state's storage with no copy;
+the radiation plane and p_s take a 2-D transform each.  The first, with
+the derivatives and w that the products read (real products on the
+grid), is `monitors.state_terms`, which the driver loop computes once
+per state for both the ledger and the step.  The transforms are dense
+DFT matrix products on BLAS with the grid's tables, so no step calls
+numpy's FFT; they are deterministic and independent of the memory
+layout of their operands, so the step stays a pure function of the
+physical state.  An optional forcing (the manufactured-solution runs)
+comes as a half spectrum in the state's layout and is added to the
+dealiased tendencies, so it costs no transform.  The kernel differentiates with the grid's
 tables (`ebpe.grid`).  `nonlinear_tendencies` is the
 physical-space form of step 1 on the full-spectrum transforms and
 `grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
@@ -58,8 +59,8 @@ from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
 from .config import SCHEMES, RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
-from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, pack_fields, rfft_h,
-                   to_physical, to_spectral, unpack_fields, volume_fields)
+from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, rfft_h, to_physical,
+                   to_spectral)
 
 if TYPE_CHECKING:
     from .stochastic import PathBundle
@@ -79,21 +80,43 @@ class BlowUpError(RuntimeError):
 class State:
     """Prognostic fields at one time level.
 
-    v has shape (2, Nx, Ny, Nz+1); T has shape (Nx, Ny, Nz+1) and carries
-    the surface temperature rho as its top level.  p_s is the diagnosed
-    mean-zero surface pressure of the preceding step.
+    fields is one C-contiguous array (3, Nx, Ny, Nz+1): the velocity
+    components v[0], v[1], then T, which carries the surface temperature
+    rho as its top level.  v, T and rho are views of it, never copies.
+    p_s is the diagnosed mean-zero surface pressure of the preceding step.
+    `State.pack` builds a state from separate v and T.
     """
 
-    v: np.ndarray
-    T: np.ndarray
+    fields: np.ndarray
     t: float = 0.0
     step: int = 0
     p_s: np.ndarray | None = None
 
+    def __post_init__(self) -> None:
+        # a no-op for the step's own output; the step does not depend on
+        # the memory layout its caller built a state in
+        self.fields = np.ascontiguousarray(self.fields, dtype=np.float64)
+
+    @classmethod
+    def pack(cls, v: np.ndarray, T: np.ndarray, **kwargs) -> "State":
+        """A state from v (2, Nx, Ny, Nz+1) and T (Nx, Ny, Nz+1), copied
+        once into its storage."""
+        return cls(np.concatenate((v, T[None])), **kwargs)
+
+    @property
+    def v(self) -> np.ndarray:
+        """The velocity (2, Nx, Ny, Nz+1): the view fields[:2]."""
+        return self.fields[:2]
+
+    @property
+    def T(self) -> np.ndarray:
+        """The temperature (Nx, Ny, Nz+1): the view fields[2]."""
+        return self.fields[2]
+
     @property
     def rho(self) -> np.ndarray:
         """The surface temperature: the view T[..., -1], not a copy."""
-        return self.T[..., -1]
+        return self.fields[2, ..., -1]
 
 
 def grid_from_config(cfg: RunConfig) -> Grid:
@@ -135,14 +158,14 @@ def initial_state(
     compatibility conditions hold by construction; the velocity is
     projected.  Fields are rescaled so the sup norms equal `amplitude`.
     """
-    v = grid.zeros_velocity()
-    T = grid.zeros3d()
+    fields = np.zeros((3, grid.nx, grid.ny, grid.nlev))
+    v, T = fields[:2], fields[2]  # the state's views, written in place
     if kind == "zero":
         pass
     elif kind == "uniform":
         T += value
     elif kind == "single_mode":
-        T = amplitude * np.cos(2 * np.pi * grid.x)[:, :, None] * np.cos(np.pi * grid.z)
+        T[...] = amplitude * np.cos(2 * np.pi * grid.x)[:, :, None] * np.cos(np.pi * grid.z)
     elif kind == "random_smooth":
         rng = np.random.default_rng(seed)
         profiles = [np.cos(m * np.pi * grid.z) for m in range(3)]
@@ -151,22 +174,13 @@ def initial_state(
         for comp in range(2):
             for p in profiles:
                 v[comp] += _smooth_random_2d(grid, rng, decay)[:, :, None] * p
-        v_hat = np.stack([rfft_h(grid, comp) for comp in v])
-        v_hat, _ = hydrostatic.project_barotropic(grid, v_hat)
-        v = np.stack([irfft_h(grid, comp) for comp in v_hat])
-        sup_T = np.max(np.abs(T))
-        if sup_T > 0 and amplitude > 0:
-            T *= amplitude / sup_T
-        else:
-            T[:] = 0.0
-        sup_v = np.max(np.abs(v))
-        if sup_v > 0 and amplitude > 0:
-            v *= amplitude / sup_v
-        else:
-            v[:] = 0.0
+        v[...] = irfft_h(grid, hydrostatic.project_barotropic(grid, rfft_h(grid, v))[0])
+        for f in (T, v):
+            sup = np.max(np.abs(f))
+            f[...] = f * (amplitude / sup) if sup > 0 and amplitude > 0 else 0.0
     else:
         raise ValueError(f"unknown initial-condition kind {kind!r}")
-    return State(v=v, T=T, p_s=grid.zeros2d())
+    return State(fields, p_s=grid.zeros2d())
 
 
 def initial_state_from_config(grid: Grid, cfg: RunConfig) -> State:
@@ -257,7 +271,7 @@ class Stepper:
     imex_euler and 1/2 for cnab2 (see the module docstring).
 
     forcing, when given, is a callable (grid, t) -> half spectrum
-    (Nx, Ny//2+1, 3(Nz+1)) in the `pack_fields` layout, added to the
+    (3, Nx, Ny//2+1, Nz+1) in the state's layout, added to the
     dealiased explicit tendencies at each step's start time t; the
     manufactured-solution runs pass `ManufacturedSolution.spectral_forcing
     (grid)`.  It is first called by the first step, never here; a return
@@ -292,47 +306,39 @@ class Stepper:
         self._history: tuple[int, np.ndarray] | None = None
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
-        """Dealiased explicit tendencies at `state` as half spectra, in the
-        `pack_fields` layout (F_v, F_T), forcing included; the top plane
-        of F_T, rho's, is the surface tendency (transport plus radiation).
+        """Dealiased explicit tendencies at `state` as half spectra
+        (3, Nx, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T),
+        forcing included; the top level of F_T, rho's, is the surface
+        tendency (transport plus radiation).
 
         terms, when given, is monitors.state_terms(grid, state), which
-        holds every derivative and w on the grid.  One batched transform:
-        the quadratic products and radiation forward.  The forcing is
-        already a half spectrum.
+        holds every derivative and w on the grid.  Two transforms forward:
+        the quadratic products of the three fields (one batched call) and
+        the radiation plane.  The forcing is already a half spectrum.
         """
         grid, params = self.grid, self.params
         if terms is None:
             terms = monitors.state_terms(grid, state)
-        _, T_hat, _ = unpack_fields(grid, terms.U)
-        k = terms.U.shape[-1]
-        v, rho = state.v, state.T[..., -1]
-        # the products in the pack_fields layout, then the radiation plane,
-        # written into one array for one transform
-        planes = np.empty((grid.nx, grid.ny, k + 1 if params.radiation_on else k))
-        # advection of v[0], v[1] and T at once, shaped like terms.dx
-        adv = volume_fields(grid, planes)
-        np.multiply(v[0][:, :, None], terms.dx, out=adv)
-        adv += v[1][:, :, None] * terms.dy
-        adv += terms.w[:, :, None] * terms.dz
+        v = state.v
+        # advection of v[0], v[1] and T at once, in the state's layout
+        adv, product = v[0] * terms.dx, v[1] * terms.dy
+        adv += product
+        adv += np.multiply(terms.w, terms.dz, out=product)
         # at T's top level, rho, its transport replaces T's advection
         if params.transport_variant == VERTICAL_AVERAGE:
             vs = hydrostatic.vertical_average(grid, v)
         else:
-            vs = v[:, :, :, -1]
-        adv_rho = adv[..., 2, -1]
-        np.multiply(vs[0], terms.dx[..., 2, -1], out=adv_rho)
-        adv_rho += vs[1] * terms.dy[..., 2, -1]
-        if params.radiation_on:
-            planes[..., k] = radiation(rho, params)
-        products = rfft_h(grid, planes)
+            vs = v[..., -1]
+        adv_rho = adv[2, ..., -1]
+        np.multiply(vs[0], terms.dx[2, ..., -1], out=adv_rho)
+        adv_rho += vs[1] * terms.dy[2, ..., -1]
 
         # radiation and forcing are added undealiased
-        F = -np.where(grid.dealias_half[..., None], products[..., :k], 0.0)
-        F_v, F_T, _ = unpack_fields(grid, F)
-        F_v += hydrostatic.baroclinic_grad(grid, T_hat)
+        F = np.where(grid.dealias_half[..., None], rfft_h(grid, adv), 0.0)
+        np.negative(F, out=F)
+        F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
         if params.radiation_on:
-            F_T[..., -1] += products[..., k]
+            F[2, ..., -1] += rfft_h(grid, radiation(state.rho, params))
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)
@@ -356,15 +362,16 @@ class Stepper:
         transform: the noise increment of the stochastic drivers (IMEX
         Euler only).  terms, when given, is monitors.state_terms(grid,
         state), shared with the ledger: the state's half spectra and its
-        derivatives and w on the grid, so the step itself makes two
-        transforms, the products forward and the new state back.
-        Otherwise the step computes it.
+        derivatives and w on the grid, so the step itself makes the
+        products forward and the new state back.  Otherwise the step
+        computes it.
 
         The step is a pure function of the physical state (and, for
         cnab2, the previous step's tendencies): nothing spectral is kept
         from one step to the next.  Given terms change no bit of the
         result; they must not come from this step's output spectra, which
         differ from the transform of the physical result by roundoff.
+        The new state wraps the array of the last inverse transform.
         """
         grid, dt = self.grid, self.dt
         if terms is None:
@@ -381,32 +388,27 @@ class Stepper:
             if self._history is not None and self._history[0] == state.step:
                 E = 1.5 * F - 0.5 * self._history[1]
             self._history = (state.step + 1, F)
-            U_v, U_T, _ = unpack_fields(grid, U)
             rhs = 2.0 * U + dt * E
         else:
-            rhs = U + dt * F
-        # the T block, rho its top level, is the coupled solve's unknown
-        rhs_v, rhs_T, _ = unpack_fields(grid, rhs)
-        x_hat = self.coupled.solve_hat(rhs_T)
+            rhs = dt * F
+            rhs += U
+        # T's field, rho its top level, is the coupled solve's unknown
+        x_hat = self.coupled.solve_hat(rhs[2])
         if cnab2:
-            x_hat -= U_T
+            x_hat -= U[2]
         if kick_hat is not None:
             x_hat += kick_hat
 
         if self.freeze_velocity:
-            v_new, T_new, p_s = state.v, irfft_h(grid, x_hat), state.p_s
+            fields, p_s = np.concatenate((state.v, irfft_h(grid, x_hat)[None])), state.p_s
         else:
-            v_star = self.velocity.solve_hat(rhs_v)
+            v_star = self.velocity.solve_hat(rhs[:2])
             if cnab2:
-                v_star -= U_v
+                v_star -= U[:2]
             v_new_hat, phi_hat = hydrostatic.project_barotropic(grid, v_star)
-            v_new, T_new, p_s = unpack_fields(
-                grid, irfft_h(grid, pack_fields(v_new_hat, x_hat, phi_hat / dt)))
-        # contiguous copies: a resumed run starts from contiguous snapshot
-        # arrays, and the next step must not depend on the memory layout
-        new = State(v=np.ascontiguousarray(v_new), T=np.ascontiguousarray(T_new),
-                    t=state.t + dt, step=state.step + 1,
-                    p_s=None if p_s is None else np.ascontiguousarray(p_s))
+            fields = irfft_h(grid, np.concatenate((v_new_hat, x_hat[None])))
+            p_s = irfft_h(grid, phi_hat / dt)
+        new = State(fields, t=state.t + dt, step=state.step + 1, p_s=p_s)
         _check_finite(new, state)
         return new
 
@@ -512,7 +514,7 @@ def run_deterministic(
     """Integrate to t_end with the configured scheme (see `integrate`).
 
     forcing, when given, is the `Stepper` forcing: a callable (grid, t) ->
-    half spectrum in the `pack_fields` layout, such as
+    half spectrum in the state's layout, such as
     `ManufacturedSolution.spectral_forcing(grid)`.
 
     A run resumed from a snapshot state whose step is set continues the

@@ -45,7 +45,7 @@ def smooth_field_2d(grid, rng, decay=2.0):
 
 def smooth_field_3d(grid, rng, decay=2.0, n_profiles=3):
     """Random 3D field: horizontal smooth fields times cos(m pi z) profiles."""
-    f = grid.zeros3d()
+    f = np.zeros((grid.nx, grid.ny, grid.nlev))
     for m in range(n_profiles):
         f += smooth_field_2d(grid, rng, decay)[:, :, None] * np.cos(m * np.pi * grid.z)
     return f
@@ -83,13 +83,28 @@ def rough_state(grid, seed):
     included; the velocity is not projected, so every tendency, norm and
     residual is O(1).  The surface noise, drawn last, goes on T's top
     level, rho, over the smooth surface values."""
-    from ebpe.timestep import initial_state
+    from ebpe.timestep import State, initial_state
 
     rng = np.random.default_rng(seed)
     state = initial_state(grid, "random_smooth", amplitude=0.8, seed=seed)
-    state.v = state.v + 0.1 * rng.standard_normal(state.v.shape)
+    v = state.v + 0.1 * rng.standard_normal(state.v.shape)
     T = state.T + 0.1 * rng.standard_normal(state.T.shape)
     T[..., -1] = state.rho + 0.1 * rng.standard_normal(state.rho.shape)
-    state.T = T
-    state.t = 0.3
-    return state
+    return State.pack(v, T, t=0.3, p_s=state.p_s)
+
+
+def record_w_top(monkeypatch):
+    """The list that receives w(., 1), the w_top residual of
+    monitors.constraint_check, of every state that `measure` records from
+    now on."""
+    from ebpe import monitors
+
+    check, w_top = monitors.constraint_check, []
+
+    def recording(grid, state, terms=None):
+        res = check(grid, state, terms)
+        w_top.append(res.w_top)
+        return res
+
+    monkeypatch.setattr(monitors, "constraint_check", recording)
+    return w_top

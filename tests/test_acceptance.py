@@ -32,7 +32,7 @@ from ebpe.stochastic import (
 )
 from ebpe.timestep import run_deterministic
 
-from conftest import solve_one_mode
+from conftest import record_w_top, solve_one_mode
 from oracles import assemble_mode_operator, dtn_symbols
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,19 +119,18 @@ def test_criterion_03_solver_oracles():
               f"runtime={time.perf_counter() - t0:.2f}s")
 
 
-def test_criterion_04_constraint_suite():
+def test_criterion_04_constraint_suite(monkeypatch):
     t0 = time.perf_counter()
     cfg = load("accept_det.ini")
     assert cfg.n_steps() == 500
+    w_top = record_w_top(monkeypatch)  # constraint_check's w(., 1) of every state
     res = run_deterministic(cfg)
+    assert len(w_top) == len(res.ledger)
     final = res.final_state
     # the trace condition holds by construction: rho is T's top level
     assert np.shares_memory(final.rho, final.T)
     assert np.array_equal(final.rho, final.T[..., -1])
-    worst = {"div": 0.0, "w_top": 0.0}
-    for rec in res.ledger:
-        worst["div"] = max(worst["div"], rec.div_res)
-        worst["w_top"] = max(worst["w_top"], rec.w_top_res)
+    worst = {"div": max(rec.div_res for rec in res.ledger), "w_top": max(w_top)}
     sup_v = float(np.max(np.abs(final.v)))
     assert worst["div"] <= 1e-10 * (1 + sup_v)
     assert worst["w_top"] <= 1e-10 * (1 + sup_v)

@@ -121,6 +121,20 @@ class TestKernelTransforms:
         ref_inv = np.fft.irfft2(ref, s=(grid.nx, grid.ny), axes=(0, 1), norm="forward")
         assert self.max_rel_err(irfft_h(grid, ref), ref_inv) <= 2e-15
 
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 16, 8)])
+    def test_leading_field_axis_matches_numpy_oracle(self, shape, rng):
+        # the state's layout (3, Nx, Ny, Nz+1), the field axis first
+        grid = make_grid(*shape)
+        fields = rng.standard_normal((3, grid.nx, grid.ny, grid.nlev))
+        spectra = rfft_h(grid, fields)
+        ref = np.fft.rfft2(fields, axes=(1, 2), norm="forward")
+        assert spectra.shape == ref.shape
+        assert self.max_rel_err(spectra, ref) <= 1e-15
+        ref_inv = np.fft.irfft2(ref, s=(grid.nx, grid.ny), axes=(1, 2), norm="forward")
+        back = irfft_h(grid, ref)
+        assert back.shape == fields.shape and back.flags.c_contiguous
+        assert self.max_rel_err(back, ref_inv) <= 1e-15
+
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="the exact oracle needs an 80-bit long double")
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -144,19 +158,22 @@ class TestKernelTransforms:
         for table in (grid.diff_x, grid.diff_y):
             assert np.abs(table - exact).max().astype(float) <= 5e-16 * n
 
-    def test_two_dimensional_and_multi_axis_trailing_shapes(self, grid8, rng):
+    def test_two_dimensional_and_leading_axes(self, grid8, rng):
         f = rng.standard_normal((8, 8))
         c = rfft_h(grid8, f)
         assert c.shape == (8, 5)
         assert self.max_rel_err(c, np.fft.rfft2(f, norm="forward")) <= 2e-15
         assert self.max_rel_err(irfft_h(grid8, c), f) <= 2e-15
-        stack = rng.standard_normal((8, 8, 2, 3, grid8.nlev))
+        # leading axes batch whole fields: each comes out as if alone
+        stack = rng.standard_normal((2, 3, 8, 8, grid8.nlev))
         c = rfft_h(grid8, stack)
-        assert c.shape == (8, 5, 2, 3, grid8.nlev)
-        assert np.array_equal(c, rfft_h(grid8, stack.reshape(8, 8, -1)).reshape(c.shape))
+        assert c.shape == (2, 3, 8, 5, grid8.nlev)
+        assert np.array_equal(c, np.stack([[rfft_h(grid8, f) for f in row] for row in stack]))
         back = irfft_h(grid8, c)
         assert back.shape == stack.shape
-        assert np.array_equal(back, irfft_h(grid8, c.reshape(8, 5, -1)).reshape(stack.shape))
+        assert np.array_equal(back, np.stack([[irfft_h(grid8, f) for f in row] for row in c]))
+        with pytest.raises(ValueError, match="does not match grid"):
+            rfft_h(grid8, stack[..., None])  # a stack of (Ny, K) is no field
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 16, 8)])
     def test_self_conjugate_imaginary_parts_dropped_bitwise(self, shape, rng):
@@ -201,7 +218,7 @@ class TestKernelTransforms:
         # numpy's matmul leaves BLAS for operands it cannot hand over, with
         # another summation order; the next step must not depend on layout
         grid = make_grid(*shape)
-        fields = rng.standard_normal((grid.nx, grid.ny, 3 * grid.nlev + 1))
+        fields = rng.standard_normal((3, grid.nx, grid.ny, grid.nlev))
         spectra = rfft_h(grid, fields)
         for view in self.other_layouts(fields):
             assert np.array_equal(rfft_h(grid, view), spectra)

@@ -213,7 +213,7 @@ class TestDiagnosticsCsv:
         record = LedgerRecord(
             step=3, t=1 / 3, energy=np.pi, dissipation=1e-17, rho_l5=0.0,
             sup_T=2.0, sup_rho=0.5, grad_v_sq=0.1, grad_T_sq=0.2, grad_rho_sq=0.3,
-            div_res=3e-16, w_top_res=0.4, flags=5,
+            div_res=3e-16, flags=5,
         )
         row = diagnostics.format_csv([record]).splitlines()[2]
         fields = dict(zip(diagnostics.HEADER.split(","), row.split(",")))

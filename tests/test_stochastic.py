@@ -267,7 +267,7 @@ class TestDrivers:
                                                     rem_rho + dt * F_rho, dt)
             Z = prop.step_hat(Z, bundle.increments[k], q)
             T = rem_T + irfft_h(grid, Z)
-            full = State(v=v, T=T, t=(k + 1) * dt, step=k + 1)
+            full = State.pack(v, T, t=(k + 1) * dt, step=k + 1)
 
         res = run_split_stochastic(cfg, spec=spec, bundle=bundle)
         for name in ("v", "T", "rho"):

@@ -1,0 +1,163 @@
+"""Grid ladder of the step kernel: set-up, per-call times and page faults.
+
+For each grid of the ladder (8^3, 16^3, 32^3, 64^2 x 32, 64^3) this
+times, on the `random_smooth` state (amplitude 0.5, seed 1) with
+surface-trace transport, IMEX Euler and dt = 1e-3:
+
+- `setup_s`: `Stepper` construction (min over repeats);
+- `state_terms_ms`, `measure_ms`, `step_ms`: min and median of one call
+  each, the calls taking the same state (the step of a given state is a
+  pure function of it);
+- `minor_faults_per_step`: `getrusage` minor page faults per step of a
+  driver-like loop (state terms, measure, step, the state evolving).
+
+Each source tree named by ``--tree NAME=SRC`` (a directory holding the
+``ebpe`` package; at least one) is measured in fresh worker processes
+with one BLAS thread.  Trees alternate within every one of ROUNDS rounds,
+and each figure keeps the min and median over all rounds, so two trees on
+one machine are compared side by side.  The result goes to
+``BENCH_<label>.json``:
+
+    python tools/kernel_ladder.py --label NAME \\
+        --tree parent=../parent/src --tree change=src
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+LADDER = {"8^3": (8, 8, 8), "16^3": (16, 16, 16), "32^3": (32, 32, 32),
+          "64^2x32": (64, 64, 32), "64^3": (64, 64, 64)}
+ROUNDS = 3
+# seconds of samples per timed call and grid in one round, and the floor
+# on the sample count
+SAMPLE_SECONDS = 0.6
+MIN_SAMPLES = 3
+FAULT_STEPS = 20
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _samples(call) -> list[float]:
+    """Wall times (s) of call() until SAMPLE_SECONDS have passed, after one
+    warm-up call, with at least MIN_SAMPLES of them."""
+    call()
+    times: list[float] = []
+    start = time.perf_counter()
+    while len(times) < MIN_SAMPLES or time.perf_counter() - start < SAMPLE_SECONDS:
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def worker(shape: tuple[int, int, int]) -> dict:
+    """One round of every figure on one grid, for the ebpe on sys.path."""
+    import resource
+
+    from ebpe.ebm import PhysParams, default_insolation
+    from ebpe.grid import make_grid
+    from ebpe.monitors import measure, state_terms
+    from ebpe.timestep import Stepper, initial_state
+
+    grid = make_grid(*shape)
+    params = PhysParams(Q=default_insolation(grid, 1.0, 0.3))
+    dt = 1e-3
+    setup = _samples(lambda: Stepper(grid, params, dt))
+    stepper = Stepper(grid, params, dt)
+    state = initial_state(grid, "random_smooth", amplitude=0.5, seed=1)
+    terms = state_terms(grid, state)
+    out = {"setup_s": setup,
+           "state_terms_ms": _samples(lambda: state_terms(grid, state)),
+           "measure_ms": _samples(lambda: measure(grid, state, terms)),
+           "step_ms": _samples(lambda: stepper.step(state, terms=terms))}
+    for key in ("state_terms_ms", "measure_ms", "step_ms"):
+        out[key] = [1e3 * t for t in out[key]]
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(FAULT_STEPS):
+        terms = state_terms(grid, state)
+        measure(grid, state, terms)
+        state = stepper.step(state, terms=terms)
+    out["minor_faults_per_step"] = [
+        (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / FAULT_STEPS]
+    return out
+
+
+def _run_worker(src: Path, label: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src), **{v: "1" for v in THREAD_VARS})
+    done = subprocess.run([sys.executable, __file__, "--worker", label], env=env,
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def _summary(values: list[float]) -> dict:
+    ordered = sorted(values)
+    return {"min": ordered[0], "median": ordered[len(ordered) // 2], "samples": len(values)}
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", help="writes BENCH_<label>.json")
+    parser.add_argument("--tree", action="append", default=[], metavar="NAME=SRC",
+                        help="a source tree to measure (repeatable)")
+    parser.add_argument("--out-dir", type=Path, default=Path("."))
+    parser.add_argument("--worker", choices=list(LADDER), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        print(json.dumps(worker(LADDER[args.worker])))
+        return 0
+    if not args.label or not args.tree:
+        parser.error("--label and at least one --tree are required")
+    trees = {name: Path(src).resolve() for name, src in (t.split("=", 1) for t in args.tree)}
+
+    raw = {name: {grid: {} for grid in LADDER} for name in trees}
+    for rnd in range(ROUNDS):
+        order = list(trees) if rnd % 2 == 0 else list(trees)[::-1]
+        for grid in LADDER:
+            for name in order:
+                for key, values in _run_worker(trees[name], grid).items():
+                    raw[name][grid].setdefault(key, []).extend(values)
+                print(f"round {rnd + 1}/{ROUNDS} {grid} {name}", file=sys.stderr)
+
+    import numpy
+
+    result = {
+        "label": args.label,
+        "machine": {"cpu": _cpu_model(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": numpy.__version__,
+                    "blas_threads": 1},
+        "state": "random_smooth, amplitude 0.5, seed 1; surface trace; imex_euler; dt 1e-3",
+        "rounds": ROUNDS,
+        "trees": list(trees),
+        "results": {name: {grid: {key: _summary(values) for key, values in figures.items()}
+                           for grid, figures in grids.items()}
+                    for name, grids in raw.items()},
+    }
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=1) + "\n")
+    for grid in LADDER:
+        row = "  ".join(f"{name}: step {result['results'][name][grid]['step_ms']['min']:.3f} ms"
+                        for name in trees)
+        print(f"{grid:8s} {row}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
