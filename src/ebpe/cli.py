@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, monitors, snapshots, stochastic, timestep
-from .config import ConfigError, RunConfig, parse_config, validate_config
+from .config import SCHEME_ORDERS, ConfigError, RunConfig, parse_config, validate_config
 from .grid import make_grid
 from .linops import SolveError, spectrum_report
 
@@ -148,7 +148,8 @@ def _cmd_mms(args) -> int:
     for dt, e in zip(study.temporal.scales, study.temporal.errors):
         print(f"  {dt:10.5f} {e:14.6e}")
     print(f"  measured temporal order: {study.temporal.order:.3f}")
-    ok = study.spatial.order >= 1.9 and study.temporal.order >= 0.9
+    ok = (study.spatial.order >= 1.9
+          and study.temporal.order >= SCHEME_ORDERS[args.scheme] - 0.1)
     return EXIT_OK if ok else EXIT_MONITOR
 
 

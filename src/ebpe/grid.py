@@ -24,7 +24,11 @@ cosine and sine are taken, and the entries at multiples of pi/2 are
 exact, so the transforms stay within 1e-15 of an exact DFT (relative to
 its largest coefficient) up to 64 points a side.  The products are
 deterministic, so a restart still reproduces a run bit for bit; they
-differ from numpy's FFT by roundoff.
+differ from numpy's FFT by roundoff.  The step's quadratic products keep
+only the modes of the 2/3 rule, so `neg_dealiased_rfft_h` runs the same
+passes with the rows of `dft_y` and `dft_x` on those modes
+(`dft_y_dealias`, `dft_x_dealias`, about 4/9 of the x pass and 2/3 of
+the y pass) and writes them, negated, into a zero-filled half spectrum.
 
 The step kernel differentiates the spectra of its solves and inverts
 on half spectra by one multiply with a table built once per grid:
@@ -95,6 +99,10 @@ class Grid:
         -sin(2 pi ky j / Ny) / Ny, so its product with a real line gives the
         real parts of the line's half spectrum, then its imaginary parts.
     dft_x : complex (Nx, Nx) forward x pass, exp(-2 pi i kx x / Nx) / Nx.
+    dft_y_dealias, dft_x_dealias : the rows of dft_y with ky <= Ny/3 (the
+        cosine rows, then the sine rows) and those of dft_x with
+        |kx| <= Nx/3 (kx = 0 .. Nx//3, then -(Nx//3) .. -1), copied: the
+        passes of neg_dealiased_rfft_h, over the modes of dealias_half.
     idft_x : complex (Nx, Nx) inverse x pass, exp(+2 pi i kx x / Nx).
     idft_y : (Ny, 2(Ny//2+1)) inverse y pass of irfft_h: the columns
         w cos(2 pi ky j / Ny), then -w sin(2 pi ky j / Ny), with the
@@ -111,6 +119,12 @@ class Grid:
     nlev : number of vertical levels, Nz + 1.
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
     trapz_w : trapezoid weights over z in [0, 1], shape (Nz+1,).
+    running_trapz : (Nz+1, Nz+1) running trapezoid matrix: column j holds
+        the weights of int_0^{z_j}, so f @ running_trapz integrates fields
+        f (..., Nz+1) from z = 0.  Column 0 is zero and the last column is
+        trapz_w, bit for bit.
+    running_trapz_interleaved : kron(running_trapz, I2), its form for the
+        interleaved (re, im) float64 view of complex columns.
 
     Every table is read-only: the steppers and solvers of a grid share
     them.
@@ -180,6 +194,13 @@ class Grid:
         trapz_w[0] *= 0.5
         trapz_w[-1] *= 0.5
         object.__setattr__(self, "trapz_w", trapz_w)
+        lev = np.arange(self.nlev)
+        running = trapz_w[:, None] * (lev[:, None] < lev)  # column j: trapz_w[:j]
+        running[lev[1:], lev[1:]] = trapz_w[0]  # and the half weight of z_j
+        object.__setattr__(self, "running_trapz", running)
+        interleaved = np.zeros((2 * self.nlev, 2 * self.nlev))
+        interleaved[::2, ::2] = interleaved[1::2, 1::2] = running
+        object.__setattr__(self, "running_trapz_interleaved", interleaved)
 
         cos_y, sin_y = _unit_circle(self.ny, half)
         object.__setattr__(self, "dft_y", np.concatenate((cos_y, -sin_y)) / self.ny)
@@ -188,6 +209,10 @@ class Grid:
                                                             -pair_weights * sin_y)).T.copy())
         cos_x, sin_x = _unit_circle(self.nx, self.nx)
         object.__setattr__(self, "dft_x", (cos_x - 1j * sin_x) / self.nx)
+        keep_y_half = np.flatnonzero(keep_y[:half])  # ky = 0 .. Ny//3
+        object.__setattr__(self, "dft_y_dealias",
+                           self.dft_y[np.concatenate((keep_y_half, half + keep_y_half))])
+        object.__setattr__(self, "dft_x_dealias", self.dft_x[keep_x])
         object.__setattr__(self, "idft_x", cos_x + 1j * sin_x)
         # first columns: the derivatives of a unit impulse (spectrum 1/N)
         object.__setattr__(self, "diff_x", _circulant((self.idft_x @ (1j * dx / self.nx)).real))
@@ -272,24 +297,57 @@ def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
     and imaginary parts it leaves into complex lines, and the x pass is
     `dft_x` times those (one product per leading index).
     """
-    nx, ny, half = grid.nx, grid.ny, grid.ny // 2 + 1
+    spectra, shape = _forward(grid, fields, grid.dft_y, grid.dft_x)
+    return spectra.reshape(shape)
+
+
+def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
+    """Minus the 2/3-rule part of rfft_h(grid, fields): the half spectra
+    -where(dealias_half, rfft_h(grid, fields), 0), with exact zeros off the
+    retained modes, for the same operands.
+
+    The passes of rfft_h run with `dft_y_dealias` and `dft_x_dealias`, so
+    only the retained modes are computed, and the copy that scatters them
+    into the zero-filled result negates them (the step's tendencies are
+    minus the advection).
+    """
+    kept, shape = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias)
+    b, _, m, k = kept.shape
+    c = grid.nx // 3 + 1  # the rows kx = 0 .. Nx//3 come first, then kx < 0
+    out = np.zeros((b, grid.nx, grid.ny // 2 + 1, k), dtype=complex)
+    np.negative(kept[:, :c], out=out[:, :c, :m])
+    np.negative(kept[:, c:], out=out[:, grid.nx - c + 1 :, :m])
+    return out.reshape(shape)
+
+
+def _forward(
+    grid: Grid, fields: np.ndarray, dft_y: np.ndarray, dft_x: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """The y pass with `dft_y` (the cosine rows of m columns, then their
+    sine rows), the copy into complex lines and the x pass with `dft_x`
+    of real fields (..., Nx, Ny, K) or one (Nx, Ny) field.  Returns the
+    spectra (B, rows of dft_x, m, K), B the product of the leading axes,
+    and the shape of the full half spectrum of `fields`."""
+    nx, ny = grid.nx, grid.ny
     ax = -1 if fields.ndim == 2 else -2  # the y axis
     if fields.shape[ax - 1 :][:2] != (nx, ny):
         raise ValueError(
             f"field shape {fields.shape} does not match grid ({nx}, {ny})"
         )
     k = fields.shape[-1] if ax == -2 else 1
+    m = len(dft_y) // 2
     # contiguous operands keep every product on BLAS, so the result does
     # not depend on the memory layout of `fields`
     lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(-1, ny, k)
-    y = (grid.dft_y @ lines).reshape(-1, nx, 2, half, k)  # real parts, then imaginary
-    y_hat = np.empty(y.shape[:2] + (half, k), dtype=complex)
+    y = (dft_y @ lines).reshape(-1, nx, 2, m, k)  # real parts, then imaginary
+    y_hat = np.empty(y.shape[:2] + (m, k), dtype=complex)
     y_hat.real = y[:, :, 0]
     y_hat.imag = y[:, :, 1]
     del y  # one intermediate at a time keeps the peak memory of a step down
     shape = list(fields.shape)
-    shape[ax] = half
-    return (grid.dft_x @ y_hat.reshape(-1, nx, half * k)).reshape(shape)
+    shape[ax] = ny // 2 + 1
+    x = dft_x @ y_hat.reshape(-1, nx, m * k)
+    return x.reshape(-1, len(dft_x), m, k), shape
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 Vertical quadrature is the trapezoid rule throughout, matching the
 second-order vertical finite differences; exact on z-affine integrands.
+The running integral from z = 0 (w, the baroclinic term, the pressure)
+is one product with the grid's running trapezoid matrix
+`running_trapz`, for complex columns with its interleaved real form on
+their (re, im) float64 view.
 The surface pressure is never prognostic: each step removes the gradient
 part of the vertically averaged velocity (pressure projection) and the
 potential of the removed gradient identifies the surface-pressure
@@ -29,12 +33,15 @@ def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def cumulative_integral(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral from z=0; output level j holds int_0^{z_j} f."""
-    out = np.empty_like(f)
-    out[..., 0] = 0.0
-    increments = 0.5 * grid.dz * (f[..., 1:] + f[..., :-1])
-    np.add.accumulate(increments, axis=-1, out=out[..., 1:])
-    return out
+    """Running trapezoid integral from z=0 of real or complex fields
+    (..., Nz+1); output level j holds int_0^{z_j} f."""
+    # contiguous operands keep the product on BLAS, so the result does not
+    # depend on the memory layout of f
+    if np.iscomplexobj(f):
+        # the (re, im) interleaved float64 view of the complex columns
+        pairs = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+        return (pairs @ grid.running_trapz_interleaved).view(np.complex128)
+    return np.ascontiguousarray(f, dtype=np.float64) @ grid.running_trapz
 
 
 def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:

@@ -86,16 +86,20 @@ class ConstraintResiduals:
     w_top: float           # |w(.,1)|
 
 
+def solenoidal_residual(grid: Grid, terms: StateTerms) -> float:
+    """max |div_H vbar| of the state whose StateTerms are `terms`."""
+    return float(np.abs((terms.dx[0] + terms.dy[1]) @ grid.trapz_w).max())
+
+
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
     """Residuals of the bottom no-flux, solenoidal and w-top conditions (the
     trace condition has none: rho is T's top level); terms, when given, is
     state_terms(grid, state)."""
     if terms is None:
         terms = state_terms(grid, state)
-    div_bar = (terms.dx[0] + terms.dy[1]) @ grid.trapz_w
     return ConstraintResiduals(
         bottom_neumann=float(np.abs(terms.dz[2, ..., 0]).max()),
-        solenoidal=float(np.abs(div_bar).max()),
+        solenoidal=solenoidal_residual(grid, terms),
         w_top=float(np.abs(terms.w[..., -1]).max()),
     )
 
@@ -150,7 +154,7 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
-        div_res=constraint_check(grid, state, terms).solenoidal,
+        div_res=solenoidal_residual(grid, terms),
     )
 
 

@@ -3,7 +3,8 @@
 One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 
 1. explicit tendencies (advection, baroclinic forcing, radiation) at t_n,
-   every quadratic product dealiased;
+   every quadratic product dealiased: its transform computes only the
+   modes the 2/3 rule keeps;
 2. implicit vertical/horizontal diffusion solves: per-mode Neumann solve
    for the velocity, per-mode coupled solve for (T, rho) so the trace
    condition holds exactly;
@@ -14,19 +15,23 @@ The state is physical between steps, one field-major array
 `State.fields` (3, Nx, Ny, Nz+1) of v[0], v[1] and T (rho is T's top
 level), and every array of the kernel has that layout.  Inside a step
 everything is done on half spectra (`ebpe.grid.rfft_h`) with three
-batched transforms: the state forward, the quadratic products forward,
-and the new (v, T) back, which is the new state's storage with no copy;
-the radiation plane and p_s take a 2-D transform each.  The first, with
-the derivatives and w that the products read (real products on the
-grid), is `monitors.state_terms`, which the driver loop computes once
-per state for both the ledger and the step.  The transforms are dense
-DFT matrix products on BLAS with the grid's tables, so no step calls
-numpy's FFT; they are deterministic and independent of the memory
-layout of their operands, so the step stays a pure function of the
-physical state.  An optional forcing (the manufactured-solution runs)
-comes as a half spectrum in the state's layout and is added to the
-dealiased tendencies, so it costs no transform.  The kernel differentiates with the grid's
-tables (`ebpe.grid`).  `nonlinear_tendencies` is the
+batched transforms: the state forward, the quadratic products forward
+over the 2/3-rule modes only (`grid.neg_dealiased_rfft_h`, which also
+gives them the tendencies' minus sign), and the new (v, T) back, which
+is the new state's storage with no copy; the radiation plane and p_s
+take a 2-D transform each.  The first, with the derivatives and w that
+the products read (real products on the grid), is
+`monitors.state_terms`, which the driver loop computes once per state
+for both the ledger and the step.  w, like the baroclinic term of the
+tendencies, is one product with the grid's running-trapezoid matrix.
+The transforms are dense DFT matrix products on BLAS with the grid's
+tables, so no step calls numpy's FFT; they are deterministic and
+independent of the memory layout of their operands, so the step stays
+a pure function of the physical state.  An optional forcing (the
+manufactured-solution runs) comes as a half spectrum in the state's
+layout and is added to the dealiased tendencies, so it costs no
+transform.  The kernel differentiates with the grid's tables
+(`ebpe.grid`).  `nonlinear_tendencies` is the
 physical-space form of step 1 on the full-spectrum transforms and
 `grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
 reference for the spectral tendencies and the benchmark traces it.
@@ -59,8 +64,8 @@ from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
 from .config import SCHEMES, RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
-from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, rfft_h, to_physical,
-                   to_spectral)
+from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, neg_dealiased_rfft_h,
+                   rfft_h, to_physical, to_spectral)
 
 if TYPE_CHECKING:
     from .stochastic import PathBundle
@@ -313,8 +318,9 @@ class Stepper:
 
         terms, when given, is monitors.state_terms(grid, state), which
         holds every derivative and w on the grid.  Two transforms forward:
-        the quadratic products of the three fields (one batched call) and
-        the radiation plane.  The forcing is already a half spectrum.
+        the quadratic products of the three fields (one batched call over
+        the 2/3-rule modes, negated) and the radiation plane.  The forcing
+        is already a half spectrum.
         """
         grid, params = self.grid, self.params
         if terms is None:
@@ -334,8 +340,7 @@ class Stepper:
         adv_rho += vs[1] * terms.dy[2, ..., -1]
 
         # radiation and forcing are added undealiased
-        F = np.where(grid.dealias_half[..., None], rfft_h(grid, adv), 0.0)
-        np.negative(F, out=F)
+        F = neg_dealiased_rfft_h(grid, adv)
         F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
         if params.radiation_on:
             F[2, ..., -1] += rfft_h(grid, radiation(state.rho, params))

@@ -99,12 +99,11 @@ def record_w_top(monkeypatch):
     now on."""
     from ebpe import monitors
 
-    check, w_top = monitors.constraint_check, []
+    measure, w_top = monitors.measure, []
 
     def recording(grid, state, terms=None):
-        res = check(grid, state, terms)
-        w_top.append(res.w_top)
-        return res
+        w_top.append(monitors.constraint_check(grid, state, terms).w_top)
+        return measure(grid, state, terms)
 
-    monkeypatch.setattr(monitors, "constraint_check", recording)
+    monkeypatch.setattr(monitors, "measure", recording)
     return w_top

@@ -14,6 +14,9 @@ ledger checks run the driver loop's per-step checks over a whole ledger.
 The half spectrum of `exact_rfft2` is a direct long-double DFT, the
 matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
+`cumulative_integral_accumulate` is the running trapezoid integral as a
+running sum of its increments, the reference of the kernel's product
+with `grid.running_trapz`.
 """
 
 from dataclasses import dataclass
@@ -63,6 +66,16 @@ def exact_fourier_derivative(n: int) -> np.ndarray:
     a = (np.subtract.outer(np.arange(n), np.arange(n))[..., None] * k) % n
     terms = np.sin(a.astype(np.longdouble) * (two_pi / n)) * (two_pi * k)
     return -(2 / np.longdouble(n)) * terms.sum(axis=-1)
+
+
+def cumulative_integral_accumulate(grid, f: np.ndarray) -> np.ndarray:
+    """`hydrostatic.cumulative_integral` as np.add.accumulate of the
+    trapezoid increments 0.5 dz (f_{j+1} + f_j) over the levels."""
+    out = np.empty_like(f)
+    out[..., 0] = 0.0
+    increments = 0.5 * grid.dz * (f[..., 1:] + f[..., :-1])
+    np.add.accumulate(increments, axis=-1, out=out[..., 1:])
+    return out
 
 
 def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from ebpe import make_grid
 from ebpe.grid import (GridSizeError, SymmetryError, dealias, deriv_x, deriv_y, deriv_z, irfft_h,
-                       rfft_h, to_physical, to_spectral)
+                       neg_dealiased_rfft_h, rfft_h, to_physical, to_spectral)
 
 import oracles
 from conftest import smooth_field_2d
@@ -201,6 +201,29 @@ class TestKernelTransforms:
         assert self.max_rel_err(ref, irfft_h(grid, c)) <= 2e-15
         assert self.max_rel_err(irfft_h(grid, noisy), irfft_h(grid, c)) <= 2e-15
 
+    @pytest.mark.parametrize("shape", [(8, 12, 4), (10, 14, 5), (16, 16, 16), (32, 16, 8)])
+    def test_dealiased_transform_matches_masked_rfft_h(self, shape, rng):
+        # N // 3 rounds down on every axis but 12, and Nx != Ny
+        grid = make_grid(*shape)
+        for fields in (rng.standard_normal((3, grid.nx, grid.ny, grid.nlev)),
+                       rng.standard_normal((grid.nx, grid.ny, grid.nlev)),
+                       rng.standard_normal((grid.nx, grid.ny))):
+            ours = neg_dealiased_rfft_h(grid, fields)
+            full = rfft_h(grid, fields)
+            mask = grid.dealias_half if fields.ndim == 2 else grid.dealias_half[..., None]
+            ref = np.where(mask, full, 0.0)
+            assert ours.shape == full.shape
+            assert np.abs(-ours - ref).max() <= 1e-15 * np.abs(ref).max()
+            assert np.all(np.broadcast_to(mask, ours.shape) | (ours == 0.0))
+
+    def test_dealias_tables_are_rows_of_the_dft_tables(self):
+        grid = make_grid(10, 14, 5)
+        half = grid.ny // 2 + 1
+        ky = np.arange(grid.ny // 3 + 1)  # 0 .. 4
+        assert np.array_equal(grid.dft_y_dealias, grid.dft_y[np.concatenate((ky, half + ky))])
+        kx = np.array([0, 1, 2, 3, -3, -2, -1])
+        assert np.array_equal(grid.dft_x_dealias, grid.dft_x[kx])
+
     @staticmethod
     def other_layouts(a):
         """The values of `a` as an offset contiguous array (not aligned
@@ -220,8 +243,10 @@ class TestKernelTransforms:
         grid = make_grid(*shape)
         fields = rng.standard_normal((3, grid.nx, grid.ny, grid.nlev))
         spectra = rfft_h(grid, fields)
+        dealiased = neg_dealiased_rfft_h(grid, fields)
         for view in self.other_layouts(fields):
             assert np.array_equal(rfft_h(grid, view), spectra)
+            assert np.array_equal(neg_dealiased_rfft_h(grid, view), dealiased)
         back = irfft_h(grid, spectra)
         for view in self.other_layouts(spectra):
             assert np.array_equal(irfft_h(grid, view), back)
@@ -240,7 +265,8 @@ class TestKernelTransforms:
                   if isinstance(value, np.ndarray)}
         for name in ("ixi_half", "inv_lap_half", "norm_weights_half", "xi2_half",
                      "xi2_deriv_half", "xi_y_half", "dealias_half", "trapz_w",
-                     "dft_y", "dft_x", "idft_x", "idft_y"):
+                     "dft_y", "dft_x", "idft_x", "idft_y", "dft_y_dealias", "dft_x_dealias",
+                     "running_trapz", "running_trapz_interleaved"):
             assert name in tables
         for name, table in tables.items():
             with pytest.raises(ValueError, match="read-only"):

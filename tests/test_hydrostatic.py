@@ -165,6 +165,39 @@ class TestCumulativeIntegral:
         exact = grid8.z**2 + grid8.z
         assert np.max(np.abs(c - exact[None, None, :])) < 1e-14
 
+    @pytest.mark.parametrize("nz", [4, 8, 16, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_product_matches_accumulate_oracle(self, nz, dtype, rng):
+        grid = make_grid(8, 8, nz)
+        f = rng.standard_normal((2, 8, 5, grid.nlev))
+        if dtype is complex:
+            f = f + 1j * rng.standard_normal(f.shape)
+        ours, ref = cumulative_integral(grid, f), oracles.cumulative_integral_accumulate(grid, f)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert np.all(ours[..., 0] == 0.0)
+        assert np.abs(ours - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_result_does_not_depend_on_memory_layout(self, dtype, rng):
+        # numpy's matmul leaves BLAS for operands it cannot hand over, with
+        # another summation order (seen at 16 levels for a Fortran-ordered f)
+        grid = make_grid(16, 16, 16)
+        f = rng.standard_normal((16, 9, grid.nlev))
+        if dtype is complex:
+            f = f + 1j * rng.standard_normal(f.shape)
+        ref = cumulative_integral(grid, f)
+        for view in (np.asfortranarray(f), np.swapaxes(np.swapaxes(f, 0, 1).copy(), 0, 1)):
+            assert np.array_equal(cumulative_integral(grid, view), ref)
+
+    @pytest.mark.parametrize("nz", [4, 8, 16, 64])
+    def test_running_matrix_ends_in_trapz_weights(self, nz):
+        grid = make_grid(8, 8, nz)
+        assert grid.running_trapz.shape == (grid.nlev, grid.nlev)
+        assert np.all(grid.running_trapz[:, 0] == 0.0)
+        assert np.array_equal(grid.running_trapz[:, -1], grid.trapz_w)
+        assert np.array_equal(grid.running_trapz_interleaved,
+                              np.kron(grid.running_trapz, np.eye(2)))
+
 
 class TestSymbolTables:
     """The kernel's per-grid tables reproduce the deriv_x/deriv_y forms of

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ebpe
-from ebpe import cli, diagnostics, make_grid
+from ebpe import cli, diagnostics, make_grid, monitors
 from ebpe.config import ConfigError, RunConfig, parse_config
 from ebpe.linops import SolveError
 from ebpe.monitors import LedgerRecord
@@ -472,6 +472,20 @@ monitors = on
         assert cli.main(["spectrum", "--config", str(cfgp), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: eigensolver failed")
         assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, code", [("cnab2", 3), ("imex_euler", 0)])
+    def test_mms_gates_each_scheme_at_its_order(self, monkeypatch, capsys, scheme, code):
+        def study(order):
+            return monitors.ConvergenceStudy(scales=[0.5, 0.25], errors=[1.0, 0.5 ** order],
+                                             order=order)
+
+        def fake(name, **kwargs):
+            assert name == scheme
+            return monitors.MmsStudy(spatial=study(2.0), temporal=study(1.5))
+
+        monkeypatch.setattr(monitors, "mms_convergence_study", fake)
+        assert cli.main(["mms", "--scheme", scheme, "--quick"]) == code
+        assert "measured temporal order: 1.500" in capsys.readouterr().out
 
     def test_package_imports_without_scipy(self):
         # scipy is a test-only dependency: importing the package and its

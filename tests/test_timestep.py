@@ -609,16 +609,18 @@ class TestSharedStateTerms:
 
 
 # Horizontal transforms per step of each driver at 8^3, measure included,
-# counted over every transform entry point: forward (to_spectral, rfft_h)
-# and inverse (to_physical, irfft_h), as calls and as 2-D planes (the
-# number of 2-D transforms, which does not depend on how they are
-# batched).  monitors.state_terms transforms each state forward (v[0],
-# v[1], T: 3*9 = 27 planes) and takes its derivatives and w on the grid;
-# the ledger and the step share it, and measure makes no transform.  The
-# step adds the products forward (27 planes) and the radiation plane (1),
-# and brings the new state (27) and p_s (1) back.  The radiation and p_s
-# planes are calls of their own: in the field-major layout a batched call
-# can only add a whole level to every field.  Upper bounds: a change may
+# counted over every transform entry point: forward (to_spectral, rfft_h,
+# neg_dealiased_rfft_h) and inverse (to_physical, irfft_h), as calls and
+# as 2-D planes (the number of 2-D transforms, which does not depend on
+# how they are batched).  monitors.state_terms transforms each state
+# forward (v[0], v[1], T: 3*9 = 27 planes) and takes its derivatives and
+# w on the grid; the ledger and the step share it, and measure makes no
+# transform.  The step adds the products forward (27 planes, counted on
+# the operand, of which the transform computes only the 2/3-rule modes)
+# and the radiation plane (1), and brings the new state (27) and p_s (1)
+# back.  The radiation and p_s planes are calls of their own: in the
+# field-major layout a batched call can only add a whole level to every
+# field.  Upper bounds: a change may
 # lower them, never raise them.  The call bound was raised once, from
 # 2 forward / 1 inverse, when the state became field-major: the radiation
 # and p_s transforms measured faster as calls of their own than as padded
@@ -632,7 +634,7 @@ TRANSFORM_DRIVERS = {
     "direct_em": stochastic.run_direct_em,
 }
 TRANSFORM_DIRECTION = {
-    "to_spectral": "forward", "rfft_h": "forward",
+    "to_spectral": "forward", "rfft_h": "forward", "neg_dealiased_rfft_h": "forward",
     "to_physical": "inverse", "irfft_h": "inverse",
 }
 

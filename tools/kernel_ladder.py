@@ -5,9 +5,10 @@ times, on the `random_smooth` state (amplitude 0.5, seed 1) with
 surface-trace transport, IMEX Euler and dt = 1e-3:
 
 - `setup_s`: `Stepper` construction (min over repeats);
-- `state_terms_ms`, `measure_ms`, `step_ms`: min and median of one call
-  each, the calls taking the same state (the step of a given state is a
-  pure function of it);
+- `state_terms_ms`, `measure_ms`, `tendencies_ms`, `step_ms`: min and
+  median of one call each, the calls taking the same state (the step of
+  a given state is a pure function of it); `tendencies_ms` times
+  `Stepper.tendencies` given the state's terms;
 - `minor_faults_per_step`: `getrusage` minor page faults per step of a
   driver-like loop (state terms, measure, step, the state evolving).
 
@@ -76,8 +77,9 @@ def worker(shape: tuple[int, int, int]) -> dict:
     out = {"setup_s": setup,
            "state_terms_ms": _samples(lambda: state_terms(grid, state)),
            "measure_ms": _samples(lambda: measure(grid, state, terms)),
+           "tendencies_ms": _samples(lambda: stepper.tendencies(state, terms)),
            "step_ms": _samples(lambda: stepper.step(state, terms=terms))}
-    for key in ("state_terms_ms", "measure_ms", "step_ms"):
+    for key in ("state_terms_ms", "measure_ms", "tendencies_ms", "step_ms"):
         out[key] = [1e3 * t for t in out[key]]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(FAULT_STEPS):
@@ -152,8 +154,10 @@ def main(argv=None) -> int:
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     for grid in LADDER:
-        row = "  ".join(f"{name}: step {result['results'][name][grid]['step_ms']['min']:.3f} ms"
-                        for name in trees)
+        figures = {name: result["results"][name][grid] for name in trees}
+        row = "  ".join(f"{name}: step {f['step_ms']['min']:.3f} ms, "
+                        f"tendencies {f['tendencies_ms']['min']:.3f} ms"
+                        for name, f in figures.items())
         print(f"{grid:8s} {row}")
     print(f"wrote {path}")
     return 0
