@@ -224,9 +224,6 @@ class Grid:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def zeros2d(self) -> np.ndarray:
-        return np.zeros((self.nx, self.ny))
-
 
 def _unit_circle(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of 2 pi m j / n for m < rows, j < n, shape (rows, n).

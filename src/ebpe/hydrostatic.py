@@ -6,10 +6,10 @@ The running integral from z = 0 (w, the baroclinic term, the pressure)
 is one product with the grid's running trapezoid matrix
 `running_trapz`, for complex columns with its interleaved real form on
 their (re, im) float64 view.
-The surface pressure is never prognostic: each step removes the gradient
-part of the vertically averaged velocity (pressure projection) and the
-potential of the removed gradient identifies the surface-pressure
-contribution.
+The surface pressure is never prognostic and no state carries it: each
+step removes the gradient part of the vertically averaged velocity
+(pressure projection), and the potential phi of the removed gradient is
+dt times that step's surface pressure, irfft_h(phi_hat) / dt.
 
 The horizontal operators act on the (Nx, Ny//2+1) half spectra of the
 step kernel; callers holding physical fields transform at the call site.

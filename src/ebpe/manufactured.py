@@ -115,8 +115,7 @@ class ManufacturedSolution:
         return -gT * (self.amp_trace * cy + self.amp_mean)
 
     def initial_state(self, grid: Grid) -> State:
-        return State.pack(self.velocity(grid, 0.0), self.temperature(grid, 0.0),
-                          p_s=grid.zeros2d())
+        return State.pack(self.velocity(grid, 0.0), self.temperature(grid, 0.0))
 
     # -- forcing -----------------------------------------------------------
 

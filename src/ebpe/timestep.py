@@ -8,8 +8,8 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 2. implicit vertical/horizontal diffusion solves: per-mode Neumann solve
    for the velocity, per-mode coupled solve for (T, rho) so the trace
    condition holds exactly;
-3. pressure projection restoring div_H vbar = 0, which also recovers the
-   surface pressure.
+3. pressure projection restoring div_H vbar = 0; the surface pressure,
+   the multiplier of that constraint, is not part of the state.
 
 The state is physical between steps, one field-major array
 `State.fields` (3, Nx, Ny, Nz+1) of v[0], v[1] and T (rho is T's top
@@ -18,8 +18,8 @@ everything is done on half spectra (`ebpe.grid.rfft_h`) with three
 batched transforms: the state forward, the quadratic products forward
 over the 2/3-rule modes only (`grid.neg_dealiased_rfft_h`, which also
 gives them the tendencies' minus sign), and the new (v, T) back, which
-is the new state's storage with no copy; the radiation plane and p_s
-take a 2-D transform each.  The first, with the derivatives and w that
+is the new state's storage with no copy; the radiation plane takes a
+2-D transform of its own.  The first, with the derivatives and w that
 the products read (real products on the grid), is
 `monitors.state_terms`, which the driver loop computes once per state
 for both the ledger and the step.  w, like the baroclinic term of the
@@ -88,14 +88,12 @@ class State:
     fields is one C-contiguous array (3, Nx, Ny, Nz+1): the velocity
     components v[0], v[1], then T, which carries the surface temperature
     rho as its top level.  v, T and rho are views of it, never copies.
-    p_s is the diagnosed mean-zero surface pressure of the preceding step.
     `State.pack` builds a state from separate v and T.
     """
 
     fields: np.ndarray
     t: float = 0.0
     step: int = 0
-    p_s: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         # a no-op for the step's own output; the step does not depend on
@@ -185,7 +183,7 @@ def initial_state(
             f[...] = f * (amplitude / sup) if sup > 0 and amplitude > 0 else 0.0
     else:
         raise ValueError(f"unknown initial-condition kind {kind!r}")
-    return State(fields, p_s=grid.zeros2d())
+    return State(fields)
 
 
 def initial_state_from_config(grid: Grid, cfg: RunConfig) -> State:
@@ -405,15 +403,14 @@ class Stepper:
             x_hat += kick_hat
 
         if self.freeze_velocity:
-            fields, p_s = np.concatenate((state.v, irfft_h(grid, x_hat)[None])), state.p_s
+            fields = np.concatenate((state.v, irfft_h(grid, x_hat)[None]))
         else:
             v_star = self.velocity.solve_hat(rhs[:2])
             if cnab2:
                 v_star -= U[:2]
-            v_new_hat, phi_hat = hydrostatic.project_barotropic(grid, v_star)
+            v_new_hat = hydrostatic.project_barotropic(grid, v_star)[0]
             fields = irfft_h(grid, np.concatenate((v_new_hat, x_hat[None])))
-            p_s = irfft_h(grid, phi_hat / dt)
-        new = State(fields, t=state.t + dt, step=state.step + 1, p_s=p_s)
+        new = State(fields, t=state.t + dt, step=state.step + 1)
         _check_finite(new, state)
         return new
 
@@ -461,8 +458,13 @@ def integrate(
     message being monitor_failure.  The maximum-principle check is
     warn-only under vertical-average transport, where its constant is
     not established: its message goes to warnings and the run goes on.
-    A BlowUpError carries the last measured state.
+    A BlowUpError carries the last measured state; a state of another
+    grid raises ValueError before the first step.
     """
+    shape = (3, grid.nx, grid.ny, grid.nlev)
+    if state.fields.shape != shape:
+        raise ValueError(f"the state's fields have shape {state.fields.shape}; "
+                         f"the run's grid takes {shape}")
     terms = monitors.state_terms(grid, state)
     record = monitors.measure(grid, state, terms)
     ledger = [record]

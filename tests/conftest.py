@@ -90,7 +90,7 @@ def rough_state(grid, seed):
     v = state.v + 0.1 * rng.standard_normal(state.v.shape)
     T = state.T + 0.1 * rng.standard_normal(state.T.shape)
     T[..., -1] = state.rho + 0.1 * rng.standard_normal(state.rho.shape)
-    return State.pack(v, T, t=0.3, p_s=state.p_s)
+    return State.pack(v, T, t=0.3)
 
 
 def record_w_top(monkeypatch):
