@@ -24,13 +24,14 @@ A companion Neumann-Neumann operator serves the velocity solves.
 
 Every mode operator is vertical - |xi|^2 I, so one real eigendecomposition
 vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
-diagonalisation method of Lynch, Rice & Thomas): the implicit inverse is
-V diag(d) V^-1 with a real (Nx, Ny//2+1, n) table d (`apply_diagonal`),
-and a generator is applied, never tabulated, as the one vertical matrix
-product minus |xi|^2 times the column.  No step applies it: both time
-schemes need only the inverse (`ebpe.timestep`); the tests check it
-against the dense mode operators.  The spectrum report takes every mode's
-eigenvalues as omega + |xi|^2 - lam from the same eigenvalues.
+diagonalisation method of Lynch, Rice & Thomas).  Each solver makes it
+once; the noise propagator (`ebpe.stochastic`) reads the coupled solver's.
+The implicit inverse is V diag(d) V^-1 with a real (Nx, Ny//2+1, n)
+table d (`implicit_factors`, `apply_diagonal`); a generator is applied,
+never tabulated, as the one vertical matrix product minus |xi|^2 times
+the column.  No step applies it: both time schemes need only the inverse
+(`ebpe.timestep`); the tests check it against the dense mode operators.
+The spectrum report makes its own decomposition for omega + |xi|^2 - lam.
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
 of the step kernel (`grid.xi2_half`); a full-width spectrum fails in
@@ -157,23 +158,25 @@ def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.n
     return x_hat @ vertical.T - grid.xi2_half[..., None] * x_hat
 
 
-def implicit_factors(grid: Grid, vertical: np.ndarray, dt: float):
-    """(interleaved basis, d) of (I - dt (vertical - |xi|^2 I))^-1 per mode,
-    with d = 1 / (1 - dt (lam - |xi|^2)) a real (Nx, Ny//2+1, n) table."""
+def implicit_factors(grid: Grid, lam: np.ndarray, dt: float) -> np.ndarray:
+    """d = 1 / (1 - dt (lam - |xi|^2)), the real (Nx, Ny//2+1, n) table of
+    (I - dt (vertical - |xi|^2 I))^-1 in the eigenbasis of vertical."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    lam, V, V_inv = eigenbasis(vertical)
-    return interleaved_basis(V, V_inv), 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
+    return 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
 
 
 class CoupledImplicitSolver:
-    """Per-mode (I - dt * generator)^-1, by eigenbasis."""
+    """Per-mode (I - dt * generator)^-1, by eigenbasis; its dt-free (lam, V,
+    V_inv) also serve the noise propagator (`ebpe.stochastic`)."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
         self.vertical = coupled_vertical_matrix(grid)
-        self.basis, self.d = implicit_factors(grid, self.vertical, dt)
+        self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
+        self.basis = interleaved_basis(self.V, self.V_inv)
+        self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
         """Apply the inverse to a half-spectrum stack (Nx, Ny//2+1, Nz+1)."""
@@ -190,7 +193,9 @@ class VelocityImplicitSolver:
         self.grid = grid
         self.dt = dt
         self.vertical = neumann_vertical_matrix(grid)
-        self.basis, self.d = implicit_factors(grid, self.vertical, dt)
+        lam, V, V_inv = eigenbasis(self.vertical)
+        self.basis = interleaved_basis(V, V_inv)
+        self.d = implicit_factors(grid, lam, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Apply to half-spectrum velocity components (..., Nx, Ny//2+1, Nz+1)."""

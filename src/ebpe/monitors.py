@@ -280,6 +280,8 @@ def mms_spatial_study(
     """
     from .manufactured import ManufacturedSolution
 
+    if len(set(nz_ladder)) < 2:
+        raise ValueError(f"nz_ladder needs two distinct rungs to fit an order, got {nz_ladder}")
     exact = ManufacturedSolution()
     errors = []
     for nz in nz_ladder:
@@ -308,6 +310,8 @@ def mms_temporal_study(
     """
     from .manufactured import ManufacturedSolution
 
+    if len(set(dt_ladder)) < 2:
+        raise ValueError(f"dt_ladder needs two distinct rungs to fit an order, got {dt_ladder}")
     exact = ManufacturedSolution()
     grid = make_grid(nx, ny, nz)
     forcing = exact.spectral_forcing(grid)
@@ -315,10 +319,8 @@ def mms_temporal_study(
     errors = [_l2_distance(grid, _mms_run(exact, grid, forcing, scheme, dt, t_end),
                            ref.v, ref.T, ref.rho)
               for dt in dt_ladder]
-    return ConvergenceStudy(
-        scales=list(dt_ladder), errors=errors,
-        order=fit_order(np.array(dt_ladder), np.array(errors)),
-    )
+    return ConvergenceStudy(scales=list(dt_ladder), errors=errors,
+                            order=fit_order(dt_ladder, errors))
 
 
 @dataclass(frozen=True)
@@ -329,6 +331,9 @@ class MmsStudy:
 
 def mms_convergence_study(scheme: str = "imex_euler", **kwargs) -> MmsStudy:
     """Run both ladders; kwargs split by prefix spatial_/temporal_."""
+    unknown = sorted(k for k in kwargs if not k.startswith(("spatial_", "temporal_")))
+    if unknown:
+        raise TypeError(f"keywords with neither a spatial_ nor a temporal_ prefix: {unknown}")
     sp = {k[8:]: v for k, v in kwargs.items() if k.startswith("spatial_")}
     tm = {k[9:]: v for k, v in kwargs.items() if k.startswith("temporal_")}
     return MmsStudy(

@@ -147,9 +147,11 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
 class ConvolutionPropagator:
     """Exact per-mode step map of the linearized boundary-noise system.
 
-    With vertical = V diag(lam) V^-1 (`linops.eigenbasis`), the coupled
-    generator M = vertical - |xi|^2 I has eigenvalues mu = lam - |xi|^2,
-    and one step of the noise convolution is
+    It reads the eigenbasis vertical = V diag(lam) V^-1 of the step's
+    coupled solver (`linops.CoupledImplicitSolver`), which does not depend
+    on the solver's dt; dt is the noise step.  The coupled generator
+    M = vertical - |xi|^2 I has eigenvalues mu = lam - |xi|^2, and one
+    step of the noise convolution is
 
         Z <- V diag(exp(dt mu)) V^-1 Z + phi1(dt M) e_rho * (q_k dW_k),
 
@@ -157,17 +159,14 @@ class ConvolutionPropagator:
     (Nx, Ny//2+1, Nz+1) table, phi1(x) = expm1(x) / x and phi1(0) = 1.
     """
 
-    def __init__(self, grid: Grid, dt: float):
+    def __init__(self, coupled: linops.CoupledImplicitSolver, dt: float):
         if dt <= 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.grid = grid
-        self.dt = dt
-        lam, V, V_inv = linops.eigenbasis(linops.coupled_vertical_matrix(grid))
-        self.basis = linops.interleaved_basis(V, V_inv)
-        x = dt * (lam - grid.xi2_half[..., None])
+        self.basis = coupled.basis
+        x = dt * (coupled.lam - coupled.grid.xi2_half[..., None])
         self.decay = np.exp(x)
         phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        self.phi1_col = (phi1 * V_inv[:, -1]) @ V.T
+        self.phi1_col = (phi1 * coupled.V_inv[:, -1]) @ coupled.V.T
 
     def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of a half-spectrum stack (Nx, Ny//2+1, Nz+1); dW and q
@@ -228,7 +227,7 @@ def run_split_stochastic(
             "the full convolution stack"
         )
     grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
-    propagator = ConvolutionPropagator(grid, cfg.dt)
+    propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
     Z_hat = np.zeros(q.shape + (grid.nlev,), dtype=complex)
 
     def advance(state: State, terms: StateTerms) -> State:

@@ -24,7 +24,6 @@ from ebpe.linops import (
 from ebpe.monitors import mms_spatial_study, mms_temporal_study
 from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.stochastic import (
-    ConvolutionPropagator,
     NoiseSpec,
     run_direct_em,
     run_split_stochastic,

@@ -500,6 +500,20 @@ monitors = on
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_python_m_ebpe_from_a_checkout(self, tmp_path):
+        # `python -m ebpe` reaches cli.main without the installed console script
+        cfgp = write_config(tmp_path, RUN_INI)
+        out = tmp_path / "spec"
+        src = str(Path(ebpe.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "ebpe", "spectrum", "--config", str(cfgp), "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "phi_hat" in result.stdout
+        assert (out / "spectrum.csv").read_text().startswith("# ebpe spectrum v1\n")
+
     def test_seed_override_changes_output(self, tmp_path):
         cfgp = write_config(tmp_path, RUN_INI)
         out1, out2 = tmp_path / "a", tmp_path / "b"

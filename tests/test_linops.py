@@ -465,8 +465,10 @@ class TestEigenbasis:
     @pytest.mark.parametrize("build", [CoupledImplicitSolver, VelocityImplicitSolver,
                                        ConvolutionPropagator])
     def test_nonpositive_dt_rejected(self, grid8, build, dt):
+        # the propagator is built from a coupled solver at a valid dt
+        owner = CoupledImplicitSolver(grid8, 1e-3) if build is ConvolutionPropagator else grid8
         with pytest.raises(ValueError):
-            build(grid8, dt)
+            build(owner, dt)
 
 
 class TestSpectrumReport:

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, diagnostics, make_grid
+from ebpe import PhysParams, diagnostics, make_grid, monitors
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
 from ebpe.grid import (deriv_x, deriv_y, deriv_z, rfft_h, to_physical,
@@ -20,6 +20,7 @@ from ebpe.monitors import (
     max_principle_bound,
     max_principle_check,
     measure,
+    mms_convergence_study,
     mms_spatial_study,
     mms_temporal_study,
     state_terms,
@@ -374,3 +375,28 @@ class TestMmsStudies:
         study = mms_temporal_study(dt_ladder=(1 / 40, 1 / 80), nx=8, ny=8, nz=8,
                                    t_end=0.25, ref_refine=8)
         assert study.order >= 0.9
+
+    @staticmethod
+    def forbid_runs(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ladder rung was run")
+
+        monkeypatch.setattr(monitors, "_mms_run", forbidden)
+
+    def test_unknown_keywords_rejected(self, monkeypatch):
+        # a keyword with neither prefix used to be dropped without a word
+        self.forbid_runs(monkeypatch)
+        with pytest.raises(TypeError, match=r"\['dt', 'nz'\]"):
+            mms_convergence_study(dt=1e-3, nz=8, spatial_nz_ladder=(8, 16))
+
+    @pytest.mark.parametrize("study, name, ladder", [
+        (mms_spatial_study, "nz_ladder", (8,)),
+        (mms_spatial_study, "nz_ladder", (16, 16)),
+        (mms_temporal_study, "dt_ladder", (1 / 40,)),
+        (mms_temporal_study, "dt_ladder", ()),
+    ])
+    def test_ladder_of_fewer_than_two_rungs_rejected(self, monkeypatch, study, name, ladder):
+        # np.polyfit fitted an "order" to one point with only a RankWarning
+        self.forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match=f"{name} needs two distinct rungs"):
+            study(**{name: ladder})

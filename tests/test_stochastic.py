@@ -10,7 +10,7 @@ import scipy.linalg
 from ebpe import diagnostics, make_grid, project_barotropic
 from ebpe.config import RunConfig
 from ebpe.grid import irfft_h, rfft_h, to_spectral
-from ebpe.linops import coupled_vertical_matrix
+from ebpe.linops import CoupledImplicitSolver, coupled_vertical_matrix
 from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
@@ -39,6 +39,12 @@ from oracles import (
 
 BASE = dict(nx=8, ny=8, nz=8, transport="vertical_average",
             ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
+
+
+def propagator(grid, dt):
+    """The noise propagator of a run at step dt, built as the split
+    driver builds it, from the step's coupled solver."""
+    return ConvolutionPropagator(CoupledImplicitSolver(grid, dt), dt)
 
 
 class TestNoiseSpec:
@@ -135,7 +141,9 @@ class TestWienerIncrements:
 class TestConvolutionPropagator:
     def test_step_matches_per_mode_expm(self, grid8, rng):
         dt = 0.05
-        prop = ConvolutionPropagator(grid8, dt)
+        # the solver's dt differs from the noise step: the propagator reads
+        # only the solver's dt-free eigenbasis
+        prop = ConvolutionPropagator(CoupledImplicitSolver(grid8, 1e-3), dt)
         n = grid8.nlev
         base = coupled_vertical_matrix(grid8)
         Z = rng.standard_normal((8, 5, n)) + 1j * rng.standard_normal((8, 5, n))
@@ -162,15 +170,25 @@ class TestConvolutionPropagator:
         with pytest.raises(ValueError):
             prop.step_hat(full, np.zeros((8, 8), complex), np.zeros((8, 8)))
 
+    def test_reads_the_coupled_solvers_eigenbasis(self, grid8, monkeypatch):
+        coupled = CoupledImplicitSolver(grid8, 1e-3)
+
+        def forbidden(a):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", forbidden)
+        prop = ConvolutionPropagator(coupled, 0.05)
+        assert prop.basis is coupled.basis
+
     def test_kernel_mode_invariant_without_noise(self, grid8):
-        prop = ConvolutionPropagator(grid8, dt=0.05)
+        prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[0, 0, :] = 2.0  # constant stack on the mean mode: kernel of the operator
         out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
         assert np.max(np.abs(out - Z)) < 1e-13
 
     def test_deterministic_decay_without_noise(self, grid8):
-        prop = ConvolutionPropagator(grid8, dt=0.05)
+        prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[1, 0, :] = 1.0
         out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
@@ -232,6 +250,24 @@ class TestDrivers:
             assert np.array_equal(driver.final_state.rho, det.final_state.rho)
             assert np.array_equal(driver.final_state.v, det.final_state.v)
 
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("driver", [run_deterministic, run_split_stochastic, run_direct_em])
+    def test_one_eig_call_per_vertical_matrix(self, driver, freeze, monkeypatch):
+        # the coupled and the Neumann matrix, or the coupled one alone under a
+        # frozen velocity; the split driver's propagator reads the step's
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=2e-3, freeze_velocity=freeze,
+                        noise_sigma=0.0 if driver is run_deterministic else 0.2)
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        assert driver(cfg).final_state.step == 2
+        assert calls == [(9, 9)] * (1 if freeze else 2)
+
     def test_pathwise_determinism(self):
         cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.2, noise_seed=9)
         a = run_split_stochastic(cfg)
@@ -252,7 +288,7 @@ class TestDrivers:
         spec = noise_spec_from_config(cfg)
         bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
         q = spec.q_table(grid)
-        prop = ConvolutionPropagator(grid, cfg.dt)
+        prop = propagator(grid, cfg.dt)
         dt = cfg.dt
 
         full = initial_state_from_config(grid, cfg)
@@ -322,16 +358,20 @@ class TestDrivers:
         with pytest.raises(ValueError, match="resume"):
             run_split_stochastic(cfg, initial=resumed)
 
-    def test_split_blowup_carries_reassembled_state(self):
-        # radiation far beyond its explicit step limit: blow-up after a few steps
+    @pytest.mark.parametrize("driver", [run_deterministic, run_split_stochastic, run_direct_em])
+    def test_blowup_carries_last_measured_state(self, driver):
+        # radiation far beyond its explicit step limit: blow-up after a few
+        # steps; the error carries the state the failing step was given
         cfg = RunConfig(nx=8, ny=8, nz=8, transport="vertical_average", dt=1.0,
                         t_end=20.0, ic_kind="random_smooth", ic_amplitude=3.0,
                         ic_seed=6, noise_sigma=0.1, noise_seed=3)
+        if driver is run_deterministic:
+            cfg = dataclasses.replace(cfg, noise_sigma=0.0)
         with pytest.raises(BlowUpError) as err:
-            run_split_stochastic(cfg)
+            driver(cfg)
         last = err.value.last_state
         assert last.step >= 2
-        rerun = run_split_stochastic(dataclasses.replace(cfg, t_end=last.step * cfg.dt))
+        rerun = driver(dataclasses.replace(cfg, t_end=last.step * cfg.dt))
         for name in ("v", "T", "rho"):
             assert np.array_equal(getattr(rerun.final_state, name), getattr(last, name))
 
@@ -365,7 +405,7 @@ class TestDrivers:
     def test_convolution_mean_unbiased(self):
         # mean of Z_rho over independent seeds stays within sampling error
         grid = make_grid(8, 8, 4)
-        prop = ConvolutionPropagator(grid, dt=0.01)
+        prop = propagator(grid, dt=0.01)
         n_seeds, steps = 200, 20
         finals = np.empty((n_seeds, 8, 8))
         for s in range(n_seeds):

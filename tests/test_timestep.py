@@ -483,6 +483,12 @@ class TestCnab2:
         assert len(solvers) == 2
         theta = 0.5 if scheme == "cnab2" else 1.0
         assert [solver.dt for solver in solvers] == [theta * 1e-3] * 2
+        # a frozen velocity builds no velocity solver: one eig, the coupled one
+        calls.clear()
+        frozen = Stepper(grid, quiet_params(grid), 1e-3, scheme=scheme, freeze_velocity=True)
+        assert calls == [(grid.nlev, grid.nlev)]
+        assert frozen.velocity is None
+        assert frozen.coupled.dt == theta * 1e-3
 
     def test_forced_steps_never_apply_the_generator(self, monkeypatch):
         def forbidden(*args, **kwargs):
