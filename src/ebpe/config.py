@@ -1,14 +1,18 @@
 """Run configuration: INI-style parsing with line-accurate error reporting.
 
 Sections: [grid], [physics], [time], [init], [noise], [output].  '#' starts
-a comment.  All validation problems in a file are collected and reported
-in one pass.
+a comment.  Each key is declared once, on its `RunConfig` field: `_key`
+names the section, the converter and, when it differs from the field's
+name, the key; the parser's table is derived from those fields.  A key
+may be set once per file: a repeated key is an error, though a section
+header may repeat with new keys.  All validation problems in a file are
+collected and reported in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .ebm import SURFACE_TRACE, TRANSPORT_VARIANTS
 
@@ -25,52 +29,6 @@ class ConfigError(ValueError):
     def __init__(self, messages: list[str]):
         self.messages = list(messages)
         super().__init__("\n".join(self.messages))
-
-
-@dataclass
-class RunConfig:
-    nx: int = 16
-    ny: int = 16
-    nz: int = 16
-
-    beta1: float = 0.38
-    beta2: float = 0.68
-    rho_ref: float = 0.0
-    q0: float = 1.0
-    q1: float = 0.0
-    radiation_on: bool = True
-    transport: str = SURFACE_TRACE
-    freeze_velocity: bool = False
-
-    dt: float = 1e-3
-    t_end: float = 0.1
-    scheme: str = "imex_euler"
-
-    ic_kind: str = "zero"
-    ic_amplitude: float = 0.5
-    ic_seed: int = 0
-    ic_decay: float = 3.0
-    ic_value: float = 0.0
-
-    noise_sigma: float = 0.0
-    noise_decay: float = 2.0
-    noise_seed: int = 0
-
-    cadence: int = 1
-    out_dir: str | None = None
-    monitors_on: bool = False
-    c_led: float = 50.0
-    h1_growth_rate: float = 50.0
-    h1_margin: float = 100.0
-
-    def n_steps(self) -> int:
-        if self.t_end == 0.0:
-            return 0
-        return int(round(self.t_end / self.dt))
-
-    def with_seed(self, seed: int) -> "RunConfig":
-        """Override both the initial-condition and noise seeds."""
-        return replace(self, ic_seed=seed, noise_seed=seed)
 
 
 _BOOL_WORDS = {
@@ -98,50 +56,68 @@ def _choice(options):
     return convert
 
 
-_SCHEMA = {
-    "grid": {"nx": ("nx", _to_int), "ny": ("ny", _to_int), "nz": ("nz", _to_int)},
-    "physics": {
-        "beta1": ("beta1", float),
-        "beta2": ("beta2", float),
-        "rho_ref": ("rho_ref", float),
-        "q0": ("q0", float),
-        "q1": ("q1", float),
-        "radiation": ("radiation_on", _to_bool),
-        "transport": ("transport", _choice(TRANSPORT_VARIANTS)),
-        "freeze_velocity": ("freeze_velocity", _to_bool),
-    },
-    "time": {
-        "dt": ("dt", float),
-        "t_end": ("t_end", float),
-        "scheme": ("scheme", _choice(SCHEMES)),
-    },
-    "init": {
-        "kind": ("ic_kind", _choice(IC_KINDS)),
-        "amplitude": ("ic_amplitude", float),
-        "seed": ("ic_seed", _to_int),
-        "decay": ("ic_decay", float),
-        "value": ("ic_value", float),
-    },
-    "noise": {
-        "sigma": ("noise_sigma", float),
-        "decay": ("noise_decay", float),
-        "seed": ("noise_seed", _to_int),
-    },
-    "output": {
-        "cadence": ("cadence", _to_int),
-        "dir": ("out_dir", str),
-        "monitors": ("monitors_on", _to_bool),
-        "c_led": ("c_led", float),
-        "h1_growth_rate": ("h1_growth_rate", float),
-        "h1_margin": ("h1_margin", float),
-    },
-}
+def _key(section: str, default, converter, key: str | None = None):
+    """A field read from `key` (the field's name when None) of [section]."""
+    return field(default=default,
+                 metadata={"section": section, "converter": converter, "key": key})
+
+
+@dataclass
+class RunConfig:
+    nx: int = _key("grid", 16, _to_int)
+    ny: int = _key("grid", 16, _to_int)
+    nz: int = _key("grid", 16, _to_int)
+
+    beta1: float = _key("physics", 0.38, float)
+    beta2: float = _key("physics", 0.68, float)
+    rho_ref: float = _key("physics", 0.0, float)
+    q0: float = _key("physics", 1.0, float)
+    q1: float = _key("physics", 0.0, float)
+    radiation_on: bool = _key("physics", True, _to_bool, "radiation")
+    transport: str = _key("physics", SURFACE_TRACE, _choice(TRANSPORT_VARIANTS))
+    freeze_velocity: bool = _key("physics", False, _to_bool)
+
+    dt: float = _key("time", 1e-3, float)
+    t_end: float = _key("time", 0.1, float)
+    scheme: str = _key("time", "imex_euler", _choice(SCHEMES))
+
+    ic_kind: str = _key("init", "zero", _choice(IC_KINDS), "kind")
+    ic_amplitude: float = _key("init", 0.5, float, "amplitude")
+    ic_seed: int = _key("init", 0, _to_int, "seed")
+    ic_decay: float = _key("init", 3.0, float, "decay")
+    ic_value: float = _key("init", 0.0, float, "value")
+
+    noise_sigma: float = _key("noise", 0.0, float, "sigma")
+    noise_decay: float = _key("noise", 2.0, float, "decay")
+    noise_seed: int = _key("noise", 0, _to_int, "seed")
+
+    cadence: int = _key("output", 1, _to_int)
+    out_dir: str | None = _key("output", None, str, "dir")
+    monitors_on: bool = _key("output", False, _to_bool, "monitors")
+    c_led: float = _key("output", 50.0, float)
+    h1_growth_rate: float = _key("output", 50.0, float)
+    h1_margin: float = _key("output", 100.0, float)
+
+    def n_steps(self) -> int:
+        if self.t_end == 0.0:
+            return 0
+        return int(round(self.t_end / self.dt))
+
+    def with_seed(self, seed: int) -> "RunConfig":
+        """Override both the initial-condition and noise seeds."""
+        return replace(self, ic_seed=seed, noise_seed=seed)
+
+
+# (section, key) -> the RunConfig field it sets
+_FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
+_SECTIONS = {section for section, _ in _FIELDS}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration; raises ConfigError."""
     cfg = RunConfig()
     errors: list[str] = []
+    set_on: dict[str, int] = {}  # field name -> the line that last set it
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,7 +125,7 @@ def parse_config(text: str) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 errors.append(f"line {lineno}: unknown section [{section}]")
                 section = None
             continue
@@ -162,13 +138,16 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
+        f = _FIELDS.get((section, key))
+        if f is None:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
-        attr, convert = schema[key]
+        if f.name in set_on:
+            errors.append(f"line {lineno}: key {key!r} in section [{section}] "
+                          f"already set on line {set_on[f.name]}")
+        set_on[f.name] = lineno
         try:
-            setattr(cfg, attr, convert(value))
+            setattr(cfg, f.name, f.metadata["converter"](value))
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
 

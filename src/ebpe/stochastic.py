@@ -97,7 +97,6 @@ class PathBundle:
 
     increments: np.ndarray  # (n_steps, Nx, Ny//2+1) complex
     dt: float
-    seed: int
 
     @property
     def n_steps(self) -> int:
@@ -113,9 +112,7 @@ class PathBundle:
             )
         n = self.n_steps // factor
         grouped = self.increments.reshape(n, factor, *self.increments.shape[1:])
-        return PathBundle(
-            increments=grouped.sum(axis=1), dt=self.dt * factor, seed=self.seed
-        )
+        return PathBundle(increments=grouped.sum(axis=1), dt=self.dt * factor)
 
 
 def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> PathBundle:
@@ -141,7 +138,7 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
         white = rng.standard_normal((len(out), grid.nx, grid.ny)) * np.sqrt(dt)
         hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., :half]
         np.multiply(hat, np.sqrt(grid.nx * grid.ny), out=out)
-    return PathBundle(increments=increments, dt=dt, seed=spec.seed)
+    return PathBundle(increments=increments, dt=dt)
 
 
 class ConvolutionPropagator:
@@ -241,7 +238,6 @@ def run_split_stochastic(
     state = initial_state_from_config(grid, cfg) if initial is None else initial
     result = integrate(cfg, grid, params, state, advance)
     result.z_rho_final = irfft_h(grid, Z_hat[..., -1])
-    result.bundle = bundle
     return result
 
 
@@ -267,6 +263,4 @@ def run_direct_em(
         return stepper.step(state, kick_hat=kick, terms=terms)
 
     state = initial_state_from_config(grid, cfg) if initial is None else initial
-    result = integrate(cfg, grid, params, state, advance)
-    result.bundle = bundle
-    return result
+    return integrate(cfg, grid, params, state, advance)

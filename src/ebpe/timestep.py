@@ -56,7 +56,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -66,9 +65,6 @@ from .config import SCHEMES, RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
 from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, neg_dealiased_rfft_h,
                    rfft_h, to_physical, to_spectral)
-
-if TYPE_CHECKING:
-    from .stochastic import PathBundle
 
 BLOWUP_SUP = 1e8
 
@@ -417,8 +413,7 @@ class RunResult:
     csv_records are those that diagnostics.csv writes.  monitor_failure is
     the message of the check that halted the run, and warnings those of
     the warn-only maximum-principle check.  The split driver also returns
-    the surface channel of the noise convolution; both stochastic drivers
-    return the increment bundle they used.
+    the surface channel of the noise convolution.
     """
 
     final_state: State
@@ -427,7 +422,6 @@ class RunResult:
     monitor_failure: str | None = None
     warnings: list[str] = field(default_factory=list)
     z_rho_final: np.ndarray | None = None
-    bundle: PathBundle | None = None
 
 
 def integrate(
@@ -452,12 +446,16 @@ def integrate(
     warn-only under vertical-average transport, where its constant is
     not established: its message goes to warnings and the run goes on.
     A BlowUpError carries the last measured state, which the step was
-    given; a state of another grid raises ValueError before the first step.
+    given; a state of another grid, or one past the run's last step, raises
+    ValueError before the first step.
     """
     shape = (3, grid.nx, grid.ny, grid.nlev)
     if state.fields.shape != shape:
         raise ValueError(f"the state's fields have shape {state.fields.shape}; "
                          f"the run's grid takes {shape}")
+    if state.step > cfg.n_steps():
+        raise ValueError(f"the state is at step {state.step}, past the run's "
+                         f"last step {cfg.n_steps()}")
     terms = monitors.state_terms(grid, state)
     record = monitors.measure(grid, state, terms)
     ledger = [record]
@@ -466,7 +464,7 @@ def integrate(
     mp_warn_only = params.transport_variant == VERTICAL_AVERAGE
     monitor_failure = None
 
-    for _ in range(max(0, cfg.n_steps() - state.step)):
+    for _ in range(cfg.n_steps() - state.step):
         state = advance(state, terms)
         terms = monitors.state_terms(grid, state)
         prev_record, record = record, monitors.measure(grid, state, terms)

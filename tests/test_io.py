@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ebpe
-from ebpe import cli, diagnostics, make_grid, monitors
+from ebpe import cli, config, diagnostics, make_grid, monitors
 from ebpe.config import ConfigError, RunConfig, parse_config
 from ebpe.linops import SolveError
 from ebpe.monitors import LedgerRecord
@@ -112,6 +112,76 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL)
         c2 = cfg.with_seed(77)
         assert c2.ic_seed == 77 and c2.noise_seed == 77
+
+    def test_repeated_key_rejected_in_one_pass(self):
+        # line 12 sets dt again after line 7, under a repeated [time] header
+        text = (MINIMAL + "[time]\ndt = 1e-3\n[physics]\nq1 = 0.5\n"
+                "[time]\nt_end = 0.2\ndt = 2e-3\n[noise]\nbogus = 1\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.messages == [
+            "line 12: key 'dt' in section [time] already set on line 7",
+            "line 14: unknown key 'bogus' in section [noise]",
+        ]
+
+    def test_repeated_section_with_new_keys_allowed(self):
+        cfg = parse_config(MINIMAL + "[time]\ndt = 2e-3\n[init]\nseed = 1\n"
+                           "[noise]\nseed = 2\n[time]\nt_end = 0.2\n")
+        assert (cfg.dt, cfg.t_end, cfg.ic_seed, cfg.noise_seed) == (2e-3, 0.2, 1, 2)
+
+
+# a valid value other than the default for every RunConfig field, as INI text
+# and as parsed
+NON_DEFAULT = {
+    "nx": ("12", 12), "ny": ("12", 12), "nz": ("6", 6),
+    "beta1": ("0.3", 0.3), "beta2": ("0.7", 0.7), "rho_ref": ("0.25", 0.25),
+    "q0": ("2.0", 2.0), "q1": ("0.5", 0.5), "radiation_on": ("off", False),
+    "transport": ("vertical_average", "vertical_average"), "freeze_velocity": ("on", True),
+    "dt": ("2e-3", 2e-3), "t_end": ("0.2", 0.2), "scheme": ("cnab2", "cnab2"),
+    "ic_kind": ("random_smooth", "random_smooth"), "ic_amplitude": ("0.25", 0.25),
+    "ic_seed": ("0x10", 16), "ic_decay": ("2.5", 2.5), "ic_value": ("0.5", 0.5),
+    "noise_sigma": ("0.1", 0.1), "noise_decay": ("3.0", 3.0), "noise_seed": ("5", 5),
+    "cadence": ("5", 5), "out_dir": ("runs/a", "runs/a"), "monitors_on": ("yes", True),
+    "c_led": ("10.0", 10.0), "h1_growth_rate": ("5.0", 5.0), "h1_margin": ("10.0", 10.0),
+}
+FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_field_declares_its_own_ini_key():
+    for f in dataclasses.fields(RunConfig):
+        assert f.metadata["section"] in config._SECTIONS and callable(f.metadata["converter"])
+    # a (section, key) declared twice would hide one of its fields
+    assert sorted(f.name for f in config._FIELDS.values()) == sorted(FIELD_NAMES)
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_each_key_alone_parses_to_its_field(name):
+    (section, key), = [sk for sk, f in config._FIELDS.items() if f.name == name]
+    text, value = NON_DEFAULT[name]
+    assert value != getattr(RunConfig(), name)
+    entries = {("grid", "nx"): "8", ("grid", "ny"): "8", ("grid", "nz"): "8",
+               (section, key): text}
+    expected = dataclasses.replace(RunConfig(nx=8, ny=8, nz=8), **{name: value})
+    if name == "noise_sigma":  # boundary noise requires vertical-average transport
+        entries["physics", "transport"] = "vertical_average"
+        expected.transport = "vertical_average"
+    cfg = parse_config("".join(f"[{s}]\n{k} = {v}\n" for (s, k), v in entries.items()))
+    assert cfg == expected
+
+
+def test_readme_configuration_block_names_every_key():
+    block = README.read_text().split("## Configuration", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    pairs, section = [], None
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line[1:-1]
+        elif line:
+            pairs.append((section, line.partition("=")[0].strip()))
+    assert sorted(pairs) == sorted(config._FIELDS)
 
 
 class TestSnapshots:

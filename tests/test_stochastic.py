@@ -330,7 +330,7 @@ class TestDrivers:
         # increments drawn on another grid, or 8x8 increments at full width
         for bundle in (wiener_increments(make_grid(8, 16, 8), spec, 1e-3, 10),
                        wiener_increments(make_grid(16, 8, 8), spec, 1e-3, 10),
-                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3, seed=1)):
+                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3)):
             for driver in (run_split_stochastic, run_direct_em):
                 with pytest.raises(ValueError, match="path bundle does not match the run"):
                     driver(cfg, spec=spec, bundle=bundle)

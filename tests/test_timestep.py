@@ -192,7 +192,6 @@ def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
     for driver in (stochastic.run_direct_em, stochastic.run_split_stochastic):
         result = driver(cfg, bundle=bundle, initial=initial)
         assert result.final_state.step == 1
-        assert result.bundle is bundle
 
 
 def test_physical_forcing_rejected_with_contract_message():
@@ -594,14 +593,17 @@ class TestSharedStateTerms:
             res = run_deterministic(cfg)
         grid = grid_from_config(cfg)
         stepper = Stepper(grid, params_from_config(grid, cfg), cfg.dt, scheme=cfg.scheme)
-        q = stochastic.noise_spec_from_config(cfg).q_table(grid)
+        spec = stochastic.noise_spec_from_config(cfg)
+        q = spec.q_table(grid)
+        # the driver's bundle, drawn again: a pure function of the seed
+        bundle = stochastic.wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
         state = initial_state_from_config(grid, cfg)
         records = [measure(grid, state)]
         for _ in range(cfg.n_steps()):
             kick = None
             if driver == "direct_em":
                 kick = np.zeros(q.shape + (grid.nlev,), dtype=complex)
-                kick[..., -1] = q * res.bundle.increments[state.step]
+                kick[..., -1] = q * bundle.increments[state.step]
             state = stepper.step(state, kick_hat=kick)
             records.append(measure(grid, state))
         assert_states_equal(res.final_state, state)
@@ -683,6 +685,25 @@ def test_state_on_another_grid_rejected_before_the_first_step(name, shape, monke
     theirs = re.escape(str(state.fields.shape))
     with pytest.raises(ValueError, match=rf"{theirs}.*\(3, 8, 8, 9\)"):
         TRANSFORM_DRIVERS[name](cfg, initial=state)
+    assert steps == []
+
+
+@pytest.mark.parametrize("name", ["deterministic", "direct_em"])
+def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypatch):
+    # the split driver rejects every resumed state; the others reject one
+    # past the run's end, naming both steps, and take a state at the end as
+    # a run with nothing left to do
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
+                    noise_sigma=0.0 if name == "deterministic" else 0.1)
+    state = initial_state(make_grid(8, 8, 8), "random_smooth", seed=3)
+    steps = []
+    monkeypatch.setattr(Stepper, "step", lambda *args, **kwargs: steps.append(1))
+    state.step = 50
+    with pytest.raises(ValueError, match=r"step 50.*last step 10"):
+        TRANSFORM_DRIVERS[name](cfg, initial=state)
+    state.step = 10
+    result = TRANSFORM_DRIVERS[name](cfg, initial=state)
+    assert result.final_state is state and len(result.ledger) == 1
     assert steps == []
 
 

@@ -12,6 +12,9 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
 - `minor_faults_per_step`: `getrusage` minor page faults per step of a
   driver-like loop (state terms, measure, step, the state evolving).
 
+Beside them it records `src_lines`, the line count of each tree's
+``ebpe/*.py`` (as ``wc -l`` counts), so size is tracked next to speed.
+
 Each source tree named by ``--tree NAME=SRC`` (a directory holding the
 ``ebpe`` package; at least one) is measured in fresh worker processes
 with one BLAS thread.  Trees alternate within every one of ROUNDS rounds,
@@ -98,6 +101,10 @@ def _run_worker(src: Path, label: str) -> dict:
     return json.loads(done.stdout)
 
 
+def _src_lines(src: Path) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in (src / "ebpe").glob("*.py"))
+
+
 def _summary(values: list[float]) -> dict:
     ordered = sorted(values)
     return {"min": ordered[0], "median": ordered[len(ordered) // 2], "samples": len(values)}
@@ -147,6 +154,7 @@ def main(argv=None) -> int:
         "state": "random_smooth, amplitude 0.5, seed 1; surface trace; imex_euler; dt 1e-3",
         "rounds": ROUNDS,
         "trees": list(trees),
+        "src_lines": {name: _src_lines(src) for name, src in trees.items()},
         "results": {name: {grid: {key: _summary(values) for key, values in figures.items()}
                            for grid, figures in grids.items()}
                     for name, grids in raw.items()},
@@ -159,6 +167,7 @@ def main(argv=None) -> int:
                         f"tendencies {f['tendencies_ms']['min']:.3f} ms"
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
+    print("src lines  " + "  ".join(f"{name}: {n}" for name, n in result["src_lines"].items()))
     print(f"wrote {path}")
     return 0
 
