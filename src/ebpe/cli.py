@@ -100,8 +100,12 @@ def _cmd_run(args) -> int:
         snapshots.write_snapshot(exc.last_state, _out_dir(cfg) / "state_blowup.bin")
         print(f"blow-up abort: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    if result.warnings:  # the warn-only maximum-principle check: one line
+        flagged = [r for r in result.ledger if r.flags & monitors.FLAG_MAX_PRINCIPLE]
+        worst = max(flagged, key=lambda r: r.sup_T)
+        print(f"warning: {len(flagged)} steps violate the maximum principle, the first: "
+              f"{result.warnings[0]}; worst sup|T| = {worst.sup_T:.6e} at step {worst.step}",
+              file=sys.stderr)
     footer = "status=ok"
     if result.monitor_failure:
         footer = f"status=monitor_failure detail={result.monitor_failure!r}"

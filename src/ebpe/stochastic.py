@@ -5,10 +5,13 @@ and a direct semi-implicit Euler-Maruyama driver used as the brute-force
 cross-check.
 
 Both drivers are the deterministic step (`Stepper.step`) of the full
-state plus a kick on the half-spectrum coupled stack, inside the shared
-driver loop (`timestep.integrate`), so they honour the monitor settings
-and reduce to the deterministic run at sigma = 0.  The direct driver's
-kick is the increment q dW on the surface row.  The split driver carries
+state plus a kick on the half-spectrum coupled stack, which they hand the
+shared driver loop (`timestep.integrate`), so they honour the monitor
+settings and reduce to the deterministic run at sigma = 0.  They check
+the scheme, the transport and a given bundle, and `timestep.start_run` a
+given initial state, before the Stepper is built or a bundle drawn, so a
+rejected run costs no set-up.  The direct driver's kick is the increment
+q dW on the surface row.  The split driver carries
 the convolution Z as a half spectrum; with R = (I - dt A)^-1 the coupled
 solve, its kick Z_{n+1} - R Z_n makes the step advance the remainder
 full - Z by the deterministic step with the tendencies taken at the full
@@ -38,16 +41,7 @@ from . import linops
 from .config import RunConfig
 from .ebm import VERTICAL_AVERAGE
 from .grid import Grid, irfft_h
-from .monitors import StateTerms
-from .timestep import (
-    RunResult,
-    State,
-    Stepper,
-    grid_from_config,
-    initial_state_from_config,
-    integrate,
-    params_from_config,
-)
+from .timestep import RunResult, State, Stepper, integrate, start_run
 
 # white-noise values drawn and transformed at a time by wiener_increments
 # (1 MiB of float64)
@@ -79,10 +73,6 @@ class NoiseSpec:
     def q_table(self, grid: Grid) -> np.ndarray:
         """Amplitudes q_k over the half spectrum, shape (Nx, Ny//2+1)."""
         return self.sigma * (1.0 + grid.xi2_half) ** (-self.decay / 2.0)
-
-
-def noise_spec_from_config(cfg: RunConfig) -> NoiseSpec:
-    return NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
 
 
 @dataclass(frozen=True)
@@ -172,28 +162,25 @@ class ConvolutionPropagator:
         return propagated + self.phi1_col * (q * dW)[:, :, None]
 
 
-def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None):
-    """Validated grid, parameters, stepper, increment bundle and amplitudes."""
+def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
+                      initial: State | None) -> tuple[Stepper, State, PathBundle, np.ndarray]:
+    """Stepper, first state, increment bundle and amplitudes, built (by
+    `start_run`) or drawn only after every input is checked."""
     if cfg.scheme != "imex_euler":
-        raise ValueError(
-            f"stochastic drivers support scheme = imex_euler only, got {cfg.scheme!r}"
-        )
-    grid = grid_from_config(cfg)
-    params = params_from_config(grid, cfg)
-    if params.transport_variant != VERTICAL_AVERAGE:
-        raise ValueError(
-            "stochastic drivers require transport_variant=vertical_average"
-        )
-    if spec is None:
-        spec = noise_spec_from_config(cfg)
+        raise ValueError(f"stochastic drivers support scheme = imex_euler only, "
+                         f"got {cfg.scheme!r}")
+    if cfg.transport != VERTICAL_AVERAGE:
+        raise ValueError("stochastic drivers require transport_variant=vertical_average")
+    spec = spec or NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
     n_steps = cfg.n_steps()
-    if bundle is None:
-        bundle = wiener_increments(grid, spec, cfg.dt, n_steps)
-    if (bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt)
-            or bundle.increments.shape[1:] != (grid.nx, grid.ny // 2 + 1)):
+    if bundle is not None and (
+            bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt)
+            or bundle.increments.shape[1:] != (cfg.nx, cfg.ny // 2 + 1)):
         raise ValueError("path bundle does not match the run (steps, dt or grid)")
-    stepper = Stepper(grid, params, cfg.dt, freeze_velocity=cfg.freeze_velocity)
-    return grid, params, stepper, bundle, spec.q_table(grid)
+    stepper, state = start_run(cfg, initial)
+    if bundle is None:
+        bundle = wiener_increments(stepper.grid, spec, cfg.dt, n_steps)
+    return stepper, state, bundle, spec.q_table(stepper.grid)
 
 
 def run_split_stochastic(
@@ -211,8 +198,8 @@ def run_split_stochastic(
     surface temperature including its boundary part), so the scheme and
     the direct Euler-Maruyama driver discretize the same system.  The
     coupled solve R is linear, so this is one step of the full state with
-    the kick Z_{n+1} - R Z_n.  With sigma = 0 the convolution vanishes and
-    the run reproduces the deterministic driver.
+    the kick Z_{n+1} - R Z_n; computing it advances Z.  With sigma = 0 the
+    convolution vanishes and the run reproduces the deterministic driver.
 
     The run cannot resume: a snapshot carries only the surface channel of
     the convolution stack, so an `initial` state with step > 0 is
@@ -223,21 +210,19 @@ def run_split_stochastic(
             "the split driver cannot resume a run: snapshots do not carry "
             "the full convolution stack"
         )
-    grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
+    stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
-    Z_hat = np.zeros(q.shape + (grid.nlev,), dtype=complex)
+    Z_hat = np.zeros(q.shape + (stepper.grid.nlev,), dtype=complex)
 
-    def advance(state: State, terms: StateTerms) -> State:
+    def kick(state: State) -> np.ndarray:
         nonlocal Z_hat
         Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step], q)
-        new = stepper.step(state, kick_hat=Z_next - stepper.coupled.solve_hat(Z_hat),
-                           terms=terms)
+        kick_hat = Z_next - stepper.coupled.solve_hat(Z_hat)
         Z_hat = Z_next
-        return new
+        return kick_hat
 
-    state = initial_state_from_config(grid, cfg) if initial is None else initial
-    result = integrate(cfg, grid, params, state, advance)
-    result.z_rho_final = irfft_h(grid, Z_hat[..., -1])
+    result = integrate(cfg, stepper, state, kick)
+    result.z_rho_final = irfft_h(stepper.grid, Z_hat[..., -1])
     return result
 
 
@@ -249,18 +234,18 @@ def run_direct_em(
 ) -> RunResult:
     """Semi-implicit Euler-Maruyama on the unsplit system.
 
-    Explicit nonlinearities, implicit coupled solve, the noise increment
-    added to the surface row of the spectral solution.  Serves as the
-    brute-force oracle for the split driver on a shared path.  Increments
-    are indexed by the absolute step, so a run resumed from a snapshot
-    state whose step is set reproduces the uninterrupted run bit for bit.
+    Explicit nonlinearities, implicit coupled solve, and the kick q dW:
+    the noise increment on the surface row of the spectral solution.
+    Serves as the brute-force oracle for the split driver on a shared
+    path.  Increments are indexed by the absolute step, so a run resumed
+    from a snapshot state whose step is set reproduces the uninterrupted
+    run bit for bit.
     """
-    grid, params, stepper, bundle, q = _stochastic_setup(cfg, spec, bundle)
+    stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
 
-    def advance(state: State, terms: StateTerms) -> State:
-        kick = np.zeros(q.shape + (grid.nlev,), dtype=complex)
-        kick[..., -1] = q * bundle.increments[state.step]
-        return stepper.step(state, kick_hat=kick, terms=terms)
+    def kick(state: State) -> np.ndarray:
+        kick_hat = np.zeros(q.shape + (stepper.grid.nlev,), dtype=complex)
+        kick_hat[..., -1] = q * bundle.increments[state.step]
+        return kick_hat
 
-    state = initial_state_from_config(grid, cfg) if initial is None else initial
-    return integrate(cfg, grid, params, state, advance)
+    return integrate(cfg, stepper, state, kick)

@@ -45,11 +45,14 @@ so no step applies the generator A.  E is the AB2 extrapolation
 step's tendencies are not at hand (the first step and a restart: one
 Crank-Nicolson step with forward-Euler tendencies).
 
+`start_run` checks a given initial state against the config and only
+then builds the run's grid, parameters, `Stepper` and first state.
 `integrate` is the one driver loop (step count, state terms, ledger,
-monitors, diagnostics rows, blow-up handling).  The deterministic driver
-here and the stochastic drivers in `ebpe.stochastic` run the same step; a
-stochastic step only adds a spectral kick to the coupled (T, rho)
-solution before the last inverse transform.
+monitors, diagnostics rows, blow-up handling) over that Stepper.  The
+deterministic driver here and the stochastic drivers in `ebpe.stochastic`
+run the same step; a stochastic driver only hands `integrate` a kick, a
+spectral increment added to the coupled (T, rho) solution before the last
+inverse transform.
 """
 
 from __future__ import annotations
@@ -118,21 +121,6 @@ class State:
         return self.fields[2, ..., -1]
 
 
-def grid_from_config(cfg: RunConfig) -> Grid:
-    return grid_mod.make_grid(cfg.nx, cfg.ny, cfg.nz)
-
-
-def params_from_config(grid: Grid, cfg: RunConfig) -> PhysParams:
-    return PhysParams(
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        rho_ref=cfg.rho_ref,
-        Q=default_insolation(grid, cfg.q0, cfg.q1),
-        transport_variant=cfg.transport,
-        radiation_on=cfg.radiation_on,
-    )
-
-
 def _smooth_random_2d(grid: Grid, rng: np.random.Generator, decay: float) -> np.ndarray:
     """Real random field with power-law spectral decay, dealias-confined."""
     c = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal((grid.nx, grid.ny))
@@ -180,13 +168,6 @@ def initial_state(
     else:
         raise ValueError(f"unknown initial-condition kind {kind!r}")
     return State(fields)
-
-
-def initial_state_from_config(grid: Grid, cfg: RunConfig) -> State:
-    return initial_state(
-        grid, kind=cfg.ic_kind, amplitude=cfg.ic_amplitude,
-        seed=cfg.ic_seed, decay=cfg.ic_decay, value=cfg.ic_value,
-    )
 
 
 def _dealias_product(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -424,18 +405,40 @@ class RunResult:
     z_rho_final: np.ndarray | None = None
 
 
-def integrate(
-    cfg: RunConfig,
-    grid: Grid,
-    params: PhysParams,
-    state: State,
-    advance: Callable[[State, monitors.StateTerms], State],
-) -> RunResult:
-    """The driver loop: advance `state` to step cfg.n_steps().
+def start_run(cfg: RunConfig, initial: State | None = None,
+              forcing=None) -> tuple[Stepper, State]:
+    """The run's Stepper (with `forcing`, see `Stepper`) and first state,
+    `initial` or the configured initial condition.  A given state of
+    another grid, or past the run's last step, raises ValueError before
+    anything is built."""
+    if initial is not None:
+        shape = (3, cfg.nx, cfg.ny, cfg.nz + 1)
+        if initial.fields.shape != shape:
+            raise ValueError(f"the state's fields have shape {initial.fields.shape}; "
+                             f"the run's grid takes {shape}")
+        if initial.step > cfg.n_steps():
+            raise ValueError(f"the state is at step {initial.step}, past the run's "
+                             f"last step {cfg.n_steps()}")
+    grid = grid_mod.make_grid(cfg.nx, cfg.ny, cfg.nz)
+    params = PhysParams(beta1=cfg.beta1, beta2=cfg.beta2, rho_ref=cfg.rho_ref,
+                        Q=default_insolation(grid, cfg.q0, cfg.q1),
+                        transport_variant=cfg.transport, radiation_on=cfg.radiation_on)
+    stepper = Stepper(grid, params, cfg.dt, scheme=cfg.scheme, forcing=forcing,
+                      freeze_velocity=cfg.freeze_velocity)
+    if initial is None:
+        initial = initial_state(grid, kind=cfg.ic_kind, amplitude=cfg.ic_amplitude,
+                                seed=cfg.ic_seed, decay=cfg.ic_decay, value=cfg.ic_value)
+    return stepper, initial
 
-    advance(state, terms) maps the last measured state to the next one;
-    terms is monitors.state_terms(grid, state), computed once per state
-    for both the ledger and the step.  Every state is measured into the
+
+def integrate(cfg: RunConfig, stepper: Stepper, state: State,
+              kick: Callable[[State], np.ndarray] | None = None) -> RunResult:
+    """The driver loop: step `state` with `stepper` to step cfg.n_steps().
+
+    kick(state), when given, is the step's kick_hat (see `Stepper.step`)
+    from the last measured state: the stochastic drivers' noise.  The
+    state terms (`monitors.state_terms`) are computed once per state for
+    both the ledger and the step.  Every state is measured into the
     ledger, its record carrying the monitor flags raised at its step;
     csv_records holds the records at the configured cadence, on any
     monitor flag, and for the initial state of a fresh run (step 0).
@@ -446,16 +449,9 @@ def integrate(
     warn-only under vertical-average transport, where its constant is
     not established: its message goes to warnings and the run goes on.
     A BlowUpError carries the last measured state, which the step was
-    given; a state of another grid, or one past the run's last step, raises
-    ValueError before the first step.
+    given.  The loop builds and checks nothing (see `start_run`).
     """
-    shape = (3, grid.nx, grid.ny, grid.nlev)
-    if state.fields.shape != shape:
-        raise ValueError(f"the state's fields have shape {state.fields.shape}; "
-                         f"the run's grid takes {shape}")
-    if state.step > cfg.n_steps():
-        raise ValueError(f"the state is at step {state.step}, past the run's "
-                         f"last step {cfg.n_steps()}")
+    grid, params = stepper.grid, stepper.params
     terms = monitors.state_terms(grid, state)
     record = monitors.measure(grid, state, terms)
     ledger = [record]
@@ -465,7 +461,7 @@ def integrate(
     monitor_failure = None
 
     for _ in range(cfg.n_steps() - state.step):
-        state = advance(state, terms)
+        state = stepper.step(state, kick_hat=kick(state) if kick else None, terms=terms)
         terms = monitors.state_terms(grid, state)
         prev_record, record = record, monitors.measure(grid, state, terms)
         flags = 0
@@ -504,7 +500,8 @@ def run_deterministic(
     initial: State | None = None,
     forcing=None,
 ) -> RunResult:
-    """Integrate to t_end with the configured scheme (see `integrate`).
+    """Integrate to t_end with the configured scheme (see `start_run` and
+    `integrate`): no kick.
 
     forcing, when given, is the `Stepper` forcing: a callable (grid, t) ->
     half spectrum in the state's layout, such as
@@ -520,12 +517,5 @@ def run_deterministic(
             f"the deterministic driver takes no boundary noise (noise sigma = "
             f"{cfg.noise_sigma}); use run-stoch or run-direct-em"
         )
-    grid = grid_from_config(cfg)
-    params = params_from_config(grid, cfg)
-    stepper = Stepper(
-        grid, params, cfg.dt, scheme=cfg.scheme,
-        forcing=forcing, freeze_velocity=cfg.freeze_velocity,
-    )
-    state = initial_state_from_config(grid, cfg) if initial is None else initial
-    return integrate(cfg, grid, params, state,
-                     lambda state, terms: stepper.step(state, terms=terms))
+    stepper, state = start_run(cfg, initial, forcing)
+    return integrate(cfg, stepper, state)

@@ -146,6 +146,7 @@ NON_DEFAULT = {
 }
 FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = README.parent / "configs"
 
 
 def test_every_field_declares_its_own_ini_key():
@@ -514,6 +515,32 @@ monitors = on
         flags = [int(line.rsplit(",", 1)[1]) for line in lines if line[0].isdigit()]
         assert any(flags)
         assert "monitor_failure" in lines[-1]
+
+    def test_warnings_summarized_in_one_line(self, tmp_path, capsys):
+        # accept_stoch.ini at sigma = 5 with the energy and H1 checks out of
+        # reach: the warn-only maximum-principle check fires on most steps,
+        # and stderr gives one line with their count, the first message and
+        # the worst sup|T|
+        text = (CONFIGS / "accept_stoch.ini").read_text()
+        assert "sigma = 0.1\n" in text
+        text = text.replace("sigma = 0.1\n", "sigma = 5.0\n")
+        cfgp = write_config(tmp_path, text + "[output]\nmonitors = on\nc_led = 1e6\n"
+                                             "h1_margin = 1e6\n")
+        out = tmp_path / "out"
+        assert cli.main(["run-stoch", "--config", str(cfgp), "--out", str(out)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        columns = diagnostics.HEADER.split(",")
+        rows = [dict(zip(columns, line.split(",")))
+                for line in (out / "diagnostics.csv").read_text().splitlines() if line[0].isdigit()]
+        flagged = [r for r in rows if int(r["flags"]) & monitors.FLAG_MAX_PRINCIPLE]
+        assert len(flagged) > 1 and len(warnings) == 1
+        worst = max(flagged, key=lambda r: float(r["sup_T"]))
+        assert warnings[0].startswith(
+            f"warning: {len(flagged)} steps violate the maximum principle, the first: "
+            f"maximum principle violated at step {flagged[0]['step']}: ")
+        assert warnings[0].endswith(
+            f"worst sup|T| = {float(worst['sup_T']):.6e} at step {worst['step']}")
 
     def test_spectrum_command(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, RUN_INI)

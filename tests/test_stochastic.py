@@ -15,7 +15,6 @@ from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
     PathBundle,
-    noise_spec_from_config,
     run_direct_em,
     run_split_stochastic,
     wiener_increments,
@@ -24,10 +23,9 @@ from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BlowUpError,
     State,
-    initial_state_from_config,
     nonlinear_tendencies,
-    params_from_config,
     run_deterministic,
+    start_run,
 )
 
 from oracles import (
@@ -284,14 +282,14 @@ class TestDrivers:
         # full state, Z its exact convolution step, full = remainder + Z
         cfg = RunConfig(**BASE, dt=1e-3, t_end=5e-3, noise_sigma=0.2, noise_seed=9)
         grid = make_grid(8, 8, 8)
-        params = params_from_config(grid, cfg)
-        spec = noise_spec_from_config(cfg)
+        stepper, full = start_run(cfg)
+        params = stepper.params
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
         bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
         q = spec.q_table(grid)
         prop = propagator(grid, cfg.dt)
         dt = cfg.dt
 
-        full = initial_state_from_config(grid, cfg)
         rem_T, rem_rho = full.T, full.rho
         Z = np.zeros((8, 5, grid.nlev), dtype=complex)
         for k in range(cfg.n_steps()):

@@ -16,6 +16,7 @@ from ebpe import (
     stochastic,
 )
 from ebpe import grid as grid_mod
+from ebpe import linops, timestep
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo, default_insolation
 from ebpe.grid import irfft_h, rfft_h
@@ -28,12 +29,10 @@ from ebpe.timestep import (
     BlowUpError,
     State,
     _check_finite,
-    grid_from_config,
     initial_state,
-    initial_state_from_config,
     nonlinear_tendencies,
-    params_from_config,
     run_deterministic,
+    start_run,
 )
 
 from conftest import record_w_top, rough_state
@@ -178,7 +177,7 @@ def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
                     noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
     bundle = stochastic.wiener_increments(grid, stochastic.NoiseSpec(sigma=0.1, seed=2),
                                           cfg.dt, 1)
-    initial = initial_state_from_config(grid, cfg)
+    initial = start_run(cfg)[1]
     for name in np.fft.__all__:
         if not name.endswith(("freq", "shift")):
             monkeypatch.setattr(np.fft, name, forbidden)
@@ -368,12 +367,11 @@ def _built_state(source, tmp_path):
                     ic_kind="random_smooth", ic_seed=5)
     if source in _DRIVERS:
         return _DRIVERS[source](cfg).final_state
-    grid = grid_from_config(cfg)
+    stepper, state = start_run(cfg)
     if source == "manufactured":
-        return ManufacturedSolution().initial_state(grid)
-    state = initial_state_from_config(grid, cfg)
+        return ManufacturedSolution().initial_state(stepper.grid)
     if source == "stepper_step":
-        return Stepper(grid, params_from_config(grid, cfg), cfg.dt).step(state)
+        return stepper.step(state)
     if source == "read_snapshot":
         write_snapshot(state, tmp_path / "s.bin")
         return read_snapshot(tmp_path / "s.bin")[0]
@@ -591,13 +589,13 @@ class TestSharedStateTerms:
             res = stochastic.run_direct_em(cfg)
         else:
             res = run_deterministic(cfg)
-        grid = grid_from_config(cfg)
-        stepper = Stepper(grid, params_from_config(grid, cfg), cfg.dt, scheme=cfg.scheme)
-        spec = stochastic.noise_spec_from_config(cfg)
+        stepper, state = start_run(cfg)
+        grid = stepper.grid
+        spec = stochastic.NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay,
+                                    seed=cfg.noise_seed)
         q = spec.q_table(grid)
         # the driver's bundle, drawn again: a pure function of the seed
         bundle = stochastic.wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
-        state = initial_state_from_config(grid, cfg)
         records = [measure(grid, state)]
         for _ in range(cfg.n_steps()):
             kick = None
@@ -705,6 +703,51 @@ def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypat
     result = TRANSFORM_DRIVERS[name](cfg, initial=state)
     assert result.final_state is state and len(result.ledger) == 1
     assert steps == []
+
+
+_REJECTIONS = {
+    "another_grid": "the state's fields have shape (3, 16, 16, 17); "
+                    "the run's grid takes (3, 8, 8, 9)",
+    "past_the_end": "the state is at step 50, past the run's last step 10",
+    "resumed": "the split driver cannot resume a run: snapshots do not carry "
+               "the full convolution stack",
+    "bundle_dt": "path bundle does not match the run (steps, dt or grid)",
+    "bundle_steps": "path bundle does not match the run (steps, dt or grid)",
+    "bundle_grid": "path bundle does not match the run (steps, dt or grid)",
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    *((name, "another_grid") for name in sorted(TRANSFORM_DRIVERS)),
+    ("deterministic", "past_the_end"), ("direct_em", "past_the_end"), ("split", "resumed"),
+    *((name, case) for name in ("split", "direct_em")
+      for case in ("bundle_dt", "bundle_steps", "bundle_grid")),
+])
+def test_rejected_run_builds_nothing(name, case, monkeypatch):
+    # each input is checked against the config before the Stepper (its
+    # eigenbases), the increment bundle or the initial fields are built
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
+                    noise_sigma=0.0 if name == "deterministic" else 0.1)
+    if case.startswith("bundle"):
+        shape, dt, n_steps = {"bundle_dt": ((8, 8, 8), 2e-3, 10),
+                              "bundle_steps": ((8, 8, 8), 1e-3, 3),
+                              "bundle_grid": ((8, 16, 8), 1e-3, 10)}[case]
+        spec = stochastic.NoiseSpec(sigma=0.1, seed=1)
+        kwargs = {"bundle": stochastic.wiener_increments(make_grid(*shape), spec, dt, n_steps)}
+    else:
+        n = 16 if case == "another_grid" else 8
+        state = initial_state(make_grid(n, n, n), "random_smooth", seed=3)
+        state.step = {"another_grid": 0, "past_the_end": 50, "resumed": 5}[case]
+        kwargs = {"initial": state}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a rejected run built its set-up")
+
+    for module, attr in ((linops, "eigenbasis"), (stochastic, "wiener_increments"),
+                         (timestep, "initial_state")):
+        monkeypatch.setattr(module, attr, forbidden)
+    with pytest.raises(ValueError, match=re.escape(_REJECTIONS[case])):
+        TRANSFORM_DRIVERS[name](cfg, **kwargs)
 
 
 @pytest.mark.parametrize("name", sorted(TRANSFORM_DRIVERS))

@@ -12,6 +12,12 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
 - `minor_faults_per_step`: `getrusage` minor page faults per step of a
   driver-like loop (state terms, measure, step, the state evolving).
 
+Every figure keeps, beside its pooled min and median, each worker's own
+minimum (`worker_min`, one per round) and their median
+(`median_worker_min`), which is printed beside the pooled minimum: one
+worker that drew a quiet machine sets the pooled minimum, while the
+median of the per-worker minima does not follow any one worker.
+
 Beside them it records `src_lines`, the line count of each tree's
 ``ebpe/*.py`` (as ``wc -l`` counts), so size is tracked next to speed.
 
@@ -105,9 +111,17 @@ def _src_lines(src: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (src / "ebpe").glob("*.py"))
 
 
-def _summary(values: list[float]) -> dict:
-    ordered = sorted(values)
-    return {"min": ordered[0], "median": ordered[len(ordered) // 2], "samples": len(values)}
+def _median(values: list[float]) -> float:
+    return sorted(values)[len(values) // 2]
+
+
+def _summary(workers: list[list[float]]) -> dict:
+    """One figure over its workers: pooled min, median and sample count,
+    each worker's minimum and the median of those minima."""
+    pooled = [v for values in workers for v in values]
+    worker_min = [min(values) for values in workers]
+    return {"min": min(pooled), "median": _median(pooled), "samples": len(pooled),
+            "worker_min": worker_min, "median_worker_min": _median(worker_min)}
 
 
 def _cpu_model() -> str:
@@ -141,7 +155,7 @@ def main(argv=None) -> int:
         for grid in LADDER:
             for name in order:
                 for key, values in _run_worker(trees[name], grid).items():
-                    raw[name][grid].setdefault(key, []).extend(values)
+                    raw[name][grid].setdefault(key, []).append(values)
                 print(f"round {rnd + 1}/{ROUNDS} {grid} {name}", file=sys.stderr)
 
     import numpy
@@ -163,10 +177,13 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(result, indent=1) + "\n")
     for grid in LADDER:
         figures = {name: result["results"][name][grid] for name in trees}
-        row = "  ".join(f"{name}: step {f['step_ms']['min']:.3f} ms, "
-                        f"tendencies {f['tendencies_ms']['min']:.3f} ms"
+        row = "  ".join(f"{name}: step {f['step_ms']['min']:.3f} "
+                        f"({f['step_ms']['median_worker_min']:.3f}) ms, tendencies "
+                        f"{f['tendencies_ms']['min']:.3f} "
+                        f"({f['tendencies_ms']['median_worker_min']:.3f}) ms"
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
+    print("(pooled min, and in brackets the median of the per-worker minima)")
     print("src lines  " + "  ".join(f"{name}: {n}" for name, n in result["src_lines"].items()))
     print(f"wrote {path}")
     return 0

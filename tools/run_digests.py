@@ -1,0 +1,102 @@
+"""Digests of the reference runs, for a bit-for-bit comparison of two trees.
+
+For the ``ebpe`` package on ``PYTHONPATH`` and the ``configs/*.ini`` of the
+checkout this script sits in, it makes 12 runs:
+
+- `run_deterministic` on the four configs, ``accept_stoch`` at sigma = 0;
+- CNAB2 (`run_deterministic` with scheme = cnab2) on ``accept_det`` and
+  ``accept_restart``;
+- `run_split_stochastic` and `run_direct_em` on ``accept_stoch`` at noise
+  seeds 7, 11 and 23;
+
+and captures the stdout of ``ebpe mms --scheme cnab2 --quick``.  For each
+run it prints a sha256 of the final fields, the final t and step, a
+sha256 of every ledger record (floats as ``float.hex``), of the CSV text
+(`diagnostics.format_csv` of the CSV records), of ``z_rho_final`` and of
+the warnings, and the monitor failure.  A run that raises prints its
+exception instead.  It calls only long-standing entry points
+(`parse_config`, the three drivers, `diagnostics.format_csv` and
+`cli.main`), so the outputs of an older and a newer tree compare with
+``diff``:
+
+    PYTHONPATH=../parent/src python tools/run_digests.py > parent.txt
+    PYTHONPATH=src python tools/run_digests.py > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from ebpe import cli, diagnostics, stochastic, timestep
+from ebpe.config import parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NOISE_SEEDS = (7, 11, 23)
+
+
+def _sha(data: bytes | str) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _record_text(record) -> str:
+    return ",".join(float(v).hex() if isinstance(v, (float, np.floating)) else repr(v)
+                    for v in dataclasses.astuple(record))
+
+
+def _runs():
+    """(label, driver, config) for each of the 12 runs."""
+    cfg = {path.stem: parse_config(path.read_text()) for path in sorted(CONFIGS.glob("*.ini"))}
+    for name, c in cfg.items():
+        yield (f"deterministic {name}", timestep.run_deterministic,
+               dataclasses.replace(c, noise_sigma=0.0) if name == "accept_stoch" else c)
+    for name in ("accept_det", "accept_restart"):
+        yield (f"cnab2 {name}", timestep.run_deterministic,
+               dataclasses.replace(cfg[name], scheme="cnab2"))
+    for seed in NOISE_SEEDS:
+        c = dataclasses.replace(cfg["accept_stoch"], noise_seed=seed)
+        yield f"split accept_stoch noise_seed={seed}", stochastic.run_split_stochastic, c
+        yield f"direct_em accept_stoch noise_seed={seed}", stochastic.run_direct_em, c
+
+
+def _digest(result) -> list[str]:
+    state = result.final_state
+    z_rho = result.z_rho_final
+    return [
+        f"  fields   {_sha(np.ascontiguousarray(state.fields).tobytes())}",
+        f"  t, step  {float(state.t).hex()} {state.step}",
+        f"  ledger   {_sha(chr(10).join(map(_record_text, result.ledger)))} "
+        f"({len(result.ledger)} records)",
+        f"  csv      {_sha(diagnostics.format_csv(result.csv_records))} "
+        f"({len(result.csv_records)} rows)",
+        f"  z_rho    {'-' if z_rho is None else _sha(np.ascontiguousarray(z_rho).tobytes())}",
+        f"  failure  {result.monitor_failure!r}",
+        f"  warnings {_sha(chr(10).join(result.warnings))} ({len(result.warnings)})",
+    ]
+
+
+def main() -> int:
+    for label, driver, cfg in _runs():
+        print(label)
+        try:
+            lines = _digest(driver(cfg))
+        except Exception as exc:  # a run that raises is an outcome to compare
+            lines = [f"  raised   {type(exc).__name__}: {exc}"]
+        print("\n".join(lines), flush=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["mms", "--scheme", "cnab2", "--quick"])
+    print(f"mms cnab2 quick: exit {code}, stdout {_sha(out.getvalue())}")
+    print(out.getvalue(), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
