@@ -157,6 +157,12 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def whole_steps(t_end: float, dt: float) -> bool:
+    """Whether t_end is one or more whole steps of dt, to 1e-9 * max(1, t_end)."""
+    n = round(t_end / dt)
+    return n >= 1 and abs(n * dt - t_end) <= 1e-9 * max(1.0, t_end)
+
+
 def validate_config(cfg: RunConfig) -> list[str]:
     """Cross-field constraint checks; returns messages, empty when valid."""
     errors: list[str] = []
@@ -184,8 +190,7 @@ def validate_config(cfg: RunConfig) -> list[str]:
     if cfg.t_end < 0.0:
         errors.append(f"t_end must be >= 0, got {cfg.t_end}")
     elif 0.0 < cfg.t_end < math.inf and 0.0 < cfg.dt < math.inf:
-        n = round(cfg.t_end / cfg.dt)
-        if n < 1 or abs(n * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+        if not whole_steps(cfg.t_end, cfg.dt):
             errors.append(
                 f"t_end={cfg.t_end} must be a whole number of steps of dt={cfg.dt}"
             )

@@ -36,16 +36,15 @@ on half spectra by one multiply with a table built once per grid:
 the inverse of the discrete div(grad .) symbol.  A state is
 differentiated on the grid, one real product per direction with the
 Fourier differentiation matrices `diff_x`, `diff_y` (Trefethen, Spectral
-Methods in MATLAB, SIAM 2000, ch. 3) and `diff_z`.
-`to_spectral`/`to_physical` give the full (Nx, Ny) spectrum of one
-field and check conjugate symmetry on the way back.  They, the full
-tables below, `match_columns` and the functions that call it
-(`dealias`, `deriv_x`, `deriv_y`) remain only for the physical-space
-reference path, `timestep.nonlinear_tendencies`, which the benchmark
-traces, and for the tests; the other full-spectrum references live
-with the tests (`tests/oracles.py`).  numpy's FFT is left only there
-and in set-up code: the random initial fields (`timestep.initial_state`)
-and the Wiener increments (`stochastic.wiener_increments`).
+Methods in MATLAB, SIAM 2000, ch. 3) and the finite-difference matrix
+`diff_z`.  `to_spectral`/`to_physical` give the full (Nx, Ny)
+spectrum of one field and check conjugate symmetry on the way back; no
+step calls them.  They serve the tests' references (`tests/oracles.py`,
+with the physical-space tendencies and their derivatives), which read
+the full tables below, as set-up does.  numpy's FFT is left only there
+and in set-up code: the random initial fields
+(`timestep.initial_state`) and the Wiener increments
+(`stochastic.wiener_increments`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
 coefficient of a field is its horizontal mean.
@@ -56,6 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+SYMMETRY_TOL = 1e-10
 
 
 class GridSizeError(ValueError):
@@ -86,7 +87,7 @@ class Grid:
         and every table is even in ky or zero there.
     ixi_half : complex (2, Nx, Ny//2+1) derivative symbols (1j * xi_x,
         1j * xi_y_half): multiplying a half spectrum by row 0 (row 1) is
-        deriv_x (deriv_y), bit for bit.
+        d/dx (d/dy), Nyquist zeroed.
     inv_lap_half : (Nx, Ny//2+1) inverse -1 / xi2_deriv_half of the discrete
         div(grad .) symbol, 0 where that symbol vanishes.
     norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
@@ -114,7 +115,8 @@ class Grid:
         differentiation matrices, idft . diag(i xi) . dft without Nyquist,
         built from their first columns; diff_x @ f.reshape(Nx, -1) is
         d/dx of fields f (Nx, ...), diff_y @ f is d/dy of f (..., Ny, K).
-    diff_z : the (Nz+1, Nz+1) matrix of deriv_z.
+    diff_z : (Nz+1, Nz+1) second-order d/dz of fields f (..., Nz+1) as
+        f @ diff_z.T: centered inside, one-sided at both ends.
     x, y : collocation coordinates, shape (Nx, Ny).
     nlev : number of vertical levels, Nz + 1.
     z : vertical levels, shape (Nz+1,). dz = 1/Nz.
@@ -218,7 +220,11 @@ class Grid:
         object.__setattr__(self, "diff_x", _circulant((self.idft_x @ (1j * dx / self.nx)).real))
         object.__setattr__(self, "diff_y",
                            _circulant(self.idft_y[:, half:] @ (self.xi_y_half[0] / self.ny)))
-        object.__setattr__(self, "diff_z", deriv_z(self, np.eye(self.nlev)).T.copy())
+        h2 = 2.0 * self.dz
+        diff_z = (np.eye(self.nlev, k=1) - np.eye(self.nlev, k=-1)) / h2
+        diff_z[0, :3] = np.array([-3.0, 4.0, -1.0]) / h2
+        diff_z[-1, -3:] = np.array([1.0, -4.0, 3.0]) / h2
+        object.__setattr__(self, "diff_z", diff_z)
 
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -271,13 +277,14 @@ def to_spectral(grid: Grid, field: np.ndarray) -> np.ndarray:
     return np.fft.fft2(field, axes=(0, 1), norm="forward")
 
 
-def to_physical(grid: Grid, coeffs: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Inverse horizontal DFT; requires conjugate-symmetric coefficients."""
+def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse horizontal DFT; requires conjugate-symmetric coefficients:
+    an imaginary part above SYMMETRY_TOL * (1 + max |real part|) raises."""
     _check_shape(grid, coeffs)
     f = np.fft.ifft2(coeffs, axes=(0, 1), norm="forward")
     scale = np.max(np.abs(f.real))
     imag = np.max(np.abs(f.imag))
-    if imag > tol * (1.0 + scale):
+    if imag > SYMMETRY_TOL * (1.0 + scale):
         raise SymmetryError(
             f"coefficients are not conjugate symmetric (imag residual {imag:.3e})"
         )
@@ -374,40 +381,3 @@ def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     shape = list(coeffs.shape)
     shape[ax] = grid.ny
     return (grid.idft_y @ x.reshape(-1, 2 * half, k)).reshape(shape)
-
-
-def match_columns(
-    grid: Grid, full: np.ndarray, half: np.ndarray, coeffs: np.ndarray
-) -> np.ndarray:
-    """The (Nx, Ny) table `full` or its half-spectrum form `half`, whichever
-    matches the columns of coeffs, shaped to broadcast over its trailing axes."""
-    table = full if coeffs.shape[1] == grid.ny else half
-    return table.reshape(table.shape + (1,) * (coeffs.ndim - 2))
-
-
-def dealias(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Zero all modes outside the 2/3 rule; retained modes are untouched."""
-    mask = match_columns(grid, grid.dealias_mask, grid.dealias_half, coeffs)
-    return np.where(mask, coeffs, 0.0)
-
-
-def deriv_x(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """d/dx in spectral space (Nyquist zeroed)."""
-    return 1j * match_columns(grid, grid.xi_x, grid.xi_x, coeffs) * coeffs
-
-
-def deriv_y(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """d/dy in spectral space (Nyquist zeroed)."""
-    return 1j * match_columns(grid, grid.xi_y, grid.xi_y_half, coeffs) * coeffs
-
-
-def deriv_z(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Vertical derivative of a 3D field: centered interior, one-sided ends."""
-    h = grid.dz
-    out = np.empty_like(f)
-    interior = out[..., 1:-1]
-    np.subtract(f[..., 2:], f[..., :-2], out=interior)
-    interior /= 2.0 * h
-    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
-    return out

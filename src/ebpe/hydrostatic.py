@@ -14,10 +14,8 @@ dt times that step's surface pressure, irfft_h(phi_hat) / dt.
 The horizontal operators act on the (Nx, Ny//2+1) half spectra of the
 step kernel; callers holding physical fields transform at the call site.
 They differentiate by one multiply with the grid's stacked symbol table
-`ixi_half` and invert the horizontal Laplacian with `inv_lap_half`, so
-none of them goes through `grid.deriv_x`/`deriv_y`; the physical-space
-reference path (`timestep.nonlinear_tendencies`) spells out its own
-full-spectrum forms.
+`ixi_half` and invert the horizontal Laplacian with `inv_lap_half`;
+their full-spectrum forms live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hydrostatic
+from .config import whole_steps
 from .ebm import PhysParams
 from .grid import Grid, make_grid, rfft_h
 
@@ -35,6 +36,9 @@ from .grid import Grid, make_grid, rfft_h
 FLAG_MAX_PRINCIPLE = 1
 FLAG_ENERGY = 2
 FLAG_H1 = 4
+
+ENERGY_TOL = 1e-10  # roundoff slack of the energy inequality
+H1_FLOOR = 1e-8  # least H1(first) of the H1 envelope
 
 
 def l2sq_volume(grid: Grid, f: np.ndarray) -> float:
@@ -61,7 +65,7 @@ class StateTerms:
     dx: np.ndarray  # d/dx of v[0], v[1], T (3, Nx, Ny, Nz+1)
     dy: np.ndarray  # d/dy, the same shape
     w: np.ndarray   # w (Nx, Ny, Nz+1)
-    dz: np.ndarray  # deriv_z, the shape of dx
+    dz: np.ndarray  # d/dz (grid.diff_z), the shape of dx
 
 
 def state_terms(grid: Grid, state) -> StateTerms:
@@ -136,7 +140,7 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     power = terms.U.real**2 + terms.U.imag**2
     norms = np.einsum("sxy,cxyk->sck", grid.norm_weights_half, power)
     volume = norms @ w
-    # squared L2 norms of deriv_z of (v[0], v[1], T)
+    # squared L2 norms of d/dz of (v[0], v[1], T)
     dz_sq = np.einsum("cxyk,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
     gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
     gT = float(volume[1, 2] + dz_sq[2])
@@ -198,11 +202,10 @@ def energy_step_check(
     record: LedgerRecord,
     dt: float,
     c_led: float = 50.0,
-    tol_e: float = 1e-10,
 ) -> str | None:
-    """Energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + tol for one
-    step; returns the violation message, or None when it holds."""
-    allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + tol_e
+    """Energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + ENERGY_TOL
+    for one step; returns the violation message, or None when it holds."""
+    allowed = prev.energy + dt * c_led * (1.0 + prev.energy) + ENERGY_TOL
     if record.energy > allowed:
         return (f"energy ledger violated at step {record.step}: "
                 f"E={record.energy:.6e} > allowed {allowed:.6e}")
@@ -214,14 +217,13 @@ def h1_step_check(
     record: LedgerRecord,
     growth_rate: float = 50.0,
     margin: float = 100.0,
-    floor: float = 1e-8,
 ) -> str | None:
     """No-blow-up sentinel: the squared H1 seminorm of `record` (its
     dissipation, the sum of the three gradient norms) inside the
     exponential envelope margin * H1(first) * exp(growth_rate (t - t_first));
     returns the breach message, or None."""
     h1 = record.dissipation
-    log_scale = np.log(margin * max(first.dissipation, floor))
+    log_scale = np.log(margin * max(first.dissipation, H1_FLOOR))
     if not np.isfinite(h1) or (
         h1 > 0.0 and np.log(h1) > log_scale + growth_rate * (record.t - first.t)
     ):
@@ -282,6 +284,8 @@ def mms_spatial_study(
 
     if len(set(nz_ladder)) < 2:
         raise ValueError(f"nz_ladder needs two distinct rungs to fit an order, got {nz_ladder}")
+    if not whole_steps(t_end, dt):  # every rung ends at t_end
+        raise ValueError(f"t_end={t_end} must be a whole number of steps of dt={dt}")
     exact = ManufacturedSolution()
     errors = []
     for nz in nz_ladder:
@@ -312,10 +316,15 @@ def mms_temporal_study(
 
     if len(set(dt_ladder)) < 2:
         raise ValueError(f"dt_ladder needs two distinct rungs to fit an order, got {dt_ladder}")
+    ref_dt = min(dt_ladder) / ref_refine
+    for dt in (*dt_ladder, ref_dt):  # every run ends at t_end
+        if not whole_steps(t_end, dt):
+            raise ValueError(f"t_end={t_end} must be a whole number of steps of every rung "
+                             f"and of the reference dt={ref_dt}; dt={dt} is not")
     exact = ManufacturedSolution()
     grid = make_grid(nx, ny, nz)
     forcing = exact.spectral_forcing(grid)
-    ref = _mms_run(exact, grid, forcing, scheme, min(dt_ladder) / ref_refine, t_end)
+    ref = _mms_run(exact, grid, forcing, scheme, ref_dt, t_end)
     errors = [_l2_distance(grid, _mms_run(exact, grid, forcing, scheme, dt, t_end),
                            ref.v, ref.T, ref.rho)
               for dt in dt_ladder]

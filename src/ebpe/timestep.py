@@ -27,14 +27,9 @@ tendencies, is one product with the grid's running-trapezoid matrix.
 The transforms are dense DFT matrix products on BLAS with the grid's
 tables, so no step calls numpy's FFT; they are deterministic and
 independent of the memory layout of their operands, so the step stays
-a pure function of the physical state.  An optional forcing (the
-manufactured-solution runs) comes as a half spectrum in the state's
-layout and is added to the dealiased tendencies, so it costs no
-transform.  The kernel differentiates with the grid's tables
-(`ebpe.grid`).  `nonlinear_tendencies` is the
-physical-space form of step 1 on the full-spectrum transforms and
-`grid.deriv_x`/`deriv_y`; no driver calls it, the tests use it as the
-reference for the spectral tendencies and the benchmark traces it.
+a pure function of the physical state.  Step 1 is `nonlinear_tendencies`
+plus an optional half-spectrum forcing (`Stepper`); its physical-space
+reference lives only with the tests (`tests/oracles.py`).
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2".
 Both schemes are one theta-method stage through the same two per-mode
@@ -66,8 +61,7 @@ from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
 from .config import SCHEMES, RunConfig
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
-from .grid import (Grid, dealias, deriv_x, deriv_y, deriv_z, irfft_h, neg_dealiased_rfft_h,
-                   rfft_h, to_physical, to_spectral)
+from .grid import Grid, irfft_h, neg_dealiased_rfft_h, rfft_h
 
 BLOWUP_SUP = 1e8
 
@@ -170,60 +164,41 @@ def initial_state(
     return State(fields)
 
 
-def _dealias_product(grid: Grid, f: np.ndarray) -> np.ndarray:
-    return to_physical(grid, dealias(grid, to_spectral(grid, f)))
-
-
-def nonlinear_tendencies(
-    grid: Grid, state: State, params: PhysParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit tendencies (F_v, F_T, F_rho) in physical space, on the
-    full-spectrum transforms: the reference form of `Stepper.tendencies`
-    (the tests compare the two); no driver calls it.
+def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
+                         terms: monitors.StateTerms | None = None) -> np.ndarray:
+    """Dealiased explicit tendencies at `state` as half spectra
+    (3, Nx, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T);
+    the top level of F_T, rho's, is the surface tendency.
 
     F_v: advection plus the baroclinic gradient of the running temperature
     integral.  F_T: advection by u = (v, w).  F_rho: boundary transport by
     the surface trace of v (or its vertical average) plus the radiation
-    budget.  Advective products are dealiased; the quartic emission term
-    is evaluated pointwise without padding.
+    budget.  Advective products are dealiased; the radiation term is
+    evaluated pointwise and transformed without dealiasing.
+
+    terms, when given, is monitors.state_terms(grid, state).
     """
-    v, T, rho = state.v, state.T, state.rho
-    v_hat0 = to_spectral(grid, v[0])
-    v_hat1 = to_spectral(grid, v[1])
-    w = to_physical(grid, -hydrostatic.cumulative_integral(
-        grid, deriv_x(grid, v_hat0) + deriv_y(grid, v_hat1)))
-
-    dxv = (to_physical(grid, deriv_x(grid, v_hat0)), to_physical(grid, deriv_x(grid, v_hat1)))
-    dyv = (to_physical(grid, deriv_y(grid, v_hat0)), to_physical(grid, deriv_y(grid, v_hat1)))
-    dzv = (deriv_z(grid, v[0]), deriv_z(grid, v[1]))
-
-    c = hydrostatic.cumulative_integral(grid, to_spectral(grid, T))
-    F_v = np.stack((to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))))
-    for comp in range(2):
-        adv = v[0] * dxv[comp] + v[1] * dyv[comp] + w * dzv[comp]
-        F_v[comp] -= _dealias_product(grid, adv)
-
-    T_hat = to_spectral(grid, T)
-    adv_T = (
-        v[0] * to_physical(grid, deriv_x(grid, T_hat))
-        + v[1] * to_physical(grid, deriv_y(grid, T_hat))
-        + w * deriv_z(grid, T)
-    )
-    F_T = -_dealias_product(grid, adv_T)
-
+    if terms is None:
+        terms = monitors.state_terms(grid, state)
+    v = state.v
+    # advection of v[0], v[1] and T at once, in the state's layout
+    adv, product = v[0] * terms.dx, v[1] * terms.dy
+    adv += product
+    adv += np.multiply(terms.w, terms.dz, out=product)
+    # at T's top level, rho, its transport replaces T's advection
     if params.transport_variant == VERTICAL_AVERAGE:
         vs = hydrostatic.vertical_average(grid, v)
     else:
-        vs = v[:, :, :, -1]
-    rho_hat = to_spectral(grid, rho)
-    adv_rho = (
-        vs[0] * to_physical(grid, deriv_x(grid, rho_hat))
-        + vs[1] * to_physical(grid, deriv_y(grid, rho_hat))
-    )
-    F_rho = -_dealias_product(grid, adv_rho)
+        vs = v[..., -1]
+    adv_rho = adv[2, ..., -1]
+    np.multiply(vs[0], terms.dx[2, ..., -1], out=adv_rho)
+    adv_rho += vs[1] * terms.dy[2, ..., -1]
+
+    F = neg_dealiased_rfft_h(grid, adv)
+    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
     if params.radiation_on:
-        F_rho = F_rho + radiation(rho, params)
-    return F_v, F_T, F_rho
+        F[2, ..., -1] += rfft_h(grid, radiation(state.rho, params))
+    return F
 
 
 def _check_finite(state: State, previous: State) -> None:
@@ -279,39 +254,10 @@ class Stepper:
         self._history: tuple[int, np.ndarray] | None = None
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
-        """Dealiased explicit tendencies at `state` as half spectra
-        (3, Nx, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T),
-        forcing included; the top level of F_T, rho's, is the surface
-        tendency (transport plus radiation).
-
-        terms, when given, is monitors.state_terms(grid, state), which
-        holds every derivative and w on the grid.  Two transforms forward:
-        the quadratic products of the three fields (one batched call over
-        the 2/3-rule modes, negated) and the radiation plane.  The forcing
-        is already a half spectrum.
-        """
-        grid, params = self.grid, self.params
-        if terms is None:
-            terms = monitors.state_terms(grid, state)
-        v = state.v
-        # advection of v[0], v[1] and T at once, in the state's layout
-        adv, product = v[0] * terms.dx, v[1] * terms.dy
-        adv += product
-        adv += np.multiply(terms.w, terms.dz, out=product)
-        # at T's top level, rho, its transport replaces T's advection
-        if params.transport_variant == VERTICAL_AVERAGE:
-            vs = hydrostatic.vertical_average(grid, v)
-        else:
-            vs = v[..., -1]
-        adv_rho = adv[2, ..., -1]
-        np.multiply(vs[0], terms.dx[2, ..., -1], out=adv_rho)
-        adv_rho += vs[1] * terms.dy[2, ..., -1]
-
-        # radiation and forcing are added undealiased
-        F = neg_dealiased_rfft_h(grid, adv)
-        F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
-        if params.radiation_on:
-            F[2, ..., -1] += rfft_h(grid, radiation(state.rho, params))
+        """`nonlinear_tendencies(grid, state, params, terms)` plus the
+        forcing, if any, which is added undealiased."""
+        grid = self.grid
+        F = nonlinear_tendencies(grid, state, self.params, terms)
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ebpe import make_grid
-from ebpe.grid import (GridSizeError, SymmetryError, dealias, deriv_x, deriv_y, deriv_z, irfft_h,
-                       neg_dealiased_rfft_h, rfft_h, to_physical, to_spectral)
+from ebpe.grid import (GridSizeError, SymmetryError, irfft_h, neg_dealiased_rfft_h, rfft_h,
+                       to_physical, to_spectral)
 
 import oracles
+from oracles import dealias, deriv_x, deriv_y, deriv_z
 from conftest import smooth_field_2d
 
 
@@ -274,9 +275,14 @@ class TestKernelTransforms:
 
 
 class TestKernelTransformsBitwise:
-    """deriv_z, the vertical derivative of the reference path and the
-    oracle of the kernel's `grid.diff_z`, is the quotient form bit for
-    bit."""
+    """deriv_z, the vertical derivative of the reference path, is the
+    quotient form bit for bit, and the kernel's `grid.diff_z`, built from
+    its stencil, is its matrix bit for bit."""
+
+    @pytest.mark.parametrize("nz", [4, 8, 16, 64])
+    def test_diff_z_is_the_matrix_of_deriv_z(self, nz):
+        grid = make_grid(8, 8, nz)
+        assert np.array_equal(grid.diff_z, deriv_z(grid, np.eye(grid.nlev)).T)
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16)])
     def test_deriv_z_matches_quotient_form(self, shape, rng):

@@ -12,8 +12,10 @@ import pytest
 
 from ebpe import make_grid
 from ebpe.ebm import radiation
-from ebpe.grid import deriv_x, deriv_y, rfft_h, to_physical, to_spectral
+from ebpe.grid import rfft_h, to_physical, to_spectral
 from ebpe.manufactured import ManufacturedSolution
+
+from oracles import deriv_x, deriv_y
 
 EX = ManufacturedSolution()
 

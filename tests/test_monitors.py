@@ -8,8 +8,7 @@ import pytest
 from ebpe import PhysParams, diagnostics, make_grid, monitors
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
-from ebpe.grid import (deriv_x, deriv_y, deriv_z, rfft_h, to_physical,
-                       to_spectral)
+from ebpe.grid import rfft_h, to_physical, to_spectral
 from ebpe.hydrostatic import cumulative_integral, vertical_average
 from ebpe.monitors import (
     FLAG_MAX_PRINCIPLE,
@@ -28,7 +27,8 @@ from ebpe.monitors import (
 from ebpe.timestep import initial_state, run_deterministic
 
 from conftest import project_barotropic_physical, rough_state, smooth_field_3d
-from oracles import diagnose_w, energy_ledger_check, h1_ledger_check
+from oracles import (deriv_x, deriv_y, deriv_z, diagnose_w, energy_ledger_check,
+                     h1_ledger_check)
 
 
 def _record(t, energy, h1=0.0, step=0):
@@ -400,3 +400,16 @@ class TestMmsStudies:
         self.forbid_runs(monkeypatch)
         with pytest.raises(ValueError, match=f"{name} needs two distinct rungs"):
             study(**{name: ladder})
+
+    def test_spatial_dt_that_does_not_divide_t_end_rejected(self, monkeypatch):
+        # 3 steps of 3e-3 stopped every rung at t = 0.009, short of t_end
+        self.forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match=r"t_end=0.01 must be a whole number of steps of dt=0.003"):
+            mms_spatial_study(dt=3e-3, t_end=0.01)
+
+    def test_temporal_rung_that_does_not_divide_t_end_rejected(self, monkeypatch):
+        # 17 steps of 0.03 end at t = 0.51, the reference's 267 at 0.500625:
+        # the errors compared fields at different times
+        self.forbid_runs(monkeypatch)
+        with pytest.raises(ValueError, match=r"t_end=0.5 must .* reference dt=0.001875; dt=0.03 is"):
+            mms_temporal_study(dt_ladder=(0.03, 0.015), t_end=0.5, nx=8, ny=8, nz=8)

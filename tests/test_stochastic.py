@@ -23,13 +23,13 @@ from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BlowUpError,
     State,
-    nonlinear_tendencies,
     run_deterministic,
     start_run,
 )
 
 from oracles import (
     assemble_mode_operator,
+    physical_tendencies,
     solve_coupled_implicit,
     solve_velocity_implicit,
     wiener_increments_one_shot,
@@ -293,7 +293,7 @@ class TestDrivers:
         rem_T, rem_rho = full.T, full.rho
         Z = np.zeros((8, 5, grid.nlev), dtype=complex)
         for k in range(cfg.n_steps()):
-            F_v, F_T, F_rho = nonlinear_tendencies(grid, full, params)
+            F_v, F_T, F_rho = physical_tendencies(grid, full, params)
             v_star = solve_velocity_implicit(grid, full.v + dt * F_v, dt)
             v_hat, _ = project_barotropic(grid, np.stack([rfft_h(grid, c) for c in v_star]))
             v = np.stack([irfft_h(grid, c) for c in v_hat])

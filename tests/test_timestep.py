@@ -30,13 +30,13 @@ from ebpe.timestep import (
     State,
     _check_finite,
     initial_state,
-    nonlinear_tendencies,
     run_deterministic,
     start_run,
 )
 
 from conftest import record_w_top, rough_state
-from oracles import crank_nicolson_stage, solve_coupled_implicit, solve_velocity_implicit
+from oracles import (crank_nicolson_stage, physical_tendencies, solve_coupled_implicit,
+                     solve_velocity_implicit)
 
 
 def max_rel_err(ours, oracle):
@@ -49,11 +49,18 @@ def quiet_params(grid, **kwargs):
     return PhysParams(**defaults)
 
 
+def kernel_tendencies(grid, state, params):
+    """(F_v, F_T, F_rho) of timestep.nonlinear_tendencies on the grid;
+    F_T's top level is F_rho."""
+    F = irfft_h(grid, timestep.nonlinear_tendencies(grid, state, params))
+    return F[:2], F[2], F[2, ..., -1]
+
+
 class TestTendencies:
     def test_zero_state_no_radiation(self, grid8):
         params = quiet_params(grid8)
         state = initial_state(grid8, "zero")
-        F_v, F_T, F_rho = nonlinear_tendencies(grid8, state, params)
+        F_v, F_T, F_rho = kernel_tendencies(grid8, state, params)
         assert np.max(np.abs(F_v)) == 0.0
         assert np.max(np.abs(F_T)) == 0.0
         assert np.max(np.abs(F_rho)) == 0.0
@@ -67,7 +74,7 @@ class TestTendencies:
         state = initial_state(grid8, "zero")
         state.v[0][:] = c
         state.T[:] = np.sin(2 * np.pi * grid8.x)[:, :, None] * profile
-        _, F_T, _ = nonlinear_tendencies(grid8, state, params)
+        _, F_T, _ = kernel_tendencies(grid8, state, params)
         expected = -c * 2 * np.pi * np.cos(2 * np.pi * grid8.x)[:, :, None] * profile
         assert np.max(np.abs(F_T - expected)) < 1e-11
 
@@ -75,7 +82,7 @@ class TestTendencies:
         params = quiet_params(grid8)
         state = initial_state(grid8, "zero")
         state.T[:] = (1.0 + grid8.z**2)[None, None, :]
-        F_v, _, _ = nonlinear_tendencies(grid8, state, params)
+        F_v, _, _ = kernel_tendencies(grid8, state, params)
         assert np.max(np.abs(F_v)) < 1e-13
 
     def test_transport_variant_switches_advecting_velocity(self, grid8):
@@ -84,8 +91,8 @@ class TestTendencies:
         state.rho[:] = np.sin(2 * np.pi * grid8.x)
         trace = quiet_params(grid8, transport_variant="surface_trace")
         avg = quiet_params(grid8, transport_variant="vertical_average")
-        _, _, F_trace = nonlinear_tendencies(grid8, state, trace)
-        _, _, F_avg = nonlinear_tendencies(grid8, state, avg)
+        _, _, F_trace = kernel_tendencies(grid8, state, trace)
+        _, _, F_avg = kernel_tendencies(grid8, state, avg)
         # surface trace of cos(pi z) is -1, the vertical average is 0
         assert np.max(np.abs(F_avg)) < 1e-12
         expected = 2 * np.pi * np.cos(2 * np.pi * grid8.x)
@@ -108,7 +115,7 @@ class TestSpectralKernelOracles:
                           forcing=exact.spectral_forcing(grid) if forced else None)
         F = irfft_h(grid, stepper.tendencies(state))
         F_v, F_T = F[:2], F[2]
-        oracle = nonlinear_tendencies(grid, state, params)
+        oracle = physical_tendencies(grid, state, params)
         if forced:
             oracle = [F + f for F, f in zip(oracle, exact.forcing(grid, state.t))]
         # T's top level is rho: it carries the surface tendency
@@ -124,38 +131,13 @@ class TestSpectralKernelOracles:
         state = rough_state(grid, seed=n + 1)
         new = Stepper(grid, params, dt).step(state)
 
-        F_v, F_T, F_rho = nonlinear_tendencies(grid, state, params)
+        F_v, F_T, F_rho = physical_tendencies(grid, state, params)
         v_star = solve_velocity_implicit(grid, state.v + dt * F_v, dt)
         v_hat = project_barotropic(grid, np.stack([rfft_h(grid, c) for c in v_star]))[0]
         v = np.stack([irfft_h(grid, c) for c in v_hat])
         T, rho = solve_coupled_implicit(grid, state.T + dt * F_T, state.rho + dt * F_rho, dt)
         for ours, oracle in ((new.v, v), (new.T, T), (new.rho, rho)):
             assert max_rel_err(ours, oracle) <= 1e-12
-
-
-def test_kernel_never_reaches_match_columns(monkeypatch):
-    """The step kernel, state_terms and measure differentiate with the
-    grid's symbol tables: only the full-spectrum reference path and the
-    tests go through match_columns (deriv_x, deriv_y, dealias)."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("match_columns called")
-
-    grid = make_grid(8, 8, 8)
-    exact = ManufacturedSolution()
-    params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
-    states = {"imex_euler": rough_state(grid, seed=3),
-              "cnab2": exact.initial_state(grid)}
-    forcings = {"imex_euler": None, "cnab2": exact.spectral_forcing(grid)}
-    monkeypatch.setattr(grid_mod, "match_columns", forbidden)
-    for scheme, state in states.items():
-        measure(grid, state, state_terms(grid, state))
-        stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcings[scheme])
-        for _ in range(2):  # cnab2: the first step (E = F), then the AB2 step
-            state = stepper.step(state)
-    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
-                    noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
-    for driver in (stochastic.run_direct_em, stochastic.run_split_stochastic):
-        assert driver(cfg).final_state.step == 1
 
 
 def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
@@ -444,7 +426,7 @@ class TestCnab2:
                           forcing=exact.spectral_forcing(grid) if forced else None)
 
         def tendencies(state):
-            F = nonlinear_tendencies(grid, state, params)
+            F = physical_tendencies(grid, state, params)
             if forced:
                 F = [F_i + f for F_i, f in zip(F, exact.forcing(grid, state.t))]
             return F
