@@ -4,9 +4,8 @@ For each horizontal mode xi the temperature and its surface trace form one
 stacked unknown (T(z_0), ..., T(z_{Nz-1}), rho) with the identification
 T(z_Nz) = rho, so the trace condition is exact by construction.  That
 stack is field 2, the spectral T, of the step kernel's field-major
-layout (3, Nx, Ny//2+1, Nz+1), whose top level is rho, and the kernel
-hands it over as it stands; the velocity solve takes fields 0 and 1, a
-contiguous (2, Nx, Ny//2+1, Nz+1) slice, in one call.  Rows:
+layout (3, Nx, Ny//2+1, Nz+1), whose top level is rho; the velocity
+solve acts on fields 0 and 1.  Rows:
 
 * bottom: vertical Laplacian with the no-flux condition folded in by
   ghost elimination (second order),
@@ -27,10 +26,13 @@ vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
 diagonalisation method of Lynch, Rice & Thomas).  Each solver makes it
 once; the noise propagator (`ebpe.stochastic`) reads the coupled solver's.
 The implicit inverse is V diag(d) V^-1 with a real (Nx, Ny//2+1, n)
-table d (`implicit_factors`, `apply_diagonal`); a generator is applied,
-never tabulated, as the one vertical matrix product minus |xi|^2 times
-the column.  No step applies it: both time schemes need only the inverse
-(`ebpe.timestep`); the tests check it against the dense mode operators.
+table d (`implicit_factors`) that `apply_diagonal` multiplies between
+the two real products of an `interleaved_basis` (`to_eigen`,
+`from_eigen`), for one field or for all the step's fields at once.  A
+generator is applied, never tabulated, as the one vertical matrix
+product minus |xi|^2 times the column.  No step applies it: both time
+schemes need only the inverse (`ebpe.timestep`); the tests check it
+against the dense mode operators.
 The spectrum report makes its own decomposition for omega + |xi|^2 - lam.
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
@@ -133,23 +135,41 @@ def interleaved_basis(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
     """V^-1 and V as real (2n, 2n) matrices, stacked, acting on rows of the
     interleaved (re, im) float64 view of complex columns; the eigen
     coordinates in between are blocked (re..., im...).  Each basis change
-    is one real matmul over all modes, with no copy of the spectra."""
-    n = V.shape[0]
-    blocked = np.arange(2 * n).reshape(n, 2).T.ravel()
-    eye = np.eye(2)
-    return np.stack((np.kron(V_inv.T, eye)[:, blocked], np.kron(V.T, eye)[blocked]))
+    is one real matmul over all modes, with no copy of the spectra.  Bases
+    stacked (..., n, n) give (2, ..., 2n, 2n), one per field."""
+    n = V.shape[-1]
+    basis = np.zeros((2,) + V.shape[:-2] + (2 * n, 2 * n))
+    basis[0, ..., 0::2, :n] = basis[0, ..., 1::2, n:] = np.swapaxes(V_inv, -1, -2)
+    basis[1, ..., :n, 0::2] = basis[1, ..., n:, 1::2] = np.swapaxes(V, -1, -2)
+    return basis
 
 
-def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+def to_eigen(basis: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """Blocked eigen coordinates V^-1 x, real (..., Nx, Ny//2+1, 2, n), of
+    half-spectrum columns (..., Nx, Ny//2+1, n), for an `interleaved_basis`."""
+    x = np.ascontiguousarray(x_hat, dtype=np.complex128)
+    rows = x.view(np.float64).reshape(x.shape[: basis.ndim - 3] + (-1, basis.shape[-1]))
+    return (rows @ basis[0]).reshape(x.shape[:-1] + (2, x.shape[-1]))
+
+
+def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
+    """The half-spectrum columns V c (..., Nx, Ny//2+1, n) of blocked eigen
+    coordinates c (`to_eigen`), written into out when it is given."""
+    rows = coords.reshape(coords.shape[: basis.ndim - 3] + (-1, basis.shape[-1]))
+    out = np.empty(coords.shape[:-2] + coords.shape[-1:], complex) if out is None else out
+    np.matmul(rows, basis[1], out=out.view(np.float64).reshape(rows.shape))
+    return out
+
+
+def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray,
+                   out=None) -> np.ndarray:
     """V (diag * (V^-1 x)) per mode, for the `interleaved_basis` of V, a real
     (Nx, Ny//2+1, n) diagonal table and half-spectrum columns
-    (..., Nx, Ny//2+1, n)."""
-    x = np.ascontiguousarray(x_hat, dtype=np.complex128)
-    n = diag.shape[-1]
-    y = x.view(np.float64).reshape(-1, 2 * n) @ basis[0]
-    coords = y.reshape(x.shape[:-1] + (2, n))  # a view of y
-    coords *= diag[:, :, None, :]
-    return (y @ basis[1]).view(np.complex128).reshape(x.shape)
+    (..., Nx, Ny//2+1, n), or per field for stacked bases and tables; into
+    out when it is given."""
+    coords = to_eigen(basis, x_hat)
+    coords *= diag[..., None, :]
+    return from_eigen(basis, coords, out)
 
 
 def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
@@ -193,9 +213,9 @@ class VelocityImplicitSolver:
         self.grid = grid
         self.dt = dt
         self.vertical = neumann_vertical_matrix(grid)
-        lam, V, V_inv = eigenbasis(self.vertical)
-        self.basis = interleaved_basis(V, V_inv)
-        self.d = implicit_factors(grid, lam, dt)
+        self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
+        self.basis = interleaved_basis(self.V, self.V_inv)
+        self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Apply to half-spectrum velocity components (..., Nx, Ny//2+1, Nz+1)."""

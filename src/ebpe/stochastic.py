@@ -12,10 +12,12 @@ the scheme, the transport and a given bundle, and `timestep.start_run` a
 given initial state, before the Stepper is built or a bundle drawn, so a
 rejected run costs no set-up.  The direct driver's kick is the increment
 q dW on the surface row.  The split driver carries
-the convolution Z as a half spectrum; with R = (I - dt A)^-1 the coupled
-solve, its kick Z_{n+1} - R Z_n makes the step advance the remainder
-full - Z by the deterministic step with the tendencies taken at the full
-state, so the remainder is never formed.
+the convolution Z as a half spectrum in the coupled solver's eigen
+coordinates zeta = V^-1 Z; with R = V diag(d) V^-1 the coupled solve,
+its kick Z_{n+1} - R Z_n = V (zeta_{n+1} - d zeta_n) makes the step
+advance the remainder full - Z by the deterministic step with the
+tendencies taken at the full state, so the remainder is never formed.
+The run returns Z's surface channel in level coordinates.
 
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
@@ -138,12 +140,12 @@ class ConvolutionPropagator:
     coupled solver (`linops.CoupledImplicitSolver`), which does not depend
     on the solver's dt; dt is the noise step.  The coupled generator
     M = vertical - |xi|^2 I has eigenvalues mu = lam - |xi|^2, and one
-    step of the noise convolution is
+    step of the noise convolution Z = V zeta is diagonal in its eigen
+    coordinates zeta (`linops.to_eigen` with `basis`, the solver's):
 
-        Z <- V diag(exp(dt mu)) V^-1 Z + phi1(dt M) e_rho * (q_k dW_k),
+        zeta <- exp(dt mu) zeta + phi1(dt mu) (V^-1 e_rho) (q_k dW_k),
 
-    with phi1(dt M) e_rho = V diag(phi1(dt mu)) V^-1 e_rho a stored
-    (Nx, Ny//2+1, Nz+1) table, phi1(x) = expm1(x) / x and phi1(0) = 1.
+    with phi1(x) = expm1(x) / x and phi1(0) = 1.
     """
 
     def __init__(self, coupled: linops.CoupledImplicitSolver, dt: float):
@@ -151,15 +153,15 @@ class ConvolutionPropagator:
             raise ValueError(f"dt must be positive, got {dt}")
         self.basis = coupled.basis
         x = dt * (coupled.lam - coupled.grid.xi2_half[..., None])
-        self.decay = np.exp(x)
         phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        self.phi1_col = (phi1 * coupled.V_inv[:, -1]) @ coupled.V.T
+        self.decay = np.exp(x)[..., None, :]
+        self.phi1_rho = (phi1 * coupled.V_inv[:, -1])[..., None, :]
 
-    def step_hat(self, Z_hat: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """One step of a half-spectrum stack (Nx, Ny//2+1, Nz+1); dW and q
-        are (Nx, Ny//2+1)."""
-        propagated = linops.apply_diagonal(self.basis, self.decay, Z_hat)
-        return propagated + self.phi1_col * (q * dW)[:, :, None]
+    def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """One step of the blocked eigen coordinates (Nx, Ny//2+1, 2, Nz+1)
+        of a half-spectrum stack; dW and q are (Nx, Ny//2+1)."""
+        noise = (q * dW).view(np.float64).reshape(q.shape + (2, 1))
+        return self.decay * zeta + self.phi1_rho * noise
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
@@ -212,17 +214,16 @@ def run_split_stochastic(
         )
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
-    Z_hat = np.zeros(q.shape + (stepper.grid.nlev,), dtype=complex)
+    zeta = np.zeros(q.shape + (2, stepper.grid.nlev))
+    d = stepper.coupled.d[..., None, :]
 
     def kick(state: State) -> np.ndarray:
-        nonlocal Z_hat
-        Z_next = propagator.step_hat(Z_hat, bundle.increments[state.step], q)
-        kick_hat = Z_next - stepper.coupled.solve_hat(Z_hat)
-        Z_hat = Z_next
-        return kick_hat
+        nonlocal zeta
+        zeta_n, zeta = zeta, propagator.step_hat(zeta, bundle.increments[state.step], q)
+        return linops.from_eigen(propagator.basis, zeta - d * zeta_n)
 
     result = integrate(cfg, stepper, state, kick)
-    result.z_rho_final = irfft_h(stepper.grid, Z_hat[..., -1])
+    result.z_rho_final = irfft_h(stepper.grid, linops.from_eigen(propagator.basis, zeta)[..., -1])
     return result
 
 

@@ -5,9 +5,9 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 1. explicit tendencies (advection, baroclinic forcing, radiation) at t_n,
    every quadratic product dealiased: its transform computes only the
    modes the 2/3 rule keeps;
-2. implicit vertical/horizontal diffusion solves: per-mode Neumann solve
-   for the velocity, per-mode coupled solve for (T, rho) so the trace
-   condition holds exactly;
+2. implicit vertical/horizontal diffusion solves, one stacked stage:
+   per-mode Neumann solve for the velocity, per-mode coupled solve for
+   (T, rho) so the trace condition holds exactly;
 3. pressure projection restoring div_H vbar = 0; the surface pressure,
    the multiplier of that constraint, is not part of the state.
 
@@ -17,13 +17,13 @@ level), and every array of the kernel has that layout.  Inside a step
 everything is done on half spectra (`ebpe.grid.rfft_h`) with three
 batched transforms: the state forward, the quadratic products forward
 over the 2/3-rule modes only (`grid.neg_dealiased_rfft_h`, which also
-gives them the tendencies' minus sign), and the new (v, T) back, which
-is the new state's storage with no copy; the radiation plane takes a
-2-D transform of its own.  The first, with the derivatives and w that
-the products read (real products on the grid), is
-`monitors.state_terms`, which the driver loop computes once per state
-for both the ledger and the step.  w, like the baroclinic term of the
-tendencies, is one product with the grid's running-trapezoid matrix.
+gives them the tendencies' minus sign), and the new (v, T) back, into
+the new state's own storage; the radiation plane takes a 2-D transform
+of its own.  The first, with the derivatives and w that the products
+read (real products on the grid), is `monitors.state_terms`, which the
+driver loop computes once per state for both the ledger and the step.
+w, like the baroclinic term of the tendencies, is one product with the
+grid's running-trapezoid matrix.
 The transforms are dense DFT matrix products on BLAS with the grid's
 tables, so no step calls numpy's FFT; they are deterministic and
 independent of the memory layout of their operands, so the step stays
@@ -33,8 +33,10 @@ reference lives only with the tests (`tests/oracles.py`).
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2".
 Both schemes are one theta-method stage through the same two per-mode
-solvers R = (I - theta dt A)^-1: IMEX Euler is theta = 1, x = R(U + dt F);
-CNAB2 is theta = 1/2, x = R(2U + dt E) - U, because R(I + dt/2 A) = 2R - I,
+solvers R = (I - theta dt A)^-1, stacked (velocity, velocity, coupled)
+so that one `linops.apply_diagonal` solves all three fields into a
+buffer of the Stepper: IMEX Euler is theta = 1, x = R(U + dt F); CNAB2
+is theta = 1/2, x = R(2U + dt E) - U, because R(I + dt/2 A) = 2R - I,
 so no step applies the generator A.  E is the AB2 extrapolation
 1.5 F - 0.5 F_old of the tendencies, or F itself when the previous
 step's tendencies are not at hand (the first step and a restart: one
@@ -202,8 +204,10 @@ def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
 
 
 def _check_finite(state: State, previous: State) -> None:
-    """One max-norm per field (rho's is T's): a NaN or inf fails the threshold
-    test, and the finiteness of that one number tells it from a runaway."""
+    """One max-norm of all fields; only if it fails the threshold test (as a
+    NaN does), one per field (rho's is T's), whose finiteness tells which."""
+    if np.abs(state.fields).max() <= BLOWUP_SUP:
+        return
     for name, f in (("v", state.v), ("T", state.T)):
         sup = np.abs(f).max()
         if sup <= BLOWUP_SUP:
@@ -251,6 +255,12 @@ class Stepper:
         theta_dt = (0.5 if scheme == "cnab2" else 1.0) * dt
         self.coupled = linops.CoupledImplicitSolver(grid, theta_dt)
         self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
+        # the implicit stage's tables, one per solved field, and its buffer
+        solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
+        self._basis = linops.interleaved_basis(np.stack([s.V for s in solvers]),
+                                               np.stack([s.V_inv for s in solvers]))
+        self._d = np.stack([s.d for s in solvers])
+        self._out = np.empty(self._d.shape, dtype=complex)
         self._history: tuple[int, np.ndarray] | None = None
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
@@ -300,32 +310,26 @@ class Stepper:
         # one theta-method stage (module docstring): R(U + dt F) for IMEX
         # Euler, R(2U + dt E) - U for CNAB2, E = F without usable history
         cnab2 = self.scheme == "cnab2"
+        E = F
         if cnab2:
             if kick_hat is not None:
                 raise ValueError("scheme cnab2 takes no kick_hat")
-            E = F
             if self._history is not None and self._history[0] == state.step:
                 E = 1.5 * F - 0.5 * self._history[1]
             self._history = (state.step + 1, F)
-            rhs = 2.0 * U + dt * E
-        else:
-            rhs = dt * F
-            rhs += U
-        # T's field, rho its top level, is the coupled solve's unknown
-        x_hat = self.coupled.solve_hat(rhs[2])
+        first = 3 - len(self._d)  # the first solved field: 2 (T alone) if v is frozen
+        rhs = dt * E[first:]
+        rhs += 2.0 * U[first:] if cnab2 else U[first:]
+        x_hat = linops.apply_diagonal(self._basis, self._d, rhs, out=self._out)
         if cnab2:
-            x_hat -= U[2]
+            x_hat -= U[first:]
         if kick_hat is not None:
-            x_hat += kick_hat
-
+            x_hat[-1] += kick_hat
         if self.velocity is None:
-            fields = np.concatenate((state.v, irfft_h(grid, x_hat)[None]))
+            fields = np.concatenate((state.v, irfft_h(grid, x_hat)))
         else:
-            v_star = self.velocity.solve_hat(rhs[:2])
-            if cnab2:
-                v_star -= U[:2]
-            v_new_hat = hydrostatic.project_barotropic(grid, v_star)[0]
-            fields = irfft_h(grid, np.concatenate((v_new_hat, x_hat[None])))
+            x_hat[:2] = hydrostatic.project_barotropic(grid, x_hat[:2])[0]
+            fields = irfft_h(grid, x_hat)
         new = State(fields, t=state.t + dt, step=state.step + 1)
         _check_finite(new, state)
         return new

@@ -20,7 +20,8 @@ matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
 `cumulative_integral_accumulate` is the running trapezoid integral as a
 running sum of its increments, the reference of the kernel's product
-with `grid.running_trapz`.
+with `grid.running_trapz`, and `interleaved_basis_kron` the Kronecker
+form of the real basis-change matrices of `linops.interleaved_basis`.
 """
 
 from dataclasses import dataclass
@@ -179,6 +180,16 @@ def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarra
     white = rng.standard_normal((n_steps, grid.nx, grid.ny)) * np.sqrt(dt)
     hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., : grid.ny // 2 + 1]
     return hat * np.sqrt(grid.nx * grid.ny)
+
+
+def interleaved_basis_kron(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
+    """`linops.interleaved_basis` of one basis spelled with Kronecker
+    products: (V^-1)^T and V^T times the 2 x 2 identity act on interleaved
+    (re, im) pairs, and a column or row permutation blocks the coordinates."""
+    n = V.shape[0]
+    blocked = np.arange(2 * n).reshape(n, 2).T.ravel()
+    eye = np.eye(2)
+    return np.stack((np.kron(V_inv.T, eye)[:, blocked], np.kron(V.T, eye)[blocked]))
 
 
 def assemble_mode_operator(xi: tuple[float, float], grid) -> np.ndarray:

@@ -15,6 +15,7 @@ from ebpe.linops import (
     VelocityImplicitSolver,
     coupled_vertical_matrix,
     eigenbasis,
+    interleaved_basis,
     neumann_vertical_matrix,
     retained_modes,
 )
@@ -26,6 +27,7 @@ from oracles import (
     dirichlet_map,
     dtn_apply,
     dtn_symbols,
+    interleaved_basis_kron,
     similarity_split,
     similarity_unsplit,
 )
@@ -456,6 +458,21 @@ class TestEigenbasis:
                                     mpmath.matrix(b))
             exact = np.array([float(value) for value in exact])
         assert np.max(np.abs(x - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("nz", [4, 8, 16, 64, 128])
+    def test_interleaved_basis_equals_kron_form(self, nz):
+        grid = make_grid(4, 4, nz)
+        bases = [eigenbasis(matrix(grid))[1:]
+                 for matrix in (neumann_vertical_matrix, coupled_vertical_matrix)]
+        for V, V_inv in bases:
+            assert np.array_equal(interleaved_basis(V, V_inv), interleaved_basis_kron(V, V_inv))
+        # a stack of bases, as the step's implicit stage builds it
+        fields = [bases[0], bases[0], bases[1]]
+        stacked = interleaved_basis(np.stack([V for V, _ in fields]),
+                                    np.stack([V_inv for _, V_inv in fields]))
+        assert stacked.shape == (2, 3, 2 * grid.nlev, 2 * grid.nlev)
+        for k, (V, V_inv) in enumerate(fields):
+            assert np.array_equal(stacked[:, k], interleaved_basis_kron(V, V_inv))
 
     def test_complex_spectrum_rejected(self):
         with pytest.raises(SolveError):

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ebpe import diagnostics, make_grid, project_barotropic
+from ebpe import diagnostics, make_grid, project_barotropic, stochastic
 from ebpe.config import RunConfig
 from ebpe.grid import irfft_h, rfft_h, to_spectral
-from ebpe.linops import CoupledImplicitSolver, coupled_vertical_matrix
+from ebpe.linops import CoupledImplicitSolver, coupled_vertical_matrix, from_eigen, to_eigen
 from ebpe.stochastic import (
     ConvolutionPropagator,
     NoiseSpec,
@@ -22,6 +22,7 @@ from ebpe.stochastic import (
 from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BlowUpError,
+    RunResult,
     State,
     run_deterministic,
     start_run,
@@ -43,6 +44,31 @@ def propagator(grid, dt):
     """The noise propagator of a run at step dt, built as the split
     driver builds it, from the step's coupled solver."""
     return ConvolutionPropagator(CoupledImplicitSolver(grid, dt), dt)
+
+
+def level_step(prop, Z, dW, q):
+    """One propagator step of a stack Z in level coordinates, taken in the
+    eigen coordinates of the coupled basis."""
+    return from_eigen(prop.basis, prop.step_hat(to_eigen(prop.basis, Z), dW, q))
+
+
+def dense_convolution_maps(grid, dt):
+    """Per-mode (E, w, R) for the half spectrum: E = expm(dt M), w the
+    phi1 column expm's augmented matrix gives for e_rho, R = (I - dt M)^-1."""
+    n, half = grid.nlev, grid.ny // 2 + 1
+    base, eye = coupled_vertical_matrix(grid), np.eye(grid.nlev)
+    E, R = np.empty((grid.nx, half, n, n)), np.empty((grid.nx, half, n, n))
+    w = np.empty((grid.nx, half, n))
+    for i in range(grid.nx):
+        for j in range(half):
+            M = base - grid.xi2[i, j] * eye
+            aug = np.zeros((n + 1, n + 1))
+            aug[:n, :n] = dt * M
+            aug[n - 1, n] = 1.0
+            ex = scipy.linalg.expm(aug)
+            E[i, j], w[i, j] = ex[:n, :n], ex[:n, n]
+            R[i, j] = np.linalg.inv(eye - dt * M)
+    return E, w, R
 
 
 class TestNoiseSpec:
@@ -150,8 +176,8 @@ class TestConvolutionPropagator:
         # the exponential and the injected phi1 column, each on its own;
         # relative to the whole array, since on strongly damped modes
         # (|E Z| ~ 1e-22) expm's own per-mode error reaches 1e-12
-        propagated = prop.step_hat(Z, np.zeros_like(dW), q)
-        injected = prop.step_hat(np.zeros_like(Z), dW, q)
+        propagated = level_step(prop, Z, np.zeros_like(dW), q)
+        injected = level_step(prop, np.zeros_like(Z), dW, q)
         oracle_propagated, oracle_injected = np.empty_like(Z), np.empty_like(Z)
         for i in range(grid8.nx):
             for j in range(5):
@@ -166,7 +192,7 @@ class TestConvolutionPropagator:
         # the maps are half-spectrum only: a full-width stack is rejected
         full = rng.standard_normal((8, 8, n)) + 0j
         with pytest.raises(ValueError):
-            prop.step_hat(full, np.zeros((8, 8), complex), np.zeros((8, 8)))
+            level_step(prop, full, np.zeros((8, 8), complex), np.zeros((8, 8)))
 
     def test_reads_the_coupled_solvers_eigenbasis(self, grid8, monkeypatch):
         coupled = CoupledImplicitSolver(grid8, 1e-3)
@@ -182,14 +208,14 @@ class TestConvolutionPropagator:
         prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[0, 0, :] = 2.0  # constant stack on the mean mode: kernel of the operator
-        out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
+        out = level_step(prop, Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
         assert np.max(np.abs(out - Z)) < 1e-13
 
     def test_deterministic_decay_without_noise(self, grid8):
         prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[1, 0, :] = 1.0
-        out = prop.step_hat(Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
+        out = level_step(prop, Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
         assert np.max(np.abs(out[1, 0])) < np.max(np.abs(Z[1, 0]))
 
     def test_scalar_surrogate_stationary_variance(self):
@@ -299,7 +325,7 @@ class TestDrivers:
             v = np.stack([irfft_h(grid, c) for c in v_hat])
             rem_T, rem_rho = solve_coupled_implicit(grid, rem_T + dt * F_T,
                                                     rem_rho + dt * F_rho, dt)
-            Z = prop.step_hat(Z, bundle.increments[k], q)
+            Z = level_step(prop, Z, bundle.increments[k], q)
             T = rem_T + irfft_h(grid, Z)
             full = State.pack(v, T, t=(k + 1) * dt, step=k + 1)
 
@@ -400,6 +426,37 @@ class TestDrivers:
         z_rho_hat = to_spectral(grid, res.z_rho_final)[i, j]
         assert abs(z_rho_hat - Z[-1]) <= 1e-12 * (1 + abs(Z[-1]))
 
+    def test_split_kicks_match_dense_level_recurrence(self, monkeypatch):
+        # the driver carries Z in eigen coordinates, zeta = V^-1 Z; its kicks
+        # V(zeta_{n+1} - d zeta_n) over 100 steps against the level-coordinate
+        # Z_{n+1} = E Z_n + w q dW_n and Z_{n+1} - R Z_n of dense matrices
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.1, noise_sigma=0.2, noise_seed=4)
+        kicks = []
+
+        def recording_integrate(cfg, stepper, state, kick):
+            kicks.extend(kick(dataclasses.replace(state, step=k))
+                         for k in range(cfg.n_steps()))
+            return RunResult(final_state=state, ledger=[], csv_records=[])
+
+        monkeypatch.setattr(stochastic, "integrate", recording_integrate)
+        res = run_split_stochastic(cfg)
+        assert len(kicks) == 100
+        grid = make_grid(8, 8, 8)
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+        bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
+        q = spec.q_table(grid)
+        E, w, R = dense_convolution_maps(grid, cfg.dt)
+        Z = np.zeros((8, 5, grid.nlev), dtype=complex)
+        for k, kick in enumerate(kicks):
+            Z_next = (np.einsum("ijab,ijb->ija", E, Z)
+                      + w * (q * bundle.increments[k])[:, :, None])
+            want = Z_next - np.einsum("ijab,ijb->ija", R, Z)
+            # relative to the terms of the difference, which cancel
+            assert np.max(np.abs(kick - want)) <= 1e-13 * np.max(np.abs(Z_next)), k
+            Z = Z_next
+        z_rho = irfft_h(grid, Z[..., -1])
+        assert np.max(np.abs(res.z_rho_final - z_rho)) <= 1e-13 * np.max(np.abs(z_rho))
+
     def test_convolution_mean_unbiased(self):
         # mean of Z_rho over independent seeds stays within sampling error
         grid = make_grid(8, 8, 4)
@@ -412,7 +469,7 @@ class TestDrivers:
             q = spec.q_table(grid)
             Z = np.zeros((8, 5, grid.nlev), dtype=complex)
             for k in range(steps):
-                Z = prop.step_hat(Z, bundle.increments[k], q)
+                Z = level_step(prop, Z, bundle.increments[k], q)
             finals[s] = irfft_h(grid, Z[..., -1])
         mean = finals.mean(axis=0)
         se = finals.std(axis=0, ddof=1) / np.sqrt(n_seeds)

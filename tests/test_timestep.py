@@ -262,6 +262,72 @@ class TestImexStep:
         assert np.all(E[1:] <= E[:-1] * (1 + 1e-14))
 
 
+def two_solve_step(stepper, state, kick_hat=None):
+    """The implicit stage as separate calls: the coupled and the velocity
+    solver's `solve_hat`, the projection, the kick and a concatenation of
+    the new spectra (the first step of a Stepper: for cnab2, E = F)."""
+    grid, dt = stepper.grid, stepper.dt
+    U = state_terms(grid, state).U
+    F = stepper.tendencies(state)
+    cnab2 = stepper.scheme == "cnab2"
+    if cnab2:
+        rhs = 2.0 * U + dt * F
+    else:
+        rhs = dt * F
+        rhs += U
+    x_hat = stepper.coupled.solve_hat(rhs[2])
+    if cnab2:
+        x_hat -= U[2]
+    if kick_hat is not None:
+        x_hat += kick_hat
+    if stepper.velocity is None:
+        return np.concatenate((state.v, irfft_h(grid, x_hat)[None]))
+    v_star = stepper.velocity.solve_hat(rhs[:2])
+    if cnab2:
+        v_star -= U[:2]
+    v_new_hat = project_barotropic(grid, v_star)[0]
+    return irfft_h(grid, np.concatenate((v_new_hat, x_hat[None])))
+
+
+class TestImplicitStage:
+    """`Stepper.step` solves all its fields in one stacked product through
+    the eigen coordinates, into a buffer of the Stepper."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("scheme, kick", [("imex_euler", False), ("imex_euler", True),
+                                              ("cnab2", False)])
+    def test_matches_the_two_solves_bitwise(self, n, freeze, scheme, kick):
+        grid = make_grid(n, n, n)
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+        state = rough_state(grid, seed=n + freeze)
+        kick_hat = None
+        if kick:
+            rng = np.random.default_rng(n)
+            shape = (grid.nx, grid.ny // 2 + 1, grid.nlev)
+            kick_hat = 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        stepper = Stepper(grid, params, 2e-3, scheme=scheme, freeze_velocity=freeze)
+        want = two_solve_step(stepper, state, kick_hat)
+        got = stepper.step(state, kick_hat=kick_hat).fields
+        assert np.array_equal(got, want)
+        if freeze:
+            assert np.array_equal(got[:2], state.v)
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_states_own_their_fields(self, grid8, freeze):
+        params = PhysParams(Q=default_insolation(grid8, 0.9, 0.1), radiation_on=True)
+        stepper = Stepper(grid8, params, 1e-3, freeze_velocity=freeze)
+        first = stepper.step(rough_state(grid8, seed=2))
+        second = stepper.step(first)
+        kept = first.fields.copy(), second.fields.copy()
+        third = stepper.step(second)
+        for state in (first, second, third):
+            assert not np.shares_memory(state.fields, stepper._out)
+        assert not np.shares_memory(first.fields, second.fields)
+        assert np.array_equal(first.fields, kept[0])
+        assert np.array_equal(second.fields, kept[1])
+
+
 class TestBlowUpMessages:
     """The post-step check tells a non-finite field from a runaway one and
     hands back the state the step started from.  The rho cases corrupt T's

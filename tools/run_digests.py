@@ -22,10 +22,19 @@ exception instead.  It calls only long-standing entry points
     PYTHONPATH=../parent/src python tools/run_digests.py > parent.txt
     PYTHONPATH=src python tools/run_digests.py > change.txt
     diff parent.txt change.txt
+
+Where the digests differ, ``--save FILE.npz`` also stores each run's final
+fields and ``z_rho_final``, and ``--compare A.npz B.npz`` prints, per run,
+the max|B - A| of each array that both files hold (it runs nothing):
+
+    PYTHONPATH=../parent/src python tools/run_digests.py --save parent.npz
+    PYTHONPATH=src python tools/run_digests.py --save change.npz
+    PYTHONPATH=src python tools/run_digests.py --compare parent.npz change.npz
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -82,19 +91,48 @@ def _digest(result) -> list[str]:
     ]
 
 
-def main() -> int:
+def _compare(path_a: str, path_b: str) -> int:
+    """Print max|b - a| for every array of the two saved sets."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        for key in sorted(set(a.files) | set(b.files)):
+            if key not in a.files or key not in b.files:
+                print(f"{key}: only in {path_a if key in a.files else path_b}")
+            elif a[key].shape != b[key].shape:
+                print(f"{key}: shape {a[key].shape} against {b[key].shape}")
+            else:
+                print(f"{key}: max|d| = {np.max(np.abs(b[key] - a[key]), initial=0.0):.3e}")
+    return 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--save", metavar="FILE.npz",
+                   help="also store each run's final fields and z_rho_final")
+    p.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
+                   help="print max|B - A| per saved array and run nothing")
+    args = p.parse_args(argv)
+    if args.compare:
+        return _compare(*args.compare)
+    saved = {}
     for label, driver, cfg in _runs():
         print(label)
         try:
-            lines = _digest(driver(cfg))
+            result = driver(cfg)
+            lines = _digest(result)
         except Exception as exc:  # a run that raises is an outcome to compare
             lines = [f"  raised   {type(exc).__name__}: {exc}"]
+        else:
+            saved[f"{label}: fields"] = result.final_state.fields
+            if result.z_rho_final is not None:
+                saved[f"{label}: z_rho"] = result.z_rho_final
         print("\n".join(lines), flush=True)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["mms", "--scheme", "cnab2", "--quick"])
     print(f"mms cnab2 quick: exit {code}, stdout {_sha(out.getvalue())}")
     print(out.getvalue(), end="")
+    if args.save:
+        np.savez(args.save, **saved)
     return 0
 
 
