@@ -7,43 +7,46 @@ bottom, z_Nz = 1 at the surface).  Fields are real arrays of shape
 field-major, (3, Nx, Ny, Nz+1); their spectral form carries complex
 per-mode coefficients over the same axes.
 
-The package works on half spectra.  `rfft_h`/`irfft_h` are the batched
-real transforms of the step kernel and the monitors: one call moves one
-(Nx, Ny) field, or fields (..., Nx, Ny, K) with any leading axes, to or
-from half spectra whose y axis holds the columns ky = 0 .. Ny/2, and
-every per-mode table of the kernel has that width.  They are dense DFT
-matrix products on BLAS, not FFTs: at the 8 to 64 points a side of the
-grid ladder a length-N line costs less as N multiply-adds per output
-than as pocketfft's per-line call (Van Loan, Computational Frameworks
-for the Fast Fourier Transform, SIAM 1992, sections 1.1-1.4).  Each
-transform is one batched real product for the y pass, one complex
-product per leading index for the x pass and one copy between the real
-and the complex layout, with matrices the grid builds once (`dft_y`,
-`dft_x`, `idft_x`, `idft_y`).  Their angles are reduced mod N before the
-cosine and sine are taken, and the entries at multiples of pi/2 are
-exact, so the transforms stay within 1e-15 of an exact DFT (relative to
-its largest coefficient) up to 64 points a side.  The products are
-deterministic, so a restart still reproduces a run bit for bit; they
-differ from numpy's FFT by roundoff.  The step's quadratic products keep
-only the modes of the 2/3 rule, so `neg_dealiased_rfft_h` runs the same
-passes with the rows of `dft_y` and `dft_x` on those modes
-(`dft_y_dealias`, `dft_x_dealias`, about 4/9 of the x pass and 2/3 of
-the y pass) and writes them, negated, into a zero-filled half spectrum.
+The package works on half spectra held as real "pair spectra": float64
+(..., Nx, 2, Ny//2+1, K) for fields (..., Nx, Ny, K), (Nx, 2, Ny//2+1)
+for one (Nx, Ny) field, the axis of length 2 holding the real parts of
+the columns ky = 0 .. Ny/2, then their imaginary parts.  Every per-mode
+table of the kernel has that width.  `rfft_h`/`irfft_h`, the batched
+transforms of the step kernel and the monitors, are dense DFT matrix
+products on BLAS, not FFTs: at the 8 to 64 points a side of the grid
+ladder a length-N line costs less as N multiply-adds per output than as
+pocketfft's per-line call (Van Loan, Computational Frameworks for the
+Fast Fourier Transform, SIAM 1992, sections 1.1-1.4).  A transform is
+one batched real product for the y pass and one real product per
+leading index for the x pass, with matrices the grid builds once
+(`dft_y`, `idft_y`, and `dft_x`, `idft_x`, the real pair forms of the
+complex x pass); the y pass leaves (x, re/im, ky, K), the x pass's
+operand as it lies, so nothing is copied.  Angles are reduced mod N
+before the cosine and sine are taken and the entries at multiples of
+pi/2 are exact, so the transforms stay within 1e-15 of an exact DFT
+(relative to its largest coefficient) up to 64 points a side.  The
+products are deterministic, so a restart still reproduces a run bit for
+bit; they differ from numpy's FFT by roundoff.  The step's quadratic
+products keep only the modes of the 2/3 rule: `neg_dealiased_rfft_h`
+runs the same passes with the rows on those modes (`dft_y_dealias`,
+`dft_x_dealias`, about 4/9 of the x pass and 2/3 of the y pass) and
+writes them, negated, into a zero-filled pair spectrum.
 
-The step kernel differentiates the spectra of its solves and inverts
-on half spectra by one multiply with a table built once per grid:
-`ixi_half`, the stacked symbols (i xi_x, i xi_y), and `inv_lap_half`,
-the inverse of the discrete div(grad .) symbol.  A state is
-differentiated on the grid, one real product per direction with the
-Fourier differentiation matrices `diff_x`, `diff_y` (Trefethen, Spectral
-Methods in MATLAB, SIAM 2000, ch. 3) and the finite-difference matrix
-`diff_z`.  `to_spectral`/`to_physical` give the full (Nx, Ny)
-spectrum of one field and check conjugate symmetry on the way back; no
-step calls them.  They serve the tests' references (`tests/oracles.py`,
-with the physical-space tendencies and their derivatives), which read
-the full tables below, as set-up does.  numpy's FFT is left only there
-and in set-up code: the random initial fields
-(`timestep.initial_state`) and the Wiener increments
+The step kernel differentiates and inverts on pair spectra by one
+multiply with a table built once per grid: `ixi_pair`, i xi_x and
+i xi_y in pair form (i xi takes (a, b) to (-xi b, xi a), so the table
+holds (-xi, xi) and multiplies the spectrum with its re/im axis
+reversed), and `inv_lap_half`, the inverse of the discrete div(grad .)
+symbol.  A state is differentiated on the grid, one real product per
+direction with the Fourier differentiation matrices `diff_x`, `diff_y`
+(Trefethen, Spectral Methods in MATLAB, SIAM 2000, ch. 3) and the
+finite-difference matrix `diff_z`.  `to_spectral`/`to_physical` give
+the full complex (Nx, Ny) spectrum of one field and check conjugate
+symmetry on the way back; no step calls them.  They serve the tests'
+references (`tests/oracles.py`, with the physical-space tendencies and
+their derivatives), which read the full tables below, as set-up does.
+numpy's FFT is left only there and in set-up code: the random initial
+fields (`timestep.initial_state`) and the Wiener increments
 (`stochastic.wiener_increments`).
 
 DFT normalization: the forward transform divides by Nx*Ny, so the k = (0,0)
@@ -85,9 +88,10 @@ class Grid:
         over the Ny//2+1 columns of a half spectrum.  They are the first
         columns of the full tables: FFT order stores ky = Ny/2 as -Ny/2,
         and every table is even in ky or zero there.
-    ixi_half : complex (2, Nx, Ny//2+1) derivative symbols (1j * xi_x,
-        1j * xi_y_half): multiplying a half spectrum by row 0 (row 1) is
-        d/dx (d/dy), Nyquist zeroed.
+    ixi_pair : (2, Nx, 2, Ny//2+1) derivative symbols 1j * xi_x and
+        1j * xi_y_half in pair form, (-xi, xi) on the re/im axis:
+        multiplying a pair spectrum with its re/im axis reversed by row 0
+        (row 1) is d/dx (d/dy), Nyquist zeroed.
     inv_lap_half : (Nx, Ny//2+1) inverse -1 / xi2_deriv_half of the discrete
         div(grad .) symbol, 0 where that symbol vanishes.
     norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
@@ -99,12 +103,13 @@ class Grid:
         cos(2 pi ky j / Ny) / Ny for ky = 0 .. Ny/2, then the rows
         -sin(2 pi ky j / Ny) / Ny, so its product with a real line gives the
         real parts of the line's half spectrum, then its imaginary parts.
-    dft_x : complex (Nx, Nx) forward x pass, exp(-2 pi i kx x / Nx) / Nx.
+    dft_x : (2Nx, 2Nx) forward x pass, the pair form (`_pair_form`) of
+        exp(-2 pi i kx x / Nx) / Nx: rows (kx, re/im), columns (x, re/im).
     dft_y_dealias, dft_x_dealias : the rows of dft_y with ky <= Ny/3 (the
-        cosine rows, then the sine rows) and those of dft_x with
+        cosine rows, then the sine rows) and the row pairs of dft_x with
         |kx| <= Nx/3 (kx = 0 .. Nx//3, then -(Nx//3) .. -1), copied: the
         passes of neg_dealiased_rfft_h, over the modes of dealias_half.
-    idft_x : complex (Nx, Nx) inverse x pass, exp(+2 pi i kx x / Nx).
+    idft_x : (2Nx, 2Nx) inverse x pass, the pair form of exp(+2 pi i kx x / Nx).
     idft_y : (Ny, 2(Ny//2+1)) inverse y pass of irfft_h: the columns
         w cos(2 pi ky j / Ny), then -w sin(2 pi ky j / Ny), with the
         conjugate-pair weights w = 1, 2, ..., 2, 1.  Its sine columns are
@@ -125,8 +130,6 @@ class Grid:
         the weights of int_0^{z_j}, so f @ running_trapz integrates fields
         f (..., Nz+1) from z = 0.  Column 0 is zero and the last column is
         trapz_w, bit for bit.
-    running_trapz_interleaved : kron(running_trapz, I2), its form for the
-        interleaved (re, im) float64 view of complex columns.
 
     Every table is read-only: the steppers and solvers of a grid share
     them.
@@ -174,8 +177,8 @@ class Grid:
         object.__setattr__(self, "xi2_half", self.xi2[:, :half].copy())
         object.__setattr__(self, "xi2_deriv_half", xi2_deriv[:, :half].copy())
         object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
-        object.__setattr__(self, "ixi_half",
-                           np.stack(np.broadcast_arrays(1j * self.xi_x, 1j * self.xi_y_half)))
+        xi_half = np.stack(np.broadcast_arrays(self.xi_x, self.xi_y_half))
+        object.__setattr__(self, "ixi_pair", np.stack((-xi_half, xi_half), axis=2))
         xi2_half = self.xi2_deriv_half
         object.__setattr__(self, "inv_lap_half",
                            np.divide(-1.0, xi2_half, out=np.zeros_like(xi2_half),
@@ -200,9 +203,6 @@ class Grid:
         running = trapz_w[:, None] * (lev[:, None] < lev)  # column j: trapz_w[:j]
         running[lev[1:], lev[1:]] = trapz_w[0]  # and the half weight of z_j
         object.__setattr__(self, "running_trapz", running)
-        interleaved = np.zeros((2 * self.nlev, 2 * self.nlev))
-        interleaved[::2, ::2] = interleaved[1::2, 1::2] = running
-        object.__setattr__(self, "running_trapz_interleaved", interleaved)
 
         cos_y, sin_y = _unit_circle(self.ny, half)
         object.__setattr__(self, "dft_y", np.concatenate((cos_y, -sin_y)) / self.ny)
@@ -210,14 +210,16 @@ class Grid:
         object.__setattr__(self, "idft_y", np.concatenate((pair_weights * cos_y,
                                                             -pair_weights * sin_y)).T.copy())
         cos_x, sin_x = _unit_circle(self.nx, self.nx)
-        object.__setattr__(self, "dft_x", (cos_x - 1j * sin_x) / self.nx)
+        object.__setattr__(self, "dft_x", _pair_form(cos_x, -sin_x) / self.nx)
         keep_y_half = np.flatnonzero(keep_y[:half])  # ky = 0 .. Ny//3
         object.__setattr__(self, "dft_y_dealias",
                            self.dft_y[np.concatenate((keep_y_half, half + keep_y_half))])
-        object.__setattr__(self, "dft_x_dealias", self.dft_x[keep_x])
-        object.__setattr__(self, "idft_x", cos_x + 1j * sin_x)
+        object.__setattr__(self, "dft_x_dealias",
+                           _pair_form(cos_x[keep_x], -sin_x[keep_x]) / self.nx)
+        object.__setattr__(self, "idft_x", _pair_form(cos_x, sin_x))
         # first columns: the derivatives of a unit impulse (spectrum 1/N)
-        object.__setattr__(self, "diff_x", _circulant((self.idft_x @ (1j * dx / self.nx)).real))
+        object.__setattr__(self, "diff_x",
+                           _circulant(((cos_x + 1j * sin_x) @ (1j * dx / self.nx)).real))
         object.__setattr__(self, "diff_y",
                            _circulant(self.idft_y[:, half:] @ (self.xi_y_half[0] / self.ny)))
         h2 = 2.0 * self.dz
@@ -245,6 +247,18 @@ def _unit_circle(n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     cos[exact] = np.array([1.0, 0.0, -1.0, 0.0])[quarter[exact]]
     sin[exact] = np.array([0.0, 1.0, 0.0, -1.0])[quarter[exact]]
     return cos, sin
+
+
+def _pair_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real (2r, 2n) form of the complex (r, n) matrix re + i im: row
+    (k, 0) (k, 1) of its product with rows (x, re/im) is the real (the
+    imaginary) part of row k of the complex product."""
+    r, n = re.shape
+    pair = np.empty((r, 2, n, 2))
+    pair[:, 0, :, 0] = pair[:, 1, :, 1] = re
+    pair[:, 0, :, 1] = -im
+    pair[:, 1, :, 0] = im
+    return pair.reshape(2 * r, 2 * n)
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
@@ -292,23 +306,24 @@ def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
-    """Batched horizontal real transform: half spectra (..., Nx, Ny//2+1, K)
-    of real fields (..., Nx, Ny, K), or (Nx, Ny//2+1) of one (Nx, Ny) field.
+    """Batched horizontal real transform: pair spectra (..., Nx, 2, Ny//2+1, K)
+    of real fields (..., Nx, Ny, K), or (Nx, 2, Ny//2+1) of one (Nx, Ny) field.
 
     Any leading axes (the field axis of the state) are batched; K is the
     level axis.  The y pass is `dft_y` times every (Ny, K) line block (one
-    batched product over the leading axes and x); a copy pairs the real
-    and imaginary parts it leaves into complex lines, and the x pass is
-    `dft_x` times those (one product per leading index).
+    batched product over the leading axes and x), which leaves the real
+    and imaginary parts of each line on an axis of their own; the x pass
+    is `dft_x` times those pairs (one real product per leading index).
     """
     spectra, shape = _forward(grid, fields, grid.dft_y, grid.dft_x)
     return spectra.reshape(shape)
 
 
 def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
-    """Minus the 2/3-rule part of rfft_h(grid, fields): the half spectra
-    -where(dealias_half, rfft_h(grid, fields), 0), with exact zeros off the
-    retained modes, for the same operands.
+    """Minus the 2/3-rule part of rfft_h(grid, fields): the pair spectra
+    -where(dealias_half, rfft_h(grid, fields), 0) (the mask broadcast over
+    the re/im axis), with exact zeros off the retained modes, for the same
+    operands.
 
     The passes of rfft_h run with `dft_y_dealias` and `dft_x_dealias`, so
     only the retained modes are computed, and the copy that scatters them
@@ -316,68 +331,59 @@ def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
     minus the advection).
     """
     kept, shape = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias)
-    b, _, m, k = kept.shape
+    b, _, _, m, k = kept.shape
     c = grid.nx // 3 + 1  # the rows kx = 0 .. Nx//3 come first, then kx < 0
-    out = np.zeros((b, grid.nx, grid.ny // 2 + 1, k), dtype=complex)
-    np.negative(kept[:, :c], out=out[:, :c, :m])
-    np.negative(kept[:, c:], out=out[:, grid.nx - c + 1 :, :m])
+    out = np.zeros((b, grid.nx, 2, grid.ny // 2 + 1, k))
+    np.negative(kept[:, :c], out=out[:, :c, :, :m])
+    np.negative(kept[:, c:], out=out[:, grid.nx - c + 1 :, :, :m])
     return out.reshape(shape)
 
 
 def _forward(
     grid: Grid, fields: np.ndarray, dft_y: np.ndarray, dft_x: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, tuple[int, ...]]:
     """The y pass with `dft_y` (the cosine rows of m columns, then their
-    sine rows), the copy into complex lines and the x pass with `dft_x`
-    of real fields (..., Nx, Ny, K) or one (Nx, Ny) field.  Returns the
-    spectra (B, rows of dft_x, m, K), B the product of the leading axes,
-    and the shape of the full half spectrum of `fields`."""
+    sine rows) and the x pass with `dft_x` (a pair form) of real fields
+    (..., Nx, Ny, K) or one (Nx, Ny) field.  Returns the pair spectra
+    (B, rows of dft_x // 2, 2, m, K), B the product of the leading axes,
+    and the shape of the full pair spectrum of `fields`."""
     nx, ny = grid.nx, grid.ny
-    ax = -1 if fields.ndim == 2 else -2  # the y axis
-    if fields.shape[ax - 1 :][:2] != (nx, ny):
+    plane = fields.ndim == 2
+    if fields.shape[-2 - (not plane) :][:2] != (nx, ny):
         raise ValueError(
             f"field shape {fields.shape} does not match grid ({nx}, {ny})"
         )
-    k = fields.shape[-1] if ax == -2 else 1
+    k = 1 if plane else fields.shape[-1]
     m = len(dft_y) // 2
     # contiguous operands keep every product on BLAS, so the result does
     # not depend on the memory layout of `fields`
     lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(-1, ny, k)
-    y = (dft_y @ lines).reshape(-1, nx, 2, m, k)  # real parts, then imaginary
-    y_hat = np.empty(y.shape[:2] + (m, k), dtype=complex)
-    y_hat.real = y[:, :, 0]
-    y_hat.imag = y[:, :, 1]
-    del y  # one intermediate at a time keeps the peak memory of a step down
-    shape = list(fields.shape)
-    shape[ax] = ny // 2 + 1
-    x = dft_x @ y_hat.reshape(-1, nx, m * k)
-    return x.reshape(-1, len(dft_x), m, k), shape
+    y = (dft_y @ lines).reshape(-1, 2 * nx, m * k)  # per x: real parts, then imaginary
+    x = dft_x @ y
+    shape = (nx, 2, ny // 2 + 1) if plane else fields.shape[:-2] + (2, ny // 2 + 1, k)
+    return x.reshape(-1, len(dft_x) // 2, 2, m, k), shape
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of rfft_h: real fields (..., Nx, Ny, K) from half spectra
-    (..., Nx, Ny//2+1, K), or one (Nx, Ny) field from (Nx, Ny//2+1).
+    """Inverse of rfft_h: real fields (..., Nx, Ny, K) from pair spectra
+    (..., Nx, 2, Ny//2+1, K), or one (Nx, Ny) field from (Nx, 2, Ny//2+1).
 
-    The x pass is `idft_x` times the coefficients (one product per leading
-    index); a copy splits the result into real and imaginary parts, and
-    the y pass is `idft_y` times every line block (one batched product).
-    The imaginary parts of the ky = 0 and ky = Ny/2 columns after the x
-    pass meet zero entries of `idft_y` and are dropped, which is the real
-    projection of the full inverse.  The result is a new C-contiguous
-    array: the step wraps it as the new state with no copy.
+    The x pass is `idft_x` times the pairs (one real product per leading
+    index); it leaves (x, re/im, ky, K), and the y pass is `idft_y` times
+    every such line block (one batched product).  The imaginary parts of
+    the ky = 0 and ky = Ny/2 columns after the x pass meet zero entries of
+    `idft_y` and are dropped, which is the real projection of the full
+    inverse.  The result is a new C-contiguous array: the step wraps it
+    as the new state with no copy.
     """
     nx, half = grid.nx, grid.ny // 2 + 1
-    ax = -1 if coeffs.ndim == 2 else -2  # the y axis
-    if coeffs.shape[ax - 1 :][:2] != (nx, half):
+    plane = coeffs.ndim == 3
+    if coeffs.shape[-3 - (not plane) :][:3] != (nx, 2, half):
         raise ValueError(
-            f"half-spectrum shape {coeffs.shape} does not match grid ({nx}, {half})"
+            f"pair-spectrum shape {coeffs.shape} does not match grid ({nx}, 2, {half})"
         )
-    k = coeffs.shape[-1] if ax == -2 else 1
-    x_hat = grid.idft_x @ np.ascontiguousarray(coeffs, dtype=complex).reshape(-1, nx, half * k)
-    x = np.empty(x_hat.shape[:2] + (2, half * k))
-    x[:, :, 0] = x_hat.real
-    x[:, :, 1] = x_hat.imag
-    del x_hat
-    shape = list(coeffs.shape)
-    shape[ax] = grid.ny
+    k = 1 if plane else coeffs.shape[-1]
+    pairs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1, 2 * nx, half * k)
+    x = grid.idft_x @ pairs
+    shape = (nx, grid.ny) if plane else coeffs.shape[:-3] + (grid.ny, k)
     return (grid.idft_y @ x.reshape(-1, 2 * half, k)).reshape(shape)

@@ -3,18 +3,18 @@
 Vertical quadrature is the trapezoid rule throughout, matching the
 second-order vertical finite differences; exact on z-affine integrands.
 The running integral from z = 0 (w, the baroclinic term, the pressure)
-is one product with the grid's running trapezoid matrix
-`running_trapz`, for complex columns with its interleaved real form on
-their (re, im) float64 view.
+is one real product with the grid's running trapezoid matrix
+`running_trapz`, for physical fields and pair spectra alike.
 The surface pressure is never prognostic and no state carries it: each
 step removes the gradient part of the vertically averaged velocity
 (pressure projection), and the potential phi of the removed gradient is
 dt times that step's surface pressure, irfft_h(phi_hat) / dt.
 
-The horizontal operators act on the (Nx, Ny//2+1) half spectra of the
-step kernel; callers holding physical fields transform at the call site.
-They differentiate by one multiply with the grid's stacked symbol table
-`ixi_half` and invert the horizontal Laplacian with `inv_lap_half`;
+The horizontal operators act on the pair spectra (..., Nx, 2, Ny//2+1, K)
+of the step kernel (`ebpe.grid`); callers holding physical fields
+transform at the call site.  They differentiate by one multiply of the
+spectra, their re/im axis reversed, with the grid's stacked symbol table
+`ixi_pair`, and invert the horizontal Laplacian with `inv_lap_half`;
 their full-spectrum forms live with the tests (`tests/oracles.py`).
 """
 
@@ -31,22 +31,19 @@ def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 def cumulative_integral(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral from z=0 of real or complex fields
+    """Running trapezoid integral from z=0 of real fields or pair spectra
     (..., Nz+1); output level j holds int_0^{z_j} f."""
-    # contiguous operands keep the product on BLAS, so the result does not
-    # depend on the memory layout of f
-    if np.iscomplexobj(f):
-        # the (re, im) interleaved float64 view of the complex columns
-        pairs = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
-        return (pairs @ grid.running_trapz_interleaved).view(np.complex128)
-    return np.ascontiguousarray(f, dtype=np.float64) @ grid.running_trapz
+    # one contiguous operand keeps the product on BLAS, so the result does
+    # not depend on the memory layout of f
+    f = np.ascontiguousarray(f, dtype=np.float64)
+    return (f.reshape(-1, f.shape[-1]) @ grid.running_trapz).reshape(f.shape)
 
 
 def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     """Vertical velocity from incompressibility, w = -int_0^z div_H v, from
-    the half-spectrum velocity (2, Nx, Ny//2+1, Nz+1); half-spectrum output
-    (Nx, Ny//2+1, Nz+1)."""
-    d = grid.ixi_half[..., None] * v_hat
+    the pair-spectrum velocity (2, Nx, 2, Ny//2+1, Nz+1); pair-spectrum
+    output (Nx, 2, Ny//2+1, Nz+1)."""
+    d = grid.ixi_pair[..., None] * v_hat[..., ::-1, :, :]
     return -cumulative_integral(grid, d[0] + d[1])
 
 
@@ -57,24 +54,24 @@ def pressure_field(grid: Grid, T: np.ndarray, p_s: np.ndarray) -> np.ndarray:
 
 def baroclinic_grad(grid: Grid, T_hat: np.ndarray) -> np.ndarray:
     """grad_H of the running temperature integral, zero at z=0 by
-    construction; half-spectrum T (Nx, Ny//2+1, Nz+1) to half spectra
-    (2, Nx, Ny//2+1, Nz+1)."""
-    return grid.ixi_half[..., None] * cumulative_integral(grid, T_hat)
+    construction; pair-spectrum T (Nx, 2, Ny//2+1, Nz+1) to pair spectra
+    (2, Nx, 2, Ny//2+1, Nz+1)."""
+    return grid.ixi_pair[..., None] * cumulative_integral(grid, T_hat)[..., ::-1, :, :]
 
 
 def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Remove the gradient part of the vertical average of a half-spectrum
+    """Remove the gradient part of the vertical average of a pair-spectrum
     velocity.
 
     Solves lap_H phi = div_H vbar per mode and subtracts grad_H phi from
     every level, so div_H of the average of the result vanishes (to
     roundoff).  Returns (projected v_hat, phi_hat): the velocity
-    (2, Nx, Ny//2+1, Nz+1) and the mean-zero potential (Nx, Ny//2+1) of
-    the removed gradient, which is dt times the surface pressure of one
+    (2, Nx, 2, Ny//2+1, Nz+1) and the mean-zero potential (Nx, 2, Ny//2+1)
+    of the removed gradient, which is dt times the surface pressure of one
     step.
     """
-    d = grid.ixi_half * vertical_average(grid, v_hat)
+    d = grid.ixi_pair * vertical_average(grid, v_hat)[..., ::-1, :]
     # invert the same discrete div(grad .) symbol that the residual sees,
     # so the projected average is solenoidal to roundoff on every mode
-    phi_hat = (d[0] + d[1]) * grid.inv_lap_half
-    return v_hat - (grid.ixi_half * phi_hat)[..., None], phi_hat
+    phi_hat = (d[0] + d[1]) * grid.inv_lap_half[:, None]
+    return v_hat - (grid.ixi_pair * phi_hat[:, ::-1])[..., None], phi_hat

@@ -4,8 +4,8 @@ For each horizontal mode xi the temperature and its surface trace form one
 stacked unknown (T(z_0), ..., T(z_{Nz-1}), rho) with the identification
 T(z_Nz) = rho, so the trace condition is exact by construction.  That
 stack is field 2, the spectral T, of the step kernel's field-major
-layout (3, Nx, Ny//2+1, Nz+1), whose top level is rho; the velocity
-solve acts on fields 0 and 1.  Rows:
+pair-spectrum layout (3, Nx, 2, Ny//2+1, Nz+1) (`ebpe.grid`), whose top
+level is rho; the velocity solve acts on fields 0 and 1.  Rows:
 
 * bottom: vertical Laplacian with the no-flux condition folded in by
   ghost elimination (second order),
@@ -26,9 +26,10 @@ vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
 diagonalisation method of Lynch, Rice & Thomas).  Each solver makes it
 once; the noise propagator (`ebpe.stochastic`) reads the coupled solver's.
 The implicit inverse is V diag(d) V^-1 with a real (Nx, Ny//2+1, n)
-table d (`implicit_factors`) that `apply_diagonal` multiplies between
-the two real products of an `interleaved_basis` (`to_eigen`,
-`from_eigen`), for one field or for all the step's fields at once.  A
+table d (`implicit_factors`): on the rows (..., n) of real pair spectra,
+`apply_diagonal` is the product with V^-T (`to_eigen`), a multiply by d
+and the product with V^T (`from_eigen`), for one field or all the
+step's fields at once, with the `transposed_bases` (V^-T, V^T).  A
 generator is applied, never tabulated, as the one vertical matrix
 product minus |xi|^2 times the column.  No step applies it: both time
 schemes need only the inverse (`ebpe.timestep`); the tests check it
@@ -36,8 +37,9 @@ against the dense mode operators.
 The spectrum report makes its own decomposition for omega + |xi|^2 - lam.
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
-of the step kernel (`grid.xi2_half`); a full-width spectrum fails in
-numpy broadcasting with a ValueError.  The dense per-mode matrices, the
+of the step kernel (`grid.xi2_half`) and broadcast over the re/im axis
+of a pair spectrum; a full-width spectrum fails in numpy broadcasting
+with a ValueError.  The dense per-mode matrices, the
 physical-space solves that check these tables, and the harmonic
 extension and Dirichlet-to-Neumann symbol of the similarity transform
 live with the tests (`tests/oracles.py`).
@@ -131,51 +133,45 @@ def eigenbasis(vertical: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return lam, V, np.linalg.inv(V)
 
 
-def interleaved_basis(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
-    """V^-1 and V as real (2n, 2n) matrices, stacked, acting on rows of the
-    interleaved (re, im) float64 view of complex columns; the eigen
-    coordinates in between are blocked (re..., im...).  Each basis change
-    is one real matmul over all modes, with no copy of the spectra.  Bases
-    stacked (..., n, n) give (2, ..., 2n, 2n), one per field."""
-    n = V.shape[-1]
-    basis = np.zeros((2,) + V.shape[:-2] + (2 * n, 2 * n))
-    basis[0, ..., 0::2, :n] = basis[0, ..., 1::2, n:] = np.swapaxes(V_inv, -1, -2)
-    basis[1, ..., :n, 0::2] = basis[1, ..., n:, 1::2] = np.swapaxes(V, -1, -2)
-    return basis
+def transposed_bases(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
+    """V^-T and V^T, stacked (2, n, n): the right factors of the two basis
+    changes of pair-spectrum columns, which are rows.  Bases stacked
+    (..., n, n) give (2, ..., n, n), one per field."""
+    return np.swapaxes(np.stack((V_inv, V)), -1, -2).copy()
 
 
 def to_eigen(basis: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """Blocked eigen coordinates V^-1 x, real (..., Nx, Ny//2+1, 2, n), of
-    half-spectrum columns (..., Nx, Ny//2+1, n), for an `interleaved_basis`."""
-    x = np.ascontiguousarray(x_hat, dtype=np.complex128)
-    rows = x.view(np.float64).reshape(x.shape[: basis.ndim - 3] + (-1, basis.shape[-1]))
-    return (rows @ basis[0]).reshape(x.shape[:-1] + (2, x.shape[-1]))
+    """Eigen coordinates V^-1 x, of the shape of x, of pair-spectrum
+    columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`."""
+    x = np.ascontiguousarray(x_hat, dtype=np.float64)
+    rows = x.reshape(x.shape[: basis.ndim - 3] + (-1, x.shape[-1]))  # one product per basis
+    return (rows @ basis[0]).reshape(x.shape)
 
 
 def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
-    """The half-spectrum columns V c (..., Nx, Ny//2+1, n) of blocked eigen
-    coordinates c (`to_eigen`), written into out when it is given."""
-    rows = coords.reshape(coords.shape[: basis.ndim - 3] + (-1, basis.shape[-1]))
-    out = np.empty(coords.shape[:-2] + coords.shape[-1:], complex) if out is None else out
-    np.matmul(rows, basis[1], out=out.view(np.float64).reshape(rows.shape))
+    """The pair-spectrum columns V c of eigen coordinates c (`to_eigen`),
+    written into out (C-contiguous) when it is given."""
+    rows = coords.reshape(coords.shape[: basis.ndim - 3] + (-1, coords.shape[-1]))
+    out = np.empty(coords.shape) if out is None else out
+    np.matmul(rows, basis[1], out=out.reshape(rows.shape))
     return out
 
 
 def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray,
                    out=None) -> np.ndarray:
-    """V (diag * (V^-1 x)) per mode, for the `interleaved_basis` of V, a real
-    (Nx, Ny//2+1, n) diagonal table and half-spectrum columns
-    (..., Nx, Ny//2+1, n), or per field for stacked bases and tables; into
-    out when it is given."""
+    """V (diag * (V^-1 x)) per mode, for the `transposed_bases` of V, a real
+    (Nx, Ny//2+1, n) diagonal table and pair-spectrum columns
+    (..., Nx, 2, Ny//2+1, n), or per field for stacked bases and tables;
+    into out when it is given."""
     coords = to_eigen(basis, x_hat)
-    coords *= diag[..., None, :]
+    coords *= diag[..., None, :, :]  # the same factor for both parts
     return from_eigen(basis, coords, out)
 
 
 def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
-    """(vertical - |xi|^2 I) x per mode, for half-spectrum columns
-    (..., Nx, Ny//2+1, n)."""
-    return x_hat @ vertical.T - grid.xi2_half[..., None] * x_hat
+    """(vertical - |xi|^2 I) x per mode, for pair-spectrum columns
+    (..., Nx, 2, Ny//2+1, n)."""
+    return x_hat @ vertical.T - grid.xi2_half[:, None, :, None] * x_hat
 
 
 def implicit_factors(grid: Grid, lam: np.ndarray, dt: float) -> np.ndarray:
@@ -195,11 +191,11 @@ class CoupledImplicitSolver:
         self.dt = dt
         self.vertical = coupled_vertical_matrix(grid)
         self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
-        self.basis = interleaved_basis(self.V, self.V_inv)
+        self.basis = transposed_bases(self.V, self.V_inv)
         self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
-        """Apply the inverse to a half-spectrum stack (Nx, Ny//2+1, Nz+1)."""
+        """Apply the inverse to a pair-spectrum stack (Nx, 2, Ny//2+1, Nz+1)."""
         return apply_diagonal(self.basis, self.d, stack_hat)
 
     def apply_generator_hat(self, stack_hat: np.ndarray) -> np.ndarray:
@@ -214,11 +210,11 @@ class VelocityImplicitSolver:
         self.dt = dt
         self.vertical = neumann_vertical_matrix(grid)
         self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
-        self.basis = interleaved_basis(self.V, self.V_inv)
+        self.basis = transposed_bases(self.V, self.V_inv)
         self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
-        """Apply to half-spectrum velocity components (..., Nx, Ny//2+1, Nz+1)."""
+        """Apply to pair-spectrum velocity components (..., Nx, 2, Ny//2+1, Nz+1)."""
         return apply_diagonal(self.basis, self.d, v_hat)
 
     def apply_generator_hat(self, v_hat: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ The forcing is separable: apart from that radiation term, it is a sum of
 six fixed spatial fields (`forcing_terms`, in the state's field-major
 layout), each times one time envelope.  `spectral_forcing` transforms
 the fields once per grid, so a forced step adds a six-term contraction
-of half spectra; `forcing` is the physical form that the tests use as
-its oracle.
+of pair spectra (`ebpe.grid`); `forcing` is the physical form that the
+tests use as its oracle.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ class ManufacturedSolution:
         return f_v, f_T, f_rho - radiation(self.surface_temperature(grid, t), self.params(grid))
 
     def spectral_forcing(self, grid: Grid):
-        """The forcing as `Stepper` takes it: a callable (grid, t) -> half
-        spectrum (3, Nx, Ny//2+1, Nz+1) in the state's layout.
+        """The forcing as `Stepper` takes it: a callable (grid, t) -> pair
+        spectrum (3, Nx, 2, Ny//2+1, Nz+1) in the state's layout.
 
         The six `forcing_terms` are transformed once, here; a call
         contracts them with the envelopes at t and subtracts the transform
@@ -211,18 +211,16 @@ class ManufacturedSolution:
         """
         hats = rfft_h(grid, self.forcing_terms(grid))
         shape = hats.shape[1:]
-        half = grid.ny // 2 + 1
-        table = hats.view(np.float64).reshape(len(hats), -1)  # (re, im) interleaved
+        table = hats.reshape(len(hats), -1)
         params = self.params(grid)
         row = replace(params, Q=params.Q[:1])
 
         def forcing_hat(at: Grid, t: float) -> np.ndarray:
             if at != grid:
                 raise ValueError(f"spectral forcing built for {grid}, called with {at}")
-            out = (self._envelopes(t) @ table).view(np.complex128).reshape(shape)
+            out = (self._envelopes(t) @ table).reshape(shape)
             rad = radiation(self.surface_temperature(grid, t)[:1], row)
-            rad_hat = grid.dft_y @ rad[0]  # real parts, then imaginary
-            out[2, 0, :, -1] -= rad_hat[:half] + 1j * rad_hat[half:]
+            out[2, 0, ..., -1] -= (grid.dft_y @ rad[0]).reshape(2, -1)  # re, then im
             return out
 
         return forcing_hat

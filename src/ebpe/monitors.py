@@ -7,15 +7,15 @@ growth rate of the gradient-norm sentinel) are calibration knobs of the
 monitor configuration, not physical constants.
 
 `state_terms` brings a state to everything its ledger record and its
-step read, in the state's field-major layout: the half spectra of
-`State.fields` (one batched forward transform) and, on the grid, the
-derivatives (one real product each with the grid's `diff_x`, `diff_y`
-and `diff_z`) and w, the running integral of the horizontal divergence
-they give.  The driver loop hands these terms to both `measure` and
-the next step, so `measure` makes no transform: field and horizontal
-gradient norms come from the half spectra by Parseval, vertical
-derivative norms and the solenoidal residual from the physical terms,
-and the sup norms from one |T|.  The ledger keeps no w(., 1) residual
+step read, in the state's field-major layout: the pair spectra of
+`State.fields` (one batched forward transform, `ebpe.grid`) and, on the
+grid, the derivatives (one real product each with the grid's `diff_x`,
+`diff_y` and `diff_z`) and w, the running integral of the horizontal
+divergence they give.  The driver loop hands these terms to both
+`measure` and the next step, so `measure` makes no transform: field and
+horizontal gradient norms come from the pair spectra by Parseval,
+vertical derivative norms and the solenoidal residual from the physical
+terms, and the sup norms from one |T|.  The ledger keeps no w(., 1) residual
 (`constraint_check` has it): the trapezoid running integral to z = 1 is
 the trapezoid vertical average, so it equals the solenoidal one to
 roundoff.
@@ -61,7 +61,7 @@ class StateTerms:
     rho is T's top level: its spectrum and derivatives are read there.
     """
 
-    U: np.ndarray   # half spectra of state.fields (3, Nx, Ny//2+1, Nz+1)
+    U: np.ndarray   # pair spectra of state.fields (3, Nx, 2, Ny//2+1, Nz+1)
     dx: np.ndarray  # d/dx of v[0], v[1], T (3, Nx, Ny, Nz+1)
     dy: np.ndarray  # d/dy, the same shape
     w: np.ndarray   # w (Nx, Ny, Nz+1)
@@ -137,7 +137,7 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     w = grid.trapz_w
     # Parseval: per level of (v[0], v[1], T), the squared L2 norm over the
     # section (row 0) and that of the horizontal gradient (row 1)
-    power = terms.U.real**2 + terms.U.imag**2
+    power = (terms.U**2).sum(axis=-3)
     norms = np.einsum("sxy,cxyk->sck", grid.norm_weights_half, power)
     volume = norms @ w
     # squared L2 norms of d/dz of (v[0], v[1], T)

@@ -5,15 +5,15 @@ and a direct semi-implicit Euler-Maruyama driver used as the brute-force
 cross-check.
 
 Both drivers are the deterministic step (`Stepper.step`) of the full
-state plus a kick on the half-spectrum coupled stack, which they hand the
+state plus a kick on the pair-spectrum coupled stack, which they hand the
 shared driver loop (`timestep.integrate`), so they honour the monitor
 settings and reduce to the deterministic run at sigma = 0.  They check
 the scheme, the transport and a given bundle, and `timestep.start_run` a
 given initial state, before the Stepper is built or a bundle drawn, so a
 rejected run costs no set-up.  The direct driver's kick is the increment
-q dW on the surface row.  The split driver carries
-the convolution Z as a half spectrum in the coupled solver's eigen
-coordinates zeta = V^-1 Z; with R = V diag(d) V^-1 the coupled solve,
+q dW on the surface row.  The split driver carries the convolution Z as
+a pair spectrum (`ebpe.grid`) in the coupled solver's eigen coordinates
+zeta = V^-1 Z; with R = V diag(d) V^-1 the coupled solve,
 its kick Z_{n+1} - R Z_n = V (zeta_{n+1} - d zeta_n) makes the step
 advance the remainder full - Z by the deterministic step with the
 tendencies taken at the full state, so the remainder is never formed.
@@ -25,7 +25,7 @@ surface-temperature row only.  The decay exponent must be at least 2 so
 the noise carries one horizontal derivative uniformly in resolution.
 The noise field is real, so the increments, the amplitudes and the
 propagator tables are all held over the (Nx, Ny//2+1) half spectrum of
-the step kernel.
+the step kernel; only the increments are complex, until a kick.
 
 Every run is a pure function of (config, seed): increments for all steps
 are drawn up front in one reproducible bundle, indexed by the absolute
@@ -154,13 +154,13 @@ class ConvolutionPropagator:
         self.basis = coupled.basis
         x = dt * (coupled.lam - coupled.grid.xi2_half[..., None])
         phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        self.decay = np.exp(x)[..., None, :]
-        self.phi1_rho = (phi1 * coupled.V_inv[:, -1])[..., None, :]
+        self.decay = np.exp(x)[:, None]  # (Nx, 1, Ny//2+1, n): both parts
+        self.phi1_rho = (phi1 * coupled.V_inv[:, -1])[:, None]
 
     def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """One step of the blocked eigen coordinates (Nx, Ny//2+1, 2, Nz+1)
-        of a half-spectrum stack; dW and q are (Nx, Ny//2+1)."""
-        noise = (q * dW).view(np.float64).reshape(q.shape + (2, 1))
+        """One step of the eigen coordinates (Nx, 2, Ny//2+1, Nz+1) of a
+        pair-spectrum stack; dW (complex) and q are (Nx, Ny//2+1)."""
+        noise = np.stack((q * dW.real, q * dW.imag), axis=1)[..., None]  # q dW's pairs
         return self.decay * zeta + self.phi1_rho * noise
 
 
@@ -214,8 +214,8 @@ def run_split_stochastic(
         )
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
-    zeta = np.zeros(q.shape + (2, stepper.grid.nlev))
-    d = stepper.coupled.d[..., None, :]
+    zeta = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
+    d = stepper.coupled.d[:, None]
 
     def kick(state: State) -> np.ndarray:
         nonlocal zeta
@@ -245,8 +245,9 @@ def run_direct_em(
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
 
     def kick(state: State) -> np.ndarray:
-        kick_hat = np.zeros(q.shape + (stepper.grid.nlev,), dtype=complex)
-        kick_hat[..., -1] = q * bundle.increments[state.step]
+        kick_hat = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
+        dW = bundle.increments[state.step]
+        kick_hat[..., -1] = np.stack((q * dW.real, q * dW.imag), axis=1)
         return kick_hat
 
     return integrate(cfg, stepper, state, kick)

@@ -14,8 +14,9 @@ One step of the contract scheme (first-order IMEX Euler), `Stepper.step`:
 The state is physical between steps, one field-major array
 `State.fields` (3, Nx, Ny, Nz+1) of v[0], v[1] and T (rho is T's top
 level), and every array of the kernel has that layout.  Inside a step
-everything is done on half spectra (`ebpe.grid.rfft_h`) with three
-batched transforms: the state forward, the quadratic products forward
+everything is done on half spectra, held as real pair spectra
+(3, Nx, 2, Ny//2+1, Nz+1) (`ebpe.grid.rfft_h`), with three batched
+transforms: the state forward, the quadratic products forward
 over the 2/3-rule modes only (`grid.neg_dealiased_rfft_h`, which also
 gives them the tendencies' minus sign), and the new (v, T) back, into
 the new state's own storage; the radiation plane takes a 2-D transform
@@ -28,7 +29,7 @@ The transforms are dense DFT matrix products on BLAS with the grid's
 tables, so no step calls numpy's FFT; they are deterministic and
 independent of the memory layout of their operands, so the step stays
 a pure function of the physical state.  Step 1 is `nonlinear_tendencies`
-plus an optional half-spectrum forcing (`Stepper`); its physical-space
+plus an optional pair-spectrum forcing (`Stepper`); its physical-space
 reference lives only with the tests (`tests/oracles.py`).
 
 A Crank-Nicolson / Adams-Bashforth-2 variant sits behind scheme="cnab2".
@@ -48,8 +49,8 @@ then builds the run's grid, parameters, `Stepper` and first state.
 monitors, diagnostics rows, blow-up handling) over that Stepper.  The
 deterministic driver here and the stochastic drivers in `ebpe.stochastic`
 run the same step; a stochastic driver only hands `integrate` a kick, a
-spectral increment added to the coupled (T, rho) solution before the last
-inverse transform.
+pair-spectrum increment added to the coupled (T, rho) solution before
+the last inverse transform.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def initial_state(
 
 def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
                          terms: monitors.StateTerms | None = None) -> np.ndarray:
-    """Dealiased explicit tendencies at `state` as half spectra
-    (3, Nx, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T);
+    """Dealiased explicit tendencies at `state` as pair spectra
+    (3, Nx, 2, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T);
     the top level of F_T, rho's, is the surface tendency.
 
     F_v: advection plus the baroclinic gradient of the running temperature
@@ -222,8 +223,8 @@ class Stepper:
     coupled and one velocity solver at theta * dt, theta = 1 for
     imex_euler and 1/2 for cnab2 (see the module docstring).
 
-    forcing, when given, is a callable (grid, t) -> half spectrum
-    (3, Nx, Ny//2+1, Nz+1) in the state's layout, added to the
+    forcing, when given, is a callable (grid, t) -> pair spectrum
+    (3, Nx, 2, Ny//2+1, Nz+1) in the state's layout, added to the
     dealiased explicit tendencies at each step's start time t; the
     manufactured-solution runs pass `ManufacturedSolution.spectral_forcing
     (grid)`.  It is first called by the first step, never here; a return
@@ -257,10 +258,10 @@ class Stepper:
         self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
         # the implicit stage's tables, one per solved field, and its buffer
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
-        self._basis = linops.interleaved_basis(np.stack([s.V for s in solvers]),
-                                               np.stack([s.V_inv for s in solvers]))
+        self._basis = linops.transposed_bases(np.stack([s.V for s in solvers]),
+                                              np.stack([s.V_inv for s in solvers]))
         self._d = np.stack([s.d for s in solvers])
-        self._out = np.empty(self._d.shape, dtype=complex)
+        self._out = np.empty(self._d.shape[:2] + (2,) + self._d.shape[2:])
         self._history: tuple[int, np.ndarray] | None = None
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
@@ -274,7 +275,7 @@ class Stepper:
             if shape != F.shape:
                 raise ValueError(
                     f"forcing returned {type(forcing_hat).__name__} of shape {shape}; "
-                    f"the Stepper takes a spectral_forcing half spectrum of shape {F.shape}")
+                    f"the Stepper takes a spectral_forcing pair spectrum of shape {F.shape}")
             F += forcing_hat
         return F
 
@@ -286,11 +287,11 @@ class Stepper:
     ) -> State:
         """Advance `state` by one step.
 
-        kick_hat, a half-spectrum coupled stack (Nx, Ny//2+1, Nz+1), is
+        kick_hat, a pair-spectrum coupled stack (Nx, 2, Ny//2+1, Nz+1), is
         added to the spectral coupled solution before the inverse
         transform: the noise increment of the stochastic drivers (IMEX
         Euler only).  terms, when given, is monitors.state_terms(grid,
-        state), shared with the ledger: the state's half spectra and its
+        state), shared with the ledger: the state's pair spectra and its
         derivatives and w on the grid, so the step itself makes the
         products forward and the new state back.  Otherwise the step
         computes it.
@@ -454,7 +455,7 @@ def run_deterministic(
     `integrate`): no kick.
 
     forcing, when given, is the `Stepper` forcing: a callable (grid, t) ->
-    half spectrum in the state's layout, such as
+    pair spectrum in the state's layout, such as
     `ManufacturedSolution.spectral_forcing(grid)`.
 
     A run resumed from a snapshot state whose step is set continues the

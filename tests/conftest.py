@@ -5,7 +5,7 @@ from ebpe import baroclinic_grad, make_grid, project_barotropic
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import diagnose_w
 
-from oracles import deriv_x, deriv_y
+from oracles import as_complex, as_pairs, deriv_x, deriv_y
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def solve_one_mode(solver, i, j, rhs):
         i, j = -i % grid.nx, grid.ny - j
     stack = np.zeros((grid.nx, grid.ny // 2 + 1, rhs.size), dtype=complex)
     stack[i, j] = rhs
-    return solver.solve_hat(stack)[i, j]
+    return as_complex(solver.solve_hat(as_pairs(stack)))[i, j]
 
 
 def smooth_field_2d(grid, rng, decay=2.0):
@@ -75,8 +75,10 @@ def baroclinic_grad_physical(grid, T):
 
 def project_barotropic_physical(grid, v):
     """(projected v, removed gradient (2, Nx, Ny)) of a physical velocity."""
-    v_hat, phi_hat = project_barotropic(grid, _pair_hat(grid, v))
-    grad = _pair_physical(grid, [deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)])
+    v_hat, phi = project_barotropic(grid, _pair_hat(grid, v))
+    phi_hat = as_complex(phi)
+    grad = _pair_physical(grid, [as_pairs(deriv_x(grid, phi_hat)),
+                                 as_pairs(deriv_y(grid, phi_hat))])
     return _pair_physical(grid, v_hat), grad
 
 

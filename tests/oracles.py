@@ -9,9 +9,12 @@ reference path lives only here: `physical_tendencies`, the reference of
 `timestep.nonlinear_tendencies`, with the derivatives it is spelled
 with, `deriv_x`/`deriv_y` on either spectral width and the quotient
 form `deriv_z`, whose matrix `grid.diff_z` is bit for bit.  The
-hydrostatic operators are spelled with `deriv_x`/`deriv_y`, the forms
-that the package's symbol tables (`grid.ixi_half`, `grid.inv_lap_half`)
-must reproduce bit for bit.  The Dirichlet
+hydrostatic operators are spelled with `deriv_x`/`deriv_y` on complex
+spectra, the forms that the package's symbol tables (`grid.ixi_pair`,
+`grid.inv_lap_half`) must reproduce bit for bit.  The package holds
+half spectra as real pair spectra (`ebpe.grid`); `as_pairs` and
+`as_complex` convert between them and complex arrays, so a test
+converts only at its boundary.  The Dirichlet
 extension and the Dirichlet-to-Neumann map apply a half-spectrum column,
 diagonal in the eigenbasis of the Dirichlet block, to physical data; the
 ledger checks run the driver loop's per-step checks over a whole ledger.
@@ -20,8 +23,7 @@ matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
 `cumulative_integral_accumulate` is the running trapezoid integral as a
 running sum of its increments, the reference of the kernel's product
-with `grid.running_trapz`, and `interleaved_basis_kron` the Kronecker
-form of the real basis-change matrices of `linops.interleaved_basis`.
+with `grid.running_trapz`.
 """
 
 from dataclasses import dataclass
@@ -38,6 +40,29 @@ from ebpe.linops import (
     neumann_vertical_matrix,
 )
 from ebpe.monitors import energy_step_check, h1_step_check
+
+
+def as_pairs(c: np.ndarray, plane: bool | None = None) -> np.ndarray:
+    """The pair spectrum (..., Nx, 2, W, K) of complex spectra
+    (..., Nx, W, K), or (..., Nx, 2, W) of planes (..., Nx, W); plane
+    defaults to c.ndim == 2, as for the transforms.  The values are copied
+    bit for bit."""
+    c = np.asarray(c, dtype=complex)
+    plane = c.ndim == 2 if plane is None else plane
+    return np.stack((c.real, c.imag), axis=-2 if plane else -3)
+
+
+def as_complex(p: np.ndarray, plane: bool | None = None) -> np.ndarray:
+    """The complex spectra of a pair spectrum (`as_pairs`); plane defaults
+    to p.ndim == 3."""
+    plane = p.ndim == 3 if plane is None else plane
+    re, im = np.moveaxis(p, -2 if plane else -3, 0)
+    return re + 1j * im
+
+
+def _cumulative_integral(grid, c: np.ndarray) -> np.ndarray:
+    """`hydrostatic.cumulative_integral` of complex spectra, on their pairs."""
+    return as_complex(cumulative_integral(grid, as_pairs(c)))
 
 
 def _match_columns(grid, full: np.ndarray, half: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -93,14 +118,14 @@ def physical_tendencies(grid, state, params) -> tuple[np.ndarray, np.ndarray, np
     v, T, rho = state.v, state.T, state.rho
     v_hat0 = to_spectral(grid, v[0])
     v_hat1 = to_spectral(grid, v[1])
-    w = to_physical(grid, -cumulative_integral(
-        grid, deriv_x(grid, v_hat0) + deriv_y(grid, v_hat1)))
+    w = -cumulative_integral(grid, to_physical(grid, deriv_x(grid, v_hat0)
+                                               + deriv_y(grid, v_hat1)))
 
     dxv = (to_physical(grid, deriv_x(grid, v_hat0)), to_physical(grid, deriv_x(grid, v_hat1)))
     dyv = (to_physical(grid, deriv_y(grid, v_hat0)), to_physical(grid, deriv_y(grid, v_hat1)))
     dzv = (deriv_z(grid, v[0]), deriv_z(grid, v[1]))
 
-    c = cumulative_integral(grid, to_spectral(grid, T))
+    c = to_spectral(grid, cumulative_integral(grid, T))
     F_v = np.stack((to_physical(grid, deriv_x(grid, c)), to_physical(grid, deriv_y(grid, c))))
     for comp in range(2):
         adv = v[0] * dxv[comp] + v[1] * dyv[comp] + w * dzv[comp]
@@ -182,16 +207,6 @@ def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarra
     return hat * np.sqrt(grid.nx * grid.ny)
 
 
-def interleaved_basis_kron(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
-    """`linops.interleaved_basis` of one basis spelled with Kronecker
-    products: (V^-1)^T and V^T times the 2 x 2 identity act on interleaved
-    (re, im) pairs, and a column or row permutation blocks the coordinates."""
-    n = V.shape[0]
-    blocked = np.arange(2 * n).reshape(n, 2).T.ravel()
-    eye = np.eye(2)
-    return np.stack((np.kron(V_inv.T, eye)[:, blocked], np.kron(V.T, eye)[blocked]))
-
-
 def assemble_mode_operator(xi: tuple[float, float], grid) -> np.ndarray:
     """Dense coupled generator at one mode: vertical part minus |xi|^2 * I."""
     xi2 = xi[0] ** 2 + xi[1] ** 2
@@ -251,21 +266,22 @@ def crank_nicolson_stage(grid, fields, tendencies, dt: float):
 
 def diagnose_w(grid, v_hat: np.ndarray) -> np.ndarray:
     """`hydrostatic.diagnose_w` through deriv_x/deriv_y, for full or half
-    spectra."""
-    return -cumulative_integral(grid, deriv_x(grid, v_hat[0]) + deriv_y(grid, v_hat[1]))
+    complex spectra."""
+    return -_cumulative_integral(grid, deriv_x(grid, v_hat[0]) + deriv_y(grid, v_hat[1]))
 
 
 def baroclinic_grad(grid, T_hat: np.ndarray) -> np.ndarray:
     """`hydrostatic.baroclinic_grad` through deriv_x/deriv_y, for full or
-    half spectra."""
-    c = cumulative_integral(grid, T_hat)
+    half complex spectra."""
+    c = _cumulative_integral(grid, T_hat)
     return np.stack((deriv_x(grid, c), deriv_y(grid, c)))
 
 
 def project_barotropic(grid, v_hat: np.ndarray):
     """`hydrostatic.project_barotropic` through deriv_x/deriv_y and a
-    guarded division by the discrete div(grad .) symbol; half spectra."""
-    vbar = vertical_average(grid, v_hat)
+    guarded division by the discrete div(grad .) symbol; complex half
+    spectra, averaged over z on their pairs."""
+    vbar = as_complex(vertical_average(grid, as_pairs(v_hat)), plane=True)
     div_hat = deriv_x(grid, vbar[0]) + deriv_y(grid, vbar[1])
     xi2 = grid.xi2_deriv_half
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,12 +325,12 @@ def dtn_symbols(grid) -> np.ndarray:
 def dirichlet_map(grid, phi: np.ndarray) -> np.ndarray:
     """Extension of surface data phi: vertical diffusion balance with no
     flux through the bottom and phi on the surface."""
-    return irfft_h(grid, dirichlet_inverse_column(grid) * rfft_h(grid, phi)[:, :, None])
+    return irfft_h(grid, dirichlet_inverse_column(grid)[:, None] * rfft_h(grid, phi)[..., None])
 
 
 def dtn_apply(grid, phi: np.ndarray) -> np.ndarray:
     """Normal derivative at the surface of the Dirichlet extension of phi."""
-    return irfft_h(grid, dtn_symbols(grid) * rfft_h(grid, phi))
+    return irfft_h(grid, dtn_symbols(grid)[:, None] * rfft_h(grid, phi))
 
 
 def similarity_split(grid, T: np.ndarray, rho: np.ndarray):

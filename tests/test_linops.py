@@ -15,19 +15,20 @@ from ebpe.linops import (
     VelocityImplicitSolver,
     coupled_vertical_matrix,
     eigenbasis,
-    interleaved_basis,
     neumann_vertical_matrix,
     retained_modes,
+    transposed_bases,
 )
 
 from conftest import smooth_field_2d, solve_one_mode
 from oracles import (
+    as_complex,
+    as_pairs,
     assemble_mode_operator,
     dirichlet_inverse_column,
     dirichlet_map,
     dtn_apply,
     dtn_symbols,
-    interleaved_basis_kron,
     similarity_split,
     similarity_unsplit,
 )
@@ -267,8 +268,8 @@ class TestCoupledSolve:
     def test_linearity(self, grid8):
         rng = np.random.default_rng(10)
         solver = CoupledImplicitSolver(grid8, 0.05)
-        x = rng.standard_normal((8, 5, grid8.nlev)) + 0j
-        y = rng.standard_normal((8, 5, grid8.nlev)) + 0j
+        x = as_pairs(rng.standard_normal((8, 5, grid8.nlev)) + 0j)
+        y = as_pairs(rng.standard_normal((8, 5, grid8.nlev)) + 0j)
         combined = solver.solve_hat(2.0 * x - 0.5 * y)
         separate = 2.0 * solver.solve_hat(x) - 0.5 * solver.solve_hat(y)
         assert np.max(np.abs(combined - separate)) <= 1e-13 * np.max(np.abs(separate))
@@ -340,9 +341,9 @@ class TestPerModeTables:
         solver = CoupledImplicitSolver(grid, 1e-2)
         if not half:
             with pytest.raises(ValueError):
-                solver.apply_generator_hat(x)
+                solver.apply_generator_hat(as_pairs(x))
             return
-        ours = solver.apply_generator_hat(x)
+        ours = as_complex(solver.apply_generator_hat(as_pairs(x)))
         oracle = np.empty_like(x)
         for i, j, xi in _mode_xi(grid, width):
             oracle[i, j] = assemble_mode_operator(xi, grid) @ x[i, j]
@@ -359,9 +360,9 @@ class TestPerModeTables:
         solver = VelocityImplicitSolver(grid, 1e-2)
         if not half:
             with pytest.raises(ValueError):
-                solver.apply_generator_hat(x)
+                solver.apply_generator_hat(as_pairs(x))
             return
-        ours = solver.apply_generator_hat(x)
+        ours = as_complex(solver.apply_generator_hat(as_pairs(x)))
         base, eye = neumann_vertical_matrix(grid), np.eye(grid.nlev)
         oracle = np.empty_like(x)
         for i, j, _ in _mode_xi(grid, width):
@@ -382,11 +383,11 @@ class TestPerModeTables:
         if not half:
             for solver in solvers:
                 with pytest.raises(ValueError):
-                    solver.solve_hat(x)
+                    solver.solve_hat(as_pairs(x))
                 with pytest.raises(ValueError):
-                    solver.solve_hat(x[None])  # a velocity pair
+                    solver.solve_hat(as_pairs(x[None]))  # a velocity pair
             return
-        coupled, velocity = (solver.solve_hat(x) for solver in solvers)
+        coupled, velocity = (as_complex(solver.solve_hat(as_pairs(x))) for solver in solvers)
         base = neumann_vertical_matrix(grid)
         for i, j, xi in _mode_xi(grid, width):
             M = assemble_mode_operator(xi, grid)
@@ -452,27 +453,26 @@ class TestEigenbasis:
         b = np.random.default_rng(3).standard_normal(grid.nlev)
         rhs = np.zeros((grid.nx, grid.ny // 2 + 1, grid.nlev), dtype=complex)
         rhs[0, 0] = b
-        x = solver.solve_hat(rhs)[0, 0]
+        x = as_complex(solver.solve_hat(as_pairs(rhs)))[0, 0]
         with mpmath.workdps(40):
             exact = mpmath.lu_solve(mpmath.matrix(np.eye(grid.nlev) - solver.vertical),
                                     mpmath.matrix(b))
             exact = np.array([float(value) for value in exact])
         assert np.max(np.abs(x - exact)) <= 1e-14 * np.max(np.abs(exact))
 
-    @pytest.mark.parametrize("nz", [4, 8, 16, 64, 128])
-    def test_interleaved_basis_equals_kron_form(self, nz):
-        grid = make_grid(4, 4, nz)
+    def test_transposed_bases_stack_one_pair_per_field(self):
+        # the step's implicit stage stacks (velocity, velocity, coupled)
+        grid = make_grid(4, 4, 8)
         bases = [eigenbasis(matrix(grid))[1:]
                  for matrix in (neumann_vertical_matrix, coupled_vertical_matrix)]
-        for V, V_inv in bases:
-            assert np.array_equal(interleaved_basis(V, V_inv), interleaved_basis_kron(V, V_inv))
-        # a stack of bases, as the step's implicit stage builds it
         fields = [bases[0], bases[0], bases[1]]
-        stacked = interleaved_basis(np.stack([V for V, _ in fields]),
-                                    np.stack([V_inv for _, V_inv in fields]))
-        assert stacked.shape == (2, 3, 2 * grid.nlev, 2 * grid.nlev)
+        stacked = transposed_bases(np.stack([V for V, _ in fields]),
+                                   np.stack([V_inv for _, V_inv in fields]))
+        assert stacked.shape == (2, 3, grid.nlev, grid.nlev) and stacked.flags.c_contiguous
         for k, (V, V_inv) in enumerate(fields):
-            assert np.array_equal(stacked[:, k], interleaved_basis_kron(V, V_inv))
+            assert np.array_equal(stacked[0, k], V_inv.T)
+            assert np.array_equal(stacked[1, k], V.T)
+            assert np.array_equal(transposed_bases(V, V_inv), stacked[:, k])
 
     def test_complex_spectrum_rejected(self):
         with pytest.raises(SolveError):

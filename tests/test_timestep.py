@@ -35,7 +35,7 @@ from ebpe.timestep import (
 )
 
 from conftest import record_w_top, rough_state
-from oracles import (crank_nicolson_stage, physical_tendencies, solve_coupled_implicit,
+from oracles import (as_pairs, crank_nicolson_stage, physical_tendencies, solve_coupled_implicit,
                      solve_velocity_implicit)
 
 
@@ -305,7 +305,8 @@ class TestImplicitStage:
         if kick:
             rng = np.random.default_rng(n)
             shape = (grid.nx, grid.ny // 2 + 1, grid.nlev)
-            kick_hat = 1e-2 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            kick_hat = as_pairs(1e-2 * (rng.standard_normal(shape)
+                                        + 1j * rng.standard_normal(shape)))
         stepper = Stepper(grid, params, 2e-3, scheme=scheme, freeze_velocity=freeze)
         want = two_solve_step(stepper, state, kick_hat)
         got = stepper.step(state, kick_hat=kick_hat).fields
@@ -326,6 +327,54 @@ class TestImplicitStage:
         assert not np.shares_memory(first.fields, second.fields)
         assert np.array_equal(first.fields, kept[0])
         assert np.array_equal(second.fields, kept[1])
+
+
+@pytest.mark.parametrize("driver", ["imex_euler", "cnab2", "split", "direct_em"])
+def test_every_spectral_array_of_a_step_is_a_pair_spectrum(driver, monkeypatch):
+    # the state's spectra U, the tendencies F, the stage's buffer _out, the
+    # kicks of both noise drivers and the forcing: float64 with the re/im
+    # axis before ky, (..., Nx, 2, Ny//2+1, Nz+1)
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=2e-3, transport="vertical_average",
+                    scheme="cnab2" if driver == "cnab2" else "imex_euler",
+                    noise_sigma=0.1 if driver in ("split", "direct_em") else 0.0,
+                    ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
+    seen = {}
+    step, tendencies = Stepper.step, Stepper.tendencies
+
+    def recording_step(self, state, kick_hat=None, terms=None):
+        new = step(self, state, kick_hat=kick_hat, terms=terms)
+        seen.setdefault("U", []).append(terms.U)
+        seen.setdefault("_out", []).append(self._out)
+        if kick_hat is not None:
+            seen.setdefault("kick", []).append(kick_hat)
+        return new
+
+    def recording_tendencies(self, state, terms=None):
+        seen.setdefault("F", []).append(tendencies(self, state, terms))
+        return seen["F"][-1]
+
+    monkeypatch.setattr(Stepper, "step", recording_step)
+    monkeypatch.setattr(Stepper, "tendencies", recording_tendencies)
+    if driver in ("split", "direct_em"):
+        run = {"split": stochastic.run_split_stochastic, "direct_em": stochastic.run_direct_em}
+        run[driver](cfg)
+    elif driver == "cnab2":
+        forcing_hat = ManufacturedSolution().spectral_forcing(make_grid(8, 8, 8))
+
+        def forcing(grid, t):
+            seen.setdefault("forcing", []).append(forcing_hat(grid, t))
+            return seen["forcing"][-1]
+
+        run_deterministic(cfg, forcing=forcing)
+    else:
+        run_deterministic(cfg)
+    want = {"U", "F", "_out"} | {"split": {"kick"}, "direct_em": {"kick"},
+                                  "cnab2": {"forcing"}}.get(driver, set())
+    assert set(seen) == want
+    for name, arrays in seen.items():
+        assert len(arrays) == 2, name
+        for a in arrays:
+            assert a.dtype == np.float64 and a.shape[-4:] == (8, 2, 5, 9), name
 
 
 class TestBlowUpMessages:
@@ -552,7 +601,7 @@ class TestCnab2:
 
     def test_rejects_kick(self, grid8):
         c = Stepper(grid8, quiet_params(grid8), dt=1e-3, scheme="cnab2")
-        kick = np.zeros((8, 5, grid8.nlev), dtype=complex)
+        kick = np.zeros((8, 2, 5, grid8.nlev))
         with pytest.raises(ValueError, match="kick_hat"):
             c.step(initial_state(grid8, "zero"), kick_hat=kick)
 
@@ -608,7 +657,7 @@ class TestSharedStateTerms:
         grid, stepper, state = self.make(n)
         rng = np.random.default_rng(n)
         shape = (grid.nx, grid.ny // 2 + 1, grid.nlev)
-        kick = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        kick = as_pairs(1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
         assert_states_equal(
             stepper.step(state, kick_hat=kick, terms=state_terms(grid, state)),
             stepper.step(state, kick_hat=kick))
@@ -650,6 +699,7 @@ class TestSharedStateTerms:
             if driver == "direct_em":
                 kick = np.zeros(q.shape + (grid.nlev,), dtype=complex)
                 kick[..., -1] = q * bundle.increments[state.step]
+                kick = as_pairs(kick)
             state = stepper.step(state, kick_hat=kick)
             records.append(measure(grid, state))
         assert_states_equal(res.final_state, state)
@@ -692,8 +742,13 @@ TRANSFORM_DIRECTION = {
 
 def planes(fields):
     """The number of 2-D planes in a transform's operand: (Nx, Ny) or
-    (..., Nx, Ny, K), half spectra alike."""
-    return fields.size // math.prod(fields.shape[-3:-1]) if fields.ndim > 2 else 1
+    (..., Nx, Ny, K), and pair spectra (Nx, 2, Ny//2+1) or
+    (..., Nx, 2, Ny//2+1, K), whose re/im axis, of length 2 where a
+    physical operand has Nx or Ny >= 4, holds the two parts of one plane."""
+    if fields.ndim == 2 or (fields.ndim == 3 and fields.shape[-2] == 2):
+        return 1
+    plane = fields.shape[-4:-1] if fields.shape[-3] == 2 else fields.shape[-3:-1]
+    return fields.size // math.prod(plane)
 
 
 def count_transforms(monkeypatch, weight):

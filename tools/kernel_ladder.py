@@ -10,7 +10,9 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
   a given state is a pure function of it); `tendencies_ms` times
   `Stepper.tendencies` given the state's terms;
 - `minor_faults_per_step`: `getrusage` minor page faults per step of a
-  driver-like loop (state terms, measure, step, the state evolving).
+  driver-like loop (state terms, measure, step, the state evolving),
+  printed beside the times as the median over the workers; a report of
+  allocation churn, not a gate.
 
 Every figure keeps, beside its pooled min and median, each worker's own
 minimum (`worker_min`, one per round) and their median
@@ -180,10 +182,12 @@ def main(argv=None) -> int:
         row = "  ".join(f"{name}: step {f['step_ms']['min']:.3f} "
                         f"({f['step_ms']['median_worker_min']:.3f}) ms, tendencies "
                         f"{f['tendencies_ms']['min']:.3f} "
-                        f"({f['tendencies_ms']['median_worker_min']:.3f}) ms"
+                        f"({f['tendencies_ms']['median_worker_min']:.3f}) ms, "
+                        f"faults/step {f['minor_faults_per_step']['median_worker_min']:.1f}"
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
-    print("(pooled min, and in brackets the median of the per-worker minima)")
+    print("(pooled min, and in brackets the median of the per-worker minima; "
+          "faults: the median over workers)")
     print("src lines  " + "  ".join(f"{name}: {n}" for name, n in result["src_lines"].items()))
     print(f"wrote {path}")
     return 0

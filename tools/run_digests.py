@@ -24,8 +24,11 @@ exception instead.  It calls only long-standing entry points
     diff parent.txt change.txt
 
 Where the digests differ, ``--save FILE.npz`` also stores each run's final
-fields and ``z_rho_final``, and ``--compare A.npz B.npz`` prints, per run,
-the max|B - A| of each array that both files hold (it runs nothing):
+fields, ``z_rho_final`` and every column of its ledger (one array per
+`LedgerRecord` field over the records), and ``--compare A.npz B.npz``
+prints, per run, the max|B - A| of the fields and ``z_rho_final`` and,
+per ledger column, the max relative |B - A|, max|B - A| / max|A| over the
+records, of each array that both files hold (it runs nothing):
 
     PYTHONPATH=../parent/src python tools/run_digests.py --save parent.npz
     PYTHONPATH=src python tools/run_digests.py --save change.npz
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ebpe import cli, diagnostics, stochastic, timestep
+from ebpe import cli, diagnostics, monitors, stochastic, timestep
 from ebpe.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -92,13 +95,18 @@ def _digest(result) -> list[str]:
 
 
 def _compare(path_a: str, path_b: str) -> int:
-    """Print max|b - a| for every array of the two saved sets."""
+    """Print max|b - a| for every array of the two saved sets, relative to
+    max|a| for a ledger column."""
     with np.load(path_a) as a, np.load(path_b) as b:
         for key in sorted(set(a.files) | set(b.files)):
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {path_a if key in a.files else path_b}")
             elif a[key].shape != b[key].shape:
                 print(f"{key}: shape {a[key].shape} against {b[key].shape}")
+            elif ": ledger " in key:
+                d = np.max(np.abs(b[key] - a[key]), initial=0.0)
+                scale = np.max(np.abs(a[key]), initial=0.0)
+                print(f"{key}: max rel|d| = {d / scale if scale > 0.0 else d:.3e}")
             else:
                 print(f"{key}: max|d| = {np.max(np.abs(b[key] - a[key]), initial=0.0):.3e}")
     return 0
@@ -107,9 +115,10 @@ def _compare(path_a: str, path_b: str) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--save", metavar="FILE.npz",
-                   help="also store each run's final fields and z_rho_final")
+                   help="also store each run's final fields, z_rho_final and ledger columns")
     p.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
-                   help="print max|B - A| per saved array and run nothing")
+                   help="print max|B - A| per saved array (relative for the ledger) "
+                        "and run nothing")
     args = p.parse_args(argv)
     if args.compare:
         return _compare(*args.compare)
@@ -125,6 +134,9 @@ def main(argv=None) -> int:
             saved[f"{label}: fields"] = result.final_state.fields
             if result.z_rho_final is not None:
                 saved[f"{label}: z_rho"] = result.z_rho_final
+            for column in dataclasses.fields(monitors.LedgerRecord):
+                saved[f"{label}: ledger {column.name}"] = np.array(
+                    [getattr(record, column.name) for record in result.ledger], dtype=float)
         print("\n".join(lines), flush=True)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
