@@ -94,11 +94,12 @@ class Grid:
         (row 1) is d/dx (d/dy), Nyquist zeroed.
     inv_lap_half : (Nx, Ny//2+1) inverse -1 / xi2_deriv_half of the discrete
         div(grad .) symbol, 0 where that symbol vanishes.
-    norm_weights_half : (2, Nx, Ny//2+1) Parseval weights that contract
-        the power of a half spectrum into the squared L2 norm over the unit
-        section (row 0) and that of the horizontal gradient (row 1, times
-        xi2_deriv_half).  Row 0 is 1 on the ky = 0 and ky = Ny/2 columns,
-        which have no conjugate partner in the half spectrum, 2 elsewhere.
+    norm_weights_pair : (2, Nx*2*(Ny//2+1)) Parseval weights in pair layout,
+        one weight for both parts of a mode, that contract a squared pair
+        spectrum, as rows (Nx*2*(Ny//2+1), K), into the squared L2 norm over
+        the unit section (row 0) and that of the horizontal gradient (row 1,
+        times xi2_deriv_half).  Row 0 is 1 on the ky = 0 and ky = Ny/2
+        columns, which have no conjugate partner in the half spectrum, 2 elsewhere.
     dft_y : (2(Ny//2+1), Ny) forward y pass of rfft_h: the rows
         cos(2 pi ky j / Ny) / Ny for ky = 0 .. Ny/2, then the rows
         -sin(2 pi ky j / Ny) / Ny, so its product with a real line gives the
@@ -185,8 +186,8 @@ class Grid:
                                      where=xi2_half > 0.0))
         weights = np.full((self.nx, half), 2.0)
         weights[:, 0] = weights[:, -1] = 1.0
-        object.__setattr__(self, "norm_weights_half",
-                           np.stack((weights, weights * self.xi2_deriv_half)))
+        norm = np.stack((weights, weights * self.xi2_deriv_half))[:, :, None]
+        object.__setattr__(self, "norm_weights_pair", np.repeat(norm, 2, axis=2).reshape(2, -1))
 
         xs = np.arange(self.nx) / self.nx
         ys = np.arange(self.ny) / self.ny

@@ -12,10 +12,13 @@ step read, in the state's field-major layout: the pair spectra of
 grid, the derivatives (one real product each with the grid's `diff_x`,
 `diff_y` and `diff_z`) and w, the running integral of the horizontal
 divergence they give.  The driver loop hands these terms to both
-`measure` and the next step, so `measure` makes no transform: field and
-horizontal gradient norms come from the pair spectra by Parseval,
-vertical derivative norms and the solenoidal residual from the physical
-terms, and the sup norms from one |T|.  The ledger keeps no w(., 1) residual
+`measure` and the next step, so `measure` makes no transform, and each of
+its reductions is one BLAS product on contiguous rows, with no einsum:
+the field and horizontal gradient norms by Parseval, the squared pair
+spectra as (3, Nx*2*(Ny//2+1), Nz+1) times `grid.norm_weights_pair`; the
+vertical derivative norms, the squared d/dz rows times `trapz_w`; the
+solenoidal residual, the divergence rows times `trapz_w`.  The sup norms
+come from one |T|.  The ledger keeps no w(., 1) residual
 (`constraint_check` has it): the trapezoid running integral to z = 1 is
 the trapezoid vertical average, so it equals the solenoidal one to
 roundoff.
@@ -92,7 +95,8 @@ class ConstraintResiduals:
 
 def solenoidal_residual(grid: Grid, terms: StateTerms) -> float:
     """max |div_H vbar| of the state whose StateTerms are `terms`."""
-    return float(np.abs((terms.dx[0] + terms.dy[1]) @ grid.trapz_w).max())
+    div = terms.dx[0] + terms.dy[1]
+    return float(np.abs(div.reshape(-1, grid.nlev) @ grid.trapz_w).max())
 
 
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
@@ -135,22 +139,22 @@ def measure(grid: Grid, state, terms: StateTerms | None = None) -> LedgerRecord:
     if terms is None:
         terms = state_terms(grid, state)
     w = grid.trapz_w
-    # Parseval: per level of (v[0], v[1], T), the squared L2 norm over the
-    # section (row 0) and that of the horizontal gradient (row 1)
-    power = (terms.U**2).sum(axis=-3)
-    norms = np.einsum("sxy,cxyk->sck", grid.norm_weights_half, power)
+    # Parseval: per field (v[0], v[1], T) and level, the squared L2 norm over
+    # the section (row 0) and that of the horizontal gradient (row 1)
+    norms = grid.norm_weights_pair @ (terms.U * terms.U).reshape(3, -1, grid.nlev)
     volume = norms @ w
     # squared L2 norms of d/dz of (v[0], v[1], T)
-    dz_sq = np.einsum("cxyk,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
-    gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
-    gT = float(volume[1, 2] + dz_sq[2])
-    gr = float(norms[1, 2, -1])  # rho is T's top level
+    dz_sq = ((terms.dz * terms.dz).reshape(-1, grid.nlev) @ w).reshape(3, -1).sum(axis=1)
+    dz_sq /= grid.nx * grid.ny
+    gv = float(volume[0, 1] + volume[1, 1] + dz_sq[0] + dz_sq[1])
+    gT = float(volume[2, 1] + dz_sq[2])
+    gr = float(norms[2, 1, -1])  # rho is T's top level
     abs_T = np.abs(state.T)
     abs_rho = abs_T[..., -1]  # so is |rho|
     return LedgerRecord(
         step=state.step,
         t=state.t,
-        energy=0.5 * float(volume[0].sum() + norms[0, 2, -1]),
+        energy=0.5 * float(volume[:, 0].sum() + norms[2, 0, -1]),
         dissipation=gv + gT + gr,
         rho_l5=float((abs_rho ** 5).sum() / (grid.nx * grid.ny)),
         sup_T=float(abs_T.max()),

@@ -160,8 +160,8 @@ class ConvolutionPropagator:
     def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of the eigen coordinates (Nx, 2, Ny//2+1, Nz+1) of a
         pair-spectrum stack; dW (complex) and q are (Nx, Ny//2+1)."""
-        noise = np.stack((q * dW.real, q * dW.imag), axis=1)[..., None]  # q dW's pairs
-        return self.decay * zeta + self.phi1_rho * noise
+        noise = q[:, None] * dW[..., None].view(np.float64).transpose(0, 2, 1)  # q dW's pairs
+        return self.decay * zeta + self.phi1_rho * noise[..., None]
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
@@ -247,7 +247,7 @@ def run_direct_em(
     def kick(state: State) -> np.ndarray:
         kick_hat = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
         dW = bundle.increments[state.step]
-        kick_hat[..., -1] = np.stack((q * dW.real, q * dW.imag), axis=1)
+        kick_hat[..., -1] = q[:, None] * dW[..., None].view(np.float64).transpose(0, 2, 1)
         return kick_hat
 
     return integrate(cfg, stepper, state, kick)

@@ -17,7 +17,11 @@ half spectra as real pair spectra (`ebpe.grid`); `as_pairs` and
 converts only at its boundary.  The Dirichlet
 extension and the Dirichlet-to-Neumann map apply a half-spectrum column,
 diagonal in the eigenbasis of the Dirichlet block, to physical data; the
-ledger checks run the driver loop's per-step checks over a whole ledger.
+ledger checks run the driver loop's per-step checks over a whole ledger,
+and `einsum_measure` is the ledger record in its earlier form: the
+Parseval weights `norm_weights_half` over (Nx, Ny//2+1) contracted with
+the power summed over the re/im axis, and the d/dz norms, by
+`np.einsum`, and the solenoidal residual as a matvec per x.
 The half spectrum of `exact_rfft2` is a direct long-double DFT, the
 matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
@@ -39,7 +43,7 @@ from ebpe.linops import (
     eigenbasis,
     neumann_vertical_matrix,
 )
-from ebpe.monitors import energy_step_check, h1_step_check
+from ebpe.monitors import LedgerRecord, energy_step_check, h1_step_check, state_terms
 
 
 def as_pairs(c: np.ndarray, plane: bool | None = None) -> np.ndarray:
@@ -393,3 +397,40 @@ def h1_ledger_check(ledger, growth_rate: float = 50.0, margin: float = 100.0) ->
         if message is not None:
             return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)
+
+
+def norm_weights_half(grid) -> np.ndarray:
+    """(2, Nx, Ny//2+1) Parseval weights of a half spectrum's power: 1 on
+    the ky = 0 and ky = Ny/2 columns, 2 elsewhere (row 0), and those
+    times xi2_deriv_half (row 1)."""
+    weights = np.full(grid.xi2_deriv_half.shape, 2.0)
+    weights[:, 0] = weights[:, -1] = 1.0
+    return np.stack((weights, weights * grid.xi2_deriv_half))
+
+
+def einsum_measure(grid, state) -> LedgerRecord:
+    """`monitors.measure` of `state` in its einsum form."""
+    terms = state_terms(grid, state)
+    w = grid.trapz_w
+    power = (terms.U**2).sum(axis=-3)
+    norms = np.einsum("sxy,cxyk->sck", norm_weights_half(grid), power)
+    volume = norms @ w
+    dz_sq = np.einsum("cxyk,k->c", terms.dz * terms.dz, w) / (grid.nx * grid.ny)
+    gv = float(volume[1, 0] + volume[1, 1] + dz_sq[0] + dz_sq[1])
+    gT = float(volume[1, 2] + dz_sq[2])
+    gr = float(norms[1, 2, -1])
+    abs_T = np.abs(state.T)
+    abs_rho = abs_T[..., -1]
+    return LedgerRecord(
+        step=state.step,
+        t=state.t,
+        energy=0.5 * float(volume[0].sum() + norms[0, 2, -1]),
+        dissipation=gv + gT + gr,
+        rho_l5=float((abs_rho ** 5).sum() / (grid.nx * grid.ny)),
+        sup_T=float(abs_T.max()),
+        sup_rho=float(abs_rho.max()),
+        grad_v_sq=gv,
+        grad_T_sq=gT,
+        grad_rho_sq=gr,
+        div_res=float(np.abs((terms.dx[0] + terms.dy[1]) @ w).max()),
+    )

@@ -274,7 +274,7 @@ class TestKernelTransforms:
     def test_grid_tables_read_only(self, grid8):
         tables = {name: value for name, value in vars(grid8).items()
                   if isinstance(value, np.ndarray)}
-        for name in ("ixi_pair", "inv_lap_half", "norm_weights_half", "xi2_half",
+        for name in ("ixi_pair", "inv_lap_half", "norm_weights_pair", "xi2_half",
                      "xi2_deriv_half", "xi_y_half", "dealias_half", "trapz_w",
                      "dft_y", "dft_x", "idft_x", "idft_y", "dft_y_dealias", "dft_x_dealias",
                      "running_trapz"):

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ebpe import PhysParams, diagnostics, make_grid, monitors
+from ebpe import PhysParams, diagnostics, make_grid, monitors, stochastic
 from ebpe.config import RunConfig
 from ebpe.ebm import coalbedo
 from ebpe.grid import rfft_h, to_physical, to_spectral
@@ -27,8 +27,8 @@ from ebpe.monitors import (
 from ebpe.timestep import initial_state, run_deterministic
 
 from conftest import project_barotropic_physical, rough_state, smooth_field_3d
-from oracles import (deriv_x, deriv_y, deriv_z, diagnose_w, energy_ledger_check,
-                     h1_ledger_check)
+from oracles import (deriv_x, deriv_y, deriv_z, diagnose_w, einsum_measure,
+                     energy_ledger_check, h1_ledger_check, norm_weights_half)
 
 
 def _record(t, energy, h1=0.0, step=0):
@@ -312,6 +312,42 @@ class TestMeasure:
         assert res.solenoidal == ours.div_res
         w_top = quadrature_w_top(grid, state)
         assert w_top != 0.0 and abs(res.w_top - w_top) <= 1e-12 * w_top
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_the_einsum_form(self, n):
+        # the products sum in another order; the sup norms and |rho|^5 are
+        # the same reductions
+        grid = make_grid(n, n, n)
+        state = rough_state(grid, seed=3 * n)
+        ours, oracle = measure(grid, state), einsum_measure(grid, state)
+        for f in dataclasses.fields(LedgerRecord):
+            a, b = getattr(ours, f.name), getattr(oracle, f.name)
+            if f.name in ("sup_T", "sup_rho", "rho_l5", "step", "flags"):
+                assert a == b, f.name
+            else:
+                assert b != 0.0 and abs(a - b) <= 1e-14 * abs(b), f.name
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 4), (8, 16, 4)])
+    def test_pair_weights_repeat_the_half_weights_over_re_im(self, shape):
+        grid = make_grid(*shape)
+        half = norm_weights_half(grid)
+        assert np.array_equal(grid.norm_weights_pair,
+                              np.stack((half, half), axis=2).reshape(2, -1))
+
+    @pytest.mark.parametrize("driver, scheme, sigma", [
+        (run_deterministic, "imex_euler", 0.0), (run_deterministic, "cnab2", 0.0),
+        (stochastic.run_split_stochastic, "imex_euler", 0.2),
+        (stochastic.run_direct_em, "imex_euler", 0.2)])
+    def test_runs_without_einsum(self, driver, scheme, sigma, monkeypatch):
+        def raising(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", raising)
+        cfg = RunConfig(nx=8, ny=8, nz=8, transport="vertical_average", scheme=scheme,
+                        ic_kind="random_smooth", ic_seed=5, dt=1e-3, t_end=5e-3,
+                        noise_sigma=sigma)
+        res = driver(cfg)
+        assert res.final_state.step == 5 and len(res.ledger) == 6
 
     def test_energy_of_uniform_state(self, grid8):
         state = initial_state(grid8, "uniform", value=2.0)

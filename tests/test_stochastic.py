@@ -295,6 +295,34 @@ class TestDrivers:
         assert driver(cfg).final_state.step == 2
         assert calls == [(9, 9)] * (1 if freeze else 2)
 
+    def test_kicks_equal_the_stacked_form(self, monkeypatch):
+        # both kicks build q dW's pairs in one multiply; over 20 steps they
+        # equal q times dW's parts stacked on the re/im axis, bit for bit
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.2, noise_seed=6)
+        seen = {}
+
+        def recording_integrate(cfg, stepper, state, kick):
+            seen["stepper"] = stepper
+            seen["kicks"] = [kick(dataclasses.replace(state, step=k)) for k in range(20)]
+            return RunResult(final_state=state, ledger=[], csv_records=[])
+
+        monkeypatch.setattr(stochastic, "integrate", recording_integrate)
+        grid = make_grid(8, 8, 8)
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+        increments = wiener_increments(grid, spec, cfg.dt, cfg.n_steps()).increments
+        q = spec.q_table(grid)
+        stacked = [np.stack((q * dW.real, q * dW.imag), axis=1) for dW in increments]
+        run_direct_em(cfg)
+        for k, kick in enumerate(seen["kicks"]):
+            assert np.array_equal(kick[..., -1], stacked[k]) and not kick[..., :-1].any(), k
+        run_split_stochastic(cfg)
+        prop = ConvolutionPropagator(seen["stepper"].coupled, cfg.dt)
+        d = seen["stepper"].coupled.d[:, None]
+        zeta = np.zeros((8, 2, 5, grid.nlev))
+        for k, kick in enumerate(seen["kicks"]):
+            zeta_n, zeta = zeta, prop.decay * zeta + prop.phi1_rho * stacked[k][..., None]
+            assert np.array_equal(kick, from_eigen(prop.basis, zeta - d * zeta_n)), k
+
     def test_pathwise_determinism(self):
         cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.2, noise_seed=9)
         a = run_split_stochastic(cfg)

@@ -9,6 +9,10 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
   median of one call each, the calls taking the same state (the step of
   a given state is a pure function of it); `tendencies_ms` times
   `Stepper.tendencies` given the state's terms;
+- `<figure>_faults_per_call` and `<figure>_stime_ms_per_call` for each
+  figure above (`setup`, `state_terms`, ...): `getrusage` minor page
+  faults and system CPU time per call over that figure's samples, so a
+  worker whose times sit apart can be told by the faults it made;
 - `minor_faults_per_step`: `getrusage` minor page faults per step of a
   driver-like loop (state terms, measure, step, the state evolving),
   printed beside the times as the median over the workers; a report of
@@ -40,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import time
@@ -56,23 +61,25 @@ FAULT_STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _samples(call) -> list[float]:
+def _samples(call) -> tuple[list[float], float, float]:
     """Wall times (s) of call() until SAMPLE_SECONDS have passed, after one
-    warm-up call, with at least MIN_SAMPLES of them."""
+    warm-up call, with at least MIN_SAMPLES of them, and the minor page
+    faults and the system CPU seconds per call over those samples."""
     call()
     times: list[float] = []
+    before = resource.getrusage(resource.RUSAGE_SELF)
     start = time.perf_counter()
     while len(times) < MIN_SAMPLES or time.perf_counter() - start < SAMPLE_SECONDS:
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    return times
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return (times, (after.ru_minflt - before.ru_minflt) / len(times),
+            (after.ru_stime - before.ru_stime) / len(times))
 
 
 def worker(shape: tuple[int, int, int]) -> dict:
     """One round of every figure on one grid, for the ebpe on sys.path."""
-    import resource
-
     from ebpe.ebm import PhysParams, default_insolation
     from ebpe.grid import make_grid
     from ebpe.monitors import measure, state_terms
@@ -81,17 +88,21 @@ def worker(shape: tuple[int, int, int]) -> dict:
     grid = make_grid(*shape)
     params = PhysParams(Q=default_insolation(grid, 1.0, 0.3))
     dt = 1e-3
-    setup = _samples(lambda: Stepper(grid, params, dt))
     stepper = Stepper(grid, params, dt)
     state = initial_state(grid, "random_smooth", amplitude=0.5, seed=1)
     terms = state_terms(grid, state)
-    out = {"setup_s": setup,
-           "state_terms_ms": _samples(lambda: state_terms(grid, state)),
-           "measure_ms": _samples(lambda: measure(grid, state, terms)),
-           "tendencies_ms": _samples(lambda: stepper.tendencies(state, terms)),
-           "step_ms": _samples(lambda: stepper.step(state, terms=terms))}
-    for key in ("state_terms_ms", "measure_ms", "tendencies_ms", "step_ms"):
-        out[key] = [1e3 * t for t in out[key]]
+    calls = {"setup_s": lambda: Stepper(grid, params, dt),
+             "state_terms_ms": lambda: state_terms(grid, state),
+             "measure_ms": lambda: measure(grid, state, terms),
+             "tendencies_ms": lambda: stepper.tendencies(state, terms),
+             "step_ms": lambda: stepper.step(state, terms=terms)}
+    out = {}
+    for key, call in calls.items():
+        times, faults, stime = _samples(call)
+        name, unit = key.rsplit("_", 1)
+        out[key] = [t * (1e3 if unit == "ms" else 1.0) for t in times]
+        out[f"{name}_faults_per_call"] = [faults]
+        out[f"{name}_stime_ms_per_call"] = [1e3 * stime]
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(FAULT_STEPS):
         terms = state_terms(grid, state)
@@ -186,8 +197,13 @@ def main(argv=None) -> int:
                         f"faults/step {f['minor_faults_per_step']['median_worker_min']:.1f}"
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
+        for name, f in figures.items():
+            per_call = ", ".join(
+                f"{fig} " + "/".join(f"{v:.0f}" for v in f[f"{fig}_faults_per_call"]["worker_min"])
+                for fig in ("state_terms", "measure", "tendencies", "step"))
+            print(f"{'':8s} {name} faults/call by worker: {per_call}")
     print("(pooled min, and in brackets the median of the per-worker minima; "
-          "faults: the median over workers)")
+          "faults/step: the median over workers)")
     print("src lines  " + "  ".join(f"{name}: {n}" for name, n in result["src_lines"].items()))
     print(f"wrote {path}")
     return 0

@@ -28,7 +28,10 @@ fields, ``z_rho_final`` and every column of its ledger (one array per
 `LedgerRecord` field over the records), and ``--compare A.npz B.npz``
 prints, per run, the max|B - A| of the fields and ``z_rho_final`` and,
 per ledger column, the max relative |B - A|, max|B - A| / max|A| over the
-records, of each array that both files hold (it runs nothing):
+records, of each array that both files hold (it runs nothing).  It ends
+with one summary line: how many runs have bitwise final fields and
+``z_rho_final`` (and saved arrays of the same shapes), and each ledger
+column's max relative |B - A| over all runs:
 
     PYTHONPATH=../parent/src python tools/run_digests.py --save parent.npz
     PYTHONPATH=src python tools/run_digests.py --save change.npz
@@ -96,19 +99,30 @@ def _digest(result) -> list[str]:
 
 def _compare(path_a: str, path_b: str) -> int:
     """Print max|b - a| for every array of the two saved sets, relative to
-    max|a| for a ledger column."""
+    max|a| for a ledger column, then the summary line."""
+    runs, differ, columns = set(), set(), {}
     with np.load(path_a) as a, np.load(path_b) as b:
         for key in sorted(set(a.files) | set(b.files)):
+            run, name = key.split(": ", 1)
+            runs.add(run)
             if key not in a.files or key not in b.files:
                 print(f"{key}: only in {path_a if key in a.files else path_b}")
+                differ.add(run)
             elif a[key].shape != b[key].shape:
                 print(f"{key}: shape {a[key].shape} against {b[key].shape}")
-            elif ": ledger " in key:
+                differ.add(run)
+            elif name.startswith("ledger "):
                 d = np.max(np.abs(b[key] - a[key]), initial=0.0)
                 scale = np.max(np.abs(a[key]), initial=0.0)
-                print(f"{key}: max rel|d| = {d / scale if scale > 0.0 else d:.3e}")
+                rel = d / scale if scale > 0.0 else d
+                columns[name[7:]] = max(columns.get(name[7:], 0.0), rel)
+                print(f"{key}: max rel|d| = {rel:.3e}")
             else:
                 print(f"{key}: max|d| = {np.max(np.abs(b[key] - a[key]), initial=0.0):.3e}")
+                if not np.array_equal(a[key], b[key]):
+                    differ.add(run)
+    print(f"summary: {len(runs - differ)}/{len(runs)} runs with bitwise fields and z_rho; "
+          "ledger max rel|d|: " + ", ".join(f"{c} {v:.1e}" for c, v in columns.items()))
     return 0
 
 
