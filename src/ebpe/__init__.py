@@ -7,7 +7,6 @@ from .ebm import PhysParams, coalbedo, default_insolation, radiation
 from .grid import Grid, make_grid
 from .hydrostatic import (
     baroclinic_grad,
-    pressure_field,
     project_barotropic,
     vertical_average,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "initial_state",
     "make_grid",
     "parse_config",
-    "pressure_field",
     "project_barotropic",
     "radiation",
     "run_deterministic",

@@ -136,14 +136,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_mms(args) -> int:
-    if args.quick:
-        study = monitors.mms_convergence_study(
-            args.scheme,
-            spatial_nz_ladder=(8, 16), spatial_dt=1e-4, spatial_t_end=0.005,
-            temporal_dt_ladder=(1.0 / 40, 1.0 / 80), temporal_t_end=0.25,
-        )
-    else:
-        study = monitors.mms_convergence_study(args.scheme)
+    study = monitors.mms_convergence_study(args.scheme, quick=args.quick)
     print("spatial ladder:  h      error")
     for h, e in zip(study.spatial.scales, study.spatial.errors):
         print(f"  {h:10.5f} {e:14.6e}")

@@ -3,8 +3,8 @@
 The absorbed radiation is Q(x) * beta(rho) with beta a tanh ramp between the
 ice-covered and ice-free co-albedo values; emission follows the
 Stefan-Boltzmann law |rho|^3 * rho.  All constants are nondimensional;
-the defaults (beta1=0.38, beta2=0.68, rho_ref=0, Q0=1) are Budyko-like
-configuration values, not data.
+the defaults (beta1=0.38, beta2=0.68, rho_ref=0 here; the insolation's
+q0=1, q1=0 in `RunConfig`) are Budyko-like configuration values, not data.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def radiation(rho: np.ndarray, params: PhysParams) -> np.ndarray:
     return params.Q * coalbedo(rho, params) - emission(rho)
 
 
-def default_insolation(grid: Grid, q0: float = 1.0, q1: float = 0.0) -> np.ndarray:
+def default_insolation(grid: Grid, q0: float, q1: float) -> np.ndarray:
     """Smooth periodic insolation Q0 * (1 + q1 * cos(2 pi y)).
 
     Rejects parameter pairs that would make Q vanish or change sign.

@@ -2,9 +2,9 @@
 
 Vertical quadrature is the trapezoid rule throughout, matching the
 second-order vertical finite differences; exact on z-affine integrands.
-The running integral from z = 0 (w, the baroclinic term, the pressure)
-is one real product with the grid's running trapezoid matrix
-`running_trapz`, for physical fields and pair spectra alike.
+The running integral from z = 0 (w, the baroclinic term) is one real
+product with the grid's running trapezoid matrix `running_trapz`, for
+physical fields and pair spectra alike.
 The surface pressure is never prognostic and no state carries it: each
 step removes the gradient part of the vertically averaged velocity
 (pressure projection), and the potential phi of the removed gradient is
@@ -45,11 +45,6 @@ def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     output (Nx, 2, Ny//2+1, Nz+1)."""
     d = grid.ixi_pair[..., None] * v_hat[..., ::-1, :, :]
     return -cumulative_integral(grid, d[0] + d[1])
-
-
-def pressure_field(grid: Grid, T: np.ndarray, p_s: np.ndarray) -> np.ndarray:
-    """Hydrostatic pressure p(z) = p_s - int_0^z T; p(0) = p_s exactly."""
-    return p_s[..., None] - cumulative_integral(grid, T)
 
 
 def baroclinic_grad(grid: Grid, T_hat: np.ndarray) -> np.ndarray:

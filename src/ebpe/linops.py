@@ -34,7 +34,8 @@ generator is applied, never tabulated, as the one vertical matrix
 product minus |xi|^2 times the column.  No step applies it: both time
 schemes need only the inverse (`ebpe.timestep`); the tests check it
 against the dense mode operators.
-The spectrum report makes its own decomposition for omega + |xi|^2 - lam.
+The spectrum report makes its own decomposition for omega + |xi|^2 - lam
+over every retained mode, omega given by its caller (`ebpe spectrum`).
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
 of the step kernel (`grid.xi2_half`) and broadcast over the re/im axis
@@ -233,9 +234,7 @@ def retained_modes(grid: Grid) -> list[tuple[int, int]]:
     return [(k1, k2) for _, k1, k2 in pairs]
 
 
-def spectrum_report(
-    grid: Grid, omega: float = 1.0, max_modes: int | None = None
-) -> SectorReport:
+def spectrum_report(grid: Grid, omega: float) -> SectorReport:
     """Eigenvalues of omega*I - A per retained mode, with the empirical angle.
 
     omega > 0 shifts the kernel (constants at xi = 0) away from the origin
@@ -245,9 +244,7 @@ def spectrum_report(
     """
     if not (np.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    if max_modes is not None and max_modes < 1:
-        raise ValueError(f"max_modes must be at least 1, got {max_modes}")
-    modes = retained_modes(grid)[:max_modes]
+    modes = retained_modes(grid)
     lam = np.sort(eigenbasis(coupled_vertical_matrix(grid))[0])[::-1]
     xi2 = ((2.0 * np.pi * np.array(modes)) ** 2).sum(axis=1)
     eigenvalues = omega + xi2[:, None] - lam

@@ -97,11 +97,6 @@ class ManufacturedSolution:
         v[1] = gv * (self.amp_v * sy * P)
         return v
 
-    def vertical_velocity(self, grid: Grid, t: float) -> np.ndarray:
-        cx, sx, cy, sy, z = self._trig(grid)
-        gv = self._gv(t)
-        return 2.0 * self.amp_v * gv * (sx - cy) * np.sin(_PI * z)
-
     def temperature(self, grid: Grid, t: float) -> np.ndarray:
         cx, sx, cy, sy, z = self._trig(grid)
         H = np.cos(0.5 * _PI * z)

@@ -3,8 +3,8 @@ energy checks, and manufactured-solution convergence studies.
 
 Monitors never mutate state; every function here reads a post-step
 snapshot or an accumulated ledger.  The envelope constants (c_led, the
-growth rate of the gradient-norm sentinel) are calibration knobs of the
-monitor configuration, not physical constants.
+growth rate and margin of the H1 sentinel) are calibration knobs of the
+monitor configuration, `RunConfig`, which states them once.
 
 `state_terms` brings a state to everything its ledger record and its
 step read, in the state's field-major layout: the pair spectra of
@@ -205,7 +205,7 @@ def energy_step_check(
     prev: LedgerRecord,
     record: LedgerRecord,
     dt: float,
-    c_led: float = 50.0,
+    c_led: float,
 ) -> str | None:
     """Energy inequality E_{n+1} - E_n <= dt * c_led * (1 + E_n) + ENERGY_TOL
     for one step; returns the violation message, or None when it holds."""
@@ -219,8 +219,8 @@ def energy_step_check(
 def h1_step_check(
     first: LedgerRecord,
     record: LedgerRecord,
-    growth_rate: float = 50.0,
-    margin: float = 100.0,
+    growth_rate: float,
+    margin: float,
 ) -> str | None:
     """No-blow-up sentinel: the squared H1 seminorm of `record` (its
     dissipation, the sum of the three gradient norms) inside the
@@ -274,15 +274,14 @@ def _mms_run(exact, grid: Grid, forcing, scheme: str, dt: float, t_end: float):
 def mms_spatial_study(
     scheme: str = "imex_euler",
     nz_ladder=(8, 16, 32),
-    nx: int = 8,
-    ny: int = 8,
     dt: float = 1e-5,
     t_end: float = 0.01,
 ) -> ConvergenceStudy:
     """Vertical-resolution ladder against the exact manufactured fields.
 
     The horizontal directions are spectrally exact for the manufactured
-    modes, so the measured rate isolates the second-order vertical scheme.
+    first modes on 8 x 8, so the measured rate isolates the second-order
+    vertical scheme.
     """
     from .manufactured import ManufacturedSolution
 
@@ -293,7 +292,7 @@ def mms_spatial_study(
     exact = ManufacturedSolution()
     errors = []
     for nz in nz_ladder:
-        grid = make_grid(nx, ny, nz)
+        grid = make_grid(8, 8, nz)
         state = _mms_run(exact, grid, exact.spectral_forcing(grid), scheme, dt, t_end)
         errors.append(_l2_distance(grid, state, exact.velocity(grid, state.t),
                                    exact.temperature(grid, state.t),
@@ -309,9 +308,8 @@ def mms_temporal_study(
     ny: int = 16,
     nz: int = 16,
     t_end: float = 0.5,
-    ref_refine: int = 8,
 ) -> ConvergenceStudy:
-    """Time-step ladder, self-converged against a fine-dt reference run.
+    """Time-step ladder, self-converged against a run at dt min(dt_ladder) / 8.
 
     Same grid for all runs, so the spatial error cancels and the measured
     rate is the time-integration order.
@@ -320,7 +318,7 @@ def mms_temporal_study(
 
     if len(set(dt_ladder)) < 2:
         raise ValueError(f"dt_ladder needs two distinct rungs to fit an order, got {dt_ladder}")
-    ref_dt = min(dt_ladder) / ref_refine
+    ref_dt = min(dt_ladder) / 8
     for dt in (*dt_ladder, ref_dt):  # every run ends at t_end
         if not whole_steps(t_end, dt):
             raise ValueError(f"t_end={t_end} must be a whole number of steps of every rung "
@@ -342,14 +340,10 @@ class MmsStudy:
     temporal: ConvergenceStudy
 
 
-def mms_convergence_study(scheme: str = "imex_euler", **kwargs) -> MmsStudy:
-    """Run both ladders; kwargs split by prefix spatial_/temporal_."""
-    unknown = sorted(k for k in kwargs if not k.startswith(("spatial_", "temporal_")))
-    if unknown:
-        raise TypeError(f"keywords with neither a spatial_ nor a temporal_ prefix: {unknown}")
-    sp = {k[8:]: v for k, v in kwargs.items() if k.startswith("spatial_")}
-    tm = {k[9:]: v for k, v in kwargs.items() if k.startswith("temporal_")}
-    return MmsStudy(
-        spatial=mms_spatial_study(scheme, **sp),
-        temporal=mms_temporal_study(scheme, **tm),
-    )
+def mms_convergence_study(scheme: str, quick: bool) -> MmsStudy:
+    """Run both ladders at the studies' defaults or, quick, at the smaller
+    ones of `ebpe mms --quick` (the mms-cnab2 benchmark counts their steps)."""
+    if quick:
+        return MmsStudy(mms_spatial_study(scheme, nz_ladder=(8, 16), dt=1e-4, t_end=0.005),
+                        mms_temporal_study(scheme, dt_ladder=(1.0 / 40, 1.0 / 80), t_end=0.25))
+    return MmsStudy(mms_spatial_study(scheme), mms_temporal_study(scheme))

@@ -6,8 +6,9 @@ bits must be zero), u32 (Nx, Ny, Nz), f64 time, then row-major f64
 blocks in fixed order v1, v2, T, rho and optionally Z_rho.  The first
 three are `State.fields` as stored, written and read as one block.  The
 rho block repeats T's top level (`State.rho`, a view of it), and a file
-where the two differ is rejected.  No compression: restart must
-reproduce runs bit for bit.
+where the two differ is rejected; a resumed run checks the grid
+(`timestep.start_run`).  No compression: restart must reproduce runs
+bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import struct
 
 import numpy as np
 
-from .grid import Grid
 from .timestep import State
 
 MAGIC = b"EBPE"
@@ -50,7 +50,7 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return buf
 
 
-def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | None]:
+def read_snapshot(path) -> tuple[State, np.ndarray | None]:
     """Read a snapshot; the returned state carries step = 0 (set by the caller
     from time and step size when resuming a run)."""
     with open(path, "rb") as fh:
@@ -62,11 +62,6 @@ def read_snapshot(path, grid: Grid | None = None) -> tuple[State, np.ndarray | N
             raise SnapshotError(f"unsupported snapshot version {version}")
         if flags & ~FLAG_Z_RHO:
             raise SnapshotError(f"unknown snapshot flag bits 0x{flags & ~FLAG_Z_RHO:02x}")
-        if grid is not None and (nx, ny, nz) != (grid.nx, grid.ny, grid.nz):
-            raise SnapshotError(
-                f"snapshot dimensions ({nx},{ny},{nz}) do not match the "
-                f"active grid ({grid.nx},{grid.ny},{grid.nz})"
-            )
         nlev = nz + 1
         # size the arrays only once the file is known to hold exactly them
         n_blocks = 3 * nlev + (2 if flags & FLAG_Z_RHO else 1)

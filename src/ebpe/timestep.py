@@ -360,16 +360,17 @@ def start_run(cfg: RunConfig, initial: State | None = None,
               forcing=None) -> tuple[Stepper, State]:
     """The run's Stepper (with `forcing`, see `Stepper`) and first state,
     `initial` or the configured initial condition.  A given state of
-    another grid, or past the run's last step, raises ValueError before
-    anything is built."""
+    another grid, or before step 0 or past the run's last step, raises
+    ValueError before anything is built."""
     if initial is not None:
         shape = (3, cfg.nx, cfg.ny, cfg.nz + 1)
         if initial.fields.shape != shape:
             raise ValueError(f"the state's fields have shape {initial.fields.shape}; "
                              f"the run's grid takes {shape}")
-        if initial.step > cfg.n_steps():
-            raise ValueError(f"the state is at step {initial.step}, past the run's "
-                             f"last step {cfg.n_steps()}")
+        if not 0 <= initial.step <= cfg.n_steps():
+            where = ("before the run's first step 0" if initial.step < 0
+                     else f"past the run's last step {cfg.n_steps()}")
+            raise ValueError(f"the state is at step {initial.step}, {where}")
     grid = grid_mod.make_grid(cfg.nx, cfg.ny, cfg.nz)
     params = PhysParams(beta1=cfg.beta1, beta2=cfg.beta2, rho_ref=cfg.rho_ref,
                         Q=default_insolation(grid, cfg.q0, cfg.q1),

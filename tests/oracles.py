@@ -11,7 +11,8 @@ with, `deriv_x`/`deriv_y` on either spectral width and the quotient
 form `deriv_z`, whose matrix `grid.diff_z` is bit for bit.  The
 hydrostatic operators are spelled with `deriv_x`/`deriv_y` on complex
 spectra, the forms that the package's symbol tables (`grid.ixi_pair`,
-`grid.inv_lap_half`) must reproduce bit for bit.  The package holds
+`grid.inv_lap_half`) must reproduce bit for bit; `manufactured_w` is
+the closed-form w of the manufactured solution.  The package holds
 half spectra as real pair spectra (`ebpe.grid`); `as_pairs` and
 `as_complex` convert between them and complex arrays, so a test
 converts only at its boundary.  The Dirichlet
@@ -292,6 +293,13 @@ def project_barotropic(grid, v_hat: np.ndarray):
         phi_hat = np.where(xi2 > 0.0, div_hat / (-xi2), 0.0)
     grad = np.stack((deriv_x(grid, phi_hat), deriv_y(grid, phi_hat)))
     return v_hat - grad[..., None], phi_hat
+
+
+def manufactured_w(exact, grid, t: float) -> np.ndarray:
+    """The closed-form w = -int_0^z div_H v of the velocity of the
+    `ManufacturedSolution` `exact` at time t."""
+    _, sx, cy, _, z = exact._trig(grid)
+    return 2.0 * exact.amp_v * exact._gv(t) * (sx - cy) * np.sin(np.pi * z)
 
 
 def dirichlet_inverse_column(grid) -> np.ndarray:

@@ -175,7 +175,7 @@ def test_criterion_07_mms_convergence():
     spatial = mms_spatial_study(nz_ladder=(8, 16, 32), dt=1e-5, t_end=0.01)
     assert spatial.order >= 1.9
     temporal = mms_temporal_study(dt_ladder=(1 / 40, 1 / 80, 1 / 160),
-                                  nx=16, ny=16, nz=16, t_end=0.5, ref_refine=8)
+                                  nx=16, ny=16, nz=16, t_end=0.5)
     assert temporal.order >= 0.9
     report(7, f"spatial order {spatial.order:.3f} >= 1.9 "
               f"(errors {['%.2e' % e for e in spatial.errors]}), "

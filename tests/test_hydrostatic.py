@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from ebpe import (baroclinic_grad, make_grid, pressure_field, project_barotropic,
-                  vertical_average)
+from ebpe import baroclinic_grad, make_grid, project_barotropic, vertical_average
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import cumulative_integral, diagnose_w
 from ebpe.monitors import l2sq_volume
@@ -61,22 +60,6 @@ class TestDiagnoseW:
         v_proj, _ = project_barotropic_physical(grid8, v)
         w = diagnose_w_physical(grid8, v_proj)
         assert np.max(np.abs(w[..., -1])) <= 1e-10 * (1 + np.max(np.abs(v_proj)))
-
-
-class TestPressure:
-    def test_zero_temperature(self, grid8, rng):
-        p_s = rng.standard_normal((8, 8))
-        p = pressure_field(grid8, np.zeros((8, 8, 9)), p_s)
-        assert np.allclose(p, p_s[:, :, None], atol=1e-15)
-
-    def test_constant_temperature_exact(self, grid8):
-        p = pressure_field(grid8, np.full((8, 8, 9), 2.0), np.zeros((8, 8)))
-        assert np.allclose(p, -2.0 * grid8.z[None, None, :], atol=1e-15)
-
-    def test_affine_temperature_exact(self, grid8):
-        T = np.broadcast_to(grid8.z, (8, 8, 9)).copy()
-        p = pressure_field(grid8, T, np.zeros((8, 8)))
-        assert p[0, 0, -1] == pytest.approx(-0.5, abs=1e-15)
 
 
 class TestBaroclinicGrad:

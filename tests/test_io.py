@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ebpe
-from ebpe import cli, config, diagnostics, make_grid, monitors
+from ebpe import cli, config, diagnostics, monitors
 from ebpe.config import ConfigError, RunConfig, parse_config
 from ebpe.linops import SolveError
 from ebpe.monitors import LedgerRecord
@@ -191,7 +191,7 @@ class TestSnapshots:
         state.t = 0.625
         path = tmp_path / "s.bin"
         write_snapshot(state, path)
-        back, z = read_snapshot(path, grid8)
+        back, z = read_snapshot(path)
         assert z is None
         assert back.t == state.t
         assert np.array_equal(back.v, state.v)
@@ -231,12 +231,6 @@ class TestSnapshots:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="version"):
             read_snapshot(path)
-
-    def test_dimension_mismatch_rejected(self, tmp_path, grid8):
-        path = tmp_path / "s.bin"
-        write_snapshot(initial_state(grid8, "zero"), path)
-        with pytest.raises(SnapshotError, match="dimensions"):
-            read_snapshot(path, make_grid(8, 8, 4))
 
     def test_trailing_bytes_rejected(self, tmp_path, grid8):
         path = tmp_path / "s.bin"

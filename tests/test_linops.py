@@ -520,16 +520,6 @@ class TestSpectrumReport:
         spectrum_report(grid8, omega=1.0)
         assert calls == [(grid8.nlev, grid8.nlev)]
 
-    def test_max_modes_caps_report(self, grid8):
-        report = spectrum_report(grid8, omega=1.0, max_modes=3)
-        assert len(report.modes) == 3
-        assert report.modes[0] == (0, 0)
-
-    @pytest.mark.parametrize("max_modes", [0, -1])
-    def test_rejects_max_modes_below_one(self, grid8, max_modes):
-        with pytest.raises(ValueError, match="max_modes"):
-            spectrum_report(grid8, omega=1.0, max_modes=max_modes)
-
     def test_rejects_nonpositive_omega(self, grid8):
         with pytest.raises(ValueError):
             spectrum_report(grid8, omega=0.0)

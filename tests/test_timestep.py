@@ -612,8 +612,7 @@ class TestCnab2:
     def test_second_order_self_convergence(self):
         from ebpe.monitors import mms_temporal_study
         study = mms_temporal_study(
-            scheme="cnab2", dt_ladder=(1 / 20, 1 / 40), nx=8, ny=8, nz=8,
-            t_end=0.25, ref_refine=8,
+            scheme="cnab2", dt_ladder=(1 / 20, 1 / 40), nx=8, ny=8, nz=8, t_end=0.25,
         )
         assert study.order >= 1.9
 
@@ -811,6 +810,9 @@ def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypat
 _REJECTIONS = {
     "another_grid": "the state's fields have shape (3, 16, 16, 17); "
                     "the run's grid takes (3, 8, 8, 9)",
+    # a state at step -3 took 3 steps too many (8 on a 5-step run, to
+    # t = 0.008), and direct EM read increments[-3] to [-1] of its path twice
+    "before_the_start": "the state is at step -3, before the run's first step 0",
     "past_the_end": "the state is at step 50, past the run's last step 10",
     "resumed": "the split driver cannot resume a run: snapshots do not carry "
                "the full convolution stack",
@@ -821,7 +823,8 @@ _REJECTIONS = {
 
 
 @pytest.mark.parametrize("name, case", [
-    *((name, "another_grid") for name in sorted(TRANSFORM_DRIVERS)),
+    *((name, case) for name in sorted(TRANSFORM_DRIVERS)
+      for case in ("another_grid", "before_the_start")),
     ("deterministic", "past_the_end"), ("direct_em", "past_the_end"), ("split", "resumed"),
     *((name, case) for name in ("split", "direct_em")
       for case in ("bundle_dt", "bundle_steps", "bundle_grid")),
@@ -840,7 +843,8 @@ def test_rejected_run_builds_nothing(name, case, monkeypatch):
     else:
         n = 16 if case == "another_grid" else 8
         state = initial_state(make_grid(n, n, n), "random_smooth", seed=3)
-        state.step = {"another_grid": 0, "past_the_end": 50, "resumed": 5}[case]
+        state.step = {"another_grid": 0, "before_the_start": -3, "past_the_end": 50,
+                      "resumed": 5}[case]
         kwargs = {"initial": state}
 
     def forbidden(*args, **kwargs):

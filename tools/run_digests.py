@@ -9,8 +9,8 @@ checkout this script sits in, it makes 12 runs:
 - `run_split_stochastic` and `run_direct_em` on ``accept_stoch`` at noise
   seeds 7, 11 and 23;
 
-and captures the stdout of ``ebpe mms --scheme cnab2 --quick``.  For each
-run it prints a sha256 of the final fields, the final t and step, a
+and captures the stdout of ``ebpe mms`` for both schemes, quick and full.
+For each run it prints a sha256 of the final fields, the final t and step, a
 sha256 of every ledger record (floats as ``float.hex``), of the CSV text
 (`diagnostics.format_csv` of the CSV records), of ``z_rho_final`` and of
 the warnings, and the monitor failure.  A run that raises prints its
@@ -152,11 +152,14 @@ def main(argv=None) -> int:
                 saved[f"{label}: ledger {column.name}"] = np.array(
                     [getattr(record, column.name) for record in result.ledger], dtype=float)
         print("\n".join(lines), flush=True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["mms", "--scheme", "cnab2", "--quick"])
-    print(f"mms cnab2 quick: exit {code}, stdout {_sha(out.getvalue())}")
-    print(out.getvalue(), end="")
+    for scheme in ("imex_euler", "cnab2"):
+        for quick in (["--quick"], []):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["mms", "--scheme", scheme, *quick])
+            print(f"mms {scheme} {'quick' if quick else 'full'}: exit {code}, "
+                  f"stdout {_sha(out.getvalue())}")
+            print(out.getvalue(), end="", flush=True)
     if args.save:
         np.savez(args.save, **saved)
     return 0
