@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # parse_args leaves the parser as it is: one per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ebpe")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -56,6 +56,7 @@ coefficient of a field is its horizontal mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -132,8 +133,8 @@ class Grid:
         f (..., Nz+1) from z = 0.  Column 0 is zero and the last column is
         trapz_w, bit for bit.
 
-    Every table is read-only: the steppers and solvers of a grid share
-    them.
+    Every table is read-only: `make_grid` builds one grid per size in a
+    process, and every stepper, solver and monitor of that size shares it.
     """
 
     nx: int
@@ -268,8 +269,12 @@ def _circulant(column: np.ndarray) -> np.ndarray:
     return column[np.subtract.outer(np.arange(n), np.arange(n)) % n]
 
 
+@cache
 def make_grid(nx: int, ny: int, nz: int) -> Grid:
-    """Build a grid; rejects odd or too-small sizes with GridSizeError."""
+    """The grid of these sizes, built on the first call and shared after
+    it: every table is read-only, and a grid equals and hashes as its
+    sizes.  Odd or too-small sizes raise GridSizeError on every call (a
+    failed build is not cached)."""
     return Grid(nx, ny, nz)
 
 

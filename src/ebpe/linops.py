@@ -23,8 +23,12 @@ A companion Neumann-Neumann operator serves the velocity solves.
 
 Every mode operator is vertical - |xi|^2 I, so one real eigendecomposition
 vertical = V diag(lam) V^-1 (`eigenbasis`) serves all modes (the fast
-diagonalisation method of Lynch, Rice & Thomas).  Each solver makes it
-once; the noise propagator (`ebpe.stochastic`) reads the coupled solver's.
+diagonalisation method of Lynch, Rice & Thomas).  `vertical_operator`
+makes it once per grid and matrix in a process and keeps the record,
+read-only: one `eig` per vertical matrix per grid per process.  Both
+solvers read it, so the steppers of one grid share it, and so do the
+noise propagator (`ebpe.stochastic`), through the coupled solver, and
+the spectrum report; a solver builds only its dt-dependent table d.
 The implicit inverse is V diag(d) V^-1 with a real (Nx, Ny//2+1, n)
 table d (`implicit_factors`): on the rows (..., n) of real pair spectra,
 `apply_diagonal` is the product with V^-T (`to_eigen`), a multiply by d
@@ -34,8 +38,8 @@ generator is applied, never tabulated, as the one vertical matrix
 product minus |xi|^2 times the column.  No step applies it: both time
 schemes need only the inverse (`ebpe.timestep`); the tests check it
 against the dense mode operators.
-The spectrum report makes its own decomposition for omega + |xi|^2 - lam
-over every retained mode, omega given by its caller (`ebpe spectrum`).
+The spectrum report lists omega + |xi|^2 - lam over every retained mode,
+omega given by its caller (`ebpe spectrum`).
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
 of the step kernel (`grid.xi2_half`) and broadcast over the re/im axis
@@ -49,6 +53,7 @@ live with the tests (`tests/oracles.py`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -141,6 +146,20 @@ def transposed_bases(V: np.ndarray, V_inv: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.stack((V_inv, V)), -1, -2).copy()
 
 
+@cache
+def vertical_operator(grid: Grid, coupled: bool) -> tuple[np.ndarray, ...]:
+    """(vertical, lam, V, V_inv, basis) of the coupled generator's vertical
+    matrix (coupled) or the Neumann one: the matrix, its `eigenbasis` and
+    their `transposed_bases`.  Built on the first call for a grid and
+    matrix and shared after it; every array is read-only."""
+    vertical = (coupled_vertical_matrix if coupled else neumann_vertical_matrix)(grid)
+    lam, V, V_inv = eigenbasis(vertical)
+    record = (vertical, lam, V, V_inv, transposed_bases(V, V_inv))
+    for array in record:
+        array.flags.writeable = False
+    return record
+
+
 def to_eigen(basis: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
     """Eigen coordinates V^-1 x, of the shape of x, of pair-spectrum
     columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`."""
@@ -185,14 +204,13 @@ def implicit_factors(grid: Grid, lam: np.ndarray, dt: float) -> np.ndarray:
 
 class CoupledImplicitSolver:
     """Per-mode (I - dt * generator)^-1, by eigenbasis; its dt-free (lam, V,
-    V_inv) also serve the noise propagator (`ebpe.stochastic`)."""
+    V_inv, basis), the grid's `vertical_operator` record, also serve the
+    noise propagator (`ebpe.stochastic`)."""
 
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.vertical = coupled_vertical_matrix(grid)
-        self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
-        self.basis = transposed_bases(self.V, self.V_inv)
+        self.vertical, self.lam, self.V, self.V_inv, self.basis = vertical_operator(grid, True)
         self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
@@ -209,9 +227,7 @@ class VelocityImplicitSolver:
     def __init__(self, grid: Grid, dt: float):
         self.grid = grid
         self.dt = dt
-        self.vertical = neumann_vertical_matrix(grid)
-        self.lam, self.V, self.V_inv = eigenbasis(self.vertical)
-        self.basis = transposed_bases(self.V, self.V_inv)
+        self.vertical, self.lam, self.V, self.V_inv, self.basis = vertical_operator(grid, False)
         self.d = implicit_factors(grid, self.lam, dt)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
@@ -245,7 +261,7 @@ def spectrum_report(grid: Grid, omega: float) -> SectorReport:
     if not (np.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
     modes = retained_modes(grid)
-    lam = np.sort(eigenbasis(coupled_vertical_matrix(grid))[0])[::-1]
+    lam = np.sort(vertical_operator(grid, True)[1])[::-1]
     xi2 = ((2.0 * np.pi * np.array(modes)) ** 2).sum(axis=1)
     eigenvalues = omega + xi2[:, None] - lam
     phi_hat = float(np.max(np.abs(np.angle(eigenvalues))))

@@ -118,15 +118,6 @@ class State:
         return self.fields[2, ..., -1]
 
 
-def _smooth_random_2d(grid: Grid, rng: np.random.Generator, decay: float) -> np.ndarray:
-    """Real random field with power-law spectral decay, dealias-confined."""
-    c = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal((grid.nx, grid.ny))
-    k2 = (grid.kx.astype(float) ** 2)[:, None] + (grid.ky.astype(float) ** 2)[None, :]
-    c *= (1.0 + k2) ** (-decay / 2.0)
-    c = np.where(grid.dealias_mask, c, 0.0)
-    return np.fft.ifft2(c).real * (grid.nx * grid.ny)
-
-
 def initial_state(
     grid: Grid,
     kind: str = "zero",
@@ -141,6 +132,10 @@ def initial_state(
     and vertical profiles cos(m pi z), m <= 2, so the no-flux and trace
     compatibility conditions hold by construction; the velocity is
     projected.  Fields are rescaled so the sup norms equal `amplitude`.
+    Its nine horizontal planes, three profiles each of T, v[0] and v[1],
+    are drawn, filtered and transformed in one batch; the draw is the
+    stream of one plane at a time (real part, then imaginary part), and
+    the batched inverse FFT gives each plane's bits.
     """
     fields = np.zeros((3, grid.nx, grid.ny, grid.nlev))
     v, T = fields[:2], fields[2]  # the state's views, written in place
@@ -151,13 +146,16 @@ def initial_state(
     elif kind == "single_mode":
         T[...] = amplitude * np.cos(2 * np.pi * grid.x)[:, :, None] * np.cos(np.pi * grid.z)
     elif kind == "random_smooth":
-        rng = np.random.default_rng(seed)
+        z = np.random.default_rng(seed).standard_normal((9, 2, grid.nx, grid.ny))
+        c = z[:, 0] + 1j * z[:, 1]
+        k2 = (grid.kx.astype(float) ** 2)[:, None] + (grid.ky.astype(float) ** 2)[None, :]
+        c *= (1.0 + k2) ** (-decay / 2.0)
+        c = np.where(grid.dealias_mask, c, 0.0)
+        planes = np.fft.ifft2(c).real * (grid.nx * grid.ny)
         profiles = [np.cos(m * np.pi * grid.z) for m in range(3)]
-        for p in profiles:
-            T += _smooth_random_2d(grid, rng, decay)[:, :, None] * p
-        for comp in range(2):
-            for p in profiles:
-                v[comp] += _smooth_random_2d(grid, rng, decay)[:, :, None] * p
+        for f, field_planes in zip((T, v[0], v[1]), planes.reshape(3, 3, grid.nx, grid.ny)):
+            for plane, p in zip(field_planes, profiles):
+                f += plane[:, :, None] * p
         v[...] = irfft_h(grid, hydrostatic.project_barotropic(grid, rfft_h(grid, v))[0])
         for f in (T, v):
             sup = np.max(np.abs(f))
@@ -258,8 +256,7 @@ class Stepper:
         self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
         # the implicit stage's tables, one per solved field, and its buffer
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
-        self._basis = linops.transposed_bases(np.stack([s.V for s in solvers]),
-                                              np.stack([s.V_inv for s in solvers]))
+        self._basis = np.stack([s.basis for s in solvers], axis=1)
         self._d = np.stack([s.d for s in solvers])
         self._out = np.empty(self._d.shape[:2] + (2,) + self._d.shape[2:])
         self._history: tuple[int, np.ndarray] | None = None
@@ -360,8 +357,9 @@ def start_run(cfg: RunConfig, initial: State | None = None,
               forcing=None) -> tuple[Stepper, State]:
     """The run's Stepper (with `forcing`, see `Stepper`) and first state,
     `initial` or the configured initial condition.  A given state of
-    another grid, or before step 0 or past the run's last step, raises
-    ValueError before anything is built."""
+    another grid, before step 0 or past the run's last step, or whose t
+    is not its step times dt (to 1e-9 max(1, |t|): a run's t sums its
+    steps), raises ValueError before anything is built."""
     if initial is not None:
         shape = (3, cfg.nx, cfg.ny, cfg.nz + 1)
         if initial.fields.shape != shape:
@@ -371,6 +369,10 @@ def start_run(cfg: RunConfig, initial: State | None = None,
             where = ("before the run's first step 0" if initial.step < 0
                      else f"past the run's last step {cfg.n_steps()}")
             raise ValueError(f"the state is at step {initial.step}, {where}")
+        t_step = initial.step * cfg.dt
+        if abs(initial.t - t_step) > 1e-9 * max(1.0, abs(initial.t)):
+            raise ValueError(f"the state is at t = {initial.t!r}, but its step "
+                             f"{initial.step} of dt = {cfg.dt!r} is at t = {t_step!r}")
     grid = grid_mod.make_grid(cfg.nx, cfg.ny, cfg.nz)
     params = PhysParams(beta1=cfg.beta1, beta2=cfg.beta2, rho_ref=cfg.rho_ref,
                         Q=default_insolation(grid, cfg.q0, cfg.q1),

@@ -1,11 +1,26 @@
 import numpy as np
 import pytest
 
-from ebpe import baroclinic_grad, make_grid, project_barotropic
+from ebpe import baroclinic_grad, linops, make_grid, project_barotropic
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import diagnose_w
 
-from oracles import as_complex, as_pairs, deriv_x, deriv_y
+from oracles import as_complex, as_pairs, deriv_x, deriv_y, smooth_field_2d
+
+
+@pytest.fixture
+def cold_caches():
+    """Empties the per-process caches of grids (`make_grid`) and vertical
+    eigenbases (`linops.vertical_operator`), so that the test counts the
+    set-up of a fresh process; returns the function that empties them,
+    for a second cold start within the test."""
+
+    def clear():
+        make_grid.cache_clear()
+        linops.vertical_operator.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture
@@ -34,15 +49,6 @@ def solve_one_mode(solver, i, j, rhs):
     stack = np.zeros((grid.nx, grid.ny // 2 + 1, rhs.size), dtype=complex)
     stack[i, j] = rhs
     return as_complex(solver.solve_hat(as_pairs(stack)))[i, j]
-
-
-def smooth_field_2d(grid, rng, decay=2.0):
-    """Random real field with decaying spectrum, dealias-confined."""
-    c = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal((grid.nx, grid.ny))
-    k2 = (grid.kx.astype(float) ** 2)[:, None] + (grid.ky.astype(float) ** 2)[None, :]
-    c *= (1.0 + k2) ** (-decay / 2.0)
-    c = np.where(grid.dealias_mask, c, 0.0)
-    return np.fft.ifft2(c).real * (grid.nx * grid.ny)
 
 
 def smooth_field_3d(grid, rng, decay=2.0, n_profiles=3):

@@ -28,13 +28,17 @@ matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
 `cumulative_integral_accumulate` is the running trapezoid integral as a
 running sum of its increments, the reference of the kernel's product
-with `grid.running_trapz`.
+with `grid.running_trapz`.  `smooth_field_2d` draws and transforms one
+random plane at a time, and `random_smooth_per_plane` builds the
+`random_smooth` initial fields from it, the reference of
+`timestep.initial_state`'s one batched draw.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ebpe import hydrostatic
 from ebpe.ebm import VERTICAL_AVERAGE, radiation
 from ebpe.grid import irfft_h, rfft_h, to_physical, to_spectral
 from ebpe.hydrostatic import cumulative_integral, vertical_average
@@ -210,6 +214,36 @@ def wiener_increments_one_shot(grid, spec, dt: float, n_steps: int) -> np.ndarra
     white = rng.standard_normal((n_steps, grid.nx, grid.ny)) * np.sqrt(dt)
     hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., : grid.ny // 2 + 1]
     return hat * np.sqrt(grid.nx * grid.ny)
+
+
+def smooth_field_2d(grid, rng: np.random.Generator, decay: float = 2.0) -> np.ndarray:
+    """Real random field with (1+|k|^2)^(-decay/2) spectral decay, confined
+    to the dealiased modes: the real, then the imaginary parts drawn."""
+    c = rng.standard_normal((grid.nx, grid.ny)) + 1j * rng.standard_normal((grid.nx, grid.ny))
+    k2 = (grid.kx.astype(float) ** 2)[:, None] + (grid.ky.astype(float) ** 2)[None, :]
+    c *= (1.0 + k2) ** (-decay / 2.0)
+    c = np.where(grid.dealias_mask, c, 0.0)
+    return np.fft.ifft2(c).real * (grid.nx * grid.ny)
+
+
+def random_smooth_per_plane(grid, seed: int, decay: float, amplitude: float) -> np.ndarray:
+    """The fields of initial_state(grid, "random_smooth", amplitude, seed,
+    decay), one `smooth_field_2d` per plane: T's three profiles, then
+    v[0]'s and v[1]'s."""
+    rng = np.random.default_rng(seed)
+    fields = np.zeros((3, grid.nx, grid.ny, grid.nlev))
+    v, T = fields[:2], fields[2]
+    profiles = [np.cos(m * np.pi * grid.z) for m in range(3)]
+    for p in profiles:
+        T += smooth_field_2d(grid, rng, decay)[:, :, None] * p
+    for comp in range(2):
+        for p in profiles:
+            v[comp] += smooth_field_2d(grid, rng, decay)[:, :, None] * p
+    v[...] = irfft_h(grid, hydrostatic.project_barotropic(grid, rfft_h(grid, v))[0])
+    for f in (T, v):
+        sup = np.max(np.abs(f))
+        f[...] = f * (amplitude / sup) if sup > 0 and amplitude > 0 else 0.0
+    return fields
 
 
 def assemble_mode_operator(xi: tuple[float, float], grid) -> np.ndarray:

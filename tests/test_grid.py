@@ -6,8 +6,8 @@ import pytest
 from ebpe import make_grid
 from ebpe.monitors import state_terms
 from ebpe.timestep import State
-from ebpe.grid import (GridSizeError, SymmetryError, irfft_h, neg_dealiased_rfft_h, rfft_h,
-                       to_physical, to_spectral)
+from ebpe.grid import (Grid, GridSizeError, SymmetryError, irfft_h, neg_dealiased_rfft_h,
+                       rfft_h, to_physical, to_spectral)
 
 import oracles
 from oracles import as_complex, as_pairs, deriv_z
@@ -30,8 +30,16 @@ class TestMakeGrid:
 
     @pytest.mark.parametrize("bad", [(7, 8, 8), (8, 7, 8), (2, 8, 8), (8, 8, 3)])
     def test_sizing_errors(self, bad):
-        with pytest.raises(GridSizeError):
-            make_grid(*bad)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(GridSizeError):
+                make_grid(*bad)
+
+    def test_one_grid_per_size(self):
+        grid = make_grid(8, 8, 8)
+        assert make_grid(8, 8, 8) is grid
+        assert make_grid(8, 8, 16) is not grid
+        # equality and hash are the sizes
+        assert Grid(8, 8, 8) == grid and hash(Grid(8, 8, 8)) == hash(grid)
 
     def test_wavenumbers_conjugate_partners(self, grid8):
         # mode -k sits at the index-negated position for every k

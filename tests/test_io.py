@@ -628,3 +628,16 @@ monitors = on
     def test_usage_error_exit_code(self):
         assert cli.main(["run-det"]) == 1  # missing --config
         assert cli.main(["no-such-command"]) == 1
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # built once per process: a usage error, then valid commands, each
+        # with the exit code and defaults of a fresh parser
+        assert cli._build_parser() is cli._build_parser()
+        cfgp = write_config(tmp_path, RUN_INI)
+        argv = ["spectrum", "--config", str(cfgp), "--out"]
+        assert cli.main(argv + [str(tmp_path / "a"), "--omega", "2"]) == 0
+        assert cli.main(["spectrum", "--omega", "1"]) == 1  # missing --config
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.main(argv + [str(tmp_path / "b")]) == 0
+        assert "# footer: omega=2 " in (tmp_path / "a" / "spectrum.csv").read_text()
+        assert "# footer: omega=1 " in (tmp_path / "b" / "spectrum.csv").read_text()

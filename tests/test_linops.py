@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from ebpe import make_grid, spectrum_report
-from ebpe.grid import irfft_h, rfft_h
+from ebpe.grid import Grid, irfft_h, rfft_h
 from ebpe.stochastic import ConvolutionPropagator
 from ebpe.linops import (
     TOP_FLUX_STENCIL,
@@ -18,6 +18,7 @@ from ebpe.linops import (
     neumann_vertical_matrix,
     retained_modes,
     transposed_bases,
+    vertical_operator,
 )
 
 from conftest import smooth_field_2d, solve_one_mode
@@ -399,7 +400,7 @@ class TestPerModeTables:
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("solver", [CoupledImplicitSolver, VelocityImplicitSolver])
-    def test_one_eig_and_no_dense_table(self, n, solver, monkeypatch):
+    def test_one_eig_and_no_dense_table(self, n, solver, monkeypatch, cold_caches):
         grid = make_grid(n, n, 8)
         calls = []
         eig = np.linalg.eig
@@ -422,6 +423,38 @@ class TestPerModeTables:
                 assert value.size <= half[0] * half[1] * grid.nlev
             else:
                 assert value.size <= 2 * (2 * grid.nlev) ** 2
+
+
+class TestVerticalOperator:
+    """One record per grid and vertical matrix in a process, read-only."""
+
+    def test_second_solver_on_an_equal_grid_makes_no_eig(self, monkeypatch, cold_caches):
+        first = [build(make_grid(8, 8, 8), 1e-3)
+                 for build in (CoupledImplicitSolver, VelocityImplicitSolver)]
+        calls = count_eig_forbid_solve(monkeypatch)
+        # a Grid object of its own, equal to the first, and another dt
+        second = [build(Grid(8, 8, 8), 0.5)
+                  for build in (CoupledImplicitSolver, VelocityImplicitSolver)]
+        assert calls == []
+        for a, b in zip(first, second):
+            for name in ("vertical", "lam", "V", "V_inv", "basis"):
+                assert getattr(a, name) is getattr(b, name)
+            assert not np.array_equal(a.d, b.d)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_record_is_the_eigenbasis_of_its_matrix(self, grid8, coupled):
+        vertical, lam, V, V_inv, basis = vertical_operator(grid8, coupled)
+        matrix = coupled_vertical_matrix if coupled else neumann_vertical_matrix
+        assert np.array_equal(vertical, matrix(grid8))
+        for ours, fresh in zip((lam, V, V_inv), eigenbasis(matrix(grid8))):
+            assert np.array_equal(ours, fresh)
+        assert np.array_equal(basis, transposed_bases(V, V_inv))
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_every_cached_array_is_read_only(self, grid8, coupled):
+        for array in vertical_operator(grid8, coupled):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
 
 
 class TestEigenbasis:
@@ -515,10 +548,18 @@ class TestSpectrumReport:
                 ours = np.sort(ev)
                 assert np.all(np.abs(ours - oracle) <= 1e-9 * (1.0 + np.abs(oracle)))
 
-    def test_one_eig_and_no_solve(self, grid8, monkeypatch):
+    def test_one_eig_and_no_solve(self, grid8, monkeypatch, cold_caches):
         calls = count_eig_forbid_solve(monkeypatch)
         spectrum_report(grid8, omega=1.0)
         assert calls == [(grid8.nlev, grid8.nlev)]
+
+    def test_reads_the_cached_coupled_record(self, grid8, monkeypatch):
+        lam = CoupledImplicitSolver(grid8, 1e-3).lam
+        calls = count_eig_forbid_solve(monkeypatch)
+        report = spectrum_report(grid8, omega=1.0)
+        assert calls == []
+        mean = report.eigenvalues[report.modes.index((0, 0))]
+        assert np.array_equal(mean, 1.0 - np.sort(lam)[::-1])
 
     def test_rejects_nonpositive_omega(self, grid8):
         with pytest.raises(ValueError):

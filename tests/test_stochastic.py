@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from ebpe import diagnostics, make_grid, project_barotropic, stochastic
+from ebpe import grid as grid_mod
 from ebpe.config import RunConfig
 from ebpe.grid import irfft_h, rfft_h, to_spectral
 from ebpe.linops import CoupledImplicitSolver, coupled_vertical_matrix, from_eigen, to_eigen
@@ -279,7 +280,7 @@ class TestDrivers:
 
     @pytest.mark.parametrize("freeze", [False, True])
     @pytest.mark.parametrize("driver", [run_deterministic, run_split_stochastic, run_direct_em])
-    def test_one_eig_call_per_vertical_matrix(self, driver, freeze, monkeypatch):
+    def test_one_eig_call_per_vertical_matrix(self, driver, freeze, monkeypatch, cold_caches):
         # the coupled and the Neumann matrix, or the coupled one alone under a
         # frozen velocity; the split driver's propagator reads the step's
         cfg = RunConfig(**BASE, dt=1e-3, t_end=2e-3, freeze_velocity=freeze,
@@ -294,6 +295,34 @@ class TestDrivers:
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         assert driver(cfg).final_state.step == 2
         assert calls == [(9, 9)] * (1 if freeze else 2)
+
+    def test_shared_path_pair_builds_one_grid_and_two_eigenbases(self, monkeypatch,
+                                                                  cold_caches):
+        # the shape of criterion 10: a bundle drawn on the grid, then both
+        # drivers on it; from cold caches one grid and one eig per vertical
+        # matrix, and none of either for a second pair
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=2e-3, noise_sigma=0.2)
+        calls, grids = [], []
+        eig, post_init = np.linalg.eig, grid_mod.Grid.__post_init__
+
+        def counting_eig(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        def counting_grid(self):
+            grids.append((self.nx, self.ny, self.nz))
+            post_init(self)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(grid_mod.Grid, "__post_init__", counting_grid)
+        for expected_calls, expected_grids in (([(9, 9)] * 2, [(8, 8, 8)]), ([], [])):
+            calls.clear()
+            grids.clear()
+            grid = make_grid(cfg.nx, cfg.ny, cfg.nz)
+            bundle = wiener_increments(grid, NoiseSpec(sigma=0.2), cfg.dt, cfg.n_steps())
+            assert run_split_stochastic(cfg, bundle=bundle).final_state.step == 2
+            assert run_direct_em(cfg, bundle=bundle).final_state.step == 2
+            assert calls == expected_calls and grids == expected_grids
 
     def test_kicks_equal_the_stacked_form(self, monkeypatch):
         # both kicks build q dW's pairs in one multiply; over 20 steps they

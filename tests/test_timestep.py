@@ -35,8 +35,8 @@ from ebpe.timestep import (
 )
 
 from conftest import record_w_top, rough_state
-from oracles import (as_pairs, crank_nicolson_stage, physical_tendencies, solve_coupled_implicit,
-                     solve_velocity_implicit)
+from oracles import (as_pairs, crank_nicolson_stage, physical_tendencies,
+                     random_smooth_per_plane, solve_coupled_implicit, solve_velocity_implicit)
 
 
 def max_rel_err(ours, oracle):
@@ -451,6 +451,16 @@ class TestRunDeterministic:
         with pytest.raises(ValueError):
             initial_state(grid8, "bogus")
 
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 16, 16), (64, 64, 32)])
+    @pytest.mark.parametrize("decay", [2.0, 3.0])
+    @pytest.mark.parametrize("seed", [1, 12])
+    def test_random_smooth_batch_matches_per_plane_draws(self, shape, decay, seed):
+        # one draw, filter and inverse FFT for all nine planes, bit for bit
+        grid = make_grid(*shape)
+        state = initial_state(grid, "random_smooth", amplitude=0.7, seed=seed, decay=decay)
+        oracle = random_smooth_per_plane(grid, seed, decay, amplitude=0.7)
+        assert np.array_equal(state.fields, oracle)
+
 
 _DRIVERS = {"run_deterministic": run_deterministic,
             "run_split_stochastic": stochastic.run_split_stochastic,
@@ -560,7 +570,7 @@ class TestCnab2:
             assert max_rel_err(ours, oracle) <= 1e-12
 
     @pytest.mark.parametrize("scheme", ["imex_euler", "cnab2"])
-    def test_two_eig_calls_and_two_solvers(self, scheme, monkeypatch):
+    def test_two_eig_calls_and_two_solvers(self, scheme, monkeypatch, cold_caches):
         grid = make_grid(16, 16, 16)
         calls = []
         eig = np.linalg.eig
@@ -579,10 +589,27 @@ class TestCnab2:
         assert [solver.dt for solver in solvers] == [theta * 1e-3] * 2
         # a frozen velocity builds no velocity solver: one eig, the coupled one
         calls.clear()
+        cold_caches()
         frozen = Stepper(grid, quiet_params(grid), 1e-3, scheme=scheme, freeze_velocity=True)
         assert calls == [(grid.nlev, grid.nlev)]
         assert frozen.velocity is None
         assert frozen.coupled.dt == theta * 1e-3
+
+    def test_second_stepper_on_an_equal_grid_makes_no_eig(self, monkeypatch):
+        # the eigenbases are built once per grid and shared: another dt,
+        # scheme or Grid object of the same sizes reads the same record
+        grid = make_grid(8, 8, 8)
+        first = Stepper(grid, quiet_params(grid), 1e-3)
+
+        def forbidden(a):
+            raise AssertionError("np.linalg.eig called")
+
+        monkeypatch.setattr(np.linalg, "eig", forbidden)
+        other = grid_mod.Grid(8, 8, 8)
+        second = Stepper(other, quiet_params(other), 2e-3, scheme="cnab2")
+        assert second.coupled.basis is first.coupled.basis
+        assert second.velocity.V is first.velocity.V
+        assert np.array_equal(second._basis, first._basis)
 
     def test_forced_steps_never_apply_the_generator(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -801,9 +828,35 @@ def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypat
     state.step = 50
     with pytest.raises(ValueError, match=r"step 50.*last step 10"):
         TRANSFORM_DRIVERS[name](cfg, initial=state)
-    state.step = 10
+    state.step, state.t = 10, 10 * cfg.dt
     result = TRANSFORM_DRIVERS[name](cfg, initial=state)
     assert result.final_state is state and len(result.ledger) == 1
+    assert steps == []
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORM_DRIVERS))
+def test_state_off_its_clock_rejected_before_the_first_step(name, monkeypatch):
+    # t must be step * dt: a state at step 4 with t = 0 would run its six
+    # steps to t = 0.006, the ledger rows carrying the offset; the split
+    # driver takes only step 0.  A t summed step by step is within the
+    # tolerance.
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
+                    noise_sigma=0.0 if name == "deterministic" else 0.1)
+    state = initial_state(make_grid(8, 8, 8), "random_smooth", seed=3)
+    steps = []
+    monkeypatch.setattr(Stepper, "step", lambda *args, **kwargs: steps.append(1))
+    cases = [(0, 0.3, "0.0")] + ([] if name == "split" else [(4, 0.0, "0.004")])
+    for step, t, t_step in cases:
+        state.step, state.t = step, t
+        with pytest.raises(ValueError, match=re.escape(
+                f"the state is at t = {t!r}, but its step {step} of dt = 0.001 "
+                f"is at t = {t_step}")):
+            TRANSFORM_DRIVERS[name](cfg, initial=state)
+    if name != "split":
+        state.step, state.t = 10, sum([cfg.dt] * 10)
+        assert state.t != 10 * cfg.dt
+        result = TRANSFORM_DRIVERS[name](cfg, initial=state)
+        assert result.final_state is state
     assert steps == []
 
 
@@ -814,6 +867,7 @@ _REJECTIONS = {
     # t = 0.008), and direct EM read increments[-3] to [-1] of its path twice
     "before_the_start": "the state is at step -3, before the run's first step 0",
     "past_the_end": "the state is at step 50, past the run's last step 10",
+    "off_the_clock": "the state is at t = 0.004, but its step 0 of dt = 0.001 is at t = 0.0",
     "resumed": "the split driver cannot resume a run: snapshots do not carry "
                "the full convolution stack",
     "bundle_dt": "path bundle does not match the run (steps, dt or grid)",
@@ -824,14 +878,15 @@ _REJECTIONS = {
 
 @pytest.mark.parametrize("name, case", [
     *((name, case) for name in sorted(TRANSFORM_DRIVERS)
-      for case in ("another_grid", "before_the_start")),
+      for case in ("another_grid", "before_the_start", "off_the_clock")),
     ("deterministic", "past_the_end"), ("direct_em", "past_the_end"), ("split", "resumed"),
     *((name, case) for name in ("split", "direct_em")
       for case in ("bundle_dt", "bundle_steps", "bundle_grid")),
 ])
-def test_rejected_run_builds_nothing(name, case, monkeypatch):
+def test_rejected_run_builds_nothing(name, case, monkeypatch, cold_caches):
     # each input is checked against the config before the Stepper (its
-    # eigenbases), the increment bundle or the initial fields are built
+    # eigenbases, which cold caches would build), the increment bundle or
+    # the initial fields are built
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
                     noise_sigma=0.0 if name == "deterministic" else 0.1)
     if case.startswith("bundle"):
@@ -844,7 +899,8 @@ def test_rejected_run_builds_nothing(name, case, monkeypatch):
         n = 16 if case == "another_grid" else 8
         state = initial_state(make_grid(n, n, n), "random_smooth", seed=3)
         state.step = {"another_grid": 0, "before_the_start": -3, "past_the_end": 50,
-                      "resumed": 5}[case]
+                      "resumed": 5, "off_the_clock": 0}[case]
+        state.t = 0.004 if case == "off_the_clock" else 0.0
         kwargs = {"initial": state}
 
     def forbidden(*args, **kwargs):

@@ -4,7 +4,10 @@ For each grid of the ladder (8^3, 16^3, 32^3, 64^2 x 32, 64^3) this
 times, on the `random_smooth` state (amplitude 0.5, seed 1) with
 surface-trace transport, IMEX Euler and dt = 1e-3:
 
-- `setup_s`: `Stepper` construction (min over repeats);
+- `setup_s`: `Stepper` construction from cold set-up caches (the
+  per-process caches of `make_grid` and `linops.vertical_operator` are
+  emptied before each repeat, in a tree that has them), and
+  `setup_warm_s` with them warm: a second `Stepper` of the grid;
 - `state_terms_ms`, `measure_ms`, `tendencies_ms`, `step_ms`: min and
   median of one call each, the calls taking the same state (the step of
   a given state is a pure function of it); `tendencies_ms` times
@@ -78,6 +81,16 @@ def _samples(call) -> tuple[list[float], float, float]:
             (after.ru_stime - before.ru_stime) / len(times))
 
 
+def _clear_caches() -> None:
+    """Empty the tree's per-process set-up caches; a tree without them
+    has nothing to empty."""
+    from ebpe import grid, linops
+
+    for fn in (grid.make_grid, getattr(linops, "vertical_operator", None)):
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
 def worker(shape: tuple[int, int, int]) -> dict:
     """One round of every figure on one grid, for the ebpe on sys.path."""
     from ebpe.ebm import PhysParams, default_insolation
@@ -91,7 +104,13 @@ def worker(shape: tuple[int, int, int]) -> dict:
     stepper = Stepper(grid, params, dt)
     state = initial_state(grid, "random_smooth", amplitude=0.5, seed=1)
     terms = state_terms(grid, state)
-    calls = {"setup_s": lambda: Stepper(grid, params, dt),
+
+    def cold_setup():
+        _clear_caches()
+        return Stepper(grid, params, dt)
+
+    calls = {"setup_s": cold_setup,
+             "setup_warm_s": lambda: Stepper(grid, params, dt),
              "state_terms_ms": lambda: state_terms(grid, state),
              "measure_ms": lambda: measure(grid, state, terms),
              "tendencies_ms": lambda: stepper.tendencies(state, terms),
@@ -190,7 +209,9 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(result, indent=1) + "\n")
     for grid in LADDER:
         figures = {name: result["results"][name][grid] for name in trees}
-        row = "  ".join(f"{name}: step {f['step_ms']['min']:.3f} "
+        row = "  ".join(f"{name}: setup {1e3 * f['setup_s']['min']:.3f} "
+                        f"(warm {1e3 * f['setup_warm_s']['min']:.3f}) ms, "
+                        f"step {f['step_ms']['min']:.3f} "
                         f"({f['step_ms']['median_worker_min']:.3f}) ms, tendencies "
                         f"{f['tendencies_ms']['min']:.3f} "
                         f"({f['tendencies_ms']['median_worker_min']:.3f}) ms, "
