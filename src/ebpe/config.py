@@ -111,6 +111,7 @@ class RunConfig:
 # (section, key) -> the RunConfig field it sets
 _FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
 _SECTIONS = {section for section, _ in _FIELDS}
+_FLOATS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -151,9 +152,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
 
-    errors.extend(validate_config(cfg))
-    if errors:
-        raise ConfigError(errors)
+    validate_config(cfg, errors)
     return cfg
 
 
@@ -163,13 +162,14 @@ def whole_steps(t_end: float, dt: float) -> bool:
     return n >= 1 and abs(n * dt - t_end) <= 1e-9 * max(1.0, t_end)
 
 
-def validate_config(cfg: RunConfig) -> list[str]:
-    """Cross-field constraint checks; returns messages, empty when valid."""
-    errors: list[str] = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            errors.append(f"{f.name} must be finite, got {value}")
+def validate_config(cfg: RunConfig, errors: list[str] | None = None) -> None:
+    """Every field's checks, alone and across fields: raises ConfigError with
+    `errors` (a parser's, first) and theirs, if any.  Each driver's set-up
+    calls it first, so a config built in code meets a parsed one's rules."""
+    errors = list(errors or ())
+    for name in _FLOATS:
+        if not math.isfinite(getattr(cfg, name)):
+            errors.append(f"{name} must be finite, got {getattr(cfg, name)}")
     for name, n in (("nx", cfg.nx), ("ny", cfg.ny)):
         if n < 4 or n % 2 != 0:
             errors.append(f"{name} must be even and >= 4, got {n}")
@@ -218,4 +218,5 @@ def validate_config(cfg: RunConfig) -> list[str]:
         errors.append(f"h1_margin must be > 0, got {cfg.h1_margin}")
     if cfg.ic_amplitude < 0.0:
         errors.append(f"initial-condition amplitude must be >= 0, got {cfg.ic_amplitude}")
-    return errors
+    if errors:
+        raise ConfigError(errors)

@@ -44,16 +44,6 @@ ENERGY_TOL = 1e-10  # roundoff slack of the energy inequality
 H1_FLOOR = 1e-8  # least H1(first) of the H1 envelope
 
 
-def l2sq_volume(grid: Grid, f: np.ndarray) -> float:
-    """Squared L2 norm over the unit-volume cylinder (trapezoid in z)."""
-    return float(np.sum(f * f @ grid.trapz_w) / (grid.nx * grid.ny))
-
-
-def l2sq_surface(grid: Grid, f: np.ndarray) -> float:
-    """Squared L2 norm over the unit-area horizontal section."""
-    return float(np.sum(f * f) / (grid.nx * grid.ny))
-
-
 @dataclass(frozen=True)
 class StateTerms:
     """Spectral terms and physical derivative fields of one state.
@@ -248,15 +238,12 @@ class ConvergenceStudy:
     order: float
 
 
-def _l2_distance(grid: Grid, state, v: np.ndarray, T: np.ndarray, rho: np.ndarray) -> float:
-    """Combined L2 distance between a state and the fields (v, T, rho)."""
-    err2 = (
-        l2sq_volume(grid, state.v[0] - v[0])
-        + l2sq_volume(grid, state.v[1] - v[1])
-        + l2sq_volume(grid, state.T - T)
-        + l2sq_surface(grid, state.rho - rho)
-    )
-    return float(np.sqrt(err2))
+def _l2_distance(grid: Grid, state, fields: np.ndarray) -> float:
+    """Combined L2 distance of (v, T, rho) between a state and the fields
+    (3, Nx, Ny, Nz+1) of another: sqrt(2 E) of the difference state."""
+    from .timestep import State
+
+    return float(np.sqrt(2.0 * measure(grid, State(state.fields - fields)).energy))
 
 
 def _mms_run(exact, grid: Grid, forcing, scheme: str, dt: float, t_end: float):
@@ -294,9 +281,9 @@ def mms_spatial_study(
     for nz in nz_ladder:
         grid = make_grid(8, 8, nz)
         state = _mms_run(exact, grid, exact.spectral_forcing(grid), scheme, dt, t_end)
-        errors.append(_l2_distance(grid, state, exact.velocity(grid, state.t),
-                                   exact.temperature(grid, state.t),
-                                   exact.surface_temperature(grid, state.t)))
+        exact_fields = np.concatenate((exact.velocity(grid, state.t),
+                                       exact.temperature(grid, state.t)[None]))
+        errors.append(_l2_distance(grid, state, exact_fields))
     hs = [1.0 / nz for nz in nz_ladder]
     return ConvergenceStudy(scales=hs, errors=errors, order=fit_order(hs, errors))
 
@@ -327,8 +314,7 @@ def mms_temporal_study(
     grid = make_grid(nx, ny, nz)
     forcing = exact.spectral_forcing(grid)
     ref = _mms_run(exact, grid, forcing, scheme, ref_dt, t_end)
-    errors = [_l2_distance(grid, _mms_run(exact, grid, forcing, scheme, dt, t_end),
-                           ref.v, ref.T, ref.rho)
+    errors = [_l2_distance(grid, _mms_run(exact, grid, forcing, scheme, dt, t_end), ref.fields)
               for dt in dt_ladder]
     return ConvergenceStudy(scales=list(dt_ladder), errors=errors,
                             order=fit_order(dt_ladder, errors))

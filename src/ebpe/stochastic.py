@@ -8,15 +8,16 @@ Both drivers are the deterministic step (`Stepper.step`) of the full
 state plus a kick on the pair-spectrum coupled stack, which they hand the
 shared driver loop (`timestep.integrate`), so they honour the monitor
 settings and reduce to the deterministic run at sigma = 0.  They check
-the scheme, the transport and a given bundle, and `timestep.start_run` a
-given initial state, before the Stepper is built or a bundle drawn, so a
-rejected run costs no set-up.  The direct driver's kick is the increment
-q dW on the surface row.  The split driver carries the convolution Z as
-a pair spectrum (`ebpe.grid`) in the coupled solver's eigen coordinates
-zeta = V^-1 Z; with R = V diag(d) V^-1 the coupled solve,
-its kick Z_{n+1} - R Z_n = V (zeta_{n+1} - d zeta_n) makes the step
-advance the remainder full - Z by the deterministic step with the
-tendencies taken at the full state, so the remainder is never formed.
+the config (`validate_config`), the scheme, the transport, a given spec
+and bundle, and `timestep.start_run` a given initial state, before the
+Stepper is built or a bundle drawn, so a rejected run costs no set-up.
+The direct driver's kick is the increment q dW on the surface row.  The
+split driver carries the convolution Z as a pair spectrum (`ebpe.grid`)
+in the coupled solver's eigen coordinates zeta = V^-1 Z; with
+R = V diag(d) V^-1 the coupled solve, its kick Z_{n+1} - R Z_n =
+V (zeta_{n+1} - d zeta_n) makes the step advance the remainder full - Z
+by the deterministic step with the tendencies taken at the full state,
+so the remainder is never formed.
 The run returns Z's surface channel in level coordinates.
 
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
@@ -27,20 +28,24 @@ The noise field is real, so the increments, the amplitudes and the
 propagator tables are all held over the (Nx, Ny//2+1) half spectrum of
 the step kernel; only the increments are complex, until a kick.
 
-Every run is a pure function of (config, seed): increments for all steps
-are drawn up front in one reproducible bundle, indexed by the absolute
-step number, and the same bundle can be coarsened (summing consecutive
-increments) so runs at different step sizes share one Brownian path.
+Every run is a pure function of its config: sigma, decay and seed are
+its [noise] keys and nothing else.  Increments for all steps are drawn
+up front in one reproducible bundle, indexed by the absolute step number,
+and the same bundle can be coarsened (summing consecutive increments) so
+runs at different step sizes share one Brownian path.  A driver given a
+spec or a bundle checks them against the config: a spec must equal its
+`NoiseSpec`, and a bundle must match its steps, dt, grid and seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .ebm import VERTICAL_AVERAGE
 from .grid import Grid, irfft_h
 from .timestep import RunResult, State, Stepper, integrate, start_run
@@ -61,7 +66,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         errors = [f"{name} must be finite, got {value}"
                   for name, value in (("sigma", self.sigma), ("decay", self.decay))
-                  if not np.isfinite(value)]
+                  if not math.isfinite(value)]
         if self.sigma < 0.0:
             errors.append(f"sigma must be >= 0, got {self.sigma}")
         if self.decay < 2.0:
@@ -84,11 +89,12 @@ class PathBundle:
 
     Paired modes carry independent real and imaginary parts of variance
     dt/2 each; self-conjugate modes (mean and Nyquist lines) are real with
-    variance dt.  The bundle is a pure function of the seed.
+    variance dt.  The bundle is a pure function of the seed it records.
     """
 
     increments: np.ndarray  # (n_steps, Nx, Ny//2+1) complex
     dt: float
+    seed: int
 
     @property
     def n_steps(self) -> int:
@@ -104,7 +110,7 @@ class PathBundle:
             )
         n = self.n_steps // factor
         grouped = self.increments.reshape(n, factor, *self.increments.shape[1:])
-        return PathBundle(increments=grouped.sum(axis=1), dt=self.dt * factor)
+        return PathBundle(increments=grouped.sum(axis=1), dt=self.dt * factor, seed=self.seed)
 
 
 def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> PathBundle:
@@ -130,7 +136,7 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
         white = rng.standard_normal((len(out), grid.nx, grid.ny)) * np.sqrt(dt)
         hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., :half]
         np.multiply(hat, np.sqrt(grid.nx * grid.ny), out=out)
-    return PathBundle(increments=increments, dt=dt)
+    return PathBundle(increments=increments, dt=dt, seed=spec.seed)
 
 
 class ConvolutionPropagator:
@@ -168,21 +174,25 @@ def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle
                       initial: State | None) -> tuple[Stepper, State, PathBundle, np.ndarray]:
     """Stepper, first state, increment bundle and amplitudes, built (by
     `start_run`) or drawn only after every input is checked."""
+    validate_config(cfg)
     if cfg.scheme != "imex_euler":
         raise ValueError(f"stochastic drivers support scheme = imex_euler only, "
                          f"got {cfg.scheme!r}")
     if cfg.transport != VERTICAL_AVERAGE:
         raise ValueError("stochastic drivers require transport_variant=vertical_average")
-    spec = spec or NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+    noise = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+    if spec is not None and spec != noise:
+        raise ValueError(f"the noise {spec} is not the run's [noise] keys, {noise}")
     n_steps = cfg.n_steps()
     if bundle is not None and (
             bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt)
-            or bundle.increments.shape[1:] != (cfg.nx, cfg.ny // 2 + 1)):
-        raise ValueError("path bundle does not match the run (steps, dt or grid)")
+            or bundle.increments.shape[1:] != (cfg.nx, cfg.ny // 2 + 1)
+            or bundle.seed != noise.seed):
+        raise ValueError("path bundle does not match the run (steps, dt, grid or seed)")
     stepper, state = start_run(cfg, initial)
     if bundle is None:
-        bundle = wiener_increments(stepper.grid, spec, cfg.dt, n_steps)
-    return stepper, state, bundle, spec.q_table(stepper.grid)
+        bundle = wiener_increments(stepper.grid, noise, cfg.dt, n_steps)
+    return stepper, state, bundle, noise.q_table(stepper.grid)
 
 
 def run_split_stochastic(
@@ -205,7 +215,9 @@ def run_split_stochastic(
 
     The run cannot resume: a snapshot carries only the surface channel of
     the convolution stack, so an `initial` state with step > 0 is
-    rejected.
+    rejected.  spec and bundle, when given, are the config's noise and a
+    path drawn with its seed (see the module docstring): the run is bit
+    for bit the one that draws its own.
     """
     if initial is not None and initial.step > 0:
         raise ValueError(
@@ -240,7 +252,7 @@ def run_direct_em(
     Serves as the brute-force oracle for the split driver on a shared
     path.  Increments are indexed by the absolute step, so a run resumed
     from a snapshot state whose step is set reproduces the uninterrupted
-    run bit for bit.
+    run bit for bit.  spec and bundle are as for `run_split_stochastic`.
     """
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
 

@@ -43,8 +43,9 @@ so no step applies the generator A.  E is the AB2 extrapolation
 step's tendencies are not at hand (the first step and a restart: one
 Crank-Nicolson step with forward-Euler tendencies).
 
-`start_run` checks a given initial state against the config and only
-then builds the run's grid, parameters, `Stepper` and first state.
+`start_run` checks the config by its rules (`config.validate_config`),
+a config built in code too, and a given initial state against it, and
+only then builds the run's grid, parameters, `Stepper` and first state.
 `integrate` is the one driver loop (step count, state terms, ledger,
 monitors, diagnostics rows, blow-up handling) over that Stepper.  The
 deterministic driver here and the stochastic drivers in `ebpe.stochastic`
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
-from .config import SCHEMES, RunConfig
+from .config import SCHEMES, RunConfig, validate_config
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
 from .grid import Grid, irfft_h, neg_dealiased_rfft_h, rfft_h
 
@@ -356,10 +357,12 @@ class RunResult:
 def start_run(cfg: RunConfig, initial: State | None = None,
               forcing=None) -> tuple[Stepper, State]:
     """The run's Stepper (with `forcing`, see `Stepper`) and first state,
-    `initial` or the configured initial condition.  A given state of
+    `initial` or the configured initial condition.  A config that
+    `validate_config` rejects raises ConfigError, and a given state of
     another grid, before step 0 or past the run's last step, or whose t
     is not its step times dt (to 1e-9 max(1, |t|): a run's t sums its
-    steps), raises ValueError before anything is built."""
+    steps), ValueError, before anything is built."""
+    validate_config(cfg)
     if initial is not None:
         shape = (3, cfg.nx, cfg.ny, cfg.nz + 1)
         if initial.fields.shape != shape:

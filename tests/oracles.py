@@ -23,6 +23,8 @@ and `einsum_measure` is the ledger record in its earlier form: the
 Parseval weights `norm_weights_half` over (Nx, Ny//2+1) contracted with
 the power summed over the re/im axis, and the d/dz norms, by
 `np.einsum`, and the solenoidal residual as a matvec per x.
+`l2sq_volume` and `l2sq_surface` are the squared L2 norms on the grid,
+by the trapezoid in z, that `measure`'s Parseval norms must reproduce.
 The half spectrum of `exact_rfft2` is a direct long-double DFT, the
 matrix of `exact_fourier_derivative` a direct long-double sum, and
 `wiener_increments_one_shot` draws and transforms all steps at once.
@@ -439,6 +441,16 @@ def h1_ledger_check(ledger, growth_rate: float = 50.0, margin: float = 100.0) ->
         if message is not None:
             return LedgerCheckResult(ok=False, first_bad_step=n, message=message)
     return LedgerCheckResult(ok=True)
+
+
+def l2sq_volume(grid, f: np.ndarray) -> float:
+    """Squared L2 norm over the unit-volume cylinder (trapezoid in z)."""
+    return float(np.sum(f * f @ grid.trapz_w) / (grid.nx * grid.ny))
+
+
+def l2sq_surface(grid, f: np.ndarray) -> float:
+    """Squared L2 norm over the unit-area horizontal section."""
+    return float(np.sum(f * f) / (grid.nx * grid.ny))
 
 
 def norm_weights_half(grid) -> np.ndarray:

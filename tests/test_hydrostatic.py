@@ -6,7 +6,6 @@ import pytest
 from ebpe import baroclinic_grad, make_grid, project_barotropic, vertical_average
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.hydrostatic import cumulative_integral, diagnose_w
-from ebpe.monitors import l2sq_volume
 
 from conftest import (
     baroclinic_grad_physical,
@@ -16,7 +15,7 @@ from conftest import (
     smooth_field_3d,
 )
 import oracles
-from oracles import as_complex, as_pairs, div_h, grad_h
+from oracles import as_complex, as_pairs, div_h, grad_h, l2sq_volume
 
 
 class TestVerticalAverage:

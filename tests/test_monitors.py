@@ -16,8 +16,6 @@ from ebpe.monitors import (
     FLAG_MAX_PRINCIPLE,
     LedgerRecord,
     constraint_check,
-    l2sq_surface,
-    l2sq_volume,
     max_principle_bound,
     max_principle_check,
     measure,
@@ -29,7 +27,8 @@ from ebpe.timestep import initial_state, run_deterministic
 
 from conftest import project_barotropic_physical, rough_state, smooth_field_3d
 from oracles import (deriv_x, deriv_y, deriv_z, diagnose_w, einsum_measure,
-                     energy_ledger_check, h1_ledger_check, norm_weights_half)
+                     energy_ledger_check, h1_ledger_check, l2sq_surface, l2sq_volume,
+                     norm_weights_half)
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -329,6 +328,17 @@ class TestMeasure:
                 assert a == b, f.name
             else:
                 assert b != 0.0 and abs(a - b) <= 1e-14 * abs(b), f.name
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_mms_distance_matches_quadrature(self, n):
+        # the studies' L2 distance is sqrt(2 E) of the difference state:
+        # the quadrature norms of v, T and rho on the grid
+        grid = make_grid(n, n, n)
+        a, b = rough_state(grid, seed=n), rough_state(grid, seed=n + 1)
+        d = a.fields - b.fields
+        oracle = np.sqrt(l2sq_volume(grid, d[0]) + l2sq_volume(grid, d[1])
+                         + l2sq_volume(grid, d[2]) + l2sq_surface(grid, d[2, ..., -1]))
+        assert abs(monitors._l2_distance(grid, a, b.fields) - oracle) <= 1e-13 * oracle
 
     @pytest.mark.parametrize("shape", [(8, 8, 8), (16, 8, 4), (8, 16, 4)])
     def test_pair_weights_repeat_the_half_weights_over_re_im(self, shape):

@@ -268,11 +268,10 @@ class TestConvolutionPropagator:
 
 class TestDrivers:
     def test_zero_noise_degeneration_bitwise(self):
-        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02)
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.0, noise_seed=1)
         det = run_deterministic(cfg)
-        spec = NoiseSpec(sigma=0.0, seed=1)
-        split = run_split_stochastic(cfg, spec=spec)
-        em = run_direct_em(cfg, spec=spec)
+        split = run_split_stochastic(cfg)
+        em = run_direct_em(cfg)
         for driver in (split, em):
             assert np.array_equal(driver.final_state.T, det.final_state.T)
             assert np.array_equal(driver.final_state.rho, det.final_state.rho)
@@ -362,6 +361,18 @@ class TestDrivers:
         d = run_direct_em(cfg)
         assert np.array_equal(c.final_state.rho, d.final_state.rho)
 
+    @pytest.mark.parametrize("driver", [run_split_stochastic, run_direct_em])
+    def test_given_spec_and_bundle_change_no_bit(self, driver):
+        # the stoch-8 call pattern: the config's spec and a bundle drawn with
+        # it give the run that draws its own, bit for bit
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.2, noise_seed=9)
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+        bundle = wiener_increments(make_grid(8, 8, 8), spec, cfg.dt, cfg.n_steps())
+        alone, given = driver(cfg), driver(cfg, spec=spec, bundle=bundle)
+        assert np.array_equal(alone.final_state.fields, given.final_state.fields)
+        assert alone.ledger == given.ledger
+        assert np.array_equal(alone.z_rho_final, given.z_rho_final)
+
     def test_split_matches_remainder_recurrence_oracle(self):
         # the paper's splitting, built from the physical-space helpers: the
         # remainder takes the deterministic step with the tendencies at the
@@ -398,13 +409,13 @@ class TestDrivers:
         cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.01,
                         transport="surface_trace")
         with pytest.raises(ValueError, match="vertical_average"):
-            run_split_stochastic(cfg, spec=NoiseSpec(sigma=0.1))
+            run_split_stochastic(cfg)
         with pytest.raises(ValueError, match="vertical_average"):
-            run_direct_em(cfg, spec=NoiseSpec(sigma=0.1))
+            run_direct_em(cfg)
 
     def test_bundle_mismatch_rejected(self, grid8):
-        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.01)
-        spec = NoiseSpec(sigma=0.1, seed=1)
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.01, noise_sigma=0.1, noise_seed=1)
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
         short = wiener_increments(grid8, spec, 1e-3, 3)
         with pytest.raises(ValueError, match="bundle"):
             run_split_stochastic(cfg, spec=spec, bundle=short)
@@ -414,7 +425,7 @@ class TestDrivers:
         # increments drawn on another grid, or 8x8 increments at full width
         for bundle in (wiener_increments(make_grid(8, 16, 8), spec, 1e-3, 10),
                        wiener_increments(make_grid(16, 8, 8), spec, 1e-3, 10),
-                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3)):
+                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3, seed=1)):
             for driver in (run_split_stochastic, run_direct_em):
                 with pytest.raises(ValueError, match="path bundle does not match the run"):
                     driver(cfg, spec=spec, bundle=bundle)
@@ -463,8 +474,9 @@ class TestDrivers:
         # Z after n steps must equal the explicit sum
         # sum_k exp((n-1-k) dt M) phi1(dt M) q dW_k e_rho, with the
         # exponentials and phi1 computed independently per term
-        cfg = RunConfig(**BASE, dt=5e-3, t_end=0.05)
-        spec = NoiseSpec(sigma=0.4, decay=2.0, seed=31)
+        cfg = RunConfig(**BASE, dt=5e-3, t_end=0.05, noise_sigma=0.4, noise_decay=2.0,
+                        noise_seed=31)
+        spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
         grid = make_grid(8, 8, 8)
         bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
         res = run_split_stochastic(cfg, spec=spec, bundle=bundle)

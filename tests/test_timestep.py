@@ -17,12 +17,12 @@ from ebpe import (
 )
 from ebpe import grid as grid_mod
 from ebpe import linops, timestep
-from ebpe.config import RunConfig
+from ebpe.config import ConfigError, RunConfig
 from ebpe.ebm import coalbedo, default_insolation
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.linops import CoupledImplicitSolver, VelocityImplicitSolver
 from ebpe.manufactured import ManufacturedSolution
-from ebpe.monitors import l2sq_surface, l2sq_volume, measure, state_terms
+from ebpe.monitors import measure, state_terms
 from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BLOWUP_SUP,
@@ -35,8 +35,9 @@ from ebpe.timestep import (
 )
 
 from conftest import record_w_top, rough_state
-from oracles import (as_pairs, crank_nicolson_stage, physical_tendencies,
-                     random_smooth_per_plane, solve_coupled_implicit, solve_velocity_implicit)
+from oracles import (as_pairs, crank_nicolson_stage, l2sq_surface, l2sq_volume,
+                     physical_tendencies, random_smooth_per_plane, solve_coupled_implicit,
+                     solve_velocity_implicit)
 
 
 def max_rel_err(ours, oracle):
@@ -156,7 +157,7 @@ def test_hot_path_makes_no_numpy_fft_call(monkeypatch):
               "cnab2": exact.initial_state(grid)}
     forcings = {"imex_euler": None, "cnab2": exact.spectral_forcing(grid)}
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
-                    noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
+                    noise_sigma=0.1, noise_seed=2, ic_kind="random_smooth", ic_seed=5)
     bundle = stochastic.wiener_increments(grid, stochastic.NoiseSpec(sigma=0.1, seed=2),
                                           cfg.dt, 1)
     initial = start_run(cfg)[1]
@@ -860,6 +861,7 @@ def test_state_off_its_clock_rejected_before_the_first_step(name, monkeypatch):
     assert steps == []
 
 
+_BUNDLE_MISMATCH = "path bundle does not match the run (steps, dt, grid or seed)"
 _REJECTIONS = {
     "another_grid": "the state's fields have shape (3, 16, 16, 17); "
                     "the run's grid takes (3, 8, 8, 9)",
@@ -870,31 +872,66 @@ _REJECTIONS = {
     "off_the_clock": "the state is at t = 0.004, but its step 0 of dt = 0.001 is at t = 0.0",
     "resumed": "the split driver cannot resume a run: snapshots do not carry "
                "the full convolution stack",
-    "bundle_dt": "path bundle does not match the run (steps, dt or grid)",
-    "bundle_steps": "path bundle does not match the run (steps, dt or grid)",
-    "bundle_grid": "path bundle does not match the run (steps, dt or grid)",
+    "bundle_dt": _BUNDLE_MISMATCH,
+    "bundle_steps": _BUNDLE_MISMATCH,
+    "bundle_grid": _BUNDLE_MISMATCH,
+    "bundle_seed": _BUNDLE_MISMATCH,
+    "bundle_seed_coarsened": _BUNDLE_MISMATCH,
+    **{f"spec_{key}": f"the noise NoiseSpec({spec}) is not the run's [noise] keys, "
+                      f"NoiseSpec(sigma=0.1, decay=2.0, seed=0)"
+       for key, spec in (("sigma", "sigma=0.2, decay=2.0, seed=0"),
+                         ("decay", "sigma=0.1, decay=3.0, seed=0"),
+                         ("seed", "sigma=0.1, decay=2.0, seed=1"))},
+    # configs that parse_config rejects, built in code
+    "t_end_off_the_steps": "t_end=0.01 must be a whole number of steps of dt=0.003",
+    "cadence_0": "cadence must be >= 1, got 0",
+    "amplitude_negative": "initial-condition amplitude must be >= 0, got -1.0",
+    "h1_margin_negative": "h1_margin must be > 0, got -1.0",
+    "dt_0": "dt must be positive, got 0.0",
+}
+# the fields each rejected config changes
+_REJECTED_CONFIGS = {
+    "t_end_off_the_steps": {"dt": 3e-3},  # 3 steps silently ended at t = 0.009
+    "cadence_0": {"cadence": 0},  # a ZeroDivisionError after one step
+    "amplitude_negative": {"ic_kind": "random_smooth", "ic_amplitude": -1.0},  # zero fields
+    "h1_margin_negative": {"h1_margin": -1.0},
+    "dt_0": {"dt": 0.0},
 }
 
 
 @pytest.mark.parametrize("name, case", [
     *((name, case) for name in sorted(TRANSFORM_DRIVERS)
-      for case in ("another_grid", "before_the_start", "off_the_clock")),
+      for case in ("another_grid", "before_the_start", "off_the_clock", *_REJECTED_CONFIGS)),
     ("deterministic", "past_the_end"), ("direct_em", "past_the_end"), ("split", "resumed"),
     *((name, case) for name in ("split", "direct_em")
-      for case in ("bundle_dt", "bundle_steps", "bundle_grid")),
+      for case in ("bundle_dt", "bundle_steps", "bundle_grid", "bundle_seed",
+                   "bundle_seed_coarsened", "spec_sigma", "spec_decay", "spec_seed")),
 ])
 def test_rejected_run_builds_nothing(name, case, monkeypatch, cold_caches):
-    # each input is checked against the config before the Stepper (its
-    # eigenbases, which cold caches would build), the increment bundle or
-    # the initial fields are built
-    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
-                    noise_sigma=0.0 if name == "deterministic" else 0.1)
+    # each input is checked against the config, and the config against its
+    # rules, before the Stepper (its eigenbases, which cold caches would
+    # build), the increment bundle or the initial fields are built
+    cfg = dataclasses.replace(
+        RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
+                  noise_sigma=0.0 if name == "deterministic" else 0.1),
+        **_REJECTED_CONFIGS.get(case, {}))
+    spec = stochastic.NoiseSpec(sigma=0.1)  # the config's noise
     if case.startswith("bundle"):
         shape, dt, n_steps = {"bundle_dt": ((8, 8, 8), 2e-3, 10),
                               "bundle_steps": ((8, 8, 8), 1e-3, 3),
-                              "bundle_grid": ((8, 16, 8), 1e-3, 10)}[case]
-        spec = stochastic.NoiseSpec(sigma=0.1, seed=1)
-        kwargs = {"bundle": stochastic.wiener_increments(make_grid(*shape), spec, dt, n_steps)}
+                              "bundle_grid": ((8, 16, 8), 1e-3, 10),
+                              "bundle_seed": ((8, 8, 8), 1e-3, 10),
+                              "bundle_seed_coarsened": ((8, 8, 8), 5e-4, 20)}[case]
+        if case.startswith("bundle_seed"):
+            spec = dataclasses.replace(spec, seed=1)
+        bundle = stochastic.wiener_increments(make_grid(*shape), spec, dt, n_steps)
+        kwargs = {"bundle": bundle.coarsen(2) if case.endswith("coarsened") else bundle}
+    elif case.startswith("spec"):
+        kwargs = {"spec": {"spec_sigma": dataclasses.replace(spec, sigma=0.2),
+                           "spec_decay": dataclasses.replace(spec, decay=3.0),
+                           "spec_seed": dataclasses.replace(spec, seed=1)}[case]}
+    elif case in _REJECTED_CONFIGS:
+        kwargs = {}
     else:
         n = 16 if case == "another_grid" else 8
         state = initial_state(make_grid(n, n, n), "random_smooth", seed=3)
@@ -909,7 +946,8 @@ def test_rejected_run_builds_nothing(name, case, monkeypatch, cold_caches):
     for module, attr in ((linops, "eigenbasis"), (stochastic, "wiener_increments"),
                          (timestep, "initial_state")):
         monkeypatch.setattr(module, attr, forbidden)
-    with pytest.raises(ValueError, match=re.escape(_REJECTIONS[case])):
+    with pytest.raises(ConfigError if case in _REJECTED_CONFIGS else ValueError,
+                       match=re.escape(_REJECTIONS[case])):
         TRANSFORM_DRIVERS[name](cfg, **kwargs)
 
 

@@ -1,13 +1,17 @@
 """Digests of the reference runs, for a bit-for-bit comparison of two trees.
 
 For the ``ebpe`` package on ``PYTHONPATH`` and the ``configs/*.ini`` of the
-checkout this script sits in, it makes 12 runs:
+checkout this script sits in, it makes 14 runs:
 
 - `run_deterministic` on the four configs, ``accept_stoch`` at sigma = 0;
 - CNAB2 (`run_deterministic` with scheme = cnab2) on ``accept_det`` and
   ``accept_restart``;
 - `run_split_stochastic` and `run_direct_em` on ``accept_stoch`` at noise
   seeds 7, 11 and 23;
+- the call pattern of the stoch-8 benchmark workload: ``accept_stoch`` with
+  both seeds 3, one bundle drawn with the config's `NoiseSpec` by
+  `wiener_increments`, and that spec and bundle passed to
+  `run_split_stochastic` and then `run_direct_em`;
 
 and captures the stdout of ``ebpe mms`` for both schemes, quick and full.
 For each run it prints a sha256 of the final fields, the final t and step, a
@@ -15,8 +19,8 @@ sha256 of every ledger record (floats as ``float.hex``), of the CSV text
 (`diagnostics.format_csv` of the CSV records), of ``z_rho_final`` and of
 the warnings, and the monitor failure.  A run that raises prints its
 exception instead.  It calls only long-standing entry points
-(`parse_config`, the three drivers, `diagnostics.format_csv` and
-`cli.main`), so the outputs of an older and a newer tree compare with
+(`parse_config`, the three drivers, `make_grid`, `NoiseSpec`,
+`wiener_increments`, `diagnostics.format_csv` and `cli.main`), so the outputs of an older and a newer tree compare with
 ``diff``:
 
     PYTHONPATH=../parent/src python tools/run_digests.py > parent.txt
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import sys
@@ -50,11 +55,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ebpe import cli, diagnostics, monitors, stochastic, timestep
+from ebpe import cli, diagnostics, make_grid, monitors, stochastic, timestep
 from ebpe.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NOISE_SEEDS = (7, 11, 23)
+STOCH8_SEED = 3
 
 
 def _sha(data: bytes | str) -> str:
@@ -67,7 +73,7 @@ def _record_text(record) -> str:
 
 
 def _runs():
-    """(label, driver, config) for each of the 12 runs."""
+    """(label, driver, config) for each of the 14 runs; driver(config) runs it."""
     cfg = {path.stem: parse_config(path.read_text()) for path in sorted(CONFIGS.glob("*.ini"))}
     for name, c in cfg.items():
         yield (f"deterministic {name}", timestep.run_deterministic,
@@ -79,6 +85,13 @@ def _runs():
         c = dataclasses.replace(cfg["accept_stoch"], noise_seed=seed)
         yield f"split accept_stoch noise_seed={seed}", stochastic.run_split_stochastic, c
         yield f"direct_em accept_stoch noise_seed={seed}", stochastic.run_direct_em, c
+    c = cfg["accept_stoch"].with_seed(STOCH8_SEED)
+    spec = stochastic.NoiseSpec(sigma=c.noise_sigma, decay=c.noise_decay, seed=c.noise_seed)
+    bundle = stochastic.wiener_increments(make_grid(c.nx, c.ny, c.nz), spec, c.dt, c.n_steps())
+    for name, driver in (("split", stochastic.run_split_stochastic),
+                         ("direct_em", stochastic.run_direct_em)):
+        yield (f"stoch-8 pattern {name} accept_stoch seed={STOCH8_SEED}",
+               functools.partial(driver, spec=spec, bundle=bundle), c)
 
 
 def _digest(result) -> list[str]:
