@@ -111,7 +111,10 @@ class RunConfig:
 # (section, key) -> the RunConfig field it sets
 _FIELDS = {(f.metadata["section"], f.metadata["key"] or f.name): f for f in fields(RunConfig)}
 _SECTIONS = {section for section, _ in _FIELDS}
-_FLOATS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float))
+# the float keys whose finiteness `validate_config` checks itself; the
+# noise keys' rules are `noise_errors`
+_FLOATS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, float)
+                and f.name not in ("noise_sigma", "noise_decay"))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -162,6 +165,24 @@ def whole_steps(t_end: float, dt: float) -> bool:
     return n >= 1 and abs(n * dt - t_end) <= 1e-9 * max(1.0, t_end)
 
 
+def noise_errors(sigma: float, decay: float) -> list[str]:
+    """The rules of the boundary noise's amplitude and spectral decay, which
+    `validate_config` and `stochastic.NoiseSpec` both apply: the message
+    of each rule that sigma or decay breaks.  Both are finite, sigma >= 0,
+    and decay >= 2, so that the noise carries one horizontal derivative
+    uniformly in resolution."""
+    errors = []
+    for name, value in (("sigma", sigma), ("decay", decay)):
+        if not math.isfinite(value):
+            errors.append(f"noise {name} must be finite, got {value}")
+    if sigma < 0.0:
+        errors.append(f"noise sigma must be >= 0, got {sigma}")
+    if decay < 2.0:
+        errors.append(f"noise decay exponent must be >= 2 for boundary-noise regularity, "
+                      f"got {decay}")
+    return errors
+
+
 def validate_config(cfg: RunConfig, errors: list[str] | None = None) -> None:
     """Every field's checks, alone and across fields: raises ConfigError with
     `errors` (a parser's, first) and theirs, if any.  Each driver's set-up
@@ -194,13 +215,7 @@ def validate_config(cfg: RunConfig, errors: list[str] | None = None) -> None:
             errors.append(
                 f"t_end={cfg.t_end} must be a whole number of steps of dt={cfg.dt}"
             )
-    if cfg.noise_sigma < 0.0:
-        errors.append(f"noise sigma must be >= 0, got {cfg.noise_sigma}")
-    if cfg.noise_decay < 2.0:
-        errors.append(
-            f"noise decay exponent must be >= 2 for boundary-noise regularity, "
-            f"got {cfg.noise_decay}"
-        )
+    errors += noise_errors(cfg.noise_sigma, cfg.noise_decay)
     if cfg.noise_sigma > 0.0 and cfg.transport == SURFACE_TRACE:
         errors.append(
             "boundary noise requires transport=vertical_average "

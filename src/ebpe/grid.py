@@ -55,8 +55,10 @@ coefficient of a field is its horizontal mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,7 +313,100 @@ def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(f.real)
 
 
-def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
+class Passes(NamedTuple):
+    """The buffers of one transform's two products and the views of them
+    that the products take, built once for an operand shape (`passes`).
+
+    The first product writes `mid`, the second reads it as `mid_rows`;
+    a forward transform is bound to its result `out`, which the second
+    product writes as `rows` (for `neg_dealiased_rfft_h`, the retained
+    modes' own buffer, which `scatter` copies into out, negated, as
+    (source, destination) blocks).  The transforms take a Passes as
+    `work` and build one when work is None, so their allocating call is
+    the same code given fresh buffers; a caller that transforms one shape
+    again and again builds it once and hands it over.
+    """
+
+    mid: np.ndarray
+    mid_rows: np.ndarray
+    out: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    scatter: tuple = ()
+
+
+def passes(grid: Grid, shape: tuple[int, ...], kind: str = "forward",
+           out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> Passes:
+    """The Passes of `rfft_h` (kind "forward"), `neg_dealiased_rfft_h`
+    ("dealiased") or `irfft_h` ("inverse") for an operand of `shape`: real
+    fields (..., Nx, Ny, K) or one (Nx, Ny) field, or their pair spectra
+    for the inverse.  out, the forward result (C-contiguous, of its
+    shape), is new when None.  scratch, when given, holds the buffer of
+    the first product (`carve`); the dealiased y pass is held in out's
+    storage, which the scatter then overwrites."""
+    nx, half = grid.nx, grid.ny // 2 + 1
+    if kind == "inverse":
+        plane = len(shape) == 3
+        lead, k = shape[: -3 - (not plane)], 1 if plane else shape[-1]
+        mid = carve(scratch, math.prod(lead), 2 * nx, half * k)
+        return Passes(mid, mid.reshape(lead + (nx, 2 * half, k)))
+    plane = len(shape) == 2
+    lead, k = shape[: -2 - (not plane)], 1 if plane else shape[-1]
+    want, b = (nx, 2, half) if plane else lead + (nx, 2, half, k), math.prod(lead)
+    if out is None:
+        out = np.empty(want)
+    elif out.shape != want:
+        raise ValueError(f"out has shape {out.shape}, the transform {want}")
+    if kind == "forward":
+        mid = carve(scratch, *lead, nx, 2 * half, k)
+        return Passes(mid, mid.reshape(b, 2 * nx, half * k), out, carve(out, b, 2 * nx, half * k))
+    m = len(grid.dft_y_dealias) // 2  # the retained ky
+    c = nx // 3 + 1  # the retained kx = 0 .. Nx//3 come first, then kx < 0
+    spectra = carve(out, b, nx, 2, half, k)
+    mid = carve(out, *lead, nx, 2 * m, k)
+    kept = carve(scratch, b, 2 * c - 1, 2, m, k)
+    return Passes(mid, mid.reshape(-1, 2 * nx, m * k), out, kept.reshape(len(kept), -1, m * k),
+                  ((kept[:, :c], spectra[:, :c, :, :m]),
+                   (kept[:, c:], spectra[:, nx - c + 1 :, :, :m])))
+
+
+def carve(scratch: np.ndarray | None, *shape: int) -> np.ndarray:
+    """An array of `shape` in the leading elements of `scratch`, or new
+    when scratch is None: how the kernel's work records take their
+    buffers, so that phases that do not overlap share one scratch array.
+    A scratch that is not C-contiguous raises ValueError: the products
+    would fill a copy."""
+    if scratch is None:
+        return np.empty(shape)
+    if not scratch.flags.c_contiguous:
+        raise ValueError("an out or work buffer must be C-contiguous")
+    return scratch.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _lines(grid: Grid, fields: np.ndarray) -> np.ndarray:
+    """Real fields (..., Nx, Ny, K), or one (Nx, Ny) field as (Nx, Ny, 1),
+    C-contiguous: the (Ny, K) line blocks of the y pass, one per leading
+    index and x."""
+    shape = fields.shape
+    if (shape if len(shape) == 2 else shape[-3:-1]) != (grid.nx, grid.ny):
+        raise ValueError(f"field shape {shape} does not match grid ({grid.nx}, {grid.ny})")
+    # contiguous operands keep every product on BLAS, so the result does
+    # not depend on the memory layout of `fields`
+    lines = np.ascontiguousarray(fields, dtype=np.float64)
+    return lines.reshape(shape + (1,)) if len(shape) == 2 else lines
+
+
+def _bound(grid: Grid, fields: np.ndarray, kind: str, out: np.ndarray | None,
+           work: Passes | None) -> Passes:
+    """The Passes of a forward transform of `fields` into out: work, or new."""
+    if work is None:
+        return passes(grid, fields.shape, kind, out)
+    if out is not None and out is not work.out:
+        raise ValueError("out is not the result that work was built for")
+    return work
+
+
+def rfft_h(grid: Grid, fields: np.ndarray, out: np.ndarray | None = None,
+           work: Passes | None = None) -> np.ndarray:
     """Batched horizontal real transform: pair spectra (..., Nx, 2, Ny//2+1, K)
     of real fields (..., Nx, Ny, K), or (Nx, 2, Ny//2+1) of one (Nx, Ny) field.
 
@@ -320,57 +415,46 @@ def rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
     batched product over the leading axes and x), which leaves the real
     and imaginary parts of each line on an axis of their own; the x pass
     is `dft_x` times those pairs (one real product per leading index).
+
+    out, when given, receives the result and is returned (C-contiguous,
+    of its shape); work, when given, is `passes(grid, fields.shape,
+    "forward", out)`, built once, and the result is its out.  Without
+    them the call builds both; the bits do not depend on which buffers
+    the products fill.
     """
-    spectra, shape = _forward(grid, fields, grid.dft_y, grid.dft_x)
-    return spectra.reshape(shape)
+    lines = _lines(grid, fields)
+    work = _bound(grid, fields, "forward", out, work)
+    np.matmul(grid.dft_y, lines, out=work.mid)  # per x: real parts, then imaginary
+    np.matmul(grid.dft_x, work.mid_rows, out=work.rows)
+    return work.out
 
 
-def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray) -> np.ndarray:
+def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray, out: np.ndarray | None = None,
+                         work: Passes | None = None) -> np.ndarray:
     """Minus the 2/3-rule part of rfft_h(grid, fields): the pair spectra
     -where(dealias_half, rfft_h(grid, fields), 0) (the mask broadcast over
     the re/im axis), with exact zeros off the retained modes, for the same
     operands.
 
     The passes of rfft_h run with `dft_y_dealias` and `dft_x_dealias`, so
-    only the retained modes are computed, and the copy that scatters them
-    into the zero-filled result negates them (the step's tendencies are
-    minus the advection).
+    only the retained modes are computed: the y pass into the storage of
+    the result, the x pass into a buffer of their own, from which a
+    negated copy scatters them into the result after it is zero-filled
+    (the step's tendencies are minus the advection).  out and work are as
+    for rfft_h, work built with kind "dealiased".
     """
-    kept, shape = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias)
-    b, _, _, m, k = kept.shape
-    c = grid.nx // 3 + 1  # the rows kx = 0 .. Nx//3 come first, then kx < 0
-    out = np.zeros((b, grid.nx, 2, grid.ny // 2 + 1, k))
-    np.negative(kept[:, :c], out=out[:, :c, :, :m])
-    np.negative(kept[:, c:], out=out[:, grid.nx - c + 1 :, :, :m])
-    return out.reshape(shape)
+    lines = _lines(grid, fields)
+    work = _bound(grid, fields, "dealiased", out, work)
+    np.matmul(grid.dft_y_dealias, lines, out=work.mid)
+    np.matmul(grid.dft_x_dealias, work.mid_rows, out=work.rows)
+    work.out.fill(0.0)
+    for kept, retained in work.scatter:
+        np.negative(kept, out=retained)
+    return work.out
 
 
-def _forward(
-    grid: Grid, fields: np.ndarray, dft_y: np.ndarray, dft_x: np.ndarray
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The y pass with `dft_y` (the cosine rows of m columns, then their
-    sine rows) and the x pass with `dft_x` (a pair form) of real fields
-    (..., Nx, Ny, K) or one (Nx, Ny) field.  Returns the pair spectra
-    (B, rows of dft_x // 2, 2, m, K), B the product of the leading axes,
-    and the shape of the full pair spectrum of `fields`."""
-    nx, ny = grid.nx, grid.ny
-    plane = fields.ndim == 2
-    if fields.shape[-2 - (not plane) :][:2] != (nx, ny):
-        raise ValueError(
-            f"field shape {fields.shape} does not match grid ({nx}, {ny})"
-        )
-    k = 1 if plane else fields.shape[-1]
-    m = len(dft_y) // 2
-    # contiguous operands keep every product on BLAS, so the result does
-    # not depend on the memory layout of `fields`
-    lines = np.ascontiguousarray(fields, dtype=np.float64).reshape(-1, ny, k)
-    y = (dft_y @ lines).reshape(-1, 2 * nx, m * k)  # per x: real parts, then imaginary
-    x = dft_x @ y
-    shape = (nx, 2, ny // 2 + 1) if plane else fields.shape[:-2] + (2, ny // 2 + 1, k)
-    return x.reshape(-1, len(dft_x) // 2, 2, m, k), shape
-
-
-def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def irfft_h(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
+            work: Passes | None = None) -> np.ndarray:
     """Inverse of rfft_h: real fields (..., Nx, Ny, K) from pair spectra
     (..., Nx, 2, Ny//2+1, K), or one (Nx, Ny) field from (Nx, 2, Ny//2+1).
 
@@ -379,8 +463,10 @@ def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     every such line block (one batched product).  The imaginary parts of
     the ky = 0 and ky = Ny/2 columns after the x pass meet zero entries of
     `idft_y` and are dropped, which is the real projection of the full
-    inverse.  The result is a new C-contiguous array: the step wraps it
-    as the new state with no copy.
+    inverse.  out, when given, receives the result and is returned (a
+    C-contiguous array of its shape; the step passes the new state's own
+    storage); work, when given, is `passes(grid, coeffs.shape,
+    "inverse")`, built once.
     """
     nx, half = grid.nx, grid.ny // 2 + 1
     plane = coeffs.ndim == 3
@@ -389,7 +475,12 @@ def irfft_h(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
             f"pair-spectrum shape {coeffs.shape} does not match grid ({nx}, 2, {half})"
         )
     k = 1 if plane else coeffs.shape[-1]
+    work = passes(grid, coeffs.shape, "inverse") if work is None else work
     pairs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1, 2 * nx, half * k)
-    x = grid.idft_x @ pairs
-    shape = (nx, grid.ny) if plane else coeffs.shape[:-3] + (grid.ny, k)
-    return (grid.idft_y @ x.reshape(-1, 2 * half, k)).reshape(shape)
+    np.matmul(grid.idft_x, pairs, out=work.mid)
+    if out is None:
+        out = np.empty((nx, grid.ny) if plane else coeffs.shape[:-3] + (grid.ny, k))
+    elif not out.flags.c_contiguous:  # numpy's product would leave BLAS
+        raise ValueError("an out or work buffer must be C-contiguous")
+    np.matmul(grid.idft_y, work.mid_rows, out=out[..., None] if plane else out)
+    return out

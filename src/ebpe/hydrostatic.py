@@ -20,23 +20,29 @@ their full-spectrum forms live with the tests (`tests/oracles.py`).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .grid import Grid
 
 
-def vertical_average(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Trapezoidal average of a 3D field over the unit vertical extent."""
-    return f @ grid.trapz_w
+def vertical_average(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Trapezoidal average of a 3D field over the unit vertical extent;
+    into out when it is given."""
+    return np.matmul(f, grid.trapz_w, out=out)
 
 
-def cumulative_integral(grid: Grid, f: np.ndarray) -> np.ndarray:
+def cumulative_integral(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Running trapezoid integral from z=0 of real fields or pair spectra
-    (..., Nz+1); output level j holds int_0^{z_j} f."""
+    (..., Nz+1); output level j holds int_0^{z_j} f.  out, when given,
+    receives it (C-contiguous, of the shape of f)."""
     # one contiguous operand keeps the product on BLAS, so the result does
     # not depend on the memory layout of f
     f = np.ascontiguousarray(f, dtype=np.float64)
-    return (f.reshape(-1, f.shape[-1]) @ grid.running_trapz).reshape(f.shape)
+    out = np.empty(f.shape) if out is None else out
+    np.matmul(f.reshape(-1, grid.nlev), grid.running_trapz, out=out.reshape(-1, grid.nlev))
+    return out
 
 
 def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
@@ -47,14 +53,41 @@ def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     return -cumulative_integral(grid, d[0] + d[1])
 
 
-def baroclinic_grad(grid: Grid, T_hat: np.ndarray) -> np.ndarray:
+def baroclinic_grad(grid: Grid, T_hat: np.ndarray, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """grad_H of the running temperature integral, zero at z=0 by
     construction; pair-spectrum T (Nx, 2, Ny//2+1, Nz+1) to pair spectra
-    (2, Nx, 2, Ny//2+1, Nz+1)."""
-    return grid.ixi_pair[..., None] * cumulative_integral(grid, T_hat)[..., ::-1, :, :]
+    (2, Nx, 2, Ny//2+1, Nz+1), into out when it is given.  work, when
+    given, receives the integral: an array of the shape of T_hat."""
+    integral = cumulative_integral(grid, T_hat, out=work)
+    return np.multiply(grid.ixi_pair[..., None], integral[..., ::-1, :, :], out=out)
 
 
-def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class ProjectionPlanes(NamedTuple):
+    """The planes of `project_barotropic` for one velocity shape and the
+    views of them that it takes, built once (`projection_planes`): the
+    vertical average and its divergence's potential share one buffer,
+    the average's gradient parts and the removed gradient another."""
+
+    average: np.ndarray   # (2, Nx, 2, Ny//2+1)
+    swapped: np.ndarray   # average with its re/im axis reversed
+    parts: np.ndarray     # d/dx of its v[0], d/dy of its v[1]
+    phi: np.ndarray       # (Nx, 2, Ny//2+1), in average's storage
+    phi_swapped: np.ndarray
+    gradient: np.ndarray  # grad_H phi with a level axis, in parts's storage
+    inv_lap: np.ndarray   # grid.inv_lap_half over the re/im axis
+
+
+def projection_planes(grid: Grid, shape: tuple[int, ...]) -> ProjectionPlanes:
+    """New ProjectionPlanes for a pair-spectrum velocity of `shape`."""
+    average, parts = np.empty((2,) + shape[:-1])
+    phi = average[0]
+    return ProjectionPlanes(average, average[..., ::-1, :], parts, phi, phi[:, ::-1],
+                            parts[..., None], grid.inv_lap_half[:, None])
+
+
+def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None,
+                       work: ProjectionPlanes | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Remove the gradient part of the vertical average of a pair-spectrum
     velocity.
 
@@ -63,10 +96,15 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray) -> tuple[np.ndarray, np.nd
     roundoff).  Returns (projected v_hat, phi_hat): the velocity
     (2, Nx, 2, Ny//2+1, Nz+1) and the mean-zero potential (Nx, 2, Ny//2+1)
     of the removed gradient, which is dt times the surface pressure of one
-    step.
+    step.  out, when given, receives the velocity (it may be v_hat
+    itself); work, when given, is `projection_planes(grid, v_hat.shape)`,
+    built once, and phi_hat is its phi.
     """
-    d = grid.ixi_pair * vertical_average(grid, v_hat)[..., ::-1, :]
+    w = projection_planes(grid, v_hat.shape) if work is None else work
+    np.matmul(v_hat, grid.trapz_w, out=w.average)  # the vertical average
+    d = np.multiply(grid.ixi_pair, w.swapped, out=w.parts)
     # invert the same discrete div(grad .) symbol that the residual sees,
     # so the projected average is solenoidal to roundoff on every mode
-    phi_hat = (d[0] + d[1]) * grid.inv_lap_half[:, None]
-    return v_hat - (grid.ixi_pair * phi_hat[:, ::-1])[..., None], phi_hat
+    np.multiply(np.add(d[0], d[1], out=w.phi), w.inv_lap, out=w.phi)
+    np.multiply(grid.ixi_pair, w.phi_swapped, out=w.parts)
+    return np.subtract(v_hat, w.gradient, out=out), w.phi

@@ -160,12 +160,15 @@ def vertical_operator(grid: Grid, coupled: bool) -> tuple[np.ndarray, ...]:
     return record
 
 
-def to_eigen(basis: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+def to_eigen(basis: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Eigen coordinates V^-1 x, of the shape of x, of pair-spectrum
-    columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`."""
+    columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`; into out
+    (C-contiguous) when it is given."""
     x = np.ascontiguousarray(x_hat, dtype=np.float64)
     rows = x.reshape(x.shape[: basis.ndim - 3] + (-1, x.shape[-1]))  # one product per basis
-    return (rows @ basis[0]).reshape(x.shape)
+    out = np.empty(x.shape) if out is None else out
+    np.matmul(rows, basis[0], out=out.reshape(rows.shape))
+    return out
 
 
 def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
@@ -178,12 +181,14 @@ def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
 
 
 def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray,
-                   out=None) -> np.ndarray:
+                   out=None, work=None) -> np.ndarray:
     """V (diag * (V^-1 x)) per mode, for the `transposed_bases` of V, a real
     (Nx, Ny//2+1, n) diagonal table and pair-spectrum columns
     (..., Nx, 2, Ny//2+1, n), or per field for stacked bases and tables;
-    into out when it is given."""
-    coords = to_eigen(basis, x_hat)
+    into out when it is given (it may be x_hat itself).  work, when given,
+    receives the eigen coordinates: a C-contiguous array of the shape of
+    x_hat."""
+    coords = to_eigen(basis, x_hat, out=work)
     coords *= diag[..., None, :, :]  # the same factor for both parts
     return from_eigen(basis, coords, out)
 

@@ -39,13 +39,12 @@ spec or a bundle checks them against the config: a spec must equal its
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
-from .config import RunConfig, validate_config
+from .config import RunConfig, noise_errors, validate_config
 from .ebm import VERTICAL_AVERAGE
 from .grid import Grid, irfft_h
 from .timestep import RunResult, State, Stepper, integrate, start_run
@@ -64,16 +63,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        errors = [f"{name} must be finite, got {value}"
-                  for name, value in (("sigma", self.sigma), ("decay", self.decay))
-                  if not math.isfinite(value)]
-        if self.sigma < 0.0:
-            errors.append(f"sigma must be >= 0, got {self.sigma}")
-        if self.decay < 2.0:
-            errors.append(
-                f"decay exponent must be >= 2 for boundary-noise regularity, "
-                f"got {self.decay}"
-            )
+        errors = noise_errors(self.sigma, self.decay)
         if errors:
             raise ValueError("\n".join(errors))
 

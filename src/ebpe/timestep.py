@@ -43,6 +43,25 @@ so no step applies the generator A.  E is the AB2 extrapolation
 step's tendencies are not at hand (the first step and a restart: one
 Crank-Nicolson step with forward-Euler tendencies).
 
+The kernel runs in a workspace that each `Stepper` owns (`Workspace`):
+two scratch arrays of the pair spectra's size, allocated with the
+Stepper, and the buffers of the state terms, the tendencies and the
+implicit stage, with every view of them that a step takes, built by
+their first use.  Every entry point of the kernel (the transforms, the
+hydrostatic operators, `linops.apply_diagonal`, `monitors.state_terms`,
+`nonlinear_tendencies`) has an out= form that writes into given buffers
+and an allocating form that is the same code given fresh ones, so a
+step of a state, its terms and its ledger record allocate no volume or
+spectrum but the new state's fields (only planes and reductions, such
+as the radiation term and the norms).  The contract: what
+`Stepper.state_terms` and `Stepper.tendencies` return lives in the
+workspace and is valid until that stepper's next call; no `State`
+shares memory with the workspace, so a state, once returned, is its
+caller's; and two steppers, of one grid or not, share nothing, so
+stepped alternately each gives the bits it gives alone.  The cnab2
+stage keeps the last tendencies in one of two buffers and writes the
+next ones into the other.
+
 `start_run` checks the config by its rules (`config.validate_config`),
 a config built in code too, and a given initial state against it, and
 only then builds the run's grid, parameters, `Stepper` and first state.
@@ -56,6 +75,7 @@ the last inverse transform.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -65,7 +85,7 @@ from . import grid as grid_mod
 from . import hydrostatic, linops, monitors
 from .config import SCHEMES, RunConfig, validate_config
 from .ebm import PhysParams, VERTICAL_AVERAGE, default_insolation, radiation
-from .grid import Grid, irfft_h, neg_dealiased_rfft_h, rfft_h
+from .grid import Grid, carve, irfft_h, neg_dealiased_rfft_h, rfft_h
 
 BLOWUP_SUP = 1e8
 
@@ -153,11 +173,15 @@ def initial_state(
         c *= (1.0 + k2) ** (-decay / 2.0)
         c = np.where(grid.dealias_mask, c, 0.0)
         planes = np.fft.ifft2(c).real * (grid.nx * grid.ny)
-        profiles = [np.cos(m * np.pi * grid.z) for m in range(3)]
-        for f, field_planes in zip((T, v[0], v[1]), planes.reshape(3, 3, grid.nx, grid.ny)):
-            for plane, p in zip(field_planes, profiles):
-                f += plane[:, :, None] * p
-        v[...] = irfft_h(grid, hydrostatic.project_barotropic(grid, rfft_h(grid, v))[0])
+        profiles = np.array([np.cos(m * np.pi * grid.z) for m in range(3)])
+        # the nine plane-profile products at once, the fields of the
+        # planes (T, v[0], v[1]) put in the state's order and summed
+        # profile by profile: each field's additions, bit for bit
+        products = planes.reshape(3, 3, grid.nx, grid.ny, 1) * profiles[:, None, None, :]
+        for m in range(3):
+            fields += products[[1, 2, 0], m]
+        v_hat = rfft_h(grid, v)
+        irfft_h(grid, hydrostatic.project_barotropic(grid, v_hat, out=v_hat)[0], out=v)
         for f in (T, v):
             sup = np.max(np.abs(f))
             f[...] = f * (amplitude / sup) if sup > 0 and amplitude > 0 else 0.0
@@ -166,8 +190,61 @@ def initial_state(
     return State(fields)
 
 
+class Workspace:
+    """The buffers of the step kernel on one grid, and every view of them
+    that a step takes, built once: a `Stepper` builds one for its grid by
+    its first step, and an allocating call of `nonlinear_tendencies` a
+    fresh one.
+
+    tendencies holds the `grid.passes` of the dealiased products into the
+    tendencies (a second buffer with `history`: cnab2 keeps the last
+    ones; the first is `out` when given) and out the implicit stage's
+    solution of its `solved` fields.  Every other intermediate is held in
+    `scratch`, two arrays of at least the pair spectra's size (new when
+    None), which phases that do not overlap share, so a step touches no
+    more memory than these:
+
+    - the first: the advection, then the baroclinic term, then the
+      radiation spectrum; in the stage the eigen coordinates, then the
+      inverse transform's x pass;
+    - the second: the products, then the transporting velocity, the
+      dealiased x pass, the temperature integral and the radiation y
+      pass; in the stage the right-hand side.
+
+    A Stepper's state terms take the second for their transform's y pass,
+    and its ledger records both (`monitors.ledger_work`), between a
+    state's terms and its step.
+    """
+
+    def __init__(self, grid: Grid, solved: int = 3, history: bool = False,
+                 out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+        nx, ny, half, k = grid.nx, grid.ny, grid.ny // 2 + 1, grid.nlev
+        pair, fields = (3, nx, 2, half, k), (3, nx, ny, k)
+        first, second = np.empty((2, math.prod(pair))) if scratch is None else scratch
+        self.tendencies = [grid_mod.passes(grid, fields, "dealiased", out=F, scratch=second)
+                           for F in ([out] if out is not None else [None] * (1 + history))]
+        self.adv = carve(first, *fields)
+        self.adv_rho = self.adv[2, ..., -1]
+        self.product = carve(second, *fields)
+        # the transporting velocity of rho, and a product at its level
+        self.velocity = carve(second, 2, nx, ny)
+        self.product_rho = carve(second, 3, nx, ny)[2]
+        self.baroclinic = carve(first, 2, *pair[1:])
+        self.integral = carve(second, *pair[1:])
+        self.radiation = grid_mod.passes(grid, (nx, ny), out=carve(first, nx, 2, half),
+                                         scratch=second)
+        self.out = np.empty((solved,) + pair[1:])
+        self.out_v = self.out[:2]
+        self.coords = carve(first, *self.out.shape)
+        self.rhs = carve(second, *self.out.shape)
+        self.projection = hydrostatic.projection_planes(grid, (2,) + pair[1:])
+        self.inverse = grid_mod.passes(grid, self.out.shape, "inverse", scratch=first)
+
+
 def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
-                         terms: monitors.StateTerms | None = None) -> np.ndarray:
+                         terms: monitors.StateTerms | None = None,
+                         out: np.ndarray | None = None,
+                         work: Workspace | None = None) -> np.ndarray:
     """Dealiased explicit tendencies at `state` as pair spectra
     (3, Nx, 2, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T);
     the top level of F_T, rho's, is the surface tendency.
@@ -178,35 +255,46 @@ def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
     budget.  Advective products are dealiased; the radiation term is
     evaluated pointwise and transformed without dealiasing.
 
-    terms, when given, is monitors.state_terms(grid, state).
+    terms, when given, is monitors.state_terms(grid, state).  out, when
+    given, receives the tendencies (C-contiguous) and is returned; work,
+    when given, is a `Workspace` of the grid, which holds the
+    intermediates, and the tendencies go into its first buffer
+    (`Workspace(grid, out=out)` when work is None).
     """
     if terms is None:
         terms = monitors.state_terms(grid, state)
-    v = state.v
+    work = Workspace(grid, out=out) if work is None else work
+    dealiased = work.tendencies[0]
+    if out is not None and out is not dealiased.out:
+        raise ValueError("out is not the tendencies buffer of work")
+    f = state.fields
+    v = f[:2]
     # advection of v[0], v[1] and T at once, in the state's layout
-    adv, product = v[0] * terms.dx, v[1] * terms.dy
+    adv = np.multiply(f[0], terms.dx, out=work.adv)
+    product = np.multiply(f[1], terms.dy, out=work.product)
     adv += product
     adv += np.multiply(terms.w, terms.dz, out=product)
     # at T's top level, rho, its transport replaces T's advection
     if params.transport_variant == VERTICAL_AVERAGE:
-        vs = hydrostatic.vertical_average(grid, v)
+        vs = hydrostatic.vertical_average(grid, v, out=work.velocity)
     else:
         vs = v[..., -1]
-    adv_rho = adv[2, ..., -1]
-    np.multiply(vs[0], terms.dx[2, ..., -1], out=adv_rho)
-    adv_rho += vs[1] * terms.dy[2, ..., -1]
+    np.multiply(vs[0], terms.dx[2, ..., -1], out=work.adv_rho)
+    work.adv_rho += np.multiply(vs[1], terms.dy[2, ..., -1], out=work.product_rho)
 
-    F = neg_dealiased_rfft_h(grid, adv)
-    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
+    F = neg_dealiased_rfft_h(grid, adv, work=dealiased)
+    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2], out=work.baroclinic,
+                                         work=work.integral)
     if params.radiation_on:
-        F[2, ..., -1] += rfft_h(grid, radiation(state.rho, params))
+        F[2, ..., -1] += rfft_h(grid, radiation(f[2, ..., -1], params), work=work.radiation)
     return F
 
 
 def _check_finite(state: State, previous: State) -> None:
-    """One max-norm of all fields; only if it fails the threshold test (as a
-    NaN does), one per field (rho's is T's), whose finiteness tells which."""
-    if np.abs(state.fields).max() <= BLOWUP_SUP:
+    """One max and one min of all fields, which make no temporary; only if
+    they fail the threshold test (as a NaN does), one max-norm per field
+    (rho's is T's), whose finiteness tells which."""
+    if max(state.fields.max(), -state.fields.min()) <= BLOWUP_SUP:
         return
     for name, f in (("v", state.v), ("T", state.T)):
         sup = np.abs(f).max()
@@ -230,6 +318,14 @@ class Stepper:
     value of any other shape raises ValueError there.
     freeze_velocity pins v to its initial value (pure-diffusion studies)
     and builds no velocity solver: `velocity` is None.
+
+    The kernel runs in the stepper's own workspace (module docstring):
+    two scratch arrays of the pair spectra's size, allocated here, which
+    every phase of a step shares, and the buffers and views of the state
+    terms, the ledger and the step (`Workspace`), each built by its first
+    use, so set-up pays for none that a run without steps does not take.
+    What `state_terms` and `tendencies` return is valid until the
+    stepper's next call; a State never shares memory with the workspace.
 
     The radiation term is explicit; its emission part is dissipative but
     limits the stable step to roughly dt <= 0.5 / max(1, sup|rho|^3).
@@ -255,18 +351,46 @@ class Stepper:
         theta_dt = (0.5 if scheme == "cnab2" else 1.0) * dt
         self.coupled = linops.CoupledImplicitSolver(grid, theta_dt)
         self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
-        # the implicit stage's tables, one per solved field, and its buffer
+        # the implicit stage's tables, one per solved field, and the
+        # workspace, which holds its buffer
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
         self._basis = np.stack([s.basis for s in solvers], axis=1)
         self._d = np.stack([s.d for s in solvers])
-        self._out = np.empty(self._d.shape[:2] + (2,) + self._d.shape[2:])
         self._history: tuple[int, np.ndarray] | None = None
+        nx, half = grid.nx, grid.ny // 2 + 1
+        self._scratch = np.empty((2, 3 * nx * 2 * half * grid.nlev))
+        self._terms: monitors.TermsWork | None = None
+        self._ledger: monitors.LedgerWork | None = None
+        self._work: Workspace | None = None
+
+    def _workspace(self) -> Workspace:
+        if self._work is None:
+            self._work = Workspace(self.grid, len(self._d), self.scheme == "cnab2",
+                                   scratch=self._scratch)
+        return self._work
+
+    def state_terms(self, state: State) -> monitors.StateTerms:
+        """monitors.state_terms(grid, state) in the workspace: valid until
+        this stepper's next call."""
+        if self._terms is None:
+            self._terms = monitors.terms_work(self.grid, scratch=self._scratch[1])
+        return monitors.state_terms(self.grid, state, work=self._terms)
+
+    def ledger_work(self) -> monitors.LedgerWork:
+        """The `monitors.measure` buffers in the workspace's scratch: a
+        ledger record reduces them between a state's terms and its step."""
+        if self._ledger is None:
+            self._ledger = monitors.ledger_work(self.grid, self._scratch)
+        return self._ledger
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
         """`nonlinear_tendencies(grid, state, params, terms)` plus the
-        forcing, if any, which is added undealiased."""
+        forcing, if any, which is added undealiased; in the workspace,
+        valid until this stepper's next call."""
         grid = self.grid
-        F = nonlinear_tendencies(grid, state, self.params, terms)
+        if terms is None:
+            terms = self.state_terms(state)
+        F = nonlinear_tendencies(grid, state, self.params, terms, work=self._workspace())
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)
@@ -292,43 +416,55 @@ class Stepper:
         state), shared with the ledger: the state's pair spectra and its
         derivatives and w on the grid, so the step itself makes the
         products forward and the new state back.  Otherwise the step
-        computes it.
+        computes it, in the workspace (`state_terms`).
 
         The step is a pure function of the physical state (and, for
         cnab2, the previous step's tendencies): nothing spectral is kept
         from one step to the next.  Given terms change no bit of the
         result; they must not come from this step's output spectra, which
         differ from the transform of the physical result by roundoff.
-        The new state wraps the array of the last inverse transform.
+        The new state's fields are the one array the step allocates: the
+        last inverse transform writes them.
         """
         grid, dt = self.grid, self.dt
+        cnab2 = self.scheme == "cnab2"
+        if cnab2 and kick_hat is not None:
+            raise ValueError("scheme cnab2 takes no kick_hat")
         if terms is None:
-            terms = monitors.state_terms(grid, state)
-        U = terms.U
+            terms = self.state_terms(state)
         F = self.tendencies(state, terms)
         # one theta-method stage (module docstring): R(U + dt F) for IMEX
         # Euler, R(2U + dt E) - U for CNAB2, E = F without usable history
-        cnab2 = self.scheme == "cnab2"
-        E = F
-        if cnab2:
-            if kick_hat is not None:
-                raise ValueError("scheme cnab2 takes no kick_hat")
-            if self._history is not None and self._history[0] == state.step:
-                E = 1.5 * F - 0.5 * self._history[1]
-            self._history = (state.step + 1, F)
+        work = self._work
         first = 3 - len(self._d)  # the first solved field: 2 (T alone) if v is frozen
-        rhs = dt * E[first:]
-        rhs += 2.0 * U[first:] if cnab2 else U[first:]
-        x_hat = linops.apply_diagonal(self._basis, self._d, rhs, out=self._out)
+        U, rhs = terms.U[first:], work.rhs
+        if cnab2 and self._history is not None and self._history[0] == state.step:
+            F_old = self._history[1][first:]  # E = 1.5 F - 0.5 F_old
+            np.multiply(F[first:], 1.5, out=rhs)
+            rhs -= np.multiply(F_old, 0.5, out=F_old)
+            rhs *= dt
+        else:
+            np.multiply(F[first:], dt, out=rhs)
         if cnab2:
-            x_hat -= U[first:]
+            rhs += np.multiply(U, 2.0, out=work.out)
+            # the next step's tendencies go into the other buffer
+            self._history = (state.step + 1, F)
+            work.tendencies.reverse()
+        else:
+            rhs += U
+        x_hat = linops.apply_diagonal(self._basis, self._d, rhs, out=work.out,
+                                      work=work.coords)
+        if cnab2:
+            x_hat -= U
         if kick_hat is not None:
             x_hat[-1] += kick_hat
+        fields = np.empty(state.fields.shape)
         if self.velocity is None:
-            fields = np.concatenate((state.v, irfft_h(grid, x_hat)))
+            fields[:2] = state.v
         else:
-            x_hat[:2] = hydrostatic.project_barotropic(grid, x_hat[:2])[0]
-            fields = irfft_h(grid, x_hat)
+            hydrostatic.project_barotropic(grid, work.out_v, out=work.out_v,
+                                           work=work.projection)
+        irfft_h(grid, x_hat, out=fields[first:], work=work.inverse)
         new = State(fields, t=state.t + dt, step=state.step + 1)
         _check_finite(new, state)
         return new
@@ -394,11 +530,13 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
 
     kick(state), when given, is the step's kick_hat (see `Stepper.step`)
     from the last measured state: the stochastic drivers' noise.  The
-    state terms (`monitors.state_terms`) are computed once per state for
-    both the ledger and the step.  Every state is measured into the
-    ledger, its record carrying the monitor flags raised at its step;
-    csv_records holds the records at the configured cadence, on any
-    monitor flag, and for the initial state of a fresh run (step 0).
+    state terms are computed once per state, in the stepper's workspace
+    (`Stepper.state_terms`), for both the ledger, which reduces them in
+    its scratch (`Stepper.ledger_work`), and the step.  Every state is
+    measured into the ledger, its record carrying the monitor flags
+    raised at its step; csv_records holds the records at the configured
+    cadence, on any monitor flag, and for the initial state of a fresh
+    run (step 0).
     When monitors are enabled, each step runs the maximum-principle,
     energy and H1 checks in that order, each a message or None; the run
     halts after a step with a hard failure, the last failing check's
@@ -408,9 +546,9 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
     A BlowUpError carries the last measured state, which the step was
     given.  The loop builds and checks nothing (see `start_run`).
     """
-    grid, params = stepper.grid, stepper.params
-    terms = monitors.state_terms(grid, state)
-    record = monitors.measure(grid, state, terms)
+    grid, params, ledger_work = stepper.grid, stepper.params, stepper.ledger_work()
+    terms = stepper.state_terms(state)
+    record = monitors.measure(grid, state, terms, work=ledger_work)
     ledger = [record]
     csv_records = [record] if state.step == 0 else []
     warnings: list[str] = []
@@ -419,8 +557,8 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
 
     for _ in range(cfg.n_steps() - state.step):
         state = stepper.step(state, kick_hat=kick(state) if kick else None, terms=terms)
-        terms = monitors.state_terms(grid, state)
-        prev_record, record = record, monitors.measure(grid, state, terms)
+        terms = stepper.state_terms(state)
+        prev_record, record = record, monitors.measure(grid, state, terms, work=ledger_work)
         flags = 0
         if cfg.monitors_on:
             for flag, msg in (

@@ -111,9 +111,9 @@ def record_w_top(monkeypatch):
 
     measure, w_top = monitors.measure, []
 
-    def recording(grid, state, terms=None):
+    def recording(grid, state, terms=None, work=None):
         w_top.append(monitors.constraint_check(grid, state, terms).w_top)
-        return measure(grid, state, terms)
+        return measure(grid, state, terms, work)
 
     monkeypatch.setattr(monitors, "measure", recording)
     return w_top

@@ -374,7 +374,8 @@ class TestCli:
     @pytest.mark.parametrize("command, section, key, attr", [
         ("run-det", "time", "dt", "dt"),
         ("run-det", "time", "t_end", "t_end"),
-        ("run-stoch", "noise", "sigma", "noise_sigma"),
+        # the noise keys are checked by config.noise_errors, as a NoiseSpec is
+        ("run-stoch", "noise", "sigma", "noise sigma"),
         ("run-det", "physics", "q0", "q0"),
     ])
     def test_non_finite_value_rejected(self, tmp_path, capsys, command, section, key,

@@ -9,7 +9,7 @@ import scipy.linalg
 
 from ebpe import diagnostics, make_grid, project_barotropic, stochastic
 from ebpe import grid as grid_mod
-from ebpe.config import RunConfig
+from ebpe.config import ConfigError, RunConfig, noise_errors, validate_config
 from ebpe.grid import irfft_h, rfft_h, to_spectral
 from ebpe.linops import CoupledImplicitSolver, coupled_vertical_matrix, from_eigen, to_eigen
 from ebpe.stochastic import (
@@ -85,8 +85,22 @@ class TestNoiseSpec:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["sigma", "decay"])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=f"noise {field} must be finite"):
             NoiseSpec(**{field: value})
+
+    @pytest.mark.parametrize("sigma, decay", [(-0.1, 2.0), (0.1, 1.5), (-1.0, 1.0),
+                                              (np.nan, 2.0), (0.1, np.inf), (-np.inf, 0.5)])
+    def test_rules_and_messages_are_the_configs(self, sigma, decay):
+        # NoiseSpec and validate_config state the noise rules once, in
+        # config.noise_errors: the same messages for the same values
+        cfg = RunConfig(transport="vertical_average", noise_sigma=sigma, noise_decay=decay)
+        with pytest.raises(ConfigError) as parsed:
+            validate_config(cfg)
+        with pytest.raises(ValueError) as spec:
+            NoiseSpec(sigma=sigma, decay=decay)
+        want = noise_errors(sigma, decay)
+        assert want and str(spec.value) == "\n".join(want)
+        assert [m for m in parsed.value.messages if m.startswith("noise")] == want
 
     def test_amplitude_table(self, grid8):
         spec = NoiseSpec(sigma=0.2, decay=2.0)

@@ -16,13 +16,13 @@ from ebpe import (
     stochastic,
 )
 from ebpe import grid as grid_mod
-from ebpe import linops, timestep
+from ebpe import hydrostatic, linops, timestep
 from ebpe.config import ConfigError, RunConfig
 from ebpe.ebm import coalbedo, default_insolation
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.linops import CoupledImplicitSolver, VelocityImplicitSolver
 from ebpe.manufactured import ManufacturedSolution
-from ebpe.monitors import measure, state_terms
+from ebpe.monitors import StateTerms, measure, state_terms, terms_work
 from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BLOWUP_SUP,
@@ -323,11 +323,189 @@ class TestImplicitStage:
         second = stepper.step(first)
         kept = first.fields.copy(), second.fields.copy()
         third = stepper.step(second)
+        buffers = workspace_arrays(stepper)
+        assert any(np.shares_memory(a, stepper._work.out) for a in buffers)
         for state in (first, second, third):
-            assert not np.shares_memory(state.fields, stepper._out)
+            assert not any(np.shares_memory(state.fields, a) for a in buffers)
         assert not np.shares_memory(first.fields, second.fields)
         assert np.array_equal(first.fields, kept[0])
         assert np.array_equal(second.fields, kept[1])
+
+
+def workspace_arrays(stepper):
+    """Every array a Stepper's workspace holds: its scratch, its state terms
+    and tendencies, the stage's buffer and the views of them all."""
+    found = []
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, (tuple, list)):
+            for item in x:
+                walk(item)
+        elif hasattr(x, "__dict__"):
+            for item in vars(x).values():
+                walk(item)
+
+    walk([stepper._scratch, stepper._terms, stepper._ledger, stepper._work])
+    return found
+
+
+WORKSPACE_DRIVERS = {
+    "imex_euler": run_deterministic,
+    "cnab2": run_deterministic,
+    "split": stochastic.run_split_stochastic,
+    "direct_em": stochastic.run_direct_em,
+}
+
+
+@pytest.mark.parametrize("driver", sorted(WORKSPACE_DRIVERS))
+def test_run_results_share_no_memory_with_the_workspace(driver, monkeypatch):
+    # the final state, z_rho_final and the ledger are the run's own; the
+    # cnab2 history is a tendencies buffer the next step does not write
+    steppers, init = [], Stepper.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        steppers.append(self)
+
+    monkeypatch.setattr(Stepper, "__init__", recording_init)
+    noise = driver in ("split", "direct_em")
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=4e-3, transport="vertical_average",
+                    scheme="cnab2" if driver == "cnab2" else "imex_euler",
+                    noise_sigma=0.1 if noise else 0.0,
+                    ic_kind="random_smooth", ic_amplitude=0.5, ic_seed=5)
+    result = WORKSPACE_DRIVERS[driver](cfg)
+    (stepper,) = steppers
+    buffers = workspace_arrays(stepper)
+    owned = [result.final_state.fields] + ([result.z_rho_final] if driver == "split" else [])
+    assert result.final_state.step == 4 and all(a is not None for a in owned)
+    for array in owned:
+        assert not any(np.shares_memory(array, a) for a in buffers)
+    if driver == "cnab2":
+        history = stepper._history[1]
+        assert any(history is p.out for p in stepper._work.tendencies)
+        assert not np.shares_memory(history, stepper._work.tendencies[0].out)
+
+
+@pytest.mark.parametrize("case", ["imex_euler", "cnab2_forced", "frozen_velocity"])
+def test_steppers_of_one_grid_step_alternately_to_their_solo_bits(case):
+    # each Stepper owns its workspace: two of one grid, each handed the
+    # terms of its own workspace, interleave every call and still give
+    # the bits each gives alone
+    grid = make_grid(8, 8, 8)
+    exact = ManufacturedSolution()
+    forced = case == "cnab2_forced"
+    params = exact.params(grid) if forced else PhysParams(
+        Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+    kwargs = dict(scheme="cnab2" if forced else "imex_euler",
+                  forcing=exact.spectral_forcing(grid) if forced else None,
+                  freeze_velocity=case == "frozen_velocity")
+    starts = [exact.initial_state(grid) if forced else rough_state(grid, seed=3),
+              State(rough_state(grid, seed=4).fields * (0.3 if forced else 1.0))]
+
+    def solo(state):
+        stepper = Stepper(grid, params, 1e-3, **kwargs)
+        for _ in range(4):
+            state = stepper.step(state, terms=stepper.state_terms(state))
+        return state.fields
+
+    steppers = [Stepper(grid, params, 1e-3, **kwargs) for _ in starts]
+    states = list(starts)
+    for _ in range(4):
+        terms = [s.state_terms(state) for s, state in zip(steppers, states)]
+        states = [s.step(state, terms=t) for s, state, t in zip(steppers, states, terms)]
+    for state, start in zip(states, starts):
+        assert np.array_equal(state.fields, solo(start))
+
+
+class TestOutForms:
+    """Each kernel entry point's out= form (with its work, built once) is
+    its allocating form given buffers: the same bits, for operands of any
+    memory layout, call after call."""
+
+    @staticmethod
+    def layouts(a):
+        strided = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+        strided[..., ::2] = a
+        return a, strided[..., ::2], np.asfortranarray(a)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (10, 14, 5)])
+    def test_transforms(self, shape, rng):
+        grid = make_grid(*shape)
+        fields = rng.standard_normal((3, grid.nx, grid.ny, grid.nlev))
+        for operand in (*self.layouts(fields), *self.layouts(fields[2, ..., -1].copy())):
+            for kind, transform in (("forward", rfft_h),
+                                    ("dealiased", grid_mod.neg_dealiased_rfft_h)):
+                want = transform(grid, operand)
+                out = np.full(want.shape, np.nan)
+                work = grid_mod.passes(grid, operand.shape, kind, out=out)
+                for _ in range(2):
+                    assert transform(grid, operand, out=out, work=work) is out
+                    assert np.array_equal(out, want)
+                assert np.array_equal(transform(grid, operand, out=np.full(want.shape, 7.0)), want)
+        spectra = rfft_h(grid, fields)
+        for operand in (*self.layouts(spectra), *self.layouts(spectra[1, ..., 0].copy())):
+            want = irfft_h(grid, operand)
+            work = grid_mod.passes(grid, operand.shape, "inverse")
+            for _ in range(2):
+                out = np.full(want.shape, np.nan)
+                assert irfft_h(grid, operand, out=out, work=work) is out
+                assert np.array_equal(out, want)
+
+    def test_buffers_are_checked(self, grid8):
+        fields = np.zeros((3, 8, 8, 9))
+        work = grid_mod.passes(grid8, fields.shape)
+        with pytest.raises(ValueError, match="out is not the result that work was built for"):
+            rfft_h(grid8, fields, out=np.empty(work.out.shape), work=work)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            rfft_h(grid8, fields, out=np.empty((3, 8, 2, 5, 18))[..., ::2])
+        with pytest.raises(ValueError, match="out has shape"):  # not a prefix of a larger out
+            grid_mod.neg_dealiased_rfft_h(grid8, fields, out=np.empty((3, 8, 2, 5, 10)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            irfft_h(grid8, work.out, out=np.empty((3, 8, 8, 18))[..., ::2])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            state_terms(grid8, State(fields), out=StateTerms(
+                **{**vars(StateTerms.empty(grid8)), "dz": np.empty((3, 8, 8, 18))[..., ::2]}))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_state_terms_and_tendencies(self, n):
+        grid = make_grid(n, n, n)
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+        states = [rough_state(grid, seed=n), rough_state(grid, seed=n + 1)]
+        out = StateTerms.empty(grid)
+        work = terms_work(grid, out)
+        F = np.full(out.U.shape, np.nan)
+        space = timestep.Workspace(grid, out=F)
+        for state in states:  # a second state through the same buffers
+            want = state_terms(grid, state)
+            for got in (state_terms(grid, state, out=out, work=work),
+                        state_terms(grid, state, out=StateTerms.empty(grid))):
+                for name in ("U", "dx", "dy", "w", "dz"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            tendencies = timestep.nonlinear_tendencies(grid, state, params, want)
+            assert timestep.nonlinear_tendencies(grid, state, params, out, F, space) is F
+            assert np.array_equal(F, tendencies)
+
+    def test_stage_operators(self, rng):
+        grid = make_grid(8, 8, 8)
+        v_hat = rfft_h(grid, rng.standard_normal((2, 8, 8, 9)))
+        stepper = Stepper(grid, PhysParams(Q=default_insolation(grid, 0.9, 0.1)), 1e-3)
+        want_v, want_phi = project_barotropic(grid, v_hat)
+        planes = hydrostatic.projection_planes(grid, v_hat.shape)
+        inplace = v_hat.copy()
+        got_v, got_phi = project_barotropic(grid, inplace, out=inplace, work=planes)
+        assert got_v is inplace and got_phi is planes.phi
+        assert np.array_equal(got_v, want_v) and np.array_equal(got_phi, want_phi)
+        T_hat = v_hat[0]
+        out, integral = np.empty((2,) + T_hat.shape), np.empty(T_hat.shape)
+        assert hydrostatic.baroclinic_grad(grid, T_hat, out=out, work=integral) is out
+        assert np.array_equal(out, hydrostatic.baroclinic_grad(grid, T_hat))
+        x = np.concatenate((v_hat, v_hat[:1]))
+        want = linops.apply_diagonal(stepper._basis, stepper._d, x)
+        coords = np.empty(x.shape)
+        assert linops.apply_diagonal(stepper._basis, stepper._d, x, out=x, work=coords) is x
+        assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("driver", ["imex_euler", "cnab2", "split", "direct_em"])
@@ -345,7 +523,7 @@ def test_every_spectral_array_of_a_step_is_a_pair_spectrum(driver, monkeypatch):
     def recording_step(self, state, kick_hat=None, terms=None):
         new = step(self, state, kick_hat=kick_hat, terms=terms)
         seen.setdefault("U", []).append(terms.U)
-        seen.setdefault("_out", []).append(self._out)
+        seen.setdefault("_out", []).append(self._work.out)
         if kick_hat is not None:
             seen.setdefault("kick", []).append(kick_hat)
         return new

@@ -11,15 +11,22 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
 - `state_terms_ms`, `measure_ms`, `tendencies_ms`, `step_ms`: min and
   median of one call each, the calls taking the same state (the step of
   a given state is a pure function of it); `tendencies_ms` times
-  `Stepper.tendencies` given the state's terms;
+  `Stepper.tendencies` given the state's terms.  The state terms and the
+  ledger are taken as the driver loop takes them: in a tree whose
+  `Stepper` has a workspace (`Stepper.state_terms`, `ledger_work`), in
+  it, and otherwise by the allocating calls;
 - `<figure>_faults_per_call` and `<figure>_stime_ms_per_call` for each
   figure above (`setup`, `state_terms`, ...): `getrusage` minor page
   faults and system CPU time per call over that figure's samples, so a
   worker whose times sit apart can be told by the faults it made;
-- `minor_faults_per_step`: `getrusage` minor page faults per step of a
-  driver-like loop (state terms, measure, step, the state evolving),
-  printed beside the times as the median over the workers; a report of
-  allocation churn, not a gate.
+- `loop_step_ms` and `minor_faults_per_step`: the wall time of each
+  step of a driver-like loop (state terms, measure, step, the state
+  evolving, LOOP_STEPS steps after one untimed), and its `getrusage`
+  minor page faults per step, printed as the median over the workers.
+  The per-call figures take one fixed state, so the allocator's state
+  between calls is not the loop's: this is the figure of the kernel as
+  a run drives it.  The faults report allocation churn; they gate
+  nothing.
 
 Every figure keeps, beside its pooled min and median, each worker's own
 minimum (`worker_min`, one per round) and their median
@@ -60,7 +67,7 @@ ROUNDS = 3
 # on the sample count
 SAMPLE_SECONDS = 0.6
 MIN_SAMPLES = 3
-FAULT_STEPS = 20
+LOOP_STEPS = 20
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -103,7 +110,12 @@ def worker(shape: tuple[int, int, int]) -> dict:
     dt = 1e-3
     stepper = Stepper(grid, params, dt)
     state = initial_state(grid, "random_smooth", amplitude=0.5, seed=1)
-    terms = state_terms(grid, state)
+    # the driver loop's calls: in the stepper's workspace where it has one
+    if hasattr(stepper, "state_terms"):
+        terms_of, ledger = stepper.state_terms, {"work": stepper.ledger_work()}
+    else:
+        terms_of, ledger = (lambda s: state_terms(grid, s)), {}
+    terms = terms_of(state)
 
     def cold_setup():
         _clear_caches()
@@ -111,8 +123,8 @@ def worker(shape: tuple[int, int, int]) -> dict:
 
     calls = {"setup_s": cold_setup,
              "setup_warm_s": lambda: Stepper(grid, params, dt),
-             "state_terms_ms": lambda: state_terms(grid, state),
-             "measure_ms": lambda: measure(grid, state, terms),
+             "state_terms_ms": lambda: terms_of(state),
+             "measure_ms": lambda: measure(grid, state, terms, **ledger),
              "tendencies_ms": lambda: stepper.tendencies(state, terms),
              "step_ms": lambda: stepper.step(state, terms=terms)}
     out = {}
@@ -122,13 +134,22 @@ def worker(shape: tuple[int, int, int]) -> dict:
         out[key] = [t * (1e3 if unit == "ms" else 1.0) for t in times]
         out[f"{name}_faults_per_call"] = [faults]
         out[f"{name}_stime_ms_per_call"] = [1e3 * stime]
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(FAULT_STEPS):
-        terms = state_terms(grid, state)
-        measure(grid, state, terms)
+    def loop_step():
+        nonlocal state
+        terms = terms_of(state)
+        measure(grid, state, terms, **ledger)
         state = stepper.step(state, terms=terms)
+
+    loop_step()
+    times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(LOOP_STEPS):
+        t0 = time.perf_counter()
+        loop_step()
+        times.append(time.perf_counter() - t0)
     out["minor_faults_per_step"] = [
-        (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / FAULT_STEPS]
+        (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / LOOP_STEPS]
+    out["loop_step_ms"] = [1e3 * t for t in times]
     return out
 
 
@@ -215,6 +236,8 @@ def main(argv=None) -> int:
                         f"({f['step_ms']['median_worker_min']:.3f}) ms, tendencies "
                         f"{f['tendencies_ms']['min']:.3f} "
                         f"({f['tendencies_ms']['median_worker_min']:.3f}) ms, "
+                        f"loop step {f['loop_step_ms']['min']:.3f} "
+                        f"({f['loop_step_ms']['median_worker_min']:.3f}) ms, "
                         f"faults/step {f['minor_faults_per_step']['median_worker_min']:.1f}"
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")

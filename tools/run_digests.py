@@ -27,12 +27,20 @@ exception instead.  It calls only long-standing entry points
     PYTHONPATH=src python tools/run_digests.py > change.txt
     diff parent.txt change.txt
 
+The output starts with the settings the bits depend on beyond the code
+(`settings`): the BLAS thread variables, the CPUs the process may use
+(OpenBLAS's thread count when its variable is unset), and numpy's version
+and BLAS library and version.  Two captures compare only under the same
+settings, so a ``diff`` that shows these lines differing explains itself.
+
 Where the digests differ, ``--save FILE.npz`` also stores each run's final
 fields, ``z_rho_final`` and every column of its ledger (one array per
 `LedgerRecord` field over the records), and ``--compare A.npz B.npz``
 prints, per run, the max|B - A| of the fields and ``z_rho_final`` and,
 per ledger column, the max relative |B - A|, max|B - A| / max|A| over the
-records, of each array that both files hold (it runs nothing).  It ends
+records, of each array that both files hold (it runs nothing).  The
+saved file holds the settings too, and ``--compare`` first prints one
+line naming each setting that differs between the two captures.  It ends
 with one summary line: how many runs have bitwise final fields and
 ``z_rho_final`` (and saved arrays of the same shapes), and each ledger
 column's max relative |B - A| over all runs:
@@ -50,6 +58,8 @@ import dataclasses
 import functools
 import hashlib
 import io
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -61,6 +71,21 @@ from ebpe.config import parse_config
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NOISE_SEEDS = (7, 11, 23)
 STOCH8_SEED = 3
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
+SETTINGS_KEY = "settings"  # the saved settings; no run's key, which holds ": "
+
+
+def settings() -> dict[str, str]:
+    """The settings a run's bits depend on beyond the code: the BLAS thread
+    variables, the CPUs this process may use, numpy's version, and the
+    BLAS library numpy was built with and its version."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    found = {var: os.environ.get(var, "(unset)") for var in THREAD_VARS}
+    found["cpus"] = str(len(os.sched_getaffinity(0)))
+    found["numpy"] = np.__version__
+    found["blas"] = f"{blas.get('name')} {blas.get('version')}"
+    return found
 
 
 def _sha(data: bytes | str) -> str:
@@ -111,11 +136,22 @@ def _digest(result) -> list[str]:
 
 
 def _compare(path_a: str, path_b: str) -> int:
-    """Print max|b - a| for every array of the two saved sets, relative to
-    max|a| for a ledger column, then the summary line."""
+    """Print the settings that differ, then max|b - a| for every array of
+    the two saved sets, relative to max|a| for a ledger column, then the
+    summary line."""
     runs, differ, columns = set(), set(), {}
     with np.load(path_a) as a, np.load(path_b) as b:
-        for key in sorted(set(a.files) | set(b.files)):
+        found = [json.loads(str(f[SETTINGS_KEY])) if SETTINGS_KEY in f.files else None
+                 for f in (a, b)]
+        if None in found:
+            print("settings: not recorded in " + " and ".join(
+                path for path, f in zip((path_a, path_b), found) if f is None))
+        else:
+            changed = [f"{k} {found[0].get(k, '(none)')} against {found[1].get(k, '(none)')}"
+                       for k in sorted(set(found[0]) | set(found[1]))
+                       if found[0].get(k) != found[1].get(k)]
+            print("settings that differ: " + ("; ".join(changed) if changed else "none"))
+        for key in sorted((set(a.files) | set(b.files)) - {SETTINGS_KEY}):
             run, name = key.split(": ", 1)
             runs.add(run)
             if key not in a.files or key not in b.files:
@@ -149,7 +185,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.compare:
         return _compare(*args.compare)
-    saved = {}
+    found = settings()
+    for name, value in found.items():
+        print(f"# setting {name}={value}")
+    saved = {SETTINGS_KEY: np.array(json.dumps(found))}
     for label, driver, cfg in _runs():
         print(label)
         try:
