@@ -169,8 +169,8 @@ def noise_errors(sigma: float, decay: float) -> list[str]:
     """The rules of the boundary noise's amplitude and spectral decay, which
     `validate_config` and `stochastic.NoiseSpec` both apply: the message
     of each rule that sigma or decay breaks.  Both are finite, sigma >= 0,
-    and decay >= 2, so that the noise carries one horizontal derivative
-    uniformly in resolution."""
+    and decay >= 2, which makes the surface solution's H1 norm uniform in
+    resolution (the noise's sum of |q|^2 |xi|^2 grows as log N at 2)."""
     errors = []
     for name, value in (("sigma", sigma), ("decay", decay)):
         if not math.isfinite(value):

@@ -30,7 +30,10 @@ bit; they differ from numpy's FFT by roundoff.  The step's quadratic
 products keep only the modes of the 2/3 rule: `neg_dealiased_rfft_h`
 runs the same passes with the rows on those modes (`dft_y_dealias`,
 `dft_x_dealias`, about 4/9 of the x pass and 2/3 of the y pass) and
-writes them, negated, into a zero-filled pair spectrum.
+writes them, negated, into a zero-filled pair spectrum.  A transform
+writes its products into the buffers of `work`, the `Passes` that a
+`timestep.Workspace` lays out for its operand, or lets numpy allocate
+them when work is None; the bits are the same.
 
 The step kernel differentiates and inverts on pair spectra by one
 multiply with a table built once per grid: `ixi_pair`, i xi_x and
@@ -314,17 +317,13 @@ def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 class Passes(NamedTuple):
-    """The buffers of one transform's two products and the views of them
-    that the products take, built once for an operand shape (`passes`).
+    """The buffers of one transform's two products in a workspace, and the
+    views of them that the products take (`passes`).
 
-    The first product writes `mid`, the second reads it as `mid_rows`;
-    a forward transform is bound to its result `out`, which the second
-    product writes as `rows` (for `neg_dealiased_rfft_h`, the retained
-    modes' own buffer, which `scatter` copies into out, negated, as
-    (source, destination) blocks).  The transforms take a Passes as
-    `work` and build one when work is None, so their allocating call is
-    the same code given fresh buffers; a caller that transforms one shape
-    again and again builds it once and hands it over.
+    The first product writes `mid`, the second reads it as `mid_rows`; a
+    forward transform's second product writes its result `out` as `rows`
+    (for `neg_dealiased_rfft_h`, the retained modes' own buffer, which
+    `scatter` copies into out, negated, as (source, destination) blocks).
     """
 
     mid: np.ndarray
@@ -334,15 +333,15 @@ class Passes(NamedTuple):
     scatter: tuple = ()
 
 
-def passes(grid: Grid, shape: tuple[int, ...], kind: str = "forward",
-           out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> Passes:
+def passes(grid: Grid, shape: tuple[int, ...], kind: str, scratch: np.ndarray,
+           out: np.ndarray | None = None) -> Passes:
     """The Passes of `rfft_h` (kind "forward"), `neg_dealiased_rfft_h`
     ("dealiased") or `irfft_h` ("inverse") for an operand of `shape`: real
     fields (..., Nx, Ny, K) or one (Nx, Ny) field, or their pair spectra
-    for the inverse.  out, the forward result (C-contiguous, of its
-    shape), is new when None.  scratch, when given, holds the buffer of
-    the first product (`carve`); the dealiased y pass is held in out's
-    storage, which the scatter then overwrites."""
+    for the inverse.  out is the result of a forward kind, a C-contiguous
+    array of its shape; `scratch` holds the first product, or, for the
+    dealiased kind, whose first product lies in out's storage, the
+    second."""
     nx, half = grid.nx, grid.ny // 2 + 1
     if kind == "inverse":
         plane = len(shape) == 3
@@ -351,62 +350,59 @@ def passes(grid: Grid, shape: tuple[int, ...], kind: str = "forward",
         return Passes(mid, mid.reshape(lead + (nx, 2 * half, k)))
     plane = len(shape) == 2
     lead, k = shape[: -2 - (not plane)], 1 if plane else shape[-1]
-    want, b = (nx, 2, half) if plane else lead + (nx, 2, half, k), math.prod(lead)
-    if out is None:
-        out = np.empty(want)
-    elif out.shape != want:
-        raise ValueError(f"out has shape {out.shape}, the transform {want}")
+    b = math.prod(lead)
     if kind == "forward":
         mid = carve(scratch, *lead, nx, 2 * half, k)
         return Passes(mid, mid.reshape(b, 2 * nx, half * k), out, carve(out, b, 2 * nx, half * k))
     m = len(grid.dft_y_dealias) // 2  # the retained ky
-    c = nx // 3 + 1  # the retained kx = 0 .. Nx//3 come first, then kx < 0
-    spectra = carve(out, b, nx, 2, half, k)
     mid = carve(out, *lead, nx, 2 * m, k)
-    kept = carve(scratch, b, 2 * c - 1, 2, m, k)
-    return Passes(mid, mid.reshape(-1, 2 * nx, m * k), out, kept.reshape(len(kept), -1, m * k),
-                  ((kept[:, :c], spectra[:, :c, :, :m]),
-                   (kept[:, c:], spectra[:, nx - c + 1 :, :, :m])))
+    kept = carve(scratch, b, len(grid.dft_x_dealias), m * k)
+    return Passes(mid, mid.reshape(b, 2 * nx, m * k), out, kept, _scatter(grid, kept, out))
 
 
-def carve(scratch: np.ndarray | None, *shape: int) -> np.ndarray:
-    """An array of `shape` in the leading elements of `scratch`, or new
-    when scratch is None: how the kernel's work records take their
-    buffers, so that phases that do not overlap share one scratch array.
-    A scratch that is not C-contiguous raises ValueError: the products
-    would fill a copy."""
-    if scratch is None:
-        return np.empty(shape)
-    if not scratch.flags.c_contiguous:
-        raise ValueError("an out or work buffer must be C-contiguous")
-    return scratch.reshape(-1)[: math.prod(shape)].reshape(shape)
+def _scatter(grid: Grid, kept: np.ndarray, out: np.ndarray) -> tuple:
+    """The (source, destination) blocks that put the retained modes, the
+    x pass rows (B, len(dft_x_dealias), m*K) of `neg_dealiased_rfft_h`,
+    in their places in out, its C-contiguous pair spectra."""
+    c = grid.nx // 3 + 1  # the retained kx = 0 .. Nx//3 come first, then kx < 0
+    m = len(grid.dft_y_dealias) // 2
+    kept = kept.reshape(len(kept), 2 * c - 1, 2, m, -1)
+    spectra = out.reshape(len(kept), grid.nx, 2, grid.ny // 2 + 1, -1)
+    return ((kept[:, :c], spectra[:, :c, :, :m]),
+            (kept[:, c:], spectra[:, grid.nx - c + 1 :, :, :m]))
 
 
-def _lines(grid: Grid, fields: np.ndarray) -> np.ndarray:
-    """Real fields (..., Nx, Ny, K), or one (Nx, Ny) field as (Nx, Ny, 1),
-    C-contiguous: the (Ny, K) line blocks of the y pass, one per leading
-    index and x."""
-    shape = fields.shape
+def carve(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """An array of `shape` in the leading elements of the C-contiguous
+    `buffer`: how a workspace lays out its arrays, so that phases that do
+    not overlap share one scratch array."""
+    return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _forward(grid: Grid, fields: np.ndarray, dft_y: np.ndarray, dft_x: np.ndarray,
+             work: Passes | None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The y pass with `dft_y` (the cosine rows of m columns, then their
+    sine rows) and the x pass with `dft_x` (a pair form) of real fields
+    (..., Nx, Ny, K) or one (Nx, Ny) field, into the buffers of work, or
+    new ones when it is None.  Returns the x pass rows (B, rows of dft_x,
+    m*K), B the product of the leading axes, and the shape of the full
+    pair spectrum of `fields`."""
+    shape, half = fields.shape, grid.ny // 2 + 1
     if (shape if len(shape) == 2 else shape[-3:-1]) != (grid.nx, grid.ny):
         raise ValueError(f"field shape {shape} does not match grid ({grid.nx}, {grid.ny})")
     # contiguous operands keep every product on BLAS, so the result does
     # not depend on the memory layout of `fields`
     lines = np.ascontiguousarray(fields, dtype=np.float64)
-    return lines.reshape(shape + (1,)) if len(shape) == 2 else lines
+    if len(shape) == 2:
+        lines = lines.reshape(shape + (1,))
+    mid = np.matmul(dft_y, lines, out=None if work is None else work.mid)  # per x: re, then im
+    rows = (mid.reshape(-1, 2 * grid.nx, len(dft_y) // 2 * lines.shape[-1]) if work is None
+            else work.mid_rows)
+    pair = (grid.nx, 2, half) if len(shape) == 2 else shape[:-2] + (2, half, shape[-1])
+    return np.matmul(dft_x, rows, out=None if work is None else work.rows), pair
 
 
-def _bound(grid: Grid, fields: np.ndarray, kind: str, out: np.ndarray | None,
-           work: Passes | None) -> Passes:
-    """The Passes of a forward transform of `fields` into out: work, or new."""
-    if work is None:
-        return passes(grid, fields.shape, kind, out)
-    if out is not None and out is not work.out:
-        raise ValueError("out is not the result that work was built for")
-    return work
-
-
-def rfft_h(grid: Grid, fields: np.ndarray, out: np.ndarray | None = None,
-           work: Passes | None = None) -> np.ndarray:
+def rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = None) -> np.ndarray:
     """Batched horizontal real transform: pair spectra (..., Nx, 2, Ny//2+1, K)
     of real fields (..., Nx, Ny, K), or (Nx, 2, Ny//2+1) of one (Nx, Ny) field.
 
@@ -416,41 +412,36 @@ def rfft_h(grid: Grid, fields: np.ndarray, out: np.ndarray | None = None,
     and imaginary parts of each line on an axis of their own; the x pass
     is `dft_x` times those pairs (one real product per leading index).
 
-    out, when given, receives the result and is returned (C-contiguous,
-    of its shape); work, when given, is `passes(grid, fields.shape,
-    "forward", out)`, built once, and the result is its out.  Without
-    them the call builds both; the bits do not depend on which buffers
-    the products fill.
+    work, when given, is the `passes` (kind "forward") of the operand's
+    shape, and the result is its out; otherwise numpy allocates each
+    product.  The bits do not depend on which buffers the products fill.
     """
-    lines = _lines(grid, fields)
-    work = _bound(grid, fields, "forward", out, work)
-    np.matmul(grid.dft_y, lines, out=work.mid)  # per x: real parts, then imaginary
-    np.matmul(grid.dft_x, work.mid_rows, out=work.rows)
-    return work.out
+    rows, pair = _forward(grid, fields, grid.dft_y, grid.dft_x, work)
+    return rows.reshape(pair) if work is None else work.out
 
 
-def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray, out: np.ndarray | None = None,
-                         work: Passes | None = None) -> np.ndarray:
+def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = None) -> np.ndarray:
     """Minus the 2/3-rule part of rfft_h(grid, fields): the pair spectra
     -where(dealias_half, rfft_h(grid, fields), 0) (the mask broadcast over
     the re/im axis), with exact zeros off the retained modes, for the same
     operands.
 
     The passes of rfft_h run with `dft_y_dealias` and `dft_x_dealias`, so
-    only the retained modes are computed: the y pass into the storage of
-    the result, the x pass into a buffer of their own, from which a
-    negated copy scatters them into the result after it is zero-filled
-    (the step's tendencies are minus the advection).  out and work are as
-    for rfft_h, work built with kind "dealiased".
+    only the retained modes are computed, and a negated copy scatters them
+    into the zero-filled result (the step's tendencies are minus the
+    advection).  work is as for rfft_h, of kind "dealiased": its y pass
+    lies in the storage of the result.
     """
-    lines = _lines(grid, fields)
-    work = _bound(grid, fields, "dealiased", out, work)
-    np.matmul(grid.dft_y_dealias, lines, out=work.mid)
-    np.matmul(grid.dft_x_dealias, work.mid_rows, out=work.rows)
-    work.out.fill(0.0)
-    for kept, retained in work.scatter:
-        np.negative(kept, out=retained)
-    return work.out
+    kept, pair = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias, work)
+    if work is None:
+        out = np.zeros(pair)
+        scatter = _scatter(grid, kept, out)
+    else:
+        out, scatter = work.out, work.scatter
+        out.fill(0.0)
+    for source, retained in scatter:
+        np.negative(source, out=retained)
+    return out
 
 
 def irfft_h(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
@@ -465,8 +456,8 @@ def irfft_h(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
     `idft_y` and are dropped, which is the real projection of the full
     inverse.  out, when given, receives the result and is returned (a
     C-contiguous array of its shape; the step passes the new state's own
-    storage); work, when given, is `passes(grid, coeffs.shape,
-    "inverse")`, built once.
+    storage); work, when given, is the `passes` (kind "inverse") of the
+    operand's shape, which holds the x pass.
     """
     nx, half = grid.nx, grid.ny // 2 + 1
     plane = coeffs.ndim == 3
@@ -475,12 +466,13 @@ def irfft_h(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
             f"pair-spectrum shape {coeffs.shape} does not match grid ({nx}, 2, {half})"
         )
     k = 1 if plane else coeffs.shape[-1]
-    work = passes(grid, coeffs.shape, "inverse") if work is None else work
     pairs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1, 2 * nx, half * k)
-    np.matmul(grid.idft_x, pairs, out=work.mid)
+    mid = np.matmul(grid.idft_x, pairs, out=None if work is None else work.mid)
     if out is None:
         out = np.empty((nx, grid.ny) if plane else coeffs.shape[:-3] + (grid.ny, k))
     elif not out.flags.c_contiguous:  # numpy's product would leave BLAS
-        raise ValueError("an out or work buffer must be C-contiguous")
-    np.matmul(grid.idft_y, work.mid_rows, out=out[..., None] if plane else out)
+        raise ValueError("an out buffer must be C-contiguous")
+    lines = out[..., None] if plane else out
+    rows = mid.reshape(lines.shape[:-2] + (2 * half, k)) if work is None else work.mid_rows
+    np.matmul(grid.idft_y, rows, out=lines)
     return out

@@ -20,8 +20,6 @@ their full-spectrum forms live with the tests (`tests/oracles.py`).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .grid import Grid
@@ -53,41 +51,19 @@ def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
     return -cumulative_integral(grid, d[0] + d[1])
 
 
-def baroclinic_grad(grid: Grid, T_hat: np.ndarray, out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
+def baroclinic_grad(grid: Grid, T_hat: np.ndarray, work=None) -> np.ndarray:
     """grad_H of the running temperature integral, zero at z=0 by
     construction; pair-spectrum T (Nx, 2, Ny//2+1, Nz+1) to pair spectra
-    (2, Nx, 2, Ny//2+1, Nz+1), into out when it is given.  work, when
-    given, receives the integral: an array of the shape of T_hat."""
-    integral = cumulative_integral(grid, T_hat, out=work)
-    return np.multiply(grid.ixi_pair[..., None], integral[..., ::-1, :, :], out=out)
-
-
-class ProjectionPlanes(NamedTuple):
-    """The planes of `project_barotropic` for one velocity shape and the
-    views of them that it takes, built once (`projection_planes`): the
-    vertical average and its divergence's potential share one buffer,
-    the average's gradient parts and the removed gradient another."""
-
-    average: np.ndarray   # (2, Nx, 2, Ny//2+1)
-    swapped: np.ndarray   # average with its re/im axis reversed
-    parts: np.ndarray     # d/dx of its v[0], d/dy of its v[1]
-    phi: np.ndarray       # (Nx, 2, Ny//2+1), in average's storage
-    phi_swapped: np.ndarray
-    gradient: np.ndarray  # grad_H phi with a level axis, in parts's storage
-    inv_lap: np.ndarray   # grid.inv_lap_half over the re/im axis
-
-
-def projection_planes(grid: Grid, shape: tuple[int, ...]) -> ProjectionPlanes:
-    """New ProjectionPlanes for a pair-spectrum velocity of `shape`."""
-    average, parts = np.empty((2,) + shape[:-1])
-    phi = average[0]
-    return ProjectionPlanes(average, average[..., ::-1, :], parts, phi, phi[:, ::-1],
-                            parts[..., None], grid.inv_lap_half[:, None])
+    (2, Nx, 2, Ny//2+1, Nz+1).  work, when given, is a stepper's
+    `timestep.Workspace`, whose `integral` and `baroclinic` receive the
+    integral and the result."""
+    integral = cumulative_integral(grid, T_hat, out=None if work is None else work.integral)
+    return np.multiply(grid.ixi_pair[..., None], integral[..., ::-1, :, :],
+                       out=None if work is None else work.baroclinic)
 
 
 def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None,
-                       work: ProjectionPlanes | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       work=None) -> tuple[np.ndarray, np.ndarray]:
     """Remove the gradient part of the vertical average of a pair-spectrum
     velocity.
 
@@ -97,14 +73,16 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = N
     (2, Nx, 2, Ny//2+1, Nz+1) and the mean-zero potential (Nx, 2, Ny//2+1)
     of the removed gradient, which is dt times the surface pressure of one
     step.  out, when given, receives the velocity (it may be v_hat
-    itself); work, when given, is `projection_planes(grid, v_hat.shape)`,
-    built once, and phi_hat is its phi.
+    itself); work, when given, is a stepper's `timestep.Workspace`: the
+    average and phi_hat go into its `vbar` planes, the gradients into
+    `vbar_parts`.
     """
-    w = projection_planes(grid, v_hat.shape) if work is None else work
-    np.matmul(v_hat, grid.trapz_w, out=w.average)  # the vertical average
-    d = np.multiply(grid.ixi_pair, w.swapped, out=w.parts)
+    average = np.matmul(v_hat, grid.trapz_w, out=None if work is None else work.vbar)
+    d = np.multiply(grid.ixi_pair, average[..., ::-1, :],
+                    out=None if work is None else work.vbar_parts)
     # invert the same discrete div(grad .) symbol that the residual sees,
     # so the projected average is solenoidal to roundoff on every mode
-    np.multiply(np.add(d[0], d[1], out=w.phi), w.inv_lap, out=w.phi)
-    np.multiply(grid.ixi_pair, w.phi_swapped, out=w.parts)
-    return np.subtract(v_hat, w.gradient, out=out), w.phi
+    phi = np.add(d[0], d[1], out=average[0])
+    phi *= grid.inv_lap_half[:, None]
+    gradient = np.multiply(grid.ixi_pair, phi[:, ::-1], out=d)
+    return np.subtract(v_hat, gradient[..., None], out=out), phi

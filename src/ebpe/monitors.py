@@ -11,12 +11,11 @@ step read, in the state's field-major layout: the pair spectra of
 `State.fields` (one batched forward transform, `ebpe.grid`) and, on the
 grid, the derivatives (one real product each with the grid's `diff_x`,
 `diff_y` and `diff_z`) and w, the running integral of the horizontal
-divergence they give.  Its out= form fills a given StateTerms through
-the views a `TermsWork` builds once; a `Stepper` holds one in its
-workspace (`Stepper.state_terms`), and terms taken from it are valid
-until that stepper's next call.  `measure` likewise reduces in the
-buffers of a `LedgerWork`, the stepper's in the driver loop, so neither
-allocates a volume or a spectrum per call.  The driver loop hands these terms to both
+divergence they give.  Both take `work`, a stepper's
+`timestep.Workspace`: `state_terms` then fills its terms, valid until
+that stepper's next call, and `measure` reduces in its scratch, so
+neither allocates a volume or a spectrum per call; without it numpy
+allocates.  The driver loop hands these terms to both
 `measure` and the next step, so `measure` makes no transform, and each of
 its reductions is one BLAS product on contiguous rows, with no einsum:
 the field and horizontal gradient norms by Parseval, the squared pair
@@ -32,14 +31,13 @@ roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import hydrostatic
 from .config import whole_steps
 from .ebm import PhysParams
-from .grid import Grid, Passes, carve, make_grid, passes, rfft_h
+from .grid import Grid, make_grid, rfft_h
 
 # monitor flag bits of LedgerRecord.flags
 FLAG_MAX_PRINCIPLE = 1
@@ -66,60 +64,28 @@ class StateTerms:
     w: np.ndarray   # w (Nx, Ny, Nz+1)
     dz: np.ndarray  # d/dz (grid.diff_z), the shape of dx
 
-    @classmethod
-    def empty(cls, grid: Grid) -> "StateTerms":
-        """Uninitialised C-contiguous arrays of the terms' shapes on `grid`."""
-        fields = (3, grid.nx, grid.ny, grid.nlev)
-        return cls(U=np.empty((3, grid.nx, 2, grid.ny // 2 + 1, grid.nlev)),
-                   dx=np.empty(fields), dy=np.empty(fields),
-                   w=np.empty(fields[1:]), dz=np.empty(fields))
 
-
-class TermsWork(NamedTuple):
-    """The StateTerms that `state_terms` fills, and the views of them and
-    the transform's passes that it takes, built once (`terms_work`)."""
-
-    terms: StateTerms
-    dx_rows: np.ndarray  # dx as the product with diff_x writes it
-    dy_rows: np.ndarray
-    dz_rows: np.ndarray
-    div: np.ndarray      # the divergence that w integrates, in dz's storage
-    passes: Passes       # of U
-
-
-def terms_work(grid: Grid, terms: StateTerms | None = None,
-               scratch: np.ndarray | None = None) -> TermsWork:
-    """The TermsWork of `terms` (new when None); scratch, when given, holds
-    the transform's y pass (`grid.passes`)."""
-    t = StateTerms.empty(grid) if terms is None else terms
-    nx, ny, k = grid.nx, grid.ny, grid.nlev
-    return TermsWork(t, carve(t.dx, 3, nx, ny * k), carve(t.dy, 3 * nx, ny, k),
-                     carve(t.dz, 3 * nx * ny, k), t.dz[0],
-                     passes(grid, t.dx.shape, out=t.U, scratch=scratch))
-
-
-def state_terms(grid: Grid, state, out: StateTerms | None = None,
-                work: TermsWork | None = None) -> StateTerms:
+def state_terms(grid: Grid, state, work=None) -> StateTerms:
     """The StateTerms of `state`: one batched forward transform and three
     real products on the grid.
 
-    out, when given, is a StateTerms (`StateTerms.empty`, C-contiguous)
-    whose arrays receive the terms, and is returned; work, when given, is
-    `terms_work(grid, out)`, built once, and the terms are its own.  A
-    `Stepper` passes its workspace's (`Stepper.state_terms`), so its
-    terms are valid until its next call.
+    work, when given, is a stepper's `timestep.Workspace`, and the terms
+    are its own (`Stepper.state_terms`): valid until that stepper's next
+    call.
     """
+    f, k = state.fields, grid.nlev
     if work is None:
-        work = terms_work(grid, out)
-    elif out is not None and out is not work.terms:
-        raise ValueError("out is not the terms that work was built for")
-    f, t = state.fields, work.terms
-    np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=work.dx_rows)
-    np.matmul(grid.diff_y, f.reshape(-1, grid.ny, grid.nlev), out=work.dy_rows)
-    rfft_h(grid, f, work=work.passes)
-    np.add(t.dx[0], t.dy[1], out=work.div)
-    np.negative(hydrostatic.cumulative_integral(grid, work.div, out=t.w), out=t.w)
-    np.matmul(f.reshape(-1, grid.nlev), grid.diff_z.T, out=work.dz_rows)
+        t = StateTerms(U=rfft_h(grid, f), dx=np.empty(f.shape), dy=np.empty(f.shape),
+                       w=np.empty(f.shape[1:]), dz=np.empty(f.shape))
+    else:
+        t = work.terms
+        rfft_h(grid, f, work=work.forward)
+    np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
+    np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
+    # the divergence that w integrates, in the storage of dz, written last
+    div = np.add(t.dx[0], t.dy[1], out=t.dz[0])
+    np.negative(hydrostatic.cumulative_integral(grid, div, out=t.w), out=t.w)
+    np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
     return t
 
 
@@ -132,39 +98,11 @@ class ConstraintResiduals:
     w_top: float           # |w(.,1)|
 
 
-class LedgerWork(NamedTuple):
-    """The buffers of `measure` on one grid and the views of them that it
-    takes, built once (`ledger_work`)."""
-
-    squares: np.ndarray     # U * U
-    square_rows: np.ndarray  # (3, Nx*2*(Ny//2+1), Nz+1), in squares's storage
-    dz_squares: np.ndarray  # dz * dz
-    dz_rows: np.ndarray     # (3*Nx*Ny, Nz+1)
-    abs_T: np.ndarray       # |T|
-    abs_rho: np.ndarray     # its top level
-    div: np.ndarray         # div_H v (Nx, Ny, Nz+1)
-    div_rows: np.ndarray    # (Nx*Ny, Nz+1)
-
-
-def ledger_work(grid: Grid, scratch: np.ndarray | None = None) -> LedgerWork:
-    """New LedgerWork of `grid`, held in `scratch` when given: two arrays
-    (2, n) of at least the pair spectra's size (`grid.carve`), the squares
-    in the first and the d/dz squares in the second, then |T| in the
-    first and the divergence in the second."""
-    nx, ny, half, k = grid.nx, grid.ny, grid.ny // 2 + 1, grid.nlev
-    first, second = (None, None) if scratch is None else scratch
-    squares, dz_squares = carve(first, 3, nx, 2, half, k), carve(second, 3, nx, ny, k)
-    abs_T, div = carve(first, nx, ny, k), carve(second, nx, ny, k)
-    return LedgerWork(squares, squares.reshape(3, -1, k), dz_squares, dz_squares.reshape(-1, k),
-                      abs_T, abs_T[..., -1], div, div.reshape(-1, k))
-
-
-def solenoidal_residual(grid: Grid, terms: StateTerms, work: LedgerWork | None = None) -> float:
+def solenoidal_residual(grid: Grid, terms: StateTerms, work=None) -> float:
     """max |div_H vbar| of the state whose StateTerms are `terms`; work,
-    when given, holds the divergence."""
+    when given, a `timestep.Workspace`, holds the divergence."""
     div = np.add(terms.dx[0], terms.dy[1], out=None if work is None else work.div)
-    rows = div.reshape(-1, grid.nlev) if work is None else work.div_rows
-    return float(np.abs(rows @ grid.trapz_w).max())
+    return float(np.abs(div.reshape(-1, grid.nlev) @ grid.trapz_w).max())
 
 
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
@@ -201,37 +139,36 @@ class LedgerRecord:
     flags: int = 0
 
 
-def _parseval(grid: Grid, U: np.ndarray, work: LedgerWork) -> tuple[np.ndarray, np.ndarray, float]:
+def _parseval(grid: Grid, U: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray, float]:
     """By Parseval, from the pair spectra U of (v[0], v[1], T): per field
     and level, the squared L2 norm over the section (row 0) and that of
     the horizontal gradient (row 1); their integrals over z; and the
-    energy E0 = (|v|^2 + |T|^2 + |rho|^2) / 2, rho being T's top level."""
-    np.multiply(U, U, out=work.squares)
-    norms = grid.norm_weights_pair @ work.square_rows
+    energy E0 = (|v|^2 + |T|^2 + |rho|^2) / 2, rho being T's top level.
+    work, when given, a `timestep.Workspace`, holds the squares."""
+    squares = np.multiply(U, U, out=None if work is None else work.squares)
+    norms = grid.norm_weights_pair @ squares.reshape(3, -1, grid.nlev)
     volume = norms @ grid.trapz_w
     return norms, volume, 0.5 * float(volume[:, 0].sum() + norms[2, 0, -1])
 
 
-def measure(grid: Grid, state, terms: StateTerms | None = None,
-            work: LedgerWork | None = None) -> LedgerRecord:
+def measure(grid: Grid, state, terms: StateTerms | None = None, work=None) -> LedgerRecord:
     """Compute the full ledger record for one state; terms, when given,
-    is state_terms(grid, state).  work, when given, is a `ledger_work` of
-    the grid, built once, which holds every array the record reduces (a
-    `Stepper` hands over its workspace's: `Stepper.ledger_work`)."""
+    is state_terms(grid, state).  work, when given, is a stepper's
+    `timestep.Workspace`, whose scratch holds every array the record
+    reduces (the driver loop hands over its stepper's)."""
     if terms is None:
         terms = state_terms(grid, state)
-    work = ledger_work(grid) if work is None else work
     w = grid.trapz_w
     norms, volume, energy = _parseval(grid, terms.U, work)
     # squared L2 norms of d/dz of (v[0], v[1], T)
-    np.multiply(terms.dz, terms.dz, out=work.dz_squares)
-    dz_sq = (work.dz_rows @ w).reshape(3, -1).sum(axis=1)
+    dz_squares = np.multiply(terms.dz, terms.dz, out=None if work is None else work.dz_squares)
+    dz_sq = (dz_squares.reshape(-1, grid.nlev) @ w).reshape(3, -1).sum(axis=1)
     dz_sq /= grid.nx * grid.ny
     gv = float(volume[0, 1] + volume[1, 1] + dz_sq[0] + dz_sq[1])
     gT = float(volume[2, 1] + dz_sq[2])
     gr = float(norms[2, 1, -1])  # rho is T's top level
-    abs_T = np.abs(state.T, out=work.abs_T)
-    abs_rho = work.abs_rho  # so is |rho|
+    abs_T = np.abs(state.T, out=None if work is None else work.abs_T)
+    abs_rho = abs_T[..., -1]  # so is |rho|
     return LedgerRecord(
         step=state.step,
         t=state.t,
@@ -334,7 +271,7 @@ def _l2_distance(grid: Grid, state, fields: np.ndarray) -> float:
     (3, Nx, Ny, Nz+1) of another: sqrt(2 E) of the difference, E its
     energy as `measure` takes it, from its pair spectra alone."""
     U = rfft_h(grid, state.fields - fields)
-    return float(np.sqrt(2.0 * _parseval(grid, U, ledger_work(grid))[2]))
+    return float(np.sqrt(2.0 * _parseval(grid, U)[2]))
 
 
 def _mms_run(exact, grid: Grid, forcing, scheme: str, dt: float, t_end: float):

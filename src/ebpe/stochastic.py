@@ -22,8 +22,9 @@ The run returns Z's surface channel in level coordinates.
 
 The cylindrical noise basis is the Fourier basis of the horizontal grid;
 per-mode amplitudes q_k = sigma * (1 + |xi_k|^2)^(-decay/2) act on the
-surface-temperature row only.  The decay exponent must be at least 2 so
-the noise carries one horizontal derivative uniformly in resolution.
+surface-temperature row only.  The decay exponent must be at least 2,
+which makes the surface solution's H1 norm uniform in resolution; the
+sum of |q_k|^2 |xi_k|^2 converges only for decay > 2 (log N at 2).
 The noise field is real, so the increments, the amplitudes and the
 propagator tables are all held over the (Nx, Ny//2+1) half spectrum of
 the step kernel; only the increments are complex, until a kick.

@@ -43,18 +43,18 @@ so no step applies the generator A.  E is the AB2 extrapolation
 step's tendencies are not at hand (the first step and a restart: one
 Crank-Nicolson step with forward-Euler tendencies).
 
-The kernel runs in a workspace that each `Stepper` owns (`Workspace`):
-two scratch arrays of the pair spectra's size, allocated with the
-Stepper, and the buffers of the state terms, the tendencies and the
-implicit stage, with every view of them that a step takes, built by
-their first use.  Every entry point of the kernel (the transforms, the
-hydrostatic operators, `linops.apply_diagonal`, `monitors.state_terms`,
-`nonlinear_tendencies`) has an out= form that writes into given buffers
-and an allocating form that is the same code given fresh ones, so a
-step of a state, its terms and its ledger record allocate no volume or
-spectrum but the new state's fields (only planes and reductions, such
-as the radiation term and the norms).  The contract: what
-`Stepper.state_terms` and `Stepper.tendencies` return lives in the
+The kernel runs in one record that each `Stepper` builds at its first
+use, its `Workspace`: the buffers of the state terms, the tendencies
+and the implicit stage, two scratch arrays that every other
+intermediate shares (`Workspace` lays them out), and the views a step
+takes of them.  Every entry point of the kernel takes it, or the
+`grid.Passes` it holds, as `work`, and without it lets numpy allocate,
+in the same code; out= is left only where the destination changes from
+call to call (the new state's fields, an in-place projection or solve).
+So a step of a state, its terms and its ledger record allocate no
+volume or spectrum but the new state's fields (only planes and
+reductions, such as the radiation term and the norms).  The contract:
+what `Stepper.state_terms` and `Stepper.tendencies` return lives in the
 workspace and is valid until that stepper's next call; no `State`
 shares memory with the workspace, so a state, once returned, is its
 caller's; and two steppers, of one grid or not, share nothing, so
@@ -78,6 +78,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -190,60 +191,71 @@ def initial_state(
     return State(fields)
 
 
+def _page_aligned(*shape: int) -> np.ndarray:
+    """A new array of `shape` on a 4 KiB page boundary.  A workspace's arrays
+    all start at page offset 0, so no product writes just past the offset it
+    reads (4K aliasing, which cost the 16^3 step about 8% in some layouts)."""
+    n = math.prod(shape)
+    raw = np.empty(n + 512)  # one page more
+    start = -raw.ctypes.data % 4096 // 8
+    return raw[start : start + n].reshape(shape)
+
+
 class Workspace:
-    """The buffers of the step kernel on one grid, and every view of them
-    that a step takes, built once: a `Stepper` builds one for its grid by
-    its first step, and an allocating call of `nonlinear_tendencies` a
-    fresh one.
+    """The buffers of one `Stepper`'s kernel on its grid and the views of
+    them that a step takes, built once, by the stepper's first use
+    (`Stepper.workspace`), and handed as `work` to the kernel's entry
+    points.
 
-    tendencies holds the `grid.passes` of the dealiased products into the
-    tendencies (a second buffer with `history`: cnab2 keeps the last
-    ones; the first is `out` when given) and out the implicit stage's
-    solution of its `solved` fields.  Every other intermediate is held in
-    `scratch`, two arrays of at least the pair spectra's size (new when
-    None), which phases that do not overlap share, so a step touches no
-    more memory than these:
+    Own arrays hold what outlives a phase: the state `terms`, which the
+    ledger and the step read; the tendencies, the `grid.passes` of the
+    dealiased products into them (`tendencies`, two with `history`:
+    cnab2 keeps the last ones and writes the next into the other); the
+    implicit stage's solution of its `solved` fields (`out`); and the
+    projection's planes (`vbar`, `vbar_parts`).  Every other intermediate
+    lies in `scratch`, two arrays of the pair spectra's size, which phases
+    that do not overlap share, so a step touches no more memory than
+    these.  Every buffer starts on a page (`_page_aligned`).  By phase, the
+    first and the second scratch array hold:
 
-    - the first: the advection, then the baroclinic term, then the
-      radiation spectrum; in the stage the eigen coordinates, then the
-      inverse transform's x pass;
-    - the second: the products, then the transporting velocity, the
-      dealiased x pass, the temperature integral and the radiation y
-      pass; in the stage the right-hand side.
-
-    A Stepper's state terms take the second for their transform's y pass,
-    and its ledger records both (`monitors.ledger_work`), between a
-    state's terms and its step.
+    - the state terms: nothing; the transform's y pass (`forward`);
+    - the ledger: the squared spectra, then |T| (`squares`, `abs_T`); the
+      squared d/dz, then the divergence (`dz_squares`, `div`);
+    - the tendencies: the advection, the baroclinic term, then the
+      radiation spectrum (`adv`, `baroclinic`, `radiation`); the products,
+      the transporting velocity, the dealiased x pass, the temperature
+      integral, then the radiation y pass (`product`, `product_rho`,
+      `velocity`, `integral`);
+    - the stage: the eigen coordinates, then the inverse transform's x
+      pass (`coords`, `inverse`); the right-hand side (`rhs`).
     """
 
-    def __init__(self, grid: Grid, solved: int = 3, history: bool = False,
-                 out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+    def __init__(self, grid: Grid, solved: int, history: bool):
         nx, ny, half, k = grid.nx, grid.ny, grid.ny // 2 + 1, grid.nlev
         pair, fields = (3, nx, 2, half, k), (3, nx, ny, k)
-        first, second = np.empty((2, math.prod(pair))) if scratch is None else scratch
-        self.tendencies = [grid_mod.passes(grid, fields, "dealiased", out=F, scratch=second)
-                           for F in ([out] if out is not None else [None] * (1 + history))]
-        self.adv = carve(first, *fields)
-        self.adv_rho = self.adv[2, ..., -1]
-        self.product = carve(second, *fields)
+        self.scratch = first, second = _page_aligned(*pair), _page_aligned(*pair)
+        self.terms = monitors.StateTerms(
+            U=_page_aligned(*pair), dx=_page_aligned(*fields), dy=_page_aligned(*fields),
+            w=_page_aligned(*fields[1:]), dz=_page_aligned(*fields))
+        self.forward = grid_mod.passes(grid, fields, "forward", second, out=self.terms.U)
+        self.squares, self.abs_T = carve(first, *pair), carve(first, nx, ny, k)
+        self.dz_squares, self.div = carve(second, *fields), carve(second, nx, ny, k)
+        self.tendencies = [grid_mod.passes(grid, fields, "dealiased", second,
+                                           out=_page_aligned(*pair)) for _ in range(1 + history)]
+        self.adv, self.product = carve(first, *fields), carve(second, *fields)
         # the transporting velocity of rho, and a product at its level
-        self.velocity = carve(second, 2, nx, ny)
-        self.product_rho = carve(second, 3, nx, ny)[2]
-        self.baroclinic = carve(first, 2, *pair[1:])
-        self.integral = carve(second, *pair[1:])
-        self.radiation = grid_mod.passes(grid, (nx, ny), out=carve(first, nx, 2, half),
-                                         scratch=second)
-        self.out = np.empty((solved,) + pair[1:])
-        self.out_v = self.out[:2]
-        self.coords = carve(first, *self.out.shape)
-        self.rhs = carve(second, *self.out.shape)
-        self.projection = hydrostatic.projection_planes(grid, (2,) + pair[1:])
-        self.inverse = grid_mod.passes(grid, self.out.shape, "inverse", scratch=first)
+        self.velocity, self.product_rho = carve(second, 2, nx, ny), carve(second, 3, nx, ny)[2]
+        self.baroclinic, self.integral = carve(first, 2, *pair[1:]), carve(second, *pair[1:])
+        self.radiation = grid_mod.passes(grid, (nx, ny), "forward", second,
+                                         out=carve(first, nx, 2, half))
+        self.out = _page_aligned(solved, *pair[1:])
+        self.coords, self.rhs = carve(first, *self.out.shape), carve(second, *self.out.shape)
+        self.vbar, self.vbar_parts = _page_aligned(2, 2, nx, 2, half)
+        self.inverse = grid_mod.passes(grid, self.out.shape, "inverse", first)
 
 
 def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
                          terms: monitors.StateTerms | None = None,
-                         out: np.ndarray | None = None,
                          work: Workspace | None = None) -> np.ndarray:
     """Dealiased explicit tendencies at `state` as pair spectra
     (3, Nx, 2, Ny//2+1, Nz+1) in the state's layout (F_v[0], F_v[1], F_T);
@@ -255,38 +267,33 @@ def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
     budget.  Advective products are dealiased; the radiation term is
     evaluated pointwise and transformed without dealiasing.
 
-    terms, when given, is monitors.state_terms(grid, state).  out, when
-    given, receives the tendencies (C-contiguous) and is returned; work,
-    when given, is a `Workspace` of the grid, which holds the
-    intermediates, and the tendencies go into its first buffer
-    (`Workspace(grid, out=out)` when work is None).
+    terms, when given, is monitors.state_terms(grid, state).  work, when
+    given, is a stepper's `Workspace`, which holds the intermediates, and
+    the tendencies go into its first tendencies buffer.
     """
     if terms is None:
         terms = monitors.state_terms(grid, state)
-    work = Workspace(grid, out=out) if work is None else work
-    dealiased = work.tendencies[0]
-    if out is not None and out is not dealiased.out:
-        raise ValueError("out is not the tendencies buffer of work")
     f = state.fields
     v = f[:2]
     # advection of v[0], v[1] and T at once, in the state's layout
-    adv = np.multiply(f[0], terms.dx, out=work.adv)
-    product = np.multiply(f[1], terms.dy, out=work.product)
+    adv = np.multiply(f[0], terms.dx, out=None if work is None else work.adv)
+    product = np.multiply(f[1], terms.dy, out=None if work is None else work.product)
     adv += product
     adv += np.multiply(terms.w, terms.dz, out=product)
     # at T's top level, rho, its transport replaces T's advection
     if params.transport_variant == VERTICAL_AVERAGE:
-        vs = hydrostatic.vertical_average(grid, v, out=work.velocity)
+        vs = hydrostatic.vertical_average(grid, v, out=None if work is None else work.velocity)
     else:
         vs = v[..., -1]
-    np.multiply(vs[0], terms.dx[2, ..., -1], out=work.adv_rho)
-    work.adv_rho += np.multiply(vs[1], terms.dy[2, ..., -1], out=work.product_rho)
+    adv_rho = np.multiply(vs[0], terms.dx[2, ..., -1], out=adv[2, ..., -1])
+    adv_rho += np.multiply(vs[1], terms.dy[2, ..., -1],
+                           out=None if work is None else work.product_rho)
 
-    F = neg_dealiased_rfft_h(grid, adv, work=dealiased)
-    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2], out=work.baroclinic,
-                                         work=work.integral)
+    F = neg_dealiased_rfft_h(grid, adv, work=None if work is None else work.tendencies[0])
+    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2], work=work)
     if params.radiation_on:
-        F[2, ..., -1] += rfft_h(grid, radiation(f[2, ..., -1], params), work=work.radiation)
+        F[2, ..., -1] += rfft_h(grid, radiation(f[2, ..., -1], params),
+                                work=None if work is None else work.radiation)
     return F
 
 
@@ -319,13 +326,11 @@ class Stepper:
     freeze_velocity pins v to its initial value (pure-diffusion studies)
     and builds no velocity solver: `velocity` is None.
 
-    The kernel runs in the stepper's own workspace (module docstring):
-    two scratch arrays of the pair spectra's size, allocated here, which
-    every phase of a step shares, and the buffers and views of the state
-    terms, the ledger and the step (`Workspace`), each built by its first
-    use, so set-up pays for none that a run without steps does not take.
-    What `state_terms` and `tendencies` return is valid until the
-    stepper's next call; a State never shares memory with the workspace.
+    The kernel runs in the stepper's own `Workspace` (module docstring),
+    built by its first use, so set-up pays for none that a run without
+    steps does not take.  What `state_terms` and `tendencies` return is
+    valid until the stepper's next call; a State never shares memory with
+    the workspace.
 
     The radiation term is explicit; its emission part is dissipative but
     limits the stable step to roughly dt <= 0.5 / max(1, sup|rho|^3).
@@ -351,37 +356,21 @@ class Stepper:
         theta_dt = (0.5 if scheme == "cnab2" else 1.0) * dt
         self.coupled = linops.CoupledImplicitSolver(grid, theta_dt)
         self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
-        # the implicit stage's tables, one per solved field, and the
-        # workspace, which holds its buffer
+        # the implicit stage's tables, one per solved field
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
         self._basis = np.stack([s.basis for s in solvers], axis=1)
         self._d = np.stack([s.d for s in solvers])
         self._history: tuple[int, np.ndarray] | None = None
-        nx, half = grid.nx, grid.ny // 2 + 1
-        self._scratch = np.empty((2, 3 * nx * 2 * half * grid.nlev))
-        self._terms: monitors.TermsWork | None = None
-        self._ledger: monitors.LedgerWork | None = None
-        self._work: Workspace | None = None
 
-    def _workspace(self) -> Workspace:
-        if self._work is None:
-            self._work = Workspace(self.grid, len(self._d), self.scheme == "cnab2",
-                                   scratch=self._scratch)
-        return self._work
+    @cached_property
+    def workspace(self) -> Workspace:
+        """The stepper's `Workspace`, built by its first use."""
+        return Workspace(self.grid, len(self._d), self.scheme == "cnab2")
 
     def state_terms(self, state: State) -> monitors.StateTerms:
         """monitors.state_terms(grid, state) in the workspace: valid until
         this stepper's next call."""
-        if self._terms is None:
-            self._terms = monitors.terms_work(self.grid, scratch=self._scratch[1])
-        return monitors.state_terms(self.grid, state, work=self._terms)
-
-    def ledger_work(self) -> monitors.LedgerWork:
-        """The `monitors.measure` buffers in the workspace's scratch: a
-        ledger record reduces them between a state's terms and its step."""
-        if self._ledger is None:
-            self._ledger = monitors.ledger_work(self.grid, self._scratch)
-        return self._ledger
+        return monitors.state_terms(self.grid, state, work=self.workspace)
 
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
         """`nonlinear_tendencies(grid, state, params, terms)` plus the
@@ -390,7 +379,7 @@ class Stepper:
         grid = self.grid
         if terms is None:
             terms = self.state_terms(state)
-        F = nonlinear_tendencies(grid, state, self.params, terms, work=self._workspace())
+        F = nonlinear_tendencies(grid, state, self.params, terms, work=self.workspace)
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)
@@ -435,7 +424,7 @@ class Stepper:
         F = self.tendencies(state, terms)
         # one theta-method stage (module docstring): R(U + dt F) for IMEX
         # Euler, R(2U + dt E) - U for CNAB2, E = F without usable history
-        work = self._work
+        work = self.workspace
         first = 3 - len(self._d)  # the first solved field: 2 (T alone) if v is frozen
         U, rhs = terms.U[first:], work.rhs
         if cnab2 and self._history is not None and self._history[0] == state.step:
@@ -462,8 +451,8 @@ class Stepper:
         if self.velocity is None:
             fields[:2] = state.v
         else:
-            hydrostatic.project_barotropic(grid, work.out_v, out=work.out_v,
-                                           work=work.projection)
+            v_hat = x_hat[:2]
+            hydrostatic.project_barotropic(grid, v_hat, out=v_hat, work=work)
         irfft_h(grid, x_hat, out=fields[first:], work=work.inverse)
         new = State(fields, t=state.t + dt, step=state.step + 1)
         _check_finite(new, state)
@@ -530,13 +519,14 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
 
     kick(state), when given, is the step's kick_hat (see `Stepper.step`)
     from the last measured state: the stochastic drivers' noise.  The
-    state terms are computed once per state, in the stepper's workspace
-    (`Stepper.state_terms`), for both the ledger, which reduces them in
-    its scratch (`Stepper.ledger_work`), and the step.  Every state is
-    measured into the ledger, its record carrying the monitor flags
-    raised at its step; csv_records holds the records at the configured
-    cadence, on any monitor flag, and for the initial state of a fresh
-    run (step 0).
+    state terms are computed once per state, for both the ledger and the
+    step: in the stepper's workspace (`Stepper.state_terms`, the ledger
+    reducing them in its scratch), but for the first state, whose terms
+    and record allocate, so that a run without steps builds no
+    workspace.  Every state is measured into the ledger, its record
+    carrying the monitor flags raised at its step; csv_records holds the
+    records at the configured cadence, on any monitor flag, and for the
+    initial state of a fresh run (step 0).
     When monitors are enabled, each step runs the maximum-principle,
     energy and H1 checks in that order, each a message or None; the run
     halts after a step with a hard failure, the last failing check's
@@ -546,9 +536,9 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
     A BlowUpError carries the last measured state, which the step was
     given.  The loop builds and checks nothing (see `start_run`).
     """
-    grid, params, ledger_work = stepper.grid, stepper.params, stepper.ledger_work()
-    terms = stepper.state_terms(state)
-    record = monitors.measure(grid, state, terms, work=ledger_work)
+    grid, params = stepper.grid, stepper.params
+    terms = monitors.state_terms(grid, state)
+    record = monitors.measure(grid, state, terms)
     ledger = [record]
     csv_records = [record] if state.step == 0 else []
     warnings: list[str] = []
@@ -558,7 +548,8 @@ def integrate(cfg: RunConfig, stepper: Stepper, state: State,
     for _ in range(cfg.n_steps() - state.step):
         state = stepper.step(state, kick_hat=kick(state) if kick else None, terms=terms)
         terms = stepper.state_terms(state)
-        prev_record, record = record, monitors.measure(grid, state, terms, work=ledger_work)
+        prev_record, record = record, monitors.measure(grid, state, terms,
+                                                       work=stepper.workspace)
         flags = 0
         if cfg.monitors_on:
             for flag, msg in (

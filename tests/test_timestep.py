@@ -22,7 +22,7 @@ from ebpe.ebm import coalbedo, default_insolation
 from ebpe.grid import irfft_h, rfft_h
 from ebpe.linops import CoupledImplicitSolver, VelocityImplicitSolver
 from ebpe.manufactured import ManufacturedSolution
-from ebpe.monitors import StateTerms, measure, state_terms, terms_work
+from ebpe.monitors import measure, state_terms
 from ebpe.snapshots import read_snapshot, write_snapshot
 from ebpe.timestep import (
     BLOWUP_SUP,
@@ -324,7 +324,7 @@ class TestImplicitStage:
         kept = first.fields.copy(), second.fields.copy()
         third = stepper.step(second)
         buffers = workspace_arrays(stepper)
-        assert any(np.shares_memory(a, stepper._work.out) for a in buffers)
+        assert any(np.shares_memory(a, stepper.workspace.out) for a in buffers)
         for state in (first, second, third):
             assert not any(np.shares_memory(state.fields, a) for a in buffers)
         assert not np.shares_memory(first.fields, second.fields)
@@ -334,7 +334,7 @@ class TestImplicitStage:
 
 def workspace_arrays(stepper):
     """Every array a Stepper's workspace holds: its scratch, its state terms
-    and tendencies, the stage's buffer and the views of them all."""
+    and tendencies, the stage's buffers and the views of them all."""
     found = []
 
     def walk(x):
@@ -347,7 +347,7 @@ def workspace_arrays(stepper):
             for item in vars(x).values():
                 walk(item)
 
-    walk([stepper._scratch, stepper._terms, stepper._ledger, stepper._work])
+    walk(stepper.workspace)
     return found
 
 
@@ -384,8 +384,8 @@ def test_run_results_share_no_memory_with_the_workspace(driver, monkeypatch):
         assert not any(np.shares_memory(array, a) for a in buffers)
     if driver == "cnab2":
         history = stepper._history[1]
-        assert any(history is p.out for p in stepper._work.tendencies)
-        assert not np.shares_memory(history, stepper._work.tendencies[0].out)
+        assert any(history is p.out for p in stepper.workspace.tendencies)
+        assert not np.shares_memory(history, stepper.workspace.tendencies[0].out)
 
 
 @pytest.mark.parametrize("case", ["imex_euler", "cnab2_forced", "frozen_velocity"])
@@ -419,10 +419,36 @@ def test_steppers_of_one_grid_step_alternately_to_their_solo_bits(case):
         assert np.array_equal(state.fields, solo(start))
 
 
+@pytest.mark.parametrize("scheme", ["imex_euler", "cnab2"])
+def test_the_workspace_is_built_by_the_first_use_and_only_then(scheme):
+    # a Stepper that never steps holds no buffer but its solver tables (the
+    # mms-cnab2 set-up times bare Steppers, the others runs of no step);
+    # its first use builds the workspace, and no later call another buffer
+    grid = make_grid(8, 8, 8)
+    params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+    stepper = Stepper(grid, params, 1e-3, scheme=scheme)
+    assert "workspace" not in vars(stepper)
+    assert {name for name, a in vars(stepper).items() if isinstance(a, np.ndarray)} == {
+        "_basis", "_d"}
+    cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=0.0, scheme=scheme)
+    unstepped, initial = start_run(cfg)
+    assert len(timestep.integrate(cfg, unstepped, initial).ledger) == 1
+    assert "workspace" not in vars(unstepped)
+    state, built = rough_state(grid, seed=3), None
+    for _ in range(4):
+        terms = stepper.state_terms(state)
+        measure(grid, state, terms, work=stepper.workspace)
+        state = stepper.step(state, terms=terms)
+        arrays = workspace_arrays(stepper)  # held, so no id is reused
+        built = built or arrays
+        assert {id(a) for a in arrays} == {id(a) for a in built}
+
+
 class TestOutForms:
-    """Each kernel entry point's out= form (with its work, built once) is
-    its allocating form given buffers: the same bits, for operands of any
-    memory layout, call after call."""
+    """Each kernel entry point given its buffers (`work`: a stepper's
+    `Workspace`, or a transform's `grid.passes`; and out= where the
+    destination changes from call to call) is its allocating form: the
+    same bits, for operands of any memory layout, call after call."""
 
     @staticmethod
     def layouts(a):
@@ -433,74 +459,63 @@ class TestOutForms:
     @pytest.mark.parametrize("shape", [(8, 8, 8), (10, 14, 5)])
     def test_transforms(self, shape, rng):
         grid = make_grid(*shape)
+        scratch = np.empty(3 * grid.nx * 2 * (grid.ny // 2 + 1) * grid.nlev)
         fields = rng.standard_normal((3, grid.nx, grid.ny, grid.nlev))
         for operand in (*self.layouts(fields), *self.layouts(fields[2, ..., -1].copy())):
             for kind, transform in (("forward", rfft_h),
                                     ("dealiased", grid_mod.neg_dealiased_rfft_h)):
                 want = transform(grid, operand)
-                out = np.full(want.shape, np.nan)
-                work = grid_mod.passes(grid, operand.shape, kind, out=out)
+                work = grid_mod.passes(grid, operand.shape, kind, scratch,
+                                       out=np.full(want.shape, np.nan))
                 for _ in range(2):
-                    assert transform(grid, operand, out=out, work=work) is out
-                    assert np.array_equal(out, want)
-                assert np.array_equal(transform(grid, operand, out=np.full(want.shape, 7.0)), want)
+                    assert transform(grid, operand, work=work) is work.out
+                    assert np.array_equal(work.out, want)
         spectra = rfft_h(grid, fields)
         for operand in (*self.layouts(spectra), *self.layouts(spectra[1, ..., 0].copy())):
             want = irfft_h(grid, operand)
-            work = grid_mod.passes(grid, operand.shape, "inverse")
+            work = grid_mod.passes(grid, operand.shape, "inverse", scratch)
             for _ in range(2):
                 out = np.full(want.shape, np.nan)
                 assert irfft_h(grid, operand, out=out, work=work) is out
                 assert np.array_equal(out, want)
+            assert np.array_equal(irfft_h(grid, operand, out=np.full(want.shape, 7.0)), want)
 
     def test_buffers_are_checked(self, grid8):
-        fields = np.zeros((3, 8, 8, 9))
-        work = grid_mod.passes(grid8, fields.shape)
-        with pytest.raises(ValueError, match="out is not the result that work was built for"):
-            rfft_h(grid8, fields, out=np.empty(work.out.shape), work=work)
         with pytest.raises(ValueError, match="C-contiguous"):
-            rfft_h(grid8, fields, out=np.empty((3, 8, 2, 5, 18))[..., ::2])
-        with pytest.raises(ValueError, match="out has shape"):  # not a prefix of a larger out
-            grid_mod.neg_dealiased_rfft_h(grid8, fields, out=np.empty((3, 8, 2, 5, 10)))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            irfft_h(grid8, work.out, out=np.empty((3, 8, 8, 18))[..., ::2])
-        with pytest.raises(ValueError, match="C-contiguous"):
-            state_terms(grid8, State(fields), out=StateTerms(
-                **{**vars(StateTerms.empty(grid8)), "dz": np.empty((3, 8, 8, 18))[..., ::2]}))
+            irfft_h(grid8, np.zeros((3, 8, 2, 5, 9)), out=np.empty((3, 8, 8, 18))[..., ::2])
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_state_terms_and_tendencies(self, n):
+    @pytest.mark.parametrize("transport", ["surface_trace", "vertical_average"])
+    def test_state_terms_and_tendencies(self, n, transport):
         grid = make_grid(n, n, n)
-        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
-        states = [rough_state(grid, seed=n), rough_state(grid, seed=n + 1)]
-        out = StateTerms.empty(grid)
-        work = terms_work(grid, out)
-        F = np.full(out.U.shape, np.nan)
-        space = timestep.Workspace(grid, out=F)
-        for state in states:  # a second state through the same buffers
+        params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True,
+                            transport_variant=transport)
+        work = Stepper(grid, params, 1e-3).workspace
+        for seed in (n, n + 1):  # a second state through the same buffers
+            state = rough_state(grid, seed=seed)
             want = state_terms(grid, state)
-            for got in (state_terms(grid, state, out=out, work=work),
-                        state_terms(grid, state, out=StateTerms.empty(grid))):
-                for name in ("U", "dx", "dy", "w", "dz"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            got = state_terms(grid, state, work=work)
+            assert got is work.terms
+            for name in ("U", "dx", "dy", "w", "dz"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert measure(grid, state, got, work=work) == measure(grid, state, want)
             tendencies = timestep.nonlinear_tendencies(grid, state, params, want)
-            assert timestep.nonlinear_tendencies(grid, state, params, out, F, space) is F
-            assert np.array_equal(F, tendencies)
+            F = timestep.nonlinear_tendencies(grid, state, params, got, work)
+            assert F is work.tendencies[0].out and np.array_equal(F, tendencies)
 
     def test_stage_operators(self, rng):
         grid = make_grid(8, 8, 8)
         v_hat = rfft_h(grid, rng.standard_normal((2, 8, 8, 9)))
         stepper = Stepper(grid, PhysParams(Q=default_insolation(grid, 0.9, 0.1)), 1e-3)
+        work = stepper.workspace
         want_v, want_phi = project_barotropic(grid, v_hat)
-        planes = hydrostatic.projection_planes(grid, v_hat.shape)
         inplace = v_hat.copy()
-        got_v, got_phi = project_barotropic(grid, inplace, out=inplace, work=planes)
-        assert got_v is inplace and got_phi is planes.phi
+        got_v, got_phi = project_barotropic(grid, inplace, out=inplace, work=work)
+        assert got_v is inplace and np.shares_memory(got_phi, work.vbar)
         assert np.array_equal(got_v, want_v) and np.array_equal(got_phi, want_phi)
         T_hat = v_hat[0]
-        out, integral = np.empty((2,) + T_hat.shape), np.empty(T_hat.shape)
-        assert hydrostatic.baroclinic_grad(grid, T_hat, out=out, work=integral) is out
-        assert np.array_equal(out, hydrostatic.baroclinic_grad(grid, T_hat))
+        assert hydrostatic.baroclinic_grad(grid, T_hat, work=work) is work.baroclinic
+        assert np.array_equal(work.baroclinic, hydrostatic.baroclinic_grad(grid, T_hat))
         x = np.concatenate((v_hat, v_hat[:1]))
         want = linops.apply_diagonal(stepper._basis, stepper._d, x)
         coords = np.empty(x.shape)
@@ -523,7 +538,7 @@ def test_every_spectral_array_of_a_step_is_a_pair_spectrum(driver, monkeypatch):
     def recording_step(self, state, kick_hat=None, terms=None):
         new = step(self, state, kick_hat=kick_hat, terms=terms)
         seen.setdefault("U", []).append(terms.U)
-        seen.setdefault("_out", []).append(self._work.out)
+        seen.setdefault("_out", []).append(self.workspace.out)
         if kick_hat is not None:
             seen.setdefault("kick", []).append(kick_hat)
         return new

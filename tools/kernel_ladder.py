@@ -12,9 +12,10 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
   median of one call each, the calls taking the same state (the step of
   a given state is a pure function of it); `tendencies_ms` times
   `Stepper.tendencies` given the state's terms.  The state terms and the
-  ledger are taken as the driver loop takes them: in a tree whose
-  `Stepper` has a workspace (`Stepper.state_terms`, `ledger_work`), in
-  it, and otherwise by the allocating calls;
+  ledger are taken as the driver loop takes them: in the stepper's
+  workspace in a tree that has one (one record, `Stepper.workspace`, or
+  a record per phase, `Stepper.state_terms` and `ledger_work`), and
+  otherwise by the allocating calls;
 - `<figure>_faults_per_call` and `<figure>_stime_ms_per_call` for each
   figure above (`setup`, `state_terms`, ...): `getrusage` minor page
   faults and system CPU time per call over that figure's samples, so a
@@ -111,7 +112,9 @@ def worker(shape: tuple[int, int, int]) -> dict:
     stepper = Stepper(grid, params, dt)
     state = initial_state(grid, "random_smooth", amplitude=0.5, seed=1)
     # the driver loop's calls: in the stepper's workspace where it has one
-    if hasattr(stepper, "state_terms"):
+    if hasattr(type(stepper), "workspace"):
+        terms_of, ledger = stepper.state_terms, {"work": stepper.workspace}
+    elif hasattr(stepper, "ledger_work"):
         terms_of, ledger = stepper.state_terms, {"work": stepper.ledger_work()}
     else:
         terms_of, ledger = (lambda s: state_terms(grid, s)), {}
