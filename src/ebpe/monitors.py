@@ -10,8 +10,8 @@ monitor configuration, `RunConfig`, which states them once.
 step read, in the state's field-major layout: the pair spectra of
 `State.fields` (one batched forward transform, `ebpe.grid`) and, on the
 grid, the derivatives (one real product each with the grid's `diff_x`,
-`diff_y` and `diff_z`) and w, the running integral of the horizontal
-divergence they give.  Both take `work`, a stepper's
+`diff_y` and `diff_z`), the horizontal divergence they give and w, its
+running integral.  Both take `work`, a stepper's
 `timestep.Workspace`: `state_terms` then fills its terms, valid until
 that stepper's next call, and `measure` reduces in its scratch, so
 neither allocates a volume or a spectrum per call; without it numpy
@@ -63,6 +63,7 @@ class StateTerms:
     dy: np.ndarray  # d/dy, the same shape
     w: np.ndarray   # w (Nx, Ny, Nz+1)
     dz: np.ndarray  # d/dz (grid.diff_z), the shape of dx
+    div: np.ndarray  # div_H v = dx[0] + dy[1], which w integrates, the shape of w
 
 
 def state_terms(grid: Grid, state, work=None) -> StateTerms:
@@ -76,15 +77,14 @@ def state_terms(grid: Grid, state, work=None) -> StateTerms:
     f, k = state.fields, grid.nlev
     if work is None:
         t = StateTerms(U=rfft_h(grid, f), dx=np.empty(f.shape), dy=np.empty(f.shape),
-                       w=np.empty(f.shape[1:]), dz=np.empty(f.shape))
+                       w=np.empty(f.shape[1:]), dz=np.empty(f.shape), div=np.empty(f.shape[1:]))
     else:
         t = work.terms
         rfft_h(grid, f, work=work.forward)
     np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
     np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
-    # the divergence that w integrates, in the storage of dz, written last
-    div = np.add(t.dx[0], t.dy[1], out=t.dz[0])
-    np.negative(hydrostatic.cumulative_integral(grid, div, out=t.w), out=t.w)
+    np.add(t.dx[0], t.dy[1], out=t.div)
+    np.negative(hydrostatic.cumulative_integral(grid, t.div, out=t.w), out=t.w)
     np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
     return t
 
@@ -98,11 +98,9 @@ class ConstraintResiduals:
     w_top: float           # |w(.,1)|
 
 
-def solenoidal_residual(grid: Grid, terms: StateTerms, work=None) -> float:
-    """max |div_H vbar| of the state whose StateTerms are `terms`; work,
-    when given, a `timestep.Workspace`, holds the divergence."""
-    div = np.add(terms.dx[0], terms.dy[1], out=None if work is None else work.div)
-    return float(np.abs(div.reshape(-1, grid.nlev) @ grid.trapz_w).max())
+def solenoidal_residual(grid: Grid, terms: StateTerms) -> float:
+    """max |div_H vbar| of the state whose StateTerms are `terms`."""
+    return float(np.abs(terms.div.reshape(-1, grid.nlev) @ grid.trapz_w).max())
 
 
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
@@ -180,7 +178,7 @@ def measure(grid: Grid, state, terms: StateTerms | None = None, work=None) -> Le
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
-        div_res=solenoidal_residual(grid, terms, work),
+        div_res=solenoidal_residual(grid, terms),
     )
 
 

@@ -27,7 +27,7 @@ which makes the surface solution's H1 norm uniform in resolution; the
 sum of |q_k|^2 |xi_k|^2 converges only for decay > 2 (log N at 2).
 The noise field is real, so the increments, the amplitudes and the
 propagator tables are all held over the (Nx, Ny//2+1) half spectrum of
-the step kernel; only the increments are complex, until a kick.
+the step kernel, the increments as its real pair spectra (`ebpe.grid`).
 
 Every run is a pure function of its config: sigma, decay and seed are
 its [noise] keys and nothing else.  Increments for all steps are drawn
@@ -75,15 +75,15 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Per-step complex spectral Wiener increments of a real noise field,
-    stored as half spectra.
+    """Per-step spectral Wiener increments of a real noise field, stored
+    as half spectra in the step kernel's pair layout (`ebpe.grid`).
 
     Paired modes carry independent real and imaginary parts of variance
     dt/2 each; self-conjugate modes (mean and Nyquist lines) are real with
     variance dt.  The bundle is a pure function of the seed it records.
     """
 
-    increments: np.ndarray  # (n_steps, Nx, Ny//2+1) complex
+    increments: np.ndarray  # (n_steps, Nx, 2, Ny//2+1) float64 pairs
     dt: float
     seed: int
 
@@ -120,13 +120,14 @@ def wiener_increments(grid: Grid, spec: NoiseSpec, dt: float, n_steps: int) -> P
         raise ValueError(f"dt must be positive, got {dt}")
     rng = np.random.default_rng(spec.seed)
     half = grid.ny // 2 + 1
-    increments = np.empty((n_steps, grid.nx, half), dtype=complex)
+    increments = np.empty((n_steps, grid.nx, 2, half))
     chunk = max(1, NOISE_CHUNK_VALUES // (grid.nx * grid.ny))
     for start in range(0, n_steps, chunk):
         out = increments[start : start + chunk]
         white = rng.standard_normal((len(out), grid.nx, grid.ny)) * np.sqrt(dt)
         hat = np.fft.fft2(white, axes=(1, 2), norm="forward")[..., :half]
-        np.multiply(hat, np.sqrt(grid.nx * grid.ny), out=out)
+        hat *= np.sqrt(grid.nx * grid.ny)
+        out[:, :, 0], out[:, :, 1] = hat.real, hat.imag
     return PathBundle(increments=increments, dt=dt, seed=spec.seed)
 
 
@@ -156,9 +157,9 @@ class ConvolutionPropagator:
 
     def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
         """One step of the eigen coordinates (Nx, 2, Ny//2+1, Nz+1) of a
-        pair-spectrum stack; dW (complex) and q are (Nx, Ny//2+1)."""
-        noise = q[:, None] * dW[..., None].view(np.float64).transpose(0, 2, 1)  # q dW's pairs
-        return self.decay * zeta + self.phi1_rho * noise[..., None]
+        pair-spectrum stack; dW is a bundle's pair spectrum (Nx, 2,
+        Ny//2+1), q is (Nx, Ny//2+1)."""
+        return self.decay * zeta + self.phi1_rho * (q[:, None] * dW)[..., None]
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
@@ -177,8 +178,8 @@ def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle
     n_steps = cfg.n_steps()
     if bundle is not None and (
             bundle.n_steps < n_steps or abs(bundle.dt - cfg.dt) > 1e-15 * max(1.0, cfg.dt)
-            or bundle.increments.shape[1:] != (cfg.nx, cfg.ny // 2 + 1)
-            or bundle.seed != noise.seed):
+            or bundle.increments.shape[1:] != (cfg.nx, 2, cfg.ny // 2 + 1)
+            or bundle.increments.dtype != np.float64 or bundle.seed != noise.seed):
         raise ValueError("path bundle does not match the run (steps, dt, grid or seed)")
     stepper, state = start_run(cfg, initial)
     if bundle is None:
@@ -204,26 +205,25 @@ def run_split_stochastic(
     the kick Z_{n+1} - R Z_n; computing it advances Z.  With sigma = 0 the
     convolution vanishes and the run reproduces the deterministic driver.
 
-    The run cannot resume: a snapshot carries only the surface channel of
-    the convolution stack, so an `initial` state with step > 0 is
-    rejected.  spec and bundle, when given, are the config's noise and a
-    path drawn with its seed (see the module docstring): the run is bit
-    for bit the one that draws its own.
+    Z starts from zero and is a function of the path alone, so a run
+    resumed from a state at step s > 0 replays Z's steps over the
+    increments before s (each far cheaper than a step of the state) and
+    reproduces the uninterrupted run bit for bit.  spec and bundle, when
+    given, are the config's noise and a path drawn with its seed (see the
+    module docstring): the run is bit for bit the one that draws its own.
     """
-    if initial is not None and initial.step > 0:
-        raise ValueError(
-            "the split driver cannot resume a run: snapshots do not carry "
-            "the full convolution stack"
-        )
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
     zeta = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
+    for dW in bundle.increments[: state.step]:
+        zeta = propagator.step_hat(zeta, dW, q)
     d = stepper.coupled.d[:, None]
+    kick_hat = np.empty_like(zeta)
 
     def kick(state: State) -> np.ndarray:
         nonlocal zeta
         zeta_n, zeta = zeta, propagator.step_hat(zeta, bundle.increments[state.step], q)
-        return linops.from_eigen(propagator.basis, zeta - d * zeta_n)
+        return linops.from_eigen(propagator.basis, zeta - d * zeta_n, out=kick_hat)
 
     result = integrate(cfg, stepper, state, kick)
     result.z_rho_final = irfft_h(stepper.grid, linops.from_eigen(propagator.basis, zeta)[..., -1])
@@ -246,11 +246,10 @@ def run_direct_em(
     run bit for bit.  spec and bundle are as for `run_split_stochastic`.
     """
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
+    kick_hat = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
 
     def kick(state: State) -> np.ndarray:
-        kick_hat = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
-        dW = bundle.increments[state.step]
-        kick_hat[..., -1] = q[:, None] * dW[..., None].view(np.float64).transpose(0, 2, 1)
+        np.multiply(q[:, None], bundle.increments[state.step], out=kick_hat[..., -1])
         return kick_hat
 
     return integrate(cfg, stepper, state, kick)

@@ -39,9 +39,10 @@ so that one `linops.apply_diagonal` solves all three fields into a
 buffer of the Stepper: IMEX Euler is theta = 1, x = R(U + dt F); CNAB2
 is theta = 1/2, x = R(2U + dt E) - U, because R(I + dt/2 A) = 2R - I,
 so no step applies the generator A.  E is the AB2 extrapolation
-1.5 F - 0.5 F_old of the tendencies, or F itself when the previous
-step's tendencies are not at hand (the first step and a restart: one
-Crank-Nicolson step with forward-Euler tendencies).
+1.5 F - 0.5 F_old, F_old the tendencies of the step that returned the
+state, or F itself when the stepper's last step returned another (the
+first step, a restart, another trajectory: one Crank-Nicolson step
+with forward-Euler tendencies).
 
 The kernel runs in one record that each `Stepper` builds at its first
 use, its `Workspace`: the buffers of the state terms, the tendencies
@@ -220,7 +221,7 @@ class Workspace:
 
     - the state terms: nothing; the transform's y pass (`forward`);
     - the ledger: the squared spectra, then |T| (`squares`, `abs_T`); the
-      squared d/dz, then the divergence (`dz_squares`, `div`);
+      squared d/dz (`dz_squares`);
     - the tendencies: the advection, the baroclinic term, then the
       radiation spectrum (`adv`, `baroclinic`, `radiation`); the products,
       the transporting velocity, the dealiased x pass, the temperature
@@ -236,10 +237,10 @@ class Workspace:
         self.scratch = first, second = _page_aligned(*pair), _page_aligned(*pair)
         self.terms = monitors.StateTerms(
             U=_page_aligned(*pair), dx=_page_aligned(*fields), dy=_page_aligned(*fields),
-            w=_page_aligned(*fields[1:]), dz=_page_aligned(*fields))
+            w=_page_aligned(*fields[1:]), dz=_page_aligned(*fields), div=_page_aligned(nx, ny, k))
         self.forward = grid_mod.passes(grid, fields, "forward", second, out=self.terms.U)
         self.squares, self.abs_T = carve(first, *pair), carve(first, nx, ny, k)
-        self.dz_squares, self.div = carve(second, *fields), carve(second, nx, ny, k)
+        self.dz_squares = carve(second, *fields)
         self.tendencies = [grid_mod.passes(grid, fields, "dealiased", second,
                                            out=_page_aligned(*pair)) for _ in range(1 + history)]
         self.adv, self.product = carve(first, *fields), carve(second, *fields)
@@ -330,7 +331,8 @@ class Stepper:
     built by its first use, so set-up pays for none that a run without
     steps does not take.  What `state_terms` and `tendencies` return is
     valid until the stepper's next call; a State never shares memory with
-    the workspace.
+    the workspace.  cnab2 keeps its last tendencies with the State they
+    precede, and applies them to that State alone (`is`).
 
     The radiation term is explicit; its emission part is dissipative but
     limits the stable step to roughly dt <= 0.5 / max(1, sup|rho|^3).
@@ -360,7 +362,7 @@ class Stepper:
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
         self._basis = np.stack([s.basis for s in solvers], axis=1)
         self._d = np.stack([s.d for s in solvers])
-        self._history: tuple[int, np.ndarray] | None = None
+        self._history: tuple[State, np.ndarray] | None = None
 
     @cached_property
     def workspace(self) -> Workspace:
@@ -408,7 +410,7 @@ class Stepper:
         computes it, in the workspace (`state_terms`).
 
         The step is a pure function of the physical state (and, for
-        cnab2, the previous step's tendencies): nothing spectral is kept
+        cnab2, the tendencies kept with it): nothing spectral is kept
         from one step to the next.  Given terms change no bit of the
         result; they must not come from this step's output spectra, which
         differ from the transform of the physical result by roundoff.
@@ -427,7 +429,7 @@ class Stepper:
         work = self.workspace
         first = 3 - len(self._d)  # the first solved field: 2 (T alone) if v is frozen
         U, rhs = terms.U[first:], work.rhs
-        if cnab2 and self._history is not None and self._history[0] == state.step:
+        if cnab2 and self._history is not None and self._history[0] is state:
             F_old = self._history[1][first:]  # E = 1.5 F - 0.5 F_old
             np.multiply(F[first:], 1.5, out=rhs)
             rhs -= np.multiply(F_old, 0.5, out=F_old)
@@ -436,9 +438,7 @@ class Stepper:
             np.multiply(F[first:], dt, out=rhs)
         if cnab2:
             rhs += np.multiply(U, 2.0, out=work.out)
-            # the next step's tendencies go into the other buffer
-            self._history = (state.step + 1, F)
-            work.tendencies.reverse()
+            work.tendencies.reverse()  # the next step's go into the other buffer
         else:
             rhs += U
         x_hat = linops.apply_diagonal(self._basis, self._d, rhs, out=work.out,
@@ -455,6 +455,8 @@ class Stepper:
             hydrostatic.project_barotropic(grid, v_hat, out=v_hat, work=work)
         irfft_h(grid, x_hat, out=fields[first:], work=work.inverse)
         new = State(fields, t=state.t + dt, step=state.step + 1)
+        if cnab2:
+            self._history = (new, F)
         _check_finite(new, state)
         return new
 

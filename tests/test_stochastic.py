@@ -25,6 +25,7 @@ from ebpe.timestep import (
     BlowUpError,
     RunResult,
     State,
+    Stepper,
     run_deterministic,
     start_run,
 )
@@ -51,7 +52,8 @@ def propagator(grid, dt):
 
 def level_step(prop, Z, dW, q):
     """One propagator step of a complex stack Z in level coordinates, taken
-    in the eigen coordinates of the coupled basis on its pair spectrum."""
+    in the eigen coordinates of the coupled basis on its pair spectrum;
+    dW is a pair spectrum, as a bundle holds it."""
     zeta = to_eigen(prop.basis, as_pairs(Z))
     return as_complex(from_eigen(prop.basis, prop.step_hat(zeta, dW, q)))
 
@@ -126,7 +128,8 @@ class TestWienerIncrements:
         spec = NoiseSpec(sigma=1.0, seed=17)
         bundle = wiener_increments(grid, spec, 1e-3, n_steps)
         assert np.array_equal(bundle.increments,
-                              wiener_increments_one_shot(grid, spec, 1e-3, n_steps))
+                              as_pairs(wiener_increments_one_shot(grid, spec, 1e-3, n_steps),
+                                       plane=True))
 
     def test_peak_memory_near_the_stored_bundle(self):
         # 64^2 x 200 steps stores 6.8 MB; the one-shot form peaks at 32.8 MB
@@ -142,7 +145,7 @@ class TestWienerIncrements:
     def test_variances_within_three_sigma(self, grid8):
         n, dt = 100_000, 0.02
         bundle = wiener_increments(grid8, NoiseSpec(sigma=1.0, seed=12), dt, n)
-        w = bundle.increments
+        w = as_complex(bundle.increments, plane=True)
         se_half = (dt / 2) * np.sqrt(2.0 / n)  # standard error of a variance estimate
         se_full = dt * np.sqrt(2.0 / n)
         # paired mode: real and imaginary parts each carry dt/2
@@ -160,10 +163,10 @@ class TestWienerIncrements:
         # white-noise draw of its seed
         dt = 0.01
         bundle = wiener_increments(grid8, NoiseSpec(sigma=1.0, seed=3), dt, 4)
-        assert bundle.increments.shape == (4, 8, 5)
+        assert bundle.increments.shape == (4, 8, 2, 5) and bundle.increments.dtype == float
         white = np.random.default_rng(3).standard_normal((4, 8, 8)) * np.sqrt(dt)
         for k in range(4):
-            back = irfft_h(grid8, as_pairs(bundle.increments[k])) / np.sqrt(grid8.nx * grid8.ny)
+            back = irfft_h(grid8, bundle.increments[k]) / np.sqrt(grid8.nx * grid8.ny)
             assert np.max(np.abs(back - white[k])) <= 1e-15
 
     def test_coarsen_sums_increments(self, grid8):
@@ -194,8 +197,8 @@ class TestConvolutionPropagator:
         # the exponential and the injected phi1 column, each on its own;
         # relative to the whole array, since on strongly damped modes
         # (|E Z| ~ 1e-22) expm's own per-mode error reaches 1e-12
-        propagated = level_step(prop, Z, np.zeros_like(dW), q)
-        injected = level_step(prop, np.zeros_like(Z), dW, q)
+        propagated = level_step(prop, Z, np.zeros((8, 2, 5)), q)
+        injected = level_step(prop, np.zeros_like(Z), as_pairs(dW), q)
         oracle_propagated, oracle_injected = np.empty_like(Z), np.empty_like(Z)
         for i in range(grid8.nx):
             for j in range(5):
@@ -210,7 +213,7 @@ class TestConvolutionPropagator:
         # the maps are half-spectrum only: a full-width stack is rejected
         full = rng.standard_normal((8, 8, n)) + 0j
         with pytest.raises(ValueError):
-            level_step(prop, full, np.zeros((8, 8), complex), np.zeros((8, 8)))
+            level_step(prop, full, np.zeros((8, 2, 8)), np.zeros((8, 8)))
 
     def test_reads_the_coupled_solvers_eigenbasis(self, grid8, monkeypatch):
         coupled = CoupledImplicitSolver(grid8, 1e-3)
@@ -226,14 +229,14 @@ class TestConvolutionPropagator:
         prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[0, 0, :] = 2.0  # constant stack on the mean mode: kernel of the operator
-        out = level_step(prop, Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
+        out = level_step(prop, Z, np.zeros((8, 2, 5)), np.zeros((8, 5)))
         assert np.max(np.abs(out - Z)) < 1e-13
 
     def test_deterministic_decay_without_noise(self, grid8):
         prop = propagator(grid8, dt=0.05)
         Z = np.zeros((8, 5, grid8.nlev), dtype=complex)
         Z[1, 0, :] = 1.0
-        out = level_step(prop, Z, np.zeros((8, 5), complex), np.zeros((8, 5)))
+        out = level_step(prop, Z, np.zeros((8, 2, 5)), np.zeros((8, 5)))
         assert np.max(np.abs(out[1, 0])) < np.max(np.abs(Z[1, 0]))
 
     def test_scalar_surrogate_stationary_variance(self):
@@ -345,13 +348,14 @@ class TestDrivers:
 
         def recording_integrate(cfg, stepper, state, kick):
             seen["stepper"] = stepper
-            seen["kicks"] = [kick(dataclasses.replace(state, step=k)) for k in range(20)]
+            seen["kicks"] = [kick(dataclasses.replace(state, step=k)).copy() for k in range(20)]
             return RunResult(final_state=state, ledger=[], csv_records=[])
 
         monkeypatch.setattr(stochastic, "integrate", recording_integrate)
         grid = make_grid(8, 8, 8)
         spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
-        increments = wiener_increments(grid, spec, cfg.dt, cfg.n_steps()).increments
+        increments = as_complex(wiener_increments(grid, spec, cfg.dt, cfg.n_steps()).increments,
+                                plane=True)
         q = spec.q_table(grid)
         stacked = [np.stack((q * dW.real, q * dW.imag), axis=1) for dW in increments]
         run_direct_em(cfg)
@@ -436,36 +440,61 @@ class TestDrivers:
         wrong_dt = wiener_increments(grid8, spec, 2e-3, 10)
         with pytest.raises(ValueError, match="bundle"):
             run_direct_em(cfg, spec=spec, bundle=wrong_dt)
-        # increments drawn on another grid, or 8x8 increments at full width
+        # increments drawn on another grid, 8x8 increments at full width,
+        # complex half spectra, or complex values in the pair layout
         for bundle in (wiener_increments(make_grid(8, 16, 8), spec, 1e-3, 10),
                        wiener_increments(make_grid(16, 8, 8), spec, 1e-3, 10),
-                       PathBundle(increments=np.zeros((10, 8, 8), complex), dt=1e-3, seed=1)):
+                       PathBundle(increments=np.zeros((10, 8, 2, 8)), dt=1e-3, seed=1),
+                       PathBundle(increments=np.zeros((10, 8, 5), complex), dt=1e-3, seed=1),
+                       PathBundle(increments=np.zeros((10, 8, 2, 5), complex), dt=1e-3, seed=1)):
             for driver in (run_split_stochastic, run_direct_em):
                 with pytest.raises(ValueError, match="path bundle does not match the run"):
                     driver(cfg, spec=spec, bundle=bundle)
 
-    def test_direct_em_restart_splice_bitwise(self, tmp_path):
+    @staticmethod
+    def restart_splice(driver, tmp_path):
+        """A 20-step run, and the same run as 10 steps, a snapshot of the
+        last state, read back with its step set from t/dt, and 10 more
+        steps (cadence 5, so the split is on a CSV row); the splice's
+        fields and CSV rows are the whole run's, bit for bit."""
         cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, cadence=5,
                         noise_sigma=0.2, noise_seed=9)
-        full = run_direct_em(cfg)
-        first = run_direct_em(dataclasses.replace(cfg, t_end=0.01))
+        full = driver(cfg)
+        first = driver(dataclasses.replace(cfg, t_end=0.01))
         snap = tmp_path / "mid.bin"
         write_snapshot(first.final_state, snap)
         resumed, _ = read_snapshot(snap)
         resumed.step = int(round(resumed.t / cfg.dt))
-        second = run_direct_em(cfg, initial=resumed)
+        second = driver(cfg, initial=resumed)
         assert second.final_state.step == cfg.n_steps()
         for name in ("v", "T", "rho"):
             assert np.array_equal(getattr(full.final_state, name),
                                   getattr(second.final_state, name))
         assert (diagnostics.format_csv(full.csv_records)
                 == diagnostics.format_csv(first.csv_records + second.csv_records))
+        return full, second
 
-    def test_split_resume_rejected(self):
-        cfg = RunConfig(**BASE, dt=1e-3, t_end=0.02, noise_sigma=0.2)
-        resumed = run_split_stochastic(dataclasses.replace(cfg, t_end=0.01)).final_state
-        with pytest.raises(ValueError, match="resume"):
-            run_split_stochastic(cfg, initial=resumed)
+    def test_direct_em_restart_splice_bitwise(self, tmp_path):
+        self.restart_splice(run_direct_em, tmp_path)
+
+    def test_split_restart_splice_bitwise(self, tmp_path):
+        # the resumed run replays the convolution over the first 10 steps
+        full, second = self.restart_splice(run_split_stochastic, tmp_path)
+        assert np.array_equal(full.z_rho_final, second.z_rho_final)
+
+    @pytest.mark.parametrize("driver", [run_split_stochastic, run_direct_em])
+    def test_kick_writes_one_stack_per_run(self, driver, monkeypatch):
+        # every step's kick is the run's one stack, rewritten
+        cfg = RunConfig(**BASE, dt=1e-3, t_end=5e-3, noise_sigma=0.2, noise_seed=6)
+        kicks, step = [], Stepper.step
+
+        def recording_step(self, state, kick_hat=None, terms=None):
+            kicks.append(kick_hat)
+            return step(self, state, kick_hat=kick_hat, terms=terms)
+
+        monkeypatch.setattr(Stepper, "step", recording_step)
+        driver(cfg)
+        assert len(kicks) == 5 and all(kick is kicks[0] for kick in kicks)
 
     @pytest.mark.parametrize("driver", [run_deterministic, run_split_stochastic, run_direct_em])
     def test_blowup_carries_last_measured_state(self, driver):
@@ -494,6 +523,7 @@ class TestDrivers:
         grid = make_grid(8, 8, 8)
         bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
         res = run_split_stochastic(cfg, spec=spec, bundle=bundle)
+        increments = as_complex(bundle.increments, plane=True)
 
         i, j = 1, 2  # a mode with invertible generator
         M = assemble_mode_operator(
@@ -508,7 +538,7 @@ class TestDrivers:
         Z = np.zeros(n, dtype=complex)
         for k in range(steps):
             propagate = scipy.linalg.expm((steps - 1 - k) * cfg.dt * M)
-            Z += propagate @ (phi1 @ e_rho) * q * bundle.increments[k, i, j]
+            Z += propagate @ (phi1 @ e_rho) * q * increments[k, i, j]
         z_rho_hat = to_spectral(grid, res.z_rho_final)[i, j]
         assert abs(z_rho_hat - Z[-1]) <= 1e-12 * (1 + abs(Z[-1]))
 
@@ -520,7 +550,7 @@ class TestDrivers:
         kicks = []
 
         def recording_integrate(cfg, stepper, state, kick):
-            kicks.extend(kick(dataclasses.replace(state, step=k))
+            kicks.extend(kick(dataclasses.replace(state, step=k)).copy()
                          for k in range(cfg.n_steps()))
             return RunResult(final_state=state, ledger=[], csv_records=[])
 
@@ -529,13 +559,14 @@ class TestDrivers:
         assert len(kicks) == 100
         grid = make_grid(8, 8, 8)
         spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
-        bundle = wiener_increments(grid, spec, cfg.dt, cfg.n_steps())
+        increments = as_complex(wiener_increments(grid, spec, cfg.dt, cfg.n_steps()).increments,
+                                plane=True)
         q = spec.q_table(grid)
         E, w, R = dense_convolution_maps(grid, cfg.dt)
         Z = np.zeros((8, 5, grid.nlev), dtype=complex)
         for k, kick in enumerate(kicks):
             Z_next = (np.einsum("ijab,ijb->ija", E, Z)
-                      + w * (q * bundle.increments[k])[:, :, None])
+                      + w * (q * increments[k])[:, :, None])
             want = Z_next - np.einsum("ijab,ijb->ija", R, Z)
             # relative to the terms of the difference, which cancel
             assert np.max(np.abs(as_complex(kick) - want)) <= 1e-13 * np.max(np.abs(Z_next)), k

@@ -35,7 +35,7 @@ from ebpe.timestep import (
 )
 
 from conftest import record_w_top, rough_state
-from oracles import (as_pairs, crank_nicolson_stage, l2sq_surface, l2sq_volume,
+from oracles import (as_complex, as_pairs, crank_nicolson_stage, l2sq_surface, l2sq_volume,
                      physical_tendencies, random_smooth_per_plane, solve_coupled_implicit,
                      solve_velocity_implicit)
 
@@ -886,12 +886,26 @@ class TestSharedStateTerms:
     def test_cnab2_second_step_given_terms(self, n):
         grid, shared, state = self.make(n, scheme="cnab2")
         _, alone, _ = self.make(n, scheme="cnab2")
-        first = shared.step(state, terms=state_terms(grid, state))
-        assert_states_equal(first, alone.step(state))
-        # the second step combines its tendencies with the stored ones
-        assert shared._history is not None and shared._history[0] == first.step
+        first, first_alone = shared.step(state, terms=state_terms(grid, state)), alone.step(state)
+        assert_states_equal(first, first_alone)
+        # each second step combines its tendencies with those its stepper
+        # stored with its own output
+        assert shared._history is not None and shared._history[0] is first
         assert_states_equal(shared.step(first, terms=state_terms(grid, first)),
-                            alone.step(first))
+                            alone.step(first_alone))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_cnab2_history_belongs_to_its_trajectory(self, n):
+        # one stepper steps two trajectories in turn, both at step 1 after
+        # their first steps: the first trajectory's second step must not
+        # take the other's stored tendencies, and is the restart step a
+        # fresh stepper takes from the same state
+        grid, stepper, a0 = self.make(n, scheme="cnab2")
+        b0 = rough_state(grid, seed=n + 1)
+        a1 = stepper.step(a0)
+        stepper.step(b0)
+        _, fresh, _ = self.make(n, scheme="cnab2")
+        assert_states_equal(stepper.step(a1), fresh.step(a1))
 
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize("driver", ["imex_euler", "cnab2", "direct_em"])
@@ -918,7 +932,7 @@ class TestSharedStateTerms:
             kick = None
             if driver == "direct_em":
                 kick = np.zeros(q.shape + (grid.nlev,), dtype=complex)
-                kick[..., -1] = q * bundle.increments[state.step]
+                kick[..., -1] = q * as_complex(bundle.increments[state.step])
                 kick = as_pairs(kick)
             state = stepper.step(state, kick_hat=kick)
             records.append(measure(grid, state))
@@ -1009,11 +1023,10 @@ def test_state_on_another_grid_rejected_before_the_first_step(name, shape, monke
     assert steps == []
 
 
-@pytest.mark.parametrize("name", ["deterministic", "direct_em"])
+@pytest.mark.parametrize("name", sorted(TRANSFORM_DRIVERS))
 def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypatch):
-    # the split driver rejects every resumed state; the others reject one
-    # past the run's end, naming both steps, and take a state at the end as
-    # a run with nothing left to do
+    # a state past the run's end is rejected, naming both steps, and a
+    # state at the end is a run with nothing left to do
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
                     noise_sigma=0.0 if name == "deterministic" else 0.1)
     state = initial_state(make_grid(8, 8, 8), "random_smooth", seed=3)
@@ -1031,26 +1044,23 @@ def test_state_past_the_last_step_rejected_before_the_first_step(name, monkeypat
 @pytest.mark.parametrize("name", sorted(TRANSFORM_DRIVERS))
 def test_state_off_its_clock_rejected_before_the_first_step(name, monkeypatch):
     # t must be step * dt: a state at step 4 with t = 0 would run its six
-    # steps to t = 0.006, the ledger rows carrying the offset; the split
-    # driver takes only step 0.  A t summed step by step is within the
-    # tolerance.
+    # steps to t = 0.006, the ledger rows carrying the offset.  A t summed
+    # step by step is within the tolerance.
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-2, transport="vertical_average",
                     noise_sigma=0.0 if name == "deterministic" else 0.1)
     state = initial_state(make_grid(8, 8, 8), "random_smooth", seed=3)
     steps = []
     monkeypatch.setattr(Stepper, "step", lambda *args, **kwargs: steps.append(1))
-    cases = [(0, 0.3, "0.0")] + ([] if name == "split" else [(4, 0.0, "0.004")])
-    for step, t, t_step in cases:
+    for step, t, t_step in [(0, 0.3, "0.0"), (4, 0.0, "0.004")]:
         state.step, state.t = step, t
         with pytest.raises(ValueError, match=re.escape(
                 f"the state is at t = {t!r}, but its step {step} of dt = 0.001 "
                 f"is at t = {t_step}")):
             TRANSFORM_DRIVERS[name](cfg, initial=state)
-    if name != "split":
-        state.step, state.t = 10, sum([cfg.dt] * 10)
-        assert state.t != 10 * cfg.dt
-        result = TRANSFORM_DRIVERS[name](cfg, initial=state)
-        assert result.final_state is state
+    state.step, state.t = 10, sum([cfg.dt] * 10)
+    assert state.t != 10 * cfg.dt
+    result = TRANSFORM_DRIVERS[name](cfg, initial=state)
+    assert result.final_state is state
     assert steps == []
 
 
@@ -1063,8 +1073,6 @@ _REJECTIONS = {
     "before_the_start": "the state is at step -3, before the run's first step 0",
     "past_the_end": "the state is at step 50, past the run's last step 10",
     "off_the_clock": "the state is at t = 0.004, but its step 0 of dt = 0.001 is at t = 0.0",
-    "resumed": "the split driver cannot resume a run: snapshots do not carry "
-               "the full convolution stack",
     "bundle_dt": _BUNDLE_MISMATCH,
     "bundle_steps": _BUNDLE_MISMATCH,
     "bundle_grid": _BUNDLE_MISMATCH,
@@ -1094,8 +1102,8 @@ _REJECTED_CONFIGS = {
 
 @pytest.mark.parametrize("name, case", [
     *((name, case) for name in sorted(TRANSFORM_DRIVERS)
-      for case in ("another_grid", "before_the_start", "off_the_clock", *_REJECTED_CONFIGS)),
-    ("deterministic", "past_the_end"), ("direct_em", "past_the_end"), ("split", "resumed"),
+      for case in ("another_grid", "before_the_start", "past_the_end", "off_the_clock",
+                   *_REJECTED_CONFIGS)),
     *((name, case) for name in ("split", "direct_em")
       for case in ("bundle_dt", "bundle_steps", "bundle_grid", "bundle_seed",
                    "bundle_seed_coarsened", "spec_sigma", "spec_decay", "spec_seed")),
@@ -1129,7 +1137,7 @@ def test_rejected_run_builds_nothing(name, case, monkeypatch, cold_caches):
         n = 16 if case == "another_grid" else 8
         state = initial_state(make_grid(n, n, n), "random_smooth", seed=3)
         state.step = {"another_grid": 0, "before_the_start": -3, "past_the_end": 50,
-                      "resumed": 5, "off_the_clock": 0}[case]
+                      "off_the_clock": 0}[case]
         state.t = 0.004 if case == "off_the_clock" else 0.0
         kwargs = {"initial": state}
 
