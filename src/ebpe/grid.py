@@ -98,6 +98,10 @@ class Grid:
         1j * xi_y_half in pair form, (-xi, xi) on the re/im axis:
         multiplying a pair spectrum with its re/im axis reversed by row 0
         (row 1) is d/dx (d/dy), Nyquist zeroed.
+    ixi_pair_levels : (2, Nx, 2, Ny//2+1, Nz+1) ixi_pair repeated over
+        the levels, so that it multiplies pair spectra (Nx, 2, Ny//2+1,
+        Nz+1), their re/im axis reversed, with no broadcast over the
+        innermost axis (the baroclinic term).
     inv_lap_half : (Nx, Ny//2+1) inverse -1 / xi2_deriv_half of the discrete
         div(grad .) symbol, 0 where that symbol vanishes.
     norm_weights_pair : (2, Nx*2*(Ny//2+1)) Parseval weights in pair layout,
@@ -137,6 +141,8 @@ class Grid:
         the weights of int_0^{z_j}, so f @ running_trapz integrates fields
         f (..., Nz+1) from z = 0.  Column 0 is zero and the last column is
         trapz_w, bit for bit.
+    neg_running_trapz : -running_trapz, so f @ neg_running_trapz is minus
+        the running integral of f (w from div_H v), bit for bit.
 
     Every table is read-only: `make_grid` builds one grid per size in a
     process, and every stepper, solver and monitor of that size shares it.
@@ -186,6 +192,8 @@ class Grid:
         object.__setattr__(self, "dealias_half", self.dealias_mask[:, :half].copy())
         xi_half = np.stack(np.broadcast_arrays(self.xi_x, self.xi_y_half))
         object.__setattr__(self, "ixi_pair", np.stack((-xi_half, xi_half), axis=2))
+        object.__setattr__(self, "ixi_pair_levels",
+                           np.repeat(self.ixi_pair[..., None], self.nlev, axis=-1))
         xi2_half = self.xi2_deriv_half
         object.__setattr__(self, "inv_lap_half",
                            np.divide(-1.0, xi2_half, out=np.zeros_like(xi2_half),
@@ -210,6 +218,7 @@ class Grid:
         running = trapz_w[:, None] * (lev[:, None] < lev)  # column j: trapz_w[:j]
         running[lev[1:], lev[1:]] = trapz_w[0]  # and the half weight of z_j
         object.__setattr__(self, "running_trapz", running)
+        object.__setattr__(self, "neg_running_trapz", -running)
 
         cos_y, sin_y = _unit_circle(self.ny, half)
         object.__setattr__(self, "dft_y", np.concatenate((cos_y, -sin_y)) / self.ny)

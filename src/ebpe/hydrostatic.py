@@ -4,7 +4,8 @@ Vertical quadrature is the trapezoid rule throughout, matching the
 second-order vertical finite differences; exact on z-affine integrands.
 The running integral from z = 0 (w, the baroclinic term) is one real
 product with the grid's running trapezoid matrix `running_trapz`, for
-physical fields and pair spectra alike.
+physical fields and pair spectra alike, and a vertical average one
+product of the rows (-1, Nz+1) with `trapz_w`.
 The surface pressure is never prognostic and no state carries it: each
 step removes the gradient part of the vertically averaged velocity
 (pressure projection), and the potential phi of the removed gradient is
@@ -26,9 +27,15 @@ from .grid import Grid
 
 
 def vertical_average(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Trapezoidal average of a 3D field over the unit vertical extent;
-    into out when it is given."""
-    return np.matmul(f, grid.trapz_w, out=out)
+    """Trapezoidal average over the unit vertical extent of fields or pair
+    spectra (..., Nz+1); into out (C-contiguous) when it is given.  One
+    product of the rows (-1, Nz+1) with `trapz_w`, a single BLAS call
+    where a stacked matvec would make one per leading index."""
+    rows = f.reshape(-1, grid.nlev)
+    if out is None:
+        return np.matmul(rows, grid.trapz_w).reshape(f.shape[:-1])
+    np.matmul(rows, grid.trapz_w, out=out.reshape(-1))
+    return out
 
 
 def cumulative_integral(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -54,11 +61,15 @@ def diagnose_w(grid: Grid, v_hat: np.ndarray) -> np.ndarray:
 def baroclinic_grad(grid: Grid, T_hat: np.ndarray, work=None) -> np.ndarray:
     """grad_H of the running temperature integral, zero at z=0 by
     construction; pair-spectrum T (Nx, 2, Ny//2+1, Nz+1) to pair spectra
-    (2, Nx, 2, Ny//2+1, Nz+1).  work, when given, is a stepper's
-    `timestep.Workspace`, whose `integral` and `baroclinic` receive the
-    integral and the result."""
+    (2, Nx, 2, Ny//2+1, Nz+1).  The integral is copied with its re/im
+    axis reversed, so that its multiply with `grid.ixi_pair_levels` runs
+    over contiguous rows.  work, when given, is a stepper's
+    `timestep.Workspace`, whose `integral`, `swapped` and `baroclinic`
+    receive the integral, its copy and the result."""
     integral = cumulative_integral(grid, T_hat, out=None if work is None else work.integral)
-    return np.multiply(grid.ixi_pair[..., None], integral[..., ::-1, :, :],
+    swapped = np.empty(integral.shape) if work is None else work.swapped
+    swapped[...] = integral[..., ::-1, :, :]
+    return np.multiply(grid.ixi_pair_levels, swapped,
                        out=None if work is None else work.baroclinic)
 
 
@@ -77,7 +88,7 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = N
     average and phi_hat go into its `vbar` planes, the gradients into
     `vbar_parts`.
     """
-    average = np.matmul(v_hat, grid.trapz_w, out=None if work is None else work.vbar)
+    average = vertical_average(grid, v_hat, out=None if work is None else work.vbar)
     d = np.multiply(grid.ixi_pair, average[..., ::-1, :],
                     out=None if work is None else work.vbar_parts)
     # invert the same discrete div(grad .) symbol that the residual sees,

@@ -29,25 +29,26 @@ read-only: one `eig` per vertical matrix per grid per process.  Both
 solvers read it, so the steppers of one grid share it, and so do the
 noise propagator (`ebpe.stochastic`), through the coupled solver, and
 the spectrum report; a solver builds only its dt-dependent table d.
-The implicit inverse is V diag(d) V^-1 with a real (Nx, Ny//2+1, n)
-table d (`implicit_factors`): on the rows (..., n) of real pair spectra,
-`apply_diagonal` is the product with V^-T (`to_eigen`), a multiply by d
-and the product with V^T (`from_eigen`), for one field or all the
-step's fields at once, with the `transposed_bases` (V^-T, V^T).  A
-generator is applied, never tabulated, as the one vertical matrix
-product minus |xi|^2 times the column.  No step applies it: both time
-schemes need only the inverse (`ebpe.timestep`); the tests check it
-against the dense mode operators.
+The implicit inverse is V diag(d) V^-1 with a real table d
+(`implicit_factors`) in the pair layout (Nx, 2, Ny//2+1, n), the factor
+of a mode stored for both its parts: on the rows (..., n) of real pair
+spectra, `apply_diagonal` is the product with V^-T (`to_eigen`), one
+contiguous multiply by d and the product with V^T (`from_eigen`), for
+one field or all the step's fields at once, with the `transposed_bases`
+(V^-T, V^T).  A generator is applied, never tabulated, as the one
+vertical matrix product minus |xi|^2 times the column.  No step applies
+it: both time schemes need only the inverse (`ebpe.timestep`); the
+tests check it against the dense mode operators.
 The spectrum report lists omega + |xi|^2 - lam over every retained mode,
 omega given by its caller (`ebpe spectrum`).
 
 Every per-mode table here is built over the (Nx, Ny//2+1) half spectrum
-of the step kernel (`grid.xi2_half`) and broadcast over the re/im axis
-of a pair spectrum; a full-width spectrum fails in numpy broadcasting
-with a ValueError.  The dense per-mode matrices, the
-physical-space solves that check these tables, and the harmonic
-extension and Dirichlet-to-Neumann symbol of the similarity transform
-live with the tests (`tests/oracles.py`).
+of the step kernel (`grid.xi2_half`), d in pair layout and the
+generator's |xi|^2 broadcast over the re/im axis of a pair spectrum; a
+full-width spectrum fails in numpy broadcasting with a ValueError.  The
+dense per-mode matrices, the physical-space solves that check these
+tables, and the harmonic extension and Dirichlet-to-Neumann symbol of
+the similarity transform live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -183,13 +184,13 @@ def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
 def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray,
                    out=None, work=None) -> np.ndarray:
     """V (diag * (V^-1 x)) per mode, for the `transposed_bases` of V, a real
-    (Nx, Ny//2+1, n) diagonal table and pair-spectrum columns
-    (..., Nx, 2, Ny//2+1, n), or per field for stacked bases and tables;
-    into out when it is given (it may be x_hat itself).  work, when given,
-    receives the eigen coordinates: a C-contiguous array of the shape of
-    x_hat."""
+    (Nx, 2, Ny//2+1, n) diagonal table in pair layout (`implicit_factors`)
+    and pair-spectrum columns (..., Nx, 2, Ny//2+1, n), or per field for
+    stacked bases and tables; into out when it is given (it may be x_hat
+    itself).  work, when given, receives the eigen coordinates: a
+    C-contiguous array of the shape of x_hat."""
     coords = to_eigen(basis, x_hat, out=work)
-    coords *= diag[..., None, :, :]  # the same factor for both parts
+    coords *= diag
     return from_eigen(basis, coords, out)
 
 
@@ -200,11 +201,15 @@ def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.n
 
 
 def implicit_factors(grid: Grid, lam: np.ndarray, dt: float) -> np.ndarray:
-    """d = 1 / (1 - dt (lam - |xi|^2)), the real (Nx, Ny//2+1, n) table of
-    (I - dt (vertical - |xi|^2 I))^-1 in the eigenbasis of vertical."""
+    """d = 1 / (1 - dt (lam - |xi|^2)), the table of (I - dt (vertical -
+    |xi|^2 I))^-1 in the eigenbasis of vertical, in the pair layout of
+    the columns it multiplies: real (Nx, 2, Ny//2+1, n), the same factor
+    stored for both parts of a mode, so `apply_diagonal` multiplies with
+    no broadcast."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
+    d = 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
+    return np.repeat(d[:, None], 2, axis=1)
 
 
 class CoupledImplicitSolver:

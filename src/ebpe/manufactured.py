@@ -105,9 +105,11 @@ class ManufacturedSolution:
         return gT * (self.amp_flux * cx * H + (self.amp_trace * cy + self.amp_mean) * P)
 
     def surface_temperature(self, grid: Grid, t: float) -> np.ndarray:
-        gT = self._gT(t)
-        cy = np.cos(2.0 * _PI * grid.y)
-        return -gT * (self.amp_trace * cy + self.amp_mean)
+        return self._surface(np.cos(2.0 * _PI * grid.y), t)
+
+    def _surface(self, cy: np.ndarray, t: float) -> np.ndarray:
+        """The exact rho at t where cos(2 pi y) is cy."""
+        return -self._gT(t) * (self.amp_trace * cy + self.amp_mean)
 
     def initial_state(self, grid: Grid) -> State:
         return State.pack(self.velocity(grid, 0.0), self.temperature(grid, 0.0))
@@ -201,20 +203,22 @@ class ManufacturedSolution:
         The six `forcing_terms` are transformed once, here; a call
         contracts them with the envelopes at t and subtracts the transform
         of the radiation of the exact rho from T's top plane.  That rho
-        and Q depend on y only, so the transform is the y pass of `rfft_h`
-        (`grid.dft_y`) on the kx = 0 row.
+        and Q depend on y only, so both are taken on the kx = 0 row alone
+        (cos 2 pi y on it is evaluated once, here), and the transform is
+        the y pass of `rfft_h` (`grid.dft_y`) on that row.
         """
         hats = rfft_h(grid, self.forcing_terms(grid))
         shape = hats.shape[1:]
         table = hats.reshape(len(hats), -1)
         params = self.params(grid)
         row = replace(params, Q=params.Q[:1])
+        cy = np.cos(2.0 * _PI * grid.y[:1])
 
         def forcing_hat(at: Grid, t: float) -> np.ndarray:
             if at != grid:
                 raise ValueError(f"spectral forcing built for {grid}, called with {at}")
             out = (self._envelopes(t) @ table).reshape(shape)
-            rad = radiation(self.surface_temperature(grid, t)[:1], row)
+            rad = radiation(self._surface(cy, t), row)
             out[2, 0, ..., -1] -= (grid.dft_y @ rad[0]).reshape(2, -1)  # re, then im
             return out
 

@@ -10,8 +10,9 @@ monitor configuration, `RunConfig`, which states them once.
 step read, in the state's field-major layout: the pair spectra of
 `State.fields` (one batched forward transform, `ebpe.grid`) and, on the
 grid, the derivatives (one real product each with the grid's `diff_x`,
-`diff_y` and `diff_z`), the horizontal divergence they give and w, its
-running integral.  Both take `work`, a stepper's
+`diff_y` and `diff_z`), the horizontal divergence they give and w,
+minus its running integral (one product with `grid.neg_running_trapz`).
+Both take `work`, a stepper's
 `timestep.Workspace`: `state_terms` then fills its terms, valid until
 that stepper's next call, and `measure` reduces in its scratch, so
 neither allocates a volume or a spectrum per call; without it numpy
@@ -22,10 +23,11 @@ the field and horizontal gradient norms by Parseval, the squared pair
 spectra as (3, Nx*2*(Ny//2+1), Nz+1) times `grid.norm_weights_pair`; the
 vertical derivative norms, the squared d/dz rows times `trapz_w`; the
 solenoidal residual, the divergence rows times `trapz_w`.  The sup norms
-come from one |T|.  The ledger keeps no w(., 1) residual
-(`constraint_check` has it): the trapezoid running integral to z = 1 is
-the trapezoid vertical average, so it equals the solenoidal one to
-roundoff.
+come from one |T|.  The record's sums are Python floats, one `tolist()`
+per reduced array, in numpy's order, so bit for bit.  The ledger keeps no
+w(., 1) residual (`constraint_check` has it): the trapezoid running
+integral to z = 1 is the trapezoid vertical average, so it equals the
+solenoidal one to roundoff.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hydrostatic
 from .config import whole_steps
 from .ebm import PhysParams
 from .grid import Grid, make_grid, rfft_h
@@ -84,7 +85,8 @@ def state_terms(grid: Grid, state, work=None) -> StateTerms:
     np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
     np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
     np.add(t.dx[0], t.dy[1], out=t.div)
-    np.negative(hydrostatic.cumulative_integral(grid, t.div, out=t.w), out=t.w)
+    # w = -int_0^z div: the product with the negated table, bit for bit
+    np.matmul(t.div.reshape(-1, k), grid.neg_running_trapz, out=t.w.reshape(-1, k))
     np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
     return t
 
@@ -100,7 +102,8 @@ class ConstraintResiduals:
 
 def solenoidal_residual(grid: Grid, terms: StateTerms) -> float:
     """max |div_H vbar| of the state whose StateTerms are `terms`."""
-    return float(np.abs(terms.div.reshape(-1, grid.nlev) @ grid.trapz_w).max())
+    average = np.matmul(terms.div.reshape(-1, grid.nlev), grid.trapz_w)
+    return float(np.maximum.reduce(np.abs(average, out=average)))
 
 
 def constraint_check(grid: Grid, state, terms: StateTerms | None = None) -> ConstraintResiduals:
@@ -137,16 +140,21 @@ class LedgerRecord:
     flags: int = 0
 
 
-def _parseval(grid: Grid, U: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """By Parseval, from the pair spectra U of (v[0], v[1], T): per field
-    and level, the squared L2 norm over the section (row 0) and that of
-    the horizontal gradient (row 1); their integrals over z; and the
-    energy E0 = (|v|^2 + |T|^2 + |rho|^2) / 2, rho being T's top level.
-    work, when given, a `timestep.Workspace`, holds the squares."""
+def _parseval(grid: Grid, U: np.ndarray, work=None) -> tuple[list, list]:
+    """By Parseval, from the pair spectra U of (v[0], v[1], T), as nested
+    lists [field][norm]: the squared L2 norm over the section (norm 0)
+    and that of the horizontal gradient (norm 1) at the top level, rho's
+    (T's top level), and the integrals over z of both.  The per-level
+    norms are one stacked product with `grid.norm_weights_pair`.  work,
+    when given, a `timestep.Workspace`, holds the squares."""
     squares = np.multiply(U, U, out=None if work is None else work.squares)
-    norms = grid.norm_weights_pair @ squares.reshape(3, -1, grid.nlev)
-    volume = norms @ grid.trapz_w
-    return norms, volume, 0.5 * float(volume[:, 0].sum() + norms[2, 0, -1])
+    norms = np.matmul(grid.norm_weights_pair, squares.reshape(3, -1, grid.nlev))
+    return norms[:, :, -1].tolist(), np.matmul(norms, grid.trapz_w).tolist()
+
+
+def _energy(top: list, volume: list) -> float:
+    """E0 = (|v|^2 + |T|^2 + |rho|^2) / 2 from the lists of `_parseval`."""
+    return 0.5 * (volume[0][0] + volume[1][0] + volume[2][0] + top[2][0])
 
 
 def measure(grid: Grid, state, terms: StateTerms | None = None, work=None) -> LedgerRecord:
@@ -156,25 +164,25 @@ def measure(grid: Grid, state, terms: StateTerms | None = None, work=None) -> Le
     reduces (the driver loop hands over its stepper's)."""
     if terms is None:
         terms = state_terms(grid, state)
-    w = grid.trapz_w
-    norms, volume, energy = _parseval(grid, terms.U, work)
+    n = grid.nx * grid.ny
+    top, volume = _parseval(grid, terms.U, work)
     # squared L2 norms of d/dz of (v[0], v[1], T)
     dz_squares = np.multiply(terms.dz, terms.dz, out=None if work is None else work.dz_squares)
-    dz_sq = (dz_squares.reshape(-1, grid.nlev) @ w).reshape(3, -1).sum(axis=1)
-    dz_sq /= grid.nx * grid.ny
-    gv = float(volume[0, 1] + volume[1, 1] + dz_sq[0] + dz_sq[1])
-    gT = float(volume[2, 1] + dz_sq[2])
-    gr = float(norms[2, 1, -1])  # rho is T's top level
+    dz_rows = np.matmul(dz_squares.reshape(-1, grid.nlev), grid.trapz_w)
+    dz_v0, dz_v1, dz_T = (s / n for s in np.add.reduce(dz_rows.reshape(3, -1), axis=1).tolist())
+    gv = volume[0][1] + volume[1][1] + dz_v0 + dz_v1
+    gT = volume[2][1] + dz_T
+    gr = top[2][1]  # rho is T's top level
     abs_T = np.abs(state.T, out=None if work is None else work.abs_T)
     abs_rho = abs_T[..., -1]  # so is |rho|
     return LedgerRecord(
         step=state.step,
         t=state.t,
-        energy=energy,
+        energy=_energy(top, volume),
         dissipation=gv + gT + gr,
-        rho_l5=float((abs_rho ** 5).sum() / (grid.nx * grid.ny)),
-        sup_T=float(abs_T.max()),
-        sup_rho=float(abs_rho.max()),
+        rho_l5=float(np.add.reduce(abs_rho ** 5, axis=None)) / n,
+        sup_T=float(np.maximum.reduce(abs_T, axis=None)),
+        sup_rho=float(np.maximum.reduce(abs_rho, axis=None)),
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
@@ -269,7 +277,7 @@ def _l2_distance(grid: Grid, state, fields: np.ndarray) -> float:
     (3, Nx, Ny, Nz+1) of another: sqrt(2 E) of the difference, E its
     energy as `measure` takes it, from its pair spectra alone."""
     U = rfft_h(grid, state.fields - fields)
-    return float(np.sqrt(2.0 * _parseval(grid, U)[2]))
+    return float(np.sqrt(2.0 * _energy(*_parseval(grid, U))))
 
 
 def _mms_run(exact, grid: Grid, forcing, scheme: str, dt: float, t_end: float):

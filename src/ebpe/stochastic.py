@@ -152,14 +152,22 @@ class ConvolutionPropagator:
         self.basis = coupled.basis
         x = dt * (coupled.lam - coupled.grid.xi2_half[..., None])
         phi1 = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-        self.decay = np.exp(x)[:, None]  # (Nx, 1, Ny//2+1, n): both parts
-        self.phi1_rho = (phi1 * coupled.V_inv[:, -1])[:, None]
+        # (Nx, 2, Ny//2+1, n): the same factor for both parts, as linops' d
+        self.decay = np.repeat(np.exp(x)[:, None], 2, axis=1)
+        self.phi1_rho = np.repeat((phi1 * coupled.V_inv[:, -1])[:, None], 2, axis=1)
 
-    def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray,
+                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
         """One step of the eigen coordinates (Nx, 2, Ny//2+1, Nz+1) of a
         pair-spectrum stack; dW is a bundle's pair spectrum (Nx, 2,
-        Ny//2+1), q is (Nx, Ny//2+1)."""
-        return self.decay * zeta + self.phi1_rho * (q[:, None] * dW)[..., None]
+        Ny//2+1), q is (Nx, Ny//2+1).  out (it may be zeta) and work, when
+        given, receive the result and the injected term, which is copied
+        over the levels first, so that no multiply broadcasts."""
+        decayed = np.multiply(self.decay, zeta, out=out)
+        injected = np.empty(zeta.shape) if work is None else work
+        injected[...] = (q[:, None] * dW)[..., None]
+        injected *= self.phi1_rho
+        return np.add(decayed, injected, out=decayed)
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
@@ -214,16 +222,19 @@ def run_split_stochastic(
     """
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
+    # zeta advances in place; the kick stack holds the injected term until
+    # the kick is written over it
     zeta = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
+    work, kick_hat = np.empty_like(zeta), np.empty_like(zeta)
     for dW in bundle.increments[: state.step]:
-        zeta = propagator.step_hat(zeta, dW, q)
-    d = stepper.coupled.d[:, None]
-    kick_hat = np.empty_like(zeta)
+        propagator.step_hat(zeta, dW, q, out=zeta, work=kick_hat)
+    d = stepper.coupled.d
 
     def kick(state: State) -> np.ndarray:
-        nonlocal zeta
-        zeta_n, zeta = zeta, propagator.step_hat(zeta, bundle.increments[state.step], q)
-        return linops.from_eigen(propagator.basis, zeta - d * zeta_n, out=kick_hat)
+        d_zeta_n = np.multiply(d, zeta, out=work)
+        propagator.step_hat(zeta, bundle.increments[state.step], q, out=zeta, work=kick_hat)
+        difference = np.subtract(zeta, d_zeta_n, out=work)
+        return linops.from_eigen(propagator.basis, difference, out=kick_hat)
 
     result = integrate(cfg, stepper, state, kick)
     result.z_rho_final = irfft_h(stepper.grid, linops.from_eigen(propagator.basis, zeta)[..., -1])

@@ -33,7 +33,16 @@ running sum of its increments, the reference of the kernel's product
 with `grid.running_trapz`.  `smooth_field_2d` draws and transforms one
 random plane at a time, and `random_smooth_per_plane` builds the
 `random_smooth` initial fields from it, the reference of
-`timestep.initial_state`'s one batched draw.
+`timestep.initial_state`'s one batched draw.  The last section keeps
+the step's passes in their earlier forms, each the reference that its
+contiguous form equals bit for bit: the implicit factors as a
+half-spectrum table broadcast over re/im (`implicit_factors_half`,
+`apply_diagonal_broadcast`), the baroclinic term as `ixi_pair`
+broadcast over the levels (`baroclinic_grad_broadcast`), the vertical
+averages as stacked matvecs (`vertical_average_stacked`), w as minus
+the running integral (`negated_running_integral`), the ledger record
+on numpy arrays and scalars (`numpy_measure`), and the blow-up check by
+max and min alone (`check_finite_max_min`).
 """
 
 from dataclasses import dataclass
@@ -48,9 +57,12 @@ from ebpe.linops import (
     TOP_FLUX_INTEGERS,
     coupled_vertical_matrix,
     eigenbasis,
+    from_eigen,
     neumann_vertical_matrix,
+    to_eigen,
 )
 from ebpe.monitors import LedgerRecord, energy_step_check, h1_step_check, state_terms
+from ebpe.timestep import BLOWUP_SUP, BlowUpError
 
 
 def as_pairs(c: np.ndarray, plane: bool | None = None) -> np.ndarray:
@@ -488,3 +500,81 @@ def einsum_measure(grid, state) -> LedgerRecord:
         grad_rho_sq=gr,
         div_res=float(np.abs((terms.dx[0] + terms.dy[1]) @ w).max()),
     )
+
+
+# The step's passes in the forms they had before each became one
+# contiguous call: the references that the contiguous forms must equal
+# bit for bit.
+
+def implicit_factors_half(grid, lam: np.ndarray, dt: float) -> np.ndarray:
+    """`linops.implicit_factors` as the (Nx, Ny//2+1, n) table, one factor
+    per mode."""
+    return 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
+
+
+def apply_diagonal_broadcast(basis: np.ndarray, diag_half: np.ndarray,
+                             x_hat: np.ndarray) -> np.ndarray:
+    """`linops.apply_diagonal` with a half-spectrum table (`implicit_factors_half`,
+    stacked per field for stacked bases) broadcast over the re/im axis."""
+    coords = to_eigen(basis, x_hat)
+    coords *= diag_half[..., None, :, :]
+    return from_eigen(basis, coords)
+
+
+def baroclinic_grad_broadcast(grid, T_hat: np.ndarray) -> np.ndarray:
+    """`hydrostatic.baroclinic_grad` as `ixi_pair` broadcast over the levels
+    times the running integral, its re/im axis reversed in a view."""
+    return grid.ixi_pair[..., None] * cumulative_integral(grid, T_hat)[..., ::-1, :, :]
+
+
+def vertical_average_stacked(grid, f: np.ndarray) -> np.ndarray:
+    """`hydrostatic.vertical_average` (and `project_barotropic`'s average)
+    as a stacked matvec: one product per leading index."""
+    return np.matmul(f, grid.trapz_w)
+
+
+def negated_running_integral(grid, div: np.ndarray) -> np.ndarray:
+    """`monitors.state_terms`' w as minus the running integral of div."""
+    return -cumulative_integral(grid, div)
+
+
+def numpy_measure(grid, state, terms) -> LedgerRecord:
+    """`monitors.measure` of `state` given its terms, as numpy arrays and
+    numpy scalars reduced by their methods."""
+    w = grid.trapz_w
+    norms = grid.norm_weights_pair @ (terms.U * terms.U).reshape(3, -1, grid.nlev)
+    volume = norms @ w
+    dz_sq = ((terms.dz * terms.dz).reshape(-1, grid.nlev) @ w).reshape(3, -1).sum(axis=1)
+    dz_sq /= grid.nx * grid.ny
+    gv = float(volume[0, 1] + volume[1, 1] + dz_sq[0] + dz_sq[1])
+    gT = float(volume[2, 1] + dz_sq[2])
+    gr = float(norms[2, 1, -1])
+    abs_T = np.abs(state.T)
+    abs_rho = abs_T[..., -1]
+    return LedgerRecord(
+        step=state.step,
+        t=state.t,
+        energy=0.5 * float(volume[:, 0].sum() + norms[2, 0, -1]),
+        dissipation=gv + gT + gr,
+        rho_l5=float((abs_rho ** 5).sum() / (grid.nx * grid.ny)),
+        sup_T=float(abs_T.max()),
+        sup_rho=float(abs_rho.max()),
+        grad_v_sq=gv,
+        grad_T_sq=gT,
+        grad_rho_sq=gr,
+        div_res=float(np.abs(terms.div.reshape(-1, grid.nlev) @ w).max()),
+    )
+
+
+def check_finite_max_min(state, previous) -> None:
+    """`timestep._check_finite` without its dot product: one max and one
+    min of all fields, then one max-norm per field if they fail."""
+    if max(state.fields.max(), -state.fields.min()) <= BLOWUP_SUP:
+        return
+    for name, f in (("v", state.v), ("T", state.T)):
+        sup = np.abs(f).max()
+        if sup <= BLOWUP_SUP:
+            continue
+        what = (f"sup|{name}| = {sup:.3e} exceeds the blow-up threshold" if np.isfinite(sup)
+                else f"non-finite values in {name}")
+        raise BlowUpError(f"{what} at t={state.t:.6g} (step {state.step})", last_state=previous)

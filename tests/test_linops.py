@@ -412,15 +412,17 @@ class TestPerModeTables:
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         built = solver(grid, 1e-3)
         assert calls == [(grid.nlev, grid.nlev)]
-        # per-mode tables hold one diagonal per mode of the half spectrum;
-        # the other arrays are vertical or basis matrices, whose size does
-        # not depend on Nx, Ny
-        half = (grid.nx, grid.ny // 2 + 1)
+        # per-mode tables hold one diagonal per mode of the half spectrum,
+        # in pair layout: the same diagonal for both parts; the other
+        # arrays are vertical or basis matrices, whose size does not
+        # depend on Nx, Ny
+        pair = (grid.nx, 2, grid.ny // 2 + 1)
         for value in vars(built).values():
             if not isinstance(value, np.ndarray):
                 continue
-            if value.shape[:2] == half:
-                assert value.size <= half[0] * half[1] * grid.nlev
+            if value.shape[:3] == pair:
+                assert value.shape == pair + (grid.nlev,)
+                assert np.array_equal(value[:, 0], value[:, 1])
             else:
                 assert value.size <= 2 * (2 * grid.nlev) ** 2
 

@@ -363,7 +363,7 @@ class TestDrivers:
             assert np.array_equal(kick[..., -1], stacked[k]) and not kick[..., :-1].any(), k
         run_split_stochastic(cfg)
         prop = ConvolutionPropagator(seen["stepper"].coupled, cfg.dt)
-        d = seen["stepper"].coupled.d[:, None]
+        d = seen["stepper"].coupled.d
         zeta = np.zeros((8, 2, 5, grid.nlev))
         for k, kick in enumerate(seen["kicks"]):
             zeta_n, zeta = zeta, prop.decay * zeta + prop.phi1_rho * stacked[k][..., None]

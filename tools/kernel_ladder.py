@@ -27,7 +27,12 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
   The per-call figures take one fixed state, so the allocator's state
   between calls is not the loop's: this is the figure of the kernel as
   a run drives it.  The faults report allocation churn; they gate
-  nothing.
+  nothing;
+- `em_loop_step_ms`, at 8^3 only: the same loop in the shape of the
+  stoch-8 benchmark, the one place the ladder runs the vertical average
+  and a kick: `accept_stoch` physics (vertical-average transport,
+  `random_smooth` amplitude 0.5, seed 1) and the direct Euler-Maruyama
+  kick q dW at sigma = 0.1, the increments drawn by `wiener_increments`.
 
 Every figure keeps, beside its pooled min and median, each worker's own
 minimum (`worker_min`, one per round) and their median
@@ -153,7 +158,39 @@ def worker(shape: tuple[int, int, int]) -> dict:
     out["minor_faults_per_step"] = [
         (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / LOOP_STEPS]
     out["loop_step_ms"] = [1e3 * t for t in times]
+    if shape == LADDER["8^3"]:
+        out["em_loop_step_ms"] = _em_loop(shape, dt)
     return out
+
+
+def _em_loop(shape: tuple[int, int, int], dt: float) -> list[float]:
+    """Wall times (ms) of LOOP_STEPS steps, after one untimed, of the
+    driver-like loop with stoch-8 physics and the direct-EM kick."""
+    import numpy as np
+    from ebpe.config import RunConfig
+    from ebpe.monitors import measure
+    from ebpe.stochastic import NoiseSpec, wiener_increments
+    from ebpe.timestep import start_run
+
+    nx, ny, nz = shape
+    cfg = RunConfig(nx=nx, ny=ny, nz=nz, dt=dt, t_end=(LOOP_STEPS + 1) * dt,
+                    transport="vertical_average", ic_kind="random_smooth",
+                    ic_amplitude=0.5, ic_seed=1, noise_sigma=0.1)
+    stepper, state = start_run(cfg)
+    grid, work = stepper.grid, stepper.workspace
+    spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
+    q = spec.q_table(grid)[:, None]
+    increments = wiener_increments(grid, spec, dt, LOOP_STEPS + 1).increments
+    kick_hat = np.zeros(increments.shape[1:] + (grid.nlev,))
+    times = []
+    for dW in increments:
+        t0 = time.perf_counter()
+        terms = stepper.state_terms(state)
+        measure(grid, state, terms, work=work)
+        np.multiply(q, dW, out=kick_hat[..., -1])
+        state = stepper.step(state, kick_hat=kick_hat, terms=terms)
+        times.append(time.perf_counter() - t0)
+    return [1e3 * t for t in times[1:]]
 
 
 def _run_worker(src: Path, label: str) -> dict:
@@ -242,6 +279,9 @@ def main(argv=None) -> int:
                         f"loop step {f['loop_step_ms']['min']:.3f} "
                         f"({f['loop_step_ms']['median_worker_min']:.3f}) ms, "
                         f"faults/step {f['minor_faults_per_step']['median_worker_min']:.1f}"
+                        + (f", EM loop step {f['em_loop_step_ms']['min']:.3f} "
+                           f"({f['em_loop_step_ms']['median_worker_min']:.3f}) ms"
+                           if "em_loop_step_ms" in f else "")
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
         for name, f in figures.items():
