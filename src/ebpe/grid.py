@@ -141,8 +141,6 @@ class Grid:
         the weights of int_0^{z_j}, so f @ running_trapz integrates fields
         f (..., Nz+1) from z = 0.  Column 0 is zero and the last column is
         trapz_w, bit for bit.
-    neg_running_trapz : -running_trapz, so f @ neg_running_trapz is minus
-        the running integral of f (w from div_H v), bit for bit.
 
     Every table is read-only: `make_grid` builds one grid per size in a
     process, and every stepper, solver and monitor of that size shares it.
@@ -218,7 +216,6 @@ class Grid:
         running = trapz_w[:, None] * (lev[:, None] < lev)  # column j: trapz_w[:j]
         running[lev[1:], lev[1:]] = trapz_w[0]  # and the half weight of z_j
         object.__setattr__(self, "running_trapz", running)
-        object.__setattr__(self, "neg_running_trapz", -running)
 
         cos_y, sin_y = _unit_circle(self.ny, half)
         object.__setattr__(self, "dft_y", np.concatenate((cos_y, -sin_y)) / self.ny)

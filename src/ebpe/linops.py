@@ -200,28 +200,34 @@ def apply_generator(grid: Grid, vertical: np.ndarray, x_hat: np.ndarray) -> np.n
     return x_hat @ vertical.T - grid.xi2_half[:, None, :, None] * x_hat
 
 
-def implicit_factors(grid: Grid, lam: np.ndarray, dt: float) -> np.ndarray:
+def implicit_factors(grid: Grid, lam: np.ndarray, dt: float, out=None) -> np.ndarray:
     """d = 1 / (1 - dt (lam - |xi|^2)), the table of (I - dt (vertical -
     |xi|^2 I))^-1 in the eigenbasis of vertical, in the pair layout of
     the columns it multiplies: real (Nx, 2, Ny//2+1, n), the same factor
     stored for both parts of a mode, so `apply_diagonal` multiplies with
-    no broadcast."""
+    no broadcast; into out when it is given."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    d = 1.0 / (1.0 - dt * (lam - grid.xi2_half[..., None]))
-    return np.repeat(d[:, None], 2, axis=1)
+    x = lam - grid.xi2_half[..., None]
+    x *= dt
+    np.divide(1.0, np.subtract(1.0, x, out=x), out=x)
+    d = np.empty((x.shape[0], 2, *x.shape[1:])) if out is None else out
+    d[:, 0] = x
+    d[:, 1] = x
+    return d
 
 
 class CoupledImplicitSolver:
     """Per-mode (I - dt * generator)^-1, by eigenbasis; its dt-free (lam, V,
     V_inv, basis), the grid's `vertical_operator` record, also serve the
-    noise propagator (`ebpe.stochastic`)."""
+    noise propagator (`ebpe.stochastic`).  out, when given, receives the
+    factor table d (a `Stepper` passes its stacked table)."""
 
-    def __init__(self, grid: Grid, dt: float):
+    def __init__(self, grid: Grid, dt: float, out=None):
         self.grid = grid
         self.dt = dt
         self.vertical, self.lam, self.V, self.V_inv, self.basis = vertical_operator(grid, True)
-        self.d = implicit_factors(grid, self.lam, dt)
+        self.d = implicit_factors(grid, self.lam, dt, out)
 
     def solve_hat(self, stack_hat: np.ndarray) -> np.ndarray:
         """Apply the inverse to a pair-spectrum stack (Nx, 2, Ny//2+1, Nz+1)."""
@@ -232,13 +238,14 @@ class CoupledImplicitSolver:
 
 
 class VelocityImplicitSolver:
-    """Per-mode (I - dt * (d^2_z - |xi|^2))^-1, Neumann ends, by eigenbasis."""
+    """Per-mode (I - dt * (d^2_z - |xi|^2))^-1, Neumann ends, by eigenbasis;
+    out, when given, receives the factor table d."""
 
-    def __init__(self, grid: Grid, dt: float):
+    def __init__(self, grid: Grid, dt: float, out=None):
         self.grid = grid
         self.dt = dt
         self.vertical, self.lam, self.V, self.V_inv, self.basis = vertical_operator(grid, False)
-        self.d = implicit_factors(grid, self.lam, dt)
+        self.d = implicit_factors(grid, self.lam, dt, out)
 
     def solve_hat(self, v_hat: np.ndarray) -> np.ndarray:
         """Apply to pair-spectrum velocity components (..., Nx, 2, Ny//2+1, Nz+1)."""

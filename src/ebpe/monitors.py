@@ -10,9 +10,8 @@ monitor configuration, `RunConfig`, which states them once.
 step read, in the state's field-major layout: the pair spectra of
 `State.fields` (one batched forward transform, `ebpe.grid`) and, on the
 grid, the derivatives (one real product each with the grid's `diff_x`,
-`diff_y` and `diff_z`), the horizontal divergence they give and w,
-minus its running integral (one product with `grid.neg_running_trapz`).
-Both take `work`, a stepper's
+`diff_y` and `diff_z`), the horizontal divergence they give and w, its
+running integral.  Both take `work`, a stepper's
 `timestep.Workspace`: `state_terms` then fills its terms, valid until
 that stepper's next call, and `measure` reduces in its scratch, so
 neither allocates a volume or a spectrum per call; without it numpy
@@ -36,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hydrostatic
 from .config import whole_steps
 from .ebm import PhysParams
 from .grid import Grid, make_grid, rfft_h
@@ -85,8 +85,7 @@ def state_terms(grid: Grid, state, work=None) -> StateTerms:
     np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
     np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
     np.add(t.dx[0], t.dy[1], out=t.div)
-    # w = -int_0^z div: the product with the negated table, bit for bit
-    np.matmul(t.div.reshape(-1, k), grid.neg_running_trapz, out=t.w.reshape(-1, k))
+    np.negative(hydrostatic.cumulative_integral(grid, t.div, out=t.w), out=t.w)
     np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
     return t
 

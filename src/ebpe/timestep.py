@@ -23,8 +23,8 @@ the new state's own storage; the radiation plane takes a 2-D transform
 of its own.  The first, with the derivatives and w that the products
 read (real products on the grid), is `monitors.state_terms`, which the
 driver loop computes once per state for both the ledger and the step.
-w is one product with the grid's negated running-trapezoid matrix, and
-the baroclinic term's integral one with the matrix itself.
+w, like the baroclinic term of the tendencies, is one product with the
+grid's running-trapezoid matrix.
 The transforms are dense DFT matrix products on BLAS with the grid's
 tables, so no step calls numpy's FFT; they are deterministic and
 independent of the memory layout of their operands, so the step stays
@@ -304,13 +304,11 @@ def _check_finite(state: State, previous: State) -> None:
     """One dot product of all fields with themselves: a sum below
     BLOWUP_SUP^2 proves every |f| < BLOWUP_SUP (a rounded sum of squares is
     no less than its largest term).  Only a sum that fails (large,
-    overflowing or not finite) falls back to one max and one min of all
-    fields, and only if they fail the threshold test (as a NaN does), to
-    one max-norm per field (rho's is T's), whose finiteness tells which."""
+    overflowing or not finite) falls back to one max-norm per field (rho's
+    is T's), which passes a field within the threshold and tells by its
+    finiteness what fails."""
     fields = state.fields.reshape(-1)
     if np.dot(fields, fields) < BLOWUP_SUP ** 2:
-        return
-    if max(fields.max(), -fields.min()) <= BLOWUP_SUP:
         return
     for name, f in (("v", state.v), ("T", state.T)):
         sup = np.abs(f).max()
@@ -364,13 +362,18 @@ class Stepper:
         self.scheme = scheme
         self.forcing = forcing
         theta_dt = (0.5 if scheme == "cnab2" else 1.0) * dt
-        self.coupled = linops.CoupledImplicitSolver(grid, theta_dt)
-        self.velocity = None if freeze_velocity else linops.VelocityImplicitSolver(grid, theta_dt)
-        # the implicit stage's tables, one per solved field (np.array copies
-        # them as np.stack would, in half its time at 16^3)
+        # the implicit stage's factor tables, one per solved field (v[0], v[1],
+        # T; T alone if v is frozen): each solver writes its d into its row
+        self._d = np.empty((1 if freeze_velocity else 3, grid.nx, 2, grid.ny // 2 + 1, grid.nlev))
+        self.coupled = linops.CoupledImplicitSolver(grid, theta_dt, out=self._d[-1])
+        self.velocity = None
+        if not freeze_velocity:
+            self.velocity = linops.VelocityImplicitSolver(grid, theta_dt, out=self._d[0])
+            self._d[1] = self._d[0]
+        # and the bases (np.array copies them as np.stack would, in half its
+        # time at 16^3)
         solvers = (self.coupled,) if freeze_velocity else (self.velocity,) * 2 + (self.coupled,)
         self._basis = np.array([[s.basis[i] for s in solvers] for i in (0, 1)])
-        self._d = np.array([s.d for s in solvers])
         self._history: tuple[State, np.ndarray] | None = None
 
     @cached_property

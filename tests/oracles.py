@@ -39,9 +39,8 @@ contiguous form equals bit for bit: the implicit factors as a
 half-spectrum table broadcast over re/im (`implicit_factors_half`,
 `apply_diagonal_broadcast`), the baroclinic term as `ixi_pair`
 broadcast over the levels (`baroclinic_grad_broadcast`), the vertical
-averages as stacked matvecs (`vertical_average_stacked`), w as minus
-the running integral (`negated_running_integral`), the ledger record
-on numpy arrays and scalars (`numpy_measure`), and the blow-up check by
+averages as stacked matvecs (`vertical_average_stacked`), the ledger
+record on numpy arrays and scalars (`numpy_measure`), and the blow-up check by
 max and min alone (`check_finite_max_min`).
 """
 
@@ -533,11 +532,6 @@ def vertical_average_stacked(grid, f: np.ndarray) -> np.ndarray:
     return np.matmul(f, grid.trapz_w)
 
 
-def negated_running_integral(grid, div: np.ndarray) -> np.ndarray:
-    """`monitors.state_terms`' w as minus the running integral of div."""
-    return -cumulative_integral(grid, div)
-
-
 def numpy_measure(grid, state, terms) -> LedgerRecord:
     """`monitors.measure` of `state` given its terms, as numpy arrays and
     numpy scalars reduced by their methods."""
@@ -567,8 +561,8 @@ def numpy_measure(grid, state, terms) -> LedgerRecord:
 
 
 def check_finite_max_min(state, previous) -> None:
-    """`timestep._check_finite` without its dot product: one max and one
-    min of all fields, then one max-norm per field if they fail."""
+    """`timestep._check_finite` in its former form: one max and one min of
+    all fields, then one max-norm per field if they fail."""
     if max(state.fields.max(), -state.fields.min()) <= BLOWUP_SUP:
         return
     for name, f in (("v", state.v), ("T", state.T)):
