@@ -61,21 +61,27 @@ class PhysParams:
             )
 
 
-def coalbedo(rho, params: PhysParams):
-    """tanh ramp between beta1 and beta2 around rho_ref; strictly inside (beta1, beta2)."""
-    ramp = 0.5 * (1.0 + np.tanh(np.asarray(rho, dtype=float) - params.rho_ref))
-    return params.beta1 + (params.beta2 - params.beta1) * ramp
+def coalbedo(rho, params: PhysParams, out=None):
+    """tanh ramp between beta1 and beta2 around rho_ref; strictly inside
+    (beta1, beta2).  out, when given, receives it (a float64 array of
+    rho's shape)."""
+    ramp = np.tanh(np.subtract(rho, params.rho_ref, out=out), out=out)
+    ramp = np.multiply(0.5, np.add(1.0, ramp, out=out), out=out)
+    return np.add(params.beta1, np.multiply(params.beta2 - params.beta1, ramp, out=out), out=out)
 
 
-def emission(rho):
-    """Stefan-Boltzmann emission |rho|^3 * rho; odd in rho."""
-    rho = np.asarray(rho, dtype=float)
-    return np.abs(rho) ** 3 * rho
+def emission(rho, out=None):
+    """Stefan-Boltzmann emission |rho|^3 * rho; odd in rho.  out, when
+    given, receives it (a float64 array of rho's shape)."""
+    return np.multiply(np.power(np.abs(rho, out=out), 3, out=out), rho, out=out)
 
 
-def radiation(rho: np.ndarray, params: PhysParams) -> np.ndarray:
-    """Net radiative balance Q * beta(rho) - |rho|^3 * rho, pointwise."""
-    return params.Q * coalbedo(rho, params) - emission(rho)
+def radiation(rho: np.ndarray, params: PhysParams, out=None, work=None) -> np.ndarray:
+    """Net radiative balance Q * beta(rho) - |rho|^3 * rho, pointwise.
+    out and work, when given, are float64 arrays of rho's shape that
+    receive the balance and the emission (a workspace's planes)."""
+    balance = np.multiply(params.Q, coalbedo(rho, params, out=out), out=out)
+    return np.subtract(balance, emission(rho, out=work), out=out)
 
 
 def default_insolation(grid: Grid, q0: float, q1: float) -> np.ndarray:

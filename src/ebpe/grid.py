@@ -32,8 +32,10 @@ runs the same passes with the rows on those modes (`dft_y_dealias`,
 `dft_x_dealias`, about 4/9 of the x pass and 2/3 of the y pass) and
 writes them, negated, into a zero-filled pair spectrum.  A transform
 writes its products into the buffers of `work`, the `Passes` that a
-`timestep.Workspace` lays out for its operand, or lets numpy allocate
-them when work is None; the bits are the same.
+`timestep.Workspace` lays out for its operand, with every view the
+products take bound there once (for the inverse, the rows of its
+operand too), or lets numpy allocate them when work is None; the bits
+are the same.
 
 The step kernel differentiates and inverts on pair spectra by one
 multiply with a table built once per grid: `ixi_pair`, i xi_x and
@@ -324,12 +326,14 @@ def to_physical(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 class Passes(NamedTuple):
     """The buffers of one transform's two products in a workspace, and the
-    views of them that the products take (`passes`).
+    views of them that the products take (`passes`), all bound once.
 
     The first product writes `mid`, the second reads it as `mid_rows`; a
     forward transform's second product writes its result `out` as `rows`
     (for `neg_dealiased_rfft_h`, the retained modes' own buffer, which
     `scatter` copies into out, negated, as (source, destination) blocks).
+    An inverse transform's first product reads `rows`, the pair rows of
+    its bound `operand`.
     """
 
     mid: np.ndarray
@@ -337,23 +341,28 @@ class Passes(NamedTuple):
     out: np.ndarray | None = None
     rows: np.ndarray | None = None
     scatter: tuple = ()
+    operand: np.ndarray | None = None
 
 
 def passes(grid: Grid, shape: tuple[int, ...], kind: str, scratch: np.ndarray,
-           out: np.ndarray | None = None) -> Passes:
+           out: np.ndarray | None = None, operand: np.ndarray | None = None) -> Passes:
     """The Passes of `rfft_h` (kind "forward"), `neg_dealiased_rfft_h`
     ("dealiased") or `irfft_h` ("inverse") for an operand of `shape`: real
     fields (..., Nx, Ny, K) or one (Nx, Ny) field, or their pair spectra
     for the inverse.  out is the result of a forward kind, a C-contiguous
     array of its shape; `scratch` holds the first product, or, for the
     dealiased kind, whose first product lies in out's storage, the
-    second."""
+    second.  The inverse kind binds `operand`, the C-contiguous pair
+    spectra that it transforms."""
     nx, half = grid.nx, grid.ny // 2 + 1
     if kind == "inverse":
         plane = len(shape) == 3
         lead, k = shape[: -3 - (not plane)], 1 if plane else shape[-1]
         mid = carve(scratch, math.prod(lead), 2 * nx, half * k)
-        return Passes(mid, mid.reshape(lead + (nx, 2 * half, k)))
+        if operand is None or not (operand.shape == shape and operand.flags.c_contiguous):
+            raise ValueError(f"the operand must be a C-contiguous array of shape {shape}")
+        return Passes(mid, mid.reshape(lead + (nx, 2 * half, k)), rows=carve(operand, *mid.shape),
+                      operand=operand)
     plane = len(shape) == 2
     lead, k = shape[: -2 - (not plane)], 1 if plane else shape[-1]
     b = math.prod(lead)
@@ -385,27 +394,34 @@ def carve(buffer: np.ndarray, *shape: int) -> np.ndarray:
     return buffer.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _forward(grid: Grid, fields: np.ndarray, dft_y: np.ndarray, dft_x: np.ndarray,
-             work: Passes | None) -> tuple[np.ndarray, tuple[int, ...]]:
+def _lines(grid: Grid, fields: np.ndarray) -> np.ndarray:
+    """Real fields (..., Nx, Ny, K), or one (Nx, Ny) field, checked against
+    the grid, as the lines (..., Nx, Ny, K) of the y pass (K = 1 for one
+    field), C-contiguous: contiguous operands keep every product on BLAS,
+    so the result does not depend on the memory layout of `fields`, and a
+    C-contiguous operand of three or more axes is used as it is."""
+    shape = fields.shape
+    plane = fields.ndim == 2
+    if (shape if plane else shape[-3:-1]) != (grid.nx, grid.ny):
+        raise ValueError(f"field shape {shape} does not match grid ({grid.nx}, {grid.ny})")
+    if not fields.flags.c_contiguous:
+        fields = np.ascontiguousarray(fields, dtype=np.float64)
+    return fields.reshape(shape + (1,)) if plane else fields
+
+
+def _forward(grid: Grid, fields: np.ndarray, dft_y: np.ndarray,
+             dft_x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """The y pass with `dft_y` (the cosine rows of m columns, then their
     sine rows) and the x pass with `dft_x` (a pair form) of real fields
-    (..., Nx, Ny, K) or one (Nx, Ny) field, into the buffers of work, or
-    new ones when it is None.  Returns the x pass rows (B, rows of dft_x,
-    m*K), B the product of the leading axes, and the shape of the full
-    pair spectrum of `fields`."""
+    (..., Nx, Ny, K) or one (Nx, Ny) field, each product allocated.
+    Returns the x pass rows (B, rows of dft_x, m*K), B the product of the
+    leading axes, and the shape of the full pair spectrum of `fields`."""
+    lines = _lines(grid, np.asarray(fields, dtype=np.float64))
+    mid = np.matmul(dft_y, lines)  # per x: re, then im
+    rows = mid.reshape(-1, 2 * grid.nx, len(dft_y) // 2 * lines.shape[-1])
     shape, half = fields.shape, grid.ny // 2 + 1
-    if (shape if len(shape) == 2 else shape[-3:-1]) != (grid.nx, grid.ny):
-        raise ValueError(f"field shape {shape} does not match grid ({grid.nx}, {grid.ny})")
-    # contiguous operands keep every product on BLAS, so the result does
-    # not depend on the memory layout of `fields`
-    lines = np.ascontiguousarray(fields, dtype=np.float64)
-    if len(shape) == 2:
-        lines = lines.reshape(shape + (1,))
-    mid = np.matmul(dft_y, lines, out=None if work is None else work.mid)  # per x: re, then im
-    rows = (mid.reshape(-1, 2 * grid.nx, len(dft_y) // 2 * lines.shape[-1]) if work is None
-            else work.mid_rows)
     pair = (grid.nx, 2, half) if len(shape) == 2 else shape[:-2] + (2, half, shape[-1])
-    return np.matmul(dft_x, rows, out=None if work is None else work.rows), pair
+    return np.matmul(dft_x, rows), pair
 
 
 def rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = None) -> np.ndarray:
@@ -422,8 +438,12 @@ def rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = None) -> np.nda
     shape, and the result is its out; otherwise numpy allocates each
     product.  The bits do not depend on which buffers the products fill.
     """
-    rows, pair = _forward(grid, fields, grid.dft_y, grid.dft_x, work)
-    return rows.reshape(pair) if work is None else work.out
+    if work is None:
+        rows, pair = _forward(grid, fields, grid.dft_y, grid.dft_x)
+        return rows.reshape(pair)
+    np.matmul(grid.dft_y, _lines(grid, fields), out=work.mid)
+    np.matmul(grid.dft_x, work.mid_rows, out=work.rows)
+    return work.out
 
 
 def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = None) -> np.ndarray:
@@ -438,11 +458,13 @@ def neg_dealiased_rfft_h(grid: Grid, fields: np.ndarray, work: Passes | None = N
     advection).  work is as for rfft_h, of kind "dealiased": its y pass
     lies in the storage of the result.
     """
-    kept, pair = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias, work)
     if work is None:
+        kept, pair = _forward(grid, fields, grid.dft_y_dealias, grid.dft_x_dealias)
         out = np.zeros(pair)
         scatter = _scatter(grid, kept, out)
     else:
+        np.matmul(grid.dft_y_dealias, _lines(grid, fields), out=work.mid)
+        np.matmul(grid.dft_x_dealias, work.mid_rows, out=work.rows)
         out, scatter = work.out, work.scatter
         out.fill(0.0)
     for source, retained in scatter:
@@ -462,23 +484,28 @@ def irfft_h(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
     `idft_y` and are dropped, which is the real projection of the full
     inverse.  out, when given, receives the result and is returned (a
     C-contiguous array of its shape; the step passes the new state's own
-    storage); work, when given, is the `passes` (kind "inverse") of the
-    operand's shape, which holds the x pass.
+    storage).  work, when given with out, is the `passes` (kind "inverse")
+    that bind coeffs as their operand, and holds the x pass.
     """
     nx, half = grid.nx, grid.ny // 2 + 1
     plane = coeffs.ndim == 3
+    if out is not None and not out.flags.c_contiguous:  # numpy's product would leave BLAS
+        raise ValueError("an out buffer must be C-contiguous")
+    if work is not None:
+        if coeffs is not work.operand or out is None:
+            raise ValueError("work takes out and the operand its passes bind")
+        np.matmul(grid.idft_x, work.rows, out=work.mid)
+        np.matmul(grid.idft_y, work.mid_rows, out=out[..., None] if plane else out)
+        return out
     if coeffs.shape[-3 - (not plane) :][:3] != (nx, 2, half):
         raise ValueError(
             f"pair-spectrum shape {coeffs.shape} does not match grid ({nx}, 2, {half})"
         )
     k = 1 if plane else coeffs.shape[-1]
     pairs = np.ascontiguousarray(coeffs, dtype=np.float64).reshape(-1, 2 * nx, half * k)
-    mid = np.matmul(grid.idft_x, pairs, out=None if work is None else work.mid)
+    mid = np.matmul(grid.idft_x, pairs)
     if out is None:
         out = np.empty((nx, grid.ny) if plane else coeffs.shape[:-3] + (grid.ny, k))
-    elif not out.flags.c_contiguous:  # numpy's product would leave BLAS
-        raise ValueError("an out buffer must be C-contiguous")
     lines = out[..., None] if plane else out
-    rows = mid.reshape(lines.shape[:-2] + (2 * half, k)) if work is None else work.mid_rows
-    np.matmul(grid.idft_y, rows, out=lines)
+    np.matmul(grid.idft_y, mid.reshape(lines.shape[:-2] + (2 * half, k)), out=lines)
     return out

@@ -28,24 +28,27 @@ from .grid import Grid
 
 def vertical_average(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Trapezoidal average over the unit vertical extent of fields or pair
-    spectra (..., Nz+1); into out (C-contiguous) when it is given.  One
-    product of the rows (-1, Nz+1) with `trapz_w`, a single BLAS call
-    where a stacked matvec would make one per leading index."""
-    rows = f.reshape(-1, grid.nlev)
+    spectra (..., Nz+1).  One product of the rows (-1, Nz+1) with
+    `trapz_w`, a single BLAS call where a stacked matvec would make one
+    per leading index.  out, when given, receives it: f is then those
+    rows, C-contiguous, and out their (-1,) averages, both bound by a
+    workspace."""
     if out is None:
-        return np.matmul(rows, grid.trapz_w).reshape(f.shape[:-1])
-    np.matmul(rows, grid.trapz_w, out=out.reshape(-1))
-    return out
+        return np.matmul(f.reshape(-1, grid.nlev), grid.trapz_w).reshape(f.shape[:-1])
+    return np.matmul(f, grid.trapz_w, out=out)
 
 
 def cumulative_integral(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Running trapezoid integral from z=0 of real fields or pair spectra
     (..., Nz+1); output level j holds int_0^{z_j} f.  out, when given,
-    receives it (C-contiguous, of the shape of f)."""
+    receives it: f and out are then C-contiguous rows (-1, Nz+1), as a
+    workspace binds them."""
+    if out is not None:
+        return np.matmul(f, grid.running_trapz, out=out)
     # one contiguous operand keeps the product on BLAS, so the result does
     # not depend on the memory layout of f
     f = np.ascontiguousarray(f, dtype=np.float64)
-    out = np.empty(f.shape) if out is None else out
+    out = np.empty(f.shape)
     np.matmul(f.reshape(-1, grid.nlev), grid.running_trapz, out=out.reshape(-1, grid.nlev))
     return out
 
@@ -64,13 +67,17 @@ def baroclinic_grad(grid: Grid, T_hat: np.ndarray, work=None) -> np.ndarray:
     (2, Nx, 2, Ny//2+1, Nz+1).  The integral is copied with its re/im
     axis reversed, so that its multiply with `grid.ixi_pair_levels` runs
     over contiguous rows.  work, when given, is a stepper's
-    `timestep.Workspace`, whose `integral`, `swapped` and `baroclinic`
+    `timestep.Workspace`: T_hat is then its terms' `T_rows` (the rows
+    (-1, Nz+1) of U[2]), and its `integral`, `swapped` and `baroclinic`
     receive the integral, its copy and the result."""
-    integral = cumulative_integral(grid, T_hat, out=None if work is None else work.integral)
-    swapped = np.empty(integral.shape) if work is None else work.swapped
-    swapped[...] = integral[..., ::-1, :, :]
-    return np.multiply(grid.ixi_pair_levels, swapped,
-                       out=None if work is None else work.baroclinic)
+    if work is None:
+        integral = cumulative_integral(grid, T_hat)
+        swapped = np.empty(integral.shape)
+        swapped[...] = integral[..., ::-1, :, :]
+        return np.multiply(grid.ixi_pair_levels, swapped)
+    cumulative_integral(grid, T_hat, out=work.integral_rows)
+    work.swapped[...] = work.integral_swapped
+    return np.multiply(grid.ixi_pair_levels, work.swapped, out=work.baroclinic)
 
 
 def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = None,
@@ -84,16 +91,25 @@ def project_barotropic(grid: Grid, v_hat: np.ndarray, out: np.ndarray | None = N
     (2, Nx, 2, Ny//2+1, Nz+1) and the mean-zero potential (Nx, 2, Ny//2+1)
     of the removed gradient, which is dt times the surface pressure of one
     step.  out, when given, receives the velocity (it may be v_hat
-    itself); work, when given, is a stepper's `timestep.Workspace`: the
-    average and phi_hat go into its `vbar` planes, the gradients into
-    `vbar_parts`.
+    itself).  work, when given, is a stepper's `timestep.Workspace`, with
+    out: v_hat and out are then the velocity's rows (-1, Nz+1) (its
+    `v_rows`), and its planes receive the average and phi_hat (`vbar`),
+    the divergence parts, then the gradient (`vbar_parts`), and its copy
+    over the levels (`gradient`), which is subtracted with no broadcast.
     """
-    average = vertical_average(grid, v_hat, out=None if work is None else work.vbar)
-    d = np.multiply(grid.ixi_pair, average[..., ::-1, :],
-                    out=None if work is None else work.vbar_parts)
     # invert the same discrete div(grad .) symbol that the residual sees,
     # so the projected average is solenoidal to roundoff on every mode
-    phi = np.add(d[0], d[1], out=average[0])
-    phi *= grid.inv_lap_half[:, None]
-    gradient = np.multiply(grid.ixi_pair, phi[:, ::-1], out=d)
-    return np.subtract(v_hat, gradient[..., None], out=out), phi
+    if work is None:
+        average = vertical_average(grid, v_hat)
+        d = np.multiply(grid.ixi_pair, average[..., ::-1, :])
+        phi = np.add(d[0], d[1], out=average[0])
+        phi *= grid.inv_lap_half[:, None]
+        gradient = np.multiply(grid.ixi_pair, phi[:, ::-1], out=d)
+        return np.subtract(v_hat, gradient[..., None], out=out), phi
+    vertical_average(grid, v_hat, out=work.vbar_rows)
+    np.multiply(grid.ixi_pair, work.vbar_swapped, out=work.vbar_parts)
+    phi = np.add(*work.div_parts, out=work.phi)
+    phi *= work.inv_lap
+    np.multiply(grid.ixi_pair, work.phi_swapped, out=work.vbar_parts)
+    work.gradient[...] = work.gradient_levels
+    return np.subtract(v_hat, work.gradient_rows, out=out), phi

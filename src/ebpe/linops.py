@@ -163,20 +163,26 @@ def vertical_operator(grid: Grid, coupled: bool) -> tuple[np.ndarray, ...]:
 
 def to_eigen(basis: np.ndarray, x_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Eigen coordinates V^-1 x, of the shape of x, of pair-spectrum
-    columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`; into out
-    (C-contiguous) when it is given."""
+    columns x (..., Nx, 2, Ny//2+1, n), for `transposed_bases`.  out, when
+    given, receives them: x_hat and out are then C-contiguous rows
+    (..., -1, n), one block per basis, as a workspace binds them."""
+    if out is not None:
+        return np.matmul(x_hat, basis[0], out=out)
     x = np.ascontiguousarray(x_hat, dtype=np.float64)
     rows = x.reshape(x.shape[: basis.ndim - 3] + (-1, x.shape[-1]))  # one product per basis
-    out = np.empty(x.shape) if out is None else out
+    out = np.empty(x.shape)
     np.matmul(rows, basis[0], out=out.reshape(rows.shape))
     return out
 
 
 def from_eigen(basis: np.ndarray, coords: np.ndarray, out=None) -> np.ndarray:
-    """The pair-spectrum columns V c of eigen coordinates c (`to_eigen`),
-    written into out (C-contiguous) when it is given."""
+    """The pair-spectrum columns V c of eigen coordinates c (`to_eigen`);
+    into out when it is given, coords and out then being rows as for
+    `to_eigen`."""
+    if out is not None:
+        return np.matmul(coords, basis[1], out=out)
     rows = coords.reshape(coords.shape[: basis.ndim - 3] + (-1, coords.shape[-1]))
-    out = np.empty(coords.shape) if out is None else out
+    out = np.empty(coords.shape)
     np.matmul(rows, basis[1], out=out.reshape(rows.shape))
     return out
 
@@ -186,9 +192,9 @@ def apply_diagonal(basis: np.ndarray, diag: np.ndarray, x_hat: np.ndarray,
     """V (diag * (V^-1 x)) per mode, for the `transposed_bases` of V, a real
     (Nx, 2, Ny//2+1, n) diagonal table in pair layout (`implicit_factors`)
     and pair-spectrum columns (..., Nx, 2, Ny//2+1, n), or per field for
-    stacked bases and tables; into out when it is given (it may be x_hat
-    itself).  work, when given, receives the eigen coordinates: a
-    C-contiguous array of the shape of x_hat."""
+    stacked bases and tables.  out and work, given together, receive the
+    result (it may be x_hat itself) and the eigen coordinates: x_hat,
+    diag, out and work are then rows as for `to_eigen`."""
     coords = to_eigen(basis, x_hat, out=work)
     coords *= diag
     return from_eigen(basis, coords, out)

@@ -13,11 +13,12 @@ grid, the derivatives (one real product each with the grid's `diff_x`,
 `diff_y` and `diff_z`), the horizontal divergence they give and w, its
 running integral.  Both take `work`, a stepper's
 `timestep.Workspace`: `state_terms` then fills its terms, valid until
-that stepper's next call, and `measure` reduces in its scratch, so
-neither allocates a volume or a spectrum per call; without it numpy
-allocates.  The driver loop hands these terms to both
-`measure` and the next step, so `measure` makes no transform, and each of
-its reductions is one BLAS product on contiguous rows, with no einsum:
+that stepper's next call, and `measure` reduces in its scratch and
+reduction buffers, both through the views the workspace binds, so
+neither allocates a volume or a spectrum per call nor takes a view of
+a workspace array; without it numpy allocates.  The driver loop hands
+these terms to both `measure` and the next step, so `measure` makes no
+transform, and each of its reductions is one BLAS product on contiguous rows, with no einsum:
 the field and horizontal gradient norms by Parseval, the squared pair
 spectra as (3, Nx*2*(Ny//2+1), Nz+1) times `grid.norm_weights_pair`; the
 vertical derivative norms, the squared d/dz rows times `trapz_w`; the
@@ -73,21 +74,27 @@ def state_terms(grid: Grid, state, work=None) -> StateTerms:
 
     work, when given, is a stepper's `timestep.Workspace`, and the terms
     are its own (`Stepper.state_terms`): valid until that stepper's next
-    call.
+    call.  Only the views of the state's fields are taken per call.
     """
     f, k = state.fields, grid.nlev
     if work is None:
         t = StateTerms(U=rfft_h(grid, f), dx=np.empty(f.shape), dy=np.empty(f.shape),
                        w=np.empty(f.shape[1:]), dz=np.empty(f.shape), div=np.empty(f.shape[1:]))
-    else:
-        t = work.terms
-        rfft_h(grid, f, work=work.forward)
-    np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
-    np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
-    np.add(t.dx[0], t.dy[1], out=t.div)
-    np.negative(hydrostatic.cumulative_integral(grid, t.div, out=t.w), out=t.w)
-    np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
-    return t
+        np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=t.dx.reshape(3, grid.nx, -1))
+        np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=t.dy.reshape(-1, grid.ny, k))
+        np.add(t.dx[0], t.dy[1], out=t.div)
+        w = hydrostatic.cumulative_integral(grid, t.div.reshape(-1, k), out=t.w.reshape(-1, k))
+        np.negative(w, out=w)
+        np.matmul(f.reshape(-1, k), grid.diff_z.T, out=t.dz.reshape(-1, k))
+        return t
+    rfft_h(grid, f, work=work.forward)
+    np.matmul(grid.diff_x, f.reshape(3, grid.nx, -1), out=work.dx_rows)
+    np.matmul(grid.diff_y, f.reshape(-1, grid.ny, k), out=work.dy_rows)
+    np.add(work.dx_v0, work.dy_v1, out=work.terms.div)
+    w = hydrostatic.cumulative_integral(grid, work.div_rows, out=work.w_rows)
+    np.negative(w, out=w)
+    np.matmul(f.reshape(-1, k), work.diff_z_T, out=work.dz_rows)
+    return work.terms
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,13 @@ class ConstraintResiduals:
     w_top: float           # |w(.,1)|
 
 
-def solenoidal_residual(grid: Grid, terms: StateTerms) -> float:
-    """max |div_H vbar| of the state whose StateTerms are `terms`."""
-    average = np.matmul(terms.div.reshape(-1, grid.nlev), grid.trapz_w)
+def solenoidal_residual(grid: Grid, terms: StateTerms, work=None) -> float:
+    """max |div_H vbar| of the state whose StateTerms are `terms`; work,
+    when given, is the stepper's `timestep.Workspace` that holds them."""
+    if work is None:
+        average = np.matmul(terms.div.reshape(-1, grid.nlev), grid.trapz_w)
+    else:
+        average = np.matmul(work.div_rows, grid.trapz_w, out=work.div_average)
     return float(np.maximum.reduce(np.abs(average, out=average)))
 
 
@@ -145,10 +156,16 @@ def _parseval(grid: Grid, U: np.ndarray, work=None) -> tuple[list, list]:
     and that of the horizontal gradient (norm 1) at the top level, rho's
     (T's top level), and the integrals over z of both.  The per-level
     norms are one stacked product with `grid.norm_weights_pair`.  work,
-    when given, a `timestep.Workspace`, holds the squares."""
-    squares = np.multiply(U, U, out=None if work is None else work.squares)
-    norms = np.matmul(grid.norm_weights_pair, squares.reshape(3, -1, grid.nlev))
-    return norms[:, :, -1].tolist(), np.matmul(norms, grid.trapz_w).tolist()
+    when given, a `timestep.Workspace` whose terms' spectra are U, holds
+    the squares and the norms."""
+    if work is None:
+        squares = np.multiply(U, U)
+        norms = np.matmul(grid.norm_weights_pair, squares.reshape(3, -1, grid.nlev))
+        return norms[:, :, -1].tolist(), np.matmul(norms, grid.trapz_w).tolist()
+    np.multiply(U, U, out=work.squares)
+    np.matmul(grid.norm_weights_pair, work.squares_rows, out=work.norms)
+    return (work.norms_top.tolist(),
+            np.matmul(work.norms, grid.trapz_w, out=work.volume_norms).tolist())
 
 
 def _energy(top: list, volume: list) -> float:
@@ -159,33 +176,42 @@ def _energy(top: list, volume: list) -> float:
 def measure(grid: Grid, state, terms: StateTerms | None = None, work=None) -> LedgerRecord:
     """Compute the full ledger record for one state; terms, when given,
     is state_terms(grid, state).  work, when given, is a stepper's
-    `timestep.Workspace`, whose scratch holds every array the record
-    reduces (the driver loop hands over its stepper's)."""
+    `timestep.Workspace` whose terms are `terms` (the driver loop hands
+    over its stepper's), and its scratch holds every array the record
+    reduces."""
     if terms is None:
         terms = state_terms(grid, state)
     n = grid.nx * grid.ny
     top, volume = _parseval(grid, terms.U, work)
-    # squared L2 norms of d/dz of (v[0], v[1], T)
-    dz_squares = np.multiply(terms.dz, terms.dz, out=None if work is None else work.dz_squares)
-    dz_rows = np.matmul(dz_squares.reshape(-1, grid.nlev), grid.trapz_w)
-    dz_v0, dz_v1, dz_T = (s / n for s in np.add.reduce(dz_rows.reshape(3, -1), axis=1).tolist())
-    gv = volume[0][1] + volume[1][1] + dz_v0 + dz_v1
-    gT = volume[2][1] + dz_T
+    # squared L2 norms of d/dz of (v[0], v[1], T), and |T|, whose top level is |rho|
+    if work is None:
+        dz_squares = np.multiply(terms.dz, terms.dz)
+        dz_norms = np.matmul(dz_squares.reshape(-1, grid.nlev), grid.trapz_w).reshape(3, -1)
+        abs_T = np.abs(state.T)
+        abs_rho = abs_T[..., -1]
+        rho5 = abs_rho ** 5
+    else:
+        np.multiply(terms.dz, terms.dz, out=work.dz_squares)
+        np.matmul(work.dz_squares_rows, grid.trapz_w, out=work.dz_norms_rows)
+        dz_norms, abs_T, abs_rho = work.dz_norms, work.abs_T, work.abs_rho
+        np.abs(state.fields[2], out=abs_T)
+        rho5 = np.power(abs_rho, 5, out=work.rho5)
+    dz_v0, dz_v1, dz_T = np.add.reduce(dz_norms, axis=1).tolist()
+    gv = volume[0][1] + volume[1][1] + dz_v0 / n + dz_v1 / n
+    gT = volume[2][1] + dz_T / n
     gr = top[2][1]  # rho is T's top level
-    abs_T = np.abs(state.T, out=None if work is None else work.abs_T)
-    abs_rho = abs_T[..., -1]  # so is |rho|
     return LedgerRecord(
         step=state.step,
         t=state.t,
         energy=_energy(top, volume),
         dissipation=gv + gT + gr,
-        rho_l5=float(np.add.reduce(abs_rho ** 5, axis=None)) / n,
+        rho_l5=float(np.add.reduce(rho5, axis=None)) / n,
         sup_T=float(np.maximum.reduce(abs_T, axis=None)),
         sup_rho=float(np.maximum.reduce(abs_rho, axis=None)),
         grad_v_sq=gv,
         grad_T_sq=gT,
         grad_rho_sq=gr,
-        div_res=solenoidal_residual(grid, terms),
+        div_res=solenoidal_residual(grid, terms, work),
     )
 
 

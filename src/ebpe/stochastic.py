@@ -157,23 +157,32 @@ class ConvolutionPropagator:
         self.phi1_rho = np.repeat((phi1 * coupled.V_inv[:, -1])[:, None], 2, axis=1)
 
     def step_hat(self, zeta: np.ndarray, dW: np.ndarray, q: np.ndarray,
-                 out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None, work: tuple | None = None) -> np.ndarray:
         """One step of the eigen coordinates (Nx, 2, Ny//2+1, Nz+1) of a
         pair-spectrum stack; dW is a bundle's pair spectrum (Nx, 2,
-        Ny//2+1), q is (Nx, Ny//2+1).  out (it may be zeta) and work, when
-        given, receive the result and the injected term, which is copied
-        over the levels first, so that no multiply broadcasts."""
+        Ny//2+1), q the amplitudes in its layout (`_stochastic_setup`'s
+        pair table, or q_table[:, None]).  out (it may be zeta), when
+        given, receives the result.  work, when given, is a run's buffers,
+        bound once: the injected term's stack and a plane for q dW, as
+        itself and as one level (Nx, 2, Ny//2+1, 1), from which it is
+        copied over the levels, so that no multiply broadcasts."""
         decayed = np.multiply(self.decay, zeta, out=out)
-        injected = np.empty(zeta.shape) if work is None else work
-        injected[...] = (q[:, None] * dW)[..., None]
+        if work is None:
+            injected = np.empty(zeta.shape)
+            injected[...] = (q * dW)[..., None]
+        else:
+            injected, product, product_levels = work
+            np.multiply(q, dW, out=product)
+            injected[...] = product_levels
         injected *= self.phi1_rho
         return np.add(decayed, injected, out=decayed)
 
 
 def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle | None,
                       initial: State | None) -> tuple[Stepper, State, PathBundle, np.ndarray]:
-    """Stepper, first state, increment bundle and amplitudes, built (by
-    `start_run`) or drawn only after every input is checked."""
+    """Stepper, first state, increment bundle and amplitudes (the q_table in
+    the increments' pair layout, (Nx, 2, Ny//2+1)), built (by `start_run`)
+    or drawn only after every input is checked."""
     validate_config(cfg)
     if cfg.scheme != "imex_euler":
         raise ValueError(f"stochastic drivers support scheme = imex_euler only, "
@@ -192,7 +201,7 @@ def _stochastic_setup(cfg: RunConfig, spec: NoiseSpec | None, bundle: PathBundle
     stepper, state = start_run(cfg, initial)
     if bundle is None:
         bundle = wiener_increments(stepper.grid, noise, cfg.dt, n_steps)
-    return stepper, state, bundle, noise.q_table(stepper.grid)
+    return stepper, state, bundle, np.repeat(noise.q_table(stepper.grid)[:, None], 2, axis=1)
 
 
 def run_split_stochastic(
@@ -223,18 +232,23 @@ def run_split_stochastic(
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
     propagator = ConvolutionPropagator(stepper.coupled, cfg.dt)
     # zeta advances in place; the kick stack holds the injected term until
-    # the kick is written over it
-    zeta = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
-    work, kick_hat = np.empty_like(zeta), np.empty_like(zeta)
+    # the kick is written over it; every view of these buffers that the
+    # kick takes is bound here
+    k = stepper.grid.nlev
+    zeta = np.zeros((q.shape[0], 2, q.shape[2], k))
+    d_zeta, kick_hat, product = np.empty_like(zeta), np.empty_like(zeta), np.empty(q.shape + (1,))
+    buffers = (kick_hat, product[..., 0], product)
+    d_zeta_rows, kick_rows = d_zeta.reshape(-1, k), kick_hat.reshape(-1, k)
     for dW in bundle.increments[: state.step]:
-        propagator.step_hat(zeta, dW, q, out=zeta, work=kick_hat)
-    d = stepper.coupled.d
+        propagator.step_hat(zeta, dW, q, out=zeta, work=buffers)
+    d, basis = stepper.coupled.d, propagator.basis
 
     def kick(state: State) -> np.ndarray:
-        d_zeta_n = np.multiply(d, zeta, out=work)
-        propagator.step_hat(zeta, bundle.increments[state.step], q, out=zeta, work=kick_hat)
-        difference = np.subtract(zeta, d_zeta_n, out=work)
-        return linops.from_eigen(propagator.basis, difference, out=kick_hat)
+        d_zeta_n = np.multiply(d, zeta, out=d_zeta)
+        propagator.step_hat(zeta, bundle.increments[state.step], q, out=zeta, work=buffers)
+        np.subtract(zeta, d_zeta_n, out=d_zeta)
+        linops.from_eigen(basis, d_zeta_rows, out=kick_rows)
+        return kick_hat
 
     result = integrate(cfg, stepper, state, kick)
     result.z_rho_final = irfft_h(stepper.grid, linops.from_eigen(propagator.basis, zeta)[..., -1])
@@ -257,10 +271,11 @@ def run_direct_em(
     run bit for bit.  spec and bundle are as for `run_split_stochastic`.
     """
     stepper, state, bundle, q = _stochastic_setup(cfg, spec, bundle, initial)
-    kick_hat = np.zeros((q.shape[0], 2, q.shape[1], stepper.grid.nlev))
+    kick_hat = np.zeros((q.shape[0], 2, q.shape[2], stepper.grid.nlev))
+    surface, increments = kick_hat[..., -1], bundle.increments
 
     def kick(state: State) -> np.ndarray:
-        np.multiply(q[:, None], bundle.increments[state.step], out=kick_hat[..., -1])
+        np.multiply(q, increments[state.step], out=surface)
         return kick_hat
 
     return integrate(cfg, stepper, state, kick)

@@ -47,19 +47,26 @@ with forward-Euler tendencies).
 The kernel runs in one record that each `Stepper` builds at its first
 use, its `Workspace`: the buffers of the state terms, the tendencies
 and the implicit stage, two scratch arrays that every other
-intermediate shares (`Workspace` lays them out), and the views a step
-takes of them.  Every entry point of the kernel takes it, or the
-`grid.Passes` it holds, as `work`, and without it lets numpy allocate,
-in the same code; out= is left only where the destination changes from
+intermediate shares (`Workspace` lays them out), and every view a step
+takes of them (each reshape, slice, [..., None] view and re/im-reversed
+view), bound there once.  Every entry point of the kernel takes it, or
+the `grid.Passes` it holds, as `work`, and then reads only those bound
+views, handing the row forms that a product takes to the helpers
+(`hydrostatic.vertical_average`, `cumulative_integral`,
+`linops.to_eigen`, `from_eigen`); without it numpy allocates, in a
+branch of its own.  Per call a step takes only views of the state's
+fields, a new array every step, and of the new state's, and keeps its
+checks on them (shape, contiguity, the blow-up check) and on the
+forcing's shape.  out= is left only where the destination changes from
 call to call (the new state's fields, an in-place projection or solve).
 So a step of a state, its terms and its ledger record allocate no
-volume or spectrum but the new state's fields (only planes and
-reductions, such as the radiation term and the norms).  The contract:
-what `Stepper.state_terms` and `Stepper.tendencies` return lives in the
-workspace and is valid until that stepper's next call; no `State`
-shares memory with the workspace, so a state, once returned, is its
-caller's; and two steppers, of one grid or not, share nothing, so
-stepped alternately each gives the bits it gives alone.  The cnab2
+volume or spectrum but the new state's fields (only small planes and
+scalars, such as numpy's buffers of its few broadcast products).  The
+contract: what `Stepper.state_terms` and `Stepper.tendencies` return
+lives in the workspace and is valid until that stepper's next call; no
+`State` shares memory with the workspace, so a state, once returned,
+is its caller's; and two steppers, of one grid or not, share nothing,
+so stepped alternately each gives the bits it gives alone.  The cnab2
 stage keeps the last tendencies in one of two buffers and writes the
 next ones into the other.
 
@@ -80,6 +87,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,59 +210,114 @@ def _page_aligned(*shape: int) -> np.ndarray:
     return raw[start : start + n].reshape(shape)
 
 
+class Tendencies(NamedTuple):
+    """A tendencies buffer F of a `Workspace` (`out`), the `grid.passes` of
+    the dealiased products into it, and the views of it that a step
+    takes: F[:2], F[2, ..., -1] (rho's) and the solved fields'."""
+
+    out: np.ndarray
+    passes: grid_mod.Passes
+    velocity: np.ndarray
+    rho: np.ndarray
+    solved: np.ndarray
+
+
 class Workspace:
-    """The buffers of one `Stepper`'s kernel on its grid and the views of
-    them that a step takes, built once, by the stepper's first use
+    """The buffers of one `Stepper`'s kernel on its grid and every view of
+    them that a step takes, each bound once, by the stepper's first use
     (`Stepper.workspace`), and handed as `work` to the kernel's entry
-    points.
+    points: a step takes per call only the views of the state's fields
+    (and of the new state's, which the last transform writes).
 
     Own arrays hold what outlives a phase: the state `terms`, which the
-    ledger and the step read; the tendencies, the `grid.passes` of the
-    dealiased products into them (`tendencies`, two with `history`:
-    cnab2 keeps the last ones and writes the next into the other); the
-    implicit stage's solution of its `solved` fields (`out`); and the
-    projection's planes (`vbar`, `vbar_parts`).  Every other intermediate
-    lies in `scratch`, two arrays of the pair spectra's size, which phases
-    that do not overlap share, so a step touches no more memory than
-    these.  Every buffer starts on a page (`_page_aligned`).  By phase, the
-    first and the second scratch array hold:
+    ledger and the step read; the tendencies (`tendencies`, `Tendencies`
+    records, two with `history`: cnab2 keeps the last ones and writes the
+    next into the other); the implicit stage's solution of the fields it
+    solves (`out`), one per row of the stepper's factor table `d`; the
+    projection's planes (`vbar`, `vbar_parts`); and the ledger's
+    reductions.  Every other intermediate lies in `scratch`,
+    two arrays of the pair spectra's size, which phases that do not
+    overlap share, so a step touches no more memory than these.  Every
+    buffer starts on a page (`_page_aligned`).  By phase, the first and
+    the second scratch array hold:
 
     - the state terms: nothing; the transform's y pass (`forward`);
     - the ledger: the squared spectra, then |T| (`squares`, `abs_T`); the
       squared d/dz (`dz_squares`);
     - the tendencies: the advection, the baroclinic term, then the
-      radiation spectrum (`adv`, `baroclinic`, `radiation`); the products,
-      the transporting velocity, the dealiased x pass, the temperature
-      integral and its copy with the re/im axis reversed, then the
-      radiation y pass (`product`, `product_rho`, `velocity`, `integral`,
-      `swapped`);
-    - the stage: the eigen coordinates, then the inverse transform's x
-      pass (`coords`, `inverse`); the right-hand side (`rhs`).
+      radiation balance and its spectrum (`adv`, `baroclinic`, `balance`,
+      `radiation`); the products, the transporting velocity, the
+      dealiased x pass, the temperature integral and its copy with the
+      re/im axis reversed, the emission, then the radiation y pass
+      (`product`, `product_rho`, `velocity`, `integral`, `swapped`,
+      `emission`);
+    - the stage: the eigen coordinates, the projection's gradient over the
+      levels, then the inverse transform's x pass (`coords`, `gradient`,
+      `inverse`); the right-hand side (`rhs`).
+
+    A view is named after its array: `_rows`, the rows that a product
+    takes (for most, (-1, Nz+1)); `_swapped`, the re/im axis reversed;
+    `_levels`, a plane as one level, to be copied over the levels.
     """
 
-    def __init__(self, grid: Grid, solved: int, history: bool):
+    def __init__(self, grid: Grid, d: np.ndarray, history: bool):
         nx, ny, half, k = grid.nx, grid.ny, grid.ny // 2 + 1, grid.nlev
         pair, fields = (3, nx, 2, half, k), (3, nx, ny, k)
+        self.first_solved = first_field = 3 - len(d)  # the stage's: 2 if v is frozen
         self.scratch = first, second = _page_aligned(*pair), _page_aligned(*pair)
-        self.terms = monitors.StateTerms(
+        self.terms = t = monitors.StateTerms(
             U=_page_aligned(*pair), dx=_page_aligned(*fields), dy=_page_aligned(*fields),
             w=_page_aligned(*fields[1:]), dz=_page_aligned(*fields), div=_page_aligned(nx, ny, k))
-        self.forward = grid_mod.passes(grid, fields, "forward", second, out=self.terms.U)
+        self.forward = grid_mod.passes(grid, fields, "forward", second, out=t.U)
+        self.dx_rows, self.dy_rows = t.dx.reshape(3, nx, -1), t.dy.reshape(-1, ny, k)
+        self.dz_rows, self.diff_z_T = t.dz.reshape(-1, k), grid.diff_z.T
+        self.dx_v0, self.dy_v1 = t.dx[0], t.dy[1]
+        self.div_rows, self.w_rows = t.div.reshape(-1, k), t.w.reshape(-1, k)
+        # the ledger
         self.squares, self.abs_T = carve(first, *pair), carve(first, nx, ny, k)
+        self.squares_rows, self.abs_rho = self.squares.reshape(3, -1, k), self.abs_T[..., -1]
         self.dz_squares = carve(second, *fields)
-        self.tendencies = [grid_mod.passes(grid, fields, "dealiased", second,
-                                           out=_page_aligned(*pair)) for _ in range(1 + history)]
+        self.dz_squares_rows = self.dz_squares.reshape(-1, k)
+        self.norms, self.volume_norms = _page_aligned(3, 2, k), _page_aligned(3, 2)
+        self.norms_top = self.norms[:, :, -1]
+        self.dz_norms = _page_aligned(3, nx * ny)
+        self.dz_norms_rows = self.dz_norms.reshape(-1)
+        self.div_average, self.rho5 = _page_aligned(nx * ny), _page_aligned(nx, ny)
+        # the tendencies
+        self.tendencies = []
+        for _ in range(1 + history):
+            F = _page_aligned(*pair)
+            self.tendencies.append(Tendencies(
+                F, grid_mod.passes(grid, fields, "dealiased", second, out=F),
+                F[:2], F[2, ..., -1], F[first_field:]))
         self.adv, self.product = carve(first, *fields), carve(second, *fields)
+        self.adv_rho, self.dx_rho, self.dy_rho = (a[2, ..., -1] for a in (self.adv, t.dx, t.dy))
         # the transporting velocity of rho, and a product at its level
         self.velocity, self.product_rho = carve(second, 2, nx, ny), carve(second, 3, nx, ny)[2]
+        self.velocity_rows, self.transport = self.velocity.reshape(-1), tuple(self.velocity)
         self.baroclinic = carve(first, 2, *pair[1:])
         self.integral, self.swapped = carve(second, 2, *pair[1:])
-        self.radiation = grid_mod.passes(grid, (nx, ny), "forward", second,
+        self.T_rows, self.integral_rows = t.U[2].reshape(-1, k), self.integral.reshape(-1, k)
+        self.integral_swapped = self.integral[..., ::-1, :, :]
+        self.balance, self.emission = carve(first, nx, ny), carve(second, nx, ny)
+        self.balance_lines = carve(first, nx, ny, 1)
+        self.radiation = grid_mod.passes(grid, self.balance_lines.shape, "forward", second,
                                          out=carve(first, nx, 2, half))
-        self.out = _page_aligned(solved, *pair[1:])
+        # the stage
+        self.out = _page_aligned(len(d), *pair[1:])
         self.coords, self.rhs = carve(first, *self.out.shape), carve(second, *self.out.shape)
+        self.out_rows, self.coords_rows, self.rhs_rows, self.d_rows = (
+            a.reshape(len(d), -1, k) for a in (self.out, self.coords, self.rhs, d))
+        self.U_solved, self.out_T = t.U[first_field:], self.out[-1]
+        self.v_rows = self.out[:2].reshape(-1, k)
         self.vbar, self.vbar_parts = _page_aligned(2, 2, nx, 2, half)
-        self.inverse = grid_mod.passes(grid, self.out.shape, "inverse", first)
+        self.vbar_rows, self.vbar_swapped = self.vbar.reshape(-1), self.vbar[..., ::-1, :]
+        self.div_parts, self.phi = tuple(self.vbar_parts), self.vbar[0]
+        self.phi_swapped, self.inv_lap = self.phi[:, ::-1], grid.inv_lap_half[:, None]
+        self.gradient = carve(first, 2, *pair[1:])
+        self.gradient_rows, self.gradient_levels = (self.gradient.reshape(-1, k),
+                                                    self.vbar_parts[..., None])
+        self.inverse = grid_mod.passes(grid, self.out.shape, "inverse", first, operand=self.out)
 
 
 def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
@@ -271,33 +334,51 @@ def nonlinear_tendencies(grid: Grid, state: State, params: PhysParams,
     evaluated pointwise and transformed without dealiasing.
 
     terms, when given, is monitors.state_terms(grid, state).  work, when
-    given, is a stepper's `Workspace`, which holds the intermediates, and
-    the tendencies go into its first tendencies buffer.
+    given, is a stepper's `Workspace`, which holds the intermediates and
+    the terms (they are its own, `Stepper.state_terms`), and the
+    tendencies go into its first tendencies buffer.
     """
-    if terms is None:
-        terms = monitors.state_terms(grid, state)
     f = state.fields
-    v = f[:2]
-    # advection of v[0], v[1] and T at once, in the state's layout
-    adv = np.multiply(f[0], terms.dx, out=None if work is None else work.adv)
-    product = np.multiply(f[1], terms.dy, out=None if work is None else work.product)
-    adv += product
+    if work is None:
+        if terms is None:
+            terms = monitors.state_terms(grid, state)
+        # advection of v[0], v[1] and T at once, in the state's layout
+        adv = np.multiply(f[0], terms.dx)
+        product = np.multiply(f[1], terms.dy)
+        adv += product
+        adv += np.multiply(terms.w, terms.dz, out=product)
+        # at T's top level, rho, its transport replaces T's advection
+        if params.transport_variant == VERTICAL_AVERAGE:
+            vs = hydrostatic.vertical_average(grid, f[:2])
+        else:
+            vs = f[:2, ..., -1]
+        adv_rho = np.multiply(vs[0], terms.dx[2, ..., -1], out=adv[2, ..., -1])
+        adv_rho += np.multiply(vs[1], terms.dy[2, ..., -1])
+        F = neg_dealiased_rfft_h(grid, adv)
+        F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2])
+        if params.radiation_on:
+            F[2, ..., -1] += rfft_h(grid, radiation(f[2, ..., -1], params))
+        return F
+    if terms is not work.terms:
+        raise ValueError("with work, the terms are the workspace's (Stepper.state_terms)")
+    adv, product = work.adv, work.product
+    np.multiply(f[0], terms.dx, out=adv)
+    adv += np.multiply(f[1], terms.dy, out=product)
     adv += np.multiply(terms.w, terms.dz, out=product)
-    # at T's top level, rho, its transport replaces T's advection
     if params.transport_variant == VERTICAL_AVERAGE:
-        vs = hydrostatic.vertical_average(grid, v, out=None if work is None else work.velocity)
+        hydrostatic.vertical_average(grid, f[:2].reshape(-1, grid.nlev), out=work.velocity_rows)
+        vs0, vs1 = work.transport
     else:
-        vs = v[..., -1]
-    adv_rho = np.multiply(vs[0], terms.dx[2, ..., -1], out=adv[2, ..., -1])
-    adv_rho += np.multiply(vs[1], terms.dy[2, ..., -1],
-                           out=None if work is None else work.product_rho)
-
-    F = neg_dealiased_rfft_h(grid, adv, work=None if work is None else work.tendencies[0])
-    F[:2] += hydrostatic.baroclinic_grad(grid, terms.U[2], work=work)
+        vs0, vs1 = f[0, ..., -1], f[1, ..., -1]
+    adv_rho = np.multiply(vs0, work.dx_rho, out=work.adv_rho)
+    adv_rho += np.multiply(vs1, work.dy_rho, out=work.product_rho)
+    F = work.tendencies[0]
+    neg_dealiased_rfft_h(grid, adv, work=F.passes)
+    np.add(F.velocity, hydrostatic.baroclinic_grad(grid, work.T_rows, work=work), out=F.velocity)
     if params.radiation_on:
-        F[2, ..., -1] += rfft_h(grid, radiation(f[2, ..., -1], params),
-                                work=None if work is None else work.radiation)
-    return F
+        radiation(f[2, ..., -1], params, out=work.balance, work=work.emission)
+        np.add(F.rho, rfft_h(grid, work.balance_lines, work=work.radiation), out=F.rho)
+    return F.out
 
 
 def _check_finite(state: State, previous: State) -> None:
@@ -308,7 +389,7 @@ def _check_finite(state: State, previous: State) -> None:
     is T's), which passes a field within the threshold and tells by its
     finiteness what fails."""
     fields = state.fields.reshape(-1)
-    if np.dot(fields, fields) < BLOWUP_SUP ** 2:
+    if fields.dot(fields) < BLOWUP_SUP ** 2:
         return
     for name, f in (("v", state.v), ("T", state.T)):
         sup = np.abs(f).max()
@@ -379,7 +460,7 @@ class Stepper:
     @cached_property
     def workspace(self) -> Workspace:
         """The stepper's `Workspace`, built by its first use."""
-        return Workspace(self.grid, len(self._d), self.scheme == "cnab2")
+        return Workspace(self.grid, self._d, self.scheme == "cnab2")
 
     def state_terms(self, state: State) -> monitors.StateTerms:
         """monitors.state_terms(grid, state) in the workspace: valid until
@@ -389,11 +470,12 @@ class Stepper:
     def tendencies(self, state: State, terms: monitors.StateTerms | None = None) -> np.ndarray:
         """`nonlinear_tendencies(grid, state, params, terms)` plus the
         forcing, if any, which is added undealiased; in the workspace,
-        valid until this stepper's next call."""
-        grid = self.grid
-        if terms is None:
+        valid until this stepper's next call, which then also holds the
+        state's terms (given terms of another record are not read)."""
+        grid, work = self.grid, self.workspace
+        if terms is not work.terms:  # none, or another record's: computed here
             terms = self.state_terms(state)
-        F = nonlinear_tendencies(grid, state, self.params, terms, work=self.workspace)
+        F = nonlinear_tendencies(grid, state, self.params, terms, work=work)
         if self.forcing is not None:
             forcing_hat = self.forcing(grid, state.t)
             shape = getattr(forcing_hat, "shape", None)
@@ -415,60 +497,59 @@ class Stepper:
         kick_hat, a pair-spectrum coupled stack (Nx, 2, Ny//2+1, Nz+1), is
         added to the spectral coupled solution before the inverse
         transform: the noise increment of the stochastic drivers (IMEX
-        Euler only).  terms, when given, is monitors.state_terms(grid,
-        state), shared with the ledger: the state's pair spectra and its
-        derivatives and w on the grid, so the step itself makes the
-        products forward and the new state back.  Otherwise the step
-        computes it, in the workspace (`state_terms`).
+        Euler only).  terms, when given, is the stepper's own
+        `state_terms(state)`, shared with the ledger: the state's pair
+        spectra and its derivatives and w on the grid, so the step itself
+        makes the products forward and the new state back.  Otherwise
+        (none, or the terms of another record) the step computes them in
+        the workspace.
 
         The step is a pure function of the physical state (and, for
         cnab2, the tendencies kept with it): nothing spectral is kept
         from one step to the next.  Given terms change no bit of the
         result; they must not come from this step's output spectra, which
         differ from the transform of the physical result by roundoff.
-        The new state's fields are the one array the step allocates: the
-        last inverse transform writes them.
+        Every view the step takes of its workspace is bound there; it
+        takes per call only views of the state's fields and of the new
+        state's, the one array it allocates, which the last inverse
+        transform writes.
         """
-        grid, dt = self.grid, self.dt
+        grid, dt, work = self.grid, self.dt, self.workspace
         cnab2 = self.scheme == "cnab2"
         if cnab2 and kick_hat is not None:
             raise ValueError("scheme cnab2 takes no kick_hat")
-        if terms is None:
-            terms = self.state_terms(state)
-        F = self.tendencies(state, terms)
+        self.tendencies(state, terms)  # into work.tendencies[0], with the state's terms
         # one theta-method stage (module docstring): R(U + dt F) for IMEX
         # Euler, R(2U + dt E) - U for CNAB2, E = F without usable history
-        work = self.workspace
-        first = 3 - len(self._d)  # the first solved field: 2 (T alone) if v is frozen
-        U, rhs = terms.U[first:], work.rhs
+        F, U, rhs = work.tendencies[0], work.U_solved, work.rhs
         if cnab2 and self._history is not None and self._history[0] is state:
-            F_old = self._history[1][first:]  # E = 1.5 F - 0.5 F_old
-            np.multiply(F[first:], 1.5, out=rhs)
+            F_old = work.tendencies[1].solved  # E = 1.5 F - 0.5 F_old
+            np.multiply(F.solved, 1.5, out=rhs)
             rhs -= np.multiply(F_old, 0.5, out=F_old)
             rhs *= dt
         else:
-            np.multiply(F[first:], dt, out=rhs)
+            np.multiply(F.solved, dt, out=rhs)
         if cnab2:
             rhs += np.multiply(U, 2.0, out=work.out)
             work.tendencies.reverse()  # the next step's go into the other buffer
         else:
             rhs += U
-        x_hat = linops.apply_diagonal(self._basis, self._d, rhs, out=work.out,
-                                      work=work.coords)
+        linops.apply_diagonal(self._basis, work.d_rows, work.rhs_rows, out=work.out_rows,
+                              work=work.coords_rows)
+        x_hat = work.out
         if cnab2:
             x_hat -= U
         if kick_hat is not None:
-            x_hat[-1] += kick_hat
+            np.add(work.out_T, kick_hat, out=work.out_T)
+        if self.velocity is not None:
+            hydrostatic.project_barotropic(grid, work.v_rows, out=work.v_rows, work=work)
         fields = np.empty(state.fields.shape)
         if self.velocity is None:
             fields[:2] = state.v
-        else:
-            v_hat = x_hat[:2]
-            hydrostatic.project_barotropic(grid, v_hat, out=v_hat, work=work)
-        irfft_h(grid, x_hat, out=fields[first:], work=work.inverse)
+        irfft_h(grid, x_hat, out=fields[work.first_solved:], work=work.inverse)
         new = State(fields, t=state.t + dt, step=state.step + 1)
         if cnab2:
-            self._history = (new, F)
+            self._history = (new, F.out)
         _check_finite(new, state)
         return new
 

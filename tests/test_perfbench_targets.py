@@ -9,9 +9,10 @@ benchmark runs without failing any other test.
 import dataclasses
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
-from ebpe import PhysParams, Stepper, make_grid, stochastic, timestep
+from ebpe import PhysParams, Stepper, ebm, hydrostatic, make_grid, monitors, stochastic, timestep
 from ebpe.config import RunConfig
 from ebpe.ebm import default_insolation
 from ebpe.manufactured import ManufacturedSolution
@@ -38,40 +39,70 @@ def test_every_target_resolves_to_a_distinct_object():
     assert len({id(obj) for obj in resolved}) == len(resolved)
 
 
+# the traced kernel calls that every step makes (`perfbench/spans.py`
+# names them so): (module, attribute)
+STEP_CALLS = [(timestep, "nonlinear_tendencies"), (ebm, "radiation"),
+              (hydrostatic, "project_barotropic"), (hydrostatic, "baroclinic_grad")]
+
+
 def test_every_step_calls_the_traced_tendencies_once(monkeypatch):
     """`timestep.nonlinear_tendencies` is the kernel's tendencies: each step
     of both schemes and of every driver calls it once, through the module
     attribute that the tracer replaces, so its traced time is the explicit
-    work of the step, not a path that no step takes."""
-    original, calls = timestep.nonlinear_tendencies, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    # as the tracer does: every ebpe module attribute bound to the function
-    for key, module in list(sys.modules.items()):
-        if key == "ebpe" or key.startswith("ebpe."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-
+    work of the step, not a path that no step takes.  So does it call the
+    radiation, the projection and the baroclinic term, and the driver
+    loop `monitors.measure` once per step (and for its first state): a
+    function bound into a workspace, or called by another name, would
+    lose its spans under `Stepper.step`."""
     grid = make_grid(8, 8, 8)
     exact = ManufacturedSolution()
     params = PhysParams(Q=default_insolation(grid, 0.9, 0.1), radiation_on=True)
+    # steppers whose workspaces are built before the counting starts, as
+    # for a stepper built before the tracer installs: a function that a
+    # workspace bound would escape the count
+    steppers = {"imex_euler": Stepper(grid, params, 1e-3),
+                "cnab2": Stepper(grid, params, 1e-3, scheme="cnab2",
+                                 forcing=exact.spectral_forcing(grid))}
+    for stepper in steppers.values():
+        assert stepper.workspace is not None
 
-    def two_steps(scheme, state, forcing=None):
-        stepper = Stepper(grid, params, 1e-3, scheme=scheme, forcing=forcing)
+    calls, depth = Counter(), [0]
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name, depth[0] > 0] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    # as the tracer does: every ebpe module attribute bound to the function
+    for owner, attr in STEP_CALLS + [(monitors, "measure")]:
+        original = vars(owner)[attr]
+        for key, module in list(sys.modules.items()):
+            if key == "ebpe" or key.startswith("ebpe."):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counting(attr, original))
+    step = Stepper.step
+
+    def stepping(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return step(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Stepper, "step", stepping)
+
+    def two_steps(scheme, state):
         for _ in range(2):  # cnab2: the first step (E = F), then the AB2 step
-            state = stepper.step(state)
+            state = steppers[scheme].step(state)
         return state
 
     cfg = RunConfig(nx=8, ny=8, nz=8, dt=1e-3, t_end=1e-3, transport="vertical_average",
                     noise_sigma=0.1, ic_kind="random_smooth", ic_seed=5)
     runs = {
         "imex_euler": lambda: two_steps("imex_euler", rough_state(grid, seed=3)),
-        "cnab2": lambda: two_steps("cnab2", exact.initial_state(grid),
-                                   exact.spectral_forcing(grid)),
+        "cnab2": lambda: two_steps("cnab2", exact.initial_state(grid)),
         "direct_em": lambda: stochastic.run_direct_em(cfg).final_state,
         "split": lambda: stochastic.run_split_stochastic(cfg).final_state,
         "deterministic": lambda: timestep.run_deterministic(
@@ -79,9 +110,18 @@ def test_every_step_calls_the_traced_tendencies_once(monkeypatch):
     }
     steps, counts = {}, {}
     for name, run in runs.items():
-        before = len(calls)
+        before = Counter(calls)
         steps[name] = run().step
-        counts[name] = len(calls) - before
+        counts[name] = calls - before
     assert steps == {"imex_euler": 2, "cnab2": 2, "direct_em": 1, "split": 1,
                      "deterministic": 3}
-    assert counts == steps
+    for name, n in steps.items():
+        in_steps = {attr: counts[name][attr, True] for _, attr in STEP_CALLS}
+        # the manufactured forcing also takes the radiation of its exact rho
+        radiation = 2 * n if name == "cnab2" else n
+        assert in_steps == {"nonlinear_tendencies": n, "radiation": radiation,
+                            "project_barotropic": n, "baroclinic_grad": n}, name
+        assert not counts[name]["nonlinear_tendencies", False], name
+        # the driver loop measures every state it steps to and its first
+        measured = n + 1 if name in ("direct_em", "split", "deterministic") else 0
+        assert counts[name]["measure", False] == measured and not counts[name]["measure", True]

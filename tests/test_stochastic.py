@@ -53,9 +53,9 @@ def propagator(grid, dt):
 def level_step(prop, Z, dW, q):
     """One propagator step of a complex stack Z in level coordinates, taken
     in the eigen coordinates of the coupled basis on its pair spectrum;
-    dW is a pair spectrum, as a bundle holds it."""
+    dW is a pair spectrum, as a bundle holds it, and q a `q_table`."""
     zeta = to_eigen(prop.basis, as_pairs(Z))
-    return as_complex(from_eigen(prop.basis, prop.step_hat(zeta, dW, q)))
+    return as_complex(from_eigen(prop.basis, prop.step_hat(zeta, dW, q[:, None])))
 
 
 def dense_convolution_maps(grid, dt):

@@ -473,12 +473,18 @@ class TestOutForms:
         spectra = rfft_h(grid, fields)
         for operand in (*self.layouts(spectra), *self.layouts(spectra[1, ..., 0].copy())):
             want = irfft_h(grid, operand)
-            work = grid_mod.passes(grid, operand.shape, "inverse", scratch)
+            assert np.array_equal(irfft_h(grid, operand, out=np.full(want.shape, 7.0)), want)
+            if not operand.flags.c_contiguous:  # the inverse binds its operand's rows
+                with pytest.raises(ValueError, match="C-contiguous"):
+                    grid_mod.passes(grid, operand.shape, "inverse", scratch, operand=operand)
+                continue
+            work = grid_mod.passes(grid, operand.shape, "inverse", scratch, operand=operand)
             for _ in range(2):
                 out = np.full(want.shape, np.nan)
                 assert irfft_h(grid, operand, out=out, work=work) is out
                 assert np.array_equal(out, want)
-            assert np.array_equal(irfft_h(grid, operand, out=np.full(want.shape, 7.0)), want)
+            with pytest.raises(ValueError, match="operand"):
+                irfft_h(grid, operand.copy(), out=out, work=work)
 
     def test_buffers_are_checked(self, grid8):
         with pytest.raises(ValueError, match="C-contiguous"):
@@ -504,23 +510,27 @@ class TestOutForms:
             assert F is work.tendencies[0].out and np.array_equal(F, tendencies)
 
     def test_stage_operators(self, rng):
+        # the stage's entry points take the rows (-1, Nz+1) that a workspace
+        # binds, and write its buffers
         grid = make_grid(8, 8, 8)
         v_hat = rfft_h(grid, rng.standard_normal((2, 8, 8, 9)))
         stepper = Stepper(grid, PhysParams(Q=default_insolation(grid, 0.9, 0.1)), 1e-3)
         work = stepper.workspace
         want_v, want_phi = project_barotropic(grid, v_hat)
-        inplace = v_hat.copy()
-        got_v, got_phi = project_barotropic(grid, inplace, out=inplace, work=work)
-        assert got_v is inplace and np.shares_memory(got_phi, work.vbar)
-        assert np.array_equal(got_v, want_v) and np.array_equal(got_phi, want_phi)
+        work.out[:2] = v_hat
+        got_v, got_phi = project_barotropic(grid, work.v_rows, out=work.v_rows, work=work)
+        assert got_v is work.v_rows and np.shares_memory(got_phi, work.vbar)
+        assert np.array_equal(work.out[:2], want_v) and np.array_equal(got_phi, want_phi)
         T_hat = v_hat[0]
-        assert hydrostatic.baroclinic_grad(grid, T_hat, work=work) is work.baroclinic
+        work.terms.U[2] = T_hat
+        assert hydrostatic.baroclinic_grad(grid, work.T_rows, work=work) is work.baroclinic
         assert np.array_equal(work.baroclinic, hydrostatic.baroclinic_grad(grid, T_hat))
         x = np.concatenate((v_hat, v_hat[:1]))
         want = linops.apply_diagonal(stepper._basis, stepper._d, x)
-        coords = np.empty(x.shape)
-        assert linops.apply_diagonal(stepper._basis, stepper._d, x, out=x, work=coords) is x
-        assert np.array_equal(x, want)
+        work.rhs[...] = x
+        assert linops.apply_diagonal(stepper._basis, work.d_rows, work.rhs_rows,
+                                     out=work.rhs_rows, work=work.coords_rows) is work.rhs_rows
+        assert np.array_equal(work.rhs, want)
 
 
 @pytest.mark.parametrize("driver", ["imex_euler", "cnab2", "split", "direct_em"])

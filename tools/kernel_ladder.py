@@ -32,7 +32,11 @@ surface-trace transport, IMEX Euler and dt = 1e-3:
   stoch-8 benchmark, the one place the ladder runs the vertical average
   and a kick: `accept_stoch` physics (vertical-average transport,
   `random_smooth` amplitude 0.5, seed 1) and the direct Euler-Maruyama
-  kick q dW at sigma = 0.1, the increments drawn by `wiener_increments`.
+  kick q dW at sigma = 0.1, the increments drawn by `wiener_increments`;
+  and `em_loop_calls_per_step`, the Python-level call events
+  (`sys.setprofile` "call" and "c_call": Python functions and builtins,
+  not ufuncs) of one more step of that loop, with its terms and ledger,
+  a count that repeats exactly on any machine for one numpy version.
 
 Every figure keeps, beside its pooled min and median, each worker's own
 minimum (`worker_min`, one per round) and their median
@@ -159,13 +163,30 @@ def worker(shape: tuple[int, int, int]) -> dict:
         (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / LOOP_STEPS]
     out["loop_step_ms"] = [1e3 * t for t in times]
     if shape == LADDER["8^3"]:
-        out["em_loop_step_ms"] = _em_loop(shape, dt)
+        out["em_loop_step_ms"], calls = _em_loop(shape, dt)
+        out["em_loop_calls_per_step"] = [calls]
     return out
 
 
-def _em_loop(shape: tuple[int, int, int], dt: float) -> list[float]:
+def _call_events(call) -> int:
+    """The "call" and "c_call" events (`sys.setprofile`) of one call(), not
+    counting call's own and the profiler's switch-off."""
+    events = []
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            events.append(event)
+
+    sys.setprofile(profile)
+    call()
+    sys.setprofile(None)
+    return len(events) - 2
+
+
+def _em_loop(shape: tuple[int, int, int], dt: float) -> tuple[list[float], int]:
     """Wall times (ms) of LOOP_STEPS steps, after one untimed, of the
-    driver-like loop with stoch-8 physics and the direct-EM kick."""
+    driver-like loop with stoch-8 physics and the direct-EM kick, and the
+    call events of one more step (`_call_events`)."""
     import numpy as np
     from ebpe.config import RunConfig
     from ebpe.monitors import measure
@@ -173,24 +194,31 @@ def _em_loop(shape: tuple[int, int, int], dt: float) -> list[float]:
     from ebpe.timestep import start_run
 
     nx, ny, nz = shape
-    cfg = RunConfig(nx=nx, ny=ny, nz=nz, dt=dt, t_end=(LOOP_STEPS + 1) * dt,
+    cfg = RunConfig(nx=nx, ny=ny, nz=nz, dt=dt, t_end=(LOOP_STEPS + 2) * dt,
                     transport="vertical_average", ic_kind="random_smooth",
                     ic_amplitude=0.5, ic_seed=1, noise_sigma=0.1)
     stepper, state = start_run(cfg)
     grid, work = stepper.grid, stepper.workspace
     spec = NoiseSpec(sigma=cfg.noise_sigma, decay=cfg.noise_decay, seed=cfg.noise_seed)
-    q = spec.q_table(grid)[:, None]
-    increments = wiener_increments(grid, spec, dt, LOOP_STEPS + 1).increments
+    q = np.repeat(spec.q_table(grid)[:, None], 2, axis=1)  # as the driver's kick takes it
+    increments = wiener_increments(grid, spec, dt, LOOP_STEPS + 2).increments
     kick_hat = np.zeros(increments.shape[1:] + (grid.nlev,))
-    times = []
-    for dW in increments:
-        t0 = time.perf_counter()
+    surface = kick_hat[..., -1]
+    step = iter(increments)
+
+    def loop_step():
+        nonlocal state
         terms = stepper.state_terms(state)
         measure(grid, state, terms, work=work)
-        np.multiply(q, dW, out=kick_hat[..., -1])
+        np.multiply(q, next(step), out=surface)
         state = stepper.step(state, kick_hat=kick_hat, terms=terms)
+
+    times = []
+    for _ in range(LOOP_STEPS + 1):
+        t0 = time.perf_counter()
+        loop_step()
         times.append(time.perf_counter() - t0)
-    return [1e3 * t for t in times[1:]]
+    return [1e3 * t for t in times[1:]], _call_events(loop_step)
 
 
 def _run_worker(src: Path, label: str) -> dict:
@@ -280,7 +308,8 @@ def main(argv=None) -> int:
                         f"({f['loop_step_ms']['median_worker_min']:.3f}) ms, "
                         f"faults/step {f['minor_faults_per_step']['median_worker_min']:.1f}"
                         + (f", EM loop step {f['em_loop_step_ms']['min']:.3f} "
-                           f"({f['em_loop_step_ms']['median_worker_min']:.3f}) ms"
+                           f"({f['em_loop_step_ms']['median_worker_min']:.3f}) ms, "
+                           f"{f['em_loop_calls_per_step']['min']:.0f} calls"
                            if "em_loop_step_ms" in f else "")
                         for name, f in figures.items())
         print(f"{grid:8s} {row}")
