@@ -65,7 +65,7 @@ def coalbedo(rho, params: PhysParams, out=None):
     """tanh ramp between beta1 and beta2 around rho_ref; strictly inside
     (beta1, beta2).  out, when given, receives it (a float64 array of
     rho's shape)."""
-    ramp = np.tanh(np.subtract(rho, params.rho_ref, out=out), out=out)
+    ramp = np.tanh(np.subtract(rho, params.rho_ref, out=out, dtype=float), out=out)
     ramp = np.multiply(0.5, np.add(1.0, ramp, out=out), out=out)
     return np.add(params.beta1, np.multiply(params.beta2 - params.beta1, ramp, out=out), out=out)
 
@@ -73,7 +73,7 @@ def coalbedo(rho, params: PhysParams, out=None):
 def emission(rho, out=None):
     """Stefan-Boltzmann emission |rho|^3 * rho; odd in rho.  out, when
     given, receives it (a float64 array of rho's shape)."""
-    return np.multiply(np.power(np.abs(rho, out=out), 3, out=out), rho, out=out)
+    return np.multiply(np.power(np.abs(rho, out=out, dtype=float), 3, out=out), rho, out=out)
 
 
 def radiation(rho: np.ndarray, params: PhysParams, out=None, work=None) -> np.ndarray:
